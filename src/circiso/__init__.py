@@ -19,7 +19,12 @@ from .circulant import (  # noqa: E402,F401
     realize,
     symmetric_set,
 )
-from .iso_oracle import IsoWitness, search_isomorphism, verify_witness  # noqa: F401
+from .iso_oracle import (  # noqa: F401
+    IsoWitness,
+    search_isomorphism,
+    verify_circulant_witness,
+    verify_witness,
+)
 from .products import (  # noqa: F401
     product_c4,
     product_coprime,
@@ -40,6 +45,7 @@ from .type2 import (  # noqa: F401
     Type2Orbit,
     classify_theta,
     theta_compose,
+    theta_image,
     theta_offsets,
     theta_vertex_map,
     type2_group_check,

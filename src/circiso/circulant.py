@@ -6,7 +6,7 @@ from functools import lru_cache, reduce
 from math import gcd
 from typing import NamedTuple, Union
 
-from .errors import ParseError
+from .errors import InvariantViolation, ParseError
 from .residue import check_modulus, reflexive_reduce
 
 
@@ -76,11 +76,16 @@ def parse_graph(text: str) -> Circulant:
         nonlocal i
         skip_ws()
         j = i
-        while j < len(text) and text[j].isdigit():
+        # ASCII digits only: str.isdigit also accepts forms such as '²'
+        # that int() rejects
+        while j < len(text) and "0" <= text[j] <= "9":
             j += 1
         if j == i:
             raise ParseError(f"expected an integer at byte {i} in graph text {text!r}")
-        v = int(text[i:j])
+        try:
+            v = int(text[i:j])
+        except ValueError as e:  # more digits than int() converts
+            raise ParseError(f"{e} at byte {i} in graph text {text!r}") from e
         i = j
         return v
 
@@ -138,7 +143,8 @@ def realize(g: Circulant) -> EdgeGraph:
             add((x, y) if x < y else (y, x))
     eg = EdgeGraph(n, frozenset(es))
     # offsets are distinct reflexive classes, so no two can realize one edge
-    assert 2 * len(eg.edges) == n * g.degree, "offset collision in realization"
+    if 2 * len(eg.edges) != n * g.degree:
+        raise InvariantViolation(f"offset collision in realization of {g.label()}")
     return eg
 
 
@@ -189,32 +195,6 @@ def detect_circulant(eg: EdgeGraph) -> Union[Circulant, NotCirculant]:
         row = adj[x]
         # neighbours are distinct, so distinct differences: count plus
         # membership is full set equality
-        if len(row) != k:
-            return NotCirculant(x)
-        for y in row:
-            if (y - x) % n not in base:
-                return NotCirculant(x)
-    return Circulant(n, reflexive_reduce(base, n))
-
-
-def detect_permuted(eg: EdgeGraph, perm) -> Union[Circulant, NotCirculant]:
-    """detect_circulant(permute_edges(eg, perm)) in one pass.
-
-    Builds the relabeled adjacency directly instead of materializing the
-    intermediate edge set; the detection logic is identical.
-    """
-    n = eg.n
-    if not eg.edges:
-        raise ValueError("empty graph has no connection set")
-    adj = [[] for _ in range(n)]
-    for a, b in eg.edges:
-        pa, pb = perm[a], perm[b]
-        adj[pa].append(pb)
-        adj[pb].append(pa)
-    base = frozenset(adj[0])
-    k = len(base)
-    for x in range(1, n):
-        row = adj[x]
         if len(row) != k:
             return NotCirculant(x)
         for y in row:

@@ -7,7 +7,7 @@ import json
 import sys
 
 from .circulant import Circulant, parse_graph, realize
-from .errors import CircisoError, ParseError
+from .errors import CircisoError, ParseError, ReportError
 from .iso_oracle import IsoWitness, make_witness, search_isomorphism, verify_witness
 from .products import (
     _c4_ring_edges,
@@ -225,30 +225,43 @@ def cmd_product(args) -> int:
     return _emit(make_report(["product", args.kind], inputs, results, checks), args)
 
 
-def cmd_verify(args) -> int:
-    with open(args.report) as fh:
-        doc = json.load(fh)
-    witnesses = []
-    results = doc.get("results", {})
-    if isinstance(results, dict):
-        witnesses = results.get("witnesses", [])
-    checks = []
+def _read_witnesses(path: str) -> list:
+    """(label, witness) for every witness stored in a report file, rebuilt
+    from its endpoint descriptors. A file that is not a well-formed report
+    raises ReportError."""
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+            raise ReportError(f"{path} is not a JSON report: {e}") from e
+    results = doc.get("results", {}) if isinstance(doc, dict) else None
+    if not isinstance(results, dict):
+        return []
+    witnesses = results.get("witnesses", [])
+    if not isinstance(witnesses, list):
+        raise ReportError(f"{path}: results.witnesses is not a list")
+    out = []
     for i, w in enumerate(witnesses):
-        rebuilt = IsoWitness(
-            source=graph_from_desc(w["source"]),
-            target=graph_from_desc(w["target"]),
-            bijection=tuple(w["bijection"]),
-            verified=False,
-            origin=w.get("origin", "file"),
-        )
-        checks.append(
-            assertion(
-                f"witness {i}: {w['source']['kind']} n={w['source']['n']}"
-                f" -> {w['target']['kind']} n={w['target']['n']}",
-                verify_witness(rebuilt),
-                rebuilt.origin,
-            )
-        )
+        try:
+            bijection = w["bijection"]
+            if not isinstance(bijection, list) or not all(type(v) is int for v in bijection):
+                raise ReportError("bijection is not a list of integers")
+            source, target = graph_from_desc(w["source"]), graph_from_desc(w["target"])
+            label = (f"{w['source']['kind']} n={source.n}"
+                     f" -> {w['target']['kind']} n={target.n}")
+            origin = str(w.get("origin", "file"))
+        except KeyError as e:
+            raise ReportError(f"{path}: witness {i} has no {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ReportError(f"{path}: witness {i} is malformed: {e}") from e
+        out.append((label, IsoWitness(source, target, tuple(bijection), False, origin)))
+    return out
+
+
+def cmd_verify(args) -> int:
+    witnesses = _read_witnesses(args.report)
+    checks = [assertion(f"witness {i}: {label}", verify_witness(w), w.origin)
+              for i, (label, w) in enumerate(witnesses)]
     if not checks:
         checks.append(assertion("no witnesses found in report", False, args.report))
     results_out = {"checked": len(witnesses),

@@ -60,3 +60,12 @@ class BudgetExceeded(CircisoError):
 
 class ParseError(CircisoError):
     """Graph text could not be parsed; message carries the byte offset."""
+
+
+class InvariantViolation(CircisoError):
+    """An internal consistency check failed, e.g. a witness that should
+    verify did not. Raised explicitly so the check survives `python -O`."""
+
+
+class ReportError(CircisoError):
+    """A report file handed to `verify` is not a well-formed report."""

@@ -7,10 +7,11 @@ never a silent "not isomorphic".
 """
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional
 
-from .circulant import EdgeGraph
-from .errors import BudgetExceeded, NotAPermutation, OrderMismatch
+from .circulant import Circulant, EdgeGraph
+from .errors import BudgetExceeded, InvariantViolation, NotAPermutation, OrderMismatch
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -43,6 +44,40 @@ def verify_witness(w: IsoWitness) -> bool:
     for a, b in w.source.edges:
         fa, fb = f[a], f[b]
         if ((fa, fb) if fa < fb else (fb, fa)) not in target:
+            return False
+    return True
+
+
+def verify_circulant_witness(g: Circulant, h: Circulant, bijection) -> bool:
+    """True iff the bijection maps C_n(R) edge for edge onto C_n(S).
+
+    The same complete check as verify_witness, run on connection sets: every
+    source edge is {x, x+s} for some x in Z_n and s in R, and its image is an
+    edge of the target exactly when f(x+s) - f(x) lies in S ∪ (n-S). A
+    bijection maps distinct edges to distinct edges, so once the degrees (and
+    with them the edge counts) agree, the image covers every target edge.
+    """
+    n = g.n
+    if h.n != n:
+        raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
+    if len(bijection) != n:
+        raise NotAPermutation(f"bijection has {len(bijection)} entries, not {n}")
+    seen = bytearray(n)
+    for v in bijection:
+        if not 0 <= v < n or seen[v]:
+            raise NotAPermutation("bijection is not a permutation of the vertex set")
+        seen[v] = 1
+    if g.degree != h.degree:
+        return False
+    mask = bytearray(n)
+    for s in h.conn:
+        mask[s] = mask[n - s] = 1
+    f = tuple(bijection)
+    for s in g.conn:
+        # f[x+s] - f[x] lies in (-n, n), and a bytearray of length n indexes
+        # negative values modulo n, so the mask needs no explicit reduction;
+        # each distinct difference is looked up once
+        if not all(mask[d] for d in set(map(sub, f[s:] + f[:s], f))):
             return False
     return True
 
@@ -143,5 +178,6 @@ def search_isomorphism(
     if not dfs(0):
         return None
     w = make_witness(a, b, mapping, "search")
-    assert w.verified
+    if not w.verified:
+        raise InvariantViolation("search found a bijection that fails verification")
     return w

@@ -64,12 +64,10 @@ def graph_from_desc(desc: dict):
     if kind == "cartesian":
         a, b = (graph_from_desc(f) for f in desc["factors"])
         return cartesian_edges(a, b)
+    if kind not in ("prism", "c4"):
+        raise ValueError(f"unknown graph descriptor kind {kind!r}")
     base = Circulant(desc["base"]["n"], tuple(desc["base"]["conn"]))
-    if kind == "prism":
-        return _prism_edges(base)
-    if kind == "c4":
-        return _c4_ring_edges(base)
-    raise ValueError(f"unknown graph descriptor kind {kind!r}")
+    return _prism_edges(base) if kind == "prism" else _c4_ring_edges(base)
 
 
 def witness_json(w: IsoWitness, source_desc: dict, target_desc: dict) -> dict:

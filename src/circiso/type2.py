@@ -4,17 +4,11 @@ with their group structure."""
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Union
 
-from .circulant import (
-    Circulant,
-    NotCirculant,
-    detect_permuted,
-    realize,
-    symmetric_set,
-)
-from .errors import InvalidParams, ParamMismatch, PreconditionViolation
-from .iso_oracle import IsoWitness, make_witness
+from .circulant import Circulant, NotCirculant, realize, symmetric_set
+from .errors import InvalidParams, InvariantViolation, ParamMismatch, PreconditionViolation
+from .iso_oracle import IsoWitness, verify_circulant_witness
 from .residue import check_modulus, reflexive_reduce, valid_type2_params
 from .type1 import is_adams_isomorphic
 
@@ -50,7 +44,8 @@ def theta_vertex_map(tm: ThetaMap) -> tuple[int, ...]:
     """Image list of the permutation, indexed by vertex."""
     n, m, mt = tm.n, tm.m, tm.m * tm.t
     img = tuple((x + (x % m) * mt) % n for x in range(n))
-    assert len(set(img)) == n, "theta image is not a permutation"
+    if len(set(img)) != n:
+        raise InvariantViolation(f"{tm.label()} is not a permutation")
     return img
 
 
@@ -94,25 +89,46 @@ def _check_classify_preconditions(tm: ThetaMap, g: Circulant):
         raise PreconditionViolation(f"no offset of {g.label()} is divisible by m={tm.m}")
 
 
-def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
-    """Transform the realized edge set of g and classify the image.
+def theta_image(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
+    """Decide whether theta maps C_n(R) onto a circulant, on m vertices.
 
-    The edge-set route is the ground truth; when it reports a circulant
-    image, the elementwise offset shortcut must reduce to exactly the same
-    set (hard assertion), and the vertex bijection is verified against the
-    realized image before being attached as a witness.
+    The image vertex theta(u) has difference set
+    D_u = {theta(u+s) - theta(u) : s in R ∪ -R}. Since
+    theta(x+m) = theta(x) + m, D_u depends only on u mod m, so the image is
+    circulant iff D_u = D_0 for u in [0, m); D_0 is theta_offsets. Otherwise
+    the result names the least failing u. Image vertex x has a preimage
+    congruent to x mod m, so u is also the least image vertex whose
+    difference set differs from vertex 0's, the vertex detect_circulant
+    reports on the transformed edge set.
+    """
+    n, m, mt = tm.n, tm.m, tm.m * tm.t
+    full = symmetric_set(g)
+    d0 = frozenset(theta_offsets(tm, full))
+    for u in range(1, m):
+        # theta(u+s) - theta(u) = s + ((u+s) mod m - u)*m*t
+        if frozenset((s + ((u + s) % m - u) * mt) % n for s in full) != d0:
+            return NotCirculant(u)
+    return Circulant(n, reflexive_reduce(d0, n))
+
+
+def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
+    """Decide whether theta maps g onto a circulant and classify the image.
+
+    Detection runs on m vertices (theta_image). A circulant image comes with
+    the vertex bijection as witness, checked edge for edge on the two
+    connection sets before it is attached; a failed check raises
+    InvariantViolation. The witness endpoints are the realized edge sets, so
+    any edge-level consumer can check it again.
     """
     _check_classify_preconditions(tm, g)
+    image = theta_image(tm, g)
+    if isinstance(image, NotCirculant):
+        return ThetaClassification(map=tm, source=g, kind="not_circulant",
+                                   failing_vertex=image.vertex)
     perm = theta_vertex_map(tm)
-    source_edges = realize(g)
-    det = detect_permuted(source_edges, perm)
-    if isinstance(det, NotCirculant):
-        return ThetaClassification(map=tm, source=g, kind="not_circulant", failing_vertex=det.vertex)
-    image = det
-    shortcut = reflexive_reduce(theta_offsets(tm, symmetric_set(g)), g.n)
-    assert shortcut == image.conn, "offset shortcut disagrees with edge transform"
-    witness = make_witness(source_edges, realize(image), perm, f"theta(m={tm.m},t={tm.t})")
-    assert witness.verified
+    if not verify_circulant_witness(g, image, perm):
+        raise InvariantViolation(f"{tm.label()} does not map {g.label()} onto {image.label()}")
+    witness = IsoWitness(realize(g), realize(image), perm, True, f"theta(m={tm.m},t={tm.t})")
     if image == g:
         return ThetaClassification(map=tm, source=g, kind="identity", image=image, witness=witness)
     x = is_adams_isomorphic(g, image)
@@ -143,32 +159,15 @@ class Type2Orbit:
 
 
 def type2_set(g: Circulant, m: int) -> Type2Orbit:
-    """Scan every t in [0, n/m) and collect the Type-2 orbit of g.
-
-    Each t is prefiltered by the elementwise offset transform: an
-    asymmetric image difference set already proves the image is not
-    circulant. Every surviving t goes through the full edge-set
-    classification, so no membership claim rests on the shortcut alone.
-    """
-    params = valid_type2_params(g.n, m, g.conn)
-    if not params.cube_divides:
-        raise InvalidParams(f"m^3 = {m ** 3} does not divide n = {g.n}")
-    if not params.divisible_offsets:
-        raise PreconditionViolation(f"no offset of {g.label()} is divisible by m={m}")
-    if len(g.conn) < 3:
-        raise PreconditionViolation("Type-2 sets need at least 3 offsets")
-    n = g.n
-    full = symmetric_set(g)
+    """Classify theta(n, m, t) on g for every t in [0, n/m) and collect the
+    Type-2 orbit of g. Every circulant image carries a checked witness, so
+    no membership claim rests on the difference sets alone."""
+    # validates m before range(n // m) is taken
+    _check_classify_preconditions(ThetaMap(g.n, m, 0), g)
     outcomes = []
     members = {g}
-    for t in range(n // m):
-        tm = ThetaMap(n, m, t)
-        cand = theta_offsets(tm, full)
-        cs = set(cand)
-        if any((n - s) not in cs for s in cs):
-            outcomes.append((t, "not_circulant", None))
-            continue
-        cls = classify_theta(tm, g)
+    for t in range(g.n // m):
+        cls = classify_theta(ThetaMap(g.n, m, t), g)
         outcomes.append((t, cls.kind, cls.image))
         if cls.kind == "type2":
             members.add(cls.image)
@@ -253,5 +252,6 @@ def theta_compose(a: ThetaMap, b: ThetaMap) -> ThetaMap:
         raise ParamMismatch(f"cannot compose {a.label()} with {b.label()}")
     c = ThetaMap(a.n, a.m, (a.t + b.t) % (a.n // a.m))
     pa, pb, pc = theta_vertex_map(a), theta_vertex_map(b), theta_vertex_map(c)
-    assert all(pc[x] == pa[pb[x]] for x in range(a.n)), "composition law violated"
+    if any(pc[x] != pa[pb[x]] for x in range(a.n)):
+        raise InvariantViolation(f"{c.label()} is not {a.label()} after {b.label()}")
     return c

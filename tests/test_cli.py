@@ -1,6 +1,15 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
+
+import circiso
 from circiso.cli import main
+
+SRC = pathlib.Path(circiso.__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -111,6 +120,59 @@ def test_verify_round_trip(tmp_path, capsys):
     assert "[FAIL]" in out
 
 
+def _witness(**fields):
+    w = {"source": {"kind": "circulant", "n": 5, "conn": [1]},
+         "target": {"kind": "circulant", "n": 5, "conn": [2]},
+         "bijection": [0, 2, 4, 1, 3], "origin": "adam(x=2)", "verified": True}
+    w.update(fields)
+    return {k: v for k, v in w.items() if v is not None}
+
+
+@pytest.mark.parametrize("content, message", [
+    ("{not json", "is not a JSON report"),
+    (json.dumps({"results": {"witnesses": [_witness(source=None)]}}), "has no 'source'"),
+    (json.dumps({"results": {"witnesses": [_witness(source={"kind": "torus", "n": 5})]}}),
+     "unknown graph descriptor kind 'torus'"),
+    (json.dumps({"results": {"witnesses": [_witness(bijection=[0, 2, "4", 1, 3])]}}),
+     "bijection is not a list of integers"),
+    (json.dumps({"results": {"witnesses": {"0": _witness()}}}), "is not a list"),
+])
+def test_verify_hostile_report_fails_cleanly(tmp_path, capsys, content, message):
+    f = tmp_path / "hostile.json"
+    f.write_text(content)
+    code, _, err = run(capsys, "verify", str(f))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_verify_accepts_handwritten_witness(tmp_path, capsys):
+    f = tmp_path / "adam.json"
+    f.write_text(json.dumps({"results": {"witnesses": [_witness()]}}))
+    code, out, _ = run(capsys, "verify", str(f))
+    assert code == 0 and "[PASS] witness 0: circulant n=5 -> circulant n=5" in out
+
+
+def test_catalog_row_certified_under_optimize(tmp_path):
+    # python -O strips assert statements; the Type-2 witness of a catalog
+    # row (theta(432, 2, 54) carries A_1 onto D_1) must still be checked
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    report = tmp_path / "row.json"
+    res = subprocess.run(
+        [sys.executable, "-O", "-m", "circiso", "classify", "n=432;R=16,27,48,54,128,160,189",
+         "--m", "2", "--t", "54", "--out", str(report)],
+        capture_output=True, text=True, env=env,
+    )
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(report.read_text())
+    assert doc["results"]["kind"] == "type2"
+    assert doc["results"]["image"]["conn"] == [16, 48, 54, 81, 128, 135, 160]
+    assert all(a["passed"] for a in doc["assertions"])
+    res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0 and "[PASS] witness 0" in res.stdout
+
+
 def test_reports_are_byte_stable(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -135,15 +197,7 @@ def test_classify_bad_params_exit_code(capsys):
 
 
 def test_module_entry_point_subprocess():
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    import circiso
-
-    src = pathlib.Path(circiso.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run(
         [sys.executable, "-m", "circiso", "classify", "n=16;R=1,2,7",
          "--m", "2", "--t", "2", "--json"],

@@ -2,7 +2,13 @@ import pytest
 
 from circiso.circulant import Circulant, realize
 from circiso.errors import BudgetExceeded, NotAPermutation, OrderMismatch
-from circiso.iso_oracle import IsoWitness, make_witness, search_isomorphism, verify_witness
+from circiso.iso_oracle import (
+    IsoWitness,
+    make_witness,
+    search_isomorphism,
+    verify_circulant_witness,
+    verify_witness,
+)
 from circiso.type2 import ThetaMap, theta_vertex_map
 
 
@@ -31,6 +37,33 @@ def test_verify_witness_errors():
         verify_witness(IsoWitness(a, b, tuple(range(16)), False, "x"))
     with pytest.raises(NotAPermutation):
         verify_witness(IsoWitness(a, a, (0,) * 16, False, "x"))
+
+
+def test_verify_circulant_witness_accepts_theta_and_identity():
+    a, b = Circulant(16, (1, 2, 7)), Circulant(16, (2, 3, 5))
+    assert verify_circulant_witness(a, b, theta_vertex_map(ThetaMap(16, 2, 2)))
+    assert verify_circulant_witness(a, a, tuple(range(16)))
+    assert not verify_circulant_witness(a, b, tuple(range(16)))
+
+
+def test_verify_circulant_witness_rejections():
+    a, b = Circulant(16, (1, 2, 7)), Circulant(16, (2, 3, 5))
+    f = list(theta_vertex_map(ThetaMap(16, 2, 2)))
+    with pytest.raises(NotAPermutation):
+        verify_circulant_witness(a, b, [f[0]] + f[:-1])  # repeats an image
+    with pytest.raises(NotAPermutation):
+        verify_circulant_witness(a, b, f[:-1] + [16])  # image out of range
+    with pytest.raises(NotAPermutation):
+        verify_circulant_witness(a, b, f[:-1] + [-1])
+    with pytest.raises(NotAPermutation):
+        verify_circulant_witness(a, b, f[:-1])  # wrong length
+    with pytest.raises(OrderMismatch):
+        verify_circulant_witness(a, Circulant(10, (1, 2, 3)), f)
+    # C_16(1,2,8) has degree 5: the edge counts differ, whatever the map
+    c = Circulant(16, (1, 2, 8))
+    assert not verify_circulant_witness(a, c, tuple(range(16)))
+    assert not verify_circulant_witness(c, a, tuple(range(16)))
+    assert not verify_witness(IsoWitness(realize(a), realize(c), tuple(range(16)), False, "x"))
 
 
 def test_search_finds_type2_pair_16():

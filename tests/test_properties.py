@@ -1,15 +1,25 @@
 """Invariant checks beyond the acceptance property suites: exhaustive action
 law at small orders, orbit symmetry, and round trips."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from circiso.circulant import Circulant, detect_circulant, is_connected, realize
+from circiso.circulant import (
+    Circulant,
+    NotCirculant,
+    detect_circulant,
+    is_connected,
+    permute_edges,
+    realize,
+)
+from circiso.iso_oracle import IsoWitness, verify_circulant_witness, verify_witness
 from circiso.residue import units
-from circiso.type1 import adams_apply, type1_set
+from circiso.type1 import adams_apply, adams_vertex_map, is_adams_isomorphic, type1_set
+from circiso.type2 import ThetaMap, classify_theta, theta_image, theta_vertex_map
 from circiso.products import product_c4, product_prism
 
 from conftest import brute_edges
+from test_acceptance import _theta_graph
 
 
 def test_action_law_exhaustive_small():
@@ -66,3 +76,62 @@ def test_layer_products_verified_at_all_small_orders():
         product_c4(Circulant(n, (1,)))
     product_prism(Circulant(9, (1, 2, 4)))
     product_c4(Circulant(7, (1, 3)))
+
+
+# ---- the m-vertex Type-2 kernel against the generic edge route ----
+
+@st.composite
+def _theta_graph_m5(draw):
+    """_theta_graph's cases at m = 5. At m = 2 and 3 the least vertex whose
+    difference set differs from vertex 0's is always 1; at m = 5 it can be
+    2, e.g. C_125(7,28,48,55) under theta(125,5,12)."""
+    n = 125 * draw(st.integers(1, 2))
+    half = n // 2
+    divisible = 5 * draw(st.integers(1, half // 5))
+    rest = draw(st.sets(st.integers(1, half), min_size=2, max_size=9))
+    conn = tuple(sorted({divisible} | rest))
+    assume(len(conn) >= 3)
+    t = draw(st.integers(0, n // 5 - 1))
+    return Circulant(n, conn), ThetaMap(n, 5, t)
+
+
+theta_cases = st.one_of(_theta_graph(), _theta_graph_m5())
+
+
+@settings(max_examples=500, deadline=None)
+@given(theta_cases)
+def test_theta_kernel_matches_edge_route(case):
+    g, tm = case
+    cls = classify_theta(tm, g)
+    edge = detect_circulant(permute_edges(realize(g), theta_vertex_map(tm)))
+    if isinstance(edge, NotCirculant):
+        assert (cls.kind, cls.image, cls.failing_vertex) == ("not_circulant", None, edge.vertex)
+        return
+    if edge == g:
+        kind = "identity"
+    else:
+        kind = "type1" if is_adams_isomorphic(g, edge) is not None else "type2"
+    assert (cls.kind, cls.image, cls.failing_vertex) == (kind, edge, None)
+
+
+@settings(max_examples=500, deadline=None)
+@given(theta_cases, st.sampled_from(["theta", "adam"]), st.booleans(), st.integers(0, 10**6))
+def test_circulant_witness_check_matches_edge_check(case, maker, swap, seed):
+    """On theta maps, Adam maps and either one with two images swapped, the
+    connection-set check gives the edge-level verdict. The target is the
+    map's image where that is circulant, else the source."""
+    g, tm = case
+    n = g.n
+    if maker == "theta":
+        f = list(theta_vertex_map(tm))
+        image = theta_image(tm, g)
+        h = g if isinstance(image, NotCirculant) else image
+    else:
+        u = units(n)
+        x = u[seed % len(u)]
+        f, h = list(adams_vertex_map(n, x)), adams_apply(g, x)
+    if swap:
+        i, j = seed % n, (seed // n + 1 + seed % n) % n
+        f[i], f[j] = f[j], f[i]
+    edge = verify_witness(IsoWitness(realize(g), realize(h), tuple(f), False, maker))
+    assert verify_circulant_witness(g, h, f) == edge

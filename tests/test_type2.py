@@ -1,7 +1,20 @@
 import pytest
 
-from circiso.circulant import Circulant, symmetric_set
-from circiso.errors import InvalidParams, ParamMismatch, PreconditionViolation
+from circiso.circulant import (
+    Circulant,
+    NotCirculant,
+    detect_circulant,
+    permute_edges,
+    realize,
+    symmetric_set,
+)
+from circiso.errors import (
+    InvalidParams,
+    InvariantViolation,
+    ParamMismatch,
+    PreconditionViolation,
+)
+from circiso import type2
 from circiso.type2 import (
     ThetaMap,
     classify_theta,
@@ -120,6 +133,10 @@ def test_type2_set_parameter_errors():
         type2_set(C16A, 3)  # 27 does not divide 16
     with pytest.raises(PreconditionViolation):
         type2_set(Circulant(16, (1, 3, 7)), 2)
+    with pytest.raises(InvalidParams):
+        type2_set(C16A, 1)
+    with pytest.raises(InvalidParams):
+        type2_set(C16A, 20)  # m > n: the t range would be empty
 
 
 def test_singleton_orbit_is_trivial_group():
@@ -155,3 +172,24 @@ def test_theta_compose():
     assert theta_compose(ThetaMap(432, 3, 100), ThetaMap(432, 3, 80)).t == 36
     with pytest.raises(ParamMismatch):
         theta_compose(ThetaMap(432, 2, 1), ThetaMap(432, 3, 1))
+
+
+def test_failed_witness_check_raises(monkeypatch):
+    # a circulant image whose witness does not check must stop the
+    # classification, never come back as an unverified witness
+    monkeypatch.setattr(type2, "verify_circulant_witness", lambda g, h, f: False)
+    with pytest.raises(InvariantViolation):
+        classify_theta(ThetaMap(432, 2, 54), A1)
+    with pytest.raises(InvariantViolation):
+        type2_set(C16A, 2)
+    # no witness is needed to reject a non-circulant image
+    assert classify_theta(ThetaMap(432, 2, 27), A1).kind == "not_circulant"
+
+
+def test_failing_vertex_beyond_one_matches_edge_route():
+    # at m = 5 the difference set at vertex 1 can agree with vertex 0's
+    # while vertex 2's does not; the edge route reports the same vertex
+    g, tm = Circulant(125, (7, 28, 48, 55)), ThetaMap(125, 5, 12)
+    cls = classify_theta(tm, g)
+    assert cls.kind == "not_circulant" and cls.failing_vertex == 2
+    assert detect_circulant(permute_edges(realize(g), theta_vertex_map(tm))) == NotCirculant(2)
