@@ -29,6 +29,7 @@ from .products import (  # noqa: F401
     product_c4,
     product_coprime,
     product_prism,
+    product_witness,
     scan_conjecture,
 )
 from .residue import reflexive_reduce, units, valid_type2_params  # noqa: F401

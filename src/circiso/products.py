@@ -1,136 +1,107 @@
 """Constructive Cartesian products of circulant graphs, each verified against
-an explicit product graph, and an experimental scanner for the product
-conjectures."""
+an explicit product graph through one CRT embedding, and an experimental
+scanner for the product conjectures."""
 
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .circulant import Circulant, EdgeGraph, is_connected, realize
-from .errors import EvenOrder, NotConnected, NotCoprime, OrderTooSmall
-from .iso_oracle import IsoWitness, make_witness, search_isomorphism
+from .circulant import Circulant, EdgeGraph, edge, is_connected, realize
+from .errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime, OrderTooSmall
+from .iso_oracle import IsoWitness, make_witness
 from .residue import reflexive_reduce
 from .type2 import ThetaMap, classify_theta, type2_set
 
-EXPLICIT_VERIFY_CAP = 10_000  # product orders above this skip the edge-level check
-ORACLE_VERIFY_CAP = 60
+EXPLICIT_VERIFY_CAP = 10_000  # product orders above this carry no edge-checked witness
+LAYERS = {"prism": 2, "c4": 4}  # layered kind -> length of its ring of copies
 
 
 def cartesian_edges(a: EdgeGraph, b: EdgeGraph) -> EdgeGraph:
     """Cartesian product of two explicit graphs; vertex (x, y) encoded x*b.n + y."""
     n = b.n
-    es = set()
-    for x, y in a.edges:
-        for z in range(n):
-            u, v = x * n + z, y * n + z
-            es.add((u, v) if u < v else (v, u))
-    for x, y in b.edges:
-        for z in range(a.n):
-            u, v = z * n + x, z * n + y
-            es.add((u, v) if u < v else (v, u))
-    return EdgeGraph(a.n * n, frozenset(es))
+    # factor edges (x, y) have x < y, so both encodings below keep u < v
+    return EdgeGraph(a.n * n, frozenset(itertools.chain(
+        ((x * n + z, y * n + z) for x, y in a.edges for z in range(n)),
+        ((z * n + x, z * n + y) for x, y in b.edges for z in range(a.n)))))
 
 
-def embedding_witness(g: Circulant, h: Circulant, result: Circulant) -> IsoWitness:
-    """Witness from the explicit pair-encoded product onto the realized result.
+def ring_edges(k: int) -> EdgeGraph:
+    """The k-cycle as an explicit graph; k = 2 is a single edge. (Circulant
+    rejects order 2, so the prism's ring cannot be a realized circulant.)"""
+    return EdgeGraph(k, frozenset(edge(i, (i + 1) % k) for i in range(k)))
+
+
+def embedding_witness(a: EdgeGraph, b: EdgeGraph, result: Circulant) -> IsoWitness:
+    """Witness from the explicit product a x b (pair-encoded) onto the
+    realized result, for coprime orders m = a.n and n = b.n.
 
     The relabeling is (x, y) -> n*x + m*y mod mn, the bijection under
     which an offset r on the order-m side becomes exactly n*r and an offset
     s on the order-n side exactly m*s; the plain residue-pair map would
-    only match up to a unit twist.
+    only match up to a unit twist. The layered products are the case where
+    a is the 2- or 4-cycle and b is C_N(R) with N odd.
     """
-    m, n = g.n, h.n
-    prod = cartesian_edges(realize(g), realize(h))
-    relabel = [0] * (m * n)
-    for x in range(m):
-        for y in range(n):
-            relabel[x * n + y] = (n * x + m * y) % (m * n)
-    return make_witness(prod, realize(result), relabel, f"crt-embedding({m}x{n})")
+    m, n = a.n, b.n
+    relabel = [(n * x + m * y) % (m * n) for x in range(m) for y in range(n)]
+    return make_witness(cartesian_edges(a, b), realize(result), relabel,
+                        f"crt-embedding({m}x{n})")
 
 
-def product_embedding_equal(g: Circulant, h: Circulant, result: Circulant) -> bool:
-    """True iff the relabeled explicit product is edge-identical to the result.
+def product_witness(
+    kind: str, g: Circulant, h: Optional[Circulant] = None
+) -> tuple[Circulant, Optional[IsoWitness]]:
+    """(result, witness) for a product: kind "coprime" takes connected
+    factors g, h of coprime orders m, n > 2 and gives C_mn(nR union mS);
+    "prism" and "c4" take g = C_N(R) with N odd and give C_kN(kR union {N})
+    for k = 2, 4, the Cartesian product of the k-cycle with g.
 
-    A verified witness with equal edge counts maps the product edge set
-    bijectively onto the realized one, which is exactly edge-identity
-    under the relabeling.
+    Up to EXPLICIT_VERIFY_CAP the result carries its CRT embedding witness,
+    checked edge for edge; a failed check raises InvariantViolation. Above
+    the cap no check runs and the witness is None.
     """
-    return embedding_witness(g, h, result).verified
+    if kind == "coprime":
+        m, n = g.n, h.n
+        if gcd(m, n) != 1:
+            raise NotCoprime(f"gcd({m}, {n}) != 1")
+        if m <= 2 or n <= 2:
+            raise OrderTooSmall("both factors must have order > 2")
+        if not is_connected(g):
+            raise NotConnected(f"{g.label()} is not connected")
+        if not is_connected(h):
+            raise NotConnected(f"{h.label()} is not connected")
+        offsets = [n * r for r in g.conn] + [m * s for s in h.conn]
+    else:
+        if g.n % 2 == 0:
+            raise EvenOrder(f"{g.label()} must have odd order")
+        m, n = LAYERS[kind], g.n
+        offsets = [m * r for r in g.conn] + [n]
+    result = Circulant(m * n, reflexive_reduce(offsets, m * n))
+    if m * n > EXPLICIT_VERIFY_CAP:
+        return result, None
+    a, b = (realize(g), realize(h)) if kind == "coprime" else (ring_edges(m), realize(g))
+    w = embedding_witness(a, b, result)
+    if not w.verified:
+        raise InvariantViolation(f"{kind} product {result.label()} fails its CRT embedding")
+    return result, w
 
 
-def product_coprime(g: Circulant, h: Circulant, verify_cap: int = EXPLICIT_VERIFY_CAP) -> Circulant:
+def product_coprime(g: Circulant, h: Circulant) -> Circulant:
     """Product of connected circulants with coprime orders m, n > 2:
     C_mn(nR union mS), verified edge-for-edge up to the cap."""
-    m, n = g.n, h.n
-    if gcd(m, n) != 1:
-        raise NotCoprime(f"gcd({m}, {n}) != 1")
-    if m <= 2 or n <= 2:
-        raise OrderTooSmall("both factors must have order > 2")
-    if not is_connected(g):
-        raise NotConnected(f"{g.label()} is not connected")
-    if not is_connected(h):
-        raise NotConnected(f"{h.label()} is not connected")
-    offsets = [n * r for r in g.conn] + [m * s for s in h.conn]
-    result = Circulant(m * n, reflexive_reduce(offsets, m * n))
-    if m * n <= verify_cap:
-        assert product_embedding_equal(g, h, result), "explicit product mismatch"
-    return result
+    return product_witness("coprime", g, h)[0]
 
 
-def _prism_edges(g: Circulant) -> EdgeGraph:
-    """Explicit two-layer product: copies (0, v) and (1, v) plus rungs."""
-    n = g.n
-    eg = realize(g)
-    es = set()
-    for layer in (0, 1):
-        for a, b in eg.edges:
-            es.add((layer * n + a, layer * n + b))
-    for v in range(n):
-        es.add((v, n + v))
-    return EdgeGraph(2 * n, frozenset(es))
+def product_prism(g: Circulant) -> Circulant:
+    """Two-layer product of an odd-order circulant: C_{2N}(2R union {N}),
+    verified edge-for-edge up to the cap."""
+    return product_witness("prism", g)[0]
 
 
-def _c4_ring_edges(g: Circulant) -> EdgeGraph:
-    """Explicit four-layer product: a 4-cycle of copies of g."""
-    n = g.n
-    eg = realize(g)
-    es = set()
-    for layer in range(4):
-        for a, b in eg.edges:
-            es.add((layer * n + a, layer * n + b))
-        for v in range(n):
-            u, w = layer * n + v, ((layer + 1) % 4) * n + v
-            es.add((u, w) if u < w else (w, u))
-    return EdgeGraph(4 * n, frozenset(es))
-
-
-def product_prism(g: Circulant, oracle_cap: int = ORACLE_VERIFY_CAP) -> Circulant:
-    """Two-layer product of an odd-order circulant: C_{2N}(2R union {N}).
-
-    For result orders up to the cap the formula result is checked against
-    the explicit layered graph by the isomorphism search oracle.
-    """
-    if g.n % 2 == 0:
-        raise EvenOrder(f"{g.label()} must have odd order")
-    N = g.n
-    result = Circulant(2 * N, reflexive_reduce([2 * r for r in g.conn] + [N], 2 * N))
-    if 2 * N <= oracle_cap:
-        w = search_isomorphism(_prism_edges(g), realize(result))
-        assert w is not None and w.verified, "prism product failed oracle check"
-    return result
-
-
-def product_c4(g: Circulant, oracle_cap: int = ORACLE_VERIFY_CAP) -> Circulant:
-    """Four-cycle product of an odd-order circulant: C_{4N}(4S union {N})."""
-    if g.n % 2 == 0:
-        raise EvenOrder(f"{g.label()} must have odd order")
-    N = g.n
-    result = Circulant(4 * N, reflexive_reduce([4 * s for s in g.conn] + [N], 4 * N))
-    if 4 * N <= oracle_cap:
-        w = search_isomorphism(_c4_ring_edges(g), realize(result))
-        assert w is not None and w.verified, "C4 product failed oracle check"
-    return result
+def product_c4(g: Circulant) -> Circulant:
+    """Four-cycle product of an odd-order circulant: C_{4N}(4S union {N}),
+    verified edge-for-edge up to the cap."""
+    return product_witness("c4", g)[0]
 
 
 def valid_type2_ms(g: Circulant) -> tuple[int, ...]:

@@ -8,8 +8,9 @@ import time
 from datetime import datetime, timezone
 
 from . import __version__
-from .circulant import Circulant
+from .circulant import Circulant, realize
 from .iso_oracle import IsoWitness
+from .products import LAYERS, cartesian_edges, ring_edges
 
 SCHEMA = 1
 
@@ -48,26 +49,23 @@ def cartesian_desc(g: Circulant, h: Circulant) -> dict:
 
 
 def layered_desc(kind: str, base: Circulant) -> dict:
-    """Two- or four-layer product of a circulant; kind is 'prism' or 'c4'."""
-    layers = 2 if kind == "prism" else 4
-    return {"kind": kind, "n": layers * base.n, "base": circulant_desc(base)}
+    """Two- or four-layer product of a circulant; kind is 'prism' or 'c4'.
+    Vertex (layer, v) is encoded layer*base.n + v."""
+    return {"kind": kind, "n": LAYERS[kind] * base.n, "base": circulant_desc(base)}
 
 
 def graph_from_desc(desc: dict):
     """Rebuild the edge graph named by a witness endpoint descriptor."""
-    from .circulant import realize
-    from .products import _c4_ring_edges, _prism_edges, cartesian_edges
-
     kind = desc["kind"]
     if kind == "circulant":
         return realize(Circulant(desc["n"], tuple(desc["conn"])))
     if kind == "cartesian":
         a, b = (graph_from_desc(f) for f in desc["factors"])
         return cartesian_edges(a, b)
-    if kind not in ("prism", "c4"):
+    if kind not in LAYERS:
         raise ValueError(f"unknown graph descriptor kind {kind!r}")
     base = Circulant(desc["base"]["n"], tuple(desc["base"]["conn"]))
-    return _prism_edges(base) if kind == "prism" else _c4_ring_edges(base)
+    return cartesian_edges(ring_edges(LAYERS[kind]), realize(base))
 
 
 def witness_json(w: IsoWitness, source_desc: dict, target_desc: dict) -> dict:

@@ -7,7 +7,7 @@ from math import gcd
 from typing import Optional
 
 from .circulant import Circulant
-from .errors import NotAUnit, OrderMismatch
+from .errors import InvariantViolation, NotAUnit, OrderMismatch
 from .residue import reflexive_reduce, units
 
 
@@ -17,7 +17,8 @@ def adams_apply(g: Circulant, x: int) -> Circulant:
         raise NotAUnit(f"gcd({g.n}, {x}) != 1")
     out = Circulant(g.n, reflexive_reduce((x * s for s in g.conn), g.n))
     # unit multiplication permutes reflexive classes, so sizes must agree
-    assert len(out.conn) == len(g.conn)
+    if len(out.conn) != len(g.conn):
+        raise InvariantViolation(f"{x}*{g.label()} has {len(out.conn)} classes, not {len(g.conn)}")
     return out
 
 
@@ -63,7 +64,8 @@ def type1_set(g: Circulant) -> Type1Orbit:
         reps=tuple(least[m] for m in members),
         stabilizer=tuple(stab),
     )
-    assert len(members) * len(stab) == len(units(g.n)), "orbit-stabilizer violated"
+    if len(members) * len(stab) != len(units(g.n)):
+        raise InvariantViolation(f"orbit-stabilizer violated for {g.label()}")
     return orbit
 
 

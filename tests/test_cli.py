@@ -7,7 +7,12 @@ import sys
 import pytest
 
 import circiso
+from circiso import iso_oracle, products
+from circiso.circulant import Circulant, realize
 from circiso.cli import main
+from circiso.reporting import circulant_desc, layered_desc, witness_json
+
+from test_products import layered_graph
 
 SRC = pathlib.Path(circiso.__file__).resolve().parents[1]
 
@@ -89,6 +94,43 @@ def test_product_commands(capsys):
 
     code, _, err = run(capsys, "product", "prism", "n=5;R=1", "n=7;R=1")
     assert code == 2
+    code, _, err = run(capsys, "product", "coprime", "n=5;R=1")
+    assert code == 2 and err == "error: coprime products take two graphs\n"
+
+    # above the cap nothing is checked edge for edge, and the report says so
+    code, out, _ = run(capsys, "product", "coprime", "n=81;R=1,2", "n=125;R=1,3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["product"]["n"] == 10_125 and doc["results"]["witnesses"] == []
+    [a] = doc["assertions"]
+    assert "formula only" in a["name"] and "verified" not in a["name"]
+
+
+def test_product_builds_witness_once(capsys, monkeypatch):
+    calls = []
+    real = products.cartesian_edges
+
+    def counting(a, b):
+        calls.append((a.n, b.n))
+        return real(a, b)
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("search_isomorphism ran on the product path")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("circiso"):
+            if getattr(mod, "cartesian_edges", None) is real:
+                monkeypatch.setattr(mod, "cartesian_edges", counting)
+            if getattr(mod, "search_isomorphism", None) is iso_oracle.search_isomorphism:
+                monkeypatch.setattr(mod, "search_isomorphism", forbidden)
+    for argv, pair in ((("coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"), (16, 27)),
+                       (("prism", "n=7;R=1,2"), (2, 7)),
+                       (("c4", "n=45;R=1,7"), (4, 45))):
+        calls.clear()
+        code, out, _ = run(capsys, "product", *argv, "--json")
+        assert code == 0 and calls == [pair]
+        [w] = json.loads(out)["results"]["witnesses"]
+        assert w["verified"] and w["origin"] == f"crt-embedding({pair[0]}x{pair[1]})"
 
 
 def test_verify_rebuilds_product_witnesses(tmp_path, capsys):
@@ -98,6 +140,22 @@ def test_verify_rebuilds_product_witnesses(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(f))
     assert code == 0
     assert "[PASS]" in out and "prism" in out
+
+
+def test_verify_accepts_layered_search_witness(tmp_path, capsys):
+    # layered reports written before the CRT embedding carry the bijection
+    # that the backtracking search found; the descriptors still rebuild them.
+    # The search's first hit is often the CRT bijection itself, but not on
+    # the three triangles C_9(3)
+    for kind, g in (("prism", Circulant(9, (3,))), ("c4", Circulant(9, (3,)))):
+        result, crt = products.product_witness(kind, g)
+        w = iso_oracle.search_isomorphism(layered_graph(kind, g), realize(result))
+        assert w.bijection != crt.bijection
+        f = tmp_path / f"{kind}.json"
+        f.write_text(json.dumps({"results": {"witnesses": [
+            witness_json(w, layered_desc(kind, g), circulant_desc(result))]}}))
+        code, out, _ = run(capsys, "verify", str(f))
+        assert code == 0 and f"[PASS] witness 0: {kind} n={result.n}" in out
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -171,6 +229,33 @@ def test_catalog_row_certified_under_optimize(tmp_path):
     res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0 and "[PASS] witness 0" in res.stdout
+
+
+def test_products_certified_under_optimize(tmp_path):
+    # python -O strips assert statements; every product kind must still
+    # write a checked witness, and verify must still reject a tampered one
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def circiso_O(*argv):
+        return subprocess.run([sys.executable, "-O", "-m", "circiso", *argv],
+                              capture_output=True, text=True, env=env)
+
+    for argv in (("coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"), ("prism", "n=7;R=1,2"),
+                 ("c4", "n=9;R=1,2")):
+        report = tmp_path / f"{argv[0]}.json"
+        res = circiso_O("product", *argv, "--out", str(report))
+        assert res.returncode == 0, res.stderr
+        doc = json.loads(report.read_text())
+        assert doc["results"]["witnesses"][0]["verified"]
+        res = circiso_O("verify", str(report))
+        assert res.returncode == 0 and "[PASS] witness 0" in res.stdout
+        # vertices 0 and 1 have different neighbourhoods in each source graph,
+        # so swapping their images cannot give an isomorphism
+        bij = doc["results"]["witnesses"][0]["bijection"]
+        bij[0], bij[1] = bij[1], bij[0]
+        report.write_text(json.dumps(doc))
+        res = circiso_O("verify", str(report))
+        assert res.returncode == 1 and "[FAIL] witness 0" in res.stdout
 
 
 def test_reports_are_byte_stable(tmp_path, capsys, monkeypatch):

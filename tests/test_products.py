@@ -1,16 +1,23 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from circiso.circulant import Circulant, realize
-from circiso.errors import EvenOrder, NotConnected, NotCoprime
+from circiso import products
+from circiso.circulant import Circulant, EdgeGraph, edge, realize
+from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime
+from circiso.iso_oracle import search_isomorphism, verify_witness
 from circiso.products import (
     cartesian_edges,
+    embedding_witness,
     product_c4,
     product_coprime,
-    product_embedding_equal,
     product_prism,
+    product_witness,
     scan_conjecture,
     valid_type2_ms,
 )
+from circiso.residue import reflexive_reduce
+from circiso.type1 import adams_apply
 
 X1 = Circulant(16, (1, 2, 7))
 X2 = Circulant(16, (2, 3, 5))
@@ -48,13 +55,20 @@ def test_product_symmetry_and_counts():
     assert len(prod.edges) == len(realize(p).edges)
 
 
-def test_product_embedding_exact():
-    p = product_coprime(X1, Y1)
-    assert product_embedding_equal(X1, Y1, p)
+def test_product_embedding_exact(monkeypatch):
+    p, w = product_witness("coprime", X1, Y1)
+    assert p == product_coprime(X1, Y1)
+    assert w.verified and w.origin == "crt-embedding(16x27)"
+    assert w.source == cartesian_edges(realize(X1), realize(Y1)) and w.target == realize(p)
     # a wrong result set must fail the embedding check
-    from circiso.type1 import adams_apply
-
-    assert not product_embedding_equal(X1, Y1, adams_apply(p, 5))
+    assert not embedding_witness(realize(X1), realize(Y1), adams_apply(p, 5)).verified
+    # and a product formula gone wrong raises, for every kind, even under -O
+    monkeypatch.setattr(products, "reflexive_reduce",
+                        lambda vals, n: reflexive_reduce([5 * v for v in vals], n))
+    for kind, args in (("coprime", (X1, Y1)), ("prism", (Circulant(7, (1, 2)),)),
+                       ("c4", (Circulant(7, (1, 2)),))):
+        with pytest.raises(InvariantViolation):
+            product_witness(kind, *args)
 
 
 def test_product_coprime_errors():
@@ -86,6 +100,51 @@ def test_layer_product_counts():
     assert prism.n == 2 * g.n and prism.degree == g.degree + 1
     ring = product_c4(g)
     assert ring.n == 4 * g.n and ring.degree == g.degree + 2
+
+
+def test_product_witness_cap():
+    # orders above the cap are computed by formula only and carry no witness
+    g, h = Circulant(81, (1, 2)), Circulant(125, (1, 3))
+    result, w = product_witness("coprime", g, h)
+    assert result.n == 10_125 > products.EXPLICIT_VERIFY_CAP and w is None
+    # layered orders past the old oracle cap of 60 now carry a witness
+    result, w = product_witness("c4", Circulant(45, (1, 7)))
+    assert result == Circulant(180, (4, 28, 45)) and w.verified
+
+
+def layered_graph(kind, g):
+    """The prism or four-layer ring of copies of g, written out here:
+    vertex (layer, v) is layer*N + v."""
+    k, N = {"prism": 2, "c4": 4}[kind], g.n
+    es = set()
+    for layer in range(k):
+        for v in range(N):
+            es.update(edge(layer * N + v, layer * N + (v + r) % N) for r in g.conn)
+            es.add(edge(layer * N + v, (layer + 1) % k * N + v))
+    return EdgeGraph(k * N, frozenset(es))
+
+
+@st.composite
+def layered_cases(draw):
+    n = draw(st.integers(1, 22)) * 2 + 1  # odd N in [3, 45]
+    conn = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=n // 2))
+    return draw(st.sampled_from(["prism", "c4"])), Circulant(n, tuple(sorted(conn)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_cases())
+def test_layered_witness_is_the_crt_embedding(case):
+    kind, g = case
+    result, w = product_witness(kind, g)
+    k = products.LAYERS[kind]
+    assert result == Circulant.reduced(k * g.n, [k * r for r in g.conn] + [g.n])
+    assert w.verified and verify_witness(w)
+    assert w.source == layered_graph(kind, g) and w.target == realize(result)
+    assert w.origin == f"crt-embedding({k}x{g.n})"
+    if result.n <= 60:
+        # the backtracking oracle independently confirms the same endpoints
+        found = search_isomorphism(w.source, w.target)
+        assert found is not None and found.verified
 
 
 def test_valid_type2_ms():

@@ -70,7 +70,7 @@ def test_orbit_stabilizer_relation(g, seed):
 
 
 def test_layer_products_verified_at_all_small_orders():
-    # the constructors run the oracle internally for orders <= 60
+    # the constructors check their CRT embedding edge for edge
     for n in (3, 5, 7, 9, 11, 13):
         product_prism(Circulant(n, (1,)))
         product_c4(Circulant(n, (1,)))

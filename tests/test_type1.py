@@ -1,7 +1,8 @@
 import pytest
 
+from circiso import type1
 from circiso.circulant import Circulant, is_connected
-from circiso.errors import NotAUnit, OrderMismatch
+from circiso.errors import InvariantViolation, NotAUnit, OrderMismatch
 from circiso.type1 import (
     adams_apply,
     adams_vertex_map,
@@ -33,6 +34,20 @@ def test_adams_preserves_size_degree_connectivity():
         assert len(img.conn) == len(A1.conn)
         assert img.degree == A1.degree
         assert is_connected(img) == is_connected(A1)
+
+
+def test_broken_invariants_raise(monkeypatch):
+    # explicit raises, not asserts, so the checks also hold under python -O
+    real_reduce, real_units = type1.reflexive_reduce, type1.units
+    monkeypatch.setattr(type1, "reflexive_reduce", lambda vals, n: real_reduce(vals, n)[1:])
+    with pytest.raises(InvariantViolation):
+        adams_apply(A1, 5)
+    monkeypatch.setattr(type1, "reflexive_reduce", real_reduce)
+    # a repeated unit counts twice in the stabilizer but adds no member
+    monkeypatch.setattr(type1, "units", lambda n: tuple(real_units(n)) + (1,))
+    type1_set.cache_clear()
+    with pytest.raises(InvariantViolation):
+        type1_set(Circulant(20, (1, 3)))
 
 
 def test_type1_set_16():
