@@ -119,13 +119,9 @@ def cmd_t2(args) -> int:
         print(f"error: {e}\nhint: {hint}", file=sys.stderr)
         return 2
     group = type2_group_check(orbit)
-    witnesses = []
-    for member in orbit.members:
-        if member == g:
-            continue
-        t = next(t for t, kind, img in orbit.outcomes if kind == "type2" and img == member)
-        cls = classify_theta(ThetaMap(g.n, m, t), g)
-        witnesses.append(witness_json(cls.witness, circulant_desc(g), circulant_desc(member)))
+    partners = [x for x in orbit.members if x != g]
+    witnesses = [witness_json(w, circulant_desc(g), circulant_desc(x))
+                 for x, w in zip(partners, orbit.witnesses)]
     checks = [
         assertion("t-stabilizer contains 0", group.contains_zero),
         assertion("t-stabilizer closed under addition", group.closed),
@@ -154,17 +150,22 @@ def cmd_t2(args) -> int:
     )
 
 
+def _classification_consistent(cls) -> bool:
+    """A circulant kind carries an image and a verified witness; a
+    non-circulant one names a failing vertex in [1, m)."""
+    if cls.kind == "not_circulant":
+        return cls.failing_vertex is not None and 1 <= cls.failing_vertex < cls.map.m
+    return (cls.kind in ("identity", "type1", "type2") and cls.image is not None
+            and cls.witness is not None and cls.witness.verified)
+
+
 def cmd_classify(args) -> int:
     g = _graph_from_args(args)
-    try:
-        cls = classify_theta(ThetaMap(g.n, args.m, args.t), g)
-    except CircisoError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    cls = classify_theta(ThetaMap(g.n, args.m, args.t), g)
     witnesses = []
     if cls.witness is not None:
         witnesses.append(witness_json(cls.witness, circulant_desc(g), circulant_desc(cls.image)))
-    checks = [assertion("classification computed", True, cls.kind)]
+    checks = [assertion("classification computed", _classification_consistent(cls), cls.kind)]
     if witnesses:
         checks.append(assertion("witness verified", witnesses[0]["verified"]))
     results = {
@@ -190,8 +191,7 @@ def cmd_product(args) -> int:
     g = parse_graph(args.left)
     if args.kind == "coprime":
         if args.right is None:
-            print("error: coprime products take two graphs", file=sys.stderr)
-            return 2
+            raise CircisoError("coprime products take two graphs")
         h = parse_graph(args.right)
         result, w = product_witness("coprime", g, h)
         source = cartesian_desc(g, h)
@@ -199,8 +199,7 @@ def cmd_product(args) -> int:
         name = f"{g.label()} x {h.label()}"
     else:
         if args.right is not None:
-            print("error: prism/c4 products take a single graph", file=sys.stderr)
-            return 2
+            raise CircisoError("prism/c4 products take a single graph")
         result, w = product_witness(args.kind, g)
         source = layered_desc(args.kind, g)
         inputs = {"kind": args.kind, "graph": g.text()}

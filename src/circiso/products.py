@@ -10,7 +10,7 @@ from typing import Optional
 from .circulant import Circulant, EdgeGraph, edge, is_connected, realize
 from .errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime, OrderTooSmall
 from .iso_oracle import IsoWitness, make_witness
-from .residue import reflexive_reduce
+from .residue import reflexive_reduce, valid_type2_params
 from .type2 import ThetaMap, classify_theta, type2_set
 
 EXPLICIT_VERIFY_CAP = 10_000  # product orders above this carry no edge-checked witness
@@ -106,25 +106,15 @@ def product_c4(g: Circulant) -> Circulant:
 
 def valid_type2_ms(g: Circulant) -> tuple[int, ...]:
     """All m > 1 with m^3 | n and some offset divisible by m."""
-    out = []
-    m = 2
-    while m**3 <= g.n:
-        if g.n % m**3 == 0 and any(r % m == 0 for r in g.conn):
-            out.append(m)
-        m += 1
-    return tuple(out)
+    ms = itertools.takewhile(lambda m: m**3 <= g.n, itertools.count(2))
+    return tuple(m for m in ms if valid_type2_params(g.n, m, g.conn).ok)
 
 
-def has_type2_partner(g: Circulant) -> Optional[tuple[int, int, Circulant]]:
-    """First (m, t, image) making g Type-2 isomorphic to something, else None."""
-    if len(g.conn) < 3:
-        return None
-    for m in valid_type2_ms(g):
-        orbit = type2_set(g, m)
-        for t, kind, img in orbit.outcomes:
-            if kind == "type2":
-                return (m, t, img)
-    return None
+def _type2_orbits(g: Circulant):
+    """Type-2 orbit of g for each valid m in turn; none below 3 offsets."""
+    if len(g.conn) >= 3:
+        for m in valid_type2_ms(g):
+            yield type2_set(g, m)
 
 
 @dataclass(frozen=True)
@@ -200,29 +190,18 @@ def _diagonal_pairs(n1: int, n2: int, limit: int):
                 yield left[i], right[j]
 
 
-def _lift_checks(factor: Circulant, other_order: int, product: Circulant) -> list:
-    """Conjecture-5 style transfers: factor witness (m, t) -> product (m, t*n2)."""
+def _lift_checks(orbits, other_order: int, product: Circulant) -> list:
+    """Conjecture-5 style transfers: the least Type-2 t of each factor orbit,
+    (m, t) -> product (m, t*n2); one witness per m keeps the scan desk-scale."""
     out = []
-    if len(factor.conn) < 3 or len(product.conn) < 3:
-        return out
-    for m in valid_type2_ms(factor):
-        orbit = type2_set(factor, m)
-        for t, kind, _ in orbit.outcomes:
-            if kind != "type2":
-                continue
-            lifted_t = (t * other_order) % (product.n // m)
-            cls = classify_theta(ThetaMap(product.n, m, lifted_t), product)
-            out.append(
-                LiftCheck(
-                    factor=factor,
-                    m=m,
-                    t=t,
-                    lifted_t=lifted_t,
-                    kind=cls.kind,
-                    agrees=cls.kind == "type2",
-                )
-            )
-            break  # one witness per m keeps the scan desk-scale
+    for orbit in orbits:
+        t = next((t for t, kind, _ in orbit.outcomes if kind == "type2"), None)
+        if t is None:
+            continue
+        lifted_t = (t * other_order) % (product.n // orbit.m)
+        kind = classify_theta(ThetaMap(product.n, orbit.m, lifted_t), product).kind
+        out.append(LiftCheck(factor=orbit.base, m=orbit.m, t=t, lifted_t=lifted_t,
+                             kind=kind, agrees=kind == "type2"))
     return out
 
 
@@ -232,7 +211,9 @@ def scan_conjecture(n1: int, n2: int, budget: int = 16, pairs=None) -> Conjectur
     For each sampled connected pair the scanner asks whether the product
     has a nonempty Type-2 set for any valid m and whether either factor
     does, and records any disagreement verbatim. Factor Type-2 witnesses
-    are additionally lifted to the product and reclassified there.
+    are additionally lifted to the product and reclassified there. Each
+    factor's orbits are computed once per case and feed both its verdict
+    and its lifts.
     """
     if gcd(n1, n2) != 1:
         raise NotCoprime(f"gcd({n1}, {n2}) != 1")
@@ -247,21 +228,18 @@ def scan_conjecture(n1: int, n2: int, budget: int = 16, pairs=None) -> Conjectur
             exhausted = True
             break
         product = product_coprime(left, right)
-        left_t2 = has_type2_partner(left) is not None
-        right_t2 = has_type2_partner(right) is not None
-        product_t2 = has_type2_partner(product) is not None
-        lifts = tuple(
-            _lift_checks(left, n2, product) + _lift_checks(right, n1, product)
-        )
+        left_orbits, right_orbits = list(_type2_orbits(left)), list(_type2_orbits(right))
         cases.append(
             ConjectureCase(
                 left=left,
                 right=right,
                 product=product,
-                left_type2=left_t2,
-                right_type2=right_t2,
-                product_type2=product_t2,
-                lifts=lifts,
+                left_type2=any(len(o.members) > 1 for o in left_orbits),
+                right_type2=any(len(o.members) > 1 for o in right_orbits),
+                # stops at the first m with a partner, so no further product orbit runs
+                product_type2=any(len(o.members) > 1 for o in _type2_orbits(product)),
+                lifts=tuple(_lift_checks(left_orbits, n2, product)
+                            + _lift_checks(right_orbits, n1, product)),
             )
         )
     return ConjectureReport(n1=n1, n2=n2, budget=budget, cases=tuple(cases), exhausted=exhausted)

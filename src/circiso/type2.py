@@ -121,22 +121,33 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     any edge-level consumer can check it again.
     """
     _check_classify_preconditions(tm, g)
+    kind, image, unit, vertex = _classify(tm, g)
+    return ThetaClassification(map=tm, source=g, kind=kind, image=image, unit=unit,
+                               failing_vertex=vertex,
+                               witness=None if image is None else _witness(tm, g, image))
+
+
+def _classify(tm: ThetaMap, g: Circulant):
+    """(kind, image, unit, failing vertex) of theta on g, without the
+    precondition checks, for callers that check them once for the whole t
+    range. A circulant image's bijection is checked on the connection sets
+    here; only the endpoints of a kept witness are left to _witness."""
     image = theta_image(tm, g)
     if isinstance(image, NotCirculant):
-        return ThetaClassification(map=tm, source=g, kind="not_circulant",
-                                   failing_vertex=image.vertex)
-    perm = theta_vertex_map(tm)
-    if not verify_circulant_witness(g, image, perm):
+        return "not_circulant", None, None, image.vertex
+    if not verify_circulant_witness(g, image, theta_vertex_map(tm)):
         raise InvariantViolation(f"{tm.label()} does not map {g.label()} onto {image.label()}")
-    witness = IsoWitness(realize(g), realize(image), perm, True, f"theta(m={tm.m},t={tm.t})")
     if image == g:
-        return ThetaClassification(map=tm, source=g, kind="identity", image=image, witness=witness)
+        return "identity", image, None, None
     x = is_adams_isomorphic(g, image)
-    if x is not None:
-        return ThetaClassification(
-            map=tm, source=g, kind="type1", image=image, unit=x, witness=witness
-        )
-    return ThetaClassification(map=tm, source=g, kind="type2", image=image, witness=witness)
+    return ("type2", image, None, None) if x is None else ("type1", image, x, None)
+
+
+def _witness(tm: ThetaMap, g: Circulant, image: Circulant) -> IsoWitness:
+    """The theta bijection of g onto image, checked by _classify, between
+    the realized edge sets."""
+    return IsoWitness(realize(g), realize(image), theta_vertex_map(tm), True,
+                      f"theta(m={tm.m},t={tm.t})")
 
 
 @dataclass(frozen=True)
@@ -145,7 +156,9 @@ class Type2Orbit:
 
     outcomes records (t, kind, image) for every t in [0, n/m); the
     t_stabilizer collects every t whose image is circulant and lies in the
-    member set, and is a subgroup of Z_{n/m} under addition.
+    member set, and is a subgroup of Z_{n/m} under addition. witnesses
+    holds, for each member after the base is left out and in member order,
+    the verified witness of its least t with kind "type2".
     """
 
     base: Circulant
@@ -153,29 +166,29 @@ class Type2Orbit:
     members: tuple[Circulant, ...]
     t_stabilizer: tuple[int, ...]
     outcomes: tuple  # of (t, kind, Optional[Circulant])
-
-    def image_at(self, t: int) -> Optional[Circulant]:
-        return self.outcomes[t][2]
+    witnesses: tuple[IsoWitness, ...]
 
 
 def type2_set(g: Circulant, m: int) -> Type2Orbit:
     """Classify theta(n, m, t) on g for every t in [0, n/m) and collect the
-    Type-2 orbit of g. Every circulant image carries a checked witness, so
-    no membership claim rests on the difference sets alone."""
+    Type-2 orbit of g. Every circulant image's bijection is checked, so no
+    membership claim rests on the difference sets alone; each member keeps
+    the bijection of its least t as its witness."""
     # validates m before range(n // m) is taken
     _check_classify_preconditions(ThetaMap(g.n, m, 0), g)
     outcomes = []
-    members = {g}
+    first = {}  # Type-2 image -> witness of its least t
     for t in range(g.n // m):
-        cls = classify_theta(ThetaMap(g.n, m, t), g)
-        outcomes.append((t, cls.kind, cls.image))
-        if cls.kind == "type2":
-            members.add(cls.image)
-    member_tuple = tuple(sorted(members))
+        tm = ThetaMap(g.n, m, t)
+        kind, image, _, _ = _classify(tm, g)
+        outcomes.append((t, kind, image))
+        if kind == "type2" and image not in first:
+            first[image] = _witness(tm, g, image)
+    members = tuple(sorted({g, *first}))
     t_stab = tuple(t for t, _, img in outcomes if img is not None and img in members)
-    return Type2Orbit(
-        base=g, m=m, members=member_tuple, t_stabilizer=t_stab, outcomes=tuple(outcomes)
-    )
+    return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab,
+                      outcomes=tuple(outcomes),
+                      witnesses=tuple(first[x] for x in members if x != g))
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,25 @@
+import ast
 import json
 import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import circiso
-from circiso import iso_oracle, products
-from circiso.circulant import Circulant, realize
+from circiso import cli, iso_oracle, products, type2
+from circiso.circulant import Circulant, parse_graph, realize
 from circiso.cli import main
 from circiso.reporting import circulant_desc, layered_desc, witness_json
+from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 
 from test_products import layered_graph
 
 SRC = pathlib.Path(circiso.__file__).resolve().parents[1]
+A432 = "n=432;R=16,27,48,54,128,160,189"
 
 
 def run(capsys, *argv):
@@ -56,6 +61,46 @@ def test_t2_command(capsys):
     assert kinds[0] == "identity" and kinds[2] == "type2" and kinds[1] == "not_circulant"
 
 
+def _count_calls(monkeypatch, fn, counts):
+    """Count calls of fn at every circiso module that binds it."""
+    def counting(*args):
+        counts[fn.__name__] += 1
+        return fn(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("circiso") and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, counting)
+
+
+def test_t2_classifies_each_t_once(capsys, monkeypatch):
+    counts = Counter()
+    _count_calls(monkeypatch, type2.theta_image, counts)
+    _count_calls(monkeypatch, type2._check_classify_preconditions, counts)
+    _count_calls(monkeypatch, realize, counts)
+    code, out, _ = run(capsys, "t2", A432, "--m", "2", "--json")
+    assert code == 0 and len(json.loads(out)["results"]["witnesses"]) == 1
+    # only the one member witness realizes edge sets: the base and D_1
+    assert counts == {"theta_image": 216, "_check_classify_preconditions": 1, "realize": 2}
+
+
+@pytest.mark.parametrize("graph, m", [("n=16;R=1,2,7", 2), (A432, 2), (A432, 3)])
+def test_t2_witnesses_match_reclassification(capsys, graph, m):
+    code, out, _ = run(capsys, "t2", graph, "--m", str(m), "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    g = parse_graph(graph)
+    expected = []
+    for desc in results["members"]:
+        member = Circulant(desc["n"], tuple(desc["conn"]))
+        if member == g:
+            continue
+        t = min(c["t"] for c in results["classifications"]
+                if c["kind"] == "type2" and c["image"] == desc)
+        w = classify_theta(ThetaMap(g.n, m, t), g).witness
+        expected.append(witness_json(w, circulant_desc(g), circulant_desc(member)))
+    assert expected and results["witnesses"] == expected
+
+
 def test_t2_parameter_error_has_hint(capsys):
     code, out, err = run(capsys, "t2", "n=432;R=16,27,48,54,128,160,189", "--m", "5")
     assert code == 2
@@ -70,6 +115,19 @@ def test_classify_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["kind"] == "identity"
+
+
+def test_classify_verdict_is_computed(capsys, monkeypatch):
+    # the "classification computed" assertion fails on an outcome that
+    # contradicts its own kind
+    g, tm = parse_graph(A432), ThetaMap(432, 2, 54)
+    good = classify_theta(tm, g)
+    for bad in (replace(good, witness=None), replace(good, kind="type3"),
+                ThetaClassification(map=tm, source=g, kind="not_circulant"),
+                ThetaClassification(map=tm, source=g, kind="not_circulant", failing_vertex=2)):
+        monkeypatch.setattr(cli, "classify_theta", lambda tm, g, bad=bad: bad)
+        code, out, _ = run(capsys, "classify", A432, "--m", "2", "--t", "54")
+        assert code == 1 and "[FAIL] classification computed" in out
 
 
 def test_parse_error_exit_code(capsys):
@@ -213,22 +271,48 @@ def test_verify_accepts_handwritten_witness(tmp_path, capsys):
 
 def test_catalog_row_certified_under_optimize(tmp_path):
     # python -O strips assert statements; the Type-2 witness of a catalog
-    # row (theta(432, 2, 54) carries A_1 onto D_1) must still be checked
+    # row (theta(432, 2, 54) carries A_1 onto D_1) and those of A_1's
+    # Type-2 set w.r.t. m = 3 must still be checked
     env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def circiso_O(*argv):
+        return subprocess.run([sys.executable, "-O", "-m", "circiso", *argv],
+                              capture_output=True, text=True, env=env)
+
     report = tmp_path / "row.json"
-    res = subprocess.run(
-        [sys.executable, "-O", "-m", "circiso", "classify", "n=432;R=16,27,48,54,128,160,189",
-         "--m", "2", "--t", "54", "--out", str(report)],
-        capture_output=True, text=True, env=env,
-    )
+    res = circiso_O("classify", A432, "--m", "2", "--t", "54", "--out", str(report))
     assert res.returncode == 0, res.stderr
     doc = json.loads(report.read_text())
     assert doc["results"]["kind"] == "type2"
     assert doc["results"]["image"]["conn"] == [16, 48, 54, 81, 128, 135, 160]
     assert all(a["passed"] for a in doc["assertions"])
-    res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
-                         capture_output=True, text=True, env=env)
+    res = circiso_O("verify", str(report))
     assert res.returncode == 0 and "[PASS] witness 0" in res.stdout
+
+    report = tmp_path / "t2.json"
+    res = circiso_O("t2", A432, "--m", "3", "--out", str(report))
+    assert res.returncode == 0, res.stderr
+    doc = json.loads(report.read_text())
+    assert doc["results"]["witnesses"] and all(a["passed"] for a in doc["assertions"])
+    res = circiso_O("verify", str(report))
+    assert res.returncode == 0 and "[FAIL]" not in res.stdout
+    # vertices 0 and 1 of A_1 have different neighbourhoods, so swapping
+    # their images cannot give an isomorphism
+    bij = doc["results"]["witnesses"][-1]["bijection"]
+    bij[0], bij[1] = bij[1], bij[0]
+    report.write_text(json.dumps(doc))
+    res = circiso_O("verify", str(report))
+    assert res.returncode == 1 and res.stdout.count("[FAIL]") == 1
+
+
+def test_no_bare_asserts_in_source():
+    # python -O strips assert statements, so no certificate may rest on one
+    paths = sorted((SRC / "circiso").glob("*.py"))
+    assert paths
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
 def test_products_certified_under_optimize(tmp_path):

@@ -1,3 +1,6 @@
+import itertools
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -164,6 +167,30 @@ def test_scan_conjecture_seed_pair():
     lifted = {(l.m, l.t, l.lifted_t) for l in case.lifts}
     assert (2, 2, 54) in lifted
     assert not report.counterexamples
+
+
+def test_scan_computes_each_orbit_once(monkeypatch):
+    # a factor's orbits feed both its verdict and its lifts, and the
+    # product's stop at the first m with a partner
+    calls = []
+    real = products.type2_set
+
+    def recording(g, m):
+        calls.append((g, m))
+        return real(g, m)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("circiso") and getattr(mod, "type2_set", None) is real:
+            monkeypatch.setattr(mod, "type2_set", recording)
+    [case] = scan_conjecture(16, 27, budget=1, pairs=[(X1, Y1)]).cases
+    assert calls == [(X1, 2), (Y1, 3), (case.product, 2)]
+    # factors with and without partners; some products have none for any m
+    lefts = (X1, Circulant(16, (1, 2, 4)), Circulant(16, (1, 4, 6)))
+    rights = (Y1, Circulant(27, (1, 2, 4)), Circulant(27, (1, 3, 6)))
+    for pair in itertools.product(lefts, rights):
+        calls.clear()
+        scan_conjecture(16, 27, budget=1, pairs=[pair])
+        assert calls and len(calls) == len(set(calls))
 
 
 def test_scan_conjecture_trivial_orders():
