@@ -103,12 +103,12 @@ def _read_raw() -> str:
 
 
 @lru_cache(maxsize=1)
-def load(expected_sha256: str = CATALOG_SHA256) -> Catalog:
+def load() -> Catalog:
     """Load the embedded catalog, verifying its checksum first."""
     text = _read_raw()
     digest = hashlib.sha256(text.encode()).hexdigest()
-    if digest != expected_sha256:
+    if digest != CATALOG_SHA256:
         raise CatalogError(
-            f"catalog checksum mismatch: expected {expected_sha256}, got {digest}"
+            f"catalog checksum mismatch: expected {CATALOG_SHA256}, got {digest}"
         )
     return Catalog(json.loads(text))

@@ -6,9 +6,9 @@ import argparse
 import json
 import sys
 
-from .circulant import Circulant, parse_graph, realize
+from .circulant import Circulant, parse_graph
 from .errors import CircisoError, ParseError, ReportError
-from .iso_oracle import IsoWitness, make_witness, verify_witness
+from .iso_oracle import IsoWitness, verify_circulant_witness, verify_witness
 from .products import EXPLICIT_VERIFY_CAP, product_witness, scan_conjecture, valid_type2_ms
 from .reporting import (
     all_passed,
@@ -16,6 +16,7 @@ from .reporting import (
     cartesian_desc,
     circulant_desc,
     circulant_json,
+    desc_size,
     graph_from_desc,
     layered_desc,
     make_report,
@@ -69,13 +70,15 @@ def _member_summary(members, limit=8) -> str:
     return f"{len(members)} members: {shown}{extra}"
 
 
-def _member_witnesses(orbit_members, base, reps):
-    """Verified witnesses for every member of a Type-1 orbit."""
+def _member_witnesses(orbit):
+    """Witnesses for every member of a Type-1 orbit, each adam(x) map checked
+    on the connection sets, so no edge set is built."""
+    base = orbit.base
     out = []
-    src = realize(base)
-    for member, x in zip(orbit_members, reps):
-        w = make_witness(src, realize(member), adams_vertex_map(base.n, x), f"adam(x={x})")
-        out.append(witness_json(w, circulant_desc(base), circulant_desc(member)))
+    for member, x in zip(orbit.members, orbit.reps):
+        f = adams_vertex_map(base.n, x)
+        out.append(witness_json(circulant_desc(base), circulant_desc(member), f,
+                                f"adam(x={x})", verify_circulant_witness(base, member, f)))
     return out
 
 
@@ -83,7 +86,7 @@ def cmd_t1(args) -> int:
     g = _graph_from_args(args)
     orbit = type1_set(g)
     table = type1_group_table(orbit)
-    witnesses = _member_witnesses(orbit.members, g, orbit.reps)
+    witnesses = _member_witnesses(orbit)
     checks = [
         assertion("orbit-stabilizer product equals unit count",
                   len(orbit.members) * len(orbit.stabilizer) == len(units(g.n)),
@@ -120,7 +123,8 @@ def cmd_t2(args) -> int:
         return 2
     group = type2_group_check(orbit)
     partners = [x for x in orbit.members if x != g]
-    witnesses = [witness_json(w, circulant_desc(g), circulant_desc(x))
+    witnesses = [witness_json(circulant_desc(g), circulant_desc(x), w.bijection, w.origin,
+                              w.verified)
                  for x, w in zip(partners, orbit.witnesses)]
     checks = [
         assertion("t-stabilizer contains 0", group.contains_zero),
@@ -163,8 +167,10 @@ def cmd_classify(args) -> int:
     g = _graph_from_args(args)
     cls = classify_theta(ThetaMap(g.n, args.m, args.t), g)
     witnesses = []
-    if cls.witness is not None:
-        witnesses.append(witness_json(cls.witness, circulant_desc(g), circulant_desc(cls.image)))
+    w = cls.witness
+    if w is not None:
+        witnesses.append(witness_json(circulant_desc(g), circulant_desc(cls.image), w.bijection,
+                                      w.origin, w.verified))
     checks = [assertion("classification computed", _classification_consistent(cls), cls.kind)]
     if witnesses:
         checks.append(assertion("witness verified", witnesses[0]["verified"]))
@@ -209,7 +215,8 @@ def cmd_product(args) -> int:
         checks = [assertion(f"{name} by formula only: no edge-level check above order "
                             f"{EXPLICIT_VERIFY_CAP}", True, result.label())]
     else:
-        witnesses = [witness_json(w, source, circulant_desc(result))]
+        witnesses = [witness_json(source, circulant_desc(result), w.bijection, w.origin,
+                                  w.verified)]
         checks = [assertion(f"{name} verified", w.verified, result.label()),
                   assertion("product witness verified", w.verified)]
     results = {
@@ -220,14 +227,21 @@ def cmd_product(args) -> int:
     return _emit(make_report(["product", args.kind], inputs, results, checks), args)
 
 
+# most edges one witness endpoint in a `verify` report may name; the largest
+# reports circiso writes name about 80,000
+REPORT_EDGE_CAP = 250_000
+
+
 def _read_witnesses(path: str) -> list:
-    """(label, witness) for every witness stored in a report file, rebuilt
-    from its endpoint descriptors. A file that is not a well-formed report
-    raises ReportError."""
+    """(label, source, target, bijection, origin) for every witness stored in
+    a report file. Both endpoint descriptors are checked before anything is
+    built: each names a graph of order len(bijection) with at most
+    REPORT_EDGE_CAP edges. A file that is not a well-formed report, or
+    breaks those bounds, raises ReportError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nested too deep
             raise ReportError(f"{path} is not a JSON report: {e}") from e
     results = doc.get("results", {}) if isinstance(doc, dict) else None
     if not isinstance(results, dict):
@@ -241,22 +255,34 @@ def _read_witnesses(path: str) -> list:
             bijection = w["bijection"]
             if not isinstance(bijection, list) or not all(type(v) is int for v in bijection):
                 raise ReportError("bijection is not a list of integers")
-            source, target = graph_from_desc(w["source"]), graph_from_desc(w["target"])
-            label = (f"{w['source']['kind']} n={source.n}"
-                     f" -> {w['target']['kind']} n={target.n}")
+            source, target = w["source"], w["target"]
+            n = len(bijection)
+            for desc in (source, target):
+                order, edges = desc_size(desc)
+                if order != n:
+                    raise ReportError(f"{desc['kind']} descriptor has order {order}, but the "
+                                      f"bijection has {n} entries")
+                if edges > REPORT_EDGE_CAP:
+                    raise ReportError(f"{desc['kind']} descriptor names {edges} edges, more "
+                                      f"than the limit of {REPORT_EDGE_CAP}")
+            label = f"{source['kind']} n={n} -> {target['kind']} n={n}"
             origin = str(w.get("origin", "file"))
         except KeyError as e:
             raise ReportError(f"{path}: witness {i} has no {e}") from e
         except (TypeError, ValueError) as e:
             raise ReportError(f"{path}: witness {i} is malformed: {e}") from e
-        out.append((label, IsoWitness(source, target, tuple(bijection), False, origin)))
+        out.append((label, source, target, tuple(bijection), origin))
     return out
 
 
 def cmd_verify(args) -> int:
     witnesses = _read_witnesses(args.report)
-    checks = [assertion(f"witness {i}: {label}", verify_witness(w), w.origin)
-              for i, (label, w) in enumerate(witnesses)]
+    # edge sets are built one witness at a time, after every descriptor is checked
+    checks = [assertion(f"witness {i}: {label}",
+                        verify_witness(IsoWitness(graph_from_desc(source), graph_from_desc(target),
+                                                  bijection, False, origin)),
+                        origin)
+              for i, (label, source, target, bijection, origin) in enumerate(witnesses)]
     if not checks:
         checks.append(assertion("no witnesses found in report", False, args.report))
     results_out = {"checked": len(witnesses),

@@ -6,10 +6,10 @@ import json
 import os
 import time
 from datetime import datetime, timezone
+from functools import reduce
 
 from . import __version__
 from .circulant import Circulant, realize
-from .iso_oracle import IsoWitness
 from .products import LAYERS, cartesian_edges, ring_edges
 
 SCHEMA = 1
@@ -54,30 +54,50 @@ def layered_desc(kind: str, base: Circulant) -> dict:
     return {"kind": kind, "n": LAYERS[kind] * base.n, "base": circulant_desc(base)}
 
 
-def graph_from_desc(desc: dict):
-    """Rebuild the edge graph named by a witness endpoint descriptor."""
+def _desc_factors(desc: dict) -> list:
+    """The factors of the graph a witness endpoint descriptor names, in
+    encoding order: a Circulant, or the ring length of a layered product.
+    The graph is their Cartesian product. Validates the descriptor through
+    Circulant and builds no edge set."""
     kind = desc["kind"]
     if kind == "circulant":
-        return realize(Circulant(desc["n"], tuple(desc["conn"])))
+        return [Circulant(desc["n"], tuple(desc["conn"]))]
     if kind == "cartesian":
-        a, b = (graph_from_desc(f) for f in desc["factors"])
-        return cartesian_edges(a, b)
+        a, b = desc["factors"]
+        return _desc_factors(a) + _desc_factors(b)
     if kind not in LAYERS:
         raise ValueError(f"unknown graph descriptor kind {kind!r}")
-    base = Circulant(desc["base"]["n"], tuple(desc["base"]["conn"]))
-    return cartesian_edges(ring_edges(LAYERS[kind]), realize(base))
+    return [LAYERS[kind], Circulant(desc["base"]["n"], tuple(desc["base"]["conn"]))]
 
 
-def witness_json(w: IsoWitness, source_desc: dict, target_desc: dict) -> dict:
+def desc_size(desc: dict) -> tuple[int, int]:
+    """(order, edge count) of the graph a descriptor names, from its factors
+    alone: a product G x F has |G|·|F| vertices and E(G)·|F| + E(F)·|G|
+    edges. The 2-cycle ring is a single edge."""
+    order, edges = 1, 0
+    for f in _desc_factors(desc):
+        n, e = (f, 1 if f == 2 else f) if isinstance(f, int) else (f.n, f.n * f.degree // 2)
+        order, edges = order * n, edges * n + e * order
+    return order, edges
+
+
+def graph_from_desc(desc: dict):
+    """Rebuild the edge graph named by a witness endpoint descriptor."""
+    return reduce(cartesian_edges, (ring_edges(f) if isinstance(f, int) else realize(f)
+                                    for f in _desc_factors(desc)))
+
+
+def witness_json(source_desc: dict, target_desc: dict, bijection, origin: str,
+                 verified: bool) -> dict:
     """Witnesses are stored with rebuildable endpoint descriptors so `verify`
     can reconstruct both edge sets and re-check the bijection from the file
     alone."""
     return {
         "source": source_desc,
         "target": target_desc,
-        "bijection": list(w.bijection),
-        "origin": w.origin,
-        "verified": w.verified,
+        "bijection": list(bijection),
+        "origin": origin,
+        "verified": verified,
     }
 
 

@@ -4,7 +4,7 @@ the expensive n=6750 sweep runs in exactly one place."""
 
 from dataclasses import dataclass
 
-from .catalog import S3_LETTERS, S4_LETTERS, Catalog, load
+from .catalog import S3_LETTERS, S4_LETTERS, load
 from .iso_oracle import verify_witness
 from .products import product_coprime, product_witness
 from .type1 import adams_apply, type1_group_table, type1_set
@@ -50,9 +50,9 @@ def _theta_row_checks(out, graphs, rows, n, tag):
                     )
 
 
-def section3(cat: Catalog = None) -> list:
+def section3() -> list:
     """All embedded order-432 assertions."""
-    cat = cat or load()
+    cat = load()
     out = []
 
     # unit-multiplication families and their group tables
@@ -133,9 +133,13 @@ def section3(cat: Catalog = None) -> list:
     return out
 
 
-def section4(cat: Catalog = None, member_indices=(1, 2)) -> list:
-    """All embedded order-6750 assertions for the given family member indices."""
-    cat = cat or load()
+# family members whose theta rows and Type-2 sets section 4 checks
+S4_MEMBER_INDICES = (1, 2)
+
+
+def section4() -> list:
+    """All embedded order-6750 assertions for family members 1 and 2."""
+    cat = load()
     out = []
 
     # the A family is the full unit orbit of its seed
@@ -178,8 +182,8 @@ def section4(cat: Catalog = None, member_indices=(1, 2)) -> list:
             "products-6750",
         )
 
-    # theta catalog rows for the requested member indices
-    for idx in member_indices:
+    # theta catalog rows for the checked member indices
+    for idx in S4_MEMBER_INDICES:
         row_graphs = {letter: cat.s4_member(letter, idx) for letter in S4_LETTERS}
         _theta_row_checks(out, row_graphs, cat.s4_theta_rows(), 6750, "theta-6750")
         nc = cat.s4_not_circulant()
@@ -194,7 +198,7 @@ def section4(cat: Catalog = None, member_indices=(1, 2)) -> list:
             )
 
     # Type-2 sets led by the A family, both moduli, and their groups
-    for idx in member_indices:
+    for idx in S4_MEMBER_INDICES:
         row_graphs = {letter: cat.s4_member(letter, idx) for letter in S4_LETTERS}
         for m in (3, 5):
             group = cat.s4_t2_groups(m)[0]

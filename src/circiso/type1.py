@@ -85,7 +85,11 @@ class GroupTable:
         return self.closed and self.commutative and self.identity_ok
 
 
-def type1_group_table(orbit: Type1Orbit, exhaustive_assoc_limit: int = 30) -> GroupTable:
+# orbits up to this size have associativity enumerated over all triples
+EXHAUSTIVE_ASSOC_LIMIT = 30
+
+
+def type1_group_table(orbit: Type1Orbit) -> GroupTable:
     """Build the induced composition table and verify the group axioms.
 
     Identity and commutativity are checked exhaustively. Associativity is
@@ -112,7 +116,7 @@ def type1_group_table(orbit: Type1Orbit, exhaustive_assoc_limit: int = 30) -> Gr
     )
     b = index[orbit.base]
     identity_ok = all(entries[(b, j)] == j and entries[(j, b)] == j for j in range(len(members)))
-    if closed and len(members) <= exhaustive_assoc_limit:
+    if closed and len(members) <= EXHAUSTIVE_ASSOC_LIMIT:
         assoc_holds = all(
             entries[(entries[(i, j)], k)] == entries[(i, entries[(j, k)])]
             for i in range(len(members))

@@ -62,6 +62,18 @@ def brute_edges(n, conn):
     return es
 
 
+def brute_product_edges(g, h):
+    """Cartesian product edge set from the definition: (x, y) ~ (x', y) for
+    x ~ x' in g, and (x, y) ~ (x, y') for y ~ y' in h, with (x, y) encoded
+    x*h.n + y. Factor edges have a < b, so product edges do too."""
+    es = set()
+    for x, x2 in brute_edges(g.n, set(g.conn)):
+        es.update((x * h.n + y, x2 * h.n + y) for y in range(h.n))
+    for y, y2 in brute_edges(h.n, set(h.conn)):
+        es.update((x * h.n + y, x * h.n + y2) for x in range(g.n))
+    return es
+
+
 def brute_is_circulant(n, edges):
     """Per-vertex unreduced difference profile comparison."""
     diffs = [set() for _ in range(n)]

@@ -138,11 +138,3 @@ def test_is_connected():
     assert is_connected(Circulant(16, (1, 2, 7)))
     assert is_connected(R1_432)
 
-
-def test_edge_graph_validation():
-    with pytest.raises(ValueError):
-        EdgeGraph(4, frozenset({(2, 1)}))
-    with pytest.raises(ValueError):
-        EdgeGraph(4, frozenset({(1, 4)}))
-    with pytest.raises(ValueError):
-        EdgeGraph(4, frozenset({(2, 2)}))

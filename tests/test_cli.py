@@ -14,6 +14,7 @@ from circiso import cli, iso_oracle, products, type2
 from circiso.circulant import Circulant, parse_graph, realize
 from circiso.cli import main
 from circiso.reporting import circulant_desc, layered_desc, witness_json
+from circiso.type1 import adams_vertex_map, type1_set
 from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 
 from test_products import layered_graph
@@ -48,6 +49,47 @@ def test_t1_json_output(capsys):
 def test_t1_flag_style_graph(capsys):
     code, out, _ = run(capsys, "t1", "--n", "16", "--set", "1,2,7")
     assert code == 0
+
+
+def _forbid_calls(monkeypatch, *fns):
+    """Fail the test if any fn is called through a circiso module binding."""
+    for fn in fns:
+        def forbidden(*args, _name=fn.__name__):
+            pytest.fail(f"{_name} was called")
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("circiso") and getattr(mod, fn.__name__, None) is fn:
+                monkeypatch.setattr(mod, fn.__name__, forbidden)
+
+
+def test_t1_builds_no_edge_set(capsys, monkeypatch):
+    # each adam(x) map is checked on the connection sets, and the written
+    # witnesses are those the edge-level check gives
+    g = parse_graph(A432)
+    orbit = type1_set(g)
+    expected = []
+    for member, x in zip(orbit.members, orbit.reps):
+        w = iso_oracle.make_witness(realize(g), realize(member), adams_vertex_map(g.n, x),
+                                    f"adam(x={x})")
+        expected.append(witness_json(circulant_desc(g), circulant_desc(member), w.bijection,
+                                     w.origin, w.verified))
+    _forbid_calls(monkeypatch, realize)
+    code, out, _ = run(capsys, "t1", A432, "--json")
+    assert code == 0 and json.loads(out)["results"]["witnesses"] == expected
+
+
+def test_t1_rejects_a_wrong_member_map(capsys, monkeypatch):
+    # vertices 0 and 1 of A_1 have different neighbourhoods, so a map with
+    # their images swapped is no isomorphism
+    def transposed(n, x):
+        f = list(adams_vertex_map(n, x))
+        f[0], f[1] = f[1], f[0]
+        return tuple(f)
+
+    monkeypatch.setattr(cli, "adams_vertex_map", transposed)
+    code, out, _ = run(capsys, "t1", A432, "--json")
+    assert code == 1
+    assert not any(w["verified"] for w in json.loads(out)["results"]["witnesses"])
 
 
 def test_t2_command(capsys):
@@ -97,7 +139,8 @@ def test_t2_witnesses_match_reclassification(capsys, graph, m):
         t = min(c["t"] for c in results["classifications"]
                 if c["kind"] == "type2" and c["image"] == desc)
         w = classify_theta(ThetaMap(g.n, m, t), g).witness
-        expected.append(witness_json(w, circulant_desc(g), circulant_desc(member)))
+        expected.append(witness_json(circulant_desc(g), circulant_desc(member), w.bijection,
+                                     w.origin, w.verified))
     assert expected and results["witnesses"] == expected
 
 
@@ -211,7 +254,8 @@ def test_verify_accepts_layered_search_witness(tmp_path, capsys):
         assert w.bijection != crt.bijection
         f = tmp_path / f"{kind}.json"
         f.write_text(json.dumps({"results": {"witnesses": [
-            witness_json(w, layered_desc(kind, g), circulant_desc(result))]}}))
+            witness_json(layered_desc(kind, g), circulant_desc(result), w.bijection, w.origin,
+                         w.verified)]}}))
         code, out, _ = run(capsys, "verify", str(f))
         assert code == 0 and f"[PASS] witness 0: {kind} n={result.n}" in out
 
@@ -252,10 +296,39 @@ def _witness(**fields):
     (json.dumps({"results": {"witnesses": [_witness(bijection=[0, 2, "4", 1, 3])]}}),
      "bijection is not a list of integers"),
     (json.dumps({"results": {"witnesses": {"0": _witness()}}}), "is not a list"),
+    # orders and edge counts are checked against the bijection and the cap
+    # before any edge set is built
+    pytest.param(json.dumps({"results": {"witnesses": [_witness(
+        source={"kind": "circulant", "n": 2**31, "conn": [1]}, bijection=[0])]}}),
+        "circulant descriptor has order 2147483648, but the bijection has 1 entries",
+        id="order-2^31"),
+    pytest.param(json.dumps({"results": {"witnesses": [_witness(source={
+        "kind": "cartesian", "n": 46_000 * 46_001,
+        "factors": [{"kind": "circulant", "n": 46_000, "conn": [1]},
+                    {"kind": "circulant", "n": 46_001, "conn": [1]}]})]}}),
+        "cartesian descriptor has order 2116046000, but the bijection has 5 entries",
+        id="cartesian-46000x46001"),
+    pytest.param(json.dumps({"results": {"witnesses": [_witness(source={
+        "kind": "prism", "n": 2 * (2**30 + 1),
+        "base": {"kind": "circulant", "n": 2**30 + 1, "conn": [1]}})]}}),
+        "prism descriptor has order 2147483650, but the bijection has 5 entries",
+        id="prism-base-2^30+1"),
+    pytest.param(json.dumps({"results": {"witnesses": [_witness(
+        source={"kind": "circulant", "n": 20_000, "conn": list(range(1, 10_001))},
+        bijection=list(range(20_000)))]}}),
+        f"names 199990000 edges, more than the limit of {cli.REPORT_EDGE_CAP}",
+        id="dense-20000"),
+    pytest.param('{"results": {"witnesses": [{"source": '
+                 + '{"kind": "cartesian", "factors": [' * 5000
+                 + '{"kind": "circulant", "n": 3, "conn": [1]}'
+                 + ', {"kind": "circulant", "n": 3, "conn": [1]}]}' * 5000
+                 + ', "target": {"kind": "circulant", "n": 5, "conn": [1]}, "bijection": [0]}]}}',
+                 "is not a JSON report: maximum recursion depth exceeded", id="nested-5000"),
 ])
-def test_verify_hostile_report_fails_cleanly(tmp_path, capsys, content, message):
+def test_verify_hostile_report_fails_cleanly(tmp_path, capsys, monkeypatch, content, message):
     f = tmp_path / "hostile.json"
     f.write_text(content)
+    _forbid_calls(monkeypatch, realize, products.cartesian_edges, products.ring_edges)
     code, _, err = run(capsys, "verify", str(f))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -313,6 +386,28 @@ def test_no_bare_asserts_in_source():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name} has assert statements at lines {lines}"
+
+
+def test_edge_graphs_built_only_by_the_builders():
+    # EdgeGraph does not check its edges, so it may be constructed only in
+    # the builders that emit (a, b) with 0 <= a < b < n by construction; a
+    # new path from raw data must go through a boundary check on purpose
+    builders = {"realize", "cartesian_edges", "ring_edges", "permute_edges"}
+    owners = set()
+
+    def visit(node, owner, path):
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Call) and "EdgeGraph" in (getattr(node.func, "id", None),
+                                                          getattr(node.func, "attr", None)):
+            assert owner in builders, f"{path.name}:{node.lineno} builds an EdgeGraph in {owner}"
+            owners.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, path)
+
+    for path in sorted((SRC / "circiso").glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), None, path)
+    assert owners == builders
 
 
 def test_products_certified_under_optimize(tmp_path):

@@ -1,6 +1,8 @@
+from itertools import permutations
+
 import pytest
 
-from circiso.circulant import Circulant, realize
+from circiso.circulant import Circulant, EdgeGraph, realize
 from circiso.errors import BudgetExceeded, NotAPermutation, OrderMismatch
 from circiso.iso_oracle import (
     IsoWitness,
@@ -37,6 +39,16 @@ def test_verify_witness_errors():
         verify_witness(IsoWitness(a, b, tuple(range(16)), False, "x"))
     with pytest.raises(NotAPermutation):
         verify_witness(IsoWitness(a, a, (0,) * 16, False, "x"))
+    # EdgeGraph no longer rejects malformed edges on construction: a target
+    # whose edge count matches but that holds a reversed, out-of-range or
+    # looped edge must fail under every bijection
+    src = realize(Circulant(5, (1,)))
+    good = src.edges - {(0, 4)}
+    for bad in ((4, 0), (0, 5), (0, 0)):
+        tgt = EdgeGraph(5, good | {bad})
+        assert len(tgt.edges) == len(src.edges)
+        assert not any(verify_witness(IsoWitness(src, tgt, f, False, "x"))
+                       for f in permutations(range(5)))
 
 
 def test_verify_circulant_witness_accepts_theta_and_identity():

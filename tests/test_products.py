@@ -19,6 +19,7 @@ from circiso.products import (
     scan_conjecture,
     valid_type2_ms,
 )
+from circiso.reporting import desc_size, layered_desc
 from circiso.residue import reflexive_reduce
 from circiso.type1 import adams_apply
 
@@ -143,6 +144,7 @@ def test_layered_witness_is_the_crt_embedding(case):
     assert result == Circulant.reduced(k * g.n, [k * r for r in g.conn] + [g.n])
     assert w.verified and verify_witness(w)
     assert w.source == layered_graph(kind, g) and w.target == realize(result)
+    assert desc_size(layered_desc(kind, g)) == (w.source.n, len(w.source.edges))
     assert w.origin == f"crt-embedding({k}x{g.n})"
     if result.n <= 60:
         # the backtracking oracle independently confirms the same endpoints

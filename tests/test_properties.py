@@ -1,11 +1,14 @@
 """Invariant checks beyond the acceptance property suites: exhaustive action
 law at small orders, orbit symmetry, and round trips."""
 
+from math import gcd
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circiso.circulant import (
     Circulant,
+    EdgeGraph,
     NotCirculant,
     detect_circulant,
     is_connected,
@@ -16,9 +19,10 @@ from circiso.iso_oracle import IsoWitness, verify_circulant_witness, verify_witn
 from circiso.residue import units
 from circiso.type1 import adams_apply, adams_vertex_map, is_adams_isomorphic, type1_set
 from circiso.type2 import ThetaMap, classify_theta, theta_image, theta_vertex_map
-from circiso.products import product_c4, product_prism
+from circiso.products import cartesian_edges, product_c4, product_prism, ring_edges
+from circiso.reporting import cartesian_desc, circulant_desc, desc_size
 
-from conftest import brute_edges
+from conftest import brute_edges, brute_product_edges
 from test_acceptance import _theta_graph
 
 
@@ -39,9 +43,20 @@ def graphs(draw, max_n=96):
 
 
 @settings(max_examples=200, deadline=None)
-@given(graphs(max_n=48))
-def test_realize_matches_brute_force(g):
+@given(graphs(max_n=48), graphs(max_n=16))
+def test_realize_matches_brute_force(g, h):
+    # EdgeGraph does not check its edges, and verify_witness is sound only
+    # on edges (a, b) with 0 <= a < b < n: every builder is compared here
+    # with an edge set written out in that form
     assert set(realize(g).edges) == brute_edges(g.n, set(g.conn))
+    # verify bounds a report by the sizes its descriptors name, before building
+    assert desc_size(circulant_desc(g)) == (g.n, len(realize(g).edges))
+    if gcd(g.n, h.n) == 1:
+        product = cartesian_edges(realize(g), realize(h))
+        assert product.n == g.n * h.n and set(product.edges) == brute_product_edges(g, h)
+        assert desc_size(cartesian_desc(g, h)) == (product.n, len(product.edges))
+    assert ring_edges(2) == EdgeGraph(2, frozenset({(0, 1)}))
+    assert ring_edges(4) == EdgeGraph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
 
 
 @settings(max_examples=200, deadline=None)
