@@ -9,6 +9,11 @@ from typing import NamedTuple, Union
 from .errors import InvariantViolation, ParseError
 from .residue import check_modulus, reflexive_reduce
 
+# most edges either endpoint of a stored witness may have: no command stores
+# a witness past it, and `verify` refuses a report that names one before
+# building anything
+WITNESS_EDGE_CAP = 100_000
+
 
 @dataclass(frozen=True, order=True)
 class Circulant:
@@ -43,6 +48,10 @@ class Circulant:
     def degree(self) -> int:
         # n/2 is self-paired and contributes one neighbour, everything else two
         return sum(1 if 2 * s == self.n else 2 for s in self.conn)
+
+    @property
+    def edge_count(self) -> int:
+        return self.n * self.degree // 2
 
     def label(self) -> str:
         return f"C_{self.n}({','.join(map(str, self.conn))})"
@@ -145,7 +154,7 @@ def realize(g: Circulant) -> EdgeGraph:
             add((x, y) if x < y else (y, x))
     eg = EdgeGraph(n, frozenset(es))
     # offsets are distinct reflexive classes, so no two can realize one edge
-    if 2 * len(eg.edges) != n * g.degree:
+    if len(eg.edges) != g.edge_count:
         raise InvariantViolation(f"offset collision in realization of {g.label()}")
     return eg
 

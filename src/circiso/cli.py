@@ -6,10 +6,10 @@ import argparse
 import json
 import sys
 
-from .circulant import Circulant, parse_graph
+from .circulant import WITNESS_EDGE_CAP, Circulant, parse_graph
 from .errors import CircisoError, ParseError, ReportError
 from .iso_oracle import IsoWitness, verify_circulant_witness, verify_witness
-from .products import EXPLICIT_VERIFY_CAP, product_witness, scan_conjecture, valid_type2_ms
+from .products import product_witness, scan_conjecture, valid_type2_ms
 from .reporting import (
     all_passed,
     assertion,
@@ -70,6 +70,18 @@ def _member_summary(members, limit=8) -> str:
     return f"{len(members)} members: {shown}{extra}"
 
 
+def _stored(witnesses: list, graphs, checks: list) -> list:
+    """The witnesses a report stores: `verify` rebuilds both endpoints of
+    each, so none is stored when a graph has more than WITNESS_EDGE_CAP
+    edges, and one passing assertion says so."""
+    edges = max(g.edge_count for g in graphs)
+    if not witnesses or edges <= WITNESS_EDGE_CAP:
+        return witnesses
+    checks.append(assertion(f"witnesses not stored: {edges} edges, above the limit of "
+                            f"{WITNESS_EDGE_CAP}", True))
+    return []
+
+
 def _member_witnesses(orbit):
     """Witnesses for every member of a Type-1 orbit, each adam(x) map checked
     on the connection sets, so no edge set is built."""
@@ -99,6 +111,7 @@ def cmd_t1(args) -> int:
         *[assertion(f"witness for member {i}", w["verified"])
           for i, w in enumerate(witnesses)],
     ]
+    witnesses = _stored(witnesses, orbit.members, checks)
     results = {
         "base": circulant_json(g),
         "members": [circulant_json(m) for m in orbit.members],
@@ -136,6 +149,7 @@ def cmd_t2(args) -> int:
         *[assertion(f"witness for member {i}", w["verified"])
           for i, w in enumerate(witnesses)],
     ]
+    witnesses = _stored(witnesses, orbit.members, checks)
     results = {
         "base": circulant_json(g),
         "m": m,
@@ -174,6 +188,7 @@ def cmd_classify(args) -> int:
     checks = [assertion("classification computed", _classification_consistent(cls), cls.kind)]
     if witnesses:
         checks.append(assertion("witness verified", witnesses[0]["verified"]))
+        witnesses = _stored(witnesses, (g, cls.image), checks)
     results = {
         "graph": circulant_json(g),
         "m": args.m,
@@ -212,8 +227,8 @@ def cmd_product(args) -> int:
         name = f"{args.kind} x {g.label()}"
     if w is None:
         witnesses = []
-        checks = [assertion(f"{name} by formula only: no edge-level check above order "
-                            f"{EXPLICIT_VERIFY_CAP}", True, result.label())]
+        checks = [assertion(f"{name} by formula only: no edge-level check above "
+                            f"{WITNESS_EDGE_CAP} edges", True, result.label())]
     else:
         witnesses = [witness_json(source, circulant_desc(result), w.bijection, w.origin,
                                   w.verified)]
@@ -227,17 +242,13 @@ def cmd_product(args) -> int:
     return _emit(make_report(["product", args.kind], inputs, results, checks), args)
 
 
-# most edges one witness endpoint in a `verify` report may name; the largest
-# reports circiso writes name about 80,000
-REPORT_EDGE_CAP = 250_000
-
-
 def _read_witnesses(path: str) -> list:
     """(label, source, target, bijection, origin) for every witness stored in
     a report file. Both endpoint descriptors are checked before anything is
     built: each names a graph of order len(bijection) with at most
-    REPORT_EDGE_CAP edges. A file that is not a well-formed report, or
-    breaks those bounds, raises ReportError."""
+    WITNESS_EDGE_CAP edges, the cap under which commands store witnesses.
+    A file that is not a well-formed report, or breaks those bounds, raises
+    ReportError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -258,13 +269,10 @@ def _read_witnesses(path: str) -> list:
             source, target = w["source"], w["target"]
             n = len(bijection)
             for desc in (source, target):
-                order, edges = desc_size(desc)
+                order, _ = desc_size(desc, n, WITNESS_EDGE_CAP)
                 if order != n:
                     raise ReportError(f"{desc['kind']} descriptor has order {order}, but the "
                                       f"bijection has {n} entries")
-                if edges > REPORT_EDGE_CAP:
-                    raise ReportError(f"{desc['kind']} descriptor names {edges} edges, more "
-                                      f"than the limit of {REPORT_EDGE_CAP}")
             label = f"{source['kind']} n={n} -> {target['kind']} n={n}"
             origin = str(w.get("origin", "file"))
         except KeyError as e:

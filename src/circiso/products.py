@@ -7,13 +7,12 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Optional
 
-from .circulant import Circulant, EdgeGraph, edge, is_connected, realize
+from .circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph, edge, is_connected, realize
 from .errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime, OrderTooSmall
 from .iso_oracle import IsoWitness, make_witness
 from .residue import reflexive_reduce, valid_type2_params
 from .type2 import ThetaMap, classify_theta, type2_set
 
-EXPLICIT_VERIFY_CAP = 10_000  # product orders above this carry no edge-checked witness
 LAYERS = {"prism": 2, "c4": 4}  # layered kind -> length of its ring of copies
 
 
@@ -56,9 +55,9 @@ def product_witness(
     "prism" and "c4" take g = C_N(R) with N odd and give C_kN(kR union {N})
     for k = 2, 4, the Cartesian product of the k-cycle with g.
 
-    Up to EXPLICIT_VERIFY_CAP the result carries its CRT embedding witness,
-    checked edge for edge; a failed check raises InvariantViolation. Above
-    the cap no check runs and the witness is None.
+    Up to WITNESS_EDGE_CAP edges the result carries its CRT embedding
+    witness, checked edge for edge; a failed check raises
+    InvariantViolation. Above the cap no check runs and the witness is None.
     """
     if kind == "coprime":
         m, n = g.n, h.n
@@ -77,7 +76,7 @@ def product_witness(
         m, n = LAYERS[kind], g.n
         offsets = [m * r for r in g.conn] + [n]
     result = Circulant(m * n, reflexive_reduce(offsets, m * n))
-    if m * n > EXPLICIT_VERIFY_CAP:
+    if result.edge_count > WITNESS_EDGE_CAP:
         return result, None
     a, b = (realize(g), realize(h)) if kind == "coprime" else (ring_edges(m), realize(g))
     w = embedding_witness(a, b, result)

@@ -54,30 +54,45 @@ def layered_desc(kind: str, base: Circulant) -> dict:
     return {"kind": kind, "n": LAYERS[kind] * base.n, "base": circulant_desc(base)}
 
 
-def _desc_factors(desc: dict) -> list:
+def _desc_factors(desc: dict):
     """The factors of the graph a witness endpoint descriptor names, in
     encoding order: a Circulant, or the ring length of a layered product.
-    The graph is their Cartesian product. Validates the descriptor through
-    Circulant and builds no edge set."""
-    kind = desc["kind"]
-    if kind == "circulant":
-        return [Circulant(desc["n"], tuple(desc["conn"]))]
-    if kind == "cartesian":
-        a, b = desc["factors"]
-        return _desc_factors(a) + _desc_factors(b)
-    if kind not in LAYERS:
-        raise ValueError(f"unknown graph descriptor kind {kind!r}")
-    return [LAYERS[kind], Circulant(desc["base"]["n"], tuple(desc["base"]["conn"]))]
+    The graph is their Cartesian product. Each factor is validated through
+    Circulant as it is reached, and no edge set is built."""
+    stack = [desc]
+    while stack:
+        d = stack.pop()
+        kind = d["kind"]
+        if kind == "cartesian":
+            a, b = d["factors"]
+            stack += (b, a)
+        elif kind == "circulant":
+            yield Circulant(d["n"], tuple(d["conn"]))
+        elif kind in LAYERS:
+            yield LAYERS[kind]
+            yield Circulant(d["base"]["n"], tuple(d["base"]["conn"]))
+        else:
+            raise ValueError(f"unknown graph descriptor kind {kind!r}")
 
 
-def desc_size(desc: dict) -> tuple[int, int]:
+def desc_size(desc: dict, max_order: int, max_edges: int) -> tuple[int, int]:
     """(order, edge count) of the graph a descriptor names, from its factors
     alone: a product G x F has |G|·|F| vertices and E(G)·|F| + E(F)·|G|
-    edges. The 2-cycle ring is a single edge."""
+    edges. The 2-cycle ring is a single edge. Both counts grow with every
+    factor, so a ValueError stops the count at the first partial product
+    past max_order vertices or max_edges edges, after a few factors
+    whatever the descriptor's size."""
+    kind = desc["kind"]
     order, edges = 1, 0
     for f in _desc_factors(desc):
-        n, e = (f, 1 if f == 2 else f) if isinstance(f, int) else (f.n, f.n * f.degree // 2)
+        n, e = (f, 1 if f == 2 else f) if isinstance(f, int) else (f.n, f.edge_count)
         order, edges = order * n, edges * n + e * order
+        if order > max_order:
+            raise ValueError(f"{kind} descriptor names at least {order} vertices, "
+                             f"more than {max_order}")
+        if edges > max_edges:
+            raise ValueError(f"{kind} descriptor names at least {edges} edges, "
+                             f"more than the limit of {max_edges}")
     return order, edges
 
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ import pytest
 
 import circiso
 from circiso import cli, iso_oracle, products, type2
-from circiso.circulant import Circulant, parse_graph, realize
+from circiso.circulant import WITNESS_EDGE_CAP, Circulant, parse_graph, realize
 from circiso.cli import main
 from circiso.reporting import circulant_desc, layered_desc, witness_json
 from circiso.type1 import adams_vertex_map, type1_set
@@ -199,12 +200,42 @@ def test_product_commands(capsys):
     assert code == 2 and err == "error: coprime products take two graphs\n"
 
     # above the cap nothing is checked edge for edge, and the report says so
-    code, out, _ = run(capsys, "product", "coprime", "n=81;R=1,2", "n=125;R=1,3", "--json")
+    code, out, _ = run(capsys, "product", "coprime", "n=16;R=1,2,3,4,5,6", "n=625;R=1,2,3,4,5",
+                       "--json")
     assert code == 0
     doc = json.loads(out)
-    assert doc["results"]["product"]["n"] == 10_125 and doc["results"]["witnesses"] == []
+    assert doc["results"]["product"]["n"] == 10_000 and doc["results"]["witnesses"] == []
     [a] = doc["assertions"]
     assert "formula only" in a["name"] and "verified" not in a["name"]
+
+
+def _complete(n):
+    return parse_graph(f"n={n};R={','.join(map(str, range(1, n // 2 + 1)))}")
+
+
+def test_stored_witnesses_stay_within_the_verify_cap(tmp_path, capsys):
+    # commands store a witness only while both endpoints have at most
+    # WITNESS_EDGE_CAP edges, the bound verify enforces, so every report they
+    # write verifies; past the cap a report stores none and says so
+    at_cap = parse_graph("n=16;R=1,2,3,4,5"), parse_graph("n=625;R=1,2,3,4,5")
+    assert products.product_coprime(*at_cap).edge_count == WITNESS_EDGE_CAP
+    assert _complete(447).edge_count <= WITNESS_EDGE_CAP < _complete(449).edge_count
+    report = tmp_path / "report.json"
+    for argv in (("product", "coprime", *(g.text() for g in at_cap)),
+                 ("t1", _complete(447).text())):
+        code, _, _ = run(capsys, *argv, "--out", str(report))
+        assert code == 0 and json.loads(report.read_text())["results"]["witnesses"]
+        code, out, _ = run(capsys, "verify", str(report))
+        assert code == 0 and "[PASS] witness 0" in out
+    dense = "n=99;R=" + ",".join(map(str, range(1, 50))), "n=101;R=" + ",".join(map(str, range(1, 51)))
+    for argv, note in ((("product", "coprime", *dense), "formula only"),
+                       (("t1", _complete(449).text()), "witnesses not stored"),
+                       (("classify", _complete(512).text(), "--m", "2", "--t", "3"),
+                        "witnesses not stored")):
+        code, out, _ = run(capsys, *argv, "--json")
+        doc = json.loads(out)
+        assert code == 0 and doc["results"]["witnesses"] == []
+        assert note in doc["assertions"][-1]["name"] and doc["assertions"][-1]["passed"]
 
 
 def test_product_builds_witness_once(capsys, monkeypatch):
@@ -298,26 +329,33 @@ def _witness(**fields):
     (json.dumps({"results": {"witnesses": {"0": _witness()}}}), "is not a list"),
     # orders and edge counts are checked against the bijection and the cap
     # before any edge set is built
+    pytest.param(json.dumps({"results": {"witnesses": [_witness(bijection=list(range(6)))]}}),
+        "circulant descriptor has order 5, but the bijection has 6 entries", id="order-short"),
     pytest.param(json.dumps({"results": {"witnesses": [_witness(
         source={"kind": "circulant", "n": 2**31, "conn": [1]}, bijection=[0])]}}),
-        "circulant descriptor has order 2147483648, but the bijection has 1 entries",
+        "circulant descriptor names at least 2147483648 vertices, more than 1",
         id="order-2^31"),
     pytest.param(json.dumps({"results": {"witnesses": [_witness(source={
         "kind": "cartesian", "n": 46_000 * 46_001,
         "factors": [{"kind": "circulant", "n": 46_000, "conn": [1]},
                     {"kind": "circulant", "n": 46_001, "conn": [1]}]})]}}),
-        "cartesian descriptor has order 2116046000, but the bijection has 5 entries",
+        "cartesian descriptor names at least 46000 vertices, more than 5",
         id="cartesian-46000x46001"),
     pytest.param(json.dumps({"results": {"witnesses": [_witness(source={
         "kind": "prism", "n": 2 * (2**30 + 1),
         "base": {"kind": "circulant", "n": 2**30 + 1, "conn": [1]}})]}}),
-        "prism descriptor has order 2147483650, but the bijection has 5 entries",
+        "prism descriptor names at least 2147483650 vertices, more than 5",
         id="prism-base-2^30+1"),
     pytest.param(json.dumps({"results": {"witnesses": [_witness(
         source={"kind": "circulant", "n": 20_000, "conn": list(range(1, 10_001))},
         bijection=list(range(20_000)))]}}),
-        f"names 199990000 edges, more than the limit of {cli.REPORT_EDGE_CAP}",
+        f"names at least 199990000 edges, more than the limit of {WITNESS_EDGE_CAP}",
         id="dense-20000"),
+    # 2^14 leaves; the count stops at the second, whatever the tree's width
+    pytest.param(json.dumps({"results": {"witnesses": [_witness(
+        source=functools.reduce(lambda d, _: {"kind": "cartesian", "factors": [d, d]},
+                                range(14), {"kind": "circulant", "n": 3, "conn": [1]}))]}}),
+        "cartesian descriptor names at least 9 vertices, more than 5", id="wide-tree-2^14"),
     pytest.param('{"results": {"witnesses": [{"source": '
                  + '{"kind": "cartesian", "factors": [' * 5000
                  + '{"kind": "circulant", "n": 3, "conn": [1]}'

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circiso import products
-from circiso.circulant import Circulant, EdgeGraph, edge, realize
+from circiso.circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph, edge, realize
 from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime
 from circiso.iso_oracle import search_isomorphism, verify_witness
 from circiso.products import (
@@ -107,10 +107,16 @@ def test_layer_product_counts():
 
 
 def test_product_witness_cap():
-    # orders above the cap are computed by formula only and carry no witness
-    g, h = Circulant(81, (1, 2)), Circulant(125, (1, 3))
+    # a product with up to WITNESS_EDGE_CAP edges carries its witness; one
+    # more offset and it is computed by formula only, with no witness
+    g, h = Circulant(16, (1, 2, 3, 4, 5)), Circulant(625, (1, 2, 3, 4, 5))
     result, w = product_witness("coprime", g, h)
-    assert result.n == 10_125 > products.EXPLICIT_VERIFY_CAP and w is None
+    assert result.edge_count == WITNESS_EDGE_CAP and w.verified
+    result, w = product_witness("coprime", Circulant(16, (1, 2, 3, 4, 5, 6)), h)
+    assert result.edge_count > WITNESS_EDGE_CAP and w is None
+    # sparse products past the old order cap of 10,000 carry one too
+    result, w = product_witness("coprime", Circulant(81, (1, 2)), Circulant(125, (1, 3)))
+    assert result.n == 10_125 and w.verified
     # layered orders past the old oracle cap of 60 now carry a witness
     result, w = product_witness("c4", Circulant(45, (1, 7)))
     assert result == Circulant(180, (4, 28, 45)) and w.verified
@@ -144,7 +150,8 @@ def test_layered_witness_is_the_crt_embedding(case):
     assert result == Circulant.reduced(k * g.n, [k * r for r in g.conn] + [g.n])
     assert w.verified and verify_witness(w)
     assert w.source == layered_graph(kind, g) and w.target == realize(result)
-    assert desc_size(layered_desc(kind, g)) == (w.source.n, len(w.source.edges))
+    assert desc_size(layered_desc(kind, g), w.source.n, WITNESS_EDGE_CAP) == (
+        w.source.n, len(w.source.edges))
     assert w.origin == f"crt-embedding({k}x{g.n})"
     if result.n <= 60:
         # the backtracking oracle independently confirms the same endpoints

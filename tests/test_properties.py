@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circiso.circulant import (
+    WITNESS_EDGE_CAP,
     Circulant,
     EdgeGraph,
     NotCirculant,
@@ -50,11 +51,15 @@ def test_realize_matches_brute_force(g, h):
     # with an edge set written out in that form
     assert set(realize(g).edges) == brute_edges(g.n, set(g.conn))
     # verify bounds a report by the sizes its descriptors name, before building
-    assert desc_size(circulant_desc(g)) == (g.n, len(realize(g).edges))
+    assert desc_size(circulant_desc(g), g.n, WITNESS_EDGE_CAP) == (g.n, len(realize(g).edges))
     if gcd(g.n, h.n) == 1:
         product = cartesian_edges(realize(g), realize(h))
         assert product.n == g.n * h.n and set(product.edges) == brute_product_edges(g, h)
-        assert desc_size(cartesian_desc(g, h)) == (product.n, len(product.edges))
+        assert desc_size(cartesian_desc(g, h), product.n, WITNESS_EDGE_CAP) == (
+            product.n, len(product.edges))
+
+
+def test_ring_edges_written_out():
     assert ring_edges(2) == EdgeGraph(2, frozenset({(0, 1)}))
     assert ring_edges(4) == EdgeGraph(4, frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}))
 
