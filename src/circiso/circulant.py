@@ -53,6 +53,12 @@ class Circulant:
     def edge_count(self) -> int:
         return self.n * self.degree // 2
 
+    @property
+    def edges(self) -> frozenset:
+        """The realized edge set, so a Circulant can stand wherever an
+        EdgeGraph is read (a witness endpoint); built on demand."""
+        return realize(self).edges
+
     def label(self) -> str:
         return f"C_{self.n}({','.join(map(str, self.conn))})"
 
@@ -140,8 +146,10 @@ def edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a < b else (b, a)
 
 
-# the cache must hold a full working set of the n=6750 reproduction (15
-# member graphs per family index) or every classification re-realizes
+# classification never realizes; the edge-level consumers do: the
+# re-check of each theta witness in the n=6750 reproduction (15 member graphs
+# per family index, the working set this cache must hold), `verify`, and
+# product_witness
 @lru_cache(maxsize=16)
 def realize(g: Circulant) -> EdgeGraph:
     """Materialize the edge set {{x, x+s mod n} : x in Z_n, s in R}."""

@@ -8,7 +8,7 @@ never a silent "not isomorphic".
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Optional
+from typing import Optional, Union
 
 from .circulant import Circulant, EdgeGraph
 from .errors import BudgetExceeded, InvariantViolation, NotAPermutation, OrderMismatch
@@ -20,12 +20,15 @@ DEFAULT_NODE_BUDGET = 10**7
 class IsoWitness:
     """An explicit vertex bijection from source to target, plus its status.
 
+    Each endpoint is an EdgeGraph or a Circulant: both expose n and edges,
+    and a circulant's edges are realized only when read, so a witness
+    between circulants costs no edge set until an edge-level check runs.
     origin records how the bijection was produced, e.g. "theta(m=2,t=54)",
     "adam(x=5)", "search", "identity".
     """
 
-    source: EdgeGraph
-    target: EdgeGraph
+    source: Union[Circulant, EdgeGraph]
+    target: Union[Circulant, EdgeGraph]
     bijection: tuple[int, ...]
     verified: bool
     origin: str

@@ -58,21 +58,35 @@ def _desc_factors(desc: dict):
     """The factors of the graph a witness endpoint descriptor names, in
     encoding order: a Circulant, or the ring length of a layered product.
     The graph is their Cartesian product. Each factor is validated through
-    Circulant as it is reached, and no edge set is built."""
+    Circulant as it is reached. The n stored on a cartesian, prism or c4
+    node is checked once every factor under it is out: it must be the int
+    their orders multiply to. No edge set is built."""
+    order = 1  # of the factors yielded so far
     stack = [desc]
     while stack:
         d = stack.pop()
+        if isinstance(d, tuple):  # (composite node, order before its factors)
+            node, before = d
+            n, below = node["n"], order // before
+            if isinstance(n, bool) or not isinstance(n, int) or n != below:
+                raise ValueError(f"{node['kind']} descriptor has n={n!r}, but its factors "
+                                 f"have order {below}")
+            continue
         kind = d["kind"]
         if kind == "cartesian":
             a, b = d["factors"]
-            stack += (b, a)
-        elif kind == "circulant":
-            yield Circulant(d["n"], tuple(d["conn"]))
+            stack += ((d, order), b, a)
+            continue
+        if kind == "circulant":
+            factors = (Circulant(d["n"], tuple(d["conn"])),)
         elif kind in LAYERS:
-            yield LAYERS[kind]
-            yield Circulant(d["base"]["n"], tuple(d["base"]["conn"]))
+            stack.append((d, order))
+            factors = (LAYERS[kind], Circulant(d["base"]["n"], tuple(d["base"]["conn"])))
         else:
             raise ValueError(f"unknown graph descriptor kind {kind!r}")
+        for f in factors:
+            order *= f if isinstance(f, int) else f.n
+            yield f
 
 
 def desc_size(desc: dict, max_order: int, max_edges: int) -> tuple[int, int]:

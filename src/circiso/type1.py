@@ -11,15 +11,20 @@ from .errors import InvariantViolation, NotAUnit, OrderMismatch
 from .residue import reflexive_reduce, units
 
 
+def _scaled(g: Circulant, x: int) -> tuple[int, ...]:
+    """x·R reduced reflexively, for a unit x the caller has checked."""
+    conn = reflexive_reduce((x * s for s in g.conn), g.n)
+    # unit multiplication permutes reflexive classes, so sizes must agree
+    if len(conn) != len(g.conn):
+        raise InvariantViolation(f"{x}*{g.label()} has {len(conn)} classes, not {len(g.conn)}")
+    return conn
+
+
 def adams_apply(g: Circulant, x: int) -> Circulant:
     """Multiply the connection set by a unit x and reduce reflexively."""
     if gcd(g.n, x) != 1:
         raise NotAUnit(f"gcd({g.n}, {x}) != 1")
-    out = Circulant(g.n, reflexive_reduce((x * s for s in g.conn), g.n))
-    # unit multiplication permutes reflexive classes, so sizes must agree
-    if len(out.conn) != len(g.conn):
-        raise InvariantViolation(f"{x}*{g.label()} has {len(out.conn)} classes, not {len(g.conn)}")
-    return out
+    return Circulant(g.n, _scaled(g, x))
 
 
 def adams_vertex_map(n: int, x: int) -> tuple[int, ...]:
@@ -48,23 +53,25 @@ class Type1Orbit:
 
 @lru_cache(maxsize=128)
 def type1_set(g: Circulant) -> Type1Orbit:
-    """Compute the full orbit of g under unit multiplication."""
-    least: dict[Circulant, int] = {}
+    """Compute the full orbit of g under unit multiplication. Images are
+    kept as connection sets; a Circulant is built per member, not per unit."""
+    least: dict[tuple[int, ...], int] = {}
     stab = []
     for x in units(g.n):  # ascending, so first hit records the least unit
-        img = adams_apply(g, x)
-        if img not in least:
-            least[img] = x
-        if img == g:
+        conn = _scaled(g, x)
+        if conn not in least:
+            least[conn] = x
+        if conn == g.conn:
             stab.append(x)
-    members = tuple(sorted(least))
+    # one order, so sorting the sets sorts the graphs
+    conns = sorted(least)
     orbit = Type1Orbit(
         base=g,
-        members=members,
-        reps=tuple(least[m] for m in members),
+        members=tuple(Circulant(g.n, c) for c in conns),
+        reps=tuple(least[c] for c in conns),
         stabilizer=tuple(stab),
     )
-    if len(members) * len(stab) != len(units(g.n)):
+    if len(conns) * len(stab) != len(units(g.n)):
         raise InvariantViolation(f"orbit-stabilizer violated for {g.label()}")
     return orbit
 

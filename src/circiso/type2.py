@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Union
 
-from .circulant import Circulant, NotCirculant, realize, symmetric_set
+from .circulant import Circulant, NotCirculant, symmetric_set
 from .errors import InvalidParams, InvariantViolation, ParamMismatch, PreconditionViolation
 from .iso_oracle import IsoWitness, verify_circulant_witness
 from .residue import check_modulus, reflexive_reduce, valid_type2_params
@@ -117,8 +117,9 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     Detection runs on m vertices (theta_image). A circulant image comes with
     the vertex bijection as witness, checked edge for edge on the two
     connection sets before it is attached; a failed check raises
-    InvariantViolation. The witness endpoints are the realized edge sets, so
-    any edge-level consumer can check it again.
+    InvariantViolation. The witness endpoints are g and the image
+    themselves: an edge-level consumer (verify_witness) reads their edges,
+    which are realized on demand, and classification builds no edge set.
     """
     _check_classify_preconditions(tm, g)
     kind, image, unit, vertex = _classify(tm, g)
@@ -145,9 +146,8 @@ def _classify(tm: ThetaMap, g: Circulant):
 
 def _witness(tm: ThetaMap, g: Circulant, image: Circulant) -> IsoWitness:
     """The theta bijection of g onto image, checked by _classify, between
-    the realized edge sets."""
-    return IsoWitness(realize(g), realize(image), theta_vertex_map(tm), True,
-                      f"theta(m={tm.m},t={tm.t})")
+    the two circulants; their edge sets are realized only if read."""
+    return IsoWitness(g, image, theta_vertex_map(tm), True, f"theta(m={tm.m},t={tm.t})")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ import circiso
 from circiso import cli, iso_oracle, products, type2
 from circiso.circulant import WITNESS_EDGE_CAP, Circulant, parse_graph, realize
 from circiso.cli import main
-from circiso.reporting import circulant_desc, layered_desc, witness_json
+from circiso.reporting import cartesian_desc, circulant_desc, layered_desc, witness_json
 from circiso.type1 import adams_vertex_map, type1_set
 from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 
@@ -122,8 +122,41 @@ def test_t2_classifies_each_t_once(capsys, monkeypatch):
     _count_calls(monkeypatch, realize, counts)
     code, out, _ = run(capsys, "t2", A432, "--m", "2", "--json")
     assert code == 0 and len(json.loads(out)["results"]["witnesses"]) == 1
-    # only the one member witness realizes edge sets: the base and D_1
-    assert counts == {"theta_image": 216, "_check_classify_preconditions": 1, "realize": 2}
+    assert counts == {"theta_image": 216, "_check_classify_preconditions": 1}
+    # the member witness keeps circulant endpoints, so no edge set is built
+    assert counts["realize"] == 0
+
+
+def _swapped(w):
+    """w with the images of vertices 0 and 1 swapped in its bijection."""
+    f = list(w.bijection)
+    f[0], f[1] = f[1], f[0]
+    return replace(w, bijection=tuple(f))
+
+
+def test_classification_builds_no_edge_set(monkeypatch):
+    # the catalog row theta(432, 2, 54) carries A_1 onto D_1; its witness
+    # holds the two circulants, and the edge-level check still runs on them
+    g = parse_graph(A432)
+    tm = ThetaMap(g.n, 2, 54)
+    with monkeypatch.context() as mp:
+        _forbid_calls(mp, realize)
+        cls = classify_theta(tm, g)
+        orbit = type2.type2_set(g, 2)
+    assert cls.kind == "type2" and cls.witness.source == g and cls.witness.target == cls.image
+    assert cls.image in orbit.members and orbit.witnesses
+    # vertices 0 and 1 of A_1 have different neighbourhoods
+    for w in (cls.witness, *orbit.witnesses):
+        assert iso_oracle.verify_witness(w)
+        assert not iso_oracle.verify_witness(_swapped(w))
+
+
+@pytest.mark.parametrize("argv", [("t2", A432, "--m", "2"), ("t2", A432, "--m", "3"),
+                                  ("classify", A432, "--m", "2", "--t", "54")])
+def test_type2_commands_build_no_edge_set(capsys, monkeypatch, argv):
+    _forbid_calls(monkeypatch, realize)
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["results"]["witnesses"]
 
 
 @pytest.mark.parametrize("graph, m", [("n=16;R=1,2,7", 2), (A432, 2), (A432, 3)])
@@ -319,6 +352,16 @@ def _witness(**fields):
     return {k: v for k, v in w.items() if v is not None}
 
 
+def _product_report(kind, *graphs, source_n):
+    """The witness a `product` report stores, with its source descriptor's
+    n edited."""
+    gs = [parse_graph(text) for text in graphs]
+    result, w = products.product_witness(kind, *gs)
+    source = cartesian_desc(*gs) if kind == "coprime" else layered_desc(kind, *gs)
+    return json.dumps({"results": {"witnesses": [witness_json(
+        {**source, "n": source_n}, circulant_desc(result), w.bijection, w.origin, w.verified)]}})
+
+
 @pytest.mark.parametrize("content, message", [
     ("{not json", "is not a JSON report"),
     (json.dumps({"results": {"witnesses": [_witness(source=None)]}}), "has no 'source'"),
@@ -362,6 +405,20 @@ def _witness(**fields):
                  + ', {"kind": "circulant", "n": 3, "conn": [1]}]}' * 5000
                  + ', "target": {"kind": "circulant", "n": 5, "conn": [1]}, "bijection": [0]}]}}',
                  "is not a JSON report: maximum recursion depth exceeded", id="nested-5000"),
+    # the stored n of every composite node must be the order of its factors
+    pytest.param(_product_report("coprime", "n=5;R=1", "n=3;R=1", source_n=999),
+                 "cartesian descriptor has n=999, but its factors have order 15",
+                 id="coprime-n-999"),
+    pytest.param(_product_report("prism", "n=5;R=1", source_n=7),
+                 "prism descriptor has n=7, but its factors have order 10", id="prism-n-7"),
+    pytest.param(json.dumps({"results": {"witnesses": [_witness(source={
+        "kind": "cartesian", "n": 105,
+        "factors": [{"kind": "cartesian", "n": 16,
+                     "factors": [{"kind": "circulant", "n": 3, "conn": [1]},
+                                 {"kind": "circulant", "n": 5, "conn": [1]}]},
+                    {"kind": "circulant", "n": 7, "conn": [1]}]},
+        target={"kind": "circulant", "n": 105, "conn": [1]}, bijection=list(range(105)))]}}),
+        "cartesian descriptor has n=16, but its factors have order 15", id="inner-n-16"),
 ])
 def test_verify_hostile_report_fails_cleanly(tmp_path, capsys, monkeypatch, content, message):
     f = tmp_path / "hostile.json"

@@ -89,6 +89,30 @@ def test_orbit_stabilizer_relation(g, seed):
     assert adams_apply(g, orbit.reps[i]) == orbit.members[i]
 
 
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=64), st.booleans())
+def test_type1_orbit_matches_definition(g, self_paired):
+    if self_paired:  # an even order with its self-paired class n/2 in R
+        n = g.n + g.n % 2
+        g = Circulant(n, tuple(sorted({*g.conn, n // 2})))
+    n = g.n
+
+    def times(x):  # x·R, reduced reflexively by hand
+        return tuple(sorted({min(x * s % n, n - x * s % n) for s in g.conn}))
+
+    unit_list = [x for x in range(1, n) if gcd(x, n) == 1]
+    least = {}
+    for x in unit_list:  # ascending, so the first hit is the least unit
+        least.setdefault(times(x), x)
+    conns = sorted(least)
+    # the uncached function, so a cached orbit cannot stand in for it
+    orbit = type1_set.__wrapped__(g)
+    assert orbit.base == g
+    assert orbit.members == tuple(Circulant(n, c) for c in conns)
+    assert orbit.reps == tuple(least[c] for c in conns)
+    assert orbit.stabilizer == tuple(x for x in unit_list if times(x) == g.conn)
+
+
 def test_layer_products_verified_at_all_small_orders():
     # the constructors check their CRT embedding edge for edge
     for n in (3, 5, 7, 9, 11, 13):
