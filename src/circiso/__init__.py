@@ -12,20 +12,18 @@ from .circulant import (  # noqa: E402,F401
     Circulant,
     EdgeGraph,
     NotCirculant,
-    detect_circulant,
     is_connected,
     parse_graph,
-    permute_edges,
     realize,
     symmetric_set,
 )
 from .iso_oracle import (  # noqa: F401
     IsoWitness,
-    search_isomorphism,
     verify_circulant_witness,
     verify_witness,
 )
 from .products import (  # noqa: F401
+    Product,
     product_c4,
     product_coprime,
     product_prism,

@@ -1,10 +1,10 @@
-"""Circulant-graph values, explicit edge realization, and the detection test
-that decides whether an arbitrary graph on Z_n is circulant."""
+"""Circulant-graph values, graph text parsing, and explicit edge
+realization."""
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .errors import InvariantViolation, ParseError
 from .residue import check_modulus, reflexive_reduce
@@ -130,12 +130,12 @@ class EdgeGraph:
     0 <= a < b < n.
 
     The value is not checked on construction. Edge sets come only from the
-    builders realize, cartesian_edges, ring_edges and permute_edges, which
-    emit that form by construction, and outside data (a `verify` report)
-    reaches them only through Circulant, which validates n and the
-    connection set. The form matters for soundness: verify_witness compares
-    edge counts and then looks up each image, so a source holding a
-    reversed (b, a) duplicate could pass with a target that misses an edge.
+    builders realize, cartesian_edges and ring_edges, which emit that form
+    by construction, and outside data (a `verify` report) reaches them only
+    through Circulant, which validates n and the connection set. The form
+    matters for soundness: verify_witness compares edge counts and then
+    looks up each image, so a source holding a reversed (b, a) duplicate
+    could pass with a target that misses an edge.
     """
 
     n: int
@@ -148,8 +148,8 @@ def edge(a: int, b: int) -> tuple[int, int]:
 
 # classification never realizes; the edge-level consumers do: the
 # re-check of each theta witness in the n=6750 reproduction (15 member graphs
-# per family index, the working set this cache must hold), `verify`, and
-# product_witness
+# per family index, the working set this cache must hold), `verify` (which
+# empties it after each witness) and Product.edges
 @lru_cache(maxsize=16)
 def realize(g: Circulant) -> EdgeGraph:
     """Materialize the edge set {{x, x+s mod n} : x in Z_n, s in R}."""
@@ -175,51 +175,11 @@ def symmetric_set(g: Circulant) -> tuple[int, ...]:
     return tuple(sorted(full))
 
 
-def permute_edges(eg: EdgeGraph, perm) -> EdgeGraph:
-    """Relabel vertices through a permutation given as an image list."""
-    if sorted(perm) != list(range(eg.n)):
-        raise ValueError("perm is not a permutation of the vertex set")
-    es = set()
-    add = es.add
-    for a, b in eg.edges:
-        pa, pb = perm[a], perm[b]
-        add((pa, pb) if pa < pb else (pb, pa))
-    return EdgeGraph(eg.n, frozenset(es))
-
-
 class NotCirculant(NamedTuple):
     """Witness that a graph is not circulant: first vertex whose difference
     set disagrees with vertex 0's."""
 
     vertex: int
-
-
-def detect_circulant(eg: EdgeGraph) -> Union[Circulant, NotCirculant]:
-    """Return the connection set if every vertex sees the same difference set.
-
-    The per-vertex sets are compared unreduced: comparing reflexively
-    reduced sets would accept graphs such as a path on Z_4, where every
-    vertex reduces to {1} although the edge sets differ.
-    """
-    n = eg.n
-    if not eg.edges:
-        raise ValueError("empty graph has no connection set")
-    adj = [[] for _ in range(n)]
-    for a, b in eg.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    base = frozenset(adj[0])  # differences (y - 0) mod n
-    k = len(base)
-    for x in range(1, n):
-        row = adj[x]
-        # neighbours are distinct, so distinct differences: count plus
-        # membership is full set equality
-        if len(row) != k:
-            return NotCirculant(x)
-        for y in row:
-            if (y - x) % n not in base:
-                return NotCirculant(x)
-    return Circulant(n, reflexive_reduce(base, n))
 
 
 def is_connected(g: Circulant) -> bool:

@@ -6,19 +6,16 @@ import argparse
 import json
 import sys
 
-from .circulant import WITNESS_EDGE_CAP, Circulant, parse_graph
+from .circulant import WITNESS_EDGE_CAP, Circulant, parse_graph, realize
 from .errors import CircisoError, ParseError, ReportError
 from .iso_oracle import IsoWitness, verify_circulant_witness, verify_witness
 from .products import product_witness, scan_conjecture, valid_type2_ms
 from .reporting import (
     all_passed,
     assertion,
-    cartesian_desc,
-    circulant_desc,
     circulant_json,
     desc_size,
     graph_from_desc,
-    layered_desc,
     make_report,
     to_json,
     witness_json,
@@ -28,11 +25,14 @@ from .residue import units
 from .type1 import adams_vertex_map, type1_group_table, type1_set
 from .type2 import ThetaMap, classify_theta, type2_group_check, type2_set
 
+# `verify` empties realize's cache after each witness; bound at import, so
+# it keeps working where `realize` is wrapped by name (bench/tracer.py)
+_forget_edges = realize.cache_clear
 
-def _graph_from_args(args, attr="graph") -> Circulant:
-    text = getattr(args, attr, None)
-    if text is not None:
-        return parse_graph(text)
+
+def _graph_from_args(args) -> Circulant:
+    if args.graph is not None:
+        return parse_graph(args.graph)
     if args.n is not None and args.set is not None:
         return parse_graph(f"n={args.n};R={args.set}")
     raise ParseError("no graph given: pass `n=<int>;R=...` or --n with --set")
@@ -40,43 +40,34 @@ def _graph_from_args(args, attr="graph") -> Circulant:
 
 def _emit(report: dict, args) -> int:
     text = to_json(report)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-    if getattr(args, "json", False):
+    if args.json:
         sys.stdout.write(text)
     else:
         for a in report["assertions"]:
             print(f"[{'PASS' if a['passed'] else 'FAIL'}] {a['name']}"
                   + (f" -- {a['detail']}" if a["detail"] and not a["passed"] else ""))
-        summary = _summary_line(report)
-        if summary:
-            print(summary)
-        if getattr(args, "out", None):
+        print(report["results"]["summary"])
+        if args.out:
             print(f"report written to {args.out}")
     return 0 if all_passed(report) else 1
 
 
-def _summary_line(report: dict) -> str:
-    results = report["results"]
-    if isinstance(results, dict) and "summary" in results:
-        return results["summary"]
-    return ""
-
-
-def _member_summary(members, limit=8) -> str:
-    shown = " | ".join(",".join(map(str, m.conn)) for m in members[:limit])
-    extra = f" ... ({len(members) - limit} more)" if len(members) > limit else ""
+def _member_summary(members) -> str:
+    shown = " | ".join(",".join(map(str, m.conn)) for m in members[:8])
+    extra = f" ... ({len(members) - 8} more)" if len(members) > 8 else ""
     return f"{len(members)} members: {shown}{extra}"
 
 
 def _stored(witnesses: list, graphs, checks: list) -> list:
-    """The witnesses a report stores: `verify` rebuilds both endpoints of
-    each, so none is stored when a graph has more than WITNESS_EDGE_CAP
-    edges, and one passing assertion says so."""
+    """The witnesses a report stores, as JSON: `verify` rebuilds both
+    endpoints of each, so none is stored when a graph has more than
+    WITNESS_EDGE_CAP edges, and one passing assertion says so."""
     edges = max(g.edge_count for g in graphs)
     if not witnesses or edges <= WITNESS_EDGE_CAP:
-        return witnesses
+        return [witness_json(w) for w in witnesses]
     checks.append(assertion(f"witnesses not stored: {edges} edges, above the limit of "
                             f"{WITNESS_EDGE_CAP}", True))
     return []
@@ -89,8 +80,8 @@ def _member_witnesses(orbit):
     out = []
     for member, x in zip(orbit.members, orbit.reps):
         f = adams_vertex_map(base.n, x)
-        out.append(witness_json(circulant_desc(base), circulant_desc(member), f,
-                                f"adam(x={x})", verify_circulant_witness(base, member, f)))
+        out.append(IsoWitness(base, member, f, verify_circulant_witness(base, member, f),
+                              f"adam(x={x})"))
     return out
 
 
@@ -108,8 +99,7 @@ def cmd_t1(args) -> int:
         assertion("group table identity", table.identity_ok),
         assertion(f"group table associativity ({table.associativity})",
                   table.associativity in ("exhaustive", "structural")),
-        *[assertion(f"witness for member {i}", w["verified"])
-          for i, w in enumerate(witnesses)],
+        *[assertion(f"witness for member {i}", w.verified) for i, w in enumerate(witnesses)],
     ]
     witnesses = _stored(witnesses, orbit.members, checks)
     results = {
@@ -135,10 +125,7 @@ def cmd_t2(args) -> int:
         print(f"error: {e}\nhint: {hint}", file=sys.stderr)
         return 2
     group = type2_group_check(orbit)
-    partners = [x for x in orbit.members if x != g]
-    witnesses = [witness_json(circulant_desc(g), circulant_desc(x), w.bijection, w.origin,
-                              w.verified)
-                 for x, w in zip(partners, orbit.witnesses)]
+    witnesses = list(orbit.witnesses)
     checks = [
         assertion("t-stabilizer contains 0", group.contains_zero),
         assertion("t-stabilizer closed under addition", group.closed),
@@ -146,8 +133,7 @@ def cmd_t2(args) -> int:
         assertion("induced composition closed", group.composition_closed),
         assertion("induced composition abelian", group.abelian),
         assertion("base acts as identity", group.identity_ok),
-        *[assertion(f"witness for member {i}", w["verified"])
-          for i, w in enumerate(witnesses)],
+        *[assertion(f"witness for member {i}", w.verified) for i, w in enumerate(witnesses)],
     ]
     witnesses = _stored(witnesses, orbit.members, checks)
     results = {
@@ -180,14 +166,10 @@ def _classification_consistent(cls) -> bool:
 def cmd_classify(args) -> int:
     g = _graph_from_args(args)
     cls = classify_theta(ThetaMap(g.n, args.m, args.t), g)
-    witnesses = []
-    w = cls.witness
-    if w is not None:
-        witnesses.append(witness_json(circulant_desc(g), circulant_desc(cls.image), w.bijection,
-                                      w.origin, w.verified))
+    witnesses = [] if cls.witness is None else [cls.witness]
     checks = [assertion("classification computed", _classification_consistent(cls), cls.kind)]
     if witnesses:
-        checks.append(assertion("witness verified", witnesses[0]["verified"]))
+        checks.append(assertion("witness verified", cls.witness.verified))
         witnesses = _stored(witnesses, (g, cls.image), checks)
     results = {
         "graph": circulant_json(g),
@@ -215,14 +197,12 @@ def cmd_product(args) -> int:
             raise CircisoError("coprime products take two graphs")
         h = parse_graph(args.right)
         result, w = product_witness("coprime", g, h)
-        source = cartesian_desc(g, h)
         inputs = {"kind": args.kind, "left": g.text(), "right": h.text()}
         name = f"{g.label()} x {h.label()}"
     else:
         if args.right is not None:
             raise CircisoError("prism/c4 products take a single graph")
         result, w = product_witness(args.kind, g)
-        source = layered_desc(args.kind, g)
         inputs = {"kind": args.kind, "graph": g.text()}
         name = f"{args.kind} x {g.label()}"
     if w is None:
@@ -230,8 +210,7 @@ def cmd_product(args) -> int:
         checks = [assertion(f"{name} by formula only: no edge-level check above "
                             f"{WITNESS_EDGE_CAP} edges", True, result.label())]
     else:
-        witnesses = [witness_json(source, circulant_desc(result), w.bijection, w.origin,
-                                  w.verified)]
+        witnesses = [witness_json(w)]
         checks = [assertion(f"{name} verified", w.verified, result.label()),
                   assertion("product witness verified", w.verified)]
     results = {
@@ -285,12 +264,13 @@ def _read_witnesses(path: str) -> list:
 
 def cmd_verify(args) -> int:
     witnesses = _read_witnesses(args.report)
-    # edge sets are built one witness at a time, after every descriptor is checked
-    checks = [assertion(f"witness {i}: {label}",
-                        verify_witness(IsoWitness(graph_from_desc(source), graph_from_desc(target),
-                                                  bijection, False, origin)),
-                        origin)
-              for i, (label, source, target, bijection, origin) in enumerate(witnesses)]
+    # endpoints are built one witness at a time, after every descriptor is
+    # checked, and no later witness reads the edge sets one check realized
+    checks = []
+    for i, (label, source, target, bijection, origin) in enumerate(witnesses):
+        w = IsoWitness(graph_from_desc(source), graph_from_desc(target), bijection, False, origin)
+        checks.append(assertion(f"witness {i}: {label}", verify_witness(w), origin))
+        _forget_edges()
     if not checks:
         checks.append(assertion("no witnesses found in report", False, args.report))
     results_out = {"checked": len(witnesses),
@@ -351,9 +331,8 @@ def cmd_scan(args) -> int:
     )
 
 
-def _add_graph_opts(p, positional=True):
-    if positional:
-        p.add_argument("graph", nargs="?", help="graph text n=<int>;R=<int>,<int>,...")
+def _add_graph_opts(p):
+    p.add_argument("graph", nargs="?", help="graph text n=<int>;R=<int>,<int>,...")
     p.add_argument("--n", type=int, help="order (alternative to graph text)")
     p.add_argument("--set", help="comma-separated offsets (alternative to graph text)")
 

@@ -54,10 +54,6 @@ class NotAPermutation(CircisoError):
     pass
 
 
-class BudgetExceeded(CircisoError):
-    """Search ran out of nodes before deciding; not a non-isomorphism proof."""
-
-
 class ParseError(CircisoError):
     """Graph text could not be parsed; message carries the byte offset."""
 

@@ -1,34 +1,31 @@
-"""Ground truth for isomorphism claims: witness verification, plus a bounded
-deterministic backtracking search for small orders.
-
-The search is a desk-scale verification device. It never certifies a claim
-it has not checked edge-by-edge, and a budget overrun is an explicit error,
-never a silent "not isomorphic".
-"""
+"""Ground truth for isomorphism claims: an explicit vertex bijection,
+checked edge for edge, either on realized edge sets or on connection
+sets."""
 
 from dataclasses import dataclass
 from operator import sub
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Union
 
-from .circulant import Circulant, EdgeGraph
-from .errors import BudgetExceeded, InvariantViolation, NotAPermutation, OrderMismatch
+from .circulant import Circulant
+from .errors import NotAPermutation, OrderMismatch
 
-DEFAULT_NODE_BUDGET = 10**7
+if TYPE_CHECKING:
+    from .products import Product
 
 
 @dataclass(frozen=True)
 class IsoWitness:
     """An explicit vertex bijection from source to target, plus its status.
 
-    Each endpoint is an EdgeGraph or a Circulant: both expose n and edges,
-    and a circulant's edges are realized only when read, so a witness
-    between circulants costs no edge set until an edge-level check runs.
-    origin records how the bijection was produced, e.g. "theta(m=2,t=54)",
-    "adam(x=5)", "search", "identity".
+    Each endpoint is the graph a report names: a Circulant, or a Product of
+    circulants and rings. Both expose n and edges, and the edges are built
+    only when read, so a witness costs no edge set until an edge-level
+    check runs. origin records how the bijection was produced, e.g.
+    "theta(m=2,t=54)", "adam(x=5)", "crt-embedding(16x27)".
     """
 
-    source: Union[Circulant, EdgeGraph]
-    target: Union[Circulant, EdgeGraph]
+    source: Union[Circulant, "Product"]
+    target: Union[Circulant, "Product"]
     bijection: tuple[int, ...]
     verified: bool
     origin: str
@@ -85,102 +82,6 @@ def verify_circulant_witness(g: Circulant, h: Circulant, bijection) -> bool:
     return True
 
 
-def make_witness(source: EdgeGraph, target: EdgeGraph, bijection, origin: str) -> IsoWitness:
+def make_witness(source, target, bijection, origin: str) -> IsoWitness:
     w = IsoWitness(source, target, tuple(bijection), False, origin)
     return IsoWitness(source, target, w.bijection, verify_witness(w), origin)
-
-
-def search_isomorphism(
-    a: EdgeGraph, b: EdgeGraph, node_budget: int = DEFAULT_NODE_BUDGET
-) -> Optional[IsoWitness]:
-    """Backtracking isomorphism search with degree and neighbourhood pruning.
-
-    Returns a verified witness, or None when the exhausted search proves
-    non-isomorphism. Raises BudgetExceeded when the node budget runs out,
-    which proves nothing either way.
-
-    Vertex 0's image is enumerated in ascending order; after that the next
-    vertex chosen is always the one with the most already-mapped
-    neighbours (ties by ascending id), candidates ascending, so runs are
-    deterministic and failures reproduce.
-    """
-    if a.n != b.n:
-        return None
-    n = a.n
-    if len(a.edges) != len(b.edges):
-        return None
-
-    adj_a = [set() for _ in range(n)]
-    adj_b = [set() for _ in range(n)]
-    for x, y in a.edges:
-        adj_a[x].add(y)
-        adj_a[y].add(x)
-    for x, y in b.edges:
-        adj_b[x].add(y)
-        adj_b[y].add(x)
-    deg_a = [len(s) for s in adj_a]
-    deg_b = [len(s) for s in adj_b]
-    if sorted(deg_a) != sorted(deg_b):
-        return None
-
-    mapping = [-1] * n
-    used = [False] * n
-    nodes = 0
-
-    def next_vertex() -> int:
-        best, best_score = -1, -1
-        for v in range(n):
-            if mapping[v] >= 0:
-                continue
-            score = sum(1 for w in adj_a[v] if mapping[w] >= 0)
-            if score > best_score:
-                best, best_score = v, score
-        return best
-
-    # inverse[u] = already-mapped source vertex for target vertex u
-    inverse = [-1] * n
-
-    def consistent(v: int, u: int) -> bool:
-        if deg_a[v] != deg_b[u]:
-            return False
-        for w in adj_a[v]:
-            fw = mapping[w]
-            if fw >= 0 and fw not in adj_b[u]:
-                return False
-        # non-adjacency must be preserved too: mapped neighbours of u must
-        # all pull back to neighbours of v
-        for u2 in adj_b[u]:
-            w = inverse[u2]
-            if w >= 0 and w not in adj_a[v]:
-                return False
-        return True
-
-    def dfs(depth: int) -> bool:
-        nonlocal nodes
-        if depth == n:
-            return True
-        v = 0 if depth == 0 else next_vertex()
-        for u in range(n):
-            if used[u]:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetExceeded(f"isomorphism search exceeded {node_budget} nodes")
-            if not consistent(v, u):
-                continue
-            mapping[v] = u
-            inverse[u] = v
-            used[u] = True
-            if dfs(depth + 1):
-                return True
-            mapping[v] = -1
-            inverse[u] = -1
-            used[u] = False
-        return False
-
-    if not dfs(0):
-        return None
-    w = make_witness(a, b, mapping, "search")
-    if not w.verified:
-        raise InvariantViolation("search found a bijection that fails verification")
-    return w

@@ -4,8 +4,9 @@ scanner for the product conjectures."""
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd
-from typing import Optional
+from functools import cached_property, reduce
+from math import gcd, prod
+from typing import Optional, Union
 
 from .circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph, edge, is_connected, realize
 from .errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime, OrderTooSmall
@@ -31,20 +32,26 @@ def ring_edges(k: int) -> EdgeGraph:
     return EdgeGraph(k, frozenset(edge(i, (i + 1) % k) for i in range(k)))
 
 
-def embedding_witness(a: EdgeGraph, b: EdgeGraph, result: Circulant) -> IsoWitness:
-    """Witness from the explicit product a x b (pair-encoded) onto the
-    realized result, for coprime orders m = a.n and n = b.n.
+@dataclass(frozen=True)
+class Product:
+    """Cartesian product of its factors, each a Circulant or a ring length
+    (2 or 4), in encoding order: vertex (x, y) of G x F is x*|F| + y.
 
-    The relabeling is (x, y) -> n*x + m*y mod mn, the bijection under
-    which an offset r on the order-m side becomes exactly n*r and an offset
-    s on the order-n side exactly m*s; the plain residue-pair map would
-    only match up to a unit twist. The layered products are the case where
-    a is the 2- or 4-cycle and b is C_N(R) with N odd.
+    Like a Circulant, it can be a witness endpoint: it exposes n and edges.
+    The edge set is folded from the factors' edge sets on first read and
+    kept; no other code builds a product edge set.
     """
-    m, n = a.n, b.n
-    relabel = [(n * x + m * y) % (m * n) for x in range(m) for y in range(n)]
-    return make_witness(cartesian_edges(a, b), realize(result), relabel,
-                        f"crt-embedding({m}x{n})")
+
+    factors: tuple[Union[Circulant, int], ...]
+
+    @property
+    def n(self) -> int:
+        return prod(f if isinstance(f, int) else f.n for f in self.factors)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        return reduce(cartesian_edges, (ring_edges(f) if isinstance(f, int) else realize(f)
+                                        for f in self.factors)).edges
 
 
 def product_witness(
@@ -56,8 +63,9 @@ def product_witness(
     for k = 2, 4, the Cartesian product of the k-cycle with g.
 
     Up to WITNESS_EDGE_CAP edges the result carries its CRT embedding
-    witness, checked edge for edge; a failed check raises
-    InvariantViolation. Above the cap no check runs and the witness is None.
+    witness from Product((g, h)), or Product((k, g)), onto the result,
+    checked edge for edge; a failed check raises InvariantViolation. Above
+    the cap no check runs and the witness is None.
     """
     if kind == "coprime":
         m, n = g.n, h.n
@@ -78,8 +86,12 @@ def product_witness(
     result = Circulant(m * n, reflexive_reduce(offsets, m * n))
     if result.edge_count > WITNESS_EDGE_CAP:
         return result, None
-    a, b = (realize(g), realize(h)) if kind == "coprime" else (ring_edges(m), realize(g))
-    w = embedding_witness(a, b, result)
+    # (x, y) -> n*x + m*y mod mn carries an offset r of the order-m factor to
+    # exactly n*r and an offset s of the order-n factor to exactly m*s; the
+    # plain residue-pair map would only match up to a unit twist
+    relabel = [(n * x + m * y) % (m * n) for x in range(m) for y in range(n)]
+    w = make_witness(Product((g, h) if kind == "coprime" else (m, g)), result, relabel,
+                     f"crt-embedding({m}x{n})")
     if not w.verified:
         raise InvariantViolation(f"{kind} product {result.label()} fails its CRT embedding")
     return result, w

@@ -6,11 +6,12 @@ import json
 import os
 import time
 from datetime import datetime, timezone
-from functools import reduce
+from typing import Union
 
 from . import __version__
-from .circulant import Circulant, realize
-from .products import LAYERS, cartesian_edges, ring_edges
+from .circulant import Circulant
+from .iso_oracle import IsoWitness
+from .products import LAYERS, Product
 
 SCHEMA = 1
 
@@ -35,23 +36,17 @@ def circulant_json(g: Circulant) -> dict:
     return {"n": g.n, "conn": list(g.conn)}
 
 
-def circulant_desc(g: Circulant) -> dict:
-    return {"kind": "circulant", "n": g.n, "conn": list(g.conn)}
-
-
-def cartesian_desc(g: Circulant, h: Circulant) -> dict:
-    """Product graph on pairs (x, y) encoded as x*h.n + y."""
-    return {
-        "kind": "cartesian",
-        "n": g.n * h.n,
-        "factors": [circulant_desc(g), circulant_desc(h)],
-    }
-
-
-def layered_desc(kind: str, base: Circulant) -> dict:
-    """Two- or four-layer product of a circulant; kind is 'prism' or 'c4'.
-    Vertex (layer, v) is encoded layer*base.n + v."""
-    return {"kind": kind, "n": LAYERS[kind] * base.n, "base": circulant_desc(base)}
+def graph_desc(g: Union[Circulant, Product]) -> dict:
+    """Descriptor of a witness endpoint: a Circulant, the Product of two
+    circulants (cartesian), or the Product (k, base) of a ring and a
+    circulant (prism for k = 2, c4 for k = 4)."""
+    if isinstance(g, Circulant):
+        return {"kind": "circulant", **circulant_json(g)}
+    a, b = g.factors
+    if isinstance(a, int):
+        kind = next(kind for kind, k in LAYERS.items() if k == a)
+        return {"kind": kind, "n": g.n, "base": graph_desc(b)}
+    return {"kind": "cartesian", "n": g.n, "factors": [graph_desc(a), graph_desc(b)]}
 
 
 def _desc_factors(desc: dict):
@@ -110,23 +105,22 @@ def desc_size(desc: dict, max_order: int, max_edges: int) -> tuple[int, int]:
     return order, edges
 
 
-def graph_from_desc(desc: dict):
-    """Rebuild the edge graph named by a witness endpoint descriptor."""
-    return reduce(cartesian_edges, (ring_edges(f) if isinstance(f, int) else realize(f)
-                                    for f in _desc_factors(desc)))
+def graph_from_desc(desc: dict) -> Union[Circulant, Product]:
+    """The endpoint a descriptor names, a Circulant or a flat Product; the
+    factors are validated as in desc_size, and no edge set is built."""
+    factors = tuple(_desc_factors(desc))
+    return factors[0] if desc["kind"] == "circulant" else Product(factors)
 
 
-def witness_json(source_desc: dict, target_desc: dict, bijection, origin: str,
-                 verified: bool) -> dict:
-    """Witnesses are stored with rebuildable endpoint descriptors so `verify`
-    can reconstruct both edge sets and re-check the bijection from the file
-    alone."""
+def witness_json(w: IsoWitness) -> dict:
+    """Witnesses are stored with endpoint descriptors, so `verify` can
+    rebuild both endpoints and re-check the bijection from the file alone."""
     return {
-        "source": source_desc,
-        "target": target_desc,
-        "bijection": list(bijection),
-        "origin": origin,
-        "verified": verified,
+        "source": graph_desc(w.source),
+        "target": graph_desc(w.target),
+        "bijection": list(w.bijection),
+        "origin": w.origin,
+        "verified": w.verified,
     }
 
 

@@ -98,8 +98,8 @@ def theta_image(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
     circulant iff D_u = D_0 for u in [0, m); D_0 is theta_offsets. Otherwise
     the result names the least failing u. Image vertex x has a preimage
     congruent to x mod m, so u is also the least image vertex whose
-    difference set differs from vertex 0's, the vertex detect_circulant
-    reports on the transformed edge set.
+    difference set differs from vertex 0's, the vertex that an edge-level
+    circulance test on the transformed edge set reports.
     """
     n, m, mt = tm.n, tm.m, tm.m * tm.t
     full = symmetric_set(g)

@@ -9,20 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from circiso.catalog import S3_LETTERS, load
-from circiso.circulant import (
-    Circulant,
-    detect_circulant,
-    permute_edges,
-    realize,
-    symmetric_set,
-)
-from circiso.iso_oracle import search_isomorphism, verify_witness
+from circiso.circulant import Circulant, realize, symmetric_set
+from circiso.iso_oracle import verify_witness
 from circiso.residue import reflexive_reduce
 from circiso.type1 import adams_apply, adams_vertex_map, is_adams_isomorphic, type1_set
 from circiso.type2 import ThetaMap, classify_theta, theta_compose, theta_offsets, theta_vertex_map
 from circiso.iso_oracle import make_witness
 
 from conftest import ACCEPTANCE_LINES, SECTION_TIMES
+from oracles import detect_circulant, permute_edges, search_isomorphism
 
 PROPERTY_CASES = 1000
 

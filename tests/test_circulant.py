@@ -4,16 +4,15 @@ from circiso.circulant import (
     Circulant,
     EdgeGraph,
     NotCirculant,
-    detect_circulant,
     is_connected,
     parse_graph,
-    permute_edges,
     realize,
     symmetric_set,
 )
 from circiso.errors import ParseError
 
 from conftest import brute_edges
+from oracles import detect_circulant, permute_edges
 
 R1_432 = Circulant(432, (16, 27, 48, 54, 128, 160, 189))
 

@@ -1,5 +1,8 @@
 import ast
+import contextlib
+import copy
 import functools
+import io
 import json
 import os
 import pathlib
@@ -9,15 +12,18 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import circiso
 from circiso import cli, iso_oracle, products, type2
 from circiso.circulant import WITNESS_EDGE_CAP, Circulant, parse_graph, realize
 from circiso.cli import main
-from circiso.reporting import cartesian_desc, circulant_desc, layered_desc, witness_json
+from circiso.reporting import witness_json
 from circiso.type1 import adams_vertex_map, type1_set
 from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 
+from oracles import search_isomorphism
 from test_products import layered_graph
 
 SRC = pathlib.Path(circiso.__file__).resolve().parents[1]
@@ -63,6 +69,10 @@ def _forbid_calls(monkeypatch, *fns):
                 monkeypatch.setattr(mod, fn.__name__, forbidden)
 
 
+def _circulant(g):
+    return {"kind": "circulant", "n": g.n, "conn": list(g.conn)}
+
+
 def test_t1_builds_no_edge_set(capsys, monkeypatch):
     # each adam(x) map is checked on the connection sets, and the written
     # witnesses are those the edge-level check gives
@@ -72,8 +82,9 @@ def test_t1_builds_no_edge_set(capsys, monkeypatch):
     for member, x in zip(orbit.members, orbit.reps):
         w = iso_oracle.make_witness(realize(g), realize(member), adams_vertex_map(g.n, x),
                                     f"adam(x={x})")
-        expected.append(witness_json(circulant_desc(g), circulant_desc(member), w.bijection,
-                                     w.origin, w.verified))
+        expected.append({"source": _circulant(g), "target": _circulant(member),
+                         "bijection": list(w.bijection), "origin": w.origin,
+                         "verified": w.verified})
     _forbid_calls(monkeypatch, realize)
     code, out, _ = run(capsys, "t1", A432, "--json")
     assert code == 0 and json.loads(out)["results"]["witnesses"] == expected
@@ -173,8 +184,9 @@ def test_t2_witnesses_match_reclassification(capsys, graph, m):
         t = min(c["t"] for c in results["classifications"]
                 if c["kind"] == "type2" and c["image"] == desc)
         w = classify_theta(ThetaMap(g.n, m, t), g).witness
-        expected.append(witness_json(circulant_desc(g), circulant_desc(member), w.bijection,
-                                     w.origin, w.verified))
+        expected.append({"source": _circulant(g), "target": _circulant(member),
+                         "bijection": list(w.bijection), "origin": w.origin,
+                         "verified": w.verified})
     assert expected and results["witnesses"] == expected
 
 
@@ -286,7 +298,7 @@ def test_product_builds_witness_once(capsys, monkeypatch):
         if name.startswith("circiso"):
             if getattr(mod, "cartesian_edges", None) is real:
                 monkeypatch.setattr(mod, "cartesian_edges", counting)
-            if getattr(mod, "search_isomorphism", None) is iso_oracle.search_isomorphism:
+            if getattr(mod, "search_isomorphism", None) is search_isomorphism:
                 monkeypatch.setattr(mod, "search_isomorphism", forbidden)
     for argv, pair in ((("coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"), (16, 27)),
                        (("prism", "n=7;R=1,2"), (2, 7)),
@@ -314,12 +326,11 @@ def test_verify_accepts_layered_search_witness(tmp_path, capsys):
     # the three triangles C_9(3)
     for kind, g in (("prism", Circulant(9, (3,))), ("c4", Circulant(9, (3,)))):
         result, crt = products.product_witness(kind, g)
-        w = iso_oracle.search_isomorphism(layered_graph(kind, g), realize(result))
+        w = search_isomorphism(layered_graph(kind, g), realize(result))
         assert w.bijection != crt.bijection
         f = tmp_path / f"{kind}.json"
         f.write_text(json.dumps({"results": {"witnesses": [
-            witness_json(layered_desc(kind, g), circulant_desc(result), w.bijection, w.origin,
-                         w.verified)]}}))
+            witness_json(replace(w, source=crt.source, target=crt.target))]}}))
         code, out, _ = run(capsys, "verify", str(f))
         assert code == 0 and f"[PASS] witness 0: {kind} n={result.n}" in out
 
@@ -355,11 +366,10 @@ def _witness(**fields):
 def _product_report(kind, *graphs, source_n):
     """The witness a `product` report stores, with its source descriptor's
     n edited."""
-    gs = [parse_graph(text) for text in graphs]
-    result, w = products.product_witness(kind, *gs)
-    source = cartesian_desc(*gs) if kind == "coprime" else layered_desc(kind, *gs)
-    return json.dumps({"results": {"witnesses": [witness_json(
-        {**source, "n": source_n}, circulant_desc(result), w.bijection, w.origin, w.verified)]}})
+    result, w = products.product_witness(kind, *(parse_graph(text) for text in graphs))
+    stored = witness_json(w)
+    stored["source"]["n"] = source_n
+    return json.dumps({"results": {"witnesses": [stored]}})
 
 
 @pytest.mark.parametrize("content, message", [
@@ -437,6 +447,89 @@ def test_verify_accepts_handwritten_witness(tmp_path, capsys):
     assert code == 0 and "[PASS] witness 0: circulant n=5 -> circulant n=5" in out
 
 
+def test_verify_keeps_no_edge_set(tmp_path, capsys):
+    # each witness's endpoints are realized for its check and dropped after
+    # it, so verify holds one witness's edge sets at a time
+    report = tmp_path / "t1.json"
+    code, _, _ = run(capsys, "t1", A432, "--out", str(report))
+    assert code == 0 and len(json.loads(report.read_text())["results"]["witnesses"]) == 6
+    realize.cache_clear()
+    code, out, _ = run(capsys, "verify", str(report))
+    assert code == 0 and out.count("[PASS] witness") == 6
+    assert realize.cache_info().currsize == 0
+
+
+@pytest.fixture(scope="module")
+def real_reports(tmp_path_factory):
+    """Reports the commands write, each with at least one witness."""
+    out = tmp_path_factory.mktemp("reports")
+    docs = []
+    for i, argv in enumerate((("t2", "n=16;R=1,2,7", "--m", "2"),
+                              ("classify", A432, "--m", "2", "--t", "54"),
+                              ("product", "coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"),
+                              ("product", "prism", "n=7;R=1,2"),
+                              ("product", "c4", "n=9;R=1,2"))):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([*argv, "--out", str(out / f"{i}.json")]) == 0
+        docs.append(json.loads((out / f"{i}.json").read_text()))
+    return out / "fuzzed.json", docs
+
+
+_FOREIGN = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.floats(),
+                     st.lists(st.integers(-2, 3), max_size=3),
+                     st.dictionaries(st.text(), st.none()))
+
+
+@st.composite
+def _mutation(draw, docs):
+    """A report the commands wrote, with one witness field mutated."""
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    w = doc["results"]["witnesses"][0]
+    end = draw(st.sampled_from(["source", "target"]))
+    desc = w[end]
+    if "base" in desc and draw(st.booleans()):
+        desc = desc["base"]
+    elif "factors" in desc and draw(st.booleans()):
+        desc = desc["factors"][draw(st.integers(0, 1))]
+    how = draw(st.sampled_from(["truncate", "transpose", "foreign", "kind", "n", "conn",
+                                "nest"]))
+    if how == "truncate":
+        w["bijection"] = w["bijection"][:draw(st.integers(0, len(w["bijection"])))]
+    elif how == "transpose":
+        f = w["bijection"]
+        i, j = draw(st.integers(0, len(f) - 1)), draw(st.integers(0, len(f) - 1))
+        f[i], f[j] = f[j], f[i]
+    elif how == "foreign":
+        field = draw(st.sampled_from(["bijection", "origin", *desc]))
+        (w if field in ("bijection", "origin") else desc)[field] = draw(_FOREIGN)
+    elif how == "kind":
+        desc["kind"] = draw(st.sampled_from(["circulant", "cartesian", "prism", "c4", "torus"]))
+    elif how == "n":
+        desc["n"] = draw(st.integers(-3, 2 * len(w["bijection"])))
+    elif how == "conn":
+        desc["conn"] = draw(st.lists(st.integers(-3, 250), max_size=6))
+    else:
+        w[end] = {"kind": "cartesian", "n": draw(st.integers(0, 3 * len(w["bijection"]))),
+                  "factors": [w[end], {"kind": "circulant", "n": 3, "conn": [1]}]}
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_verify_survives_mutated_reports(real_reports, data):
+    path, docs = real_reports
+    path.write_text(json.dumps(data.draw(_mutation(docs))))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path)])
+    assert code in (0, 1, 2)
+    event(f"exit {code}")
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == "" and "witness 0" in out.getvalue()
+
+
 def test_catalog_row_certified_under_optimize(tmp_path):
     # python -O strips assert statements; the Type-2 witness of a catalog
     # row (theta(432, 2, 54) carries A_1 onto D_1) and those of A_1's
@@ -485,9 +578,12 @@ def test_no_bare_asserts_in_source():
 
 def test_edge_graphs_built_only_by_the_builders():
     # EdgeGraph does not check its edges, so it may be constructed only in
-    # the builders that emit (a, b) with 0 <= a < b < n by construction; a
-    # new path from raw data must go through a boundary check on purpose
-    builders = {"realize", "cartesian_edges", "ring_edges", "permute_edges"}
+    # the builders that emit (a, b) with 0 <= a < b < n by construction: in
+    # the package, and the test oracles' permute_edges; a new path from raw
+    # data must go through a boundary check on purpose
+    builders = {path: {"realize", "cartesian_edges", "ring_edges"}
+                for path in sorted((SRC / "circiso").glob("*.py"))}
+    builders[pathlib.Path(__file__).with_name("oracles.py")] = {"permute_edges"}
     owners = set()
 
     def visit(node, owner, path):
@@ -495,14 +591,15 @@ def test_edge_graphs_built_only_by_the_builders():
             owner = node.name
         if isinstance(node, ast.Call) and "EdgeGraph" in (getattr(node.func, "id", None),
                                                           getattr(node.func, "attr", None)):
-            assert owner in builders, f"{path.name}:{node.lineno} builds an EdgeGraph in {owner}"
+            assert owner in builders[path], (
+                f"{path.name}:{node.lineno} builds an EdgeGraph in {owner}")
             owners.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner, path)
 
-    for path in sorted((SRC / "circiso").glob("*.py")):
+    for path in builders:
         visit(ast.parse(path.read_text(), filename=str(path)), None, path)
-    assert owners == builders
+    assert owners == set().union(*builders.values())
 
 
 def test_products_certified_under_optimize(tmp_path):

@@ -3,15 +3,11 @@ from itertools import permutations
 import pytest
 
 from circiso.circulant import Circulant, EdgeGraph, realize
-from circiso.errors import BudgetExceeded, NotAPermutation, OrderMismatch
-from circiso.iso_oracle import (
-    IsoWitness,
-    make_witness,
-    search_isomorphism,
-    verify_circulant_witness,
-    verify_witness,
-)
+from circiso.errors import NotAPermutation, OrderMismatch
+from circiso.iso_oracle import IsoWitness, make_witness, verify_circulant_witness, verify_witness
 from circiso.type2 import ThetaMap, theta_vertex_map
+
+from oracles import BudgetExceeded, search_isomorphism
 
 
 def test_theta_bijection_is_a_witness():

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from circiso import products
 from circiso.circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph, edge, realize
 from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime
-from circiso.iso_oracle import search_isomorphism, verify_witness
+from circiso.iso_oracle import make_witness, verify_witness
 from circiso.products import (
+    Product,
     cartesian_edges,
-    embedding_witness,
     product_c4,
     product_coprime,
     product_prism,
@@ -19,9 +19,12 @@ from circiso.products import (
     scan_conjecture,
     valid_type2_ms,
 )
-from circiso.reporting import desc_size, layered_desc
+from circiso.reporting import desc_size
 from circiso.residue import reflexive_reduce
 from circiso.type1 import adams_apply
+
+from conftest import brute_product_edges
+from oracles import search_isomorphism
 
 X1 = Circulant(16, (1, 2, 7))
 X2 = Circulant(16, (2, 3, 5))
@@ -63,9 +66,10 @@ def test_product_embedding_exact(monkeypatch):
     p, w = product_witness("coprime", X1, Y1)
     assert p == product_coprime(X1, Y1)
     assert w.verified and w.origin == "crt-embedding(16x27)"
-    assert w.source == cartesian_edges(realize(X1), realize(Y1)) and w.target == realize(p)
+    assert w.source == Product((X1, Y1)) and w.target == p
+    assert w.source.edges == brute_product_edges(X1, Y1)
     # a wrong result set must fail the embedding check
-    assert not embedding_witness(realize(X1), realize(Y1), adams_apply(p, 5)).verified
+    assert not make_witness(w.source, adams_apply(p, 5), w.bijection, w.origin).verified
     # and a product formula gone wrong raises, for every kind, even under -O
     monkeypatch.setattr(products, "reflexive_reduce",
                         lambda vals, n: reflexive_reduce([5 * v for v in vals], n))
@@ -149,9 +153,11 @@ def test_layered_witness_is_the_crt_embedding(case):
     k = products.LAYERS[kind]
     assert result == Circulant.reduced(k * g.n, [k * r for r in g.conn] + [g.n])
     assert w.verified and verify_witness(w)
-    assert w.source == layered_graph(kind, g) and w.target == realize(result)
-    assert desc_size(layered_desc(kind, g), w.source.n, WITNESS_EDGE_CAP) == (
-        w.source.n, len(w.source.edges))
+    assert w.source == Product((k, g)) and w.target == result
+    assert w.source.edges == layered_graph(kind, g).edges
+    desc = {"kind": kind, "n": k * g.n, "base": {"kind": "circulant", "n": g.n,
+                                                 "conn": list(g.conn)}}
+    assert desc_size(desc, w.source.n, WITNESS_EDGE_CAP) == (w.source.n, len(w.source.edges))
     assert w.origin == f"crt-embedding({k}x{g.n})"
     if result.n <= 60:
         # the backtracking oracle independently confirms the same endpoints

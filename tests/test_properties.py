@@ -1,6 +1,7 @@
 """Invariant checks beyond the acceptance property suites: exhaustive action
 law at small orders, orbit symmetry, and round trips."""
 
+from functools import reduce
 from math import gcd
 
 from hypothesis import assume, given, settings
@@ -11,19 +12,18 @@ from circiso.circulant import (
     Circulant,
     EdgeGraph,
     NotCirculant,
-    detect_circulant,
     is_connected,
-    permute_edges,
     realize,
 )
 from circiso.iso_oracle import IsoWitness, verify_circulant_witness, verify_witness
 from circiso.residue import units
 from circiso.type1 import adams_apply, adams_vertex_map, is_adams_isomorphic, type1_set
 from circiso.type2 import ThetaMap, classify_theta, theta_image, theta_vertex_map
-from circiso.products import cartesian_edges, product_c4, product_prism, ring_edges
-from circiso.reporting import cartesian_desc, circulant_desc, desc_size
+from circiso.products import Product, cartesian_edges, product_c4, product_prism, ring_edges
+from circiso.reporting import desc_size, graph_desc, graph_from_desc
 
 from conftest import brute_edges, brute_product_edges
+from oracles import detect_circulant, permute_edges
 from test_acceptance import _theta_graph
 
 
@@ -43,6 +43,10 @@ def graphs(draw, max_n=96):
     return Circulant(n, tuple(sorted(conn)))
 
 
+def _circulant(g):
+    return {"kind": "circulant", "n": g.n, "conn": list(g.conn)}
+
+
 @settings(max_examples=200, deadline=None)
 @given(graphs(max_n=48), graphs(max_n=16))
 def test_realize_matches_brute_force(g, h):
@@ -51,12 +55,62 @@ def test_realize_matches_brute_force(g, h):
     # with an edge set written out in that form
     assert set(realize(g).edges) == brute_edges(g.n, set(g.conn))
     # verify bounds a report by the sizes its descriptors name, before building
-    assert desc_size(circulant_desc(g), g.n, WITNESS_EDGE_CAP) == (g.n, len(realize(g).edges))
+    assert desc_size(_circulant(g), g.n, WITNESS_EDGE_CAP) == (g.n, len(realize(g).edges))
     if gcd(g.n, h.n) == 1:
         product = cartesian_edges(realize(g), realize(h))
         assert product.n == g.n * h.n and set(product.edges) == brute_product_edges(g, h)
-        assert desc_size(cartesian_desc(g, h), product.n, WITNESS_EDGE_CAP) == (
-            product.n, len(product.edges))
+        desc = {"kind": "cartesian", "n": g.n * h.n, "factors": [_circulant(g), _circulant(h)]}
+        assert desc_size(desc, product.n, WITNESS_EDGE_CAP) == (product.n, len(product.edges))
+
+
+@st.composite
+def endpoints(draw):
+    """A witness endpoint of each shape a report stores, with its descriptor
+    written out: a circulant, a product of two circulants of coprime
+    orders, or the prism or four-layer ring of a circulant."""
+    kind = draw(st.sampled_from(["circulant", "cartesian", "prism", "c4"]))
+    g = draw(graphs(max_n=24))
+    if kind == "circulant":
+        return g, _circulant(g)
+    if kind == "cartesian":
+        h = draw(graphs(max_n=12))
+        assume(gcd(g.n, h.n) == 1)
+        return Product((g, h)), {"kind": "cartesian", "n": g.n * h.n,
+                                 "factors": [_circulant(g), _circulant(h)]}
+    k = {"prism": 2, "c4": 4}[kind]
+    return Product((k, g)), {"kind": kind, "n": k * g.n, "base": _circulant(g)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(endpoints(), st.integers(0, 10**6))
+def test_endpoint_round_trip(case, seed):
+    e, desc = case
+    assert graph_desc(e) == desc and graph_from_desc(desc) == e
+    if isinstance(e, Product):
+        # the edge set the stored descriptors were rebuilt into before
+        # Product existed: realized factors folded by cartesian_edges
+        old = reduce(cartesian_edges, (ring_edges(f) if isinstance(f, int) else realize(f)
+                                       for f in e.factors))
+        assert e.n == old.n and e.edges == old.edges
+    # the identity with two images transposed is a witness from e onto
+    # itself exactly when the transposition is an automorphism of e
+    n = e.n
+    i = seed % n
+    j = (i + 1 + seed // n % (n - 1)) % n
+    f = list(range(n))
+    f[i], f[j] = j, i
+    automorphism = {tuple(sorted((f[a], f[b]))) for a, b in e.edges} == e.edges
+    assert verify_witness(IsoWitness(e, e, tuple(f), False, "transposition")) == automorphism
+
+
+def test_nested_cartesian_reads_as_one_flat_product():
+    c3, c5, c7 = Circulant(3, (1,)), Circulant(5, (1, 2)), Circulant(7, (3,))
+    inner = {"kind": "cartesian", "n": 15, "factors": [_circulant(c3), _circulant(c5)]}
+    desc = {"kind": "cartesian", "n": 105, "factors": [inner, _circulant(c7)]}
+    e = graph_from_desc(desc)
+    assert e == Product((c3, c5, c7)) and e.n == 105
+    assert e.edges == cartesian_edges(cartesian_edges(realize(c3), realize(c5)),
+                                      realize(c7)).edges
 
 
 def test_ring_edges_written_out():

@@ -3,8 +3,6 @@ import pytest
 from circiso.circulant import (
     Circulant,
     NotCirculant,
-    detect_circulant,
-    permute_edges,
     realize,
     symmetric_set,
 )
@@ -24,6 +22,8 @@ from circiso.type2 import (
     type2_group_check,
     type2_set,
 )
+
+from oracles import detect_circulant, permute_edges
 
 A1 = Circulant(432, (16, 27, 48, 54, 128, 160, 189))
 B1 = Circulant(432, (27, 32, 48, 54, 112, 176, 189))
