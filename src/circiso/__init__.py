@@ -24,9 +24,7 @@ from .iso_oracle import (  # noqa: F401
 )
 from .products import (  # noqa: F401
     Product,
-    product_c4,
     product_coprime,
-    product_prism,
     product_witness,
     scan_conjecture,
 )

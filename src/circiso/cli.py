@@ -6,7 +6,7 @@ import argparse
 import json
 import sys
 
-from .circulant import WITNESS_EDGE_CAP, Circulant, parse_graph, realize
+from .circulant import WITNESS_EDGE_CAP, Circulant, parse_graph
 from .errors import CircisoError, ParseError, ReportError
 from .iso_oracle import IsoWitness, verify_circulant_witness, verify_witness
 from .products import product_witness, scan_conjecture, valid_type2_ms
@@ -24,11 +24,6 @@ from .reproduce import run_section
 from .residue import units
 from .type1 import adams_vertex_map, type1_group_table, type1_set
 from .type2 import ThetaMap, classify_theta, type2_group_check, type2_set
-
-# `verify` empties realize's cache after each witness; bound at import, so
-# it keeps working where `realize` is wrapped by name (bench/tracer.py)
-_forget_edges = realize.cache_clear
-
 
 def _graph_from_args(args) -> Circulant:
     if args.graph is not None:
@@ -264,13 +259,11 @@ def _read_witnesses(path: str) -> list:
 
 def cmd_verify(args) -> int:
     witnesses = _read_witnesses(args.report)
-    # endpoints are built one witness at a time, after every descriptor is
-    # checked, and no later witness reads the edge sets one check realized
+    # endpoints are built after every descriptor is checked
     checks = []
     for i, (label, source, target, bijection, origin) in enumerate(witnesses):
         w = IsoWitness(graph_from_desc(source), graph_from_desc(target), bijection, False, origin)
         checks.append(assertion(f"witness {i}: {label}", verify_witness(w), origin))
-        _forget_edges()
     if not checks:
         checks.append(assertion("no witnesses found in report", False, args.report))
     results_out = {"checked": len(witnesses),

@@ -1,12 +1,12 @@
 """Ground truth for isomorphism claims: an explicit vertex bijection,
-checked edge for edge, either on realized edge sets or on connection
-sets."""
+checked edge for edge, either on edge sets enumerated from the factors or
+on connection sets."""
 
 from dataclasses import dataclass
 from operator import sub
 from typing import TYPE_CHECKING, Union
 
-from .circulant import Circulant
+from .circulant import Circulant, neighbour_maps
 from .errors import NotAPermutation, OrderMismatch
 
 if TYPE_CHECKING:
@@ -18,10 +18,9 @@ class IsoWitness:
     """An explicit vertex bijection from source to target, plus its status.
 
     Each endpoint is the graph a report names: a Circulant, or a Product of
-    circulants and rings. Both expose n and edges, and the edges are built
-    only when read, so a witness costs no edge set until an edge-level
-    check runs. origin records how the bijection was produced, e.g.
-    "theta(m=2,t=54)", "adam(x=5)", "crt-embedding(16x27)".
+    circulants and rings. Both expose n and factors, from which
+    verify_witness enumerates the edges. origin records how the bijection
+    was produced, e.g. "theta(m=2,t=54)", "adam(x=5)", "crt-embedding(16x27)".
     """
 
     source: Union[Circulant, "Product"]
@@ -32,20 +31,25 @@ class IsoWitness:
 
 
 def verify_witness(w: IsoWitness) -> bool:
-    """True iff the bijection maps the source edge set exactly onto the target's."""
-    if w.source.n != w.target.n:
-        raise OrderMismatch(f"orders differ: {w.source.n} vs {w.target.n}")
-    if sorted(w.bijection) != list(range(w.source.n)):
+    """True iff the bijection maps the source edge set exactly onto the target's.
+
+    Both edge sets are enumerated from the endpoints' factors and compared
+    as sets of codes a*n + b, a < b: the images of the source edges, and
+    the target's edges.
+    """
+    n = w.source.n
+    if n != w.target.n:
+        raise OrderMismatch(f"orders differ: {n} vs {w.target.n}")
+    if sorted(w.bijection) != list(range(n)):
         raise NotAPermutation("bijection is not a permutation of the vertex set")
-    if len(w.source.edges) != len(w.target.edges):
-        return False
-    f = w.bijection
-    target = w.target.edges
-    for a, b in w.source.edges:
-        fa, fb = f[a], f[b]
-        if ((fa, fb) if fa < fb else (fb, fa)) not in target:
-            return False
-    return True
+    return _edge_codes(w.source, w.bijection) == _edge_codes(w.target, range(n))
+
+
+def _edge_codes(g, f) -> set:
+    """Codes a*n + b, a < b, of the images {f[v], f[u[v]]} of g's edges."""
+    n = g.n
+    return {a * n + b if a < b else b * n + a
+            for u in neighbour_maps(g.factors) for a, b in zip(f, [f[v] for v in u])}
 
 
 def verify_circulant_witness(g: Circulant, h: Circulant, bijection) -> bool:

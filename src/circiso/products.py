@@ -4,32 +4,16 @@ scanner for the product conjectures."""
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
 from math import gcd, prod
 from typing import Optional, Union
 
-from .circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph, edge, is_connected, realize
+from .circulant import WITNESS_EDGE_CAP, Circulant, edge_set, is_connected
 from .errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime, OrderTooSmall
 from .iso_oracle import IsoWitness, make_witness
-from .residue import reflexive_reduce, valid_type2_params
+from .residue import check_modulus, reflexive_reduce, valid_type2_params
 from .type2 import ThetaMap, classify_theta, type2_set
 
 LAYERS = {"prism": 2, "c4": 4}  # layered kind -> length of its ring of copies
-
-
-def cartesian_edges(a: EdgeGraph, b: EdgeGraph) -> EdgeGraph:
-    """Cartesian product of two explicit graphs; vertex (x, y) encoded x*b.n + y."""
-    n = b.n
-    # factor edges (x, y) have x < y, so both encodings below keep u < v
-    return EdgeGraph(a.n * n, frozenset(itertools.chain(
-        ((x * n + z, y * n + z) for x, y in a.edges for z in range(n)),
-        ((z * n + x, z * n + y) for x, y in b.edges for z in range(a.n)))))
-
-
-def ring_edges(k: int) -> EdgeGraph:
-    """The k-cycle as an explicit graph; k = 2 is a single edge. (Circulant
-    rejects order 2, so the prism's ring cannot be a realized circulant.)"""
-    return EdgeGraph(k, frozenset(edge(i, (i + 1) % k) for i in range(k)))
 
 
 @dataclass(frozen=True)
@@ -37,9 +21,8 @@ class Product:
     """Cartesian product of its factors, each a Circulant or a ring length
     (2 or 4), in encoding order: vertex (x, y) of G x F is x*|F| + y.
 
-    Like a Circulant, it can be a witness endpoint: it exposes n and edges.
-    The edge set is folded from the factors' edge sets on first read and
-    kept; no other code builds a product edge set.
+    Like a Circulant, it can be a witness endpoint: it exposes n and
+    factors.
     """
 
     factors: tuple[Union[Circulant, int], ...]
@@ -48,10 +31,9 @@ class Product:
     def n(self) -> int:
         return prod(f if isinstance(f, int) else f.n for f in self.factors)
 
-    @cached_property
+    @property
     def edges(self) -> frozenset:
-        return reduce(cartesian_edges, (ring_edges(f) if isinstance(f, int) else realize(f)
-                                        for f in self.factors)).edges
+        return edge_set(self.factors)
 
 
 def product_witness(
@@ -101,18 +83,6 @@ def product_coprime(g: Circulant, h: Circulant) -> Circulant:
     """Product of connected circulants with coprime orders m, n > 2:
     C_mn(nR union mS), verified edge-for-edge up to the cap."""
     return product_witness("coprime", g, h)[0]
-
-
-def product_prism(g: Circulant) -> Circulant:
-    """Two-layer product of an odd-order circulant: C_{2N}(2R union {N}),
-    verified edge-for-edge up to the cap."""
-    return product_witness("prism", g)[0]
-
-
-def product_c4(g: Circulant) -> Circulant:
-    """Four-cycle product of an odd-order circulant: C_{4N}(4S union {N}),
-    verified edge-for-edge up to the cap."""
-    return product_witness("c4", g)[0]
 
 
 def valid_type2_ms(g: Circulant) -> tuple[int, ...]:
@@ -177,10 +147,21 @@ class ConjectureReport:
         return tuple(l for c in self.cases for l in c.lifts if not l.agrees)
 
 
+def _offset_sets(lo: int, hi: int, size: int):
+    """itertools.combinations(range(lo, hi + 1), size), in the same order,
+    without first copying the range into a tuple."""
+    if size == 0:
+        yield ()
+        return
+    for s in range(lo, hi - size + 2):
+        for rest in _offset_sets(s + 1, hi, size - 1):
+            yield (s, *rest)
+
+
 def _connected_sets(n: int):
     half = n // 2
     for size in range(1, half + 1):
-        for conn in itertools.combinations(range(1, half + 1), size):
+        for conn in _offset_sets(1, half, size):
             g = Circulant(n, conn)
             if is_connected(g):
                 yield g
@@ -224,8 +205,11 @@ def scan_conjecture(n1: int, n2: int, budget: int = 16, pairs=None) -> Conjectur
     does, and records any disagreement verbatim. Factor Type-2 witnesses
     are additionally lifted to the product and reclassified there. Each
     factor's orbits are computed once per case and feed both its verdict
-    and its lifts.
+    and its lifts. Each order and the product's pass check_modulus before
+    anything is enumerated.
     """
+    for order in (n1, n2, n1 * n2):
+        check_modulus(order)
     if gcd(n1, n2) != 1:
         raise NotCoprime(f"gcd({n1}, {n2}) != 1")
     if pairs is None:

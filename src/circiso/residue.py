@@ -6,7 +6,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
-from .errors import ZeroOffset
+from .errors import CircisoError, OrderTooSmall, ZeroOffset
 
 # All arithmetic is exact; the bound only guards against absurd inputs.
 MAX_MODULUS = 2**31
@@ -16,9 +16,9 @@ def check_modulus(n: int) -> int:
     if isinstance(n, bool) or not isinstance(n, int):
         raise TypeError(f"modulus must be an int, got {type(n).__name__}")
     if n < 3:
-        raise ValueError(f"modulus must be >= 3, got {n}")
+        raise OrderTooSmall(f"modulus must be >= 3, got {n}")
     if n > MAX_MODULUS:
-        raise ValueError(f"modulus {n} exceeds supported bound {MAX_MODULUS}")
+        raise CircisoError(f"modulus {n} exceeds supported bound {MAX_MODULUS}")
     return n
 
 

@@ -118,8 +118,7 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     the vertex bijection as witness, checked edge for edge on the two
     connection sets before it is attached; a failed check raises
     InvariantViolation. The witness endpoints are g and the image
-    themselves: an edge-level consumer (verify_witness) reads their edges,
-    which are realized on demand, and classification builds no edge set.
+    themselves, so classification builds no edge set.
     """
     _check_classify_preconditions(tm, g)
     kind, image, unit, vertex = _classify(tm, g)
@@ -146,7 +145,7 @@ def _classify(tm: ThetaMap, g: Circulant):
 
 def _witness(tm: ThetaMap, g: Circulant, image: Circulant) -> IsoWitness:
     """The theta bijection of g onto image, checked by _classify, between
-    the two circulants; their edge sets are realized only if read."""
+    the two circulants."""
     return IsoWitness(g, image, theta_vertex_map(tm), True, f"theta(m={tm.m},t={tm.t})")
 
 

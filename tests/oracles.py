@@ -1,5 +1,7 @@
-"""Test oracles that no command uses: circulance detection on an explicit
-edge set, vertex relabeling, and a bounded deterministic backtracking
+"""Test oracles that no command uses: the tuple edge-set route that
+verify_witness replaced (factor edge sets folded by cartesian_edges, and a
+check that looks up each image), circulance detection on an explicit edge
+set, vertex relabeling, and a bounded deterministic backtracking
 isomorphism search for small orders.
 
 The search is a desk-scale verification device. It never certifies a claim
@@ -8,11 +10,13 @@ never a silent "not isomorphic". It recurses once per vertex, so it is for
 small orders only.
 """
 
+import itertools
+from functools import reduce
 from typing import Optional, Union
 
-from circiso.circulant import Circulant, EdgeGraph, NotCirculant
-from circiso.errors import CircisoError, InvariantViolation
-from circiso.iso_oracle import IsoWitness, make_witness
+from circiso.circulant import Circulant, EdgeGraph, NotCirculant, realize
+from circiso.errors import CircisoError, InvariantViolation, NotAPermutation, OrderMismatch
+from circiso.iso_oracle import IsoWitness
 from circiso.residue import reflexive_reduce
 
 DEFAULT_NODE_BUDGET = 10**7
@@ -20,6 +24,50 @@ DEFAULT_NODE_BUDGET = 10**7
 
 class BudgetExceeded(CircisoError):
     """Search ran out of nodes before deciding; not a non-isomorphism proof."""
+
+
+def edge(a: int, b: int) -> tuple[int, int]:
+    return (a, b) if a < b else (b, a)
+
+
+def cartesian_edges(a: EdgeGraph, b: EdgeGraph) -> EdgeGraph:
+    """Cartesian product of two explicit graphs; vertex (x, y) encoded x*b.n + y."""
+    n = b.n
+    # factor edges (x, y) have x < y, so both encodings below keep u < v
+    return EdgeGraph(a.n * n, frozenset(itertools.chain(
+        ((x * n + z, y * n + z) for x, y in a.edges for z in range(n)),
+        ((z * n + x, z * n + y) for x, y in b.edges for z in range(a.n)))))
+
+
+def ring_edges(k: int) -> EdgeGraph:
+    """The k-cycle as an explicit graph; k = 2 is a single edge."""
+    return EdgeGraph(k, frozenset(edge(i, (i + 1) % k) for i in range(k)))
+
+
+def endpoint_edges(e) -> EdgeGraph:
+    """The edge set of a witness endpoint (a Circulant or a Product),
+    folded from its factors' edge sets by cartesian_edges."""
+    return reduce(cartesian_edges, (ring_edges(f) if isinstance(f, int) else realize(f)
+                                    for f in e.factors))
+
+
+def maps_edges_onto(a: EdgeGraph, b: EdgeGraph, f) -> bool:
+    """True iff f maps a's edge set exactly onto b's: the edge counts agree
+    and the image of every edge of a is an edge of b. Sound only on edges
+    (x, y) with 0 <= x < y < n: a source holding a reversed (y, x)
+    duplicate could pass with a target that misses an edge."""
+    if a.n != b.n:
+        raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
+    if sorted(f) != list(range(a.n)):
+        raise NotAPermutation("bijection is not a permutation of the vertex set")
+    if len(a.edges) != len(b.edges):
+        return False
+    target = b.edges
+    for x, y in a.edges:
+        fx, fy = f[x], f[y]
+        if ((fx, fy) if fx < fy else (fy, fx)) not in target:
+            return False
+    return True
 
 
 def permute_edges(eg: EdgeGraph, perm) -> EdgeGraph:
@@ -152,7 +200,7 @@ def search_isomorphism(
 
     if not dfs(0):
         return None
-    w = make_witness(a, b, mapping, "search")
+    w = IsoWitness(a, b, tuple(mapping), maps_edges_onto(a, b, mapping), "search")
     if not w.verified:
         raise InvariantViolation("search found a bijection that fails verification")
     return w

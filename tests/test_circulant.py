@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circiso.circulant import (
     Circulant,
@@ -38,6 +40,37 @@ def test_parse_round_trip():
     assert g == Circulant(16, (1, 2, 7))
     assert parse_graph(g.text()) == g
     assert parse_graph("  n = 16 ; R = 7 , 2 , 1 ") == g
+
+
+# valid graph texts, including the bounds of the order and of an offset
+_GRAPH_TEXTS = ("n=16;R=1,2,7", "n=432;R=16,27,48,54,128,160,189", " N = 10 ; r = 5 , 2 ",
+                "n=3;R=1", "n=2147483647;R=1", "n=2147483648;R=1,1073741824")
+
+
+@st.composite
+def _mutated_graph_text(draw):
+    """A valid graph text with up to four characters inserted, deleted or
+    replaced, drawn mostly from the grammar's own alphabet."""
+    text = draw(st.sampled_from(_GRAPH_TEXTS))
+    chars = st.one_of(st.sampled_from("0123456789nNrR=;, \t-+²٣"), st.characters())
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        how = draw(st.sampled_from(["insert", "delete", "replace"]))
+        keep = text[i:] if how == "insert" else text[i + 1:]
+        text = text[:i] + ("" if how == "delete" else draw(chars)) + keep
+    return text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.text(max_size=30), st.text(alphabet="0123456789nNrR=;, ", max_size=30),
+                 _mutated_graph_text()))
+def test_parse_graph_returns_a_graph_or_a_parse_error(text):
+    # any other exception would reach the command line as a traceback
+    try:
+        g = parse_graph(text)
+    except ParseError:
+        return
+    assert isinstance(g, Circulant) and parse_graph(g.text()) == g
 
 
 def test_parse_errors_carry_byte_offset():

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 import circiso
 from circiso import cli, iso_oracle, products, type2
-from circiso.circulant import WITNESS_EDGE_CAP, Circulant, parse_graph, realize
+from circiso.circulant import WITNESS_EDGE_CAP, Circulant, neighbour_maps, parse_graph, realize
 from circiso.cli import main
+from circiso.residue import MAX_MODULUS
 from circiso.reporting import witness_json
 from circiso.type1 import adams_vertex_map, type1_set
 from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
@@ -80,8 +81,7 @@ def test_t1_builds_no_edge_set(capsys, monkeypatch):
     orbit = type1_set(g)
     expected = []
     for member, x in zip(orbit.members, orbit.reps):
-        w = iso_oracle.make_witness(realize(g), realize(member), adams_vertex_map(g.n, x),
-                                    f"adam(x={x})")
+        w = iso_oracle.make_witness(g, member, adams_vertex_map(g.n, x), f"adam(x={x})")
         expected.append({"source": _circulant(g), "target": _circulant(member),
                          "bijection": list(w.bijection), "origin": w.origin,
                          "verified": w.verified})
@@ -285,29 +285,29 @@ def test_stored_witnesses_stay_within_the_verify_cap(tmp_path, capsys):
 
 def test_product_builds_witness_once(capsys, monkeypatch):
     calls = []
-    real = products.cartesian_edges
+    real = iso_oracle.make_witness
 
-    def counting(a, b):
-        calls.append((a.n, b.n))
-        return real(a, b)
+    def counting(source, target, bijection, origin):
+        calls.append(origin)
+        return real(source, target, bijection, origin)
 
     def forbidden(*args, **kwargs):
         pytest.fail("search_isomorphism ran on the product path")
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("circiso"):
-            if getattr(mod, "cartesian_edges", None) is real:
-                monkeypatch.setattr(mod, "cartesian_edges", counting)
+            if getattr(mod, "make_witness", None) is real:
+                monkeypatch.setattr(mod, "make_witness", counting)
             if getattr(mod, "search_isomorphism", None) is search_isomorphism:
                 monkeypatch.setattr(mod, "search_isomorphism", forbidden)
-    for argv, pair in ((("coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"), (16, 27)),
-                       (("prism", "n=7;R=1,2"), (2, 7)),
-                       (("c4", "n=45;R=1,7"), (4, 45))):
+    for argv, origin in ((("coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"), "crt-embedding(16x27)"),
+                         (("prism", "n=7;R=1,2"), "crt-embedding(2x7)"),
+                         (("c4", "n=45;R=1,7"), "crt-embedding(4x45)")):
         calls.clear()
         code, out, _ = run(capsys, "product", *argv, "--json")
-        assert code == 0 and calls == [pair]
+        assert code == 0 and calls == [origin]
         [w] = json.loads(out)["results"]["witnesses"]
-        assert w["verified"] and w["origin"] == f"crt-embedding({pair[0]}x{pair[1]})"
+        assert w["verified"] and w["origin"] == origin
 
 
 def test_verify_rebuilds_product_witnesses(tmp_path, capsys):
@@ -433,7 +433,7 @@ def _product_report(kind, *graphs, source_n):
 def test_verify_hostile_report_fails_cleanly(tmp_path, capsys, monkeypatch, content, message):
     f = tmp_path / "hostile.json"
     f.write_text(content)
-    _forbid_calls(monkeypatch, realize, products.cartesian_edges, products.ring_edges)
+    _forbid_calls(monkeypatch, realize, neighbour_maps)
     code, _, err = run(capsys, "verify", str(f))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -447,16 +447,21 @@ def test_verify_accepts_handwritten_witness(tmp_path, capsys):
     assert code == 0 and "[PASS] witness 0: circulant n=5 -> circulant n=5" in out
 
 
-def test_verify_keeps_no_edge_set(tmp_path, capsys):
-    # each witness's endpoints are realized for its check and dropped after
-    # it, so verify holds one witness's edge sets at a time
-    report = tmp_path / "t1.json"
-    code, _, _ = run(capsys, "t1", A432, "--out", str(report))
-    assert code == 0 and len(json.loads(report.read_text())["results"]["witnesses"]) == 6
-    realize.cache_clear()
-    code, out, _ = run(capsys, "verify", str(report))
-    assert code == 0 and out.count("[PASS] witness") == 6
-    assert realize.cache_info().currsize == 0
+def test_verify_keeps_no_edge_set(tmp_path, capsys, monkeypatch):
+    # verify enumerates each witness's edges from the endpoints' factors and
+    # realizes no edge set
+    reports = []
+    for i, argv in enumerate((("t1", A432), ("t2", A432, "--m", "3"),
+                              ("product", "coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"),
+                              ("product", "c4", "n=9;R=1,2"))):
+        reports.append(tmp_path / f"{i}.json")
+        code, _, _ = run(capsys, *argv, "--out", str(reports[-1]))
+        assert code == 0
+    _forbid_calls(monkeypatch, realize)
+    for report in reports:
+        witnesses = len(json.loads(report.read_text())["results"]["witnesses"])
+        code, out, _ = run(capsys, "verify", str(report))
+        assert code == 0 and witnesses and out.count("[PASS] witness") == witnesses
 
 
 @pytest.fixture(scope="module")
@@ -578,12 +583,12 @@ def test_no_bare_asserts_in_source():
 
 def test_edge_graphs_built_only_by_the_builders():
     # EdgeGraph does not check its edges, so it may be constructed only in
-    # the builders that emit (a, b) with 0 <= a < b < n by construction: in
-    # the package, and the test oracles' permute_edges; a new path from raw
-    # data must go through a boundary check on purpose
-    builders = {path: {"realize", "cartesian_edges", "ring_edges"}
-                for path in sorted((SRC / "circiso").glob("*.py"))}
-    builders[pathlib.Path(__file__).with_name("oracles.py")] = {"permute_edges"}
+    # the builders that emit (a, b) with 0 <= a < b < n by construction:
+    # realize in the package, and the test oracles' tuple builders; a new
+    # path from raw data must go through a boundary check on purpose
+    builders = {path: {"realize"} for path in sorted((SRC / "circiso").glob("*.py"))}
+    builders[pathlib.Path(__file__).with_name("oracles.py")] = {
+        "permute_edges", "cartesian_edges", "ring_edges"}
     owners = set()
 
     def visit(node, owner, path):
@@ -644,6 +649,34 @@ def test_scan_conjecture_cli(capsys):
     doc = json.loads(out)
     assert "experimental" in doc["results"]["header"]
     assert doc["results"]["cases"] == 2
+
+
+@pytest.mark.parametrize("n1, n2, message", [
+    (2, 3, "modulus must be >= 3, got 2"),
+    (-7, 3, "modulus must be >= 3, got -7"),
+    (MAX_MODULUS + 1, 3, f"modulus {MAX_MODULUS + 1} exceeds supported bound"),
+    # each factor is in range, their product is not
+    (65_537, 32_768, f"modulus {65_537 * 32_768} exceeds supported bound"),
+])
+def test_scan_conjecture_rejects_bad_orders(capsys, n1, n2, message):
+    code, out, err = run(capsys, "scan-conjecture", "--n1", str(n1), "--n2", str(n2))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_scan_conjecture_enumerates_lazily():
+    # offset sets are drawn one at a time, so a large order costs no memory
+    # in proportion to it: at order 715,827,881 a copied range of its
+    # offsets alone would take gigabytes
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from circiso.cli import main\n"
+            "sys.exit(main(['scan-conjecture', '--n1', '715827881', '--n2', '3', "
+            "'--budget', '1']))\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert "1 cases scanned" in res.stdout
 
 
 def test_classify_bad_params_exit_code(capsys):

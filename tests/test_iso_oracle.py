@@ -3,48 +3,54 @@ from itertools import permutations
 import pytest
 
 from circiso.circulant import Circulant, EdgeGraph, realize
+from circiso.products import Product
 from circiso.errors import NotAPermutation, OrderMismatch
 from circiso.iso_oracle import IsoWitness, make_witness, verify_circulant_witness, verify_witness
 from circiso.type2 import ThetaMap, theta_vertex_map
 
-from oracles import BudgetExceeded, search_isomorphism
+from oracles import BudgetExceeded, maps_edges_onto, search_isomorphism
 
 
 def test_theta_bijection_is_a_witness():
-    src = realize(Circulant(16, (1, 2, 7)))
-    tgt = realize(Circulant(16, (2, 3, 5)))
+    src = Circulant(16, (1, 2, 7))
+    tgt = Circulant(16, (2, 3, 5))
     w = make_witness(src, tgt, theta_vertex_map(ThetaMap(16, 2, 2)), "theta(m=2,t=2)")
     assert w.verified
 
 
 def test_identity_witness():
-    eg = realize(Circulant(16, (1, 2, 7)))
-    assert make_witness(eg, eg, range(16), "identity").verified
+    g = Circulant(16, (1, 2, 7))
+    assert make_witness(g, g, range(16), "identity").verified
+    p = Product((2, Circulant(5, (1, 2))))
+    assert make_witness(p, p, range(10), "identity").verified
 
 
 def test_identity_across_different_graphs_fails():
-    src = realize(Circulant(16, (1, 2, 7)))
-    tgt = realize(Circulant(16, (2, 3, 5)))
+    src = Circulant(16, (1, 2, 7))
+    tgt = Circulant(16, (2, 3, 5))
     assert not make_witness(src, tgt, range(16), "identity").verified
 
 
 def test_verify_witness_errors():
-    a = realize(Circulant(16, (1, 2, 7)))
-    b = realize(Circulant(10, (1, 2)))
+    a = Circulant(16, (1, 2, 7))
+    b = Circulant(10, (1, 2))
     with pytest.raises(OrderMismatch):
         verify_witness(IsoWitness(a, b, tuple(range(16)), False, "x"))
     with pytest.raises(NotAPermutation):
         verify_witness(IsoWitness(a, a, (0,) * 16, False, "x"))
-    # EdgeGraph no longer rejects malformed edges on construction: a target
-    # whose edge count matches but that holds a reversed, out-of-range or
-    # looped edge must fail under every bijection
+    with pytest.raises(OrderMismatch):
+        maps_edges_onto(realize(a), realize(b), tuple(range(16)))
+    with pytest.raises(NotAPermutation):
+        maps_edges_onto(realize(a), realize(a), (0,) * 16)
+    # EdgeGraph does not reject malformed edges on construction: for the
+    # tuple-set oracle, a target whose edge count matches but that holds a
+    # reversed, out-of-range or looped edge must fail under every bijection
     src = realize(Circulant(5, (1,)))
     good = src.edges - {(0, 4)}
     for bad in ((4, 0), (0, 5), (0, 0)):
         tgt = EdgeGraph(5, good | {bad})
         assert len(tgt.edges) == len(src.edges)
-        assert not any(verify_witness(IsoWitness(src, tgt, f, False, "x"))
-                       for f in permutations(range(5)))
+        assert not any(maps_edges_onto(src, tgt, f) for f in permutations(range(5)))
 
 
 def test_verify_circulant_witness_accepts_theta_and_identity():
@@ -71,7 +77,7 @@ def test_verify_circulant_witness_rejections():
     c = Circulant(16, (1, 2, 8))
     assert not verify_circulant_witness(a, c, tuple(range(16)))
     assert not verify_circulant_witness(c, a, tuple(range(16)))
-    assert not verify_witness(IsoWitness(realize(a), realize(c), tuple(range(16)), False, "x"))
+    assert not verify_witness(IsoWitness(a, c, tuple(range(16)), False, "x"))
 
 
 def test_search_finds_type2_pair_16():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 
 import pytest
@@ -6,15 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circiso import products
-from circiso.circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph, edge, realize
+from circiso.circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph
 from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime
 from circiso.iso_oracle import make_witness, verify_witness
 from circiso.products import (
     Product,
-    cartesian_edges,
-    product_c4,
     product_coprime,
-    product_prism,
     product_witness,
     scan_conjecture,
     valid_type2_ms,
@@ -24,7 +22,7 @@ from circiso.residue import reflexive_reduce
 from circiso.type1 import adams_apply
 
 from conftest import brute_product_edges
-from oracles import search_isomorphism
+from oracles import edge, search_isomorphism
 
 X1 = Circulant(16, (1, 2, 7))
 X2 = Circulant(16, (2, 3, 5))
@@ -58,8 +56,7 @@ def test_product_symmetry_and_counts():
     assert product_coprime(Y1, X1) == p
     assert p.n == X1.n * Y1.n
     assert p.degree == X1.degree + Y1.degree
-    prod = cartesian_edges(realize(X1), realize(Y1))
-    assert len(prod.edges) == len(realize(p).edges)
+    assert len(Product((X1, Y1)).edges) == len(p.edges) == p.edge_count
 
 
 def test_product_embedding_exact(monkeypatch):
@@ -87,26 +84,26 @@ def test_product_coprime_errors():
 
 
 def test_prism_products():
-    assert product_prism(Circulant(5, (1, 2))) == Circulant(10, (2, 4, 5))
-    assert product_prism(Circulant(3, (1,))) == Circulant(6, (2, 3))
-    assert product_prism(Circulant(7, (1,))) == Circulant(14, (2, 7))
+    assert product_witness("prism", Circulant(5, (1, 2)))[0] == Circulant(10, (2, 4, 5))
+    assert product_witness("prism", Circulant(3, (1,)))[0] == Circulant(6, (2, 3))
+    assert product_witness("prism", Circulant(7, (1,)))[0] == Circulant(14, (2, 7))
     with pytest.raises(EvenOrder):
-        product_prism(Circulant(10, (1,)))
+        product_witness("prism", Circulant(10, (1,)))
 
 
 def test_c4_products():
-    assert product_c4(Circulant(3, (1,))) == Circulant(12, (3, 4))
-    assert product_c4(Circulant(5, (1, 2))) == Circulant(20, (4, 5, 8))
-    assert product_c4(Circulant(5, (1,))) == Circulant(20, (4, 5))
+    assert product_witness("c4", Circulant(3, (1,)))[0] == Circulant(12, (3, 4))
+    assert product_witness("c4", Circulant(5, (1, 2)))[0] == Circulant(20, (4, 5, 8))
+    assert product_witness("c4", Circulant(5, (1,)))[0] == Circulant(20, (4, 5))
     with pytest.raises(EvenOrder):
-        product_c4(Circulant(6, (1,)))
+        product_witness("c4", Circulant(6, (1,)))
 
 
 def test_layer_product_counts():
     g = Circulant(5, (1, 2))
-    prism = product_prism(g)
+    prism = product_witness("prism", g)[0]
     assert prism.n == 2 * g.n and prism.degree == g.degree + 1
-    ring = product_c4(g)
+    ring = product_witness("c4", g)[0]
     assert ring.n == 4 * g.n and ring.degree == g.degree + 2
 
 
@@ -206,6 +203,17 @@ def test_scan_computes_each_orbit_once(monkeypatch):
         calls.clear()
         scan_conjecture(16, 27, budget=1, pairs=[pair])
         assert calls and len(calls) == len(set(calls))
+
+
+def test_scan_enumerates_sets_in_combination_order():
+    # offset sets are drawn lazily but in itertools.combinations order (by
+    # size, then lexicographically), so scan reports stay the same
+    for n in (16, 17):
+        half = n // 2
+        expected = [Circulant(n, c) for size in range(1, half + 1)
+                    for c in itertools.combinations(range(1, half + 1), size)
+                    if math.gcd(n, *c) == 1]
+        assert list(products._connected_sets(n)) == expected
 
 
 def test_scan_conjecture_trivial_orders():

@@ -1,8 +1,8 @@
 """Invariant checks beyond the acceptance property suites: exhaustive action
 law at small orders, orbit symmetry, and round trips."""
 
-from functools import reduce
 from math import gcd
+from types import SimpleNamespace
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -12,6 +12,7 @@ from circiso.circulant import (
     Circulant,
     EdgeGraph,
     NotCirculant,
+    edge_set,
     is_connected,
     realize,
 )
@@ -19,11 +20,18 @@ from circiso.iso_oracle import IsoWitness, verify_circulant_witness, verify_witn
 from circiso.residue import units
 from circiso.type1 import adams_apply, adams_vertex_map, is_adams_isomorphic, type1_set
 from circiso.type2 import ThetaMap, classify_theta, theta_image, theta_vertex_map
-from circiso.products import Product, cartesian_edges, product_c4, product_prism, ring_edges
+from circiso.products import LAYERS, Product, product_witness
 from circiso.reporting import desc_size, graph_desc, graph_from_desc
 
 from conftest import brute_edges, brute_product_edges
-from oracles import detect_circulant, permute_edges
+from oracles import (
+    cartesian_edges,
+    detect_circulant,
+    endpoint_edges,
+    maps_edges_onto,
+    permute_edges,
+    ring_edges,
+)
 from test_acceptance import _theta_graph
 
 
@@ -50,15 +58,20 @@ def _circulant(g):
 @settings(max_examples=200, deadline=None)
 @given(graphs(max_n=48), graphs(max_n=16))
 def test_realize_matches_brute_force(g, h):
-    # EdgeGraph does not check its edges, and verify_witness is sound only
-    # on edges (a, b) with 0 <= a < b < n: every builder is compared here
-    # with an edge set written out in that form
-    assert set(realize(g).edges) == brute_edges(g.n, set(g.conn))
+    # the enumeration behind verify_witness, and the tuple edge sets the
+    # oracles fold, are each compared with an edge set written out from the
+    # definition in the form (a, b), 0 <= a < b < n
+    assert edge_set(g.factors) == set(realize(g).edges) == brute_edges(g.n, set(g.conn))
     # verify bounds a report by the sizes its descriptors name, before building
     assert desc_size(_circulant(g), g.n, WITNESS_EDGE_CAP) == (g.n, len(realize(g).edges))
+    for k in LAYERS.values():  # the 2-ring is a single edge, the 4-ring C_4(1)
+        ring = SimpleNamespace(n=k, conn=(1,))
+        assert edge_set((k, g)) == brute_product_edges(ring, g)
+        assert set(cartesian_edges(ring_edges(k), realize(g)).edges) == brute_product_edges(ring, g)
     if gcd(g.n, h.n) == 1:
         product = cartesian_edges(realize(g), realize(h))
         assert product.n == g.n * h.n and set(product.edges) == brute_product_edges(g, h)
+        assert edge_set(Product((g, h)).factors) == product.edges
         desc = {"kind": "cartesian", "n": g.n * h.n, "factors": [_circulant(g), _circulant(h)]}
         assert desc_size(desc, product.n, WITNESS_EDGE_CAP) == (product.n, len(product.edges))
 
@@ -81,26 +94,50 @@ def endpoints(draw):
     return Product((k, g)), {"kind": kind, "n": k * g.n, "base": _circulant(g)}
 
 
+def _transposed(f, seed):
+    """f with the images of two vertices, chosen by seed, swapped."""
+    n = len(f)
+    i = seed % n
+    j = (i + 1 + seed // n % (n - 1)) % n
+    f = list(f)
+    f[i], f[j] = f[j], f[i]
+    return tuple(f)
+
+
+def _crt_witness(e):
+    """product_witness's CRT witness out of a Product endpoint, where the
+    product's preconditions hold."""
+    a, b = e.factors
+    if isinstance(a, int):
+        kind = next(kind for kind, k in LAYERS.items() if k == a)
+        return product_witness(kind, b)[1] if b.n % 2 else None
+    return product_witness("coprime", a, b)[1] if is_connected(a) and is_connected(b) else None
+
+
 @settings(max_examples=200, deadline=None)
 @given(endpoints(), st.integers(0, 10**6))
 def test_endpoint_round_trip(case, seed):
     e, desc = case
     assert graph_desc(e) == desc and graph_from_desc(desc) == e
-    if isinstance(e, Product):
-        # the edge set the stored descriptors were rebuilt into before
-        # Product existed: realized factors folded by cartesian_edges
-        old = reduce(cartesian_edges, (ring_edges(f) if isinstance(f, int) else realize(f)
-                                       for f in e.factors))
-        assert e.n == old.n and e.edges == old.edges
+    # the edge set the stored descriptors were rebuilt into before the
+    # enumeration: realized factors folded by cartesian_edges
+    old = endpoint_edges(e)
+    assert e.n == old.n and e.edges == old.edges
     # the identity with two images transposed is a witness from e onto
     # itself exactly when the transposition is an automorphism of e
-    n = e.n
-    i = seed % n
-    j = (i + 1 + seed // n % (n - 1)) % n
-    f = list(range(n))
-    f[i], f[j] = j, i
-    automorphism = {tuple(sorted((f[a], f[b]))) for a, b in e.edges} == e.edges
-    assert verify_witness(IsoWitness(e, e, tuple(f), False, "transposition")) == automorphism
+    f = _transposed(range(e.n), seed)
+    automorphism = {tuple(sorted((f[a], f[b]))) for a, b in old.edges} == old.edges
+    witnesses = [IsoWitness(e, e, f, False, "transposition")]
+    crt = _crt_witness(e) if isinstance(e, Product) else None
+    if crt is not None:
+        assert crt.verified
+        witnesses += [crt, IsoWitness(crt.source, crt.target, _transposed(crt.bijection, seed),
+                                      False, "transposition")]
+    # the enumerated check agrees with the tuple-set oracle on every one
+    for w in witnesses:
+        assert verify_witness(w) == maps_edges_onto(endpoint_edges(w.source),
+                                                    endpoint_edges(w.target), w.bijection)
+    assert verify_witness(witnesses[0]) == automorphism
 
 
 def test_nested_cartesian_reads_as_one_flat_product():
@@ -170,10 +207,10 @@ def test_type1_orbit_matches_definition(g, self_paired):
 def test_layer_products_verified_at_all_small_orders():
     # the constructors check their CRT embedding edge for edge
     for n in (3, 5, 7, 9, 11, 13):
-        product_prism(Circulant(n, (1,)))
-        product_c4(Circulant(n, (1,)))
-    product_prism(Circulant(9, (1, 2, 4)))
-    product_c4(Circulant(7, (1, 3)))
+        product_witness("prism", Circulant(n, (1,)))
+        product_witness("c4", Circulant(n, (1,)))
+    product_witness("prism", Circulant(9, (1, 2, 4)))
+    product_witness("c4", Circulant(7, (1, 3)))
 
 
 # ---- the m-vertex Type-2 kernel against the generic edge route ----
@@ -216,8 +253,9 @@ def test_theta_kernel_matches_edge_route(case):
 @given(theta_cases, st.sampled_from(["theta", "adam"]), st.booleans(), st.integers(0, 10**6))
 def test_circulant_witness_check_matches_edge_check(case, maker, swap, seed):
     """On theta maps, Adam maps and either one with two images swapped, the
-    connection-set check gives the edge-level verdict. The target is the
-    map's image where that is circulant, else the source."""
+    connection-set check, the enumerated edge check and the tuple-set
+    oracle give one verdict. The target is the map's image where that is
+    circulant, else the source."""
     g, tm = case
     n = g.n
     if maker == "theta":
@@ -231,5 +269,6 @@ def test_circulant_witness_check_matches_edge_check(case, maker, swap, seed):
     if swap:
         i, j = seed % n, (seed // n + 1 + seed % n) % n
         f[i], f[j] = f[j], f[i]
-    edge = verify_witness(IsoWitness(realize(g), realize(h), tuple(f), False, maker))
+    edge = verify_witness(IsoWitness(g, h, tuple(f), False, maker))
+    assert edge == maps_edges_onto(realize(g), realize(h), f)
     assert verify_circulant_witness(g, h, f) == edge
