@@ -25,12 +25,24 @@ from .residue import units
 from .type1 import adams_vertex_map, type1_group_table, type1_set
 from .type2 import ThetaMap, classify_theta, type2_group_check, type2_set
 
+# largest order t1, t2 and classify accept. Each builds lists of n entries
+# (units, theta vertex maps, bijections); t2 caches up to 32 theta maps, and
+# at this order that peaks near 200 MB
+MAX_ORDER = 2**17
+
+
 def _graph_from_args(args) -> Circulant:
+    """The graph of a t1, t2 or classify command, checked against MAX_ORDER
+    before anything of its order is built."""
     if args.graph is not None:
-        return parse_graph(args.graph)
-    if args.n is not None and args.set is not None:
-        return parse_graph(f"n={args.n};R={args.set}")
-    raise ParseError("no graph given: pass `n=<int>;R=...` or --n with --set")
+        g = parse_graph(args.graph)
+    elif args.n is not None and args.set is not None:
+        g = parse_graph(f"n={args.n};R={args.set}")
+    else:
+        raise ParseError("no graph given: pass `n=<int>;R=...` or --n with --set")
+    if g.n > MAX_ORDER:
+        raise CircisoError(f"order {g.n} exceeds the limit of {MAX_ORDER} for this command")
+    return g
 
 
 def _emit(report: dict, args) -> int:

@@ -60,30 +60,60 @@ def verify_circulant_witness(g: Circulant, h: Circulant, bijection) -> bool:
     edge of the target exactly when f(x+s) - f(x) lies in S ∪ (n-S). A
     bijection maps distinct edges to distinct edges, so once the degrees (and
     with them the edge counts) agree, the image covers every target edge.
+
+    Only x in [0, p) is checked, for p = _period(f): if
+    d(x) = f(x+1) - f(x) mod n has d(x+p) = d(x) for all x, then
+    f(x+p) - f(x) ≡ c for one c (consecutive values differ by
+    d(x+p) - d(x) = 0), so f(x+p+s) - f(x+p) ≡ f(x+s) - f(x) and every
+    difference is p-periodic in x. Theta maps have p | m and Adam maps
+    v -> x*v have p = 1; p = n, which always qualifies, checks all n*|R|
+    edges.
     """
     n = g.n
     if h.n != n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
     if len(bijection) != n:
         raise NotAPermutation(f"bijection has {len(bijection)} entries, not {n}")
-    seen = bytearray(n)
-    for v in bijection:
-        if not 0 <= v < n or seen[v]:
-            raise NotAPermutation("bijection is not a permutation of the vertex set")
-        seen[v] = 1
+    f = tuple(bijection)
+    if len(set(f)) != n or min(f) < 0 or max(f) >= n:
+        raise NotAPermutation("bijection is not a permutation of the vertex set")
     if g.degree != h.degree:
         return False
     mask = bytearray(n)
     for s in h.conn:
         mask[s] = mask[n - s] = 1
-    f = tuple(bijection)
+    p = _period(f)
+    ff = f + f[:p]  # f[x+s] for x < p and s <= n/2, without reducing x+s
     for s in g.conn:
-        # f[x+s] - f[x] lies in (-n, n), and a bytearray of length n indexes
-        # negative values modulo n, so the mask needs no explicit reduction;
-        # each distinct difference is looked up once
-        if not all(mask[d] for d in set(map(sub, f[s:] + f[:s], f))):
+        # map stops after the p entries of the slice; f[x+s] - f[x] lies in
+        # (-n, n), and a bytearray of length n indexes negative values
+        # modulo n, so the mask needs no explicit reduction; each distinct
+        # difference is looked up once
+        if not all(mask[d] for d in set(map(sub, ff[s:s + p], f))):
             return False
     return True
+
+
+def _period(f) -> int:
+    """Least p | n with d(x+p) = d(x) on Z_n, d(x) = f(x+1) - f(x) mod n.
+
+    Divisors are tried in ascending order; since p | n, d[p:] == d[:-p]
+    makes d p-periodic all the way round, and p = n always qualifies.
+    """
+    n = len(f)
+    d = [v % n for v in map(sub, f[1:] + f[:1], f)]
+    larger = []
+    p = 1
+    while p * p <= n:
+        if n % p == 0:
+            if d[p:] == d[:-p]:
+                return p
+            larger.append(n // p)
+        p += 1
+    for p in reversed(larger):  # ends at p = n, where both slices are empty
+        if d[p:] == d[:-p]:
+            break
+    return p
 
 
 def make_witness(source, target, bijection, origin: str) -> IsoWitness:

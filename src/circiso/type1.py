@@ -47,9 +47,6 @@ class Type1Orbit:
     reps: tuple[int, ...]
     stabilizer: tuple[int, ...]
 
-    def unit_for(self, member: Circulant) -> int:
-        return self.reps[self.members.index(member)]
-
 
 @lru_cache(maxsize=128)
 def type1_set(g: Circulant) -> Type1Orbit:
@@ -144,13 +141,25 @@ def type1_group_table(orbit: Type1Orbit) -> GroupTable:
 
 
 def is_adams_isomorphic(a: Circulant, b: Circulant) -> Optional[int]:
-    """Least unit x with x*a = b, or None when no unit works."""
+    """Least unit x with x*a = b, or None when no unit works.
+
+    Solved for, not looked up in the orbit: take r in R with the least
+    d = gcd(r, n). A unit x with x*R = S sends r to ±s for some s in S, and
+    then gcd(s, n) = d and x ≡ ±(s/d)*(r/d)^-1 (mod n/d). That leaves at
+    most 2*|S|*d candidates; the units among them are checked on all of R.
+    """
     if a.n != b.n:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
     if len(a.conn) != len(b.conn):
         return None
-    orbit = type1_set(a)
-    try:
-        return orbit.unit_for(b)
-    except ValueError:
-        return None
+    n = a.n
+    r = min(a.conn, key=lambda s: gcd(s, n))
+    d = gcd(r, n)
+    q = n // d
+    inv = pow(r // d, -1, q)
+    candidates = {(e * (s // d) * inv) % q + k * q
+                  for s in b.conn if gcd(s, n) == d for e in (1, -1) for k in range(d)}
+    for x in sorted(candidates):
+        if gcd(x, n) == 1 and _scaled(a, x) == b.conn:
+            return x
+    return None

@@ -1,4 +1,5 @@
 import time
+from math import gcd
 
 import pytest
 
@@ -49,6 +50,16 @@ def brute_reflexive(values, n):
         assert r != 0
         out.add(min(r, n - r))
     return tuple(sorted(out))
+
+
+def brute_least_unit(a, b):
+    """Least unit x of Z_n with x*R = S, scanning every x in ascending
+    order, or None."""
+    n = a.n
+    for x in range(1, n):
+        if gcd(x, n) == 1 and brute_reflexive((x * s for s in a.conn), n) == b.conn:
+            return x
+    return None
 
 
 def brute_edges(n, conn):

@@ -105,6 +105,7 @@ def test_criterion_6_small_order_ground_truth():
         w = search_isomorphism(realize(pairs16[0]), realize(pairs16[1]))
         assert w is not None and w.verified
         assert is_adams_isomorphic(*pairs16) is None
+        assert pairs16[1] not in type1_set(pairs16[0]).members
 
         for a in triple27:
             for b in triple27:
@@ -113,6 +114,7 @@ def test_criterion_6_small_order_ground_truth():
                 w = search_isomorphism(realize(a), realize(b))
                 assert w is not None and w.verified
                 assert is_adams_isomorphic(a, b) is None
+                assert b not in type1_set(a).members
 
 
 def test_criterion_7_products(section3_results, section4_results):

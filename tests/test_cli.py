@@ -679,6 +679,32 @@ def test_scan_conjecture_enumerates_lazily():
     assert "1 cases scanned" in res.stdout
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "n=2147483648;R=1,2,3", "--m", "2", "--t", "0"),
+    ("t1", "n=2147483647;R=1"),
+    ("t2", "n=2147483648;R=1,2,3", "--m", "2"),
+])
+def test_huge_orders_exit_2_under_a_memory_limit(argv):
+    # each command checks the order before it builds a list of n entries:
+    # without the check, each of these raises MemoryError under the limit
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from circiso.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    res = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert f"exceeds the limit of {cli.MAX_ORDER}" in res.stderr
+
+
+def test_order_limit_is_inclusive(capsys):
+    code, _, err = run(capsys, "t1", "--n", str(cli.MAX_ORDER + 1), "--set", "1")
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+    code, out, _ = run(capsys, "classify", f"n={cli.MAX_ORDER};R=1,2,3", "--m", "2", "--t", "0")
+    assert code == 0 and "identity" in out
+
+
 def test_classify_bad_params_exit_code(capsys):
     code, _, err = run(capsys, "classify", "n=432;R=16,27,48", "--m", "3", "--t", "999")
     assert code == 2

@@ -5,7 +5,15 @@ import pytest
 from circiso.circulant import Circulant, EdgeGraph, realize
 from circiso.products import Product
 from circiso.errors import NotAPermutation, OrderMismatch
-from circiso.iso_oracle import IsoWitness, make_witness, verify_circulant_witness, verify_witness
+from circiso.iso_oracle import (
+    IsoWitness,
+    _period,
+    make_witness,
+    verify_circulant_witness,
+    verify_witness,
+)
+from circiso.residue import units
+from circiso.type1 import adams_vertex_map
 from circiso.type2 import ThetaMap, theta_vertex_map
 
 from oracles import BudgetExceeded, maps_edges_onto, search_isomorphism
@@ -78,6 +86,27 @@ def test_verify_circulant_witness_rejections():
     assert not verify_circulant_witness(a, c, tuple(range(16)))
     assert not verify_circulant_witness(c, a, tuple(range(16)))
     assert not verify_witness(IsoWitness(a, c, tuple(range(16)), False, "x"))
+    # the identity carries every edge of C_16(1,2) onto an edge of
+    # C_16(1,2,3), but does not cover the target: only the degrees tell
+    sub, sup = Circulant(16, (1, 2)), Circulant(16, (1, 2, 3))
+    assert not verify_circulant_witness(sub, sup, tuple(range(16)))
+    assert not verify_witness(IsoWitness(sub, sup, tuple(range(16)), False, "x"))
+
+
+def test_period_of_identity_adam_and_theta_maps():
+    # identity and Adam maps step by a constant; theta maps
+    # x + (x mod m)*m*t repeat their steps every m vertices. A swapped map
+    # need not reach p = n: swapping x and x + n/2 in the identity gives n/2
+    for n, ms in ((16, (2,)), (432, (2, 3)), (6750, (3, 5))):
+        assert _period(tuple(range(n))) == 1
+        for x in units(n)[:6]:
+            assert _period(adams_vertex_map(n, x)) == 1
+        for m in ms:
+            for t in (1, 2, 5, n // m - 1):
+                assert m % _period(theta_vertex_map(ThetaMap(n, m, t))) == 0
+    f = list(range(16))
+    f[3], f[11] = f[11], f[3]
+    assert _period(f) == 8
 
 
 def test_search_finds_type2_pair_16():

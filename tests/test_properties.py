@@ -16,14 +16,14 @@ from circiso.circulant import (
     is_connected,
     realize,
 )
-from circiso.iso_oracle import IsoWitness, verify_circulant_witness, verify_witness
+from circiso.iso_oracle import IsoWitness, _period, verify_circulant_witness, verify_witness
 from circiso.residue import units
 from circiso.type1 import adams_apply, adams_vertex_map, is_adams_isomorphic, type1_set
 from circiso.type2 import ThetaMap, classify_theta, theta_image, theta_vertex_map
 from circiso.products import LAYERS, Product, product_witness
 from circiso.reporting import desc_size, graph_desc, graph_from_desc
 
-from conftest import brute_edges, brute_product_edges
+from conftest import brute_edges, brute_least_unit, brute_product_edges
 from oracles import (
     cartesian_edges,
     detect_circulant,
@@ -204,6 +204,30 @@ def test_type1_orbit_matches_definition(g, self_paired):
     assert orbit.stabilizer == tuple(x for x in unit_list if times(x) == g.conn)
 
 
+@settings(max_examples=300, deadline=None)
+@given(graphs(max_n=96), st.sampled_from(["any", "self-paired", "no unit"]), st.booleans(),
+       st.data())
+def test_least_unit_solve_matches_unit_scan(g, offsets, from_orbit, data):
+    """The solver against a scan of every unit, for partners in the orbit
+    and drawn at random, on graphs with n/2 and on graphs without a unit
+    offset, where the least gcd d exceeds 1 and candidates are lifted."""
+    if offsets == "self-paired":
+        n = g.n + g.n % 2
+        g = Circulant(n, tuple(sorted({*g.conn, n // 2})))
+    elif offsets == "no unit":
+        conn = tuple(s for s in g.conn if gcd(s, g.n) > 1)
+        assume(conn)
+        g = Circulant(g.n, conn)
+    n = g.n
+    if from_orbit:
+        b = adams_apply(g, data.draw(st.sampled_from(units(n))))
+    else:
+        k = len(g.conn) + data.draw(st.sampled_from([0, 0, 0, 1]))
+        b = Circulant(n, tuple(sorted(data.draw(
+            st.sets(st.integers(1, n // 2), min_size=min(k, n // 2), max_size=min(k, n // 2))))))
+    assert is_adams_isomorphic(g, b) == brute_least_unit(g, b)
+
+
 def test_layer_products_verified_at_all_small_orders():
     # the constructors check their CRT embedding edge for edge
     for n in (3, 5, 7, 9, 11, 13):
@@ -246,6 +270,12 @@ def test_theta_kernel_matches_edge_route(case):
         kind = "identity"
     else:
         kind = "type1" if is_adams_isomorphic(g, edge) is not None else "type2"
+        # the classification solves for the unit; the orbit, built by a
+        # scan of every unit, is an independent second opinion
+        orbit = type1_set(g)
+        assert (kind == "type1") == (edge in orbit.members)
+        if kind == "type1":
+            assert cls.unit == orbit.reps[orbit.members.index(edge)]
     assert (cls.kind, cls.image, cls.failing_vertex) == (kind, edge, None)
 
 
@@ -272,3 +302,44 @@ def test_circulant_witness_check_matches_edge_check(case, maker, swap, seed):
     edge = verify_witness(IsoWitness(g, h, tuple(f), False, maker))
     assert edge == maps_edges_onto(realize(g), realize(h), f)
     assert verify_circulant_witness(g, h, f) == edge
+
+
+@st.composite
+def _graph_and_map(draw):
+    """A graph and a permutation of its vertices that is neither a theta nor
+    an Adam map: a random one, or x -> a*(x + p*c[x mod p]) for a unit a and
+    p | n, which shifts each class mod p by its own multiple of p, so that
+    its steps f(x+1) - f(x) repeat every p vertices."""
+    g = draw(graphs(max_n=96))
+    n = g.n
+    if draw(st.booleans()):
+        return g, draw(st.permutations(range(n)))
+    p = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+    a = draw(st.sampled_from(units(n)))
+    c = draw(st.lists(st.integers(0, n // p - 1), min_size=p, max_size=p))
+    return g, [a * (x + p * c[x % p]) % n for x in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_map())
+def test_period_reduced_check_on_other_maps(case):
+    """The connection-set check reads only p = _period(f) positions per
+    offset; on maps outside the theta and Adam families it still gives the
+    verdict of both edge checks. The target is the image where that is
+    circulant, else the source."""
+    g, f = case
+    image = detect_circulant(permute_edges(realize(g), f))
+    h = g if isinstance(image, NotCirculant) else image
+    edge = verify_witness(IsoWitness(g, h, tuple(f), False, "map"))
+    assert edge == maps_edges_onto(realize(g), realize(h), f)
+    assert verify_circulant_witness(g, h, f) == edge
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graph_and_map())
+def test_period_is_the_least_divisor_period_of_the_steps(case):
+    g, f = case
+    n = g.n
+    d = [(f[(x + 1) % n] - f[x]) % n for x in range(n)]
+    assert _period(f) == min(p for p in range(1, n + 1) if n % p == 0
+                             and all(d[(x + p) % n] == d[x] for x in range(n)))

@@ -126,6 +126,17 @@ def test_is_adams_isomorphic_absent_for_type2_pair():
     assert is_adams_isomorphic(Circulant(16, (1, 2, 7)), Circulant(16, (2, 3, 5))) is None
 
 
+def test_is_adams_isomorphic_lifts_candidates():
+    # every offset of C_55(5,11,15) shares a factor with 55 and the least
+    # gcd is 5, so candidates are solved mod 11 and then lifted by
+    # multiples of 11; three least units lie past 11
+    a = Circulant(55, (5, 11, 15))
+    orbit = type1_set(a)
+    assert [x for x in orbit.reps if x > 11] == [12, 14, 17]
+    for member, x in zip(orbit.members, orbit.reps):
+        assert is_adams_isomorphic(a, member) == x
+
+
 def test_is_adams_isomorphic_identity_and_errors():
     assert is_adams_isomorphic(A1, A1) == 1
     with pytest.raises(OrderMismatch):

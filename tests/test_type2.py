@@ -12,7 +12,8 @@ from circiso.errors import (
     ParamMismatch,
     PreconditionViolation,
 )
-from circiso import type2
+from circiso import type1, type2
+from circiso.catalog import S4_LETTERS, load
 from circiso.type2 import (
     ThetaMap,
     classify_theta,
@@ -193,3 +194,20 @@ def test_failing_vertex_beyond_one_matches_edge_route():
     cls = classify_theta(tm, g)
     assert cls.kind == "not_circulant" and cls.failing_vertex == 2
     assert detect_circulant(permute_edges(realize(g), theta_vertex_map(tm))) == NotCirculant(2)
+
+
+def test_classification_builds_no_unit_orbit(monkeypatch):
+    # the least unit is solved for, so classifying the order-6750 catalog
+    # rows never builds the 1,800-unit orbit
+    def refuse(g):
+        raise RuntimeError(f"type1_set({g.label()}) called")
+
+    monkeypatch.setattr(type1, "type1_set", refuse)
+    cat = load()
+    graphs = {letter: cat.s4_member(letter, 1) for letter in S4_LETTERS}
+    for row in cat.s4_theta_rows():
+        cls = classify_theta(ThetaMap(6750, row["m"], row["t"]), graphs["A"])
+        want = row["map"] if isinstance(row["map"], str) else "type2"
+        assert cls.kind == want
+        if want == "type2":
+            assert cls.image == graphs[row["map"]["A"]]
