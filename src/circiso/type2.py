@@ -4,6 +4,7 @@ with their group structure."""
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Optional, Union
 
 from .circulant import Circulant, NotCirculant, symmetric_set
@@ -90,33 +91,79 @@ def _check_classify_preconditions(tm: ThetaMap, g: Circulant):
 
 
 def theta_image(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
-    """Decide whether theta maps C_n(R) onto a circulant, on m vertices.
+    """Decide whether theta maps C_n(R) onto a circulant, one residue class
+    of offsets at a time.
 
     The image vertex theta(u) has difference set
     D_u = {theta(u+s) - theta(u) : s in R ∪ -R}. Since
-    theta(x+m) = theta(x) + m, D_u depends only on u mod m, so the image is
-    circulant iff D_u = D_0 for u in [0, m); D_0 is theta_offsets. Otherwise
-    the result names the least failing u. Image vertex x has a preimage
-    congruent to x mod m, so u is also the least image vertex whose
-    difference set differs from vertex 0's, the vertex that an edge-level
-    circulance test on the transformed edge set reports.
+    theta(x+m) = theta(x) + m, D_u depends only on u mod m. Split R ∪ -R
+    into the classes S_r = {s : s ≡ r (mod m)}; for u in [0, m) and s in
+    S_r, theta(u+s) - theta(u) = s + ((u+r) mod m - u)*m*t, which is
+    s + r*m*t, less a further m²*t exactly when u + r >= m. Every value
+    keeps its residue r mod m (m | n), so D_u is the disjoint union over r
+    of these translates of S_r, and D_u = D_0 iff S_r + m²*t = S_r for every
+    r >= m - u. The image is circulant iff that holds at u = m - 1, i.e.
+    iff every S_r with r in [1, m) is invariant under translation by
+    m²*t mod n; then D_0 (theta_offsets) is its connection set. Otherwise
+    the least failing u is m - r for the largest non-invariant r. Image
+    vertex x has a preimage congruent to x mod m, so u is also the least
+    image vertex whose difference set differs from vertex 0's, the vertex
+    that an edge-level circulance test on the transformed edge set reports.
     """
-    n, m, mt = tm.n, tm.m, tm.m * tm.t
+    n, m = tm.n, tm.m
+    shift = m * m * tm.t % n
     full = symmetric_set(g)
-    d0 = frozenset(theta_offsets(tm, full))
-    for u in range(1, m):
-        # theta(u+s) - theta(u) = s + ((u+s) mod m - u)*m*t
-        if frozenset((s + ((u + s) % m - u) * mt) % n for s in full) != d0:
-            return NotCirculant(u)
-    return Circulant(n, reflexive_reduce(d0, n))
+    classes = _offset_classes(full, m)
+    for r in range(m - 1, 0, -1):
+        if {(s + shift) % n for s in classes[r]} != classes[r]:
+            return NotCirculant(m - r)
+    return Circulant(n, reflexive_reduce(theta_offsets(tm, full), n))
+
+
+def _offset_classes(full, m: int) -> list[set]:
+    """The classes S_r = {s in full : s ≡ r (mod m)}, indexed by r in [0, m)."""
+    classes = [set() for _ in range(m)]
+    for s in full:
+        classes[s % m].add(s)
+    return classes
+
+
+def _class_period(cls, n: int) -> int:
+    """Least d > 0 with cls + d = cls mod n; 1 for the empty set.
+
+    The translations fixing cls form a subgroup of Z_n, so the result
+    divides n. For s0 in cls, s0 + d must lie in cls, so the least d is
+    some s - s0 (mod n), or n when no candidate fixes cls.
+    """
+    if not cls:
+        return 1
+    s0 = min(cls)
+    for d in sorted((s - s0) % n for s in cls if s != s0):
+        if all((s + d) % n in cls for s in cls):
+            return d
+    return n
+
+
+def _lattice_step(g: Circulant, m: int) -> int:
+    """The least q > 0 such that theta(n, m, t) maps g onto a circulant
+    exactly when q | t.
+
+    By theta_image the image is circulant iff m²*t fixes every S_r, r in
+    [1, m). The translations fixing S_r are the multiples of its period
+    P_r | n, so the condition is P | m²*t for P = lcm of the P_r, that is
+    P / gcd(P, m²) | t.
+    """
+    classes = _offset_classes(symmetric_set(g), m)
+    p = lcm(*(_class_period(c, g.n) for c in classes[1:]))
+    return p // gcd(p, m * m)
 
 
 def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     """Decide whether theta maps g onto a circulant and classify the image.
 
-    Detection runs on m vertices (theta_image). A circulant image comes with
-    the vertex bijection as witness, checked edge for edge on the two
-    connection sets before it is attached; a failed check raises
+    Detection runs on the residue classes of R (theta_image). A circulant
+    image comes with the vertex bijection as witness, checked edge for edge
+    on the two connection sets before it is attached; a failed check raises
     InvariantViolation. The witness endpoints are g and the image
     themselves, so classification builds no edge set.
     """
@@ -170,17 +217,19 @@ class Type2Orbit:
 
 def type2_set(g: Circulant, m: int) -> Type2Orbit:
     """Classify theta(n, m, t) on g for every t in [0, n/m) and collect the
-    Type-2 orbit of g. Every circulant image's bijection is checked, so no
-    membership claim rests on the difference sets alone; each member keeps
+    Type-2 orbit of g. Only the t on the lattice of _lattice_step can give a
+    circulant image: every other t is recorded as not circulant without
+    being classified. Every circulant image's bijection is checked, so no
+    membership claim rests on the offset classes alone; each member keeps
     the bijection of its least t as its witness."""
     # validates m before range(n // m) is taken
     _check_classify_preconditions(ThetaMap(g.n, m, 0), g)
-    outcomes = []
+    outcomes = [(t, "not_circulant", None) for t in range(g.n // m)]
     first = {}  # Type-2 image -> witness of its least t
-    for t in range(g.n // m):
+    for t in range(0, g.n // m, _lattice_step(g, m)):
         tm = ThetaMap(g.n, m, t)
         kind, image, _, _ = _classify(tm, g)
-        outcomes.append((t, kind, image))
+        outcomes[t] = (t, kind, image)
         if kind == "type2" and image not in first:
             first[image] = _witness(tm, g, image)
     members = tuple(sorted({g, *first}))

@@ -1,8 +1,9 @@
 """Test oracles that no command uses: the tuple edge-set route that
 verify_witness replaced (factor edge sets folded by cartesian_edges, and a
-check that looks up each image), circulance detection on an explicit edge
-set, vertex relabeling, and a bounded deterministic backtracking
-isomorphism search for small orders.
+check that looks up each image), the per-vertex difference-set route that
+theta_image replaced, circulance detection on an explicit edge set, vertex
+relabeling, and a bounded deterministic backtracking isomorphism search for
+small orders.
 
 The search is a desk-scale verification device. It never certifies a claim
 it has not checked edge-by-edge, and a budget overrun is an explicit error,
@@ -14,10 +15,11 @@ import itertools
 from functools import reduce
 from typing import Optional, Union
 
-from circiso.circulant import Circulant, EdgeGraph, NotCirculant, realize
+from circiso.circulant import Circulant, EdgeGraph, NotCirculant, realize, symmetric_set
 from circiso.errors import CircisoError, InvariantViolation, NotAPermutation, OrderMismatch
 from circiso.iso_oracle import IsoWitness
 from circiso.residue import reflexive_reduce
+from circiso.type2 import ThetaMap, theta_offsets
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -80,6 +82,21 @@ def permute_edges(eg: EdgeGraph, perm) -> EdgeGraph:
         pa, pb = perm[a], perm[b]
         add((pa, pb) if pa < pb else (pb, pa))
     return EdgeGraph(eg.n, frozenset(es))
+
+
+def theta_image_by_difference_sets(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
+    """theta_image decided on m vertices: the image vertex theta(u) has
+    difference set D_u = {theta(u+s) - theta(u) : s in R ∪ -R}, which
+    depends only on u mod m, so the image is circulant iff D_u = D_0 for u
+    in [0, m); otherwise the result names the least failing u."""
+    n, m, mt = tm.n, tm.m, tm.m * tm.t
+    full = symmetric_set(g)
+    d0 = frozenset(theta_offsets(tm, full))
+    for u in range(1, m):
+        # theta(u+s) - theta(u) = s + ((u+s) mod m - u)*m*t
+        if frozenset((s + ((u + s) % m - u) * mt) % n for s in full) != d0:
+            return NotCirculant(u)
+    return Circulant(n, reflexive_reduce(d0, n))
 
 
 def detect_circulant(eg: EdgeGraph) -> Union[Circulant, NotCirculant]:

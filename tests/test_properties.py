@@ -4,7 +4,7 @@ law at small orders, orbit symmetry, and round trips."""
 from math import gcd
 from types import SimpleNamespace
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from circiso.circulant import (
@@ -19,7 +19,14 @@ from circiso.circulant import (
 from circiso.iso_oracle import IsoWitness, _period, verify_circulant_witness, verify_witness
 from circiso.residue import units
 from circiso.type1 import adams_apply, adams_vertex_map, is_adams_isomorphic, type1_set
-from circiso.type2 import ThetaMap, classify_theta, theta_image, theta_vertex_map
+from circiso.type2 import (
+    ThetaMap,
+    _class_period,
+    classify_theta,
+    theta_image,
+    theta_vertex_map,
+    type2_set,
+)
 from circiso.products import LAYERS, Product, product_witness
 from circiso.reporting import desc_size, graph_desc, graph_from_desc
 
@@ -31,6 +38,7 @@ from oracles import (
     maps_edges_onto,
     permute_edges,
     ring_edges,
+    theta_image_by_difference_sets,
 )
 from test_acceptance import _theta_graph
 
@@ -277,6 +285,96 @@ def test_theta_kernel_matches_edge_route(case):
         if kind == "type1":
             assert cls.unit == orbit.reps[orbit.members.index(edge)]
     assert (cls.kind, cls.image, cls.failing_vertex) == (kind, edge, None)
+
+
+# ---- the per-class circulance rule against the difference-set route ----
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def _class_graph(draw, m, n, max_offsets=9):
+    """C_n(R) with R drawn from some of the classes mod m, so that other
+    classes are empty; half the time R is closed under a shift by a
+    multiple p of m dividing n, so that its classes are p-periodic and
+    some theta images are circulant; n/2 joins R when drawn."""
+    half = n // 2
+    residues = draw(st.sets(st.integers(0, m - 1), min_size=1))
+    pool = [s for s in range(1, half + 1) if s % m in residues]
+    base = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=max_offsets))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from([d for d in _divisors(n) if d % m == 0]))
+        base = {b % p + k * p for b in base for k in range(n // p)} - {0}
+    if n % 2 == 0 and draw(st.booleans()):
+        base.add(half)
+    return Circulant.reduced(n, base)
+
+
+@st.composite
+def _class_case(draw):
+    m = draw(st.sampled_from([2, 3, 5]))
+    n = m**3 * draw(st.integers(1, 250 // m**3))
+    g = draw(_class_graph(m, n))
+    return g, ThetaMap(n, m, draw(st.integers(0, n // m - 1)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(_class_case())
+# n/2 lies in class 0 whenever m^3 | n; here with classes 1 and 2 empty
+@example((Circulant(108, (3, 6, 54)), ThetaMap(108, 3, 5)))
+@example((Circulant(16, (1, 2, 7, 8)), ThetaMap(16, 2, 1)))
+# classes 2 and 3 mod 5 are empty
+@example((Circulant(125, (1, 5, 24)), ThetaMap(125, 5, 3)))
+# classes 2 and 3 mod 5 are not invariant and 1 and 4 are empty: the least
+# failing vertex is 5 - 3 = 2, for the largest such r, not 5 - 2 = 3
+@example((Circulant(125, (7, 28, 48, 55)), ThetaMap(125, 5, 12)))
+def test_theta_image_matches_difference_set_route(case):
+    """theta_image decides on the classes S_r what the m per-vertex
+    difference sets decide: the same image, or the same failing vertex."""
+    g, tm = case
+    assert theta_image(tm, g) == theta_image_by_difference_sets(tm, g)
+
+
+@st.composite
+def _type2_case(draw):
+    """A graph that meets the Type-2 preconditions at a small order."""
+    m = draw(st.sampled_from([2, 3, 5]))
+    n = m**3 * draw(st.integers(1, {2: 4, 3: 2, 5: 1}[m]))
+    g = draw(_class_graph(m, n, max_offsets=6))
+    g = Circulant.reduced(n, {*g.conn, m * draw(st.integers(1, n // 2 // m))})
+    assume(len(g.conn) >= 3)
+    return g, m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_type2_case())
+@example((Circulant(16, (1, 2, 7)), 2))
+def test_type2_set_outcomes_match_classify_theta(case):
+    """type2_set classifies only the t on its lattice; every outcome, those
+    it skips included, is the one classify_theta gives."""
+    g, m = case
+    orbit = type2_set(g, m)
+    assert len(orbit.outcomes) == g.n // m
+    for t, outcome in enumerate(orbit.outcomes):
+        cls = classify_theta(ThetaMap(g.n, m, t), g)
+        assert outcome == (t, cls.kind, cls.image)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_class_period_matches_least_fixing_shift(data):
+    """_class_period against a scan of every shift d in [1, n], on sets
+    closed under a divisor of n, with and without stray elements, and on
+    the empty set."""
+    n = data.draw(st.integers(1, 60))
+    p = data.draw(st.sampled_from(_divisors(n)))
+    base = data.draw(st.sets(st.integers(0, p - 1), max_size=p))
+    stray = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
+    cls = {b + k * p for b in base for k in range(n // p)} | stray
+    least = min(d for d in range(1, n + 1) if {(s + d) % n for s in cls} == cls)
+    assert _class_period(cls, n) == least
+    assert _class_period(set(), n) == 1
 
 
 @settings(max_examples=500, deadline=None)
