@@ -139,36 +139,49 @@ class EdgeGraph:
     edges: frozenset
 
 
-def neighbour_maps(factors):
-    """Each step of the Cartesian product of factors, as a neighbour list.
+def steps(factors):
+    """(block, shift, half) for each step of the Cartesian product of factors.
 
     factors are in encoding order: vertex (x, y) of G x F is x*|F| + y.
     Each is a Circulant (its offsets) or a ring length k (offset 1; k = 2
-    is a single edge). For every offset s of every factor this yields the
-    list u with u[v] the vertex one step of s from v: a cyclic shift by
-    s*stride inside each block of k*stride vertices, where stride is the
-    order of the factors after it. Every edge {v, u[v]} of the product is
-    listed, some twice (both directions of an n/2 offset or the 2-ring).
+    is a single edge). Every offset s of every factor is one step: a cyclic
+    shift by shift = s*stride inside each block of block = k*stride
+    vertices, where stride is the order of the factors after it. The step
+    joins v to the vertex shifted(range(n), block, shift)[v]; together the
+    steps list every edge of the product. half is True when 2s = k (an n/2
+    offset or the 2-ring): that step lists each of its n/2 edges twice, once
+    from each end, and every other step lists each of its n edges once.
     """
-    n = prod(f if isinstance(f, int) else f.n for f in factors)
-    stride = n
+    stride = _order(factors)
     for f in factors:
         k, offsets = (f, (1,)) if isinstance(f, int) else (f.n, f.conn)
         stride //= k
-        block = k * stride
         for s in offsets:
-            shift = s * stride
-            u = []
-            for start in range(0, n, block):
-                u += range(start + shift, start + block)
-                u += range(start, start + shift)
-            yield u
+            yield k * stride, s * stride, 2 * s == k
+
+
+def shifted(seq, block, shift) -> list:
+    """seq with each block of `block` consecutive entries rotated left by
+    shift, two slices per block: entry v is seq[u], for u the vertex one
+    step (block, shift) from v."""
+    out = []
+    for start in range(0, len(seq), block):
+        mid = start + shift
+        out += seq[mid:start + block]
+        out += seq[start:mid]
+    return out
+
+
+def _order(factors) -> int:
+    return prod(f if isinstance(f, int) else f.n for f in factors)
 
 
 def edge_set(factors) -> frozenset:
     """The edges (a, b), a < b, of the Cartesian product of factors."""
+    vertices = range(_order(factors))
     return frozenset((v, w) if v < w else (w, v)
-                     for u in neighbour_maps(factors) for v, w in enumerate(u))
+                     for block, shift, _ in steps(factors)
+                     for v, w in enumerate(shifted(vertices, block, shift)))
 
 
 # no command reads an EdgeGraph: realize serves the tests, and stays cached

@@ -1,12 +1,12 @@
 """Ground truth for isomorphism claims: an explicit vertex bijection,
-checked edge for edge, either on edge sets enumerated from the factors or
+checked edge for edge, either step by step over the endpoints' factors or
 on connection sets."""
 
 from dataclasses import dataclass
-from operator import sub
+from operator import add, sub
 from typing import TYPE_CHECKING, Union
 
-from .circulant import Circulant, neighbour_maps
+from .circulant import Circulant, shifted, steps
 from .errors import NotAPermutation, OrderMismatch
 
 if TYPE_CHECKING:
@@ -19,8 +19,9 @@ class IsoWitness:
 
     Each endpoint is the graph a report names: a Circulant, or a Product of
     circulants and rings. Both expose n and factors, from which
-    verify_witness enumerates the edges. origin records how the bijection
-    was produced, e.g. "theta(m=2,t=54)", "adam(x=5)", "crt-embedding(16x27)".
+    verify_witness lists the steps that make up the edges. origin records
+    how the bijection was produced, e.g. "theta(m=2,t=54)", "adam(x=5)",
+    "crt-embedding(16x27)".
     """
 
     source: Union[Circulant, "Product"]
@@ -33,23 +34,54 @@ class IsoWitness:
 def verify_witness(w: IsoWitness) -> bool:
     """True iff the bijection maps the source edge set exactly onto the target's.
 
-    Both edge sets are enumerated from the endpoints' factors and compared
-    as sets of codes a*n + b, a < b: the images of the source edges, and
-    the target's edges.
+    The source edges are listed step by step from its factors
+    (circulant.steps): a step joins each v to u(v), and the image
+    neighbour list f(u(v)) is shifted(f, block, shift), built from slices
+    of f. Every image pair {f(v), f(u(v))} of every step is checked:
+    against a mask of S ∪ (n-S) for a Circulant target, where the pair is
+    an edge exactly when f(u(v)) - f(v) lies in it (each distinct
+    difference is looked up once), and against the arcs a*n + b of the
+    target's edges, in both directions, for a Product target.
+
+    That covers the target too. A bijection f maps distinct vertex pairs to
+    distinct pairs, so f(E) is a set of |E| target edges; once |E| equals
+    the target's edge count, f(E) is the whole target edge set. Both counts
+    come from the steps, n/2 for a half step and n for any other: steps of
+    different factors move different coordinates, and the offsets of a
+    Circulant are distinct reflexive classes in [1, n/2], so no edge is
+    listed by two steps, and a half step lists its n/2 edges once from each
+    end.
     """
-    n = w.source.n
-    if n != w.target.n:
-        raise OrderMismatch(f"orders differ: {n} vs {w.target.n}")
-    if sorted(w.bijection) != list(range(n)):
+    source, target = w.source, w.target
+    n = source.n
+    if n != target.n:
+        raise OrderMismatch(f"orders differ: {n} vs {target.n}")
+    f = w.bijection
+    if sorted(f) != list(range(n)):
         raise NotAPermutation("bijection is not a permutation of the vertex set")
-    return _edge_codes(w.source, w.bijection) == _edge_codes(w.target, range(n))
+    if _edge_count(source) != _edge_count(target):
+        return False
+    images = (shifted(f, block, shift) for block, shift, _ in steps(source.factors))
+    if isinstance(target, Circulant):
+        mask = bytearray(n)
+        for s in target.conn:
+            mask[s] = mask[n - s] = 1
+        # f(u) - f(v) lies in (-n, n), and a bytearray of length n indexes
+        # negative values modulo n
+        return all(mask[d] for fu in images for d in set(map(sub, fu, f)))
+    arcs = set()
+    vertices = range(n)
+    for block, shift, _ in steps(target.factors):
+        u = shifted(vertices, block, shift)
+        arcs.update(map(add, range(0, n * n, n), u))
+        arcs.update(map(add, [x * n for x in u], vertices))
+    fn = [x * n for x in f]
+    return all(arcs.issuperset(map(add, fn, fu)) for fu in images)
 
 
-def _edge_codes(g, f) -> set:
-    """Codes a*n + b, a < b, of the images {f[v], f[u[v]]} of g's edges."""
-    n = g.n
-    return {a * n + b if a < b else b * n + a
-            for u in neighbour_maps(g.factors) for a, b in zip(f, [f[v] for v in u])}
+def _edge_count(g) -> int:
+    """Edges of a witness endpoint, counted from its steps."""
+    return sum(g.n // 2 if half else g.n for _, _, half in steps(g.factors))
 
 
 def verify_circulant_witness(g: Circulant, h: Circulant, bijection) -> bool:

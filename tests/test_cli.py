@@ -17,14 +17,22 @@ from hypothesis import strategies as st
 
 import circiso
 from circiso import cli, iso_oracle, products, type2
-from circiso.circulant import WITNESS_EDGE_CAP, Circulant, neighbour_maps, parse_graph, realize
+from circiso.circulant import (
+    WITNESS_EDGE_CAP,
+    Circulant,
+    edge_set,
+    parse_graph,
+    realize,
+    shifted,
+    steps,
+)
 from circiso.cli import main
 from circiso.residue import MAX_MODULUS
-from circiso.reporting import witness_json
-from circiso.type1 import adams_vertex_map, type1_set
+from circiso.reporting import graph_from_desc, witness_json
+from circiso.type1 import adams_apply, adams_vertex_map, type1_set
 from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 
-from oracles import search_isomorphism
+from oracles import endpoint_edges, maps_edges_onto, search_isomorphism
 from test_products import layered_graph
 
 SRC = pathlib.Path(circiso.__file__).resolve().parents[1]
@@ -163,6 +171,23 @@ def test_classification_builds_no_edge_set(monkeypatch):
     assert cls.image in orbit.members and orbit.witnesses
     # vertices 0 and 1 of A_1 have different neighbourhoods
     for w in (cls.witness, *orbit.witnesses):
+        assert iso_oracle.verify_witness(w)
+        assert not iso_oracle.verify_witness(_swapped(w))
+
+
+def test_edge_check_is_independent_of_the_circulant_check(monkeypatch):
+    # verify_witness reads every entry of the map for every step; it must
+    # not fall back on the connection-set check or on the map's period
+    g = parse_graph(A432)
+    witnesses = [classify_theta(ThetaMap(g.n, 2, 54), g).witness,
+                 iso_oracle.make_witness(g, adams_apply(g, 5), adams_vertex_map(g.n, 5),
+                                         "adam(x=5)"),
+                 products.product_witness("coprime", parse_graph("n=16;R=1,2,7"),
+                                          parse_graph("n=27;R=1,3,8,10"))[1]]
+    _forbid_calls(monkeypatch, iso_oracle.verify_circulant_witness, iso_oracle._period)
+    # vertices 0 and 1 have different neighbourhoods in A_1 and in the
+    # product of the two factors
+    for w in witnesses:
         assert iso_oracle.verify_witness(w)
         assert not iso_oracle.verify_witness(_swapped(w))
 
@@ -438,7 +463,7 @@ def _product_report(kind, *graphs, source_n):
 def test_verify_hostile_report_fails_cleanly(tmp_path, capsys, monkeypatch, content, message):
     f = tmp_path / "hostile.json"
     f.write_text(content)
-    _forbid_calls(monkeypatch, realize, neighbour_maps)
+    _forbid_calls(monkeypatch, realize, steps, shifted)
     code, _, err = run(capsys, "verify", str(f))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -453,8 +478,8 @@ def test_verify_accepts_handwritten_witness(tmp_path, capsys):
 
 
 def test_verify_keeps_no_edge_set(tmp_path, capsys, monkeypatch):
-    # verify enumerates each witness's edges from the endpoints' factors and
-    # realizes no edge set
+    # verify walks each witness's steps from the endpoints' factors and
+    # builds no edge set
     reports = []
     for i, argv in enumerate((("t1", A432), ("t2", A432, "--m", "3"),
                               ("product", "coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"),
@@ -462,7 +487,7 @@ def test_verify_keeps_no_edge_set(tmp_path, capsys, monkeypatch):
         reports.append(tmp_path / f"{i}.json")
         code, _, _ = run(capsys, *argv, "--out", str(reports[-1]))
         assert code == 0
-    _forbid_calls(monkeypatch, realize)
+    _forbid_calls(monkeypatch, realize, edge_set)
     for report in reports:
         witnesses = len(json.loads(report.read_text())["results"]["witnesses"])
         code, out, _ = run(capsys, "verify", str(report))
@@ -637,6 +662,38 @@ def test_products_certified_under_optimize(tmp_path):
         report.write_text(json.dumps(doc))
         res = circiso_O("verify", str(report))
         assert res.returncode == 1 and "[FAIL] witness 0" in res.stdout
+
+
+def test_verify_prism_target(tmp_path, capsys):
+    # only a hand-written report gives verify a Product target: here the
+    # prism of C_7(1,2) onto itself through the identity, and the product
+    # circulant onto the prism through the inverse CRT embedding
+    prism = {"kind": "prism", "n": 14, "base": {"kind": "circulant", "n": 7, "conn": [1, 2]}}
+    result, crt = products.product_witness("prism", parse_graph("n=7;R=1,2"))
+    inverse = [0] * result.n
+    for v, image in enumerate(crt.bijection):
+        inverse[image] = v
+    doc = {"results": {"witnesses": [
+        _witness(source=prism, target=prism, bijection=list(range(14)), origin="identity"),
+        _witness(source=_circulant(result), target=prism, bijection=inverse, origin="inverse")]}}
+    report = tmp_path / "prism.json"
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(report))
+    assert code == 0 and out.count("[PASS] witness") == 2
+    assert "[PASS] witness 0: prism n=14 -> prism n=14" in out
+    # vertices 0 and 1 of layer 0 have different neighbourhoods, so the
+    # transposition of the two is no automorphism of the prism
+    bijection = doc["results"]["witnesses"][0]["bijection"]
+    bijection[0], bijection[1] = 1, 0
+    edges = endpoint_edges(graph_from_desc(prism))
+    assert not maps_edges_onto(edges, edges, bijection)
+    report.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", str(report))
+    assert code == 1 and "[FAIL] witness 0" in out and "[PASS] witness 1" in out
+    res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert res.returncode == 1 and res.stdout.count("[FAIL]") == 1, res.stderr
 
 
 def test_reports_are_byte_stable(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,7 @@ from circiso.residue import units
 from circiso.type1 import adams_vertex_map
 from circiso.type2 import ThetaMap, theta_vertex_map
 
-from oracles import BudgetExceeded, maps_edges_onto, search_isomorphism
+from oracles import BudgetExceeded, endpoint_edges, maps_edges_onto, search_isomorphism
 
 
 def test_theta_bijection_is_a_witness():
@@ -91,6 +91,19 @@ def test_verify_circulant_witness_rejections():
     sub, sup = Circulant(16, (1, 2)), Circulant(16, (1, 2, 3))
     assert not verify_circulant_witness(sub, sup, tuple(range(16)))
     assert not verify_witness(IsoWitness(sub, sup, tuple(range(16)), False, "x"))
+
+
+def test_verify_witness_counts_half_steps_once():
+    # each map carries every source edge onto a target edge, but the source
+    # has fewer edges: only a half step's count, n/2 and not n, tells. The
+    # perfect matching C_4(2) sits in the 4-cycle, and the prism of the
+    # triangle (its 2-ring a half step) in the octahedron C_6(1,2)
+    for source, target, f in ((Circulant(4, (2,)), Circulant(4, (1,)), (0, 1, 3, 2)),
+                              (Product((2, Circulant(3, (1,)))), Circulant(6, (1, 2)),
+                               (0, 1, 2, 4, 5, 3))):
+        a, b = endpoint_edges(source), endpoint_edges(target)
+        assert {tuple(sorted((f[x], f[y]))) for x, y in a.edges} < b.edges
+        assert not verify_witness(IsoWitness(source, target, f, False, "x"))
 
 
 def test_period_of_identity_adam_and_theta_maps():

@@ -1,6 +1,8 @@
 """Invariant checks beyond the acceptance property suites: exhaustive action
 law at small orders, orbit symmetry, and round trips."""
 
+import itertools
+from dataclasses import replace
 from math import gcd
 from types import SimpleNamespace
 
@@ -146,6 +148,85 @@ def test_endpoint_round_trip(case, seed):
         assert verify_witness(w) == maps_edges_onto(endpoint_edges(w.source),
                                                     endpoint_edges(w.target), w.bijection)
     assert verify_witness(witnesses[0]) == automorphism
+
+
+def _inverse(f):
+    inverse = [0] * len(f)
+    for v, image in enumerate(f):
+        inverse[image] = v
+    return tuple(inverse)
+
+
+def _scaling(factors, xs):
+    """The map that multiplies each coordinate of a vertex of the product
+    of factors by its own unit xs[i] (1 on a ring)."""
+    orders = [f if isinstance(f, int) else f.n for f in factors]
+    f = []
+    for coords in itertools.product(*map(range, orders)):
+        v = 0
+        for c, x, k in zip(coords, xs, orders):
+            v = v * k + c * x % k
+        f.append(v)
+    return tuple(f)
+
+
+def _scaled(factors, xs):
+    return Product(tuple(f if isinstance(f, int)
+                         else Circulant.reduced(f.n, [x * s for s in f.conn])
+                         for f, x in zip(factors, xs)))
+
+
+@st.composite
+def product_target_witnesses(draw):
+    """A witness whose target is a Product, its map transposed or not:
+    - the product circulant onto the Product through the inverse CRT map;
+    - the Product onto a copy of it whose circulant factors are each
+      multiplied by a unit, through the map that multiplies each coordinate
+      by its unit (an isomorphism) or through the identity, where the
+      edge counts agree but the edge sets may differ."""
+    e, _ = draw(endpoints().filter(lambda case: isinstance(case[0], Product)))
+    if draw(st.booleans()):
+        crt = _crt_witness(e)
+        assume(crt is not None)
+        w = IsoWitness(crt.target, e, _inverse(crt.bijection), False, "inverse-crt")
+    else:
+        xs = [1 if isinstance(f, int) else draw(st.sampled_from(units(f.n))) for f in e.factors]
+        f = _scaling(e.factors, xs) if draw(st.booleans()) else tuple(range(e.n))
+        w = IsoWitness(e, _scaled(e.factors, xs), f, False, "scaling")
+    if draw(st.booleans()):
+        w = replace(w, bijection=_transposed(w.bijection, draw(st.integers(0, 10**6))))
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(product_target_witnesses())
+def test_edge_check_on_product_targets(w):
+    assert verify_witness(w) == maps_edges_onto(endpoint_edges(w.source),
+                                                endpoint_edges(w.target), w.bijection)
+
+
+def test_edge_check_on_product_targets_examples():
+    # equal edge counts, different edges: C_9(1,4) = 5*C_9(1,2) and
+    # C_8(3,4) = 3*C_8(1,4), the latter with an n/2 offset and the 2-ring
+    # as half steps; the examples run with and without a transposition
+    cases = []
+    for ring, g, x in ((4, Circulant(9, (1, 2)), 5), (2, Circulant(8, (1, 4)), 3),
+                       (4, Circulant(8, (1, 4)), 3)):
+        source, target = Product((ring, g)), _scaled((ring, g), (1, x))
+        a, b = endpoint_edges(source), endpoint_edges(target)
+        assert len(a.edges) == len(b.edges) and a.edges != b.edges
+        cases += [(source, target, _scaling((ring, g), (1, x)), True),
+                  (source, target, tuple(range(source.n)), False)]
+    # the product circulant onto the prism and the C_4 layering of C_9(1,2)
+    for kind in LAYERS:
+        crt = product_witness(kind, Circulant(9, (1, 2)))[1]
+        cases.append((crt.target, crt.source, _inverse(crt.bijection), True))
+    for source, target, f, expected in cases:
+        for g in (f, _transposed(f, 0), _transposed(f, 12345)):
+            w = IsoWitness(source, target, g, False, "example")
+            assert verify_witness(w) == maps_edges_onto(endpoint_edges(source),
+                                                        endpoint_edges(target), g)
+        assert verify_witness(IsoWitness(source, target, f, False, "example")) == expected
 
 
 def test_nested_cartesian_reads_as_one_flat_product():
