@@ -19,6 +19,7 @@ from .circulant import (  # noqa: E402,F401
 )
 from .iso_oracle import (  # noqa: F401
     IsoWitness,
+    PeriodicMap,
     verify_circulant_witness,
     verify_witness,
 )

@@ -22,12 +22,13 @@ from .reporting import (
 )
 from .reproduce import run_section
 from .residue import units
-from .type1 import adams_vertex_map, type1_group_table, type1_set
+from .type1 import adams_periodic, type1_group_table, type1_set
 from .type2 import ThetaMap, classify_theta, type2_group_check, type2_set
 
-# largest order t1, t2 and classify accept. Each builds lists of n entries
-# (units, theta vertex maps, bijections); t2 caches up to 32 theta maps, and
-# at this order that peaks near 200 MB
+# largest order t1, t2 and classify accept. t1 lists the units of Z_n and t2
+# one outcome per t in [0, n/m); witnesses stay in periodic form, and an
+# n-entry image list is built only to store a witness of at most
+# WITNESS_EDGE_CAP edges
 MAX_ORDER = 2**17
 
 
@@ -81,12 +82,13 @@ def _stored(witnesses: list, graphs, checks: list) -> list:
 
 
 def _member_witnesses(orbit):
-    """Witnesses for every member of a Type-1 orbit, each adam(x) map checked
-    on the connection sets, so no edge set is built."""
+    """Witnesses for every member of a Type-1 orbit, each adam(x) map kept
+    in periodic form and checked on the connection sets, so neither a
+    vertex map nor an edge set is built."""
     base = orbit.base
     out = []
     for member, x in zip(orbit.members, orbit.reps):
-        f = adams_vertex_map(base.n, x)
+        f = adams_periodic(base.n, x)
         out.append(IsoWitness(base, member, f, verify_circulant_witness(base, member, f),
                               f"adam(x={x})"))
     return out

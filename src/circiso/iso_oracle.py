@@ -3,6 +3,7 @@ checked edge for edge, either step by step over the endpoints' factors or
 on connection sets."""
 
 from dataclasses import dataclass
+from math import gcd
 from operator import add, sub
 from typing import TYPE_CHECKING, Union
 
@@ -14,6 +15,53 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
+class PeriodicMap:
+    """The vertex map f of Z_n with f(i + k*p) ≡ head[i] + k*c (mod n) for
+    every i in [0, p) and every integer k.
+
+    A theta map x -> x + (x mod m)*m*t is (p = c = m,
+    head = (i + i*m*t mod n for i < m)), an Adam map v -> x*v is (p = 1,
+    c = x, head = (0,)). Construction checks in O(p) that f is a
+    well-defined bijection, by the criterion below, and raises
+    NotAPermutation otherwise; head and c are kept reduced mod n. It also
+    refuses p not dividing n and a head of other than p values: the sets
+    {i + k*p} are then not the p residue classes mod p.
+
+    For p | n, f is a well-defined bijection iff gcd(c, n) = p and the head
+    values are distinct mod p. Proof: i + k*p ≡ i' + k'*p (mod n) forces
+    i = i' (both lie in [0, p) and p | n) and k ≡ k' (mod n/p), so f is
+    well defined iff (n/p)*c ≡ 0 (mod n), that is iff p | c. Then f maps
+    the class {i + k*p} of n/p vertices into the coset head[i] + pZ_n of
+    n/p elements by k -> head[i] + k*c, one to one iff no 0 < k < n/p has
+    k*c ≡ 0 (mod n). The least positive such k is n/gcd(c, n), which
+    divides n/p since p | gcd(c, n), so that holds iff gcd(c, n) = p. The
+    class then fills its coset, and f is onto iff the p cosets differ, that
+    is iff the heads are distinct mod p. The two conditions on c together
+    say gcd(c, n) = p, since gcd(c, n) = p gives p | c.
+    """
+
+    n: int
+    p: int
+    c: int
+    head: tuple[int, ...]
+
+    def __post_init__(self):
+        n, p = self.n, self.p
+        if not (n >= 1 and p >= 1 and n % p == 0 and len(self.head) == p):
+            raise NotAPermutation(f"({p}, {len(self.head)}-entry head) is no period of Z_{n}")
+        head = tuple(v % n for v in self.head)
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "c", self.c % n)
+        if gcd(self.c, n) != p or len({v % p for v in head}) != p:
+            raise NotAPermutation(f"(p={p}, c={self.c}) does not permute Z_{n}")
+
+    def expand(self) -> tuple[int, ...]:
+        """The image list, indexed by vertex."""
+        n, c, head = self.n, self.c, self.head
+        return tuple((v + k * c) % n for k in range(n // self.p) for v in head)
+
+
+@dataclass(frozen=True)
 class IsoWitness:
     """An explicit vertex bijection from source to target, plus its status.
 
@@ -21,14 +69,20 @@ class IsoWitness:
     circulants and rings. Both expose n and factors, from which
     verify_witness lists the steps that make up the edges. origin records
     how the bijection was produced, e.g. "theta(m=2,t=54)", "adam(x=5)",
-    "crt-embedding(16x27)".
+    "crt-embedding(16x27)". A theta or Adam bijection is kept as its
+    PeriodicMap, any other as its image list.
     """
 
     source: Union[Circulant, "Product"]
     target: Union[Circulant, "Product"]
-    bijection: tuple[int, ...]
+    bijection: Union[tuple[int, ...], PeriodicMap]
     verified: bool
     origin: str
+
+    def images(self) -> tuple[int, ...]:
+        """The bijection as an image list indexed by vertex."""
+        f = self.bijection
+        return f.expand() if isinstance(f, PeriodicMap) else f
 
 
 def verify_witness(w: IsoWitness) -> bool:
@@ -51,12 +105,15 @@ def verify_witness(w: IsoWitness) -> bool:
     Circulant are distinct reflexive classes in [1, n/2], so no edge is
     listed by two steps, and a half step lists its n/2 edges once from each
     end.
+
+    A periodic bijection is expanded first: its periodic form is not
+    trusted here.
     """
     source, target = w.source, w.target
     n = source.n
     if n != target.n:
         raise OrderMismatch(f"orders differ: {n} vs {target.n}")
-    f = w.bijection
+    f = w.images()
     if sorted(f) != list(range(n)):
         raise NotAPermutation("bijection is not a permutation of the vertex set")
     if _edge_count(source) != _edge_count(target):
@@ -93,37 +150,40 @@ def verify_circulant_witness(g: Circulant, h: Circulant, bijection) -> bool:
     bijection maps distinct edges to distinct edges, so once the degrees (and
     with them the edge counts) agree, the image covers every target edge.
 
-    Only x in [0, p) is checked, for p = _period(f): if
-    d(x) = f(x+1) - f(x) mod n has d(x+p) = d(x) for all x, then
+    Only x in [0, p) is checked, for the period p of a PeriodicMap: since
+    f(x+p) = f(x) + c for every x, f(x+p+s) - f(x+p) = f(x+s) - f(x), and
+    f(x+s) = head[(x+s) mod p] + ((x+s) div p)*c needs no n-entry list:
+    p*|R| differences in all. An image list is first
+    checked to be a permutation and put in periodic form with p = _period(f):
+    if d(x) = f(x+1) - f(x) mod n has d(x+p) = d(x) for all x, then
     f(x+p) - f(x) ≡ c for one c (consecutive values differ by
-    d(x+p) - d(x) = 0), so f(x+p+s) - f(x+p) ≡ f(x+s) - f(x) and every
-    difference is p-periodic in x. Theta maps have p | m and Adam maps
-    v -> x*v have p = 1; p = n, which always qualifies, checks all n*|R|
-    edges.
+    d(x+p) - d(x) = 0), so f is (p, c, f[:p]). p = n, which always
+    qualifies, checks all n*|R| edges.
     """
     n = g.n
     if h.n != n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
+    f = bijection if isinstance(bijection, PeriodicMap) else _periodic_form(bijection, n)
+    if f.n != n:
+        raise NotAPermutation(f"bijection permutes Z_{f.n}, not Z_{n}")
+    if g.degree != h.degree:
+        return False
+    target = {v for s in h.conn for v in (s, n - s)}
+    p, c, head = f.p, f.c, f.head
+    return all((head[(x + s) % p] + (x + s) // p * c - head[x]) % n in target
+               for s in g.conn for x in range(p))
+
+
+def _periodic_form(bijection, n: int) -> PeriodicMap:
+    """The PeriodicMap of an image list, for p = _period(f); raises
+    NotAPermutation unless the list permutes Z_n."""
     if len(bijection) != n:
         raise NotAPermutation(f"bijection has {len(bijection)} entries, not {n}")
     f = tuple(bijection)
     if len(set(f)) != n or min(f) < 0 or max(f) >= n:
         raise NotAPermutation("bijection is not a permutation of the vertex set")
-    if g.degree != h.degree:
-        return False
-    mask = bytearray(n)
-    for s in h.conn:
-        mask[s] = mask[n - s] = 1
     p = _period(f)
-    ff = f + f[:p]  # f[x+s] for x < p and s <= n/2, without reducing x+s
-    for s in g.conn:
-        # map stops after the p entries of the slice; f[x+s] - f[x] lies in
-        # (-n, n), and a bytearray of length n indexes negative values
-        # modulo n, so the mask needs no explicit reduction; each distinct
-        # difference is looked up once
-        if not all(mask[d] for d in set(map(sub, ff[s:s + p], f))):
-            return False
-    return True
+    return PeriodicMap(n, p, f[p % n] - f[0], f[:p])
 
 
 def _period(f) -> int:

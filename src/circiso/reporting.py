@@ -118,7 +118,7 @@ def witness_json(w: IsoWitness) -> dict:
     return {
         "source": graph_desc(w.source),
         "target": graph_desc(w.target),
-        "bijection": list(w.bijection),
+        "bijection": list(w.images()),
         "origin": w.origin,
         "verified": w.verified,
     }

@@ -8,6 +8,7 @@ from typing import Optional
 
 from .circulant import Circulant
 from .errors import InvariantViolation, NotAUnit, OrderMismatch
+from .iso_oracle import PeriodicMap
 from .residue import reflexive_reduce, units
 
 
@@ -27,11 +28,17 @@ def adams_apply(g: Circulant, x: int) -> Circulant:
     return Circulant(g.n, _scaled(g, x))
 
 
-def adams_vertex_map(n: int, x: int) -> tuple[int, ...]:
-    """The vertex bijection v -> x*v mod n realizing C_n(R) ~ C_n(xR)."""
+def adams_periodic(n: int, x: int) -> PeriodicMap:
+    """The vertex bijection v -> x*v mod n realizing C_n(R) ~ C_n(xR), as
+    the PeriodicMap (p, c, head) = (1, x, (0,))."""
     if gcd(n, x) != 1:
         raise NotAUnit(f"gcd({n}, {x}) != 1")
-    return tuple((x * v) % n for v in range(n))
+    return PeriodicMap(n, 1, x, (0,))
+
+
+def adams_vertex_map(n: int, x: int) -> tuple[int, ...]:
+    """Image list of v -> x*v mod n, indexed by vertex."""
+    return adams_periodic(n, x).expand()
 
 
 @dataclass(frozen=True)
@@ -146,7 +153,12 @@ def is_adams_isomorphic(a: Circulant, b: Circulant) -> Optional[int]:
     Solved for, not looked up in the orbit: take r in R with the least
     d = gcd(r, n). A unit x with x*R = S sends r to ±s for some s in S, and
     then gcd(s, n) = d and x ≡ ±(s/d)*(r/d)^-1 (mod n/d). That leaves at
-    most 2*|S|*d candidates; the units among them are checked on all of R.
+    most 2*|S|*d candidates; the units among them are checked on all of R,
+    in ascending order, against the set S ∪ -S. A unit x with x*r in
+    ±S for every r in R has reflexively reduced x*R ⊆ S; unit
+    multiplication permutes reflexive classes, so x*R has |R| = |S|
+    classes and the inclusion is equality. So the mask test accepts
+    exactly the units with x*R = S, and the least unit is the same.
     """
     if a.n != b.n:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
@@ -159,7 +171,8 @@ def is_adams_isomorphic(a: Circulant, b: Circulant) -> Optional[int]:
     inv = pow(r // d, -1, q)
     candidates = {(e * (s // d) * inv) % q + k * q
                   for s in b.conn if gcd(s, n) == d for e in (1, -1) for k in range(d)}
+    target = {v for s in b.conn for v in (s, n - s)}
     for x in sorted(candidates):
-        if gcd(x, n) == 1 and _scaled(a, x) == b.conn:
+        if gcd(x, n) == 1 and all(x * r % n in target for r in a.conn):
             return x
     return None

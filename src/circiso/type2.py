@@ -3,13 +3,12 @@
 with their group structure."""
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, lcm
 from typing import Optional, Union
 
 from .circulant import Circulant, NotCirculant, symmetric_set
 from .errors import InvalidParams, InvariantViolation, ParamMismatch, PreconditionViolation
-from .iso_oracle import IsoWitness, verify_circulant_witness
+from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
 from .residue import check_modulus, reflexive_reduce, valid_type2_params
 from .type1 import is_adams_isomorphic
 
@@ -20,7 +19,8 @@ class ThetaMap:
 
     Valid only when m > 1, m^3 divides n and 0 <= t < n/m; the induced map
     is then always a permutation of Z_n (classes mod m are preserved, and
-    the shift inside a class is constant).
+    the shift inside a class is constant). Since theta(x + m) = theta(x) + m,
+    the map is the PeriodicMap of periodic().
     """
 
     n: int
@@ -39,15 +39,15 @@ class ThetaMap:
     def label(self) -> str:
         return f"theta(n={self.n},m={self.m},t={self.t})"
 
+    def periodic(self) -> PeriodicMap:
+        """The map as (p, c, head) = (m, m, (i + i*m*t mod n for i < m))."""
+        mt = self.m * self.t
+        return PeriodicMap(self.n, self.m, self.m, tuple(i + i * mt for i in range(self.m)))
 
-@lru_cache(maxsize=32)
+
 def theta_vertex_map(tm: ThetaMap) -> tuple[int, ...]:
     """Image list of the permutation, indexed by vertex."""
-    n, m, mt = tm.n, tm.m, tm.m * tm.t
-    img = tuple((x + (x % m) * mt) % n for x in range(n))
-    if len(set(img)) != n:
-        raise InvariantViolation(f"{tm.label()} is not a permutation")
-    return img
+    return tm.periodic().expand()
 
 
 def theta_offsets(tm: ThetaMap, full) -> tuple[int, ...]:
@@ -182,7 +182,7 @@ def _classify(tm: ThetaMap, g: Circulant):
     image = theta_image(tm, g)
     if isinstance(image, NotCirculant):
         return "not_circulant", None, None, image.vertex
-    if not verify_circulant_witness(g, image, theta_vertex_map(tm)):
+    if not verify_circulant_witness(g, image, tm.periodic()):
         raise InvariantViolation(f"{tm.label()} does not map {g.label()} onto {image.label()}")
     if image == g:
         return "identity", image, None, None
@@ -192,8 +192,8 @@ def _classify(tm: ThetaMap, g: Circulant):
 
 def _witness(tm: ThetaMap, g: Circulant, image: Circulant) -> IsoWitness:
     """The theta bijection of g onto image, checked by _classify, between
-    the two circulants."""
-    return IsoWitness(g, image, theta_vertex_map(tm), True, f"theta(m={tm.m},t={tm.t})")
+    the two circulants, kept in periodic form."""
+    return IsoWitness(g, image, tm.periodic(), True, f"theta(m={tm.m},t={tm.t})")
 
 
 @dataclass(frozen=True)
@@ -269,7 +269,7 @@ def type2_group_check(orbit: Type2Orbit) -> Type2GroupReport:
     q = orbit.base.n // orbit.m
     ts = set(orbit.t_stabilizer)
     contains_zero = 0 in ts
-    closed = all((a + b) % q in ts for a in ts for b in ts)
+    closed = _closed_under_addition(ts, q)
     has_inverses = all((-a) % q in ts for a in ts)
 
     image_at = {t: orbit.outcomes[t][2] for t in ts}
@@ -301,6 +301,19 @@ def type2_group_check(orbit: Type2Orbit) -> Type2GroupReport:
         abelian=abelian,
         identity_ok=identity_ok,
     )
+
+
+def _closed_under_addition(ts: set, q: int) -> bool:
+    """Whether ts ⊆ [0, q) is closed under addition mod q, in O(|ts|).
+
+    A nonempty subset of a finite group that is closed under addition is a
+    subgroup: it holds every multiple of each of its elements, 0 and the
+    inverses among them. The subgroup ts generates in Z_q is dZ_q for
+    d = gcd(q, *ts), so ts is closed iff ts = dZ_q. Every element of ts is
+    a multiple of d, so that holds iff ts has q/d elements. The empty set
+    is closed.
+    """
+    return not ts or len(ts) * gcd(q, *ts) == q
 
 
 def theta_compose(a: ThetaMap, b: ThetaMap) -> ThetaMap:

@@ -106,7 +106,7 @@ def test_t1_rejects_a_wrong_member_map(capsys, monkeypatch):
         f[0], f[1] = f[1], f[0]
         return tuple(f)
 
-    monkeypatch.setattr(cli, "adams_vertex_map", transposed)
+    monkeypatch.setattr(cli, "adams_periodic", transposed)
     code, out, _ = run(capsys, "t1", A432, "--json")
     assert code == 1
     assert not any(w["verified"] for w in json.loads(out)["results"]["witnesses"])
@@ -153,7 +153,7 @@ def test_t2_classifies_each_t_once(capsys, monkeypatch):
 
 def _swapped(w):
     """w with the images of vertices 0 and 1 swapped in its bijection."""
-    f = list(w.bijection)
+    f = list(w.images())
     f[0], f[1] = f[1], f[0]
     return replace(w, bijection=tuple(f))
 
@@ -215,7 +215,7 @@ def test_t2_witnesses_match_reclassification(capsys, graph, m):
                 if c["kind"] == "type2" and c["image"] == desc)
         w = classify_theta(ThetaMap(g.n, m, t), g).witness
         expected.append({"source": _circulant(g), "target": _circulant(member),
-                         "bijection": list(w.bijection), "origin": w.origin,
+                         "bijection": list(w.images()), "origin": w.origin,
                          "verified": w.verified})
     assert expected and results["witnesses"] == expected
 

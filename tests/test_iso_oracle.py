@@ -1,12 +1,18 @@
+import os
+import pathlib
+import subprocess
+import sys
 from itertools import permutations
 
 import pytest
 
+import circiso
 from circiso.circulant import Circulant, EdgeGraph, realize
 from circiso.products import Product
 from circiso.errors import NotAPermutation, OrderMismatch
 from circiso.iso_oracle import (
     IsoWitness,
+    PeriodicMap,
     _period,
     make_witness,
     verify_circulant_witness,
@@ -91,6 +97,34 @@ def test_verify_circulant_witness_rejections():
     sub, sup = Circulant(16, (1, 2)), Circulant(16, (1, 2, 3))
     assert not verify_circulant_witness(sub, sup, tuple(range(16)))
     assert not verify_witness(IsoWitness(sub, sup, tuple(range(16)), False, "x"))
+
+
+def test_malformed_periodic_maps_raise_under_optimize():
+    # python -O strips assert statements; a PeriodicMap that is no
+    # bijection of Z_n must still be refused when it is built, so neither
+    # check ever reads one
+    bad = [(16, 3, 3, (0, 1, 2)),  # p does not divide n
+           (16, 2, 2, (0,)),  # head shorter than p
+           (16, 0, 0, ()),
+           (16, 2, 4, (0, 1)),  # gcd(c, n) = 4 != p: a class folds onto itself
+           (16, 2, 3, (0, 1)),  # gcd(c, n) = 1: not well defined round the cycle
+           (16, 2, 2, (0, 2))]  # both heads in one class mod p
+    code = ("import sys\n"
+            "from circiso.errors import NotAPermutation\n"
+            "from circiso.iso_oracle import PeriodicMap\n"
+            f"for args in {bad!r}:\n"
+            "    try:\n"
+            "        PeriodicMap(*args)\n"
+            "    except NotAPermutation:\n"
+            "        continue\n"
+            "    sys.exit(f'accepted {args}')\n")
+    src = pathlib.Path(circiso.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert res.returncode == 0, res.stderr
+    a = Circulant(16, (1, 2, 7))
+    with pytest.raises(NotAPermutation):  # a map of Z_8 on a graph of order 16
+        verify_circulant_witness(a, a, PeriodicMap(8, 1, 1, (0,)))
 
 
 def test_verify_witness_counts_half_steps_once():

@@ -6,6 +6,7 @@ from dataclasses import replace
 from math import gcd
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -18,12 +19,26 @@ from circiso.circulant import (
     is_connected,
     realize,
 )
-from circiso.iso_oracle import IsoWitness, _period, verify_circulant_witness, verify_witness
+from circiso.errors import NotAPermutation
+from circiso.iso_oracle import (
+    IsoWitness,
+    PeriodicMap,
+    _period,
+    verify_circulant_witness,
+    verify_witness,
+)
 from circiso.residue import units
-from circiso.type1 import adams_apply, adams_vertex_map, is_adams_isomorphic, type1_set
+from circiso.type1 import (
+    adams_apply,
+    adams_periodic,
+    adams_vertex_map,
+    is_adams_isomorphic,
+    type1_set,
+)
 from circiso.type2 import (
     ThetaMap,
     _class_period,
+    _closed_under_addition,
     classify_theta,
     theta_image,
     theta_vertex_map,
@@ -314,7 +329,11 @@ def test_least_unit_solve_matches_unit_scan(g, offsets, from_orbit, data):
         k = len(g.conn) + data.draw(st.sampled_from([0, 0, 0, 1]))
         b = Circulant(n, tuple(sorted(data.draw(
             st.sets(st.integers(1, n // 2), min_size=min(k, n // 2), max_size=min(k, n // 2))))))
-    assert is_adams_isomorphic(g, b) == brute_least_unit(g, b)
+    # the least unit is also the orbit's representative of b, and there is
+    # none when b lies outside the orbit
+    orbit = type1_set(g)
+    least = dict(zip(orbit.members, orbit.reps)).get(b)
+    assert is_adams_isomorphic(g, b) == brute_least_unit(g, b) == least
 
 
 def test_layer_products_verified_at_all_small_orders():
@@ -468,19 +487,85 @@ def test_circulant_witness_check_matches_edge_check(case, maker, swap, seed):
     g, tm = case
     n = g.n
     if maker == "theta":
-        f = list(theta_vertex_map(tm))
+        periodic = tm.periodic()
         image = theta_image(tm, g)
         h = g if isinstance(image, NotCirculant) else image
     else:
         u = units(n)
         x = u[seed % len(u)]
-        f, h = list(adams_vertex_map(n, x)), adams_apply(g, x)
+        periodic, h = adams_periodic(n, x), adams_apply(g, x)
+    f = list(periodic.expand())
     if swap:
         i, j = seed % n, (seed // n + 1 + seed % n) % n
         f[i], f[j] = f[j], f[i]
     edge = verify_witness(IsoWitness(g, h, tuple(f), False, maker))
     assert edge == maps_edges_onto(realize(g), realize(h), f)
     assert verify_circulant_witness(g, h, f) == edge
+    if not swap:  # the periodic form, read in O(p*|R|), gives the same verdict
+        assert verify_witness(IsoWitness(g, h, periodic, False, maker)) == edge
+        assert verify_circulant_witness(g, h, periodic) == edge
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta_cases, st.integers(0, 10**6))
+def test_periodic_maps_expand_to_the_theta_and_adam_formulas(case, seed):
+    _, tm = case
+    n, m, t = tm.n, tm.m, tm.t
+    assert tm.periodic().expand() == tuple((x + (x % m) * m * t) % n for x in range(n))
+    u = units(n)
+    v = u[seed % len(u)]
+    assert adams_periodic(n, v).expand() == tuple(x * v % n for x in range(n))
+
+
+@st.composite
+def _periodic_params(draw):
+    """(n, p, c, head) with p | n and p head values: drawn at random, or
+    with c a multiple of p and heads from distinct classes mod p, where
+    bijections are common."""
+    n = draw(st.integers(1, 48))
+    p = draw(st.sampled_from(_divisors(n)))
+    if draw(st.booleans()):
+        c = draw(st.integers(-2 * n, 2 * n))
+        head = draw(st.lists(st.integers(-2 * n, 2 * n), min_size=p, max_size=p))
+    else:
+        c = p * draw(st.integers(-n, n))
+        classes = draw(st.permutations(range(p)))
+        head = [r + p * draw(st.integers(-n, n)) for r in classes]
+    return n, p, c, tuple(head)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_periodic_params())
+@example((16, 2, 2, (0, 3)))  # theta(16, 2, 1)
+@example((16, 2, 6, (0, 1)))  # c != p, but gcd(c, n) = p: a bijection
+@example((16, 2, 4, (0, 1)))  # gcd(c, n) = 4: two vertices of a class merge
+@example((4, 2, 1, (0, 2)))  # a permutation, but not f(x + 2) = f(x) + 1 round the cycle
+def test_periodic_map_criterion_matches_its_expansion(params):
+    """PeriodicMap accepts (n, p, c, head) exactly when the map written out
+    from its definition permutes Z_n and keeps f(x+p) = f(x) + c all the
+    way round the cycle; it then expands to that map."""
+    n, p, c, head = params
+    f = tuple((head[x % p] + (x // p) * c) % n for x in range(n))
+    bijective = sorted(f) == list(range(n)) and all(
+        f[(x + p) % n] == (f[x] + c) % n for x in range(n))
+    if bijective:
+        assert PeriodicMap(n, p, c, head).expand() == f
+    else:
+        with pytest.raises(NotAPermutation):
+            PeriodicMap(n, p, c, head)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_closure_under_addition_matches_pairwise_definition(data):
+    """The O(|ts|) closure test against every pair, on subgroups dZ_q,
+    subgroups with an element or two added or removed, and random sets."""
+    q = data.draw(st.integers(1, 60))
+    ts = set(range(0, q, data.draw(st.sampled_from(_divisors(q)))))
+    ts ^= data.draw(st.sets(st.integers(0, q - 1), max_size=2))
+    if data.draw(st.booleans()):
+        ts = data.draw(st.sets(st.integers(0, q - 1)))
+    assert _closed_under_addition(ts, q) == all((a + b) % q in ts for a in ts for b in ts)
 
 
 @st.composite

@@ -12,7 +12,7 @@ from circiso.errors import (
     ParamMismatch,
     PreconditionViolation,
 )
-from circiso import type1, type2
+from circiso import iso_oracle, type1, type2
 from circiso.catalog import S4_LETTERS, load
 from circiso.type2 import (
     ThetaMap,
@@ -185,6 +185,23 @@ def test_failed_witness_check_raises(monkeypatch):
         type2_set(C16A, 2)
     # no witness is needed to reject a non-circulant image
     assert classify_theta(ThetaMap(432, 2, 27), A1).kind == "not_circulant"
+
+
+def test_classification_builds_no_vertex_map(monkeypatch):
+    # theta witnesses are checked in periodic form, O(m*|R|) per t, and kept
+    # that way: neither classify_theta nor type2_set expands one into an
+    # n-entry list or looks for a period, and theta_vertex_map keeps no cache
+    def refuse(*args):
+        raise RuntimeError("an n-entry vertex map was built")
+
+    monkeypatch.setattr(iso_oracle.PeriodicMap, "expand", refuse)
+    monkeypatch.setattr(iso_oracle, "_period", refuse)
+    cls = classify_theta(ThetaMap(432, 2, 54), A1)
+    assert cls.kind == "type2" and cls.witness.verified
+    for m in (2, 3):
+        orbit = type2_set(A1, m)
+        assert orbit.witnesses and all(w.verified for w in orbit.witnesses)
+    assert not hasattr(theta_vertex_map, "cache_info")
 
 
 def test_failing_vertex_beyond_one_matches_edge_route():
