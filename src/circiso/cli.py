@@ -3,6 +3,7 @@ constructors, witness re-verification, and the embedded-catalog
 reproduction harness."""
 
 import argparse
+import functools
 import json
 import sys
 
@@ -349,7 +350,11 @@ def _add_output_opts(p):
     p.add_argument("--out", help="write the JSON report to this file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it:
+    parse_args keeps no state between calls, and each subcommand's handler
+    is bound here, when the parser is built."""
     ap = argparse.ArgumentParser(
         prog="circiso",
         description="Type-1/Type-2 isomorphism structure of circulant graphs",
@@ -402,17 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2
-    except CircisoError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (CircisoError, OSError) as e:  # OSError: a report path that cannot be opened
         print(f"error: {e}", file=sys.stderr)
         return 2
 

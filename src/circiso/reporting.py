@@ -138,7 +138,46 @@ def make_report(command: list, input_obj, results, assertions) -> dict:
 
 
 def to_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """The report as `json.dumps(report, indent=2) + "\\n"` writes it, byte
+    for byte: reports are compared with cmp, so the layout is a contract.
+
+    With an indent, json.dumps takes its pure-Python encoder, which spends
+    most of a report's time on the long int lists (bijections, member
+    sets). A list of plain ints (type int, so a bool still prints as
+    true/false) is written here with one str.join in the same layout; the
+    containers around it are laid out as json lays them out, and every
+    other value, keys included, is written by json.dumps."""
+    out = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(v, nl: str, out: list) -> None:
+    """Append the JSON text of v to out; nl is a newline plus the
+    indentation of the line v starts on."""
+    inner = nl + "  "
+    if isinstance(v, dict) and v:
+        sep = "{" + inner
+        for k, x in v.items():
+            # json.dumps turns a non-str key into the string it prints
+            out.append(sep + (json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
+                       + ": ")
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(v, (list, tuple)) and v:
+        if all(type(x) is int for x in v):
+            out.append("[" + inner + ("," + inner).join(map(str, v)) + nl + "]")
+            return
+        sep = "[" + inner
+        for x in v:
+            out.append(sep)
+            _write(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        out.append(json.dumps(v))
 
 
 def all_passed(report: dict) -> bool:

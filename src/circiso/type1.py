@@ -108,24 +108,28 @@ def type1_group_table(orbit: Type1Orbit) -> GroupTable:
     law (x*(y*R) = (xy)*R) already forces associativity, so it is only
     recorded as structural.
     """
-    n = orbit.base.n
+    base = orbit.base
     members, reps = orbit.members, orbit.reps
-    index = {m: i for i, m in enumerate(members)}
+    index = {m.conn: i for i, m in enumerate(members)}
+    # members[i] o members[j] is (reps[i]*reps[j])*R, which depends only on
+    # the product unit: each is scaled once, and no graph is built
+    member_of = {}
     entries = {}
-    closed = True
     for i in range(len(members)):
         for j in range(len(members)):
-            prod = adams_apply(orbit.base, (reps[i] * reps[j]) % n)
-            k = index.get(prod)
-            if k is None:
-                closed = False
-            entries[(i, j)] = k
+            x = (reps[i] * reps[j]) % base.n
+            if x not in member_of:
+                if gcd(x, base.n) != 1:
+                    raise NotAUnit(f"gcd({base.n}, {x}) != 1")
+                member_of[x] = index.get(_scaled(base, x))
+            entries[(i, j)] = member_of[x]
+    closed = None not in member_of.values()
     commutative = all(
         entries[(i, j)] == entries[(j, i)]
         for i in range(len(members))
         for j in range(len(members))
     )
-    b = index[orbit.base]
+    b = index[base.conn]
     identity_ok = all(entries[(b, j)] == j and entries[(j, b)] == j for j in range(len(members)))
     if closed and len(members) <= EXHAUSTIVE_ASSOC_LIMIT:
         assoc_holds = all(

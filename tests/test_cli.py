@@ -255,6 +255,40 @@ def test_parse_error_exit_code(capsys):
     assert "byte" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "{dir}"),
+    ("t1", "n=16;R=1,2,7", "--out", "{dir}"),
+    ("t1", "n=16;R=1,2,7", "--json", "--out", "{dir}"),
+    ("verify", "{dir}/missing.json"),
+])
+def test_unusable_path_exits_2(tmp_path, capsys, argv):
+    # a report path that cannot be opened is bad input, not a failed check
+    code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_parser_is_built_once_and_shared(tmp_path, capsys):
+    cli.build_parser.cache_clear()
+    code, out, _ = run(capsys, "classify", "n=16;R=1,2,7", "--m", "2", "--t", "2", "--json")
+    assert code == 0 and json.loads(out)["results"]["kind"] == "type2"
+    # neither --json nor --out carries over to the next call
+    code, out, _ = run(capsys, "classify", "n=16;R=1,2,7", "--m", "2", "--t", "2")
+    assert code == 0 and out.startswith("[PASS]") and "written" not in out
+    report = tmp_path / "r.json"
+    assert run(capsys, "t1", "n=16;R=1,2,7", "--out", str(report))[0] == 0
+    code, out, _ = run(capsys, "t1", "n=16;R=1,2,7")
+    assert code == 0 and "written" not in out
+    # a call argparse rejects leaves nothing behind for the next one
+    with pytest.raises(SystemExit) as exit_info:
+        main(["t2", "n=16;R=1,2,7"])
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "verify", str(report))
+    assert code == 0 and out.count("[PASS] witness") == 2
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_product_commands(capsys):
     code, out, _ = run(capsys, "product", "coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10", "--json")
     assert code == 0

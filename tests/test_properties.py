@@ -33,6 +33,7 @@ from circiso.type1 import (
     adams_periodic,
     adams_vertex_map,
     is_adams_isomorphic,
+    type1_group_table,
     type1_set,
 )
 from circiso.type2 import (
@@ -306,6 +307,26 @@ def test_type1_orbit_matches_definition(g, self_paired):
     assert orbit.members == tuple(Circulant(n, c) for c in conns)
     assert orbit.reps == tuple(least[c] for c in conns)
     assert orbit.stabilizer == tuple(x for x in unit_list if times(x) == g.conn)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=48), st.data())
+def test_group_table_matches_adams_apply(g, data):
+    # the table scales each product unit once; written out here, entry
+    # (i, j) is the member adams_apply gives for reps[i]*reps[j]. With one
+    # non-base member dropped, the products that land on it are missing,
+    # and the table is not closed
+    orbit = type1_set(g)
+    if len(orbit.members) > 1 and data.draw(st.booleans()):
+        drop = data.draw(st.sampled_from([i for i, m in enumerate(orbit.members) if m != g]))
+        orbit = replace(orbit, members=orbit.members[:drop] + orbit.members[drop + 1:],
+                        reps=orbit.reps[:drop] + orbit.reps[drop + 1:])
+    index = {m: i for i, m in enumerate(orbit.members)}
+    expected = {(i, j): index.get(adams_apply(g, x * y % g.n))
+                for i, x in enumerate(orbit.reps) for j, y in enumerate(orbit.reps)}
+    table = type1_group_table(orbit)
+    assert table.entries == expected
+    assert table.closed == (None not in expected.values())
 
 
 @settings(max_examples=300, deadline=None)
