@@ -55,6 +55,11 @@ class PeriodicMap:
         if gcd(self.c, n) != p or len({v % p for v in head}) != p:
             raise NotAPermutation(f"(p={p}, c={self.c}) does not permute Z_{n}")
 
+    def __call__(self, x: int) -> int:
+        """f(x) for x in Z_n: x = i + k*p with i = x mod p."""
+        k, i = divmod(x % self.n, self.p)
+        return (self.head[i] + k * self.c) % self.n
+
     def expand(self) -> tuple[int, ...]:
         """The image list, indexed by vertex."""
         n, c, head = self.n, self.c, self.head

@@ -157,26 +157,36 @@ def is_adams_isomorphic(a: Circulant, b: Circulant) -> Optional[int]:
     Solved for, not looked up in the orbit: take r in R with the least
     d = gcd(r, n). A unit x with x*R = S sends r to ±s for some s in S, and
     then gcd(s, n) = d and x ≡ ±(s/d)*(r/d)^-1 (mod n/d). That leaves at
-    most 2*|S|*d candidates; the units among them are checked on all of R,
-    in ascending order, against the set S ∪ -S. A unit x with x*r in
-    ±S for every r in R has reflexively reduced x*R ⊆ S; unit
-    multiplication permutes reflexive classes, so x*R has |R| = |S|
-    classes and the inclusion is equality. So the mask test accepts
-    exactly the units with x*R = S, and the least unit is the same.
+    most 2*|S|*d candidates, each residue lifted by multiples of n/d, and
+    every candidate sends r into ±S (x*r = x*(r/d)*d ≡ ±s mod n). The
+    whole list is then filtered against one other offset r' of R at a
+    time, keeping the x with x*r' in S ∪ -S. The offsets with the largest
+    gcd(r', n) go first: x*r' depends only on x mod n/gcd(r', n), so they
+    fix the candidates modulo the smallest number and prune the most. The
+    solve stops as soon as the list is empty, and otherwise returns the
+    least unit among the survivors.
+
+    A unit x with x*r in ±S for every r in R has reflexively reduced
+    x*R ⊆ S; unit multiplication permutes reflexive classes, so x*R has
+    |R| = |S| classes and the inclusion is equality. So the mask test
+    accepts exactly the units with x*R = S, whatever order the filters run
+    in, and the least unit is the same.
     """
     if a.n != b.n:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
     if len(a.conn) != len(b.conn):
         return None
     n = a.n
-    r = min(a.conn, key=lambda s: gcd(s, n))
+    offsets = sorted(a.conn, key=lambda s: gcd(s, n), reverse=True)
+    r = offsets[-1]
     d = gcd(r, n)
     q = n // d
     inv = pow(r // d, -1, q)
-    candidates = {(e * (s // d) * inv) % q + k * q
-                  for s in b.conn if gcd(s, n) == d for e in (1, -1) for k in range(d)}
+    residues = {(e * (s // d) * inv) % q for s in b.conn if gcd(s, n) == d for e in (1, -1)}
+    xs = [x for c in residues for x in range(c, n, q)]
     target = {v for s in b.conn for v in (s, n - s)}
-    for x in sorted(candidates):
-        if gcd(x, n) == 1 and all(x * r % n in target for r in a.conn):
-            return x
-    return None
+    for s in offsets[:-1]:
+        xs = [x for x in xs if x * s % n in target]
+        if not xs:
+            return None
+    return min((x for x in xs if gcd(x, n) == 1), default=None)

@@ -3,6 +3,7 @@
 with their group structure."""
 
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd, lcm
 from typing import Optional, Union
 
@@ -90,9 +91,10 @@ def _check_classify_preconditions(tm: ThetaMap, g: Circulant):
         raise PreconditionViolation(f"no offset of {g.label()} is divisible by m={tm.m}")
 
 
-def theta_image(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
+def theta_image(tm: ThetaMap, g: Circulant, classes=None) -> Union[Circulant, NotCirculant]:
     """Decide whether theta maps C_n(R) onto a circulant, one residue class
-    of offsets at a time.
+    of offsets at a time. classes, when given, is _offset_classes of
+    symmetric_set(g) for tm.m, for callers that decide many t on one g.
 
     The image vertex theta(u) has difference set
     D_u = {theta(u+s) - theta(u) : s in R ∪ -R}. Since
@@ -111,13 +113,19 @@ def theta_image(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
     that an edge-level circulance test on the transformed edge set reports.
     """
     n, m = tm.n, tm.m
+    if classes is None:
+        classes = _offset_classes(symmetric_set(g), m)
     shift = m * m * tm.t % n
-    full = symmetric_set(g)
-    classes = _offset_classes(full, m)
     for r in range(m - 1, 0, -1):
         if {(s + shift) % n for s in classes[r]} != classes[r]:
             return NotCirculant(m - r)
-    return Circulant(n, reflexive_reduce(theta_offsets(tm, full), n))
+    # D_0 is the union of the S_r + r*m*t, which is g's own set when every
+    # class is fixed
+    mt = m * tm.t
+    image = [{(s + r * mt) % n for s in c} for r, c in enumerate(classes)]
+    if image == classes:
+        return g
+    return Circulant(n, reflexive_reduce(chain.from_iterable(image), n))
 
 
 def _offset_classes(full, m: int) -> list[set]:
@@ -144,17 +152,17 @@ def _class_period(cls, n: int) -> int:
     return n
 
 
-def _lattice_step(g: Circulant, m: int) -> int:
+def _lattice_step(classes, n: int) -> int:
     """The least q > 0 such that theta(n, m, t) maps g onto a circulant
     exactly when q | t.
 
     By theta_image the image is circulant iff m²*t fixes every S_r, r in
     [1, m). The translations fixing S_r are the multiples of its period
     P_r | n, so the condition is P | m²*t for P = lcm of the P_r, that is
-    P / gcd(P, m²) | t.
+    P / gcd(P, m²) | t. classes are the S_r of _offset_classes, r in [0, m).
     """
-    classes = _offset_classes(symmetric_set(g), m)
-    p = lcm(*(_class_period(c, g.n) for c in classes[1:]))
+    m = len(classes)
+    p = lcm(*(_class_period(c, n) for c in classes[1:]))
     return p // gcd(p, m * m)
 
 
@@ -168,32 +176,35 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     themselves, so classification builds no edge set.
     """
     _check_classify_preconditions(tm, g)
-    kind, image, unit, vertex = _classify(tm, g)
+    kind, image, unit, vertex, f = _classify(tm, g)
     return ThetaClassification(map=tm, source=g, kind=kind, image=image, unit=unit,
                                failing_vertex=vertex,
-                               witness=None if image is None else _witness(tm, g, image))
+                               witness=None if image is None else _witness(tm, g, image, f))
 
 
-def _classify(tm: ThetaMap, g: Circulant):
-    """(kind, image, unit, failing vertex) of theta on g, without the
+def _classify(tm: ThetaMap, g: Circulant, classes=None):
+    """(kind, image, unit, failing vertex, map) of theta on g, without the
     precondition checks, for callers that check them once for the whole t
-    range. A circulant image's bijection is checked on the connection sets
-    here; only the endpoints of a kept witness are left to _witness."""
-    image = theta_image(tm, g)
+    range; classes is passed on to theta_image. A circulant image's
+    bijection is checked on the connection sets here, and map is that
+    checked PeriodicMap (None for a non-circulant image), so a kept
+    witness reuses it."""
+    image = theta_image(tm, g, classes)
     if isinstance(image, NotCirculant):
-        return "not_circulant", None, None, image.vertex
-    if not verify_circulant_witness(g, image, tm.periodic()):
+        return "not_circulant", None, None, image.vertex, None
+    f = tm.periodic()
+    if not verify_circulant_witness(g, image, f):
         raise InvariantViolation(f"{tm.label()} does not map {g.label()} onto {image.label()}")
     if image == g:
-        return "identity", image, None, None
+        return "identity", image, None, None, f
     x = is_adams_isomorphic(g, image)
-    return ("type2", image, None, None) if x is None else ("type1", image, x, None)
+    return ("type2", image, None, None, f) if x is None else ("type1", image, x, None, f)
 
 
-def _witness(tm: ThetaMap, g: Circulant, image: Circulant) -> IsoWitness:
-    """The theta bijection of g onto image, checked by _classify, between
-    the two circulants, kept in periodic form."""
-    return IsoWitness(g, image, tm.periodic(), True, f"theta(m={tm.m},t={tm.t})")
+def _witness(tm: ThetaMap, g: Circulant, image: Circulant, f: PeriodicMap) -> IsoWitness:
+    """The theta bijection f = tm.periodic() of g onto image, checked by
+    _classify, between the two circulants, kept in periodic form."""
+    return IsoWitness(g, image, f, True, f"theta(m={tm.m},t={tm.t})")
 
 
 @dataclass(frozen=True)
@@ -224,14 +235,15 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     the bijection of its least t as its witness."""
     # validates m before range(n // m) is taken
     _check_classify_preconditions(ThetaMap(g.n, m, 0), g)
+    classes = _offset_classes(symmetric_set(g), m)
     outcomes = [(t, "not_circulant", None) for t in range(g.n // m)]
     first = {}  # Type-2 image -> witness of its least t
-    for t in range(0, g.n // m, _lattice_step(g, m)):
+    for t in range(0, g.n // m, _lattice_step(classes, g.n)):
         tm = ThetaMap(g.n, m, t)
-        kind, image, _, _ = _classify(tm, g)
+        kind, image, _, _, f = _classify(tm, g, classes)
         outcomes[t] = (t, kind, image)
         if kind == "type2" and image not in first:
-            first[image] = _witness(tm, g, image)
+            first[image] = _witness(tm, g, image, f)
     members = tuple(sorted({g, *first}))
     t_stab = tuple(t for t, _, img in outcomes if img is not None and img in members)
     return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab,
@@ -319,13 +331,24 @@ def _closed_under_addition(ts: set, q: int) -> bool:
 def theta_compose(a: ThetaMap, b: ThetaMap) -> ThetaMap:
     """Compose two transforms at the same (n, m): t values add mod n/m.
 
-    The composed parameter map is checked pointwise against the actual
-    composition of the two vertex permutations.
+    The composed parameter map is checked against the actual composition
+    of the two vertex permutations, on the periodic form (_composes).
     """
     if a.n != b.n or a.m != b.m:
         raise ParamMismatch(f"cannot compose {a.label()} with {b.label()}")
     c = ThetaMap(a.n, a.m, (a.t + b.t) % (a.n // a.m))
-    pa, pb, pc = theta_vertex_map(a), theta_vertex_map(b), theta_vertex_map(c)
-    if any(pc[x] != pa[pb[x]] for x in range(a.n)):
+    if not _composes(a, b, c):
         raise InvariantViolation(f"{c.label()} is not {a.label()} after {b.label()}")
     return c
+
+
+def _composes(a: ThetaMap, b: ThetaMap, c: ThetaMap) -> bool:
+    """Whether theta c is theta a after theta b, for three maps at one (n, m).
+
+    Each map is a PeriodicMap with period and step m, so f(x + m) = f(x) + m.
+    Then a(b(x + m)) = a(b(x) + m) = a(b(x)) + m, so the composite has the
+    same form, and two such maps agree everywhere iff they agree on
+    x in [0, m). Comparing m values is a complete check.
+    """
+    fa, fb, fc = a.periodic(), b.periodic(), c.periodic()
+    return all(fc.head[x] == fa(fb.head[x]) for x in range(a.m))

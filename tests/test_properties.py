@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from circiso import type2
 from circiso.circulant import (
     WITNESS_EDGE_CAP,
     Circulant,
@@ -19,7 +20,7 @@ from circiso.circulant import (
     is_connected,
     realize,
 )
-from circiso.errors import NotAPermutation
+from circiso.errors import InvariantViolation, NotAPermutation
 from circiso.iso_oracle import (
     IsoWitness,
     PeriodicMap,
@@ -40,7 +41,9 @@ from circiso.type2 import (
     ThetaMap,
     _class_period,
     _closed_under_addition,
+    _composes,
     classify_theta,
+    theta_compose,
     theta_image,
     theta_vertex_map,
     type2_set,
@@ -357,6 +360,34 @@ def test_least_unit_solve_matches_unit_scan(g, offsets, from_orbit, data):
     assert is_adams_isomorphic(g, b) == brute_least_unit(g, b) == least
 
 
+@st.composite
+def _shared_factor_graphs(draw):
+    """C_n(R) at n = 216, 432, 1000 or 6750 with every offset sharing a
+    factor with n, so that the least gcd d exceeds 1 and candidates are
+    lifted d ways."""
+    n = draw(st.sampled_from([216, 432, 1000, 6750]))
+    shared = st.integers(1, n // 2).filter(lambda s: gcd(s, n) > 1)
+    return Circulant(n, tuple(sorted(draw(st.sets(shared, min_size=2, max_size=10)))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_shared_factor_graphs(), st.sampled_from(["orbit", "random", "perturbed"]), st.data())
+def test_least_unit_solve_matches_unit_scan_with_lifted_candidates(g, partner, data):
+    """The solver against a scan of every unit where d > 1: a partner in the
+    orbit passes every filter, a random one of the same size usually fails
+    the first, and an orbit member with one offset moved fails a later one."""
+    n = g.n
+    b = adams_apply(g, data.draw(st.sampled_from(units(n))))
+    if partner == "random":
+        b = Circulant(n, tuple(sorted(data.draw(
+            st.sets(st.integers(1, n // 2), min_size=len(g.conn), max_size=len(g.conn))))))
+    elif partner == "perturbed":
+        out = data.draw(st.sampled_from(b.conn))
+        new = data.draw(st.integers(1, n // 2).filter(lambda s: s not in b.conn))
+        b = Circulant(n, tuple(sorted({*b.conn, new} - {out})))
+    assert is_adams_isomorphic(g, b) == brute_least_unit(g, b)
+
+
 def test_layer_products_verified_at_all_small_orders():
     # the constructors check their CRT embedding edge for edge
     for n in (3, 5, 7, 9, 11, 13):
@@ -570,7 +601,9 @@ def test_periodic_map_criterion_matches_its_expansion(params):
     bijective = sorted(f) == list(range(n)) and all(
         f[(x + p) % n] == (f[x] + c) % n for x in range(n))
     if bijective:
-        assert PeriodicMap(n, p, c, head).expand() == f
+        periodic = PeriodicMap(n, p, c, head)
+        assert periodic.expand() == f
+        assert [periodic(x) for x in range(-n, 2 * n)] == [f[x % n] for x in range(-n, 2 * n)]
     else:
         with pytest.raises(NotAPermutation):
             PeriodicMap(n, p, c, head)
@@ -587,6 +620,30 @@ def test_closure_under_addition_matches_pairwise_definition(data):
     if data.draw(st.booleans()):
         ts = data.draw(st.sets(st.integers(0, q - 1)))
     assert _closed_under_addition(ts, q) == all((a + b) % q in ts for a in ts for b in ts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 6), st.booleans(), st.data())
+def test_theta_compose_check_matches_expanded_composition(m, k, wrong, data):
+    """The m-value check of theta_compose against the composition of the
+    expanded n-entry maps, for the true composite t and for a wrong one."""
+    n = m**3 * k
+    ts = st.integers(0, n // m - 1)
+    a, b = ThetaMap(n, m, data.draw(ts)), ThetaMap(n, m, data.draw(ts))
+    t = (a.t + b.t) % (n // m)
+    if wrong:
+        t = (t + data.draw(st.integers(1, n // m - 1))) % (n // m)
+    c = ThetaMap(n, m, t)
+    pa, pb, pc = theta_vertex_map(a), theta_vertex_map(b), theta_vertex_map(c)
+    expanded = all(pc[x] == pa[pb[x]] for x in range(n))
+    assert _composes(a, b, c) == expanded == (not wrong)
+    assert theta_compose(a, b).t == (a.t + b.t) % (n // m)
+
+
+def test_theta_compose_raises_on_a_failed_check(monkeypatch):
+    monkeypatch.setattr(type2, "_composes", lambda a, b, c: False)
+    with pytest.raises(InvariantViolation):
+        theta_compose(ThetaMap(432, 3, 16), ThetaMap(432, 3, 32))
 
 
 @st.composite

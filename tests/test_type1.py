@@ -1,6 +1,9 @@
+from math import gcd
+
 import pytest
 
 from circiso import type1
+from circiso.catalog import S4_LETTERS
 from circiso.circulant import Circulant, is_connected
 from circiso.errors import InvariantViolation, NotAUnit, OrderMismatch
 from circiso.type1 import (
@@ -10,6 +13,9 @@ from circiso.type1 import (
     type1_group_table,
     type1_set,
 )
+from circiso.type2 import ThetaMap, theta_image
+
+from conftest import brute_least_unit
 
 A1 = Circulant(432, (16, 27, 48, 54, 128, 160, 189))
 A2 = Circulant(432, (64, 80, 81, 135, 162, 192, 208))
@@ -135,6 +141,25 @@ def test_is_adams_isomorphic_lifts_candidates():
     assert [x for x in orbit.reps if x > 11] == [12, 14, 17]
     for member, x in zip(orbit.members, orbit.reps):
         assert is_adams_isomorphic(a, member) == x
+
+
+def test_is_adams_isomorphic_matches_unit_scan_at_order_6750(catalog):
+    # every catalog graph at order 6750 has least gcd 27, so 270 candidates
+    # are lifted and filtered: each theta row's image (the Type-2 ones have
+    # no unit) and a few Adam images are checked against all 1,800 units
+    for idx in (1, 2):
+        for letter in S4_LETTERS:
+            g = catalog.s4_member(letter, idx)
+            assert min(gcd(s, 6750) for s in g.conn) == 27
+            rows = {theta_image(ThetaMap(6750, row["m"], row["t"]), g): row["map"] == "identity"
+                    for row in catalog.s4_theta_rows()}
+            for image, identity in rows.items():
+                least = brute_least_unit(g, image)
+                assert least == (1 if identity else None)
+                assert is_adams_isomorphic(g, image) == least
+            for x in (7, 143, 2021):
+                image = adams_apply(g, x)
+                assert is_adams_isomorphic(g, image) == brute_least_unit(g, image)
 
 
 def test_is_adams_isomorphic_identity_and_errors():
