@@ -20,6 +20,7 @@ class Circulant:
     """C_n(R): order n plus the canonical connection set R, sorted ascending
     inside [1, n//2]. Two values are equal exactly when they name the same
     graph, so connection sets double as graph identifiers throughout.
+    degree, the neighbour count of every vertex, is set on construction.
     """
 
     n: int
@@ -38,16 +39,15 @@ class Circulant:
                     f"offsets must be strictly increasing in [1, {half}], got {self.conn}"
                 )
             prev = s
+        # every offset gives two neighbours except n/2, which can only be the
+        # last and gives one; degree is kept on the instance, outside the
+        # fields that equality, hashing and ordering read
+        object.__setattr__(self, "degree", 2 * len(self.conn) - (2 * prev == self.n))
 
     @classmethod
     def reduced(cls, n: int, values) -> "Circulant":
         """Build C_n(R) from arbitrary nonzero residues via reflexive reduction."""
         return cls(n, reflexive_reduce(values, n))
-
-    @property
-    def degree(self) -> int:
-        # n/2 is self-paired and contributes one neighbour, everything else two
-        return sum(1 if 2 * s == self.n else 2 for s in self.conn)
 
     @property
     def edge_count(self) -> int:

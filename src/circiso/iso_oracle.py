@@ -3,8 +3,9 @@ checked edge for edge, either step by step over the endpoints' factors or
 on connection sets."""
 
 from dataclasses import dataclass
-from math import gcd
-from operator import add, sub
+from itertools import repeat
+from math import gcd, lcm
+from operator import add, mod, sub
 from typing import TYPE_CHECKING, Union
 
 from .circulant import Circulant, shifted, steps
@@ -21,7 +22,9 @@ class PeriodicMap:
 
     A theta map x -> x + (x mod m)*m*t is (p = c = m,
     head = (i + i*m*t mod n for i < m)), an Adam map v -> x*v is (p = 1,
-    c = x, head = (0,)). Construction checks in O(p) that f is a
+    c = x, head = (0,)), and the CRT embedding (x, y) -> n*x + m*y of a
+    product G x H, |G| = m and |H| = n, is (p = c = n,
+    head = (m*y for y < n)). Construction checks in O(p) that f is a
     well-defined bijection, by the criterion below, and raises
     NotAPermutation otherwise; head and c are kept reduced mod n. It also
     refuses p not dividing n and a head of other than p values: the sets
@@ -61,9 +64,21 @@ class PeriodicMap:
         return (self.head[i] + k * self.c) % self.n
 
     def expand(self) -> tuple[int, ...]:
-        """The image list, indexed by vertex."""
-        n, c, head = self.n, self.c, self.head
-        return tuple((v + k * c) % n for k in range(n // self.p) for v in head)
+        """The image list, indexed by vertex, built a slice at a time: one
+        per class {i + k*p} when there are fewer classes than rows of p
+        consecutive vertices, else one per row."""
+        n, p, c, head = self.n, self.p, self.c, self.head
+        rows = n // p
+        if p >= rows:
+            out = []
+            for k in range(rows):
+                kc = k * c
+                out += [(v + kc) % n for v in head]
+            return tuple(out)
+        out = [0] * n  # p < rows, so p < n and c is not 0
+        for i, v in enumerate(head):
+            out[i::p] = map(mod, range(v, v + rows * c, c), repeat(n))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -74,8 +89,9 @@ class IsoWitness:
     circulants and rings. Both expose n and factors, from which
     verify_witness lists the steps that make up the edges. origin records
     how the bijection was produced, e.g. "theta(m=2,t=54)", "adam(x=5)",
-    "crt-embedding(16x27)". A theta or Adam bijection is kept as its
-    PeriodicMap, any other as its image list.
+    "crt-embedding(16x27)". A theta, Adam or CRT-embedding bijection is
+    kept as its PeriodicMap, any other (one read from a report, or built
+    by a test) as its image list.
     """
 
     source: Union[Circulant, "Product"]
@@ -146,24 +162,45 @@ def _edge_count(g) -> int:
     return sum(g.n // 2 if half else g.n for _, _, half in steps(g.factors))
 
 
-def verify_circulant_witness(g: Circulant, h: Circulant, bijection) -> bool:
-    """True iff the bijection maps C_n(R) edge for edge onto C_n(S).
+def verify_circulant_witness(g: Union[Circulant, "Product"], h: Circulant, bijection) -> bool:
+    """True iff the bijection maps g edge for edge onto h = C_n(S).
 
-    The same complete check as verify_witness, run on connection sets: every
-    source edge is {x, x+s} for some x in Z_n and s in R, and its image is an
-    edge of the target exactly when f(x+s) - f(x) lies in S ∪ (n-S). A
-    bijection maps distinct edges to distinct edges, so once the degrees (and
-    with them the edge counts) agree, the image covers every target edge.
+    The source g is a Circulant, or a Product such as the source of a CRT
+    embedding. The same complete check as verify_witness, run on
+    connection sets: every source edge is {x, u(x)} for some x in Z_n and
+    some step u of circulant.steps(g.factors), and its image is an edge of
+    the target exactly when f(u(x)) - f(x) lies in S ∪ (n-S). A bijection
+    maps distinct edges to distinct edges, so once the edge counts agree,
+    the image covers every target edge.
 
-    Only x in [0, p) is checked, for the period p of a PeriodicMap: since
-    f(x+p) = f(x) + c for every x, f(x+p+s) - f(x+p) = f(x+s) - f(x), and
-    f(x+s) = head[(x+s) mod p] + ((x+s) div p)*c needs no n-entry list:
-    p*|R| differences in all. An image list is first
-    checked to be a permutation and put in periodic form with p = _period(f):
-    if d(x) = f(x+1) - f(x) mod n has d(x+p) = d(x) for all x, then
-    f(x+p) - f(x) ≡ c for one c (consecutive values differ by
-    d(x+p) - d(x) = 0), so f is (p, c, f[:p]). p = n, which always
-    qualifies, checks all n*|R| edges.
+    Only x in [0, p) is checked, for the period p of a PeriodicMap,
+    f(x+p) = f(x) + c. That is sound when u(x+p) = u(x) + p for every x
+    and every step, since then d(x) = f(u(x)) - f(x) has
+    d(x+p) = f(u(x) + p) - f(x + p) = d(x). A step is a rotation by shift
+    inside blocks of `block` consecutive vertices, and the condition holds
+    in two cases:
+    - block = n: u(x) = x + shift for every x, whatever p is;
+    - block | p: x + p sits at the place of x in another block, so one step
+      carries it to u(x) + p; for x < p, u(x) < p too, and
+      f(u(x)) = head[u(x)].
+    When the walk meets a block b of neither kind, p is lifted to
+    lcm(p, b), which divides n since b and p do, and the same map is read from then on with
+    the larger period, c scaled by lcm/p and the head read off the map; a
+    step checked before holds for every period of the map. So a short
+    period of an image list is never trusted past the blocks it fits. On a
+    global step whose shift is j*p, d(x) = f(x + j*p) - f(x) = j*c for
+    every x, so one test decides it. At most p*(steps) differences are
+    computed, each from the head, with no n-entry list built: a theta map
+    (p = m) takes one test per offset divisible by m, and a CRT embedding
+    of G x H (p = |H|, whose steps have block |H|, while G's or the ring's
+    are global with shifts that are multiples of |H|) |H| per offset of H
+    and one per offset of G.
+
+    An image list is first checked to be a permutation and put in periodic
+    form with p = _period(f): if d(x) = f(x+1) - f(x) mod n has
+    d(x+p) = d(x) for all x, then f(x+p) - f(x) ≡ c for one c (consecutive
+    values differ by d(x+p) - d(x) = 0), so f is (p, c, f[:p]). p = n,
+    which always qualifies, checks every edge.
     """
     n = g.n
     if h.n != n:
@@ -171,12 +208,26 @@ def verify_circulant_witness(g: Circulant, h: Circulant, bijection) -> bool:
     f = bijection if isinstance(bijection, PeriodicMap) else _periodic_form(bijection, n)
     if f.n != n:
         raise NotAPermutation(f"bijection permutes Z_{f.n}, not Z_{n}")
-    if g.degree != h.degree:
+    if (g.edge_count if isinstance(g, Circulant) else _edge_count(g)) != h.edge_count:
         return False
     target = {v for s in h.conn for v in (s, n - s)}
     p, c, head = f.p, f.c, f.head
-    return all((head[(x + s) % p] + (x + s) // p * c - head[x]) % n in target
-               for s in g.conn for x in range(p))
+    for block, shift, _ in steps(g.factors):
+        if block == n:
+            if shift % p:
+                ok = all((head[(x + shift) % p] + (x + shift) // p * c - head[x]) % n in target
+                         for x in range(p))
+            else:
+                ok = shift // p * c % n in target
+        else:
+            if p % block:  # the steps already checked hold for any period
+                q = lcm(p, block)
+                p, c, head = q, c * (q // p) % n, tuple(map(f, range(q)))
+            ok = target.issuperset(map(mod, map(sub, shifted(head, block, shift), head),
+                                       repeat(n)))
+        if not ok:
+            return False
+    return True
 
 
 def _periodic_form(bijection, n: int) -> PeriodicMap:

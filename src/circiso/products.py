@@ -1,5 +1,5 @@
 """Constructive Cartesian products of circulant graphs, each verified against
-an explicit product graph through one CRT embedding, and an experimental
+the product of its factors through one CRT embedding, and an experimental
 scanner for the product conjectures."""
 
 import itertools
@@ -9,7 +9,7 @@ from typing import Optional, Union
 
 from .circulant import WITNESS_EDGE_CAP, Circulant, edge_set, is_connected
 from .errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime, OrderTooSmall
-from .iso_oracle import IsoWitness, make_witness
+from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
 from .residue import check_modulus, reflexive_reduce, valid_type2_params
 from .type2 import ThetaMap, classify_theta, type2_set
 
@@ -45,9 +45,14 @@ def product_witness(
     for k = 2, 4, the Cartesian product of the k-cycle with g.
 
     Up to WITNESS_EDGE_CAP edges the result carries its CRT embedding
-    witness from Product((g, h)), or Product((k, g)), onto the result,
-    checked edge for edge; a failed check raises InvariantViolation. Above
-    the cap no check runs and the witness is None.
+    witness from Product((g, h)), or Product((k, g)), onto the result. The
+    embedding (x, y) -> n*x + m*y mod mn, for the vertex x*n + y of the
+    product and n the order of its second factor, has f(v + n) = f(v) + n,
+    so it is kept as the PeriodicMap (p = c = n, head = (m*y for y < n)),
+    and no mn-entry list is built. It is checked edge for edge on the
+    result's connection set over that one period
+    (verify_circulant_witness); a failed check raises InvariantViolation.
+    Above the cap no check runs and the witness is None.
     """
     if kind == "coprime":
         m, n = g.n, h.n
@@ -71,17 +76,17 @@ def product_witness(
     # (x, y) -> n*x + m*y mod mn carries an offset r of the order-m factor to
     # exactly n*r and an offset s of the order-n factor to exactly m*s; the
     # plain residue-pair map would only match up to a unit twist
-    relabel = [(n * x + m * y) % (m * n) for x in range(m) for y in range(n)]
-    w = make_witness(Product((g, h) if kind == "coprime" else (m, g)), result, relabel,
-                     f"crt-embedding({m}x{n})")
-    if not w.verified:
+    source = Product((g, h) if kind == "coprime" else (m, g))
+    f = PeriodicMap(m * n, n, n, tuple(range(0, m * n, m)))
+    if not verify_circulant_witness(source, result, f):
         raise InvariantViolation(f"{kind} product {result.label()} fails its CRT embedding")
-    return result, w
+    return result, IsoWitness(source, result, f, True, f"crt-embedding({m}x{n})")
 
 
 def product_coprime(g: Circulant, h: Circulant) -> Circulant:
     """Product of connected circulants with coprime orders m, n > 2:
-    C_mn(nR union mS), verified edge-for-edge up to the cap."""
+    C_mn(nR union mS), its CRT embedding checked on the connection set up
+    to the cap (product_witness); the witness is not kept."""
     return product_witness("coprime", g, h)[0]
 
 

@@ -143,37 +143,50 @@ def to_json(report: dict) -> str:
 
     With an indent, json.dumps takes its pure-Python encoder, which spends
     most of a report's time on the long int lists (bijections, member
-    sets). A list of plain ints (type int, so a bool still prints as
-    true/false) is written here with one str.join in the same layout; the
-    containers around it are laid out as json lays them out, and every
-    other value, keys included, is written by json.dumps."""
+    sets) and on the many small dicts of a classification list. Here a
+    plain int (type int, so a bool still prints as true/false) is written
+    with str, a list of them with one str.join in the same layout, None,
+    True and False as their literals, and each distinct str, key or leaf,
+    is encoded by json.dumps once per call; the containers are laid out as
+    json lays them out, and any other value is written by json.dumps."""
     out = []
-    _write(report, "\n", out)
+    _write(report, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(v, nl: str, out: list) -> None:
+def _write(v, nl: str, out: list, strs: dict) -> None:
     """Append the JSON text of v to out; nl is a newline plus the
-    indentation of the line v starts on."""
-    inner = nl + "  "
-    if isinstance(v, dict) and v:
+    indentation of the line v starts on, and strs maps each str met so far
+    to its JSON text."""
+    t = type(v)
+    if t is int:
+        out.append(str(v))
+    elif t is str:
+        out.append(strs.get(v) or strs.setdefault(v, json.dumps(v)))
+    elif v is None or t is bool:
+        out.append("null" if v is None else "true" if v else "false")
+    elif isinstance(v, dict) and v:
+        inner = nl + "  "
         sep = "{" + inner
         for k, x in v.items():
-            # json.dumps turns a non-str key into the string it prints
-            out.append(sep + (json.dumps(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
-                       + ": ")
-            _write(x, inner, out)
+            if type(k) is str:
+                key = strs.get(k) or strs.setdefault(k, json.dumps(k))
+            else:  # json.dumps turns a non-str key into the string it prints
+                key = json.dumps({k: 0})[1:-4]
+            out.append(sep + key + ": ")
+            _write(x, inner, out, strs)
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(v, (list, tuple)) and v:
+        inner = nl + "  "
         if all(type(x) is int for x in v):
             out.append("[" + inner + ("," + inner).join(map(str, v)) + nl + "]")
             return
         sep = "[" + inner
         for x in v:
             out.append(sep)
-            _write(x, inner, out)
+            _write(x, inner, out, strs)
             sep = "," + inner
         out.append(nl + "]")
     else:

@@ -348,30 +348,41 @@ def test_stored_witnesses_stay_within_the_verify_cap(tmp_path, capsys):
 
 
 def test_product_builds_witness_once(capsys, monkeypatch):
+    # each product command checks its CRT embedding once, on the result's
+    # connection set, with the embedding in periodic form (p = c = the
+    # order of the second factor), and builds no witness through the
+    # edge-level route
     calls = []
-    real = iso_oracle.make_witness
+    real = iso_oracle.verify_circulant_witness
 
-    def counting(source, target, bijection, origin):
-        calls.append(origin)
-        return real(source, target, bijection, origin)
+    def counting(source, target, bijection):
+        calls.append((source, target, bijection))
+        return real(source, target, bijection)
 
     def forbidden(*args, **kwargs):
-        pytest.fail("search_isomorphism ran on the product path")
+        pytest.fail("search_isomorphism or make_witness ran on the product path")
 
+    banned = (search_isomorphism, iso_oracle.make_witness)
     for name, mod in list(sys.modules.items()):
         if name.startswith("circiso"):
-            if getattr(mod, "make_witness", None) is real:
-                monkeypatch.setattr(mod, "make_witness", counting)
-            if getattr(mod, "search_isomorphism", None) is search_isomorphism:
-                monkeypatch.setattr(mod, "search_isomorphism", forbidden)
-    for argv, origin in ((("coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"), "crt-embedding(16x27)"),
-                         (("prism", "n=7;R=1,2"), "crt-embedding(2x7)"),
-                         (("c4", "n=45;R=1,7"), "crt-embedding(4x45)")):
+            if getattr(mod, "verify_circulant_witness", None) is real:
+                monkeypatch.setattr(mod, "verify_circulant_witness", counting)
+            for fn in banned:
+                if getattr(mod, fn.__name__, None) is fn:
+                    monkeypatch.setattr(mod, fn.__name__, forbidden)
+    for argv, origin, n in ((("coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"),
+                             "crt-embedding(16x27)", 27),
+                            (("prism", "n=7;R=1,2"), "crt-embedding(2x7)", 7),
+                            (("c4", "n=45;R=1,7"), "crt-embedding(4x45)", 45)):
         calls.clear()
         code, out, _ = run(capsys, "product", *argv, "--json")
-        assert code == 0 and calls == [origin]
+        assert code == 0 and len(calls) == 1
+        [(source, target, f)] = calls
+        assert isinstance(source, products.Product) and (f.p, f.c) == (n, n)
         [w] = json.loads(out)["results"]["witnesses"]
         assert w["verified"] and w["origin"] == origin
+        assert w["bijection"] == list(f.expand())
+        assert target == graph_from_desc(w["target"]) and source == graph_from_desc(w["source"])
 
 
 def test_verify_rebuilds_product_witnesses(tmp_path, capsys):
@@ -391,7 +402,7 @@ def test_verify_accepts_layered_search_witness(tmp_path, capsys):
     for kind, g in (("prism", Circulant(9, (3,))), ("c4", Circulant(9, (3,)))):
         result, crt = products.product_witness(kind, g)
         w = search_isomorphism(layered_graph(kind, g), realize(result))
-        assert w.bijection != crt.bijection
+        assert w.bijection != crt.images()
         f = tmp_path / f"{kind}.json"
         f.write_text(json.dumps({"results": {"witnesses": [
             witness_json(replace(w, source=crt.source, target=crt.target))]}}))
@@ -705,7 +716,7 @@ def test_verify_prism_target(tmp_path, capsys):
     prism = {"kind": "prism", "n": 14, "base": {"kind": "circulant", "n": 7, "conn": [1, 2]}}
     result, crt = products.product_witness("prism", parse_graph("n=7;R=1,2"))
     inverse = [0] * result.n
-    for v, image in enumerate(crt.bijection):
+    for v, image in enumerate(crt.images()):
         inverse[image] = v
     doc = {"results": {"witnesses": [
         _witness(source=prism, target=prism, bijection=list(range(14)), origin="identity"),

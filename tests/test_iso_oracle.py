@@ -127,6 +127,52 @@ def test_malformed_periodic_maps_raise_under_optimize():
         verify_circulant_witness(a, a, PeriodicMap(8, 1, 1, (0,)))
 
 
+def test_product_source_maps_raise_under_optimize():
+    # the connection-set check of a product embedding must refuse, with
+    # NotAPermutation and no assert statement, a periodic map that is no
+    # bijection or does not fit Z_n, and an image list that is no
+    # permutation; a bijection whose period fits no block of the product is
+    # read over a lifted period and gets the edge-level verdict
+    code = ("import sys\n"
+            "from circiso.circulant import Circulant\n"
+            "from circiso.errors import NotAPermutation\n"
+            "from circiso.iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness,"
+            " verify_witness\n"
+            "from circiso.products import product_witness\n"
+            "result, w = product_witness('coprime', Circulant(16, (1, 2, 7)),"
+            " Circulant(27, (1, 3, 8, 10)))\n"
+            "f = list(w.images())\n"
+            "bad = [lambda: PeriodicMap(432, 5, 5, (0, 1, 2, 3, 4)),\n"
+            "       lambda: PeriodicMap(432, 27, 54, tuple(range(0, 432, 16))),\n"
+            "       lambda: PeriodicMap(432, 27, 27, (0,) * 27),\n"
+            "       lambda: verify_circulant_witness(w.source, result, PeriodicMap(216, 1, 1, (0,))),\n"
+            "       lambda: verify_circulant_witness(w.source, result, [f[1]] + f[1:]),\n"
+            "       lambda: verify_circulant_witness(w.source, result, f[:-1])]\n"
+            "for i, call in enumerate(bad):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except NotAPermutation:\n"
+            "        continue\n"
+            "    sys.exit(f'case {i} raised nothing')\n"
+            "for g in (PeriodicMap(432, 1, 1, (0,)), tuple(range(432))):\n"
+            "    edge = verify_witness(IsoWitness(w.source, result, g, False, 'x'))\n"
+            "    if edge or verify_circulant_witness(w.source, result, g) != edge:\n"
+            "        sys.exit('a misaligned map was not read over its lifted period')\n"
+            "# the identity with period 2 on C_3(1) x C_4(1), whose C_4 steps have\n"
+            "# blocks of 4: read without lifting, it would pass C_12(1,4)\n"
+            "source = product_witness('coprime', Circulant(3, (1,)), Circulant(4, (1,)))[1].source\n"
+            "f, h = PeriodicMap(12, 2, 2, (0, 1)), Circulant(12, (1, 4))\n"
+            "if verify_circulant_witness(source, h, f) or verify_witness(IsoWitness(source, h,"
+            " f, False, 'x')):\n"
+            "    sys.exit('the identity was taken for an isomorphism')\n"
+            "if not verify_circulant_witness(w.source, result, w.bijection):\n"
+            "    sys.exit('the CRT embedding failed')\n")
+    src = pathlib.Path(circiso.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert res.returncode == 0, res.stderr
+
+
 def test_verify_witness_counts_half_steps_once():
     # each map carries every source edge onto a target edge, but the source
     # has fewer edges: only a half step's count, n/2 and not n, tells. The

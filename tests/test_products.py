@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circiso import products
+from circiso import products, reproduce
 from circiso.circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph
 from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime
 from circiso.iso_oracle import make_witness, verify_witness
@@ -66,7 +66,7 @@ def test_product_embedding_exact(monkeypatch):
     assert w.source == Product((X1, Y1)) and w.target == p
     assert w.source.edges == brute_product_edges(X1, Y1)
     # a wrong result set must fail the embedding check
-    assert not make_witness(w.source, adams_apply(p, 5), w.bijection, w.origin).verified
+    assert not make_witness(w.source, adams_apply(p, 5), w.images(), w.origin).verified
     # and a product formula gone wrong raises, for every kind, even under -O
     monkeypatch.setattr(products, "reflexive_reduce",
                         lambda vals, n: reflexive_reduce([5 * v for v in vals], n))
@@ -74,6 +74,23 @@ def test_product_embedding_exact(monkeypatch):
                        ("c4", (Circulant(7, (1, 2)),))):
         with pytest.raises(InvariantViolation):
             product_witness(kind, *args)
+
+
+def test_reproduce_rechecks_product_embeddings_edge_by_edge(monkeypatch):
+    # product_witness checks its CRT embedding on connection sets; section 3
+    # re-checks each of its six embeddings with the edge-level check, and a
+    # failed re-check fails the embedding's assertion
+    origins = []
+
+    def failing(w):
+        origins.append(w.origin)
+        return not w.origin.startswith("crt-embedding")
+
+    monkeypatch.setattr(reproduce, "verify_witness", failing)
+    checks = [c for c in reproduce.section3() if "products-432" in c.tags]
+    assert origins.count("crt-embedding(16x27)") == 6
+    embeddings = [c for c in checks if c.name.startswith("explicit product embedding")]
+    assert len(embeddings) == 6 and not any(c.passed for c in embeddings)
 
 
 def test_product_coprime_errors():

@@ -19,6 +19,7 @@ from circiso.circulant import (
     edge_set,
     is_connected,
     realize,
+    steps,
 )
 from circiso.errors import InvariantViolation, NotAPermutation
 from circiso.iso_oracle import (
@@ -160,13 +161,79 @@ def test_endpoint_round_trip(case, seed):
     crt = _crt_witness(e) if isinstance(e, Product) else None
     if crt is not None:
         assert crt.verified
-        witnesses += [crt, IsoWitness(crt.source, crt.target, _transposed(crt.bijection, seed),
+        witnesses += [crt, IsoWitness(crt.source, crt.target, _transposed(crt.images(), seed),
                                       False, "transposition")]
     # the enumerated check agrees with the tuple-set oracle on every one
     for w in witnesses:
         assert verify_witness(w) == maps_edges_onto(endpoint_edges(w.source),
-                                                    endpoint_edges(w.target), w.bijection)
+                                                    endpoint_edges(w.target), w.images())
     assert verify_witness(witnesses[0]) == automorphism
+
+
+@st.composite
+def crt_cases(draw):
+    """A CRT embedding witness of a coprime, prism or c4 product, a target
+    and a form of its map. The target is the product's result, the result
+    with one offset moved to a residue it lacks, or the circulant whose
+    offsets are the shifts of the source's steps, which a check blind to
+    the wrap-around inside a step's blocks would accept under the
+    identity. The map is the stored PeriodicMap, its image list, that list
+    with two images transposed, the identity (as a list, or as a
+    PeriodicMap of any period d | n) or an Adam map: the last two have
+    periods that need not fit the blocks of the product's second factor."""
+    kind = draw(st.sampled_from(["coprime", "prism", "c4"]))
+    if kind == "coprime":
+        g, h = draw(graphs(max_n=24)), draw(graphs(max_n=16))
+        assume(gcd(g.n, h.n) == 1 and is_connected(g) and is_connected(h))
+        w = product_witness(kind, g, h)[1]
+    else:
+        g = draw(graphs(max_n=45))
+        assume(g.n % 2 == 1)
+        w = product_witness(kind, g)[1]
+    target, n = w.target, w.target.n
+    aim = draw(st.sampled_from(["result", "moved", "shifts"]))
+    if aim == "moved":
+        free = [s for s in range(1, n // 2 + 1) if s not in target.conn]
+        assume(free)
+        conn = set(target.conn) - {draw(st.sampled_from(target.conn))}
+        target = Circulant(n, tuple(sorted(conn | {draw(st.sampled_from(free))})))
+    elif aim == "shifts":
+        target = Circulant.reduced(n, [shift for _, shift, _ in steps(w.source.factors)])
+    form = draw(st.sampled_from(["periodic", "list", "transposed", "identity", "adam"]))
+    if form == "identity" and draw(st.booleans()):  # the identity read with period d | n
+        d = draw(st.sampled_from(_divisors(n)))
+        return w, target, PeriodicMap(n, d, d, tuple(range(d)))
+    if form == "periodic":
+        f = w.bijection
+    elif form == "list":
+        f = w.images()
+    elif form == "transposed":
+        f = _transposed(w.images(), draw(st.integers(0, 10**6)))
+    elif form == "identity":
+        f = tuple(range(n))
+    else:
+        f = adams_periodic(n, draw(st.sampled_from(units(n))))
+    return w, target, f
+
+
+_C3_X_C4 = product_witness("coprime", Circulant(3, (1,)), Circulant(4, (1,)))[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(crt_cases())
+# the identity with period 2, against the circulant of the source's shifts:
+# C_4(1)'s blocks of 4 do not fit the period, which must be lifted
+@example((_C3_X_C4, Circulant(12, (1, 4)), PeriodicMap(12, 2, 2, (0, 1))))
+def test_product_source_check_matches_edge_check(case):
+    """verify_circulant_witness on a Product source, read over one period,
+    gives the verdict of verify_witness and of the tuple-set oracle."""
+    w, target, f = case
+    edge = verify_witness(IsoWitness(w.source, target, f, False, "crt"))
+    images = f.expand() if isinstance(f, PeriodicMap) else f
+    assert edge == maps_edges_onto(endpoint_edges(w.source), realize(target), images)
+    assert verify_circulant_witness(w.source, target, f) == edge
+    if target == w.target and f in (w.bijection, w.images()):
+        assert edge
 
 
 def _inverse(f):
@@ -207,7 +274,7 @@ def product_target_witnesses(draw):
     if draw(st.booleans()):
         crt = _crt_witness(e)
         assume(crt is not None)
-        w = IsoWitness(crt.target, e, _inverse(crt.bijection), False, "inverse-crt")
+        w = IsoWitness(crt.target, e, _inverse(crt.images()), False, "inverse-crt")
     else:
         xs = [1 if isinstance(f, int) else draw(st.sampled_from(units(f.n))) for f in e.factors]
         f = _scaling(e.factors, xs) if draw(st.booleans()) else tuple(range(e.n))
@@ -239,7 +306,7 @@ def test_edge_check_on_product_targets_examples():
     # the product circulant onto the prism and the C_4 layering of C_9(1,2)
     for kind in LAYERS:
         crt = product_witness(kind, Circulant(9, (1, 2)))[1]
-        cases.append((crt.target, crt.source, _inverse(crt.bijection), True))
+        cases.append((crt.target, crt.source, _inverse(crt.images()), True))
     for source, target, f, expected in cases:
         for g in (f, _transposed(f, 0), _transposed(f, 12345)):
             w = IsoWitness(source, target, g, False, "example")
