@@ -26,10 +26,10 @@ from .residue import units
 from .type1 import adams_periodic, type1_group_table, type1_set
 from .type2 import ThetaMap, classify_theta, type2_group_check, type2_set
 
-# largest order t1, t2 and classify accept. t1 lists the units of Z_n and t2
-# one outcome per t in [0, n/m); witnesses stay in periodic form, and an
-# n-entry image list is built only to store a witness of at most
-# WITNESS_EDGE_CAP edges
+# largest order t1, t2 and classify accept. t1 lists the units of Z_n, and
+# t2's report one classification per t in [0, n/m), though its orbit keeps
+# the lattice t only; witnesses stay in periodic form, and an n-entry image
+# list is built only to store a witness of at most WITNESS_EDGE_CAP edges
 MAX_ORDER = 2**17
 
 
@@ -153,7 +153,7 @@ def cmd_t2(args) -> int:
         "t_stabilizer": list(orbit.t_stabilizer),
         "classifications": [
             {"t": t, "kind": kind, "image": circulant_json(img) if img else None}
-            for t, kind, img in orbit.outcomes
+            for t, kind, img in map(orbit.outcome, range(g.n // m))
         ],
         "witnesses": witnesses,
         "summary": f"T2 set (m={m}): " + _member_summary(orbit.members),

@@ -162,8 +162,9 @@ def _edge_count(g) -> int:
     return sum(g.n // 2 if half else g.n for _, _, half in steps(g.factors))
 
 
-def verify_circulant_witness(g: Union[Circulant, "Product"], h: Circulant, bijection) -> bool:
-    """True iff the bijection maps g edge for edge onto h = C_n(S).
+def verify_circulant_witness(g: Union[Circulant, "Product"], h: Circulant, f: PeriodicMap) -> bool:
+    """True iff the periodic bijection f maps g edge for edge onto
+    h = C_n(S).
 
     The source g is a Circulant, or a Product such as the source of a CRT
     embedding. The same complete check as verify_witness, run on
@@ -173,7 +174,7 @@ def verify_circulant_witness(g: Union[Circulant, "Product"], h: Circulant, bijec
     maps distinct edges to distinct edges, so once the edge counts agree,
     the image covers every target edge.
 
-    Only x in [0, p) is checked, for the period p of a PeriodicMap,
+    Only x in [0, p) is checked, for the period p of f,
     f(x+p) = f(x) + c. That is sound when u(x+p) = u(x) + p for every x
     and every step, since then d(x) = f(u(x)) - f(x) has
     d(x+p) = f(u(x) + p) - f(x + p) = d(x). A step is a rotation by shift
@@ -184,28 +185,20 @@ def verify_circulant_witness(g: Union[Circulant, "Product"], h: Circulant, bijec
       carries it to u(x) + p; for x < p, u(x) < p too, and
       f(u(x)) = head[u(x)].
     When the walk meets a block b of neither kind, p is lifted to
-    lcm(p, b), which divides n since b and p do, and the same map is read from then on with
-    the larger period, c scaled by lcm/p and the head read off the map; a
-    step checked before holds for every period of the map. So a short
-    period of an image list is never trusted past the blocks it fits. On a
-    global step whose shift is j*p, d(x) = f(x + j*p) - f(x) = j*c for
-    every x, so one test decides it. At most p*(steps) differences are
-    computed, each from the head, with no n-entry list built: a theta map
-    (p = m) takes one test per offset divisible by m, and a CRT embedding
-    of G x H (p = |H|, whose steps have block |H|, while G's or the ring's
-    are global with shifts that are multiples of |H|) |H| per offset of H
-    and one per offset of G.
-
-    An image list is first checked to be a permutation and put in periodic
-    form with p = _period(f): if d(x) = f(x+1) - f(x) mod n has
-    d(x+p) = d(x) for all x, then f(x+p) - f(x) ≡ c for one c (consecutive
-    values differ by d(x+p) - d(x) = 0), so f is (p, c, f[:p]). p = n,
-    which always qualifies, checks every edge.
+    lcm(p, b), which divides n since b and p do, and the same map is read
+    from then on with the larger period, c scaled by lcm/p and the head
+    read off the map; a step checked before holds for every period of the
+    map. On a global step whose shift is j*p, d(x) = f(x + j*p) - f(x) =
+    j*c for every x, so one test decides it. At most p*(steps) differences
+    are computed, each from the head, with no n-entry list built: a theta
+    map (p = m) takes one test per offset divisible by m, and a CRT
+    embedding of G x H (p = |H|, whose steps have block |H|, while G's or
+    the ring's are global with shifts that are multiples of |H|) |H| per
+    offset of H and one per offset of G.
     """
     n = g.n
     if h.n != n:
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    f = bijection if isinstance(bijection, PeriodicMap) else _periodic_form(bijection, n)
     if f.n != n:
         raise NotAPermutation(f"bijection permutes Z_{f.n}, not Z_{n}")
     if (g.edge_count if isinstance(g, Circulant) else _edge_count(g)) != h.edge_count:
@@ -228,42 +221,3 @@ def verify_circulant_witness(g: Union[Circulant, "Product"], h: Circulant, bijec
         if not ok:
             return False
     return True
-
-
-def _periodic_form(bijection, n: int) -> PeriodicMap:
-    """The PeriodicMap of an image list, for p = _period(f); raises
-    NotAPermutation unless the list permutes Z_n."""
-    if len(bijection) != n:
-        raise NotAPermutation(f"bijection has {len(bijection)} entries, not {n}")
-    f = tuple(bijection)
-    if len(set(f)) != n or min(f) < 0 or max(f) >= n:
-        raise NotAPermutation("bijection is not a permutation of the vertex set")
-    p = _period(f)
-    return PeriodicMap(n, p, f[p % n] - f[0], f[:p])
-
-
-def _period(f) -> int:
-    """Least p | n with d(x+p) = d(x) on Z_n, d(x) = f(x+1) - f(x) mod n.
-
-    Divisors are tried in ascending order; since p | n, d[p:] == d[:-p]
-    makes d p-periodic all the way round, and p = n always qualifies.
-    """
-    n = len(f)
-    d = [v % n for v in map(sub, f[1:] + f[:1], f)]
-    larger = []
-    p = 1
-    while p * p <= n:
-        if n % p == 0:
-            if d[p:] == d[:-p]:
-                return p
-            larger.append(n // p)
-        p += 1
-    for p in reversed(larger):  # ends at p = n, where both slices are empty
-        if d[p:] == d[:-p]:
-            break
-    return p
-
-
-def make_witness(source, target, bijection, origin: str) -> IsoWitness:
-    w = IsoWitness(source, target, tuple(bijection), False, origin)
-    return IsoWitness(source, target, w.bijection, verify_witness(w), origin)

@@ -173,14 +173,23 @@ def _connected_sets(n: int):
 
 
 def _diagonal_pairs(n1: int, n2: int, limit: int):
-    """Pair the two enumerations diagonally so both sides vary early on.
-
-    One extra set per side is drawn so a scan can tell a completed
-    enumeration from a budget cut.
+    """Pair the two enumerations diagonally so both sides vary early on:
+    diagonal s holds (left[i], right[s - i]), i descending. Each side
+    stops at limit + 1 sets, one extra so a scan can tell a completed
+    enumeration from a budget cut, and is drawn one set per diagonal, only
+    as far as the diagonals reach: i and s - i never exceed s, so diagonal
+    s reads only sets drawn by then. The walk ends at the first
+    s > L + R - 2 for the L and R sets drawn: with both sides nonempty,
+    neither grew at s, and every s - i with i < L is at least R.
     """
-    left = list(itertools.islice(_connected_sets(n1), limit + 1))
-    right = list(itertools.islice(_connected_sets(n2), limit + 1))
-    for s in range(len(left) + len(right) - 1):
+    sides = (itertools.islice(_connected_sets(n1), limit + 1),
+             itertools.islice(_connected_sets(n2), limit + 1))
+    left, right = [], []
+    for s in itertools.count():
+        left.extend(itertools.islice(sides[0], 1))
+        right.extend(itertools.islice(sides[1], 1))
+        if s > len(left) + len(right) - 2:
+            return
         for i in range(min(s, len(left) - 1), -1, -1):
             j = s - i
             if j < len(right):

@@ -211,7 +211,9 @@ def _witness(tm: ThetaMap, g: Circulant, image: Circulant, f: PeriodicMap) -> Is
 class Type2Orbit:
     """Type-2 set of a graph w.r.t. m: the base plus every Type-2 image.
 
-    outcomes records (t, kind, image) for every t in [0, n/m); the
+    theta(n, m, t) maps the base onto a circulant only when step divides t
+    (_lattice_step), so outcomes records (t, kind, image) for those t
+    alone, ascending, and outcome(t) answers for any t in [0, n/m). The
     t_stabilizer collects every t whose image is circulant and lies in the
     member set, and is a subgroup of Z_{n/m} under addition. witnesses
     holds, for each member after the base is left out and in member order,
@@ -222,31 +224,38 @@ class Type2Orbit:
     m: int
     members: tuple[Circulant, ...]
     t_stabilizer: tuple[int, ...]
-    outcomes: tuple  # of (t, kind, Optional[Circulant])
+    step: int
+    outcomes: tuple  # of (t, kind, Optional[Circulant]) for the t with step | t
     witnesses: tuple[IsoWitness, ...]
+
+    def outcome(self, t: int) -> tuple:
+        """(t, kind, image) of theta(n, m, t) on the base: not circulant off
+        the lattice, the classified outcome on it."""
+        q, r = divmod(t, self.step)
+        return (t, "not_circulant", None) if r else self.outcomes[q]
 
 
 def type2_set(g: Circulant, m: int) -> Type2Orbit:
-    """Classify theta(n, m, t) on g for every t in [0, n/m) and collect the
-    Type-2 orbit of g. Only the t on the lattice of _lattice_step can give a
-    circulant image: every other t is recorded as not circulant without
-    being classified. Every circulant image's bijection is checked, so no
-    membership claim rests on the offset classes alone; each member keeps
-    the bijection of its least t as its witness."""
-    # validates m before range(n // m) is taken
+    """Classify theta(n, m, t) on g for every t on the lattice of
+    _lattice_step and collect the Type-2 orbit of g; no other t in [0, n/m)
+    can give a circulant image. Every circulant image's bijection is
+    checked, so no membership claim rests on the offset classes alone; each
+    member keeps the bijection of its least t as its witness."""
+    # validates m before the lattice is taken
     _check_classify_preconditions(ThetaMap(g.n, m, 0), g)
     classes = _offset_classes(symmetric_set(g), m)
-    outcomes = [(t, "not_circulant", None) for t in range(g.n // m)]
+    step = _lattice_step(classes, g.n)
+    outcomes = []
     first = {}  # Type-2 image -> witness of its least t
-    for t in range(0, g.n // m, _lattice_step(classes, g.n)):
+    for t in range(0, g.n // m, step):
         tm = ThetaMap(g.n, m, t)
         kind, image, _, _, f = _classify(tm, g, classes)
-        outcomes[t] = (t, kind, image)
+        outcomes.append((t, kind, image))
         if kind == "type2" and image not in first:
             first[image] = _witness(tm, g, image, f)
     members = tuple(sorted({g, *first}))
     t_stab = tuple(t for t, _, img in outcomes if img is not None and img in members)
-    return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab,
+    return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab, step=step,
                       outcomes=tuple(outcomes),
                       witnesses=tuple(first[x] for x in members if x != g))
 
@@ -284,7 +293,7 @@ def type2_group_check(orbit: Type2Orbit) -> Type2GroupReport:
     closed = _closed_under_addition(ts, q)
     has_inverses = all((-a) % q in ts for a in ts)
 
-    image_at = {t: orbit.outcomes[t][2] for t in ts}
+    image_at = {t: orbit.outcome(t)[2] for t in ts}
     rep = {}
     for t in sorted(ts):
         img = image_at[t]

@@ -1,4 +1,5 @@
-"""Test oracles that no command uses: the tuple edge-set route that
+"""Test oracles that no command uses: witnesses built from an image list
+and checked by verify_witness (make_witness), the tuple edge-set route that
 verify_witness replaced (factor edge sets folded by cartesian_edges, and a
 check that looks up each image), the per-vertex difference-set route that
 theta_image replaced, circulance detection on an explicit edge set, vertex
@@ -17,7 +18,7 @@ from typing import Optional, Union
 
 from circiso.circulant import Circulant, EdgeGraph, NotCirculant, realize, symmetric_set
 from circiso.errors import CircisoError, InvariantViolation, NotAPermutation, OrderMismatch
-from circiso.iso_oracle import IsoWitness
+from circiso.iso_oracle import IsoWitness, verify_witness
 from circiso.residue import reflexive_reduce
 from circiso.type2 import ThetaMap, theta_offsets
 
@@ -70,6 +71,12 @@ def maps_edges_onto(a: EdgeGraph, b: EdgeGraph, f) -> bool:
         if ((fx, fy) if fx < fy else (fy, fx)) not in target:
             return False
     return True
+
+
+def make_witness(source, target, bijection, origin: str) -> IsoWitness:
+    """A witness for an image list, its status set by verify_witness."""
+    w = IsoWitness(source, target, tuple(bijection), False, origin)
+    return IsoWitness(source, target, w.bijection, verify_witness(w), origin)
 
 
 def permute_edges(eg: EdgeGraph, perm) -> EdgeGraph:

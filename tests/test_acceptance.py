@@ -14,10 +14,9 @@ from circiso.iso_oracle import verify_witness
 from circiso.residue import reflexive_reduce
 from circiso.type1 import adams_apply, adams_vertex_map, is_adams_isomorphic, type1_set
 from circiso.type2 import ThetaMap, classify_theta, theta_compose, theta_offsets, theta_vertex_map
-from circiso.iso_oracle import make_witness
 
 from conftest import ACCEPTANCE_LINES, SECTION_TIMES
-from oracles import detect_circulant, permute_edges, search_isomorphism
+from oracles import detect_circulant, make_witness, permute_edges, search_isomorphism
 
 PROPERTY_CASES = 1000
 

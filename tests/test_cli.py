@@ -2,6 +2,7 @@ import ast
 import contextlib
 import copy
 import functools
+import hashlib
 import io
 import json
 import os
@@ -32,7 +33,7 @@ from circiso.reporting import graph_from_desc, witness_json
 from circiso.type1 import adams_apply, adams_vertex_map, type1_set
 from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 
-from oracles import endpoint_edges, maps_edges_onto, search_isomorphism
+from oracles import endpoint_edges, make_witness, maps_edges_onto, search_isomorphism
 from test_products import layered_graph
 
 SRC = pathlib.Path(circiso.__file__).resolve().parents[1]
@@ -89,7 +90,7 @@ def test_t1_builds_no_edge_set(capsys, monkeypatch):
     orbit = type1_set(g)
     expected = []
     for member, x in zip(orbit.members, orbit.reps):
-        w = iso_oracle.make_witness(g, member, adams_vertex_map(g.n, x), f"adam(x={x})")
+        w = make_witness(g, member, adams_vertex_map(g.n, x), f"adam(x={x})")
         expected.append({"source": _circulant(g), "target": _circulant(member),
                          "bijection": list(w.bijection), "origin": w.origin,
                          "verified": w.verified})
@@ -100,11 +101,12 @@ def test_t1_builds_no_edge_set(capsys, monkeypatch):
 
 def test_t1_rejects_a_wrong_member_map(capsys, monkeypatch):
     # vertices 0 and 1 of A_1 have different neighbourhoods, so a map with
-    # their images swapped is no isomorphism
+    # their images swapped is no isomorphism; the map is given as the
+    # PeriodicMap (p, c) = (n, 0) of that image list
     def transposed(n, x):
         f = list(adams_vertex_map(n, x))
         f[0], f[1] = f[1], f[0]
-        return tuple(f)
+        return iso_oracle.PeriodicMap(n, n, 0, f)
 
     monkeypatch.setattr(cli, "adams_periodic", transposed)
     code, out, _ = run(capsys, "t1", A432, "--json")
@@ -180,11 +182,10 @@ def test_edge_check_is_independent_of_the_circulant_check(monkeypatch):
     # not fall back on the connection-set check or on the map's period
     g = parse_graph(A432)
     witnesses = [classify_theta(ThetaMap(g.n, 2, 54), g).witness,
-                 iso_oracle.make_witness(g, adams_apply(g, 5), adams_vertex_map(g.n, 5),
-                                         "adam(x=5)"),
+                 make_witness(g, adams_apply(g, 5), adams_vertex_map(g.n, 5), "adam(x=5)"),
                  products.product_witness("coprime", parse_graph("n=16;R=1,2,7"),
                                           parse_graph("n=27;R=1,3,8,10"))[1]]
-    _forbid_calls(monkeypatch, iso_oracle.verify_circulant_witness, iso_oracle._period)
+    _forbid_calls(monkeypatch, iso_oracle.verify_circulant_witness)
     # vertices 0 and 1 have different neighbourhoods in A_1 and in the
     # product of the two factors
     for w in witnesses:
@@ -360,9 +361,9 @@ def test_product_builds_witness_once(capsys, monkeypatch):
         return real(source, target, bijection)
 
     def forbidden(*args, **kwargs):
-        pytest.fail("search_isomorphism or make_witness ran on the product path")
+        pytest.fail("search_isomorphism or verify_witness ran on the product path")
 
-    banned = (search_isomorphism, iso_oracle.make_witness)
+    banned = (search_isomorphism, iso_oracle.verify_witness)
     for name, mod in list(sys.modules.items()):
         if name.startswith("circiso"):
             if getattr(mod, "verify_circulant_witness", None) is real:
@@ -747,6 +748,37 @@ def test_reports_are_byte_stable(tmp_path, capsys, monkeypatch):
     run(capsys, "t1", "n=16;R=1,2,7", "--out", str(f1))
     run(capsys, "t1", "n=16;R=1,2,7", "--out", str(f2))
     assert f1.read_bytes() == f2.read_bytes()
+
+
+A6750 = "n=6750;R=135,243,250,750,1107,1593,2000,2457,2500,2943"
+# sha256 of each command's --json report under SOURCE_DATE_EPOCH=0, as the
+# writer and the classification stood before Type-2 orbits were kept in
+# lattice form; a change to any report's bytes shows here
+REPORT_DIGESTS = {
+    ("t2", "n=16;R=1,2,7", "--m", "2"):
+        "39f1dbb79a1621c25173a0fdf9d3d17de9b1c457c8edafe84e8a50a171c2f60c",
+    ("t2", A432, "--m", "2"): "c0d44fb895c38b40bfd91c45da1da4d266af91192debb8a584bbe9d1526ca6b3",
+    ("t2", A432, "--m", "3"): "4c3fffae4116ef3e2ac6319c20a5e2e38aa80851c968397ca64d4aaab021bd4a",
+    ("t2", A6750, "--m", "3"): "52641e4eed11dcbaf154ec0a3fb13f438918cf49cba1d28a41ba8834ecd2ae00",
+    ("t2", A6750, "--m", "5"): "64382f5e256a46d49201c3b5208b4ad9a47c45b10e76a80860bc8612f37c98f2",
+    ("classify", "n=16;R=1,2,7", "--m", "2", "--t", "2"):
+        "d7ab038c8b281dfb7e42efdff94414cdd63d0018d4dead4fe862bd327da67dce",
+    ("t1", A432): "4d76fd36f213c96e19e85c6d3ec0ebb1cf154e3ed30741dad759df42ffdc5131",
+    ("product", "coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"):
+        "bc7afe6d996c7ec4606664b776f8e8c79fc49e9f85da1db9ef58901a50c40376",
+    ("scan-conjecture", "--n1", "16", "--n2", "27", "--budget", "20"):
+        "94c1bb0479185a37f3575a37748dd57d71c6e913c85f1461956111c44af2286c",
+    ("reproduce", "--section", "3"):
+        "d12f0534be2bf0192fe7b1c9ddfbe89c141a8f3c40519f5f14b98ff1905b0011",
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
+def test_report_bytes_are_pinned(argv, capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
 
 
 def test_scan_conjecture_cli(capsys):

@@ -13,16 +13,18 @@ from circiso.errors import NotAPermutation, OrderMismatch
 from circiso.iso_oracle import (
     IsoWitness,
     PeriodicMap,
-    _period,
-    make_witness,
     verify_circulant_witness,
     verify_witness,
 )
-from circiso.residue import units
-from circiso.type1 import adams_vertex_map
 from circiso.type2 import ThetaMap, theta_vertex_map
 
-from oracles import BudgetExceeded, endpoint_edges, maps_edges_onto, search_isomorphism
+from oracles import (
+    BudgetExceeded,
+    endpoint_edges,
+    make_witness,
+    maps_edges_onto,
+    search_isomorphism,
+)
 
 
 def test_theta_bijection_is_a_witness():
@@ -68,34 +70,38 @@ def test_verify_witness_errors():
 
 
 def test_verify_circulant_witness_accepts_theta_and_identity():
+    # an image list f is the PeriodicMap (p, c) = (n, 0) with head f
     a, b = Circulant(16, (1, 2, 7)), Circulant(16, (2, 3, 5))
-    assert verify_circulant_witness(a, b, theta_vertex_map(ThetaMap(16, 2, 2)))
-    assert verify_circulant_witness(a, a, tuple(range(16)))
-    assert not verify_circulant_witness(a, b, tuple(range(16)))
+    identity = PeriodicMap(16, 16, 0, tuple(range(16)))
+    assert verify_circulant_witness(a, b, PeriodicMap(16, 16, 0,
+                                                      theta_vertex_map(ThetaMap(16, 2, 2))))
+    assert verify_circulant_witness(a, a, identity)
+    assert not verify_circulant_witness(a, b, identity)
 
 
 def test_verify_circulant_witness_rejections():
     a, b = Circulant(16, (1, 2, 7)), Circulant(16, (2, 3, 5))
     f = list(theta_vertex_map(ThetaMap(16, 2, 2)))
     with pytest.raises(NotAPermutation):
-        verify_circulant_witness(a, b, [f[0]] + f[:-1])  # repeats an image
+        PeriodicMap(16, 16, 0, [f[0]] + f[:-1])  # repeats an image
     with pytest.raises(NotAPermutation):
-        verify_circulant_witness(a, b, f[:-1] + [16])  # image out of range
+        PeriodicMap(16, 16, 0, f[:-1] + [16])  # 16 is vertex 0 again
     with pytest.raises(NotAPermutation):
-        verify_circulant_witness(a, b, f[:-1] + [-1])
+        PeriodicMap(16, 16, 0, f[:-1] + [-1])  # -1 is vertex 15 again
     with pytest.raises(NotAPermutation):
-        verify_circulant_witness(a, b, f[:-1])  # wrong length
+        PeriodicMap(16, 16, 0, f[:-1])  # wrong length
     with pytest.raises(OrderMismatch):
-        verify_circulant_witness(a, Circulant(10, (1, 2, 3)), f)
+        verify_circulant_witness(a, Circulant(10, (1, 2, 3)), PeriodicMap(16, 16, 0, f))
     # C_16(1,2,8) has degree 5: the edge counts differ, whatever the map
     c = Circulant(16, (1, 2, 8))
-    assert not verify_circulant_witness(a, c, tuple(range(16)))
-    assert not verify_circulant_witness(c, a, tuple(range(16)))
+    identity = PeriodicMap(16, 16, 0, tuple(range(16)))
+    assert not verify_circulant_witness(a, c, identity)
+    assert not verify_circulant_witness(c, a, identity)
     assert not verify_witness(IsoWitness(a, c, tuple(range(16)), False, "x"))
     # the identity carries every edge of C_16(1,2) onto an edge of
     # C_16(1,2,3), but does not cover the target: only the degrees tell
     sub, sup = Circulant(16, (1, 2)), Circulant(16, (1, 2, 3))
-    assert not verify_circulant_witness(sub, sup, tuple(range(16)))
+    assert not verify_circulant_witness(sub, sup, identity)
     assert not verify_witness(IsoWitness(sub, sup, tuple(range(16)), False, "x"))
 
 
@@ -130,9 +136,10 @@ def test_malformed_periodic_maps_raise_under_optimize():
 def test_product_source_maps_raise_under_optimize():
     # the connection-set check of a product embedding must refuse, with
     # NotAPermutation and no assert statement, a periodic map that is no
-    # bijection or does not fit Z_n, and an image list that is no
-    # permutation; a bijection whose period fits no block of the product is
-    # read over a lifted period and gets the edge-level verdict
+    # bijection or does not fit Z_n, among them the (p, c) = (n, 0) form of
+    # an image list that is no permutation; a bijection whose period fits
+    # no block of the product is read over a lifted period and gets the
+    # edge-level verdict
     code = ("import sys\n"
             "from circiso.circulant import Circulant\n"
             "from circiso.errors import NotAPermutation\n"
@@ -146,15 +153,15 @@ def test_product_source_maps_raise_under_optimize():
             "       lambda: PeriodicMap(432, 27, 54, tuple(range(0, 432, 16))),\n"
             "       lambda: PeriodicMap(432, 27, 27, (0,) * 27),\n"
             "       lambda: verify_circulant_witness(w.source, result, PeriodicMap(216, 1, 1, (0,))),\n"
-            "       lambda: verify_circulant_witness(w.source, result, [f[1]] + f[1:]),\n"
-            "       lambda: verify_circulant_witness(w.source, result, f[:-1])]\n"
+            "       lambda: PeriodicMap(432, 432, 0, [f[1]] + f[1:]),\n"
+            "       lambda: PeriodicMap(432, 432, 0, f[:-1])]\n"
             "for i, call in enumerate(bad):\n"
             "    try:\n"
             "        call()\n"
             "    except NotAPermutation:\n"
             "        continue\n"
             "    sys.exit(f'case {i} raised nothing')\n"
-            "for g in (PeriodicMap(432, 1, 1, (0,)), tuple(range(432))):\n"
+            "for g in (PeriodicMap(432, 1, 1, (0,)), PeriodicMap(432, 432, 0, range(432))):\n"
             "    edge = verify_witness(IsoWitness(w.source, result, g, False, 'x'))\n"
             "    if edge or verify_circulant_witness(w.source, result, g) != edge:\n"
             "        sys.exit('a misaligned map was not read over its lifted period')\n"
@@ -184,22 +191,6 @@ def test_verify_witness_counts_half_steps_once():
         a, b = endpoint_edges(source), endpoint_edges(target)
         assert {tuple(sorted((f[x], f[y]))) for x, y in a.edges} < b.edges
         assert not verify_witness(IsoWitness(source, target, f, False, "x"))
-
-
-def test_period_of_identity_adam_and_theta_maps():
-    # identity and Adam maps step by a constant; theta maps
-    # x + (x mod m)*m*t repeat their steps every m vertices. A swapped map
-    # need not reach p = n: swapping x and x + n/2 in the identity gives n/2
-    for n, ms in ((16, (2,)), (432, (2, 3)), (6750, (3, 5))):
-        assert _period(tuple(range(n))) == 1
-        for x in units(n)[:6]:
-            assert _period(adams_vertex_map(n, x)) == 1
-        for m in ms:
-            for t in (1, 2, 5, n // m - 1):
-                assert m % _period(theta_vertex_map(ThetaMap(n, m, t))) == 0
-    f = list(range(16))
-    f[3], f[11] = f[11], f[3]
-    assert _period(f) == 8
 
 
 def test_search_finds_type2_pair_16():

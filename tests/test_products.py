@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from circiso import products, reproduce
 from circiso.circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph
 from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime
-from circiso.iso_oracle import make_witness, verify_witness
+from circiso.iso_oracle import verify_witness
 from circiso.products import (
     Product,
     product_coprime,
@@ -22,7 +22,7 @@ from circiso.residue import reflexive_reduce
 from circiso.type1 import adams_apply
 
 from conftest import brute_product_edges
-from oracles import edge, search_isomorphism
+from oracles import edge, make_witness, search_isomorphism
 
 X1 = Circulant(16, (1, 2, 7))
 X2 = Circulant(16, (2, 3, 5))
@@ -231,6 +231,31 @@ def test_scan_enumerates_sets_in_combination_order():
                     for c in itertools.combinations(range(1, half + 1), size)
                     if math.gcd(n, *c) == 1]
         assert list(products._connected_sets(n)) == expected
+
+
+def _full_draw_diagonal_pairs(n1, n2, limit):
+    """The diagonal order with both sides drawn in full before the first pair."""
+    left = list(itertools.islice(products._connected_sets(n1), limit + 1))
+    right = list(itertools.islice(products._connected_sets(n2), limit + 1))
+    return [(left[i], right[s - i]) for s in range(len(left) + len(right) - 1)
+            for i in range(min(s, len(left) - 1), -1, -1) if s - i < len(right)]
+
+
+def test_diagonal_pairs_match_a_full_draw():
+    # drawing each side only as far as the diagonals reach changes no pair,
+    # whether the limit or an enumeration runs out first
+    for n1, n2 in ((3, 4), (5, 7), (7, 8), (9, 4)):
+        for limit in range(40):
+            assert (list(products._diagonal_pairs(n1, n2, limit))
+                    == _full_draw_diagonal_pairs(n1, n2, limit))
+
+
+def test_diagonal_pairs_under_a_huge_limit():
+    # the first 55 pairs fill diagonals 0..9, so they read the first ten
+    # sets of each side, whatever the limit: a limit of 10**9 draws no more
+    first = list(itertools.islice(products._diagonal_pairs(64, 81, 10**9), 55))
+    assert first == _full_draw_diagonal_pairs(64, 81, 9)[:55]
+    assert len({a for a, _ in first}) == len({b for _, b in first}) == 10
 
 
 def test_scan_conjecture_trivial_orders():

@@ -25,7 +25,6 @@ from circiso.errors import InvariantViolation, NotAPermutation
 from circiso.iso_oracle import (
     IsoWitness,
     PeriodicMap,
-    _period,
     verify_circulant_witness,
     verify_witness,
 )
@@ -177,10 +176,11 @@ def crt_cases(draw):
     with one offset moved to a residue it lacks, or the circulant whose
     offsets are the shifts of the source's steps, which a check blind to
     the wrap-around inside a step's blocks would accept under the
-    identity. The map is the stored PeriodicMap, its image list, that list
-    with two images transposed, the identity (as a list, or as a
-    PeriodicMap of any period d | n) or an Adam map: the last two have
-    periods that need not fit the blocks of the product's second factor."""
+    identity. The map is the stored PeriodicMap, its image list f as the
+    PeriodicMap (p, c) = (n, 0) with head f, that list with two images
+    transposed, the identity (in that form, or as a PeriodicMap of any
+    period d | n) or an Adam map: the last two have periods that need not
+    fit the blocks of the product's second factor."""
     kind = draw(st.sampled_from(["coprime", "prism", "c4"]))
     if kind == "coprime":
         g, h = draw(graphs(max_n=24)), draw(graphs(max_n=16))
@@ -206,11 +206,11 @@ def crt_cases(draw):
     if form == "periodic":
         f = w.bijection
     elif form == "list":
-        f = w.images()
+        f = PeriodicMap(n, n, 0, w.images())
     elif form == "transposed":
-        f = _transposed(w.images(), draw(st.integers(0, 10**6)))
+        f = PeriodicMap(n, n, 0, _transposed(w.images(), draw(st.integers(0, 10**6))))
     elif form == "identity":
-        f = tuple(range(n))
+        f = PeriodicMap(n, n, 0, tuple(range(n)))
     else:
         f = adams_periodic(n, draw(st.sampled_from(units(n))))
     return w, target, f
@@ -229,10 +229,10 @@ def test_product_source_check_matches_edge_check(case):
     gives the verdict of verify_witness and of the tuple-set oracle."""
     w, target, f = case
     edge = verify_witness(IsoWitness(w.source, target, f, False, "crt"))
-    images = f.expand() if isinstance(f, PeriodicMap) else f
+    images = f.expand()
     assert edge == maps_edges_onto(endpoint_edges(w.source), realize(target), images)
     assert verify_circulant_witness(w.source, target, f) == edge
-    if target == w.target and f in (w.bijection, w.images()):
+    if target == w.target and images == w.images():
         assert edge
 
 
@@ -570,14 +570,15 @@ def _type2_case(draw):
 @given(_type2_case())
 @example((Circulant(16, (1, 2, 7)), 2))
 def test_type2_set_outcomes_match_classify_theta(case):
-    """type2_set classifies only the t on its lattice; every outcome, those
-    it skips included, is the one classify_theta gives."""
+    """type2_set classifies and keeps only the t on its lattice, the t that
+    its step divides, in ascending order; outcome(t) at every t in
+    [0, n/m), those it skips included, is the one classify_theta gives."""
     g, m = case
     orbit = type2_set(g, m)
-    assert len(orbit.outcomes) == g.n // m
-    for t, outcome in enumerate(orbit.outcomes):
+    assert [t for t, _, _ in orbit.outcomes] == list(range(0, g.n // m, orbit.step))
+    for t in range(g.n // m):
         cls = classify_theta(ThetaMap(g.n, m, t), g)
-        assert outcome == (t, cls.kind, cls.image)
+        assert orbit.outcome(t) == (t, cls.kind, cls.image)
 
 
 @settings(max_examples=300, deadline=None)
@@ -619,7 +620,8 @@ def test_circulant_witness_check_matches_edge_check(case, maker, swap, seed):
         f[i], f[j] = f[j], f[i]
     edge = verify_witness(IsoWitness(g, h, tuple(f), False, maker))
     assert edge == maps_edges_onto(realize(g), realize(h), f)
-    assert verify_circulant_witness(g, h, f) == edge
+    # the image list as the PeriodicMap (p, c) = (n, 0): every edge is read
+    assert verify_circulant_witness(g, h, PeriodicMap(n, n, 0, f)) == edge
     if not swap:  # the periodic form, read in O(p*|R|), gives the same verdict
         assert verify_witness(IsoWitness(g, h, periodic, False, maker)) == edge
         assert verify_circulant_witness(g, h, periodic) == edge
@@ -715,40 +717,33 @@ def test_theta_compose_raises_on_a_failed_check(monkeypatch):
 
 @st.composite
 def _graph_and_map(draw):
-    """A graph and a permutation of its vertices that is neither a theta nor
-    an Adam map: a random one, or x -> a*(x + p*c[x mod p]) for a unit a and
-    p | n, which shifts each class mod p by its own multiple of p, so that
-    its steps f(x+1) - f(x) repeat every p vertices."""
+    """A graph and a PeriodicMap of its vertices that is neither a theta nor
+    an Adam map: a random permutation f as (p, c) = (n, 0) with head f, or
+    x -> a*(x + p*c[x mod p]) for a unit a and p | n, which shifts each
+    class mod p by its own multiple of p, as (p, a*p) with its first p
+    images for head."""
     g = draw(graphs(max_n=96))
     n = g.n
     if draw(st.booleans()):
-        return g, draw(st.permutations(range(n)))
-    p = draw(st.sampled_from([p for p in range(1, n + 1) if n % p == 0]))
+        return g, PeriodicMap(n, n, 0, tuple(draw(st.permutations(range(n)))))
+    p = draw(st.sampled_from(_divisors(n)))
     a = draw(st.sampled_from(units(n)))
     c = draw(st.lists(st.integers(0, n // p - 1), min_size=p, max_size=p))
-    return g, [a * (x + p * c[x % p]) % n for x in range(n)]
+    return g, PeriodicMap(n, p, a * p, tuple(a * (x + p * c[x]) for x in range(p)))
 
 
 @settings(max_examples=300, deadline=None)
 @given(_graph_and_map())
 def test_period_reduced_check_on_other_maps(case):
-    """The connection-set check reads only p = _period(f) positions per
-    offset; on maps outside the theta and Adam families it still gives the
-    verdict of both edge checks. The target is the image where that is
-    circulant, else the source."""
+    """The connection-set check reads only p positions per offset; on maps
+    outside the theta and Adam families it still gives the verdict of both
+    edge checks, and so does the map's (n, 0) form, which reads every edge.
+    The target is the image where that is circulant, else the source."""
     g, f = case
-    image = detect_circulant(permute_edges(realize(g), f))
+    images = f.expand()
+    image = detect_circulant(permute_edges(realize(g), images))
     h = g if isinstance(image, NotCirculant) else image
-    edge = verify_witness(IsoWitness(g, h, tuple(f), False, "map"))
-    assert edge == maps_edges_onto(realize(g), realize(h), f)
+    edge = verify_witness(IsoWitness(g, h, images, False, "map"))
+    assert edge == maps_edges_onto(realize(g), realize(h), images)
     assert verify_circulant_witness(g, h, f) == edge
-
-
-@settings(max_examples=300, deadline=None)
-@given(_graph_and_map())
-def test_period_is_the_least_divisor_period_of_the_steps(case):
-    g, f = case
-    n = g.n
-    d = [(f[(x + 1) % n] - f[x]) % n for x in range(n)]
-    assert _period(f) == min(p for p in range(1, n + 1) if n % p == 0
-                             and all(d[(x + p) % n] == d[x] for x in range(n)))
+    assert verify_circulant_witness(g, h, PeriodicMap(g.n, g.n, 0, images)) == edge

@@ -171,7 +171,7 @@ def test_is_adams_isomorphic_identity_and_errors():
 
 
 def test_adams_vertex_map_is_morphism():
-    from circiso.iso_oracle import make_witness
+    from oracles import make_witness
 
     a, b = Circulant(16, (1, 2, 7)), Circulant(16, (3, 5, 6))
     w = make_witness(a, b, adams_vertex_map(16, 3), "adam(x=3)")

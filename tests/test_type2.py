@@ -1,5 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import circiso
 from circiso.circulant import (
     Circulant,
     NotCirculant,
@@ -162,7 +168,7 @@ def test_classify_type1_equivalent_image_not_folded():
     orbit = type2_set(g, 2)
     assert orbit.members == (g,)
     assert orbit.t_stabilizer == (0,)
-    assert orbit.outcomes[2][1] == "type1"
+    assert orbit.outcome(2)[1] == "type1"
     assert type2_group_check(orbit).ok
 
 
@@ -190,12 +196,11 @@ def test_failed_witness_check_raises(monkeypatch):
 def test_classification_builds_no_vertex_map(monkeypatch):
     # theta witnesses are checked in periodic form, O(m*|R|) per t, and kept
     # that way: neither classify_theta nor type2_set expands one into an
-    # n-entry list or looks for a period, and theta_vertex_map keeps no cache
+    # n-entry list, and theta_vertex_map keeps no cache
     def refuse(*args):
         raise RuntimeError("an n-entry vertex map was built")
 
     monkeypatch.setattr(iso_oracle.PeriodicMap, "expand", refuse)
-    monkeypatch.setattr(iso_oracle, "_period", refuse)
     cls = classify_theta(ThetaMap(432, 2, 54), A1)
     assert cls.kind == "type2" and cls.witness.verified
     for m in (2, 3):
@@ -228,3 +233,27 @@ def test_classification_builds_no_unit_orbit(monkeypatch):
         assert cls.kind == want
         if want == "type2":
             assert cls.image == graphs[row["map"]["A"]]
+
+
+def test_type2_orbit_past_max_order_keeps_only_the_lattice():
+    # the four-m family C_16 x C_27 x C_125 x C_343 has order 18,522,000 and
+    # 9,261,000 values of t for m = 2, of which the lattice holds 4: the
+    # orbit keeps their outcomes only, so it fits a 512 MiB address space
+    # that one tuple per t would overrun
+    code = ("import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+            "from circiso.circulant import Circulant\n"
+            "from circiso.products import product_coprime\n"
+            "from circiso.type2 import type2_set\n"
+            "g = Circulant(16, (1, 2, 7))\n"
+            "for h in (Circulant(27, (1, 3, 8, 10)), Circulant(125, (1, 5, 24, 26, 49, 51)),\n"
+            "          Circulant(343, (1, 7, 48, 50, 97, 99, 146, 148))):\n"
+            "    g = product_coprime(g, h)\n"
+            "orbit = type2_set(g, 2)\n"
+            "print(g.n, len(orbit.members), len(orbit.outcomes), g.n // 2 // orbit.step,\n"
+            "      all(w.verified for w in orbit.witnesses))\n")
+    src = pathlib.Path(circiso.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert res.stdout.split() == ["18522000", "2", "4", "4", "True"]
