@@ -154,39 +154,70 @@ def type1_group_table(orbit: Type1Orbit) -> GroupTable:
 def is_adams_isomorphic(a: Circulant, b: Circulant) -> Optional[int]:
     """Least unit x with x*a = b, or None when no unit works.
 
-    Solved for, not looked up in the orbit: take r in R with the least
-    d = gcd(r, n). A unit x with x*R = S sends r to ±s for some s in S, and
-    then gcd(s, n) = d and x ≡ ±(s/d)*(r/d)^-1 (mod n/d). That leaves at
-    most 2*|S|*d candidates, each residue lifted by multiples of n/d, and
-    every candidate sends r into ±S (x*r = x*(r/d)*d ≡ ±s mod n). The
-    whole list is then filtered against one other offset r' of R at a
-    time, keeping the x with x*r' in S ∪ -S. The offsets with the largest
-    gcd(r', n) go first: x*r' depends only on x mod n/gcd(r', n), so they
-    fix the candidates modulo the smallest number and prune the most. The
-    solve stops as soon as the list is empty, and otherwise returns the
-    least unit among the survivors.
+    Solved for, not looked up in the orbit, and never by listing candidates
+    in Z_n. Take r in R with g = gcd(r, n) and q = n/g; r/g is a unit mod q.
+    For s in S with gcd(s, n) = g, an integer x has x*r ≡ ±s (mod n) iff
+    x*(r/g) ≡ ±s/g (mod q), that is iff x mod q lies in
+    D_r = {±(s/g)*(r/g)^-1 mod q}. A unit x keeps gcd(x*r, n) = g, so x*r
+    lies in S ∪ -S iff x mod q lies in D_r. Each d in D_r is a unit mod q,
+    so d is not 0 and -d mod q is q - d.
 
-    A unit x with x*r in ±S for every r in R has reflexively reduced
-    x*R ⊆ S; unit multiplication permutes reflexive classes, so x*R has
-    |R| = |S| classes and the inclusion is equality. So the mask test
-    accepts exactly the units with x*R = S, whatever order the filters run
-    in, and the least unit is the same.
+    The units with x*r in S ∪ -S for every r in R are therefore those whose
+    residue mod each q lies in that offset's D_r. The solve keeps the
+    residues mod M that meet every condition read so far, starting from {0}
+    mod 1. By the generalized CRT, with h = gcd(M, q), residues c mod M and
+    d mod q are both met by some x iff c ≡ d (mod h), and then by exactly
+    one x mod lcm(M, q) = M*(q/h), namely
+    x = c + M*(((d - c)/h)*(M/h)^-1 mod q/h). Bucketing D_r by d mod h forms
+    only those pairs. When q | M the step is a filter on c mod q. The
+    offsets with the largest gcd go first: their q is smallest, so the
+    early sets are small and most non-isomorphic pairs are refuted by an
+    empty set within the first few offsets. The order does not change the
+    final set, only how soon an empty one ends the solve.
+
+    At the end M = lcm of the q, which is n/gcd(n, R), so n for a connected
+    graph; every residue left is a unit mod M, and every x ≡ c (mod M) meets
+    all conditions, so the least unit is the first c + k*M, in ascending
+    order, that is a unit mod n (units mod M lift to units mod n, so one
+    exists). A unit x with x*r in S ∪ -S for every r in R has reflexively
+    reduced x*R ⊆ S; unit multiplication permutes reflexive classes, so x*R
+    has |R| = |S| classes and the inclusion is equality. So the solve
+    returns exactly the least unit with x*R = S.
     """
     if a.n != b.n:
         raise OrderMismatch(f"orders differ: {a.n} vs {b.n}")
     if len(a.conn) != len(b.conn):
         return None
     n = a.n
-    offsets = sorted(a.conn, key=lambda s: gcd(s, n), reverse=True)
-    r = offsets[-1]
-    d = gcd(r, n)
-    q = n // d
-    inv = pow(r // d, -1, q)
-    residues = {(e * (s // d) * inv) % q for s in b.conn if gcd(s, n) == d for e in (1, -1)}
-    xs = [x for c in residues for x in range(c, n, q)]
-    target = {v for s in b.conn for v in (s, n - s)}
-    for s in offsets[:-1]:
-        xs = [x for x in xs if x * s % n in target]
-        if not xs:
+    by_gcd: dict[int, list[int]] = {}
+    for s in b.conn:
+        by_gcd.setdefault(gcd(s, n), []).append(s)
+    residues, modulus = [0], 1
+    for g, r in sorted([(gcd(r, n), r) for r in a.conn], reverse=True):
+        q = n // g
+        inv = pow(r // g, -1, q)
+        wanted = set()
+        for s in by_gcd.get(g, ()):
+            d = s // g * inv % q
+            wanted.add(d)
+            wanted.add(q - d)
+        h = gcd(modulus, q)
+        if h == q:
+            residues = [c for c in residues if c % q in wanted]
+        else:
+            buckets: dict[int, list[int]] = {}
+            for d in wanted:
+                buckets.setdefault(d % h, []).append(d)
+            k = q // h
+            m_inv = pow(modulus // h, -1, k)
+            residues = [c + modulus * ((d - c) // h * m_inv % k)
+                        for c in residues for d in buckets.get(c % h, ())]
+            modulus *= k
+        if not residues:
             return None
-    return min((x for x in xs if gcd(x, n) == 1), default=None)
+    residues.sort()
+    for base in range(0, n, modulus):
+        for c in residues:
+            if gcd(base + c, n) == 1:
+                return base + c
+    return None

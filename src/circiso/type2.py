@@ -230,7 +230,10 @@ class Type2Orbit:
 
     def outcome(self, t: int) -> tuple:
         """(t, kind, image) of theta(n, m, t) on the base: not circulant off
-        the lattice, the classified outcome on it."""
+        the lattice, the classified outcome on it. Like ThetaMap, it refuses
+        any t outside [0, n/m)."""
+        if not 0 <= t < self.base.n // self.m:
+            raise InvalidParams(f"t must lie in [0, {self.base.n // self.m - 1}], got {t}")
         q, r = divmod(t, self.step)
         return (t, "not_circulant", None) if r else self.outcomes[q]
 

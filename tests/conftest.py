@@ -62,6 +62,18 @@ def brute_least_unit(a, b):
     return None
 
 
+def mask_unit_scan(a, b):
+    """Every unit x of Z_n with x*R = S, ascending: a byte mask of S ∪ -S
+    tests each x*r, and each hit is confirmed by reducing x*R in full."""
+    n = a.n
+    mask = bytearray(n)
+    for s in b.conn:
+        mask[s] = mask[n - s] = 1
+    return [x for x in range(1, n) if gcd(x, n) == 1
+            and all(mask[x * r % n] for r in a.conn)
+            and brute_reflexive((x * r for r in a.conn), n) == b.conn]
+
+
 def brute_edges(n, conn):
     """Edge set computed from the adjacency definition, not from realize()."""
     es = set()

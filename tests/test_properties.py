@@ -399,13 +399,31 @@ def test_group_table_matches_adams_apply(g, data):
     assert table.closed == (None not in expected.values())
 
 
-@settings(max_examples=300, deadline=None)
-@given(graphs(max_n=96), st.sampled_from(["any", "self-paired", "no unit"]), st.booleans(),
-       st.data())
+@st.composite
+def _disconnected_graphs(draw):
+    """C_n(R) with every offset a multiple of a divisor e > 1 of n, so that
+    gcd(n, R) > 1 and the residue classes the solve intersects end at the
+    modulus L = n/gcd(n, R) < n. For n divisible by 30, e is a multiple of
+    6: with two primes of n outside L, every class below L can be a
+    non-unit mod n, and the least unit is then c + k*L for some k > 0."""
+    n = draw(st.sampled_from([16, 36, 108, 432, 30, 60, 90, 210, 420]))
+    f = 6 if n % 30 == 0 else 1
+    e = draw(st.sampled_from([d for d in range(2, n // 2 + 1) if n % d == 0 and d % f == 0]))
+    conn = draw(st.sets(st.integers(1, n // (2 * e)), min_size=1, max_size=6))
+    return Circulant(n, tuple(sorted(e * c for c in conn)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(graphs(max_n=96),
+       st.sampled_from(["any", "self-paired", "no unit", "disconnected", "profile"]),
+       st.booleans(), st.data())
 def test_least_unit_solve_matches_unit_scan(g, offsets, from_orbit, data):
     """The solver against a scan of every unit, for partners in the orbit
-    and drawn at random, on graphs with n/2 and on graphs without a unit
-    offset, where the least gcd d exceeds 1 and candidates are lifted."""
+    and drawn at random: on graphs with n/2; on graphs without a unit
+    offset, where the least gcd d exceeds 1 and no offset alone fixes a
+    unit mod n; on disconnected graphs, whose least unit is lifted from
+    residues mod n/gcd(n, R); and on partners with one offset swapped for
+    one of another gcd, so that the gcd profiles differ."""
     if offsets == "self-paired":
         n = g.n + g.n % 2
         g = Circulant(n, tuple(sorted({*g.conn, n // 2})))
@@ -413,6 +431,8 @@ def test_least_unit_solve_matches_unit_scan(g, offsets, from_orbit, data):
         conn = tuple(s for s in g.conn if gcd(s, g.n) > 1)
         assume(conn)
         g = Circulant(g.n, conn)
+    elif offsets == "disconnected":
+        g = data.draw(_disconnected_graphs())
     n = g.n
     if from_orbit:
         b = adams_apply(g, data.draw(st.sampled_from(units(n))))
@@ -420,6 +440,11 @@ def test_least_unit_solve_matches_unit_scan(g, offsets, from_orbit, data):
         k = len(g.conn) + data.draw(st.sampled_from([0, 0, 0, 1]))
         b = Circulant(n, tuple(sorted(data.draw(
             st.sets(st.integers(1, n // 2), min_size=min(k, n // 2), max_size=min(k, n // 2))))))
+    if offsets == "profile":
+        out = data.draw(st.sampled_from(b.conn))
+        others = [s for s in range(1, n // 2 + 1) if s not in b.conn and gcd(s, n) != gcd(out, n)]
+        assume(others)
+        b = Circulant(n, tuple(sorted({*b.conn, data.draw(st.sampled_from(others))} - {out})))
     # the least unit is also the orbit's representative of b, and there is
     # none when b lies outside the orbit
     orbit = type1_set(g)
@@ -430,8 +455,8 @@ def test_least_unit_solve_matches_unit_scan(g, offsets, from_orbit, data):
 @st.composite
 def _shared_factor_graphs(draw):
     """C_n(R) at n = 216, 432, 1000 or 6750 with every offset sharing a
-    factor with n, so that the least gcd d exceeds 1 and candidates are
-    lifted d ways."""
+    factor with n, so that the least gcd d exceeds 1 and a unit mod n is
+    fixed only by joining the residue classes of several offsets."""
     n = draw(st.sampled_from([216, 432, 1000, 6750]))
     shared = st.integers(1, n // 2).filter(lambda s: gcd(s, n) > 1)
     return Circulant(n, tuple(sorted(draw(st.sets(shared, min_size=2, max_size=10)))))
@@ -441,8 +466,9 @@ def _shared_factor_graphs(draw):
 @given(_shared_factor_graphs(), st.sampled_from(["orbit", "random", "perturbed"]), st.data())
 def test_least_unit_solve_matches_unit_scan_with_lifted_candidates(g, partner, data):
     """The solver against a scan of every unit where d > 1: a partner in the
-    orbit passes every filter, a random one of the same size usually fails
-    the first, and an orbit member with one offset moved fails a later one."""
+    orbit meets every offset's residue classes, a random one of the same
+    size usually leaves an empty intersection within the first offsets, and
+    an orbit member with one offset moved empties it later."""
     n = g.n
     b = adams_apply(g, data.draw(st.sampled_from(units(n))))
     if partner == "random":

@@ -6,6 +6,8 @@ from circiso import type1
 from circiso.catalog import S4_LETTERS
 from circiso.circulant import Circulant, is_connected
 from circiso.errors import InvariantViolation, NotAUnit, OrderMismatch
+from circiso.products import product_coprime
+from circiso.residue import units
 from circiso.type1 import (
     adams_apply,
     adams_vertex_map,
@@ -13,9 +15,9 @@ from circiso.type1 import (
     type1_group_table,
     type1_set,
 )
-from circiso.type2 import ThetaMap, theta_image
+from circiso.type2 import ThetaMap, theta_image, type2_set
 
-from conftest import brute_least_unit
+from conftest import brute_least_unit, mask_unit_scan
 
 A1 = Circulant(432, (16, 27, 48, 54, 128, 160, 189))
 A2 = Circulant(432, (64, 80, 81, 135, 162, 192, 208))
@@ -133,9 +135,9 @@ def test_is_adams_isomorphic_absent_for_type2_pair():
 
 
 def test_is_adams_isomorphic_lifts_candidates():
-    # every offset of C_55(5,11,15) shares a factor with 55 and the least
-    # gcd is 5, so candidates are solved mod 11 and then lifted by
-    # multiples of 11; three least units lie past 11
+    # every offset of C_55(5,11,15) shares a factor with 55: 5 and 15 fix a
+    # unit mod 11, 11 fixes it mod 5, and the CRT joins the residue classes
+    # into classes mod 55; three least units lie past 11
     a = Circulant(55, (5, 11, 15))
     orbit = type1_set(a)
     assert [x for x in orbit.reps if x > 11] == [12, 14, 17]
@@ -143,10 +145,20 @@ def test_is_adams_isomorphic_lifts_candidates():
         assert is_adams_isomorphic(a, member) == x
 
 
+def test_is_adams_isomorphic_lifts_past_the_final_modulus():
+    # C_30(6) is disconnected: 6*x depends on x mod 5 only, so the classes
+    # end mod 5, and 6x ≡ ±12 (mod 30) gives x ≡ 2 or 3 (mod 5). Both share
+    # a factor with 30, so the least unit is the lift 2 + 5 = 7
+    a, b = Circulant(30, (6,)), Circulant(30, (12,))
+    assert is_adams_isomorphic(a, b) == brute_least_unit(a, b) == 7
+
+
 def test_is_adams_isomorphic_matches_unit_scan_at_order_6750(catalog):
-    # every catalog graph at order 6750 has least gcd 27, so 270 candidates
-    # are lifted and filtered: each theta row's image (the Type-2 ones have
-    # no unit) and a few Adam images are checked against all 1,800 units
+    # every catalog graph at order 6750 has least gcd 27, so no offset fixes
+    # a unit mod 6750 alone; the classes mod 9, 27, 50 and 250 that the
+    # offsets fix are intersected instead. Each theta row's image (the
+    # Type-2 ones have no unit) and a few Adam images are checked against
+    # all 1,800 units
     for idx in (1, 2):
         for letter in S4_LETTERS:
             g = catalog.s4_member(letter, idx)
@@ -160,6 +172,32 @@ def test_is_adams_isomorphic_matches_unit_scan_at_order_6750(catalog):
             for x in (7, 143, 2021):
                 image = adams_apply(g, x)
                 assert is_adams_isomorphic(g, image) == brute_least_unit(g, image)
+
+
+def test_is_adams_isomorphic_matches_unit_scan_at_order_54000():
+    # C_16(1,2,7) x C_27(1,3,8,10) x C_125(1,5,24,26,49,51) has Type-2 orbits
+    # of 2, 3 and 5 members for m = 2, 3 and 5. A byte-mask scan of all
+    # 14,400 units finds none onto a member other than the base, and the
+    # solve agrees; for three Adam images the solve's least unit is the
+    # scan's, the least of the 240 units in the multiplier's stabilizer coset
+    g = Circulant(16, (1, 2, 7))
+    for h in (Circulant(27, (1, 3, 8, 10)), Circulant(125, (1, 5, 24, 26, 49, 51))):
+        g = product_coprime(g, h)
+    assert g.n == 54000 and len(units(g.n)) == 14400
+    fixing = mask_unit_scan(g, g)
+    assert len(fixing) == 240 and fixing[0] == 1
+    for m in (2, 3, 5):
+        orbit = type2_set(g, m)
+        assert len(orbit.members) == m
+        for member in orbit.members:
+            if member != g:
+                assert mask_unit_scan(g, member) == []
+                assert is_adams_isomorphic(g, member) is None
+    for x in (7, 143, 2021):
+        image = adams_apply(g, x)
+        scan = mask_unit_scan(g, image)
+        assert len(scan) == 240 and x in scan
+        assert is_adams_isomorphic(g, image) == scan[0]
 
 
 def test_is_adams_isomorphic_identity_and_errors():

@@ -129,6 +129,18 @@ def test_type2_set_432():
     assert type2_group_check(orbit3).ok
 
 
+def test_type2_orbit_outcome_refuses_t_outside_range():
+    # outcome answers for t in [0, n/m) only, as ThetaMap does: a negative t
+    # must not index another t's tuple, and neither t = n/m on the lattice
+    # nor an odd t past it may read as an outcome
+    orbit = type2_set(C16A, 2)
+    assert orbit.step == 2 and [t for t, _, _ in orbit.outcomes] == [0, 2, 4, 6]
+    assert orbit.outcome(6)[:2] == (6, "type2") and orbit.outcome(7) == (7, "not_circulant", None)
+    for t in (-2, -1, 8, 9, 16):
+        with pytest.raises(InvalidParams):
+            orbit.outcome(t)
+
+
 def test_type2_membership_symmetry():
     orbit = type2_set(A1, 2)
     for member in orbit.members:
@@ -239,7 +251,10 @@ def test_type2_orbit_past_max_order_keeps_only_the_lattice():
     # the four-m family C_16 x C_27 x C_125 x C_343 has order 18,522,000 and
     # 9,261,000 values of t for m = 2, of which the lattice holds 4: the
     # orbit keeps their outcomes only, so it fits a 512 MiB address space
-    # that one tuple per t would overrun
+    # that one tuple per t would overrun. Its orbits for m = 3, 5 and 7 have
+    # 3, 5 and 7 members; each Type-2 image's unit solve intersects residue
+    # classes modulo n/gcd(r, n) and lists no candidate in Z_n, where the
+    # least gcd, 54,000, would give 756,000 of them
     code = ("import resource\n"
             "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
             "from circiso.circulant import Circulant\n"
@@ -249,11 +264,18 @@ def test_type2_orbit_past_max_order_keeps_only_the_lattice():
             "for h in (Circulant(27, (1, 3, 8, 10)), Circulant(125, (1, 5, 24, 26, 49, 51)),\n"
             "          Circulant(343, (1, 7, 48, 50, 97, 99, 146, 148))):\n"
             "    g = product_coprime(g, h)\n"
-            "orbit = type2_set(g, 2)\n"
-            "print(g.n, len(orbit.members), len(orbit.outcomes), g.n // 2 // orbit.step,\n"
-            "      all(w.verified for w in orbit.witnesses))\n")
+            "for m in (2, 3, 5, 7):\n"
+            "    orbit = type2_set(g, m)\n"
+            "    print(g.n, len(orbit.members), len(orbit.outcomes), g.n // m // orbit.step,\n"
+            "          all(w.verified for w in orbit.witnesses))\n")
     src = pathlib.Path(circiso.__file__).resolve().parents[1]
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert res.returncode == 0, res.stderr[-2000:]
-    assert res.stdout.split() == ["18522000", "2", "4", "4", "True"]
+    lines = [line.split() for line in res.stdout.splitlines()]
+    assert lines[0] == ["18522000", "2", "4", "4", "True"]
+    assert len(lines) == 4
+    for m, row in zip((3, 5, 7), lines[1:]):
+        # m members, every witness verified, and outcomes for the lattice only
+        assert row[:2] == ["18522000", str(m)] and row[4] == "True"
+        assert row[2] == row[3]
