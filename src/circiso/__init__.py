@@ -12,6 +12,7 @@ from .circulant import (  # noqa: E402,F401
     Circulant,
     EdgeGraph,
     NotCirculant,
+    Product,
     is_connected,
     parse_graph,
     realize,
@@ -24,7 +25,6 @@ from .iso_oracle import (  # noqa: F401
     verify_witness,
 )
 from .products import (  # noqa: F401
-    Product,
     product_coprime,
     product_witness,
     scan_conjecture,
@@ -45,7 +45,6 @@ from .type2 import (  # noqa: F401
     theta_compose,
     theta_image,
     theta_offsets,
-    theta_vertex_map,
     type2_group_check,
     type2_set,
 )

@@ -9,8 +9,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .circulant import Circulant
-from .residue import reflexive_reduce
+from .circulant import Circulant, crt_circulant
 
 CATALOG_SHA256 = "2623a0b3290651e77d0dadef49b6f45b0bdab66aa40a39bdbdefc5ff5820683a"
 
@@ -63,9 +62,7 @@ class Catalog:
         orbit times entry b of the 250-side orbit, j = 10a + b + 1."""
         xk, zk = self.s4["products"][letter]
         a, b = divmod(j - 1, 10)
-        vals = [250 * v for v in self.s4["orbit27"][xk][a]]
-        vals += [27 * v for v in self.s4["orbit250"][zk][b]]
-        return Circulant(6750, reflexive_reduce(vals, 6750))
+        return crt_circulant(27, self.s4["orbit27"][xk][a], 250, self.s4["orbit250"][zk][b])
 
     def s4_seed(self, letter: str) -> Circulant:
         return Circulant(6750, tuple(self.s4["seeds"][letter]))
@@ -93,8 +90,7 @@ class Catalog:
         for letter in S3_LETTERS:
             xk, yk = self.s3["products"][letter]
             g16, g27 = self.s3_factor(xk), self.s3_factor(yk)
-            vals = [27 * v for v in g16.conn] + [16 * v for v in g27.conn]
-            if Circulant(432, reflexive_reduce(vals, 432)) != self.s3_seed(letter):
+            if crt_circulant(16, g16.conn, 27, g27.conn) != self.s3_seed(letter):
                 raise CatalogError(f"product for family {letter} disagrees with seed table")
 
 

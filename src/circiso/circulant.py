@@ -1,10 +1,11 @@
-"""Circulant-graph values, graph text parsing, and the edge enumeration of
-circulants and their Cartesian products."""
+"""Circulant-graph values, graph text parsing, and the layout, size and edge
+enumeration of circulants and their Cartesian products, with the circulant
+a coprime product is carried onto."""
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import gcd, prod
-from typing import NamedTuple
+from math import gcd
+from typing import NamedTuple, Union
 
 from .errors import InvariantViolation, ParseError
 from .residue import check_modulus, reflexive_reduce
@@ -140,24 +141,25 @@ class EdgeGraph:
 
 
 def steps(factors):
-    """(block, shift, half) for each step of the Cartesian product of factors.
+    """The (block, shift) of every step of the Cartesian product of factors,
+    as a list in the order of the factors and of their offsets.
 
-    factors are in encoding order: vertex (x, y) of G x F is x*|F| + y.
+    factors are a sequence in encoding order: vertex (x, y) of G x F is x*|F| + y.
     Each is a Circulant (its offsets) or a ring length k (offset 1; k = 2
     is a single edge). Every offset s of every factor is one step: a cyclic
     shift by shift = s*stride inside each block of block = k*stride
     vertices, where stride is the order of the factors after it. The step
     joins v to the vertex shifted(range(n), block, shift)[v]; together the
-    steps list every edge of the product. half is True when 2s = k (an n/2
-    offset or the 2-ring): that step lists each of its n/2 edges twice, once
-    from each end, and every other step lists each of its n edges once.
+    steps list every edge of the product, and a step with 2s = k (an n/2
+    offset or the 2-ring) lists each of its edges twice, once from each
+    end. The edge count comes from the factors (sizes), not from the steps.
     """
-    stride = _order(factors)
-    for f in factors:
+    out, stride = [], 1
+    for f in reversed(factors):  # the last factor has stride 1
         k, offsets = (f, (1,)) if isinstance(f, int) else (f.n, f.conn)
-        stride //= k
-        for s in offsets:
-            yield k * stride, s * stride, 2 * s == k
+        out[:0] = [(k * stride, s * stride) for s in offsets]
+        stride *= k
+    return out
 
 
 def shifted(seq, block, shift) -> list:
@@ -172,16 +174,58 @@ def shifted(seq, block, shift) -> list:
     return out
 
 
-def _order(factors) -> int:
-    return prod(f if isinstance(f, int) else f.n for f in factors)
-
-
 def edge_set(factors) -> frozenset:
     """The edges (a, b), a < b, of the Cartesian product of factors."""
-    vertices = range(_order(factors))
+    vertices = range(Product(factors).n)
     return frozenset((v, w) if v < w else (w, v)
-                     for block, shift, _ in steps(factors)
+                     for block, shift in steps(factors)
                      for v, w in enumerate(shifted(vertices, block, shift)))
+
+
+def sizes(factors):
+    """(order, edge count) of the Cartesian product of the first i factors,
+    for i = 1, 2, ...: G x F has |G|·|F| vertices and E(G)·|F| + E(F)·|G|
+    edges. A ring of length k has k edges, or 1 edge for k = 2. factors
+    may be an iterator, read one factor per pair yielded."""
+    order, edges = 1, 0
+    for f in factors:
+        n, e = (f, 1 if f == 2 else f) if isinstance(f, int) else (f.n, f.edge_count)
+        order, edges = order * n, edges * n + e * order
+        yield order, edges
+
+
+@dataclass(frozen=True)
+class Product:
+    """Cartesian product of its factors, each a Circulant or a ring length
+    (2 or 4), in encoding order: vertex (x, y) of G x F is x*|F| + y.
+
+    Like a Circulant, it can be a witness endpoint: it exposes n,
+    edge_count and factors. n and edge_count are the last pair of
+    sizes(factors), the empty product being one vertex, and are set on
+    construction, outside the fields that equality and hashing read.
+    """
+
+    factors: tuple[Union[Circulant, int], ...]
+
+    def __post_init__(self):
+        n, edges = 1, 0
+        for n, edges in sizes(self.factors):
+            pass
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edge_count", edges)
+
+    @property
+    def edges(self) -> frozenset:
+        return edge_set(self.factors)
+
+
+def crt_circulant(m: int, r, n: int, s) -> Circulant:
+    """C_mn(nR ∪ mS), the circulant onto which the CRT embedding
+    (x, y) -> n*x + m*y carries C_m(R) x C_n(S), for coprime m and n: it
+    takes an offset r of the first factor to exactly n*r and an offset s
+    of the second to exactly m*s. A layered product is the ring C_k(1)
+    times C_N(R), which gives C_kN({N} ∪ kR)."""
+    return Circulant.reduced(m * n, [n * x for x in r] + [m * y for y in s])
 
 
 # no command reads an EdgeGraph: realize serves the tests, and stays cached

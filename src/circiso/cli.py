@@ -416,6 +416,9 @@ def main(argv=None) -> int:
     except (CircisoError, OSError) as e:  # OSError: a report path that cannot be opened
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError:  # an input below every order limit can still need more
+        print("error: out of memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

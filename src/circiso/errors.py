@@ -23,7 +23,8 @@ class OrderMismatch(CircisoError):
 
 
 class InvalidParams(CircisoError):
-    """Transform parameters violate m > 1, m^3 | n or the t range."""
+    """Transform parameters violate m > 1, m^3 | n or the t range, or a
+    scan budget is below 1."""
 
 
 class ParamMismatch(CircisoError):

@@ -6,13 +6,10 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mod, sub
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
-from .circulant import Circulant, shifted, steps
+from .circulant import Circulant, Product, shifted, steps
 from .errors import NotAPermutation, OrderMismatch
-
-if TYPE_CHECKING:
-    from .products import Product
 
 
 @dataclass(frozen=True)
@@ -86,7 +83,7 @@ class IsoWitness:
     """An explicit vertex bijection from source to target, plus its status.
 
     Each endpoint is the graph a report names: a Circulant, or a Product of
-    circulants and rings. Both expose n and factors, from which
+    circulants and rings. Both expose n, edge_count and factors, from which
     verify_witness lists the steps that make up the edges. origin records
     how the bijection was produced, e.g. "theta(m=2,t=54)", "adam(x=5)",
     "crt-embedding(16x27)". A theta, Adam or CRT-embedding bijection is
@@ -94,8 +91,8 @@ class IsoWitness:
     by a test) as its image list.
     """
 
-    source: Union[Circulant, "Product"]
-    target: Union[Circulant, "Product"]
+    source: Union[Circulant, Product]
+    target: Union[Circulant, Product]
     bijection: Union[tuple[int, ...], PeriodicMap]
     verified: bool
     origin: str
@@ -121,11 +118,11 @@ def verify_witness(w: IsoWitness) -> bool:
     That covers the target too. A bijection f maps distinct vertex pairs to
     distinct pairs, so f(E) is a set of |E| target edges; once |E| equals
     the target's edge count, f(E) is the whole target edge set. Both counts
-    come from the steps, n/2 for a half step and n for any other: steps of
-    different factors move different coordinates, and the offsets of a
-    Circulant are distinct reflexive classes in [1, n/2], so no edge is
-    listed by two steps, and a half step lists its n/2 edges once from each
-    end.
+    are edge_count, which is exact: a Circulant's offsets are distinct
+    reflexive classes in [1, n/2], each giving n edges except n/2, which
+    gives n/2; a Product's count is folded from its factors
+    (circulant.sizes), since every edge of G x F moves one coordinate along
+    an edge of its factor, giving E(G)·|F| + E(F)·|G| distinct edges.
 
     A periodic bijection is expanded first: its periodic form is not
     trusted here.
@@ -137,9 +134,9 @@ def verify_witness(w: IsoWitness) -> bool:
     f = w.images()
     if sorted(f) != list(range(n)):
         raise NotAPermutation("bijection is not a permutation of the vertex set")
-    if _edge_count(source) != _edge_count(target):
+    if source.edge_count != target.edge_count:
         return False
-    images = (shifted(f, block, shift) for block, shift, _ in steps(source.factors))
+    images = (shifted(f, block, shift) for block, shift in steps(source.factors))
     if isinstance(target, Circulant):
         mask = bytearray(n)
         for s in target.conn:
@@ -149,7 +146,7 @@ def verify_witness(w: IsoWitness) -> bool:
         return all(mask[d] for fu in images for d in set(map(sub, fu, f)))
     arcs = set()
     vertices = range(n)
-    for block, shift, _ in steps(target.factors):
+    for block, shift in steps(target.factors):
         u = shifted(vertices, block, shift)
         arcs.update(map(add, range(0, n * n, n), u))
         arcs.update(map(add, [x * n for x in u], vertices))
@@ -157,12 +154,7 @@ def verify_witness(w: IsoWitness) -> bool:
     return all(arcs.issuperset(map(add, fn, fu)) for fu in images)
 
 
-def _edge_count(g) -> int:
-    """Edges of a witness endpoint, counted from its steps."""
-    return sum(g.n // 2 if half else g.n for _, _, half in steps(g.factors))
-
-
-def verify_circulant_witness(g: Union[Circulant, "Product"], h: Circulant, f: PeriodicMap) -> bool:
+def verify_circulant_witness(g: Union[Circulant, Product], h: Circulant, f: PeriodicMap) -> bool:
     """True iff the periodic bijection f maps g edge for edge onto
     h = C_n(S).
 
@@ -172,7 +164,9 @@ def verify_circulant_witness(g: Union[Circulant, "Product"], h: Circulant, f: Pe
     some step u of circulant.steps(g.factors), and its image is an edge of
     the target exactly when f(u(x)) - f(x) lies in S ∪ (n-S). A bijection
     maps distinct edges to distinct edges, so once the edge counts agree,
-    the image covers every target edge.
+    the image covers every target edge; each count is the exact
+    edge_count, from the offsets of a Circulant or the factors of a
+    Product (circulant.sizes), as in verify_witness.
 
     Only x in [0, p) is checked, for the period p of f,
     f(x+p) = f(x) + c. That is sound when u(x+p) = u(x) + p for every x
@@ -201,11 +195,11 @@ def verify_circulant_witness(g: Union[Circulant, "Product"], h: Circulant, f: Pe
         raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
     if f.n != n:
         raise NotAPermutation(f"bijection permutes Z_{f.n}, not Z_{n}")
-    if (g.edge_count if isinstance(g, Circulant) else _edge_count(g)) != h.edge_count:
+    if g.edge_count != h.edge_count:
         return False
     target = {v for s in h.conn for v in (s, n - s)}
     p, c, head = f.p, f.c, f.head
-    for block, shift, _ in steps(g.factors):
+    for block, shift in steps(g.factors):
         if block == n:
             if shift % p:
                 ok = all((head[(x + shift) % p] + (x + shift) // p * c - head[x]) % n in target

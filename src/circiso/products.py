@@ -4,36 +4,17 @@ scanner for the product conjectures."""
 
 import itertools
 from dataclasses import dataclass, field
-from math import gcd, prod
-from typing import Optional, Union
+from math import gcd
+from typing import Optional
 
-from .circulant import WITNESS_EDGE_CAP, Circulant, edge_set, is_connected
-from .errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime, OrderTooSmall
+from .circulant import WITNESS_EDGE_CAP, Circulant, Product, crt_circulant, is_connected
+from .errors import (EvenOrder, InvalidParams, InvariantViolation, NotConnected, NotCoprime,
+                     OrderTooSmall)
 from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
-from .residue import check_modulus, reflexive_reduce, valid_type2_params
+from .residue import check_modulus, valid_type2_params
 from .type2 import ThetaMap, classify_theta, type2_set
 
 LAYERS = {"prism": 2, "c4": 4}  # layered kind -> length of its ring of copies
-
-
-@dataclass(frozen=True)
-class Product:
-    """Cartesian product of its factors, each a Circulant or a ring length
-    (2 or 4), in encoding order: vertex (x, y) of G x F is x*|F| + y.
-
-    Like a Circulant, it can be a witness endpoint: it exposes n and
-    factors.
-    """
-
-    factors: tuple[Union[Circulant, int], ...]
-
-    @property
-    def n(self) -> int:
-        return prod(f if isinstance(f, int) else f.n for f in self.factors)
-
-    @property
-    def edges(self) -> frozenset:
-        return edge_set(self.factors)
 
 
 def product_witness(
@@ -64,18 +45,14 @@ def product_witness(
             raise NotConnected(f"{g.label()} is not connected")
         if not is_connected(h):
             raise NotConnected(f"{h.label()} is not connected")
-        offsets = [n * r for r in g.conn] + [m * s for s in h.conn]
+        result = crt_circulant(m, g.conn, n, h.conn)
     else:
         if g.n % 2 == 0:
             raise EvenOrder(f"{g.label()} must have odd order")
         m, n = LAYERS[kind], g.n
-        offsets = [m * r for r in g.conn] + [n]
-    result = Circulant(m * n, reflexive_reduce(offsets, m * n))
+        result = crt_circulant(m, (1,), n, g.conn)
     if result.edge_count > WITNESS_EDGE_CAP:
         return result, None
-    # (x, y) -> n*x + m*y mod mn carries an offset r of the order-m factor to
-    # exactly n*r and an offset s of the order-n factor to exactly m*s; the
-    # plain residue-pair map would only match up to a unit twist
     source = Product((g, h) if kind == "coprime" else (m, g))
     f = PeriodicMap(m * n, n, n, tuple(range(0, m * n, m)))
     if not verify_circulant_witness(source, result, f):
@@ -147,10 +124,6 @@ class ConjectureReport:
     def counterexamples(self) -> tuple[ConjectureCase, ...]:
         return tuple(c for c in self.cases if not c.consistent)
 
-    @property
-    def failed_lifts(self) -> tuple[LiftCheck, ...]:
-        return tuple(l for c in self.cases for l in c.lifts if not l.agrees)
-
 
 def _offset_sets(lo: int, hi: int, size: int):
     """itertools.combinations(range(lo, hi + 1), size), in the same order,
@@ -220,12 +193,15 @@ def scan_conjecture(n1: int, n2: int, budget: int = 16, pairs=None) -> Conjectur
     are additionally lifted to the product and reclassified there. Each
     factor's orbits are computed once per case and feed both its verdict
     and its lifts. Each order and the product's pass check_modulus before
-    anything is enumerated.
+    anything is enumerated, and a budget below 1 is refused: a scan of no
+    cases would read as a completed enumeration.
     """
     for order in (n1, n2, n1 * n2):
         check_modulus(order)
     if gcd(n1, n2) != 1:
         raise NotCoprime(f"gcd({n1}, {n2}) != 1")
+    if budget < 1:
+        raise InvalidParams(f"budget must be at least 1, got {budget}")
     if pairs is None:
         pair_iter = _diagonal_pairs(n1, n2, budget)
     else:

@@ -9,9 +9,9 @@ from datetime import datetime, timezone
 from typing import Union
 
 from . import __version__
-from .circulant import Circulant
+from .circulant import Circulant, Product, sizes
 from .iso_oracle import IsoWitness
-from .products import LAYERS, Product
+from .products import LAYERS
 
 SCHEMA = 1
 
@@ -86,16 +86,13 @@ def _desc_factors(desc: dict):
 
 def desc_size(desc: dict, max_order: int, max_edges: int) -> tuple[int, int]:
     """(order, edge count) of the graph a descriptor names, from its factors
-    alone: a product G x F has |G|·|F| vertices and E(G)·|F| + E(F)·|G|
-    edges. The 2-cycle ring is a single edge. Both counts grow with every
-    factor, so a ValueError stops the count at the first partial product
-    past max_order vertices or max_edges edges, after a few factors
-    whatever the descriptor's size."""
+    alone, by the fold Product counts with (circulant.sizes). Both counts
+    grow with every factor, so a ValueError stops the count at the first
+    partial product past max_order vertices or max_edges edges, after a few
+    factors whatever the descriptor's size."""
     kind = desc["kind"]
     order, edges = 1, 0
-    for f in _desc_factors(desc):
-        n, e = (f, 1 if f == 2 else f) if isinstance(f, int) else (f.n, f.edge_count)
-        order, edges = order * n, edges * n + e * order
+    for order, edges in sizes(_desc_factors(desc)):
         if order > max_order:
             raise ValueError(f"{kind} descriptor names at least {order} vertices, "
                              f"more than {max_order}")

@@ -36,11 +36,6 @@ def adams_periodic(n: int, x: int) -> PeriodicMap:
     return PeriodicMap(n, 1, x, (0,))
 
 
-def adams_vertex_map(n: int, x: int) -> tuple[int, ...]:
-    """Image list of v -> x*v mod n, indexed by vertex."""
-    return adams_periodic(n, x).expand()
-
-
 @dataclass(frozen=True)
 class Type1Orbit:
     """Orbit of a connection set under all units of Z_n.

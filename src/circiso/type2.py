@@ -46,11 +46,6 @@ class ThetaMap:
         return PeriodicMap(self.n, self.m, self.m, tuple(i + i * mt for i in range(self.m)))
 
 
-def theta_vertex_map(tm: ThetaMap) -> tuple[int, ...]:
-    """Image list of the permutation, indexed by vertex."""
-    return tm.periodic().expand()
-
-
 def theta_offsets(tm: ThetaMap, full) -> tuple[int, ...]:
     """Apply the transform elementwise to a symmetric offset set.
 

@@ -12,8 +12,8 @@ from circiso.catalog import S3_LETTERS, load
 from circiso.circulant import Circulant, realize, symmetric_set
 from circiso.iso_oracle import verify_witness
 from circiso.residue import reflexive_reduce
-from circiso.type1 import adams_apply, adams_vertex_map, is_adams_isomorphic, type1_set
-from circiso.type2 import ThetaMap, classify_theta, theta_compose, theta_offsets, theta_vertex_map
+from circiso.type1 import adams_apply, adams_periodic, is_adams_isomorphic, type1_set
+from circiso.type2 import ThetaMap, classify_theta, theta_compose, theta_offsets
 
 from conftest import ACCEPTANCE_LINES, SECTION_TIMES
 from oracles import detect_circulant, make_witness, permute_edges, search_isomorphism
@@ -182,11 +182,11 @@ def _theta_params(draw):
 def test_criterion_8c_theta_bijective_and_composes(case):
     n, m, t1, t2 = case
     a, b = ThetaMap(n, m, t1), ThetaMap(n, m, t2)
-    pa, pb = theta_vertex_map(a), theta_vertex_map(b)
+    pa, pb = a.periodic().expand(), b.periodic().expand()
     assert sorted(pa) == list(range(n))
     c = theta_compose(a, b)
     assert c.t == (t1 + t2) % (n // m)
-    pc = theta_vertex_map(c)
+    pc = c.periodic().expand()
     assert all(pc[v] == pa[pb[v]] for v in range(n))
 
 
@@ -218,7 +218,7 @@ def test_criterion_8d_offset_and_edge_routes_agree(case):
         assert symmetric
         assert reflexive_reduce(shifted, n) == cls.image.conn
         # and the fused edge route equals the two-step public route
-        two_step = detect_circulant(permute_edges(realize(g), theta_vertex_map(tm)))
+        two_step = detect_circulant(permute_edges(realize(g), tm.periodic().expand()))
         assert two_step == cls.image
 
 
@@ -234,5 +234,5 @@ def test_criterion_8e_every_witness_verifies(case, seed):
 
     u = units(g.n)
     x = u[seed % len(u)]
-    w = make_witness(g, adams_apply(g, x), adams_vertex_map(g.n, x), f"adam(x={x})")
+    w = make_witness(g, adams_apply(g, x), adams_periodic(g.n, x).expand(), f"adam(x={x})")
     assert w.verified

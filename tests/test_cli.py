@@ -30,7 +30,7 @@ from circiso.circulant import (
 from circiso.cli import main
 from circiso.residue import MAX_MODULUS
 from circiso.reporting import graph_from_desc, witness_json
-from circiso.type1 import adams_apply, adams_vertex_map, type1_set
+from circiso.type1 import adams_apply, adams_periodic, type1_set
 from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 
 from oracles import endpoint_edges, make_witness, maps_edges_onto, search_isomorphism
@@ -90,7 +90,7 @@ def test_t1_builds_no_edge_set(capsys, monkeypatch):
     orbit = type1_set(g)
     expected = []
     for member, x in zip(orbit.members, orbit.reps):
-        w = make_witness(g, member, adams_vertex_map(g.n, x), f"adam(x={x})")
+        w = make_witness(g, member, adams_periodic(g.n, x).expand(), f"adam(x={x})")
         expected.append({"source": _circulant(g), "target": _circulant(member),
                          "bijection": list(w.bijection), "origin": w.origin,
                          "verified": w.verified})
@@ -104,7 +104,7 @@ def test_t1_rejects_a_wrong_member_map(capsys, monkeypatch):
     # their images swapped is no isomorphism; the map is given as the
     # PeriodicMap (p, c) = (n, 0) of that image list
     def transposed(n, x):
-        f = list(adams_vertex_map(n, x))
+        f = list(adams_periodic(n, x).expand())
         f[0], f[1] = f[1], f[0]
         return iso_oracle.PeriodicMap(n, n, 0, f)
 
@@ -182,7 +182,7 @@ def test_edge_check_is_independent_of_the_circulant_check(monkeypatch):
     # not fall back on the connection-set check or on the map's period
     g = parse_graph(A432)
     witnesses = [classify_theta(ThetaMap(g.n, 2, 54), g).witness,
-                 make_witness(g, adams_apply(g, 5), adams_vertex_map(g.n, 5), "adam(x=5)"),
+                 make_witness(g, adams_apply(g, 5), adams_periodic(g.n, 5).expand(), "adam(x=5)"),
                  products.product_witness("coprime", parse_graph("n=16;R=1,2,7"),
                                           parse_graph("n=27;R=1,3,8,10"))[1]]
     _forbid_calls(monkeypatch, iso_oracle.verify_circulant_witness)
@@ -770,12 +770,27 @@ REPORT_DIGESTS = {
         "94c1bb0479185a37f3575a37748dd57d71c6e913c85f1461956111c44af2286c",
     ("reproduce", "--section", "3"):
         "d12f0534be2bf0192fe7b1c9ddfbe89c141a8f3c40519f5f14b98ff1905b0011",
+    ("reproduce", "--section", "4"):
+        "0b6015bdb63ebc2f07e65863ae7bb2d07ee197190557b3096524cf6ab10dce9f",
+    ("product", "prism", "n=7;R=1,2"):
+        "eeda651b3c81054704f0d5f5dc18244f4dcd6e012ca807ac44fcb494f3fd0f11",
+    ("product", "c4", "n=9;R=1,2,4"):
+        "045595a9e59461d147ed22f1d48c55e2ed71d91e50a236712cbf126a22a273f6",
+    # above WITNESS_EDGE_CAP: the product by formula only
+    ("product", "coprime", "n=1001;R=1,2,4", "n=1024;R=1,3,5"):
+        "93e18a311280c6d061059323e9be35cf3f12d6669dd85afd97f31241c0532b03",
+    # the prism report above, stored under this name in the working directory
+    ("verify", "prism.json"): "48d9fe5274acd128889ee0a93dfcdb104587f2a3e9e6cde61660db5bb1601ee3",
 }
 
 
 @pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
-def test_report_bytes_are_pinned(argv, capsys, monkeypatch):
+def test_report_bytes_are_pinned(argv, capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "0")
+    # verify names its report path in its own report, so the path is fixed
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "verify":
+        assert run(capsys, "product", "prism", "n=7;R=1,2", "--out", argv[1])[0] == 0
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
@@ -801,6 +816,26 @@ def test_scan_conjecture_rejects_bad_orders(capsys, n1, n2, message):
     code, out, err = run(capsys, "scan-conjecture", "--n1", str(n1), "--n2", str(n2))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("budget", ["0", "-1"])
+def test_scan_conjecture_rejects_budget_below_one(capsys, budget):
+    # a scan of no cases would report a completed enumeration, or a pass
+    code, out, err = run(capsys, "scan-conjecture", "--n1", "3", "--n2", "4", "--budget", budget)
+    assert code == 2 and out == ""
+    assert err == f"error: budget must be at least 1, got {budget}\n"
+
+
+def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
+    # an order below MAX_ORDER can still exhaust memory, as t1 at order 4099
+    # does under a 1 GiB address-space limit
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "type1_set", exhausted)
+    code, out, err = run(capsys, "t1", "n=16;R=1,2,7")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory\n" and "Traceback" not in err
 
 
 def test_scan_conjecture_enumerates_lazily():

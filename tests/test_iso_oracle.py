@@ -16,7 +16,7 @@ from circiso.iso_oracle import (
     verify_circulant_witness,
     verify_witness,
 )
-from circiso.type2 import ThetaMap, theta_vertex_map
+from circiso.type2 import ThetaMap
 
 from oracles import (
     BudgetExceeded,
@@ -30,7 +30,7 @@ from oracles import (
 def test_theta_bijection_is_a_witness():
     src = Circulant(16, (1, 2, 7))
     tgt = Circulant(16, (2, 3, 5))
-    w = make_witness(src, tgt, theta_vertex_map(ThetaMap(16, 2, 2)), "theta(m=2,t=2)")
+    w = make_witness(src, tgt, ThetaMap(16, 2, 2).periodic().expand(), "theta(m=2,t=2)")
     assert w.verified
 
 
@@ -74,14 +74,14 @@ def test_verify_circulant_witness_accepts_theta_and_identity():
     a, b = Circulant(16, (1, 2, 7)), Circulant(16, (2, 3, 5))
     identity = PeriodicMap(16, 16, 0, tuple(range(16)))
     assert verify_circulant_witness(a, b, PeriodicMap(16, 16, 0,
-                                                      theta_vertex_map(ThetaMap(16, 2, 2))))
+                                                      ThetaMap(16, 2, 2).periodic().expand()))
     assert verify_circulant_witness(a, a, identity)
     assert not verify_circulant_witness(a, b, identity)
 
 
 def test_verify_circulant_witness_rejections():
     a, b = Circulant(16, (1, 2, 7)), Circulant(16, (2, 3, 5))
-    f = list(theta_vertex_map(ThetaMap(16, 2, 2)))
+    f = list(ThetaMap(16, 2, 2).periodic().expand())
     with pytest.raises(NotAPermutation):
         PeriodicMap(16, 16, 0, [f[0]] + f[:-1])  # repeats an image
     with pytest.raises(NotAPermutation):

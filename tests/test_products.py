@@ -18,7 +18,6 @@ from circiso.products import (
     valid_type2_ms,
 )
 from circiso.reporting import desc_size
-from circiso.residue import reflexive_reduce
 from circiso.type1 import adams_apply
 
 from conftest import brute_product_edges
@@ -68,8 +67,8 @@ def test_product_embedding_exact(monkeypatch):
     # a wrong result set must fail the embedding check
     assert not make_witness(w.source, adams_apply(p, 5), w.images(), w.origin).verified
     # and a product formula gone wrong raises, for every kind, even under -O
-    monkeypatch.setattr(products, "reflexive_reduce",
-                        lambda vals, n: reflexive_reduce([5 * v for v in vals], n))
+    real = products.crt_circulant
+    monkeypatch.setattr(products, "crt_circulant", lambda *args: adams_apply(real(*args), 5))
     for kind, args in (("coprime", (X1, Y1)), ("prism", (Circulant(7, (1, 2)),)),
                        ("c4", (Circulant(7, (1, 2)),))):
         with pytest.raises(InvariantViolation):

@@ -32,7 +32,6 @@ from circiso.residue import units
 from circiso.type1 import (
     adams_apply,
     adams_periodic,
-    adams_vertex_map,
     is_adams_isomorphic,
     type1_group_table,
     type1_set,
@@ -45,7 +44,6 @@ from circiso.type2 import (
     classify_theta,
     theta_compose,
     theta_image,
-    theta_vertex_map,
     type2_set,
 )
 from circiso.products import LAYERS, Product, product_witness
@@ -96,11 +94,13 @@ def test_realize_matches_brute_force(g, h):
     for k in LAYERS.values():  # the 2-ring is a single edge, the 4-ring C_4(1)
         ring = SimpleNamespace(n=k, conn=(1,))
         assert edge_set((k, g)) == brute_product_edges(ring, g)
+        assert Product((k, g)).edge_count == len(brute_product_edges(ring, g))
         assert set(cartesian_edges(ring_edges(k), realize(g)).edges) == brute_product_edges(ring, g)
     if gcd(g.n, h.n) == 1:
         product = cartesian_edges(realize(g), realize(h))
         assert product.n == g.n * h.n and set(product.edges) == brute_product_edges(g, h)
         assert edge_set(Product((g, h)).factors) == product.edges
+        assert Product((g, h)).edge_count == len(product.edges)
         desc = {"kind": "cartesian", "n": g.n * h.n, "factors": [_circulant(g), _circulant(h)]}
         assert desc_size(desc, product.n, WITNESS_EDGE_CAP) == (product.n, len(product.edges))
 
@@ -152,6 +152,9 @@ def test_endpoint_round_trip(case, seed):
     # enumeration: realized factors folded by cartesian_edges
     old = endpoint_edges(e)
     assert e.n == old.n and e.edges == old.edges
+    # both counts verify reads come from the factors alone
+    assert e.edge_count == len(old.edges)
+    assert desc_size(desc, e.n, WITNESS_EDGE_CAP) == (e.n, e.edge_count)
     # the identity with two images transposed is a witness from e onto
     # itself exactly when the transposition is an automorphism of e
     f = _transposed(range(e.n), seed)
@@ -198,7 +201,7 @@ def crt_cases(draw):
         conn = set(target.conn) - {draw(st.sampled_from(target.conn))}
         target = Circulant(n, tuple(sorted(conn | {draw(st.sampled_from(free))})))
     elif aim == "shifts":
-        target = Circulant.reduced(n, [shift for _, shift, _ in steps(w.source.factors)])
+        target = Circulant.reduced(n, [shift for _, shift in steps(w.source.factors)])
     form = draw(st.sampled_from(["periodic", "list", "transposed", "identity", "adam"]))
     if form == "identity" and draw(st.booleans()):  # the identity read with period d | n
         d = draw(st.sampled_from(_divisors(n)))
@@ -515,7 +518,7 @@ theta_cases = st.one_of(_theta_graph(), _theta_graph_m5())
 def test_theta_kernel_matches_edge_route(case):
     g, tm = case
     cls = classify_theta(tm, g)
-    edge = detect_circulant(permute_edges(realize(g), theta_vertex_map(tm)))
+    edge = detect_circulant(permute_edges(realize(g), tm.periodic().expand()))
     if isinstance(edge, NotCirculant):
         assert (cls.kind, cls.image, cls.failing_vertex) == ("not_circulant", None, edge.vertex)
         return
@@ -729,7 +732,7 @@ def test_theta_compose_check_matches_expanded_composition(m, k, wrong, data):
     if wrong:
         t = (t + data.draw(st.integers(1, n // m - 1))) % (n // m)
     c = ThetaMap(n, m, t)
-    pa, pb, pc = theta_vertex_map(a), theta_vertex_map(b), theta_vertex_map(c)
+    pa, pb, pc = a.periodic().expand(), b.periodic().expand(), c.periodic().expand()
     expanded = all(pc[x] == pa[pb[x]] for x in range(n))
     assert _composes(a, b, c) == expanded == (not wrong)
     assert theta_compose(a, b).t == (a.t + b.t) % (n // m)

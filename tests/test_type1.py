@@ -10,7 +10,7 @@ from circiso.products import product_coprime
 from circiso.residue import units
 from circiso.type1 import (
     adams_apply,
-    adams_vertex_map,
+    adams_periodic,
     is_adams_isomorphic,
     type1_group_table,
     type1_set,
@@ -212,5 +212,5 @@ def test_adams_vertex_map_is_morphism():
     from oracles import make_witness
 
     a, b = Circulant(16, (1, 2, 7)), Circulant(16, (3, 5, 6))
-    w = make_witness(a, b, adams_vertex_map(16, 3), "adam(x=3)")
+    w = make_witness(a, b, adams_periodic(16, 3).expand(), "adam(x=3)")
     assert w.verified

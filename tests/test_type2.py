@@ -25,7 +25,6 @@ from circiso.type2 import (
     classify_theta,
     theta_compose,
     theta_offsets,
-    theta_vertex_map,
     type2_group_check,
     type2_set,
 )
@@ -51,15 +50,15 @@ def test_theta_map_validation():
 
 
 def test_theta_vertex_map_values():
-    assert theta_vertex_map(ThetaMap(16, 2, 0)) == tuple(range(16))
-    assert theta_vertex_map(ThetaMap(16, 2, 2))[3] == 7
-    assert theta_vertex_map(ThetaMap(432, 3, 32))[1] == 97
+    assert ThetaMap(16, 2, 0).periodic().expand() == tuple(range(16))
+    assert ThetaMap(16, 2, 2).periodic().expand()[3] == 7
+    assert ThetaMap(432, 3, 32).periodic().expand()[1] == 97
 
 
 def test_theta_vertex_map_bijective():
     for n, m in ((16, 2), (432, 2), (432, 3), (432, 6), (27, 3)):
         for t in (0, 1, n // m - 1):
-            assert sorted(theta_vertex_map(ThetaMap(n, m, t))) == list(range(n))
+            assert sorted(ThetaMap(n, m, t).periodic().expand()) == list(range(n))
 
 
 def test_theta_offsets_published_row():
@@ -208,17 +207,19 @@ def test_failed_witness_check_raises(monkeypatch):
 def test_classification_builds_no_vertex_map(monkeypatch):
     # theta witnesses are checked in periodic form, O(m*|R|) per t, and kept
     # that way: neither classify_theta nor type2_set expands one into an
-    # n-entry list, and theta_vertex_map keeps no cache
+    # n-entry list, and neither the periodic form nor its expansion keeps a
+    # cache
     def refuse(*args):
         raise RuntimeError("an n-entry vertex map was built")
 
+    expand = iso_oracle.PeriodicMap.expand
     monkeypatch.setattr(iso_oracle.PeriodicMap, "expand", refuse)
     cls = classify_theta(ThetaMap(432, 2, 54), A1)
     assert cls.kind == "type2" and cls.witness.verified
     for m in (2, 3):
         orbit = type2_set(A1, m)
         assert orbit.witnesses and all(w.verified for w in orbit.witnesses)
-    assert not hasattr(theta_vertex_map, "cache_info")
+    assert not any(hasattr(fn, "cache_info") for fn in (ThetaMap.periodic, expand))
 
 
 def test_failing_vertex_beyond_one_matches_edge_route():
@@ -227,7 +228,7 @@ def test_failing_vertex_beyond_one_matches_edge_route():
     g, tm = Circulant(125, (7, 28, 48, 55)), ThetaMap(125, 5, 12)
     cls = classify_theta(tm, g)
     assert cls.kind == "not_circulant" and cls.failing_vertex == 2
-    assert detect_circulant(permute_edges(realize(g), theta_vertex_map(tm))) == NotCirculant(2)
+    assert detect_circulant(permute_edges(realize(g), tm.periodic().expand())) == NotCirculant(2)
 
 
 def test_classification_builds_no_unit_orbit(monkeypatch):
