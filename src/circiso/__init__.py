@@ -29,7 +29,7 @@ from .products import (  # noqa: F401
     product_witness,
     scan_conjecture,
 )
-from .residue import reflexive_reduce, units, valid_type2_params  # noqa: F401
+from .residue import reflexive_reduce, units  # noqa: F401
 from .type1 import (  # noqa: F401
     Type1Orbit,
     adams_apply,

@@ -10,7 +10,7 @@ import sys
 from .circulant import WITNESS_EDGE_CAP, Circulant, parse_graph
 from .errors import CircisoError, ParseError, ReportError
 from .iso_oracle import IsoWitness, verify_circulant_witness, verify_witness
-from .products import product_witness, scan_conjecture, valid_type2_ms
+from .products import product_witness, scan_conjecture
 from .reporting import (
     all_passed,
     assertion,
@@ -24,7 +24,7 @@ from .reporting import (
 from .reproduce import run_section
 from .residue import units
 from .type1 import adams_periodic, type1_group_table, type1_set
-from .type2 import ThetaMap, classify_theta, type2_group_check, type2_set
+from .type2 import ThetaMap, classify_theta, type2_group_check, type2_set, valid_type2_ms
 
 # largest order t1, t2 and classify accept. t1 lists the units of Z_n, and
 # t2's report one classification per t in [0, n/m), though its orbit keeps

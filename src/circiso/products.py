@@ -3,7 +3,7 @@ the product of its factors through one CRT embedding, and an experimental
 scanner for the product conjectures."""
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
@@ -11,10 +11,11 @@ from .circulant import WITNESS_EDGE_CAP, Circulant, Product, crt_circulant, is_c
 from .errors import (EvenOrder, InvalidParams, InvariantViolation, NotConnected, NotCoprime,
                      OrderTooSmall)
 from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
-from .residue import check_modulus, valid_type2_params
-from .type2 import ThetaMap, classify_theta, type2_set
+from .residue import check_modulus
+from .type2 import ThetaMap, classify_theta, type2_set, valid_type2_ms
 
 LAYERS = {"prism": 2, "c4": 4}  # layered kind -> length of its ring of copies
+SCAN_HEADER = "experimental: checks sampled cases only and cannot falsify beyond its budget"
 
 
 def product_witness(
@@ -67,17 +68,10 @@ def product_coprime(g: Circulant, h: Circulant) -> Circulant:
     return product_witness("coprime", g, h)[0]
 
 
-def valid_type2_ms(g: Circulant) -> tuple[int, ...]:
-    """All m > 1 with m^3 | n and some offset divisible by m."""
-    ms = itertools.takewhile(lambda m: m**3 <= g.n, itertools.count(2))
-    return tuple(m for m in ms if valid_type2_params(g.n, m, g.conn).ok)
-
-
 def _type2_orbits(g: Circulant):
-    """Type-2 orbit of g for each valid m in turn; none below 3 offsets."""
-    if len(g.conn) >= 3:
-        for m in valid_type2_ms(g):
-            yield type2_set(g, m)
+    """Type-2 orbit of g for each m it admits (valid_type2_ms), in turn."""
+    for m in valid_type2_ms(g):
+        yield type2_set(g, m)
 
 
 @dataclass(frozen=True)
@@ -116,9 +110,10 @@ class ConjectureReport:
     budget: int
     cases: tuple[ConjectureCase, ...]
     exhausted: bool  # True when the budget cut enumeration short
-    header: str = field(
-        default="experimental: checks sampled cases only and cannot falsify beyond its budget"
-    )
+
+    @property
+    def header(self) -> str:
+        return SCAN_HEADER
 
     @property
     def counterexamples(self) -> tuple[ConjectureCase, ...]:

@@ -1,7 +1,7 @@
-"""Exact arithmetic in Z_n: reflexive reduction, the unit group, and the
-divisibility checks that gate Type-2 transforms."""
+"""Exact arithmetic in Z_n: the modulus bounds, reflexive reduction and the
+unit group. Which m a graph admits for Type-2 transforms is decided in
+type2 (valid_type2_ms)."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Iterable
@@ -44,30 +44,3 @@ def units(n: int) -> tuple[int, ...]:
     """All x in [1, n-1] with gcd(n, x) = 1, ascending. Length is phi(n)."""
     check_modulus(n)
     return tuple(x for x in range(1, n) if gcd(n, x) == 1)
-
-
-@dataclass(frozen=True)
-class Type2Validity:
-    """Report on whether (n, m, R) can support a Type-2 transform."""
-
-    n: int
-    m: int
-    cube_divides: bool
-    divisible_offsets: tuple[int, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.cube_divides and bool(self.divisible_offsets)
-
-
-def valid_type2_params(n: int, m: int, offsets: Iterable[int]) -> Type2Validity:
-    """Check m^3 | n and that some offset r has m | gcd(n, r); list all such r.
-
-    Both conditions must hold before any Type-2 claim; the existential
-    reading (some r, not every r) is deliberate.
-    """
-    check_modulus(n)
-    if m <= 1:
-        raise ValueError(f"m must be > 1, got {m}")
-    divisible = tuple(r for r in offsets if gcd(n, r) % m == 0)
-    return Type2Validity(n=n, m=m, cube_divides=n % m**3 == 0, divisible_offsets=divisible)

@@ -3,14 +3,15 @@
 with their group structure."""
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count, takewhile
 from math import gcd, lcm
 from typing import Optional, Union
 
 from .circulant import Circulant, NotCirculant, symmetric_set
-from .errors import InvalidParams, InvariantViolation, ParamMismatch, PreconditionViolation
+from .errors import (CircisoError, InvalidParams, InvariantViolation, ParamMismatch,
+                     PreconditionViolation)
 from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
-from .residue import check_modulus, reflexive_reduce, valid_type2_params
+from .residue import check_modulus, reflexive_reduce
 from .type1 import is_adams_isomorphic
 
 
@@ -30,10 +31,8 @@ class ThetaMap:
 
     def __post_init__(self):
         check_modulus(self.n)
-        if self.m <= 1:
-            raise InvalidParams(f"m must be > 1, got {self.m}")
-        if self.n % self.m**3 != 0:
-            raise InvalidParams(f"m^3 = {self.m ** 3} does not divide n = {self.n}")
+        if error := _order_refusal(self.n, self.m):
+            raise error
         if not 0 <= self.t < self.n // self.m:
             raise InvalidParams(f"t must lie in [0, {self.n // self.m - 1}], got {self.t}")
 
@@ -76,14 +75,41 @@ class ThetaClassification:
     witness: Optional[IsoWitness] = None
 
 
+def _order_refusal(n: int, m: int) -> Optional[InvalidParams]:
+    """The error refusing m at order n, or None when m > 1 and m^3 | n."""
+    if m <= 1:
+        return InvalidParams(f"m must be > 1, got {m}")
+    if n % m**3:
+        return InvalidParams(f"m^3 = {m ** 3} does not divide n = {n}")
+    return None
+
+
+def _type2_refusal(g: Circulant, m: int) -> Optional[CircisoError]:
+    """The error refusing Type-2 classification of g w.r.t. m, or None when
+    g admits it: m > 1, m^3 | n, at least 3 offsets, and some offset r
+    divisible by m. Since m | n, m | gcd(n, r) is the same test as m | r.
+    The existential reading (some r, not every r) is deliberate."""
+    if error := _order_refusal(g.n, m):
+        return error
+    if len(g.conn) < 3:
+        return PreconditionViolation("Type-2 classification needs at least 3 offsets")
+    if all(r % m for r in g.conn):
+        return PreconditionViolation(f"no offset of {g.label()} is divisible by m={m}")
+    return None
+
+
+def valid_type2_ms(g: Circulant) -> tuple[int, ...]:
+    """Every m that g admits for Type-2 classification (_type2_refusal),
+    ascending; () for fewer than 3 offsets."""
+    ms = takewhile(lambda m: m**3 <= g.n, count(2))
+    return tuple(m for m in ms if _type2_refusal(g, m) is None)
+
+
 def _check_classify_preconditions(tm: ThetaMap, g: Circulant):
     if tm.n != g.n:
         raise ParamMismatch(f"transform order {tm.n} != graph order {g.n}")
-    if len(g.conn) < 3:
-        raise PreconditionViolation("Type-2 classification needs at least 3 offsets")
-    v = valid_type2_params(g.n, tm.m, g.conn)
-    if not v.divisible_offsets:
-        raise PreconditionViolation(f"no offset of {g.label()} is divisible by m={tm.m}")
+    if error := _type2_refusal(g, tm.m):
+        raise error
 
 
 def theta_image(tm: ThetaMap, g: Circulant, classes=None) -> Union[Circulant, NotCirculant]:
@@ -171,35 +197,26 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     themselves, so classification builds no edge set.
     """
     _check_classify_preconditions(tm, g)
-    kind, image, unit, vertex, f = _classify(tm, g)
-    return ThetaClassification(map=tm, source=g, kind=kind, image=image, unit=unit,
-                               failing_vertex=vertex,
-                               witness=None if image is None else _witness(tm, g, image, f))
+    return _classify(tm, g)
 
 
-def _classify(tm: ThetaMap, g: Circulant, classes=None):
-    """(kind, image, unit, failing vertex, map) of theta on g, without the
-    precondition checks, for callers that check them once for the whole t
-    range; classes is passed on to theta_image. A circulant image's
-    bijection is checked on the connection sets here, and map is that
-    checked PeriodicMap (None for a non-circulant image), so a kept
-    witness reuses it."""
+def _classify(tm: ThetaMap, g: Circulant, classes=None) -> ThetaClassification:
+    """classify_theta without the precondition checks, for callers that
+    check them once for the whole t range; classes is passed on to
+    theta_image. The witness is the bijection tm.periodic() between the two
+    circulants, kept in periodic form."""
     image = theta_image(tm, g, classes)
     if isinstance(image, NotCirculant):
-        return "not_circulant", None, None, image.vertex, None
+        return ThetaClassification(tm, g, "not_circulant", failing_vertex=image.vertex)
     f = tm.periodic()
     if not verify_circulant_witness(g, image, f):
         raise InvariantViolation(f"{tm.label()} does not map {g.label()} onto {image.label()}")
+    witness = IsoWitness(g, image, f, True, f"theta(m={tm.m},t={tm.t})")
     if image == g:
-        return "identity", image, None, None, f
+        return ThetaClassification(tm, g, "identity", image, witness=witness)
     x = is_adams_isomorphic(g, image)
-    return ("type2", image, None, None, f) if x is None else ("type1", image, x, None, f)
-
-
-def _witness(tm: ThetaMap, g: Circulant, image: Circulant, f: PeriodicMap) -> IsoWitness:
-    """The theta bijection f = tm.periodic() of g onto image, checked by
-    _classify, between the two circulants, kept in periodic form."""
-    return IsoWitness(g, image, f, True, f"theta(m={tm.m},t={tm.t})")
+    return ThetaClassification(tm, g, "type2" if x is None else "type1", image, x,
+                               witness=witness)
 
 
 @dataclass(frozen=True)
@@ -246,11 +263,10 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     outcomes = []
     first = {}  # Type-2 image -> witness of its least t
     for t in range(0, g.n // m, step):
-        tm = ThetaMap(g.n, m, t)
-        kind, image, _, _, f = _classify(tm, g, classes)
-        outcomes.append((t, kind, image))
-        if kind == "type2" and image not in first:
-            first[image] = _witness(tm, g, image, f)
+        cls = _classify(ThetaMap(g.n, m, t), g, classes)
+        outcomes.append((t, cls.kind, cls.image))
+        if cls.kind == "type2" and cls.image not in first:
+            first[cls.image] = cls.witness
     members = tuple(sorted({g, *first}))
     t_stab = tuple(t for t, _, img in outcomes if img is not None and img in members)
     return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab, step=step,

@@ -226,6 +226,12 @@ def test_t2_parameter_error_has_hint(capsys):
     assert code == 2
     assert "hint" in err
     assert "2, 3, 6" in err  # the valid m values for this graph
+    # m = 2 meets m^3 | n and divides an offset, but two offsets admit no m:
+    # the hint reads the rule that refused the classification
+    code, out, err = run(capsys, "t2", "n=16;R=2,4", "--m", "2")
+    assert code == 2
+    assert err.splitlines() == ["error: Type-2 classification needs at least 3 offsets",
+                                "hint: no valid m exists for C_16(2,4)"]
 
 
 def test_classify_json(capsys):

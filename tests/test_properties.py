@@ -21,7 +21,8 @@ from circiso.circulant import (
     realize,
     steps,
 )
-from circiso.errors import InvariantViolation, NotAPermutation
+from circiso.errors import (InvalidParams, InvariantViolation, NotAPermutation,
+                            PreconditionViolation)
 from circiso.iso_oracle import (
     IsoWitness,
     PeriodicMap,
@@ -45,6 +46,7 @@ from circiso.type2 import (
     theta_compose,
     theta_image,
     type2_set,
+    valid_type2_ms,
 )
 from circiso.products import LAYERS, Product, product_witness
 from circiso.reporting import desc_size, graph_desc, graph_from_desc
@@ -595,19 +597,40 @@ def _type2_case(draw):
     return g, m
 
 
+@st.composite
+def _small_graph(draw):
+    """C_n(R) with 1 to 4 offsets, none forced divisible by any m; half the
+    orders are drawn from multiples of m^3 for m = 2, 3 or 5."""
+    n = draw(st.one_of(st.sampled_from([8, 16, 24, 27, 54, 64, 125, 216, 250]),
+                       st.integers(3, 250)))
+    return Circulant.reduced(n, draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4)))
+
+
 @settings(max_examples=150, deadline=None)
-@given(_type2_case())
-@example((Circulant(16, (1, 2, 7)), 2))
-def test_type2_set_outcomes_match_classify_theta(case):
+@given(_type2_case(), _small_graph())
+@example((Circulant(16, (1, 2, 7)), 2), Circulant(16, (2, 4)))
+def test_type2_set_outcomes_match_classify_theta(case, other):
     """type2_set classifies and keeps only the t on its lattice, the t that
     its step divides, in ascending order; outcome(t) at every t in
-    [0, n/m), those it skips included, is the one classify_theta gives."""
+    [0, n/m), those it skips included, is the one classify_theta gives.
+    On that graph and on one with few offsets, m is in valid_type2_ms
+    exactly when type2_set refuses it with neither PreconditionViolation
+    nor InvalidParams, for every m >= 2 with m^3 <= n."""
     g, m = case
     orbit = type2_set(g, m)
     assert [t for t, _, _ in orbit.outcomes] == list(range(0, g.n // m, orbit.step))
     for t in range(g.n // m):
         cls = classify_theta(ThetaMap(g.n, m, t), g)
         assert orbit.outcome(t) == (t, cls.kind, cls.image)
+    for h in (g, other):
+        valid = valid_type2_ms(h)
+        for k in itertools.takewhile(lambda k: k**3 <= h.n, itertools.count(2)):
+            try:
+                type2_set(h, k)
+            except (PreconditionViolation, InvalidParams):
+                assert k not in valid
+            else:
+                assert k in valid
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,7 +1,9 @@
 import pytest
 
-from circiso.errors import ZeroOffset
-from circiso.residue import reflexive_reduce, units, valid_type2_params
+from circiso.circulant import Circulant
+from circiso.errors import InvalidParams, ZeroOffset
+from circiso.residue import reflexive_reduce, units
+from circiso.type2 import ThetaMap, type2_set, valid_type2_ms
 
 from conftest import brute_reflexive
 
@@ -69,30 +71,29 @@ def test_units_have_unique_inverses():
             assert len(inverses) == 1
 
 
+# Type-2 admissibility is decided by type2.valid_type2_ms and refused by
+# ThetaMap and type2_set; these four pin it on the paper's two orders
+
 def test_valid_type2_params_432_m2():
     r1 = (16, 27, 48, 54, 128, 160, 189)
-    v = valid_type2_params(432, 2, r1)
-    assert v.ok
-    assert v.cube_divides
-    assert v.divisible_offsets == (16, 48, 54, 128, 160)
+    assert 2 in valid_type2_ms(Circulant(432, r1))
 
 
 def test_valid_type2_params_432_m5_invalid():
-    v = valid_type2_params(432, 5, (16, 27, 48, 54, 128, 160, 189))
-    assert not v.cube_divides
-    assert not v.ok
+    g = Circulant(432, (16, 27, 48, 54, 128, 160, 189))
+    assert 5 not in valid_type2_ms(g)
+    with pytest.raises(InvalidParams, match="m\\^3 = 125 does not divide n = 432"):
+        type2_set(g, 5)
 
 
 def test_valid_type2_params_6750_m5():
     r1 = (135, 243, 250, 750, 1107, 1593, 2000, 2457, 2500, 2943)
-    v = valid_type2_params(6750, 5, r1)
-    assert v.ok
-    assert 250 in v.divisible_offsets
+    assert 5 in valid_type2_ms(Circulant(6750, r1))
 
 
 def test_valid_type2_params_rejects_m1():
-    with pytest.raises(ValueError):
-        valid_type2_params(432, 1, (16,))
+    with pytest.raises(InvalidParams, match="m must be > 1"):
+        ThetaMap(432, 1, 0)
 
 
 def test_modulus_bounds():
