@@ -77,14 +77,12 @@ def type1_set(g: Circulant) -> Type1Orbit:
 
 @dataclass(frozen=True)
 class GroupTable:
-    """Multiplication table over orbit members, indexed by member position."""
+    """The group axioms of an induced composition on orbit members."""
 
-    members: tuple[Circulant, ...]
-    entries: dict  # (i, j) -> k meaning members[i] o members[j] = members[k]
     closed: bool
     commutative: bool
     identity_ok: bool
-    associativity: str  # "exhaustive" or "structural"
+    associativity: str  # "exhaustive", "structural" or "failed"
 
     @property
     def ok(self) -> bool:
@@ -95,55 +93,56 @@ class GroupTable:
 EXHAUSTIVE_ASSOC_LIMIT = 30
 
 
-def type1_group_table(orbit: Type1Orbit) -> GroupTable:
-    """Build the induced composition table and verify the group axioms.
+def induced_composition(reps, op, member_of, identity: Optional[int]) -> GroupTable:
+    """The group axioms of i o j = member_of(op(reps[i], reps[j])) on the
+    members of an orbit, member i being reached by the group element reps[i].
 
-    Identity and commutativity are checked exhaustively. Associativity is
-    enumerated over all triples up to the size limit; past it the action
-    law (x*(y*R) = (xy)*R) already forces associativity, so it is only
-    recorded as structural.
+    member_of gives a member's index or None, and identity is the base's
+    index or None. Each product element is looked up once and kept, so the
+    store holds at most one entry per group element, never one per pair.
+    Closure, commutativity and the two-sided identity are checked on every
+    pair, and associativity on every triple up to the size limit. Past it
+    the action law (x.(y.R) = (x op y).R) forces associativity, so it is
+    only recorded as structural.
     """
-    base = orbit.base
-    members, reps = orbit.members, orbit.reps
-    index = {m.conn: i for i, m in enumerate(members)}
-    # members[i] o members[j] is (reps[i]*reps[j])*R, which depends only on
-    # the product unit: each is scaled once, and no graph is built
-    member_of = {}
-    entries = {}
-    for i in range(len(members)):
-        for j in range(len(members)):
-            x = (reps[i] * reps[j]) % base.n
-            if x not in member_of:
-                if gcd(x, base.n) != 1:
-                    raise NotAUnit(f"gcd({base.n}, {x}) != 1")
-                member_of[x] = index.get(_scaled(base, x))
-            entries[(i, j)] = member_of[x]
-    closed = None not in member_of.values()
-    commutative = all(
-        entries[(i, j)] == entries[(j, i)]
-        for i in range(len(members))
-        for j in range(len(members))
-    )
-    b = index[base.conn]
-    identity_ok = all(entries[(b, j)] == j and entries[(j, b)] == j for j in range(len(members)))
-    if closed and len(members) <= EXHAUSTIVE_ASSOC_LIMIT:
-        assoc_holds = all(
-            entries[(entries[(i, j)], k)] == entries[(i, entries[(j, k)])]
-            for i in range(len(members))
-            for j in range(len(members))
-            for k in range(len(members))
-        )
+    looked_up = {}
+
+    def compose(i, j):
+        x = op(reps[i], reps[j])
+        if x not in looked_up:
+            looked_up[x] = member_of(x)
+        return looked_up[x]
+
+    k = range(len(reps))
+    closed = all(compose(i, j) is not None for i in k for j in k)
+    commutative = all(compose(i, j) == compose(j, i) for i in k for j in k if i < j)
+    identity_ok = all(identity is not None and compose(identity, j) == j == compose(j, identity)
+                      for j in k)
+    if closed and len(k) <= EXHAUSTIVE_ASSOC_LIMIT:
+        assoc_holds = all(compose(compose(i, j), h) == compose(i, compose(j, h))
+                          for i in k for j in k for h in k)
         associativity = "exhaustive" if assoc_holds else "failed"
     else:
         associativity = "structural"
-    return GroupTable(
-        members=members,
-        entries=entries,
-        closed=closed,
-        commutative=commutative,
-        identity_ok=identity_ok,
-        associativity=associativity,
-    )
+    return GroupTable(closed, commutative, identity_ok, associativity)
+
+
+def type1_group_table(orbit: Type1Orbit) -> GroupTable:
+    """The group axioms of the induced composition on orbit members.
+
+    members[i] o members[j] is (reps[i]*reps[j])*R, which depends only on
+    the product unit: each is scaled once, and no graph is built.
+    """
+    base, n = orbit.base, orbit.base.n
+    index = {m.conn: i for i, m in enumerate(orbit.members)}
+
+    def member_of(x: int) -> Optional[int]:
+        if gcd(x, n) != 1:
+            raise NotAUnit(f"gcd({n}, {x}) != 1")
+        return index.get(_scaled(base, x))
+
+    return induced_composition(orbit.reps, lambda x, y: x * y % n, member_of,
+                               index.get(base.conn))
 
 
 def is_adams_isomorphic(a: Circulant, b: Circulant) -> Optional[int]:

@@ -12,7 +12,7 @@ from .errors import (CircisoError, InvalidParams, InvariantViolation, ParamMisma
                      PreconditionViolation)
 from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
 from .residue import check_modulus, reflexive_reduce
-from .type1 import is_adams_isomorphic
+from .type1 import induced_composition, is_adams_isomorphic
 
 
 @dataclass(frozen=True, order=True)
@@ -278,7 +278,6 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
 class Type2GroupReport:
     """Subgroup and abelian-group checks for a Type-2 orbit."""
 
-    t_modulus: int
     contains_zero: bool
     closed: bool
     has_inverses: bool
@@ -288,53 +287,37 @@ class Type2GroupReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.contains_zero
-            and self.closed
-            and self.has_inverses
-            and self.composition_closed
-            and self.abelian
-            and self.identity_ok
-        )
+        return (self.contains_zero and self.closed and self.has_inverses
+                and self.composition_closed and self.abelian and self.identity_ok)
 
 
 def type2_group_check(orbit: Type2Orbit) -> Type2GroupReport:
     """Verify the t-stabilizer is a subgroup of Z_{n/m} and that the induced
-    composition on members is abelian with the base as identity."""
-    q = orbit.base.n // orbit.m
-    ts = set(orbit.t_stabilizer)
-    contains_zero = 0 in ts
-    closed = _closed_under_addition(ts, q)
-    has_inverses = all((-a) % q in ts for a in ts)
+    composition on members is abelian with the base as identity.
 
-    image_at = {t: orbit.outcome(t)[2] for t in ts}
-    rep = {}
+    Theta maps at one (n, m) compose by adding t mod n/m (theta_compose).
+    The members are the circulant images of the t in the stabilizer, each
+    reached by its least t, and induced_composition composes them by adding
+    those. A t in the stabilizer whose image is not circulant names no
+    member, so the composition is not closed.
+    """
+    q = orbit.base.n // orbit.m
+    image = {t: orbit.outcome(t)[2] for t in orbit.t_stabilizer}
+    ts = image.keys()
+    least = {}  # circulant image -> its least t
     for t in sorted(ts):
-        img = image_at[t]
-        if img not in rep:
-            rep[img] = t
-    composition_closed = True
-    abelian = True
-    table = {}
-    for ma, ta in rep.items():
-        for mb, tb in rep.items():
-            img = image_at.get((ta + tb) % q) if (ta + tb) % q in ts else None
-            if img is None or img not in rep:
-                composition_closed = False
-            table[(ma, mb)] = img
-    for ma in rep:
-        for mb in rep:
-            if table[(ma, mb)] != table[(mb, ma)]:
-                abelian = False
-    identity_ok = all(table.get((orbit.base, mb)) == mb for mb in rep)
+        if image[t] is not None:
+            least.setdefault(image[t], t)
+    index = {x: i for i, x in enumerate(least)}
+    composition = induced_composition(tuple(least.values()), lambda a, b: (a + b) % q,
+                                      lambda t: index.get(image.get(t)), index.get(orbit.base))
     return Type2GroupReport(
-        t_modulus=q,
-        contains_zero=contains_zero,
-        closed=closed,
-        has_inverses=has_inverses,
-        composition_closed=composition_closed,
-        abelian=abelian,
-        identity_ok=identity_ok,
+        contains_zero=0 in ts,
+        closed=_closed_under_addition(ts, q),
+        has_inverses=all((-a) % q in ts for a in ts),
+        composition_closed=composition.closed and None not in image.values(),
+        abelian=composition.commutative,
+        identity_ok=composition.identity_ok,
     )
 
 

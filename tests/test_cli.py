@@ -833,7 +833,7 @@ def test_scan_conjecture_rejects_budget_below_one(capsys, budget):
 
 
 def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
-    # an order below MAX_ORDER can still exhaust memory, as t1 at order 4099
+    # an order below MAX_ORDER can still exhaust memory, as t1 at order 8191
     # does under a 1 GiB address-space limit
     def exhausted(g):
         raise MemoryError

@@ -31,6 +31,7 @@ from circiso.iso_oracle import (
 )
 from circiso.residue import units
 from circiso.type1 import (
+    EXHAUSTIVE_ASSOC_LIMIT,
     adams_apply,
     adams_periodic,
     is_adams_isomorphic,
@@ -387,21 +388,29 @@ def test_type1_orbit_matches_definition(g, self_paired):
 @settings(max_examples=150, deadline=None)
 @given(graphs(max_n=48), st.data())
 def test_group_table_matches_adams_apply(g, data):
-    # the table scales each product unit once; written out here, entry
-    # (i, j) is the member adams_apply gives for reps[i]*reps[j]. With one
+    # every verdict against the composition written out: member i o member
+    # j is the member adams_apply gives for reps[i]*reps[j]. With one
     # non-base member dropped, the products that land on it are missing,
-    # and the table is not closed
+    # and the composition is not closed
     orbit = type1_set(g)
     if len(orbit.members) > 1 and data.draw(st.booleans()):
         drop = data.draw(st.sampled_from([i for i, m in enumerate(orbit.members) if m != g]))
         orbit = replace(orbit, members=orbit.members[:drop] + orbit.members[drop + 1:],
                         reps=orbit.reps[:drop] + orbit.reps[drop + 1:])
     index = {m: i for i, m in enumerate(orbit.members)}
-    expected = {(i, j): index.get(adams_apply(g, x * y % g.n))
-                for i, x in enumerate(orbit.reps) for j, y in enumerate(orbit.reps)}
+    k, b = range(len(orbit.reps)), index[g]
+    compose = {(i, j): index.get(adams_apply(g, x * y % g.n))
+               for i, x in enumerate(orbit.reps) for j, y in enumerate(orbit.reps)}
     table = type1_group_table(orbit)
-    assert table.entries == expected
-    assert table.closed == (None not in expected.values())
+    assert table.closed == (None not in compose.values())
+    assert table.commutative == all(compose[i, j] == compose[j, i] for i in k for j in k)
+    assert table.identity_ok == all(compose[b, j] == j == compose[j, b] for j in k)
+    if table.closed and len(k) <= EXHAUSTIVE_ASSOC_LIMIT:
+        assoc = all(compose[compose[i, j], h] == compose[i, compose[j, h]]
+                    for i in k for j in k for h in k)
+        assert table.associativity == ("exhaustive" if assoc else "failed")
+    else:
+        assert table.associativity == "structural"
 
 
 @st.composite
@@ -799,3 +808,77 @@ def test_period_reduced_check_on_other_maps(case):
     assert edge == maps_edges_onto(realize(g), realize(h), images)
     assert verify_circulant_witness(g, h, f) == edge
     assert verify_circulant_witness(g, h, PeriodicMap(g.n, g.n, 0, images)) == edge
+
+
+# ---- type2_group_check on tampered orbits against a check of every pair ----
+
+_GROUP_ORBITS = [
+    (Circulant(16, (1, 2, 7)), 2),
+    (Circulant(27, (1, 3, 8, 10)), 3),
+    (Circulant(8, (1, 2, 4)), 2),  # its one other circulant image is Type-1
+    (Circulant(16, (2, 4, 6)), 2),  # every t fixes it
+    (Circulant(432, (16, 27, 48, 54, 128, 160, 189)), 2),
+    (Circulant(432, (16, 27, 48, 54, 128, 160, 189)), 3),
+]
+
+
+def _group_verdicts_by_pairs(g, m, ts):
+    """type2_group_check's verdicts written out: the subgroup tests over
+    every pair of t in ts, and the induced composition over every pair of
+    members. The members are the circulant images of the t in ts, each
+    represented by its least t, with every image taken from classify_theta;
+    a t in ts whose image is not circulant names no member."""
+    q = g.n // m
+    image = {t: classify_theta(ThetaMap(g.n, m, t), g).image for t in ts}
+    least = {}
+    for t in sorted(ts):
+        least.setdefault(image[t], t)
+    members = [x for x in least if x is not None]
+
+    def compose(a, b):
+        s = (least[a] + least[b]) % q
+        return image[s] if s in ts else None
+
+    return {
+        "contains_zero": 0 in ts,
+        "closed": all((a + b) % q in ts for a in ts for b in ts),
+        "has_inverses": all((q - a) % q in ts for a in ts),
+        "composition_closed": None not in least and all(
+            compose(a, b) in members for a in members for b in members),
+        "abelian": all(compose(a, b) == compose(b, a) for a in members for b in members),
+        "identity_ok": all(g in least and compose(g, b) == b == compose(b, g)
+                           for b in members),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(_GROUP_ORBITS), _type2_case()),
+       st.sampled_from(["none", "drop member", "drop t", "add t"]), st.data())
+def test_type2_group_check_matches_pairwise_check_on_tampered_orbits(case, tamper, data):
+    """Every verdict of type2_group_check equals the pairwise check, on the
+    orbit type2_set gives and on three tamperings of it: a non-base member
+    dropped together with the t that map onto it, one t dropped from the
+    t-stabilizer, and one t in [0, n/m) outside it added."""
+    g, m = case
+    orbit = type2_set(g, m)
+    q = g.n // m
+    ts = orbit.t_stabilizer
+    if tamper == "drop member":
+        others = [x for x in orbit.members if x != g]
+        assume(others)
+        drop = data.draw(st.sampled_from(others))
+        orbit = replace(orbit, members=tuple(x for x in orbit.members if x != drop),
+                        t_stabilizer=tuple(t for t in ts if orbit.outcome(t)[2] != drop))
+    elif tamper == "drop t":
+        drop = data.draw(st.sampled_from(ts))
+        orbit = replace(orbit, t_stabilizer=tuple(t for t in ts if t != drop))
+    elif tamper == "add t":
+        free = [t for t in range(q) if t not in ts]
+        assume(free)
+        orbit = replace(orbit, t_stabilizer=tuple(sorted({*ts, data.draw(st.sampled_from(free))})))
+    report = type2.type2_group_check(orbit)
+    expected = _group_verdicts_by_pairs(g, m, set(orbit.t_stabilizer))
+    assert {field: getattr(report, field) for field in expected} == expected
+    assert report.ok == all(expected.values())
+    if tamper == "none":
+        assert report.ok

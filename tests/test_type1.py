@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -11,6 +12,7 @@ from circiso.residue import units
 from circiso.type1 import (
     adams_apply,
     adams_periodic,
+    induced_composition,
     is_adams_isomorphic,
     type1_group_table,
     type1_set,
@@ -95,23 +97,86 @@ def test_membership_symmetry():
         assert set(type1_set(member).members) == set(orbit.members)
 
 
+def _composition(orbit, wrong=None, ordered=False):
+    """induced_composition on a Type-1 orbit, with member_of read from
+    adams_apply except that the product `wrong` is sent to the next member;
+    also the products it looked up, in order, each with the member index it
+    got. With ordered, a product is the pair (x, y) itself rather than the
+    unit x*y, so that (x, y) and (y, x) are looked up apart."""
+    g, n = orbit.base, orbit.base.n
+    index = {m: i for i, m in enumerate(orbit.members)}
+    looked_up = []
+
+    def member_of(p):
+        i = index.get(adams_apply(g, p[0] * p[1] % n if ordered else p))
+        looked_up.append((p, (i + 1) % len(index) if p == wrong else i))
+        return looked_up[-1][1]
+
+    op = (lambda x, y: (x, y)) if ordered else (lambda x, y: x * y % n)
+    return induced_composition(orbit.reps, op, member_of, index.get(g)), looked_up
+
+
 def test_group_table_published_entry():
-    # reps for the 432 family: A2 <- 5, A3 <- 7, and 35*A1 lands on A5
+    # reps for the 432 family: A2 <- 5, A3 <- 7, and A2 o A3 is 35*A1 = A5
     orbit = type1_set(A1)
-    table = type1_group_table(orbit)
     i2, i3 = orbit.members.index(A2), orbit.members.index(A3)
     assert orbit.reps[i2] == 5 and orbit.reps[i3] == 7
-    assert orbit.members[table.entries[(i2, i3)]] == A5
+    table, looked_up = _composition(orbit)
+    assert orbit.members[dict(looked_up)[35]] == A5
+    assert table == type1_group_table(orbit)
     assert table.ok and table.associativity == "exhaustive"
 
 
 def test_group_table_identity_row_and_abelian_2x2():
     orbit = type1_set(Circulant(16, (1, 2, 7)))
-    table = type1_group_table(orbit)
+    table, looked_up = _composition(orbit)
+    # each product unit is looked up once, whichever pairs share it
+    units_read = [x for x, _ in looked_up]
+    assert len(units_read) == len(set(units_read))
+    member_of = dict(looked_up)
     b = orbit.members.index(orbit.base)
-    for j in range(len(orbit.members)):
-        assert table.entries[(b, j)] == j
+    for j, x in enumerate(orbit.reps):
+        assert member_of[orbit.reps[b] * x % 16] == j
+    assert table == type1_group_table(orbit)
     assert table.commutative and table.ok
+
+
+@pytest.mark.parametrize("wrong, ordered", [(5, False), ((5, 1), True)],
+                         ids=["both-sides", "right-side"])
+def test_one_wrong_product_breaks_the_identity(wrong, ordered):
+    # 5 = 1*5 is the base composed with A2, so A2 is sent off itself; as
+    # the ordered pair (5, 1), only A2 o base is
+    table, _ = _composition(type1_set(A1), wrong=wrong, ordered=ordered)
+    assert table.closed and table.commutative == (not ordered)
+    assert not table.identity_ok and not table.ok
+
+
+def test_one_wrong_product_breaks_associativity():
+    # 133 = 19*7 is no representative, so no product with the base changes
+    assert 133 not in type1_set(A1).reps
+    table, _ = _composition(type1_set(A1), wrong=19 * 7 % 432)
+    assert table.closed and table.commutative and table.identity_ok
+    assert table.associativity == "failed"
+
+
+def test_one_wrong_product_breaks_commutativity():
+    table, _ = _composition(type1_set(A1), wrong=(19, 7), ordered=True)
+    assert table.closed and table.identity_ok
+    assert not table.commutative and not table.ok
+
+
+def test_group_table_peak_memory_is_not_quadratic():
+    # C_1031(1) has 515 members; a table of every pair held 265,225 entries
+    # and peaked at 29.7 MB. The products are the 1,030 units of Z_1031
+    orbit = type1_set(Circulant(1031, (1,)))
+    tracemalloc.start()
+    try:
+        table = type1_group_table(orbit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orbit.members) == 515 and table.ok
+    assert peak < 1 << 20
 
 
 def test_group_table_structural_associativity_past_limit():
