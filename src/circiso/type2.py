@@ -12,7 +12,7 @@ from .errors import (CircisoError, InvalidParams, InvariantViolation, ParamMisma
                      PreconditionViolation)
 from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
 from .residue import check_modulus, reflexive_reduce
-from .type1 import induced_composition, is_adams_isomorphic
+from .type1 import _scaled, induced_composition, is_adams_isomorphic
 
 
 @dataclass(frozen=True, order=True)
@@ -192,31 +192,37 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
 
     Detection runs on the residue classes of R (theta_image). A circulant
     image comes with the vertex bijection as witness, checked edge for edge
-    on the two connection sets before it is attached; a failed check raises
-    InvariantViolation. The witness endpoints are g and the image
-    themselves, so classification builds no edge set.
+    on the two connection sets before it is attached (_checked_witness). The
+    witness endpoints are g and the image themselves, so classification
+    builds no edge set. A Type-1 image records the least unit mapping g
+    onto it (is_adams_isomorphic).
     """
     _check_classify_preconditions(tm, g)
-    return _classify(tm, g)
-
-
-def _classify(tm: ThetaMap, g: Circulant, classes=None) -> ThetaClassification:
-    """classify_theta without the precondition checks, for callers that
-    check them once for the whole t range; classes is passed on to
-    theta_image. The witness is the bijection tm.periodic() between the two
-    circulants, kept in periodic form."""
-    image = theta_image(tm, g, classes)
-    if isinstance(image, NotCirculant):
-        return ThetaClassification(tm, g, "not_circulant", failing_vertex=image.vertex)
-    f = tm.periodic()
-    if not verify_circulant_witness(g, image, f):
-        raise InvariantViolation(f"{tm.label()} does not map {g.label()} onto {image.label()}")
-    witness = IsoWitness(g, image, f, True, f"theta(m={tm.m},t={tm.t})")
+    witness = _checked_witness(tm, g)
+    if isinstance(witness, NotCirculant):
+        return ThetaClassification(tm, g, "not_circulant", failing_vertex=witness.vertex)
+    image = witness.target
     if image == g:
         return ThetaClassification(tm, g, "identity", image, witness=witness)
     x = is_adams_isomorphic(g, image)
     return ThetaClassification(tm, g, "type2" if x is None else "type1", image, x,
                                witness=witness)
+
+
+def _checked_witness(tm: ThetaMap, g: Circulant, classes=None) -> Union[IsoWitness, NotCirculant]:
+    """The image half of a classification, shared by classify_theta and
+    type2_set: theta_image of g (classes is passed on to it), and for a
+    circulant image the witness tm.periodic() from g onto it, kept in
+    periodic form and checked by verify_circulant_witness before it is
+    returned. A failed check raises InvariantViolation. The image is the
+    witness's target."""
+    image = theta_image(tm, g, classes)
+    if isinstance(image, NotCirculant):
+        return image
+    f = tm.periodic()
+    if not verify_circulant_witness(g, image, f):
+        raise InvariantViolation(f"{tm.label()} does not map {g.label()} onto {image.label()}")
+    return IsoWitness(g, image, f, True, f"theta(m={tm.m},t={tm.t})")
 
 
 @dataclass(frozen=True)
@@ -253,20 +259,43 @@ class Type2Orbit:
 def type2_set(g: Circulant, m: int) -> Type2Orbit:
     """Classify theta(n, m, t) on g for every t on the lattice of
     _lattice_step and collect the Type-2 orbit of g; no other t in [0, n/m)
-    can give a circulant image. Every circulant image's bijection is
-    checked, so no membership claim rests on the offset classes alone; each
-    member keeps the bijection of its least t as its witness."""
+    can give a circulant image. Every lattice t gets its image and its
+    checked witness (_checked_witness), so no membership claim rests on the
+    offset classes alone; each member keeps the bijection of its least t as
+    its witness.
+
+    An image other than g is Type-1 when some unit maps R onto it. The kind
+    is decided once per distinct image, first by trying the unit
+    u = 1 + m*t: if u is a unit and u*R = S, that unit is the certificate.
+    Only when it fails does is_adams_isomorphic search for one. Why u
+    almost always works: on the lattice m²*t fixes every S_r, r in [1, m).
+    For s = r + m*j in S_r, u*s = s + r*m*t + m²*t*j lies in S_r + r*m*t,
+    the image's class r (theta_image), and u ≡ 1 (mod m) keeps every class.
+    So a unit u maps R ∪ -R onto the image's set exactly when u*S_0 = S_0.
+    No verdict rests on this; it only explains why the solve is rarely run.
+    """
     # validates m before the lattice is taken
     _check_classify_preconditions(ThetaMap(g.n, m, 0), g)
+    n = g.n
     classes = _offset_classes(symmetric_set(g), m)
-    step = _lattice_step(classes, g.n)
+    step = _lattice_step(classes, n)
     outcomes = []
+    kinds = {g: "identity"}  # circulant image -> its kind
     first = {}  # Type-2 image -> witness of its least t
-    for t in range(0, g.n // m, step):
-        cls = _classify(ThetaMap(g.n, m, t), g, classes)
-        outcomes.append((t, cls.kind, cls.image))
-        if cls.kind == "type2" and cls.image not in first:
-            first[cls.image] = cls.witness
+    for t in range(0, n // m, step):
+        witness = _checked_witness(ThetaMap(n, m, t), g, classes)
+        if isinstance(witness, NotCirculant):
+            outcomes.append((t, "not_circulant", None))
+            continue
+        image = witness.target
+        if image not in kinds:
+            u = 1 + m * t
+            unit = (gcd(u, n) == 1 and _scaled(g, u) == image.conn
+                    or is_adams_isomorphic(g, image) is not None)
+            kinds[image] = "type1" if unit else "type2"
+            if not unit:
+                first[image] = witness
+        outcomes.append((t, kinds[image], image))
     members = tuple(sorted({g, *first}))
     t_stab = tuple(t for t, _, img in outcomes if img is not None and img in members)
     return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab, step=step,
@@ -298,8 +327,10 @@ def type2_group_check(orbit: Type2Orbit) -> Type2GroupReport:
     Theta maps at one (n, m) compose by adding t mod n/m (theta_compose).
     The members are the circulant images of the t in the stabilizer, each
     reached by its least t, and induced_composition composes them by adding
-    those. A t in the stabilizer whose image is not circulant names no
-    member, so the composition is not closed.
+    those. The composition is closed only when the stabilizer's images are
+    exactly the member set: a t whose image is not circulant names no
+    member, and a member no t reaches, or an image outside the members,
+    means the stabilizer and the member list disagree.
     """
     q = orbit.base.n // orbit.m
     image = {t: orbit.outcome(t)[2] for t in orbit.t_stabilizer}
@@ -315,7 +346,7 @@ def type2_group_check(orbit: Type2Orbit) -> Type2GroupReport:
         contains_zero=0 in ts,
         closed=_closed_under_addition(ts, q),
         has_inverses=all((-a) % q in ts for a in ts),
-        composition_closed=composition.closed and None not in image.values(),
+        composition_closed=composition.closed and set(image.values()) == set(orbit.members),
         abelian=composition.commutative,
         identity_ok=composition.identity_ok,
     )

@@ -20,6 +20,7 @@ from circiso.circulant import (
     is_connected,
     realize,
     steps,
+    symmetric_set,
 )
 from circiso.errors import (InvalidParams, InvariantViolation, NotAPermutation,
                             PreconditionViolation)
@@ -49,7 +50,7 @@ from circiso.type2 import (
     type2_set,
     valid_type2_ms,
 )
-from circiso.products import LAYERS, Product, product_witness
+from circiso.products import LAYERS, Product, product_coprime, product_witness
 from circiso.reporting import desc_size, graph_desc, graph_from_desc
 
 from conftest import brute_edges, brute_least_unit, brute_product_edges
@@ -615,13 +616,37 @@ def _small_graph(draw):
     return Circulant.reduced(n, draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=4)))
 
 
+@st.composite
+def _product_case(draw):
+    """A connected coprime product of order 216 or 432, C_8 or C_16 times
+    C_27 with 3 or 4 offsets per factor, like the cases scan_conjecture
+    classifies, and an m it admits."""
+    factors = []
+    for k in (draw(st.sampled_from([8, 16])), 27):
+        conn = draw(st.sets(st.integers(1, k // 2), min_size=3, max_size=4))
+        assume(gcd(k, *conn) == 1)
+        factors.append(Circulant.reduced(k, conn))
+    g = product_coprime(*factors)
+    ms = valid_type2_ms(g)
+    assume(ms)
+    return g, draw(st.sampled_from(ms))
+
+
 @settings(max_examples=150, deadline=None)
-@given(_type2_case(), _small_graph())
+@given(st.one_of(_type2_case(), _product_case()), _small_graph())
 @example((Circulant(16, (1, 2, 7)), 2), Circulant(16, (2, 4)))
+# Type-1 images that 1 + m*t does not map g onto: it is no unit for C_54 at
+# t = 3 or for C_250 at t = 5, and for C_108 at t = 6 it is a unit that
+# moves the offsets divisible by m
+@example((Circulant(54, (2, 6, 9, 11, 16, 25, 27)), 3), Circulant(16, (2, 4)))
+@example((Circulant(108, (3, 5, 19, 35, 49, 54)), 3), Circulant(16, (2, 4)))
+@example((Circulant(250, (29, 35, 40, 96)), 5), Circulant(16, (2, 4)))
 def test_type2_set_outcomes_match_classify_theta(case, other):
     """type2_set classifies and keeps only the t on its lattice, the t that
     its step divides, in ascending order; outcome(t) at every t in
     [0, n/m), those it skips included, is the one classify_theta gives.
+    At every lattice t with a circulant image where u = 1 + m*t is a unit,
+    u*R is the image exactly when u fixes the offsets divisible by m.
     On that graph and on one with few offsets, m is in valid_type2_ms
     exactly when type2_set refuses it with neither PreconditionViolation
     nor InvalidParams, for every m >= 2 with m^3 <= n."""
@@ -631,6 +656,11 @@ def test_type2_set_outcomes_match_classify_theta(case, other):
     for t in range(g.n // m):
         cls = classify_theta(ThetaMap(g.n, m, t), g)
         assert orbit.outcome(t) == (t, cls.kind, cls.image)
+    s0 = {s for s in symmetric_set(g) if s % m == 0}
+    for t, _, image in orbit.outcomes:
+        u = 1 + m * t
+        if image is not None and gcd(u, g.n) == 1:
+            assert (adams_apply(g, u) == image) == ({u * s % g.n for s in s0} == s0)
     for h in (g, other):
         valid = valid_type2_ms(h)
         for k in itertools.takewhile(lambda k: k**3 <= h.n, itertools.count(2)):
@@ -822,12 +852,13 @@ _GROUP_ORBITS = [
 ]
 
 
-def _group_verdicts_by_pairs(g, m, ts):
+def _group_verdicts_by_pairs(g, m, ts, orbit_members):
     """type2_group_check's verdicts written out: the subgroup tests over
     every pair of t in ts, and the induced composition over every pair of
     members. The members are the circulant images of the t in ts, each
     represented by its least t, with every image taken from classify_theta;
-    a t in ts whose image is not circulant names no member."""
+    a t in ts whose image is not circulant names no member, and the
+    composition is closed only when the members are orbit_members."""
     q = g.n // m
     image = {t: classify_theta(ThetaMap(g.n, m, t), g).image for t in ts}
     least = {}
@@ -843,7 +874,7 @@ def _group_verdicts_by_pairs(g, m, ts):
         "contains_zero": 0 in ts,
         "closed": all((a + b) % q in ts for a in ts for b in ts),
         "has_inverses": all((q - a) % q in ts for a in ts),
-        "composition_closed": None not in least and all(
+        "composition_closed": set(least) == set(orbit_members) and all(
             compose(a, b) in members for a in members for b in members),
         "abelian": all(compose(a, b) == compose(b, a) for a in members for b in members),
         "identity_ok": all(g in least and compose(g, b) == b == compose(b, g)
@@ -853,22 +884,26 @@ def _group_verdicts_by_pairs(g, m, ts):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(st.sampled_from(_GROUP_ORBITS), _type2_case()),
-       st.sampled_from(["none", "drop member", "drop t", "add t"]), st.data())
+       st.sampled_from(["none", "drop member", "drop member only", "drop t", "add t"]),
+       st.data())
 def test_type2_group_check_matches_pairwise_check_on_tampered_orbits(case, tamper, data):
     """Every verdict of type2_group_check equals the pairwise check, on the
-    orbit type2_set gives and on three tamperings of it: a non-base member
-    dropped together with the t that map onto it, one t dropped from the
-    t-stabilizer, and one t in [0, n/m) outside it added."""
+    orbit type2_set gives and on four tamperings of it: a non-base member
+    dropped together with the t that map onto it, a non-base member dropped
+    with its t kept, one t dropped from the t-stabilizer, and one t in
+    [0, n/m) outside it added."""
     g, m = case
     orbit = type2_set(g, m)
     q = g.n // m
     ts = orbit.t_stabilizer
-    if tamper == "drop member":
+    if tamper in ("drop member", "drop member only"):
         others = [x for x in orbit.members if x != g]
         assume(others)
         drop = data.draw(st.sampled_from(others))
+        if tamper == "drop member":
+            ts = tuple(t for t in ts if orbit.outcome(t)[2] != drop)
         orbit = replace(orbit, members=tuple(x for x in orbit.members if x != drop),
-                        t_stabilizer=tuple(t for t in ts if orbit.outcome(t)[2] != drop))
+                        t_stabilizer=ts)
     elif tamper == "drop t":
         drop = data.draw(st.sampled_from(ts))
         orbit = replace(orbit, t_stabilizer=tuple(t for t in ts if t != drop))
@@ -877,8 +912,10 @@ def test_type2_group_check_matches_pairwise_check_on_tampered_orbits(case, tampe
         assume(free)
         orbit = replace(orbit, t_stabilizer=tuple(sorted({*ts, data.draw(st.sampled_from(free))})))
     report = type2.type2_group_check(orbit)
-    expected = _group_verdicts_by_pairs(g, m, set(orbit.t_stabilizer))
+    expected = _group_verdicts_by_pairs(g, m, set(orbit.t_stabilizer), orbit.members)
     assert {field: getattr(report, field) for field in expected} == expected
     assert report.ok == all(expected.values())
     if tamper == "none":
         assert report.ok
+    if tamper == "drop member only":
+        assert not report.composition_closed

@@ -2,6 +2,8 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +21,8 @@ from circiso.errors import (
     PreconditionViolation,
 )
 from circiso import iso_oracle, type1, type2
-from circiso.catalog import S4_LETTERS, load
+from circiso.catalog import S3_LETTERS, S4_LETTERS, load
+from circiso.products import product_coprime
 from circiso.type2 import (
     ThetaMap,
     classify_theta,
@@ -181,6 +184,52 @@ def test_classify_type1_equivalent_image_not_folded():
     assert orbit.t_stabilizer == (0,)
     assert orbit.outcome(2)[1] == "type1"
     assert type2_group_check(orbit).ok
+
+
+def test_group_check_refuses_a_member_list_that_disagrees_with_the_stabilizer():
+    # each section-3 seed has one other member at m = 2 and two at m = 3;
+    # dropping one from the member list while its t stays in the stabilizer,
+    # or adding to C_8(1,2,4)'s stabilizer the t = 2 of its Type-1 image,
+    # leaves the stabilizer's images and the members apart
+    cat = load()
+    tampered = []
+    for letter in S3_LETTERS:
+        for m in (2, 3):
+            orbit = type2_set(cat.s3_seed(letter), m)
+            assert type2_group_check(orbit).ok
+            tampered += [replace(orbit, members=tuple(x for x in orbit.members if x != drop))
+                         for drop in orbit.members if drop != orbit.base]
+    assert len(tampered) == 18
+    tampered.append(replace(type2_set(Circulant(8, (1, 2, 4)), 2), t_stabilizer=(0, 2)))
+    for orbit in tampered:
+        report = type2_group_check(orbit)
+        assert not report.composition_closed and not report.ok
+
+
+def test_type2_set_solves_for_a_unit_only_where_1_plus_mt_fails(monkeypatch):
+    counts = Counter()
+    for name in ("is_adams_isomorphic", "verify_circulant_witness"):
+        def counting(*args, real=getattr(type2, name), name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(type2, name, counting)
+    # C_16(1,2) x C_27(1,8) = C_432(16,27,54,128): at m = 3 and 6 every
+    # circulant image other than the base is (1 + m*t)*R
+    g = product_coprime(Circulant(16, (1, 2)), Circulant(27, (1, 8)))
+    for m in (3, 6):
+        counts.clear()
+        orbit = type2_set(g, m)
+        assert orbit.members == (g,)
+        assert {kind for _, kind, _ in orbit.outcomes} == {"identity", "type1"}
+        assert counts == {"verify_circulant_witness": len(orbit.outcomes)}
+    # C_54 at m = 3 has six lattice t and two Type-1 images, first met at
+    # t = 3, where 1 + 3t = 10 is no unit, and at t = 6, where 19 maps R
+    # onto the image: one solve
+    counts.clear()
+    orbit = type2_set(Circulant(54, (2, 6, 9, 11, 16, 25, 27)), 3)
+    assert len(orbit.outcomes) == 6 and orbit.members == (orbit.base,)
+    assert counts == {"is_adams_isomorphic": 1, "verify_circulant_witness": 6}
 
 
 def test_theta_compose():
