@@ -148,16 +148,9 @@ def type1_group_table(orbit: Type1Orbit) -> GroupTable:
 def is_adams_isomorphic(a: Circulant, b: Circulant) -> Optional[int]:
     """Least unit x with x*a = b, or None when no unit works.
 
-    Solved for, not looked up in the orbit. When some r in R is a unit mod
-    n, a unit x with x*R = S sends r to ±s for some unit s in S, so
-    x ≡ ±s*r^-1 (mod n): at most 2*|S| candidates, each a unit and each
-    sending r into S ∪ -S. They are filtered against the other offsets one
-    at a time, largest gcd(r', n) first since those refute the most, and
-    the least survivor is returned.
-
-    Otherwise the solve never lists candidates in Z_n. Take r in R with
-    g = gcd(r, n) and q = n/g; r/g is a unit mod q. For s in S with
-    gcd(s, n) = g, an integer x has x*r ≡ ±s (mod n) iff
+    Solved for, not looked up in the orbit, and never by listing candidates
+    in Z_n. Take r in R with g = gcd(r, n) and q = n/g; r/g is a unit mod q.
+    For s in S with gcd(s, n) = g, an integer x has x*r ≡ ±s (mod n) iff
     x*(r/g) ≡ ±s/g (mod q), that is iff x mod q lies in
     D_r = {±(s/g)*(r/g)^-1 mod q}. A unit x keeps gcd(x*r, n) = g, so x*r
     lies in S ∪ -S iff x mod q lies in D_r. Each d in D_r is a unit mod q,
@@ -182,7 +175,7 @@ def is_adams_isomorphic(a: Circulant, b: Circulant) -> Optional[int]:
     order, that is a unit mod n (units mod M lift to units mod n, so one
     exists). A unit x with x*r in S ∪ -S for every r in R has reflexively
     reduced x*R ⊆ S; unit multiplication permutes reflexive classes, so x*R
-    has |R| = |S| classes and the inclusion is equality. So either path
+    has |R| = |S| classes and the inclusion is equality. So the solve
     returns exactly the least unit with x*R = S.
     """
     if a.n != b.n:
@@ -190,22 +183,11 @@ def is_adams_isomorphic(a: Circulant, b: Circulant) -> Optional[int]:
     if len(a.conn) != len(b.conn):
         return None
     n = a.n
-    offsets = sorted([(gcd(r, n), r) for r in a.conn], reverse=True)
-    g, r = offsets[-1]
-    if g == 1:
-        inv = pow(r, -1, n)
-        xs = {e * s * inv % n for s in b.conn if gcd(s, n) == 1 for e in (1, -1)}
-        target = {v for s in b.conn for v in (s, n - s)}
-        for _, o in offsets[:-1]:
-            xs = [x for x in xs if x * o % n in target]
-            if not xs:
-                return None
-        return min(xs, default=None)
     by_gcd: dict[int, list[int]] = {}
     for s in b.conn:
         by_gcd.setdefault(gcd(s, n), []).append(s)
     residues, modulus = [0], 1
-    for g, r in offsets:
+    for g, r in sorted([(gcd(r, n), r) for r in a.conn], reverse=True):
         q = n // g
         inv = pow(r // g, -1, q)
         wanted = set()

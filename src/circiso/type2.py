@@ -12,7 +12,7 @@ from .errors import (CircisoError, InvalidParams, InvariantViolation, ParamMisma
                      PreconditionViolation)
 from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
 from .residue import check_modulus, reflexive_reduce
-from .type1 import _scaled, induced_composition, is_adams_isomorphic
+from .type1 import adams_apply, induced_composition, is_adams_isomorphic
 
 
 @dataclass(frozen=True, order=True)
@@ -290,7 +290,7 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
         image = witness.target
         if image not in kinds:
             u = 1 + m * t
-            unit = (gcd(u, n) == 1 and _scaled(g, u) == image.conn
+            unit = (gcd(u, n) == 1 and adams_apply(g, u) == image
                     or is_adams_isomorphic(g, image) is not None)
             kinds[image] = "type1" if unit else "type2"
             if not unit:

@@ -632,7 +632,7 @@ def _product_case(draw):
     return g, draw(st.sampled_from(ms))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(_type2_case(), _product_case()), _small_graph())
 @example((Circulant(16, (1, 2, 7)), 2), Circulant(16, (2, 4)))
 # Type-1 images that 1 + m*t does not map g onto: it is no unit for C_54 at
