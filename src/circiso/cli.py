@@ -15,10 +15,9 @@ from .reporting import (
     all_passed,
     assertion,
     circulant_json,
-    desc_size,
-    graph_from_desc,
     make_report,
     to_json,
+    witness_from_json,
     witness_json,
 )
 from .reproduce import run_section
@@ -232,12 +231,10 @@ def cmd_product(args) -> int:
 
 
 def _read_witnesses(path: str) -> list:
-    """(label, source, target, bijection, origin) for every witness stored in
-    a report file. Both endpoint descriptors are checked before anything is
-    built: each names a graph of order len(bijection) with at most
-    WITNESS_EDGE_CAP edges, the cap under which commands store witnesses.
-    A file that is not a well-formed report, or breaks those bounds, raises
-    ReportError."""
+    """(label, unverified IsoWitness) for every witness stored in a report
+    file, each read by reporting.witness_from_json under WITNESS_EDGE_CAP,
+    the cap under which commands store witnesses. A file that is not a
+    well-formed report, or breaks those bounds, raises ReportError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -252,33 +249,19 @@ def _read_witnesses(path: str) -> list:
     out = []
     for i, w in enumerate(witnesses):
         try:
-            bijection = w["bijection"]
-            if not isinstance(bijection, list) or not all(type(v) is int for v in bijection):
-                raise ReportError("bijection is not a list of integers")
-            source, target = w["source"], w["target"]
-            n = len(bijection)
-            for desc in (source, target):
-                order, _ = desc_size(desc, n, WITNESS_EDGE_CAP)
-                if order != n:
-                    raise ReportError(f"{desc['kind']} descriptor has order {order}, but the "
-                                      f"bijection has {n} entries")
-            label = f"{source['kind']} n={n} -> {target['kind']} n={n}"
-            origin = str(w.get("origin", "file"))
+            out.append(witness_from_json(w, WITNESS_EDGE_CAP))
         except KeyError as e:
             raise ReportError(f"{path}: witness {i} has no {e}") from e
         except (TypeError, ValueError) as e:
             raise ReportError(f"{path}: witness {i} is malformed: {e}") from e
-        out.append((label, source, target, tuple(bijection), origin))
     return out
 
 
 def cmd_verify(args) -> int:
     witnesses = _read_witnesses(args.report)
-    # endpoints are built after every descriptor is checked
-    checks = []
-    for i, (label, source, target, bijection, origin) in enumerate(witnesses):
-        w = IsoWitness(graph_from_desc(source), graph_from_desc(target), bijection, False, origin)
-        checks.append(assertion(f"witness {i}: {label}", verify_witness(w), origin))
+    # every witness is read, both endpoints built, before any is verified
+    checks = [assertion(f"witness {i}: {label}", verify_witness(w), w.origin)
+              for i, (label, w) in enumerate(witnesses)]
     if not checks:
         checks.append(assertion("no witnesses found in report", False, args.report))
     results_out = {"checked": len(witnesses),

@@ -37,9 +37,10 @@ def circulant_json(g: Circulant) -> dict:
 
 
 def graph_desc(g: Union[Circulant, Product]) -> dict:
-    """Descriptor of a witness endpoint: a Circulant, the Product of two
-    circulants (cartesian), or the Product (k, base) of a ring and a
-    circulant (prism for k = 2, c4 for k = 4)."""
+    """Descriptor of a witness endpoint, in one of four shapes: a circulant,
+    the cartesian product of two circulants, or the prism (k = 2) or c4
+    (k = 4) product (k, base) of a ring and a circulant. graph_from_desc
+    reads these four and no other."""
     if isinstance(g, Circulant):
         return {"kind": "circulant", **circulant_json(g)}
     a, b = g.factors
@@ -49,69 +50,53 @@ def graph_desc(g: Union[Circulant, Product]) -> dict:
     return {"kind": "cartesian", "n": g.n, "factors": [graph_desc(a), graph_desc(b)]}
 
 
-def _desc_factors(desc: dict):
-    """The factors of the graph a witness endpoint descriptor names, in
-    encoding order: a Circulant, or the ring length of a layered product.
-    The graph is their Cartesian product. Each factor is validated through
-    Circulant as it is reached. The n stored on a cartesian, prism or c4
-    node is checked once every factor under it is out: it must be the int
-    their orders multiply to. No edge set is built."""
-    order = 1  # of the factors yielded so far
-    stack = [desc]
-    while stack:
-        d = stack.pop()
-        if isinstance(d, tuple):  # (composite node, order before its factors)
-            node, before = d
-            n, below = node["n"], order // before
-            if isinstance(n, bool) or not isinstance(n, int) or n != below:
-                raise ValueError(f"{node['kind']} descriptor has n={n!r}, but its factors "
-                                 f"have order {below}")
-            continue
-        kind = d["kind"]
-        if kind == "cartesian":
-            a, b = d["factors"]
-            stack += ((d, order), b, a)
-            continue
-        if kind == "circulant":
-            factors = (Circulant(d["n"], tuple(d["conn"])),)
-        elif kind in LAYERS:
-            stack.append((d, order))
-            factors = (LAYERS[kind], Circulant(d["base"]["n"], tuple(d["base"]["conn"])))
-        else:
-            raise ValueError(f"unknown graph descriptor kind {kind!r}")
-        for f in factors:
-            order *= f if isinstance(f, int) else f.n
-            yield f
+def _circulant_from(d: dict, kind: str) -> Circulant:
+    """The Circulant a circulant descriptor names, d being the whole of a
+    kind descriptor or one of its factors or its base."""
+    if d["kind"] != "circulant":
+        role = "base" if kind in LAYERS else "factor"
+        raise ValueError(f"{kind} {role} has kind {d['kind']!r}, not 'circulant'")
+    return Circulant(d["n"], tuple(d["conn"]))
 
 
-def desc_size(desc: dict, max_order: int, max_edges: int) -> tuple[int, int]:
-    """(order, edge count) of the graph a descriptor names, from its factors
-    alone, by the fold Product counts with (circulant.sizes). Both counts
-    grow with every factor, so a ValueError stops the count at the first
-    partial product past max_order vertices or max_edges edges, after a few
-    factors whatever the descriptor's size."""
+def graph_from_desc(desc: dict, max_order: int,
+                    max_edges: int) -> Union[Circulant, Product]:
+    """The endpoint a descriptor of one of graph_desc's four shapes names: a
+    Circulant, or the Product of a cartesian, prism or c4 descriptor, whose
+    factors or base must be circulant descriptors. Order and edge count are
+    folded from the factors (circulant.sizes), and a ValueError stops the
+    read at the first partial product past max_order vertices or max_edges
+    edges. The n stored on a composite must be the int its factors' orders
+    multiply to. No edge set is built."""
     kind = desc["kind"]
-    order, edges = 1, 0
-    for order, edges in sizes(_desc_factors(desc)):
+    if kind == "circulant":
+        factors = (_circulant_from(desc, kind),)
+    elif kind == "cartesian":
+        a, b = desc["factors"]
+        factors = (_circulant_from(a, kind), _circulant_from(b, kind))
+    elif kind in LAYERS:
+        factors = (LAYERS[kind], _circulant_from(desc["base"], kind))
+    else:
+        raise ValueError(f"unknown graph descriptor kind {kind!r}")
+    for order, edges in sizes(factors):
         if order > max_order:
             raise ValueError(f"{kind} descriptor names at least {order} vertices, "
                              f"more than {max_order}")
         if edges > max_edges:
             raise ValueError(f"{kind} descriptor names at least {edges} edges, "
                              f"more than the limit of {max_edges}")
-    return order, edges
-
-
-def graph_from_desc(desc: dict) -> Union[Circulant, Product]:
-    """The endpoint a descriptor names, a Circulant or a flat Product; the
-    factors are validated as in desc_size, and no edge set is built."""
-    factors = tuple(_desc_factors(desc))
-    return factors[0] if desc["kind"] == "circulant" else Product(factors)
+    if len(factors) == 1:
+        return factors[0]
+    n = desc["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or n != order:
+        raise ValueError(f"{kind} descriptor has n={n!r}, but its factors have order {order}")
+    return Product(factors)
 
 
 def witness_json(w: IsoWitness) -> dict:
-    """Witnesses are stored with endpoint descriptors, so `verify` can
-    rebuild both endpoints and re-check the bijection from the file alone."""
+    """A witness as a report stores it, endpoints as graph_desc descriptors,
+    so `verify` can rebuild both and re-check the bijection from the file
+    alone; witness_from_json reads it back."""
     return {
         "source": graph_desc(w.source),
         "target": graph_desc(w.target),
@@ -119,6 +104,27 @@ def witness_json(w: IsoWitness) -> dict:
         "origin": w.origin,
         "verified": w.verified,
     }
+
+
+def witness_from_json(w: dict, max_edges: int) -> tuple[str, IsoWitness]:
+    """The inverse of witness_json: a label naming both endpoints, and the
+    stored witness, unverified. The bijection must be a list of ints, and
+    each endpoint a graph of order n = len(bijection) with at most
+    max_edges edges, read by graph_from_desc under those bounds. A
+    malformed witness raises KeyError, TypeError or ValueError."""
+    bijection = w["bijection"]
+    if not isinstance(bijection, list) or not all(type(v) is int for v in bijection):
+        raise ValueError("bijection is not a list of integers")
+    descs = w["source"], w["target"]
+    n = len(bijection)
+    ends = []
+    for d in descs:
+        ends.append(graph_from_desc(d, n, max_edges))
+        if ends[-1].n != n:
+            raise ValueError(f"{d['kind']} descriptor has order {ends[-1].n}, but the "
+                             f"bijection has {n} entries")
+    label = f"{descs[0]['kind']} n={n} -> {descs[1]['kind']} n={n}"
+    return label, IsoWitness(*ends, tuple(bijection), False, str(w.get("origin", "file")))
 
 
 def assertion(name: str, passed: bool, detail: str = "") -> dict:

@@ -2,7 +2,6 @@
 unit group. Which m a graph admits for Type-2 transforms is decided in
 type2 (valid_type2_ms)."""
 
-from functools import lru_cache
 from math import gcd
 from typing import Iterable
 
@@ -39,7 +38,6 @@ def reflexive_reduce(values: Iterable[int], n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
 def units(n: int) -> tuple[int, ...]:
     """All x in [1, n-1] with gcd(n, x) = 1, ascending. Length is phi(n)."""
     check_modulus(n)

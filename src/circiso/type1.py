@@ -56,7 +56,8 @@ def type1_set(g: Circulant) -> Type1Orbit:
     kept as connection sets; a Circulant is built per member, not per unit."""
     least: dict[tuple[int, ...], int] = {}
     stab = []
-    for x in units(g.n):  # ascending, so first hit records the least unit
+    us = units(g.n)
+    for x in us:  # ascending, so first hit records the least unit
         conn = _scaled(g, x)
         if conn not in least:
             least[conn] = x
@@ -70,7 +71,7 @@ def type1_set(g: Circulant) -> Type1Orbit:
         reps=tuple(least[c] for c in conns),
         stabilizer=tuple(stab),
     )
-    if len(conns) * len(stab) != len(units(g.n)):
+    if len(conns) * len(stab) != len(us):
         raise InvariantViolation(f"orbit-stabilizer violated for {g.label()}")
     return orbit
 

@@ -229,8 +229,8 @@ def _checked_witness(tm: ThetaMap, g: Circulant, classes=None) -> Union[IsoWitne
 class Type2Orbit:
     """Type-2 set of a graph w.r.t. m: the base plus every Type-2 image.
 
-    theta(n, m, t) maps the base onto a circulant only when step divides t
-    (_lattice_step), so outcomes records (t, kind, image) for those t
+    theta(n, m, t) maps the base onto a circulant exactly when step divides
+    t (_lattice_step), so outcomes records (t, kind, image) for those t
     alone, ascending, and outcome(t) answers for any t in [0, n/m). The
     t_stabilizer collects every t whose image is circulant and lies in the
     member set, and is a subgroup of Z_{n/m} under addition. witnesses
@@ -243,7 +243,7 @@ class Type2Orbit:
     members: tuple[Circulant, ...]
     t_stabilizer: tuple[int, ...]
     step: int
-    outcomes: tuple  # of (t, kind, Optional[Circulant]) for the t with step | t
+    outcomes: tuple  # of (t, kind, Circulant) for the t with step | t
     witnesses: tuple[IsoWitness, ...]
 
     def outcome(self, t: int) -> tuple:
@@ -262,7 +262,8 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     can give a circulant image. Every lattice t gets its image and its
     checked witness (_checked_witness), so no membership claim rests on the
     offset classes alone; each member keeps the bijection of its least t as
-    its witness.
+    its witness. A lattice t whose image is not circulant would contradict
+    _lattice_step, and raises InvariantViolation.
 
     An image other than g is Type-1 when some unit maps R onto it. The kind
     is decided once per distinct image, first by trying the unit
@@ -285,8 +286,8 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     for t in range(0, n // m, step):
         witness = _checked_witness(ThetaMap(n, m, t), g, classes)
         if isinstance(witness, NotCirculant):
-            outcomes.append((t, "not_circulant", None))
-            continue
+            raise InvariantViolation(f"theta(m={m},t={t}) is on the lattice of step {step} "
+                                     f"but does not map {g.label()} onto a circulant")
         image = witness.target
         if image not in kinds:
             u = 1 + m * t
@@ -297,7 +298,7 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
                 first[image] = witness
         outcomes.append((t, kinds[image], image))
     members = tuple(sorted({g, *first}))
-    t_stab = tuple(t for t, _, img in outcomes if img is not None and img in members)
+    t_stab = tuple(t for t, _, img in outcomes if img in members)
     return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab, step=step,
                       outcomes=tuple(outcomes),
                       witnesses=tuple(first[x] for x in members if x != g))

@@ -389,7 +389,8 @@ def test_product_builds_witness_once(capsys, monkeypatch):
         [w] = json.loads(out)["results"]["witnesses"]
         assert w["verified"] and w["origin"] == origin
         assert w["bijection"] == list(f.expand())
-        assert target == graph_from_desc(w["target"]) and source == graph_from_desc(w["source"])
+        assert target == graph_from_desc(w["target"], target.n, WITNESS_EDGE_CAP)
+        assert source == graph_from_desc(w["source"], source.n, WITNESS_EDGE_CAP)
 
 
 def test_verify_rebuilds_product_witnesses(tmp_path, capsys):
@@ -445,13 +446,34 @@ def _witness(**fields):
     return {k: v for k, v in w.items() if v is not None}
 
 
-def _product_report(kind, *graphs, source_n):
-    """The witness a `product` report stores, with its source descriptor's
-    n edited."""
+def _product_report(kind, *graphs, **source):
+    """The witness a `product` report stores, with the given fields of its
+    source descriptor replaced."""
     result, w = products.product_witness(kind, *(parse_graph(text) for text in graphs))
     stored = witness_json(w)
-    stored["source"]["n"] = source_n
+    stored["source"].update(source)
     return json.dumps({"results": {"witnesses": [stored]}})
+
+
+_NESTED = {"kind": "cartesian", "n": 105,
+           "factors": [{"kind": "cartesian", "n": 15,
+                        "factors": [{"kind": "circulant", "n": 3, "conn": [1]},
+                                    {"kind": "circulant", "n": 5, "conn": [1]}]},
+                       {"kind": "circulant", "n": 7, "conn": [1]}]}
+# every factor and base must be a circulant descriptor: the first two
+# bijections do map the graphs the reports name, so only that rule refuses them
+NON_CIRCULANT_PARTS = [
+    pytest.param(_product_report("prism", "n=7;R=1,2",
+                                 base={"kind": "torus", "n": 7, "conn": [1, 2]}),
+                 "prism base has kind 'torus', not 'circulant'", id="prism-base-torus"),
+    pytest.param(_product_report("c4", "n=9;R=1,2",
+                                 base={"kind": "cartesian", "n": 9, "conn": [1, 2]}),
+                 "c4 base has kind 'cartesian', not 'circulant'", id="c4-base-cartesian"),
+    pytest.param(json.dumps({"results": {"witnesses": [_witness(
+        source=_NESTED, target={"kind": "circulant", "n": 105, "conn": [1]},
+        bijection=list(range(105)))]}}),
+        "cartesian factor has kind 'cartesian', not 'circulant'", id="nested-cartesian"),
+]
 
 
 @pytest.mark.parametrize("content, message", [
@@ -486,22 +508,22 @@ def _product_report(kind, *graphs, source_n):
         bijection=list(range(20_000)))]}}),
         f"names at least 199990000 edges, more than the limit of {WITNESS_EDGE_CAP}",
         id="dense-20000"),
-    # 2^14 leaves; the count stops at the second, whatever the tree's width
+    # 2^14 leaves; the read stops at the first factor, a cartesian
     pytest.param(json.dumps({"results": {"witnesses": [_witness(
         source=functools.reduce(lambda d, _: {"kind": "cartesian", "factors": [d, d]},
                                 range(14), {"kind": "circulant", "n": 3, "conn": [1]}))]}}),
-        "cartesian descriptor names at least 9 vertices, more than 5", id="wide-tree-2^14"),
+        "cartesian factor has kind 'cartesian', not 'circulant'", id="wide-tree-2^14"),
     pytest.param('{"results": {"witnesses": [{"source": '
                  + '{"kind": "cartesian", "factors": [' * 5000
                  + '{"kind": "circulant", "n": 3, "conn": [1]}'
                  + ', {"kind": "circulant", "n": 3, "conn": [1]}]}' * 5000
                  + ', "target": {"kind": "circulant", "n": 5, "conn": [1]}, "bijection": [0]}]}}',
                  "is not a JSON report: maximum recursion depth exceeded", id="nested-5000"),
-    # the stored n of every composite node must be the order of its factors
-    pytest.param(_product_report("coprime", "n=5;R=1", "n=3;R=1", source_n=999),
+    # the stored n of a composite must be the order of its factors
+    pytest.param(_product_report("coprime", "n=5;R=1", "n=3;R=1", n=999),
                  "cartesian descriptor has n=999, but its factors have order 15",
                  id="coprime-n-999"),
-    pytest.param(_product_report("prism", "n=5;R=1", source_n=7),
+    pytest.param(_product_report("prism", "n=5;R=1", n=7),
                  "prism descriptor has n=7, but its factors have order 10", id="prism-n-7"),
     pytest.param(json.dumps({"results": {"witnesses": [_witness(source={
         "kind": "cartesian", "n": 105,
@@ -510,7 +532,8 @@ def _product_report(kind, *graphs, source_n):
                                  {"kind": "circulant", "n": 5, "conn": [1]}]},
                     {"kind": "circulant", "n": 7, "conn": [1]}]},
         target={"kind": "circulant", "n": 105, "conn": [1]}, bijection=list(range(105)))]}}),
-        "cartesian descriptor has n=16, but its factors have order 15", id="inner-n-16"),
+        "cartesian factor has kind 'cartesian', not 'circulant'", id="inner-n-16"),
+    *NON_CIRCULANT_PARTS,
 ])
 def test_verify_hostile_report_fails_cleanly(tmp_path, capsys, monkeypatch, content, message):
     f = tmp_path / "hostile.json"
@@ -544,6 +567,27 @@ def test_verify_keeps_no_edge_set(tmp_path, capsys, monkeypatch):
         witnesses = len(json.loads(report.read_text())["results"]["witnesses"])
         code, out, _ = run(capsys, "verify", str(report))
         assert code == 0 and witnesses and out.count("[PASS] witness") == witnesses
+
+
+def test_verify_builds_each_factor_once(tmp_path, capsys, monkeypatch):
+    # verify reads each stored descriptor in one pass, bounds and endpoint
+    # together, so each factor of a coprime product's source, and its
+    # circulant target, is built once
+    report = tmp_path / "coprime.json"
+    code, _, _ = run(capsys, "product", "coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10",
+                     "--out", str(report))
+    assert code == 0
+    built, real = Counter(), Circulant.__post_init__
+
+    def counting(self):
+        built[self.n, tuple(self.conn)] += 1
+        real(self)
+
+    monkeypatch.setattr(Circulant, "__post_init__", counting)
+    code, out, _ = run(capsys, "verify", str(report))
+    assert code == 0 and "[PASS] witness 0: cartesian n=432 -> circulant n=432" in out
+    assert built[16, (1, 2, 7)] == built[27, (1, 3, 8, 10)] == 1
+    assert len(built) == 3 and set(built.values()) == {1}
 
 
 @pytest.fixture(scope="module")
@@ -737,15 +781,24 @@ def test_verify_prism_target(tmp_path, capsys):
     # transposition of the two is no automorphism of the prism
     bijection = doc["results"]["witnesses"][0]["bijection"]
     bijection[0], bijection[1] = 1, 0
-    edges = endpoint_edges(graph_from_desc(prism))
+    edges = endpoint_edges(graph_from_desc(prism, 14, WITNESS_EDGE_CAP))
     assert not maps_edges_onto(edges, edges, bijection)
     report.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify", str(report))
     assert code == 1 and "[FAIL] witness 0" in out and "[PASS] witness 1" in out
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(SRC)))
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 1 and res.stdout.count("[FAIL]") == 1, res.stderr
+    # a factor or base other than a circulant is refused under -O too
+    for case in NON_CIRCULANT_PARTS:
+        content, message = case.values
+        report.write_text(content)
+        res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 2 and res.stdout == "", case.id
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert message in res.stderr
 
 
 def test_reports_are_byte_stable(tmp_path, capsys, monkeypatch):

@@ -17,7 +17,7 @@ from circiso.products import (
     scan_conjecture,
     valid_type2_ms,
 )
-from circiso.reporting import desc_size
+from circiso.reporting import graph_from_desc
 from circiso.type1 import adams_apply
 
 from conftest import brute_product_edges
@@ -170,7 +170,8 @@ def test_layered_witness_is_the_crt_embedding(case):
     assert w.source.edges == layered_graph(kind, g).edges
     desc = {"kind": kind, "n": k * g.n, "base": {"kind": "circulant", "n": g.n,
                                                  "conn": list(g.conn)}}
-    assert desc_size(desc, w.source.n, WITNESS_EDGE_CAP) == (w.source.n, len(w.source.edges))
+    e = graph_from_desc(desc, w.source.n, WITNESS_EDGE_CAP)
+    assert (e.n, e.edge_count) == (w.source.n, len(w.source.edges))
     assert w.origin == f"crt-embedding({k}x{g.n})"
     if result.n <= 60:
         # the backtracking oracle independently confirms the same endpoints

@@ -51,7 +51,7 @@ from circiso.type2 import (
     valid_type2_ms,
 )
 from circiso.products import LAYERS, Product, product_coprime, product_witness
-from circiso.reporting import desc_size, graph_desc, graph_from_desc
+from circiso.reporting import graph_desc, graph_from_desc
 
 from conftest import brute_edges, brute_least_unit, brute_product_edges
 from oracles import (
@@ -93,8 +93,9 @@ def test_realize_matches_brute_force(g, h):
     # oracles fold, are each compared with an edge set written out from the
     # definition in the form (a, b), 0 <= a < b < n
     assert edge_set(g.factors) == set(realize(g).edges) == brute_edges(g.n, set(g.conn))
-    # verify bounds a report by the sizes its descriptors name, before building
-    assert desc_size(_circulant(g), g.n, WITNESS_EDGE_CAP) == (g.n, len(realize(g).edges))
+    # verify bounds a report by the sizes its descriptors name, from the factors
+    e = graph_from_desc(_circulant(g), g.n, WITNESS_EDGE_CAP)
+    assert (e.n, e.edge_count) == (g.n, len(realize(g).edges))
     for k in LAYERS.values():  # the 2-ring is a single edge, the 4-ring C_4(1)
         ring = SimpleNamespace(n=k, conn=(1,))
         assert edge_set((k, g)) == brute_product_edges(ring, g)
@@ -106,7 +107,8 @@ def test_realize_matches_brute_force(g, h):
         assert edge_set(Product((g, h)).factors) == product.edges
         assert Product((g, h)).edge_count == len(product.edges)
         desc = {"kind": "cartesian", "n": g.n * h.n, "factors": [_circulant(g), _circulant(h)]}
-        assert desc_size(desc, product.n, WITNESS_EDGE_CAP) == (product.n, len(product.edges))
+        e = graph_from_desc(desc, product.n, WITNESS_EDGE_CAP)
+        assert (e.n, e.edge_count) == (product.n, len(product.edges))
 
 
 @st.composite
@@ -151,14 +153,13 @@ def _crt_witness(e):
 @given(endpoints(), st.integers(0, 10**6))
 def test_endpoint_round_trip(case, seed):
     e, desc = case
-    assert graph_desc(e) == desc and graph_from_desc(desc) == e
+    assert graph_desc(e) == desc and graph_from_desc(desc, e.n, WITNESS_EDGE_CAP) == e
     # the edge set the stored descriptors were rebuilt into before the
     # enumeration: realized factors folded by cartesian_edges
     old = endpoint_edges(e)
     assert e.n == old.n and e.edges == old.edges
     # both counts verify reads come from the factors alone
     assert e.edge_count == len(old.edges)
-    assert desc_size(desc, e.n, WITNESS_EDGE_CAP) == (e.n, e.edge_count)
     # the identity with two images transposed is a witness from e onto
     # itself exactly when the transposition is an automorphism of e
     f = _transposed(range(e.n), seed)
@@ -322,14 +323,15 @@ def test_edge_check_on_product_targets_examples():
         assert verify_witness(IsoWitness(source, target, f, False, "example")) == expected
 
 
-def test_nested_cartesian_reads_as_one_flat_product():
+def test_nested_cartesian_is_refused():
+    # graph_desc writes the factors of a cartesian as circulants, and
+    # graph_from_desc reads no deeper tree, however consistent its orders
     c3, c5, c7 = Circulant(3, (1,)), Circulant(5, (1, 2)), Circulant(7, (3,))
     inner = {"kind": "cartesian", "n": 15, "factors": [_circulant(c3), _circulant(c5)]}
-    desc = {"kind": "cartesian", "n": 105, "factors": [inner, _circulant(c7)]}
-    e = graph_from_desc(desc)
-    assert e == Product((c3, c5, c7)) and e.n == 105
-    assert e.edges == cartesian_edges(cartesian_edges(realize(c3), realize(c5)),
-                                      realize(c7)).edges
+    for factors in ([inner, _circulant(c7)], [_circulant(c7), inner]):
+        desc = {"kind": "cartesian", "n": 105, "factors": factors}
+        with pytest.raises(ValueError, match="cartesian factor has kind 'cartesian'"):
+            graph_from_desc(desc, 105, WITNESS_EDGE_CAP)
 
 
 def test_ring_edges_written_out():

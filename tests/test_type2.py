@@ -253,6 +253,16 @@ def test_failed_witness_check_raises(monkeypatch):
     assert classify_theta(ThetaMap(432, 2, 27), A1).kind == "not_circulant"
 
 
+def test_off_lattice_image_raises(monkeypatch):
+    # the true lattice step of C_16(1,2,7) for m = 2 is 2, so a step of 1
+    # puts t = 1, whose image is not circulant, on the lattice; type2_set
+    # must refuse that contradiction, never record it as an outcome
+    assert type2._lattice_step(type2._offset_classes(symmetric_set(C16A), 2), 16) == 2
+    monkeypatch.setattr(type2, "_lattice_step", lambda classes, n: 1)
+    with pytest.raises(InvariantViolation, match="t=1"):
+        type2_set(C16A, 2)
+
+
 def test_classification_builds_no_vertex_map(monkeypatch):
     # theta witnesses are checked in periodic form, O(m*|R|) per t, and kept
     # that way: neither classify_theta nor type2_set expands one into an
