@@ -10,12 +10,10 @@ __version__ = "0.1.0"
 
 from .circulant import (  # noqa: E402,F401
     Circulant,
-    EdgeGraph,
     NotCirculant,
     Product,
     is_connected,
     parse_graph,
-    realize,
     symmetric_set,
 )
 from .iso_oracle import (  # noqa: F401

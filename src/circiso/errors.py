@@ -55,6 +55,11 @@ class NotAPermutation(CircisoError):
     pass
 
 
+class TargetNotCirculant(CircisoError):
+    """A witness's target is not a circulant: the edge checks read its
+    connection set."""
+
+
 class ParseError(CircisoError):
     """Graph text could not be parsed; message carries the byte offset."""
 

@@ -1,15 +1,15 @@
-"""Ground truth for isomorphism claims: an explicit vertex bijection,
-checked edge for edge, either step by step over the endpoints' factors or
-on connection sets."""
+"""Ground truth for isomorphism claims: an explicit vertex bijection onto a
+circulant, checked edge for edge by one walk over the steps of the
+source's factors, on the target's connection set."""
 
 from dataclasses import dataclass
 from itertools import repeat
 from math import gcd, lcm
-from operator import add, mod, sub
+from operator import mod, sub
 from typing import Union
 
 from .circulant import Circulant, Product, shifted, steps
-from .errors import NotAPermutation, OrderMismatch
+from .errors import NotAPermutation, OrderMismatch, TargetNotCirculant
 
 
 @dataclass(frozen=True)
@@ -82,17 +82,18 @@ class PeriodicMap:
 class IsoWitness:
     """An explicit vertex bijection from source to target, plus its status.
 
-    Each endpoint is the graph a report names: a Circulant, or a Product of
-    circulants and rings. Both expose n, edge_count and factors, from which
-    verify_witness lists the steps that make up the edges. origin records
-    how the bijection was produced, e.g. "theta(m=2,t=54)", "adam(x=5)",
+    The source is the graph a report names, a Circulant or a Product of
+    circulants and rings (it exposes n, edge_count and factors, from which
+    the checks list the steps that make up its edges); the target is a
+    Circulant, whose connection set the checks read. origin records how
+    the bijection was produced, e.g. "theta(m=2,t=54)", "adam(x=5)",
     "crt-embedding(16x27)". A theta, Adam or CRT-embedding bijection is
     kept as its PeriodicMap, any other (one read from a report, or built
     by a test) as its image list.
     """
 
     source: Union[Circulant, Product]
-    target: Union[Circulant, Product]
+    target: Circulant
     bijection: Union[tuple[int, ...], PeriodicMap]
     verified: bool
     origin: str
@@ -104,103 +105,84 @@ class IsoWitness:
 
 
 def verify_witness(w: IsoWitness) -> bool:
-    """True iff the bijection maps the source edge set exactly onto the target's.
-
-    The source edges are listed step by step from its factors
-    (circulant.steps): a step joins each v to u(v), and the image
-    neighbour list f(u(v)) is shifted(f, block, shift), built from slices
-    of f. Every image pair {f(v), f(u(v))} of every step is checked:
-    against a mask of S ∪ (n-S) for a Circulant target, where the pair is
-    an edge exactly when f(u(v)) - f(v) lies in it (each distinct
-    difference is looked up once), and against the arcs a*n + b of the
-    target's edges, in both directions, for a Product target.
-
-    That covers the target too. A bijection f maps distinct vertex pairs to
-    distinct pairs, so f(E) is a set of |E| target edges; once |E| equals
-    the target's edge count, f(E) is the whole target edge set. Both counts
-    are edge_count, which is exact: a Circulant's offsets are distinct
-    reflexive classes in [1, n/2], each giving n edges except n/2, which
-    gives n/2; a Product's count is folded from its factors
-    (circulant.sizes), since every edge of G x F moves one coordinate along
-    an edge of its factor, giving E(G)·|F| + E(F)·|G| distinct edges.
-
-    A periodic bijection is expanded first: its periodic form is not
-    trusted here.
-    """
-    source, target = w.source, w.target
-    n = source.n
-    if n != target.n:
-        raise OrderMismatch(f"orders differ: {n} vs {target.n}")
+    """True iff the bijection maps the source edge set exactly onto the
+    target's, by the step walk (_walk) read with the period n: the
+    bijection is expanded into its n images, which must be a permutation
+    of [0, n), and every image pair of every step is checked, so no period
+    of the map is trusted. A Product target raises TargetNotCirculant."""
+    n = _order(w.source, w.target)
     f = w.images()
     if sorted(f) != list(range(n)):
         raise NotAPermutation("bijection is not a permutation of the vertex set")
-    if source.edge_count != target.edge_count:
-        return False
-    images = (shifted(f, block, shift) for block, shift in steps(source.factors))
-    if isinstance(target, Circulant):
-        mask = bytearray(n)
-        for s in target.conn:
-            mask[s] = mask[n - s] = 1
-        # f(u) - f(v) lies in (-n, n), and a bytearray of length n indexes
-        # negative values modulo n
-        return all(mask[d] for fu in images for d in set(map(sub, fu, f)))
-    arcs = set()
-    vertices = range(n)
-    for block, shift in steps(target.factors):
-        u = shifted(vertices, block, shift)
-        arcs.update(map(add, range(0, n * n, n), u))
-        arcs.update(map(add, [x * n for x in u], vertices))
-    fn = [x * n for x in f]
-    return all(arcs.issuperset(map(add, fn, fu)) for fu in images)
+    return _walk(w.source, w.target, n, 0, f)
 
 
 def verify_circulant_witness(g: Union[Circulant, Product], h: Circulant, f: PeriodicMap) -> bool:
     """True iff the periodic bijection f maps g edge for edge onto
-    h = C_n(S).
+    h = C_n(S), read over the period of f. The source g is a Circulant,
+    or a Product such as the source of a CRT embedding; a Product target
+    raises TargetNotCirculant. A theta map (p = m) takes one test per
+    offset divisible by m, and a CRT embedding of G x H (p = |H|, whose
+    steps have block |H|, while G's or the ring's are global with shifts
+    that are multiples of |H|) |H| per offset of H and one per offset
+    of G."""
+    n = _order(g, h)
+    if f.n != n:
+        raise NotAPermutation(f"bijection permutes Z_{f.n}, not Z_{n}")
+    return _walk(g, h, f.p, f.c, f.head)
 
-    The source g is a Circulant, or a Product such as the source of a CRT
-    embedding. The same complete check as verify_witness, run on
-    connection sets: every source edge is {x, u(x)} for some x in Z_n and
-    some step u of circulant.steps(g.factors), and its image is an edge of
-    the target exactly when f(u(x)) - f(x) lies in S ∪ (n-S). A bijection
-    maps distinct edges to distinct edges, so once the edge counts agree,
-    the image covers every target edge; each count is the exact
-    edge_count, from the offsets of a Circulant or the factors of a
-    Product (circulant.sizes), as in verify_witness.
 
-    Only x in [0, p) is checked, for the period p of f,
-    f(x+p) = f(x) + c. That is sound when u(x+p) = u(x) + p for every x
-    and every step, since then d(x) = f(u(x)) - f(x) has
+def _order(g: Union[Circulant, Product], h: Circulant) -> int:
+    """The order of g and of the target h, which must be a Circulant."""
+    if not isinstance(h, Circulant):
+        raise TargetNotCirculant(f"target is a {type(h).__name__}, not a Circulant")
+    if g.n != h.n:
+        raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
+    return g.n
+
+
+def _walk(g: Union[Circulant, Product], h: Circulant, p: int, c: int, head) -> bool:
+    """True iff the bijection f of Z_n with f(i + k*p) = head[i] + k*c
+    (mod n), for i in [0, p), head values in [0, n) and p | n, maps g edge
+    for edge onto h = C_n(S).
+
+    Every source edge is {x, u(x)} for some x in Z_n and some step u of
+    circulant.steps(g.factors), and its image is an edge of the target
+    exactly when f(u(x)) - f(x) lies in S ∪ (n-S). A bijection maps
+    distinct vertex pairs to distinct pairs, so f(E) is a set of |E|
+    target edges; once |E| equals the target's edge count, f(E) is the
+    whole target edge set. Both counts are edge_count, which is exact: a
+    Circulant's offsets are distinct reflexive classes in [1, n/2], each
+    giving n edges except n/2, which gives n/2; a Product's count is folded
+    from its factors (circulant.sizes), since every edge of G x F moves one
+    coordinate along an edge of its factor, giving E(G)·|F| + E(F)·|G|
+    distinct edges.
+
+    Only x in [0, p) is checked. That is sound when u(x+p) = u(x) + p for
+    every x and every step, since then d(x) = f(u(x)) - f(x) has
     d(x+p) = f(u(x) + p) - f(x + p) = d(x). A step is a rotation by shift
     inside blocks of `block` consecutive vertices, and the condition holds
     in two cases:
-    - block = n: u(x) = x + shift for every x, whatever p is;
     - block | p: x + p sits at the place of x in another block, so one step
       carries it to u(x) + p; for x < p, u(x) < p too, and
-      f(u(x)) = head[u(x)].
+      f(u(x)) = head[u(x)], so the step rotates the blocks of head. With
+      p = n every step is of this kind, and every entry is read;
+    - block = n: u(x) = x + shift for every x, whatever p is. On a shift
+      of j*p, d(x) = f(x + j*p) - f(x) = j*c for every x, so one test
+      decides it.
     When the walk meets a block b of neither kind, p is lifted to
     lcm(p, b), which divides n since b and p do, and the same map is read
-    from then on with the larger period, c scaled by lcm/p and the head
-    read off the map; a step checked before holds for every period of the
-    map. On a global step whose shift is j*p, d(x) = f(x + j*p) - f(x) =
-    j*c for every x, so one test decides it. At most p*(steps) differences
-    are computed, each from the head, with no n-entry list built: a theta
-    map (p = m) takes one test per offset divisible by m, and a CRT
-    embedding of G x H (p = |H|, whose steps have block |H|, while G's or
-    the ring's are global with shifts that are multiples of |H|) |H| per
-    offset of H and one per offset of G.
+    from then on with the larger period, c scaled by lcm/p; a step checked
+    before holds for every period of the map. The differences of a step
+    lie in (-n, n), and each distinct one is reduced mod n and looked up
+    once.
     """
     n = g.n
-    if h.n != n:
-        raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    if f.n != n:
-        raise NotAPermutation(f"bijection permutes Z_{f.n}, not Z_{n}")
     if g.edge_count != h.edge_count:
         return False
     target = {v for s in h.conn for v in (s, n - s)}
-    p, c, head = f.p, f.c, f.head
     for block, shift in steps(g.factors):
-        if block == n:
+        if block == n != p:
             if shift % p:
                 ok = all((head[(x + shift) % p] + (x + shift) // p * c - head[x]) % n in target
                          for x in range(p))
@@ -209,9 +191,10 @@ def verify_circulant_witness(g: Union[Circulant, Product], h: Circulant, f: Peri
         else:
             if p % block:  # the steps already checked hold for any period
                 q = lcm(p, block)
-                p, c, head = q, c * (q // p) % n, tuple(map(f, range(q)))
-            ok = target.issuperset(map(mod, map(sub, shifted(head, block, shift), head),
-                                       repeat(n)))
+                p, c, head = q, c * (q // p) % n, [(v + k * c) % n
+                                                   for k in range(q // p) for v in head]
+            diffs = set(map(sub, shifted(head, block, shift), head))
+            ok = target.issuperset(map(mod, diffs, repeat(n)))
         if not ok:
             return False
     return True

@@ -108,14 +108,17 @@ def witness_json(w: IsoWitness) -> dict:
 
 def witness_from_json(w: dict, max_edges: int) -> tuple[str, IsoWitness]:
     """The inverse of witness_json: a label naming both endpoints, and the
-    stored witness, unverified. The bijection must be a list of ints, and
-    each endpoint a graph of order n = len(bijection) with at most
-    max_edges edges, read by graph_from_desc under those bounds. A
-    malformed witness raises KeyError, TypeError or ValueError."""
+    stored witness, unverified. The bijection must be a list of ints, the
+    target a circulant descriptor, and each endpoint a graph of order
+    n = len(bijection) with at most max_edges edges, read by
+    graph_from_desc under those bounds. A malformed witness raises
+    KeyError, TypeError or ValueError."""
     bijection = w["bijection"]
     if not isinstance(bijection, list) or not all(type(v) is int for v in bijection):
         raise ValueError("bijection is not a list of integers")
     descs = w["source"], w["target"]
+    if descs[1]["kind"] != "circulant":
+        raise ValueError(f"target has kind {descs[1]['kind']!r}, not 'circulant'")
     n = len(bijection)
     ends = []
     for d in descs:

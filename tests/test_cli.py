@@ -33,7 +33,7 @@ from circiso.reporting import graph_from_desc, witness_json
 from circiso.type1 import adams_apply, adams_periodic, type1_set
 from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 
-from oracles import endpoint_edges, make_witness, maps_edges_onto, search_isomorphism
+from oracles import make_witness, search_isomorphism
 from test_products import layered_graph
 
 SRC = pathlib.Path(circiso.__file__).resolve().parents[1]
@@ -455,6 +455,18 @@ def _product_report(kind, *graphs, **source):
     return json.dumps({"results": {"witnesses": [stored]}})
 
 
+def _onto_product(kind, *graphs):
+    """The witness from a product's circulant onto the Product itself,
+    through the inverse of its CRT embedding: an isomorphism whose target
+    is no circulant."""
+    result, crt = products.product_witness(kind, *(parse_graph(text) for text in graphs))
+    inverse = [0] * result.n
+    for v, image in enumerate(crt.images()):
+        inverse[image] = v
+    return _witness(source=_circulant(result), target=witness_json(crt)["source"],
+                    bijection=inverse, origin="inverse")
+
+
 _NESTED = {"kind": "cartesian", "n": 105,
            "factors": [{"kind": "cartesian", "n": 15,
                         "factors": [{"kind": "circulant", "n": 3, "conn": [1]},
@@ -534,6 +546,13 @@ NON_CIRCULANT_PARTS = [
         target={"kind": "circulant", "n": 105, "conn": [1]}, bijection=list(range(105)))]}}),
         "cartesian factor has kind 'cartesian', not 'circulant'", id="inner-n-16"),
     *NON_CIRCULANT_PARTS,
+    # the target must be a circulant, even under a bijection that is an
+    # isomorphism
+    pytest.param(json.dumps({"results": {"witnesses": [_onto_product("c4", "n=5;R=1,2")]}}),
+                 "target has kind 'c4', not 'circulant'", id="c4-target"),
+    # a permutation mod n that holds n in place of 0
+    pytest.param(json.dumps({"results": {"witnesses": [_witness(bijection=[5, 2, 4, 1, 3])]}}),
+                 "bijection is not a permutation of the vertex set", id="n-for-0"),
 ])
 def test_verify_hostile_report_fails_cleanly(tmp_path, capsys, monkeypatch, content, message):
     f = tmp_path / "hostile.json"
@@ -761,35 +780,24 @@ def test_products_certified_under_optimize(tmp_path):
 
 
 def test_verify_prism_target(tmp_path, capsys):
-    # only a hand-written report gives verify a Product target: here the
-    # prism of C_7(1,2) onto itself through the identity, and the product
-    # circulant onto the prism through the inverse CRT embedding
+    # only a hand-written report gives verify a Product target, and verify
+    # refuses it, in process and under -O, before it checks any bijection:
+    # here the prism of C_7(1,2) onto itself through the identity, and the
+    # product circulant onto the prism through the inverse CRT embedding,
+    # both isomorphisms
     prism = {"kind": "prism", "n": 14, "base": {"kind": "circulant", "n": 7, "conn": [1, 2]}}
-    result, crt = products.product_witness("prism", parse_graph("n=7;R=1,2"))
-    inverse = [0] * result.n
-    for v, image in enumerate(crt.images()):
-        inverse[image] = v
-    doc = {"results": {"witnesses": [
-        _witness(source=prism, target=prism, bijection=list(range(14)), origin="identity"),
-        _witness(source=_circulant(result), target=prism, bijection=inverse, origin="inverse")]}}
     report = tmp_path / "prism.json"
-    report.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "verify", str(report))
-    assert code == 0 and out.count("[PASS] witness") == 2
-    assert "[PASS] witness 0: prism n=14 -> prism n=14" in out
-    # vertices 0 and 1 of layer 0 have different neighbourhoods, so the
-    # transposition of the two is no automorphism of the prism
-    bijection = doc["results"]["witnesses"][0]["bijection"]
-    bijection[0], bijection[1] = 1, 0
-    edges = endpoint_edges(graph_from_desc(prism, 14, WITNESS_EDGE_CAP))
-    assert not maps_edges_onto(edges, edges, bijection)
-    report.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "verify", str(report))
-    assert code == 1 and "[FAIL] witness 0" in out and "[PASS] witness 1" in out
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
-                         capture_output=True, text=True, env=env)
-    assert res.returncode == 1 and res.stdout.count("[FAIL]") == 1, res.stderr
+    for w in (_witness(source=prism, target=prism, bijection=list(range(14)), origin="identity"),
+              _onto_product("prism", "n=7;R=1,2")):
+        report.write_text(json.dumps({"results": {"witnesses": [w]}}))
+        res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
+                             capture_output=True, text=True, env=env)
+        for code, out, err in (run(capsys, "verify", str(report)),
+                               (res.returncode, res.stdout, res.stderr)):
+            assert code == 2 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "target has kind 'prism', not 'circulant'" in err
     # a factor or base other than a circulant is refused under -O too
     for case in NON_CIRCULANT_PARTS:
         content, message = case.values

@@ -9,7 +9,7 @@ import pytest
 import circiso
 from circiso.circulant import Circulant, EdgeGraph, realize
 from circiso.products import Product
-from circiso.errors import NotAPermutation, OrderMismatch
+from circiso.errors import NotAPermutation, OrderMismatch, TargetNotCirculant
 from circiso.iso_oracle import (
     IsoWitness,
     PeriodicMap,
@@ -37,8 +37,11 @@ def test_theta_bijection_is_a_witness():
 def test_identity_witness():
     g = Circulant(16, (1, 2, 7))
     assert make_witness(g, g, range(16), "identity").verified
+    # the checks read the target's connection set, so a Product target is
+    # refused
     p = Product((2, Circulant(5, (1, 2))))
-    assert make_witness(p, p, range(10), "identity").verified
+    with pytest.raises(TargetNotCirculant):
+        make_witness(p, p, range(10), "identity")
 
 
 def test_identity_across_different_graphs_fails():
@@ -137,12 +140,13 @@ def test_product_source_maps_raise_under_optimize():
     # the connection-set check of a product embedding must refuse, with
     # NotAPermutation and no assert statement, a periodic map that is no
     # bijection or does not fit Z_n, among them the (p, c) = (n, 0) form of
-    # an image list that is no permutation; a bijection whose period fits
+    # an image list that is no permutation, and both checks a Product
+    # target with TargetNotCirculant; a bijection whose period fits
     # no block of the product is read over a lifted period and gets the
     # edge-level verdict
     code = ("import sys\n"
             "from circiso.circulant import Circulant\n"
-            "from circiso.errors import NotAPermutation\n"
+            "from circiso.errors import NotAPermutation, TargetNotCirculant\n"
             "from circiso.iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness,"
             " verify_witness\n"
             "from circiso.products import product_witness\n"
@@ -161,6 +165,15 @@ def test_product_source_maps_raise_under_optimize():
             "    except NotAPermutation:\n"
             "        continue\n"
             "    sys.exit(f'case {i} raised nothing')\n"
+            "# a Product target is refused by both checks\n"
+            "for call in (lambda: verify_circulant_witness(w.source, w.source, w.bijection),\n"
+            "             lambda: verify_witness(IsoWitness(w.source, w.source, w.bijection,"
+            " False, 'x'))):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except TargetNotCirculant:\n"
+            "        continue\n"
+            "    sys.exit('a Product target was not refused')\n"
             "for g in (PeriodicMap(432, 1, 1, (0,)), PeriodicMap(432, 432, 0, range(432))):\n"
             "    edge = verify_witness(IsoWitness(w.source, result, g, False, 'x'))\n"
             "    if edge or verify_circulant_witness(w.source, result, g) != edge:\n"

@@ -23,7 +23,7 @@ from circiso.circulant import (
     symmetric_set,
 )
 from circiso.errors import (InvalidParams, InvariantViolation, NotAPermutation,
-                            PreconditionViolation)
+                            PreconditionViolation, TargetNotCirculant)
 from circiso.iso_oracle import (
     IsoWitness,
     PeriodicMap,
@@ -161,20 +161,28 @@ def test_endpoint_round_trip(case, seed):
     # both counts verify reads come from the factors alone
     assert e.edge_count == len(old.edges)
     # the identity with two images transposed is a witness from e onto
-    # itself exactly when the transposition is an automorphism of e
+    # itself exactly when the transposition is an automorphism of e; the
+    # check reads a circulant target and refuses a Product
     f = _transposed(range(e.n), seed)
     automorphism = {tuple(sorted((f[a], f[b]))) for a, b in old.edges} == old.edges
-    witnesses = [IsoWitness(e, e, f, False, "transposition")]
-    crt = _crt_witness(e) if isinstance(e, Product) else None
-    if crt is not None:
-        assert crt.verified
-        witnesses += [crt, IsoWitness(crt.source, crt.target, _transposed(crt.images(), seed),
-                                      False, "transposition")]
+    w = IsoWitness(e, e, f, False, "transposition")
+    witnesses = []
+    if isinstance(e, Circulant):
+        assert verify_witness(w) == automorphism
+        witnesses.append(w)
+    else:
+        with pytest.raises(TargetNotCirculant):
+            verify_witness(w)
+        crt = _crt_witness(e)
+        if crt is not None:
+            assert crt.verified
+            witnesses += [crt, IsoWitness(crt.source, crt.target,
+                                          _transposed(crt.images(), seed), False,
+                                          "transposition")]
     # the enumerated check agrees with the tuple-set oracle on every one
     for w in witnesses:
         assert verify_witness(w) == maps_edges_onto(endpoint_edges(w.source),
                                                     endpoint_edges(w.target), w.images())
-    assert verify_witness(witnesses[0]) == automorphism
 
 
 @st.composite
@@ -295,14 +303,18 @@ def product_target_witnesses(draw):
 @settings(max_examples=300, deadline=None)
 @given(product_target_witnesses())
 def test_edge_check_on_product_targets(w):
-    assert verify_witness(w) == maps_edges_onto(endpoint_edges(w.source),
-                                                endpoint_edges(w.target), w.bijection)
+    # the check reads the target's connection set, so it refuses a Product
+    # target, an isomorphism or not
+    with pytest.raises(TargetNotCirculant):
+        verify_witness(w)
 
 
 def test_edge_check_on_product_targets_examples():
     # equal edge counts, different edges: C_9(1,4) = 5*C_9(1,2) and
     # C_8(3,4) = 3*C_8(1,4), the latter with an n/2 offset and the 2-ring
-    # as half steps; the examples run with and without a transposition
+    # as half steps; the examples run with and without a transposition.
+    # The tuple-set oracle gives each verdict, and verify_witness refuses
+    # every one of these Product targets
     cases = []
     for ring, g, x in ((4, Circulant(9, (1, 2)), 5), (2, Circulant(8, (1, 4)), 3),
                        (4, Circulant(8, (1, 4)), 3)):
@@ -316,11 +328,10 @@ def test_edge_check_on_product_targets_examples():
         crt = product_witness(kind, Circulant(9, (1, 2)))[1]
         cases.append((crt.target, crt.source, _inverse(crt.images()), True))
     for source, target, f, expected in cases:
+        assert maps_edges_onto(endpoint_edges(source), endpoint_edges(target), f) == expected
         for g in (f, _transposed(f, 0), _transposed(f, 12345)):
-            w = IsoWitness(source, target, g, False, "example")
-            assert verify_witness(w) == maps_edges_onto(endpoint_edges(source),
-                                                        endpoint_edges(target), g)
-        assert verify_witness(IsoWitness(source, target, f, False, "example")) == expected
+            with pytest.raises(TargetNotCirculant):
+                verify_witness(IsoWitness(source, target, g, False, "example"))
 
 
 def test_nested_cartesian_is_refused():
