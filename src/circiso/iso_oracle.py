@@ -2,14 +2,17 @@
 circulant, checked edge for edge by one walk over the steps of the
 source's factors, on the target's connection set."""
 
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mod, sub
 from typing import Union
 
 from .circulant import Circulant, Product, shifted, steps
 from .errors import NotAPermutation, OrderMismatch, TargetNotCirculant
+
+_NOT_A_PERMUTATION = "bijection is not a permutation of the vertex set"
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,14 @@ class PeriodicMap:
         n, p = self.n, self.p
         if not (n >= 1 and p >= 1 and n % p == 0 and len(self.head) == p):
             raise NotAPermutation(f"({p}, {len(self.head)}-entry head) is no period of Z_{n}")
-        head = tuple(v % n for v in self.head)
+        head = tuple(self.head)
+        if min(head) < 0 or max(head) >= n:  # a reduced head is kept, not copied
+            head = tuple(map(mod, head, repeat(n)))
         object.__setattr__(self, "head", head)
         object.__setattr__(self, "c", self.c % n)
-        if gcd(self.c, n) != p or len({v % p for v in head}) != p:
+        # head is reduced mod n; a dict holds the classes in less memory than a set
+        classes = dict.fromkeys(head if p == n else map(mod, head, repeat(p)))
+        if gcd(self.c, n) != p or len(classes) != p:
             raise NotAPermutation(f"(p={p}, c={self.c}) does not permute Z_{n}")
 
     def __call__(self, x: int) -> int:
@@ -106,15 +113,76 @@ class IsoWitness:
 
 def verify_witness(w: IsoWitness) -> bool:
     """True iff the bijection maps the source edge set exactly onto the
-    target's, by the step walk (_walk) read with the period n: the
-    bijection is expanded into its n images, which must be a permutation
-    of [0, n), and every image pair of every step is checked, so no period
-    of the map is trusted. A Product target raises TargetNotCirculant."""
+    target's, by the step walk (_walk) read over the least period of the
+    bijection's n images (_periodic_form). Images outside [0, n), too few
+    or too many of them, or a list that is no permutation raise
+    NotAPermutation before any step is listed; a Product target raises
+    TargetNotCirculant."""
     n = _order(w.source, w.target)
     f = w.images()
-    if sorted(f) != list(range(n)):
-        raise NotAPermutation("bijection is not a permutation of the vertex set")
-    return _walk(w.source, w.target, n, 0, f)
+    if len(f) != n or min(f) < 0 or max(f) >= n:
+        raise NotAPermutation(_NOT_A_PERMUTATION)
+    pm = _periodic_form(f, n)
+    return _walk(w.source, w.target, pm.p, pm.c, pm.head)
+
+
+def _periodic_form(f: tuple[int, ...], n: int) -> PeriodicMap:
+    """The PeriodicMap equal to the image list f, entries in [0, n), at the
+    least period _least_period finds, or (p, c) = (n, 0) with head f.
+
+    At a period p < n the list satisfies f[x+p] - f[x] ≡ c (mod n) for
+    every x < n - p, so by induction on k, f[i + k*p] ≡ f[i] + k*c for
+    every i < p and k < n/p, and since f[i + k*p] lies in [0, n) it is
+    (head[i] + k*c) mod n, the map's value at i + k*p: the map and the list
+    agree on all of Z_n, and the map's construction checks, in O(p), that
+    it is a bijection. The construction also refuses a list whose
+    recurrence does not close round the cycle, (n/p)*c ≢ 0 (mod n), as
+    [0, 1, 4, 5, 2, 3, 6, 7] at n = 8 (p = 4, c = 2) does not; such a list
+    is read at p = n, where the check is that the n entries are distinct.
+    A list that is no permutation raises NotAPermutation."""
+    p = _least_period(f, n)
+    if p < n:
+        with suppress(NotAPermutation):
+            return PeriodicMap(n, p, f[p] - f[0], f[:p])
+    try:
+        return PeriodicMap(n, n, 0, f)
+    except NotAPermutation:
+        raise NotAPermutation(_NOT_A_PERMUTATION) from None
+
+
+def _least_period(f: tuple[int, ...], n: int) -> int:
+    """The least divisor p < n of n with f[x+p] - f[x] ≡ f[p] - f[0]
+    (mod n) for every x < n - p, or n if there is none, or if the search
+    has compared 2n entries first.
+
+    The divisors are tried in ascending order, each on chunks of x that
+    double in length from 8, starting at x = 1 (x = 0 holds by the choice
+    of c), and a divisor is dropped at the chunk of its first mismatch; the
+    2n bound is charged per chunk, before it is read. A difference of two
+    entries in [0, n) lies in (-n, n), so it is ≡ c (mod n) exactly when it
+    is c or c - n, for c in [0, n)."""
+    budget = 2 * n
+    for p in _divisors_below(n):
+        c = (f[p] - f[0]) % n
+        ok = {c, c - n}
+        x, size = 1, 8
+        while x < n - p:
+            end = min(x + size, n - p)
+            budget -= end - x
+            if budget < 0:
+                return n
+            if not ok.issuperset(map(sub, f[x + p:end + p], f[x:end])):
+                break
+            x, size = end, 2 * size
+        else:
+            return p
+    return n
+
+
+def _divisors_below(n: int) -> list[int]:
+    """The divisors of n below n, ascending."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted({*small, *(n // d for d in small)} - {n})
 
 
 def verify_circulant_witness(g: Union[Circulant, Product], h: Circulant, f: PeriodicMap) -> bool:

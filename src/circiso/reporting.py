@@ -114,7 +114,7 @@ def witness_from_json(w: dict, max_edges: int) -> tuple[str, IsoWitness]:
     graph_from_desc under those bounds. A malformed witness raises
     KeyError, TypeError or ValueError."""
     bijection = w["bijection"]
-    if not isinstance(bijection, list) or not all(type(v) is int for v in bijection):
+    if not isinstance(bijection, list) or not {*map(type, bijection)} <= {int}:
         raise ValueError("bijection is not a list of integers")
     descs = w["source"], w["target"]
     if descs[1]["kind"] != "circulant":
@@ -186,7 +186,7 @@ def _write(v, nl: str, out: list, strs: dict) -> None:
         out.append(nl + "}")
     elif isinstance(v, (list, tuple)) and v:
         inner = nl + "  "
-        if all(type(x) is int for x in v):
+        if {*map(type, v)} == {int}:
             out.append("[" + inner + ("," + inner).join(map(str, v)) + nl + "]")
             return
         sep = "[" + inner

@@ -178,8 +178,8 @@ def test_classification_builds_no_edge_set(monkeypatch):
 
 
 def test_edge_check_is_independent_of_the_circulant_check(monkeypatch):
-    # verify_witness reads every entry of the map for every step; it must
-    # not fall back on the connection-set check or on the map's period
+    # verify_witness reads the period of the stored images from the images
+    # themselves; it must not fall back on the map the witness was built from
     g = parse_graph(A432)
     witnesses = [classify_theta(ThetaMap(g.n, 2, 54), g).witness,
                  make_witness(g, adams_apply(g, 5), adams_periodic(g.n, 5).expand(), "adam(x=5)"),
@@ -777,6 +777,27 @@ def test_products_certified_under_optimize(tmp_path):
         report.write_text(json.dumps(doc))
         res = circiso_O("verify", str(report))
         assert res.returncode == 1 and "[FAIL] witness 0" in res.stdout
+
+
+def test_verify_reads_periods_under_optimize(tmp_path):
+    # python -O strips assert statements; verify must still reject a coprime
+    # product report with its last two images swapped, whose periodic
+    # prefix holds up to that swap, and accept an automorphism of
+    # K_{4,4} = C_8(1,3) that keeps f(x + 4) = f(x) + 2 on [0, 8) but does
+    # not close round the cycle, and so is no PeriodicMap of period 4
+    crt = json.loads(_product_report("coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"))
+    bij = crt["results"]["witnesses"][0]["bijection"]
+    bij[-2], bij[-1] = bij[-1], bij[-2]
+    c8 = {"kind": "circulant", "n": 8, "conn": [1, 3]}
+    wrap = {"results": {"witnesses": [_witness(source=c8, target=c8,
+                                               bijection=[0, 1, 4, 5, 2, 3, 6, 7])]}}
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for doc, code, verdict in ((crt, 1, "[FAIL] witness 0"), (wrap, 0, "[PASS] witness 0")):
+        report.write_text(json.dumps(doc))
+        res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == code and verdict in res.stdout, res.stderr
 
 
 def test_verify_prism_target(tmp_path, capsys):

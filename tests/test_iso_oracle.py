@@ -7,6 +7,7 @@ from itertools import permutations
 import pytest
 
 import circiso
+from circiso import iso_oracle, products
 from circiso.circulant import Circulant, EdgeGraph, realize
 from circiso.products import Product
 from circiso.errors import NotAPermutation, OrderMismatch, TargetNotCirculant
@@ -16,6 +17,7 @@ from circiso.iso_oracle import (
     verify_circulant_witness,
     verify_witness,
 )
+from circiso.type1 import adams_periodic
 from circiso.type2 import ThetaMap
 
 from oracles import (
@@ -204,6 +206,50 @@ def test_verify_witness_counts_half_steps_once():
         a, b = endpoint_edges(source), endpoint_edges(target)
         assert {tuple(sorted((f[x], f[y]))) for x, y in a.edges} < b.edges
         assert not verify_witness(IsoWitness(source, target, f, False, "x"))
+
+
+def test_image_lists_are_read_over_their_maps_periods():
+    # the lists the commands store, a theta map (whose images wrap round
+    # Z_n, so some differences are c - n), an Adam map and a CRT embedding,
+    # are read over the period of the map they were expanded from
+    crt = products.product_witness("coprime", Circulant(16, (1, 2, 7)),
+                                   Circulant(27, (1, 3, 8, 10)))[1].bijection
+    for f in (ThetaMap(432, 2, 54).periodic(), adams_periodic(432, 5), crt):
+        assert iso_oracle._least_period(f.expand(), f.n) == f.p
+
+
+def test_verify_witness_reads_a_recurrence_that_does_not_close():
+    # the list keeps f(x + 4) = f(x) + 2 on [0, 8), but 2 * (8/4) is not 0
+    # mod 8, so no PeriodicMap of period 4 is this list, and it is read at
+    # period 8: it is an automorphism of K_{4,4} = C_8(1,3)
+    g = Circulant(8, (1, 3))
+    f = (0, 1, 4, 5, 2, 3, 6, 7)
+    assert iso_oracle._least_period(f, 8) == 4
+    with pytest.raises(NotAPermutation):
+        PeriodicMap(8, 4, 2, f[:4])
+    assert maps_edges_onto(realize(g), realize(g), f)
+    assert verify_witness(IsoWitness(g, g, f, False, "x"))
+
+
+@pytest.mark.parametrize("n", [55_440, 83_160])
+def test_period_search_compares_at_most_2n_entries(monkeypatch, n):
+    # the identity with its last two images swapped keeps the recurrence of
+    # every divisor of n below n (119 and 127 of them) up to its last
+    # entries, so only the 2n bound stops the search
+    f = (*range(n - 2), n - 1, n - 2)
+    compared = 0
+
+    def counting(a, b):
+        nonlocal compared
+        compared += 1
+        return a - b
+
+    with monkeypatch.context() as mp:
+        mp.setattr(iso_oracle, "sub", counting)
+        assert iso_oracle._least_period(f, n) == n
+    assert n < compared <= 2 * n
+    g = Circulant(n, (1,))
+    assert not verify_witness(IsoWitness(g, g, f, False, "x"))
 
 
 def test_search_finds_type2_pair_16():

@@ -186,6 +186,19 @@ def test_endpoint_round_trip(case, seed):
 
 
 @st.composite
+def crt_witnesses(draw):
+    """The CRT embedding witness of a coprime, prism or c4 product."""
+    kind = draw(st.sampled_from(["coprime", "prism", "c4"]))
+    if kind == "coprime":
+        g, h = draw(graphs(max_n=24)), draw(graphs(max_n=16))
+        assume(gcd(g.n, h.n) == 1 and is_connected(g) and is_connected(h))
+        return product_witness(kind, g, h)[1]
+    g = draw(graphs(max_n=45))
+    assume(g.n % 2 == 1)
+    return product_witness(kind, g)[1]
+
+
+@st.composite
 def crt_cases(draw):
     """A CRT embedding witness of a coprime, prism or c4 product, a target
     and a form of its map. The target is the product's result, the result
@@ -197,15 +210,7 @@ def crt_cases(draw):
     transposed, the identity (in that form, or as a PeriodicMap of any
     period d | n) or an Adam map: the last two have periods that need not
     fit the blocks of the product's second factor."""
-    kind = draw(st.sampled_from(["coprime", "prism", "c4"]))
-    if kind == "coprime":
-        g, h = draw(graphs(max_n=24)), draw(graphs(max_n=16))
-        assume(gcd(g.n, h.n) == 1 and is_connected(g) and is_connected(h))
-        w = product_witness(kind, g, h)[1]
-    else:
-        g = draw(graphs(max_n=45))
-        assume(g.n % 2 == 1)
-        w = product_witness(kind, g)[1]
+    w = draw(crt_witnesses())
     target, n = w.target, w.target.n
     aim = draw(st.sampled_from(["result", "moved", "shifts"]))
     if aim == "moved":
@@ -250,6 +255,57 @@ def test_product_source_check_matches_edge_check(case):
     assert verify_circulant_witness(w.source, target, f) == edge
     if target == w.target and images == w.images():
         assert edge
+
+
+@st.composite
+def expanded_witnesses(draw):
+    """A witness whose bijection is the image list of a theta map, an Adam
+    map or a CRT embedding, as it is, with a random transposition, or with
+    a transposition or one changed entry in its last quarter, after a long
+    periodic prefix. A theta or Adam witness's target is the map's image
+    where that is circulant, else the source."""
+    maker = draw(st.sampled_from(["theta", "adam", "crt"]))
+    if maker == "crt":
+        w = draw(crt_witnesses())
+        source, target, f = w.source, w.target, w.images()
+    else:
+        source, tm = draw(theta_cases)
+        if maker == "theta":
+            image = theta_image(tm, source)
+            target = source if isinstance(image, NotCirculant) else image
+            f = tm.periodic().expand()
+        else:
+            x = draw(st.sampled_from(units(source.n)))
+            target, f = adams_apply(source, x), adams_periodic(source.n, x).expand()
+    n = len(f)
+    change = draw(st.sampled_from(["none", "transposed", "late-transposed", "late-changed"]))
+    if change == "transposed":
+        f = _transposed(f, draw(st.integers(0, 10**6)))
+    elif change != "none":
+        late = st.integers(n - max(2, n // 4), n - 1)
+        f, j = list(f), draw(late)
+        if change == "late-transposed":
+            i = draw(late)
+            f[i], f[j] = f[j], f[i]
+        else:
+            f[j] = draw(st.integers(0, n - 1))
+        f = tuple(f)
+    return IsoWitness(source, target, f, False, f"{maker}/{change}")
+
+
+@settings(max_examples=400, deadline=None)
+@given(expanded_witnesses())
+def test_periodic_reading_of_image_lists_matches_edge_check(w):
+    """verify_witness, which reads an image list over the least period its
+    entries show, gives the verdict of the tuple-set oracle on theta, Adam
+    and CRT image lists, tampered or not, and refuses what it refuses."""
+    try:
+        expected = maps_edges_onto(endpoint_edges(w.source), realize(w.target), w.bijection)
+    except NotAPermutation:
+        with pytest.raises(NotAPermutation):
+            verify_witness(w)
+        return
+    assert verify_witness(w) == expected
 
 
 def _inverse(f):
