@@ -3,7 +3,7 @@
 with their group structure."""
 
 from dataclasses import dataclass
-from itertools import chain, count, takewhile
+from itertools import count, takewhile
 from math import gcd, lcm
 from typing import Optional, Union
 
@@ -12,7 +12,7 @@ from .errors import (CircisoError, InvalidParams, InvariantViolation, ParamMisma
                      PreconditionViolation)
 from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
 from .residue import check_modulus, reflexive_reduce
-from .type1 import adams_apply, induced_composition, is_adams_isomorphic
+from .type1 import induced_composition, is_adams_isomorphic
 
 
 @dataclass(frozen=True, order=True)
@@ -112,10 +112,10 @@ def _check_classify_preconditions(tm: ThetaMap, g: Circulant):
         raise error
 
 
-def theta_image(tm: ThetaMap, g: Circulant, classes=None) -> Union[Circulant, NotCirculant]:
+def theta_image(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
     """Decide whether theta maps C_n(R) onto a circulant, one residue class
-    of offsets at a time. classes, when given, is _offset_classes of
-    symmetric_set(g) for tm.m, for callers that decide many t on one g.
+    of offsets at a time; a circulant image is C_n(D_0) of _image_conn, g
+    itself when D_0 reduces to g's own set.
 
     The image vertex theta(u) has difference set
     D_u = {theta(u+s) - theta(u) : s in R ∪ -R}. Since
@@ -134,19 +134,23 @@ def theta_image(tm: ThetaMap, g: Circulant, classes=None) -> Union[Circulant, No
     that an edge-level circulance test on the transformed edge set reports.
     """
     n, m = tm.n, tm.m
-    if classes is None:
-        classes = _offset_classes(symmetric_set(g), m)
+    full = symmetric_set(g)
+    classes = _offset_classes(full, m)
     shift = m * m * tm.t % n
     for r in range(m - 1, 0, -1):
         if {(s + shift) % n for s in classes[r]} != classes[r]:
             return NotCirculant(m - r)
-    # D_0 is the union of the S_r + r*m*t, which is g's own set when every
-    # class is fixed
-    mt = m * tm.t
-    image = [{(s + r * mt) % n for s in c} for r, c in enumerate(classes)]
-    if image == classes:
-        return g
-    return Circulant(n, reflexive_reduce(chain.from_iterable(image), n))
+    conn = _image_conn(tm, full)
+    return g if conn == g.conn else Circulant(n, conn)
+
+
+def _image_conn(tm: ThetaMap, full) -> tuple[int, ...]:
+    """D_0 = {s + (s mod m)*m*t : s in full} reduced reflexively, for full
+    the symmetric offset set R ∪ -R. D_0 is the image's difference set at
+    theta(0) = 0, so it is the connection set of the image whenever the
+    image is circulant. It holds no 0, since theta is a bijection fixing 0."""
+    m, mt = tm.m, tm.m * tm.t
+    return reflexive_reduce((s + (s % m) * mt for s in full), tm.n)
 
 
 def _offset_classes(full, m: int) -> list[set]:
@@ -160,14 +164,17 @@ def _offset_classes(full, m: int) -> list[set]:
 def _class_period(cls, n: int) -> int:
     """Least d > 0 with cls + d = cls mod n; 1 for the empty set.
 
-    The translations fixing cls form a subgroup of Z_n, so the result
-    divides n. For s0 in cls, s0 + d must lie in cls, so the least d is
-    some s - s0 (mod n), or n when no candidate fixes cls.
+    The translations fixing cls form a subgroup of Z_n, and every subgroup
+    of Z_n is dZ_n for its least positive element d, which divides n: n
+    itself fixes cls, and the remainder of n by d is again in the subgroup
+    and below d, so it is 0. For s0 in cls, s0 + d must lie in cls, so the
+    least d is some s - s0 (mod n) that divides n, or n when no such
+    candidate fixes cls. Only those candidates are tried.
     """
     if not cls:
         return 1
     s0 = min(cls)
-    for d in sorted((s - s0) % n for s in cls if s != s0):
+    for d in sorted({d for s in cls if (d := (s - s0) % n) and n % d == 0}):
         if all((s + d) % n in cls for s in cls):
             return d
     return n
@@ -190,18 +197,23 @@ def _lattice_step(classes, n: int) -> int:
 def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     """Decide whether theta maps g onto a circulant and classify the image.
 
-    Detection runs on the residue classes of R (theta_image). A circulant
-    image comes with the vertex bijection as witness, checked edge for edge
-    on the two connection sets before it is attached (_checked_witness). The
-    witness endpoints are g and the image themselves, so classification
-    builds no edge set. A Type-1 image records the least unit mapping g
-    onto it (is_adams_isomorphic).
+    Detection runs on the residue classes of R (theta_image), which also
+    names the first failing vertex of an image that is not circulant. A
+    circulant image C_n(D_0) comes with the vertex bijection tm.periodic()
+    as witness, checked edge for edge on the two connection sets by
+    verify_circulant_witness before it is attached; a failed check raises
+    InvariantViolation. The witness endpoints are g and the image
+    themselves, so classification builds no edge set. A Type-1 image
+    records the least unit mapping g onto it (is_adams_isomorphic).
     """
     _check_classify_preconditions(tm, g)
-    witness = _checked_witness(tm, g)
-    if isinstance(witness, NotCirculant):
-        return ThetaClassification(tm, g, "not_circulant", failing_vertex=witness.vertex)
-    image = witness.target
+    image = theta_image(tm, g)
+    if isinstance(image, NotCirculant):
+        return ThetaClassification(tm, g, "not_circulant", failing_vertex=image.vertex)
+    f = tm.periodic()
+    if not verify_circulant_witness(g, image, f):
+        raise InvariantViolation(f"{tm.label()} does not map {g.label()} onto {image.label()}")
+    witness = _witness(g, image, tm, f)
     if image == g:
         return ThetaClassification(tm, g, "identity", image, witness=witness)
     x = is_adams_isomorphic(g, image)
@@ -209,19 +221,9 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
                                witness=witness)
 
 
-def _checked_witness(tm: ThetaMap, g: Circulant, classes=None) -> Union[IsoWitness, NotCirculant]:
-    """The image half of a classification, shared by classify_theta and
-    type2_set: theta_image of g (classes is passed on to it), and for a
-    circulant image the witness tm.periodic() from g onto it, kept in
-    periodic form and checked by verify_circulant_witness before it is
-    returned. A failed check raises InvariantViolation. The image is the
-    witness's target."""
-    image = theta_image(tm, g, classes)
-    if isinstance(image, NotCirculant):
-        return image
-    f = tm.periodic()
-    if not verify_circulant_witness(g, image, f):
-        raise InvariantViolation(f"{tm.label()} does not map {g.label()} onto {image.label()}")
+def _witness(g: Circulant, image: Circulant, tm: ThetaMap, f: PeriodicMap) -> IsoWitness:
+    """The witness f = tm.periodic() from g onto image, which
+    verify_circulant_witness has passed, kept in periodic form."""
     return IsoWitness(g, image, f, True, f"theta(m={tm.m},t={tm.t})")
 
 
@@ -259,49 +261,64 @@ class Type2Orbit:
 def type2_set(g: Circulant, m: int) -> Type2Orbit:
     """Classify theta(n, m, t) on g for every t on the lattice of
     _lattice_step and collect the Type-2 orbit of g; no other t in [0, n/m)
-    can give a circulant image. Every lattice t gets its image and its
-    checked witness (_checked_witness), so no membership claim rests on the
-    offset classes alone; each member keeps the bijection of its least t as
-    its witness. A lattice t whose image is not circulant would contradict
-    _lattice_step, and raises InvariantViolation.
+    can give a circulant image.
+
+    Each lattice t costs one image build and one edge walk. The image is
+    C_n(D_0) (_image_conn), one graph value per distinct connection set,
+    g itself for g's own set. The walk is verify_circulant_witness of
+    tm.periodic() from g onto it, so no membership claim rests on the
+    offset classes alone, and each member keeps, as its witness, the
+    bijection of its least t; no other witness is built. The walk also
+    decides, for this one t, that the image is circulant: if theta maps g
+    onto some circulant C_n(S), then S ∪ -S is the image's difference set
+    at theta(0) = 0, which is D_0, so the image is C_n(D_0) and the walk
+    passes; and if the walk passes, theta maps the edges of g exactly onto
+    those of C_n(D_0), a circulant. A lattice t whose image is not
+    circulant, which would contradict _lattice_step, therefore fails its
+    walk, and that raises InvariantViolation naming t, with no assert.
 
     An image other than g is Type-1 when some unit maps R onto it. The kind
     is decided once per distinct image, first by trying the unit
-    u = 1 + m*t: if u is a unit and u*R = S, that unit is the certificate.
-    Only when it fails does is_adams_isomorphic search for one. Why u
-    almost always works: on the lattice m²*t fixes every S_r, r in [1, m).
-    For s = r + m*j in S_r, u*s = s + r*m*t + m²*t*j lies in S_r + r*m*t,
-    the image's class r (theta_image), and u ≡ 1 (mod m) keeps every class.
+    u = 1 + m*t: if gcd(u, n) = 1 and u*R, reduced reflexively, is the
+    image's connection set S, u is the certificate (it is the test
+    adams_apply(g, u) == image, without building the graph). Only when it
+    fails does is_adams_isomorphic search for one. Why u almost always
+    works: on the lattice m²*t fixes every S_r, r in [1, m). For
+    s = r + m*j in S_r, u*s = s + r*m*t + m²*t*j lies in S_r + r*m*t, the
+    image's class r (theta_image), and u ≡ 1 (mod m) keeps every class.
     So a unit u maps R ∪ -R onto the image's set exactly when u*S_0 = S_0.
     No verdict rests on this; it only explains why the solve is rarely run.
     """
     # validates m before the lattice is taken
     _check_classify_preconditions(ThetaMap(g.n, m, 0), g)
     n = g.n
-    classes = _offset_classes(symmetric_set(g), m)
-    step = _lattice_step(classes, n)
+    full = symmetric_set(g)
+    step = _lattice_step(_offset_classes(full, m), n)
     outcomes = []
-    kinds = {g: "identity"}  # circulant image -> its kind
-    first = {}  # Type-2 image -> witness of its least t
+    seen = {g.conn: (g, "identity")}  # connection set -> its one graph value, its kind
+    first = {}  # Type-2 image -> (map, bijection) of its least t
     for t in range(0, n // m, step):
-        witness = _checked_witness(ThetaMap(n, m, t), g, classes)
-        if isinstance(witness, NotCirculant):
+        tm = ThetaMap(n, m, t)
+        conn = _image_conn(tm, full)
+        image, kind = seen.get(conn) or (Circulant(n, conn), None)
+        f = tm.periodic()
+        if not verify_circulant_witness(g, image, f):
             raise InvariantViolation(f"theta(m={m},t={t}) is on the lattice of step {step} "
                                      f"but does not map {g.label()} onto a circulant")
-        image = witness.target
-        if image not in kinds:
+        if kind is None:
             u = 1 + m * t
-            unit = (gcd(u, n) == 1 and adams_apply(g, u) == image
+            unit = (gcd(u, n) == 1 and reflexive_reduce((u * s for s in g.conn), n) == conn
                     or is_adams_isomorphic(g, image) is not None)
-            kinds[image] = "type1" if unit else "type2"
+            kind = "type1" if unit else "type2"
+            seen[conn] = image, kind
             if not unit:
-                first[image] = witness
-        outcomes.append((t, kinds[image], image))
+                first[image] = tm, f
+        outcomes.append((t, kind, image))
     members = tuple(sorted({g, *first}))
     t_stab = tuple(t for t, _, img in outcomes if img in members)
     return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab, step=step,
                       outcomes=tuple(outcomes),
-                      witnesses=tuple(first[x] for x in members if x != g))
+                      witnesses=tuple(_witness(g, x, *first[x]) for x in members if x != g))
 
 
 @dataclass(frozen=True)

@@ -746,12 +746,17 @@ def test_type2_set_outcomes_match_classify_theta(case, other):
 def test_class_period_matches_least_fixing_shift(data):
     """_class_period against a scan of every shift d in [1, n], on sets
     closed under a divisor of n, with and without stray elements, and on
-    the empty set."""
-    n = data.draw(st.integers(1, 60))
+    the empty set. Some strays differ from the least element by a shift
+    that does not divide n, which _class_period never tries."""
+    n = data.draw(st.integers(1, 120))
     p = data.draw(st.sampled_from(_divisors(n)))
     base = data.draw(st.sets(st.integers(0, p - 1), max_size=p))
     stray = data.draw(st.sets(st.integers(0, n - 1), max_size=2))
     cls = {b + k * p for b in base for k in range(n // p)} | stray
+    s0 = min(cls, default=n)
+    off = [d for d in range(1, n - s0) if n % d]  # s0 + d stays below n, d ∤ n
+    if off:
+        cls |= {s0 + d for d in data.draw(st.lists(st.sampled_from(off), max_size=2))}
     least = min(d for d in range(1, n + 1) if {(s + d) % n for s in cls} == cls)
     assert _class_period(cls, n) == least
     assert _class_period(set(), n) == 1

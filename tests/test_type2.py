@@ -263,6 +263,49 @@ def test_off_lattice_image_raises(monkeypatch):
         type2_set(C16A, 2)
 
 
+def test_off_lattice_image_raises_under_optimize():
+    # python -O strips assert statements; the edge walk against C_n(D_0),
+    # not an assert, must still catch the off-lattice t = 1
+    code = ("import sys\n"
+            "from circiso import type2\n"
+            "from circiso.circulant import Circulant\n"
+            "from circiso.errors import InvariantViolation\n"
+            "type2._lattice_step = lambda classes, n: 1\n"
+            "try:\n"
+            "    type2.type2_set(Circulant(16, (1, 2, 7)), 2)\n"
+            "except InvariantViolation as e:\n"
+            "    sys.exit(0 if 't=1' in str(e) else f'wrong t: {e}')\n"
+            "sys.exit('t=1 was accepted')\n")
+    src = pathlib.Path(circiso.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert res.returncode == 0, res.stderr
+
+
+def test_type2_set_builds_witnesses_for_members_only(monkeypatch):
+    # one IsoWitness per member other than the base, none for the other
+    # lattice t; each passes the edge check on its expanded image list, a
+    # route independent of the periodic walk
+    built = []
+
+    def counting(*args):
+        built.append(iso_oracle.IsoWitness(*args))
+        return built[-1]
+
+    monkeypatch.setattr(type2, "IsoWitness", counting)
+    # (g, m, members, lattice t): the last two have Type-1 images only
+    cases = [(A1, 2, 2, 4), (A1, 3, 3, 9), (C16A, 2, 2, 4),
+             (Circulant(54, (2, 6, 9, 11, 16, 25, 27)), 3, 1, 6),
+             (product_coprime(Circulant(16, (1, 2)), Circulant(27, (1, 8))), 3, 1, 3)]
+    for g, m, members, ts in cases:
+        built.clear()
+        orbit = type2_set(g, m)
+        assert (len(orbit.members), len(orbit.outcomes)) == (members, ts)
+        assert len(built) == members - 1 and list(orbit.witnesses) == built
+        for w in orbit.witnesses:
+            assert iso_oracle.verify_witness(replace(w, bijection=w.images()))
+
+
 def test_classification_builds_no_vertex_map(monkeypatch):
     # theta witnesses are checked in periodic form, O(m*|R|) per t, and kept
     # that way: neither classify_theta nor type2_set expands one into an
