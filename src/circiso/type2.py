@@ -145,12 +145,17 @@ def theta_image(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
 
 
 def _image_conn(tm: ThetaMap, full) -> tuple[int, ...]:
+    """D_0 of _lattice_conn for the parameters of tm."""
+    return _lattice_conn(tm.n, tm.m, tm.t, full)
+
+
+def _lattice_conn(n: int, m: int, t: int, full) -> tuple[int, ...]:
     """D_0 = {s + (s mod m)*m*t : s in full} reduced reflexively, for full
     the symmetric offset set R ∪ -R. D_0 is the image's difference set at
     theta(0) = 0, so it is the connection set of the image whenever the
     image is circulant. It holds no 0, since theta is a bijection fixing 0."""
-    m, mt = tm.m, tm.m * tm.t
-    return reflexive_reduce((s + (s % m) * mt for s in full), tm.n)
+    mt = m * t
+    return reflexive_reduce((s + (s % m) * mt for s in full), n)
 
 
 def _offset_classes(full, m: int) -> list[set]:
@@ -234,10 +239,13 @@ class Type2Orbit:
     theta(n, m, t) maps the base onto a circulant exactly when step divides
     t (_lattice_step), so outcomes records (t, kind, image) for those t
     alone, ascending, and outcome(t) answers for any t in [0, n/m). The
-    t_stabilizer collects every t whose image is circulant and lies in the
-    member set, and is a subgroup of Z_{n/m} under addition. witnesses
-    holds, for each member after the base is left out and in member order,
-    the verified witness of its least t with kind "type2".
+    outcomes repeat with the least t > 0 whose image is the base; those up
+    to it were walked edge for edge and the later ones are derived from
+    them (type2_set). The t_stabilizer collects every t whose image is
+    circulant and lies in the member set, and is a subgroup of Z_{n/m}
+    under addition. witnesses holds, for each member after the base is left
+    out and in member order, the walked witness of its least t with kind
+    "type2".
     """
 
     base: Circulant
@@ -263,19 +271,40 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     _lattice_step and collect the Type-2 orbit of g; no other t in [0, n/m)
     can give a circulant image.
 
-    Each lattice t costs one image build and one edge walk. The image is
-    C_n(D_0) (_image_conn), one graph value per distinct connection set,
-    g itself for g's own set. The walk is verify_circulant_witness of
-    tm.periodic() from g onto it, so no membership claim rests on the
-    offset classes alone, and each member keeps, as its witness, the
-    bijection of its least t; no other witness is built. The walk also
-    decides, for this one t, that the image is circulant: if theta maps g
-    onto some circulant C_n(S), then S ∪ -S is the image's difference set
-    at theta(0) = 0, which is D_0, so the image is C_n(D_0) and the walk
-    passes; and if the walk passes, theta maps the edges of g exactly onto
-    those of C_n(D_0), a circulant. A lattice t whose image is not
-    circulant, which would contradict _lattice_step, therefore fails its
-    walk, and that raises InvariantViolation naming t, with no assert.
+    The lattice t are walked in ascending order up to and including q0, the
+    least t > 0 whose image is g (or all of them, when there is none), and
+    each walked t costs one image build and one edge walk. The image is
+    C_n(D_0) (_lattice_conn), one graph value per distinct connection set,
+    g itself for g's own set. The walk is verify_circulant_witness of the
+    theta bijection, the PeriodicMap (m, m, (i + i*m*t)) built from (m, t)
+    alone, from g onto it, so no membership claim rests on the offset
+    classes alone; the map's construction still checks that it is a
+    bijection, which the walk's soundness needs. Each member keeps, as its
+    witness, the bijection of its least t, and only those get a ThetaMap
+    and an IsoWitness. The walk also decides, for this one t, that the
+    image is circulant: if theta maps g onto some circulant C_n(S), then
+    S ∪ -S is the image's difference set at theta(0) = 0, which is D_0, so
+    the image is C_n(D_0) and the walk passes; and if the walk passes,
+    theta maps the edges of g exactly onto those of C_n(D_0), a circulant.
+    A lattice t whose image is not circulant, which would contradict
+    _lattice_step, therefore fails its walk, and that raises
+    InvariantViolation naming t, with no assert.
+
+    Every lattice t after q0 takes the outcome of t mod q0. Write theta(t)
+    for theta(n, m, t) and q = n/m. theta(a) after theta(b) is
+    theta(a + b mod q) (theta_compose): theta(b) keeps x mod m, since
+    m | m*b and m | n, so theta(a)(theta(b)(x)) = x + (x mod m)*m*(a + b),
+    and (x mod m)*m*q is a multiple of n. So the t whose image is g form a
+    subgroup of Z_q, holding 0 and closed under addition, and q0 is its
+    least positive element, which divides q. Its image g is circulant, so
+    q0 is on the lattice and is walked before any larger t. The walk at q0
+    shows that theta(q0) maps the edges of g onto those of g, so
+    theta(t + q0) = theta(t) after theta(q0) maps g onto the image of t:
+    the images, and so the outcomes, repeat with period q0 along the
+    lattice. The kind depends only on the image. A member's least t lies
+    below q0, since subtracting q0 from a larger one gives the same image,
+    so every member keeps a walked witness. If the walk at q0 fails, the
+    loop raises before anything is derived.
 
     An image other than g is Type-1 when some unit maps R onto it. The kind
     is decided once per distinct image, first by trying the unit
@@ -291,34 +320,40 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     """
     # validates m before the lattice is taken
     _check_classify_preconditions(ThetaMap(g.n, m, 0), g)
-    n = g.n
+    n, q = g.n, g.n // m
     full = symmetric_set(g)
     step = _lattice_step(_offset_classes(full, m), n)
-    outcomes = []
+    walked = []  # (kind, image) of each walked t, ascending
     seen = {g.conn: (g, "identity")}  # connection set -> its one graph value, its kind
-    first = {}  # Type-2 image -> (map, bijection) of its least t
-    for t in range(0, n // m, step):
-        tm = ThetaMap(n, m, t)
-        conn = _image_conn(tm, full)
+    first = {}  # Type-2 image -> (t, bijection) of its least t
+    q0 = q  # theta(q) is theta(0)
+    for t in range(0, q, step):
+        conn = _lattice_conn(n, m, t, full)
         image, kind = seen.get(conn) or (Circulant(n, conn), None)
-        f = tm.periodic()
+        mt = m * t
+        f = PeriodicMap(n, m, m, tuple(i + i * mt for i in range(m)))
         if not verify_circulant_witness(g, image, f):
             raise InvariantViolation(f"theta(m={m},t={t}) is on the lattice of step {step} "
-                                     f"but does not map {g.label()} onto a circulant")
+                                     f"but does not map {g.label()} onto {image.label()}")
         if kind is None:
-            u = 1 + m * t
+            u = 1 + mt
             unit = (gcd(u, n) == 1 and reflexive_reduce((u * s for s in g.conn), n) == conn
                     or is_adams_isomorphic(g, image) is not None)
             kind = "type1" if unit else "type2"
             seen[conn] = image, kind
             if not unit:
-                first[image] = tm, f
-        outcomes.append((t, kind, image))
+                first[image] = t, f
+        walked.append((kind, image))
+        if t and image is g:
+            q0 = t
+            break
+    outcomes = tuple((t, *walked[t % q0 // step]) for t in range(0, q, step))
     members = tuple(sorted({g, *first}))
     t_stab = tuple(t for t, _, img in outcomes if img in members)
+    witnesses = (_witness(g, x, ThetaMap(n, m, first[x][0]), first[x][1])
+                 for x in members if x != g)
     return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab, step=step,
-                      outcomes=tuple(outcomes),
-                      witnesses=tuple(_witness(g, x, *first[x]) for x in members if x != g))
+                      outcomes=outcomes, witnesses=tuple(witnesses))
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,15 @@
 and checked by verify_witness (make_witness), the tuple edge-set route that
 verify_witness replaced (factor edge sets folded by cartesian_edges, and a
 check that looks up each image), the per-vertex difference-set route that
-theta_image replaced, circulance detection on an explicit edge set, vertex
-relabeling, and a bounded deterministic backtracking isomorphism search for
-small orders.
+theta_image replaced, a Type-2 orbit built from classify_theta at every t,
+circulance detection on an explicit edge set, vertex relabeling, and a
+bounded deterministic backtracking isomorphism search.
 
 The search is a desk-scale verification device. It never certifies a claim
 it has not checked edge-by-edge, and a budget overrun is an explicit error,
-never a silent "not isomorphic". It recurses once per vertex, so it is for
-small orders only.
+never a silent "not isomorphic". It keeps its own stack of candidate
+iterators, one per mapped vertex, so its depth is not bounded by Python's
+recursion limit.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from circiso.circulant import Circulant, EdgeGraph, NotCirculant, realize, symme
 from circiso.errors import CircisoError, InvariantViolation, NotAPermutation, OrderMismatch
 from circiso.iso_oracle import IsoWitness, verify_witness
 from circiso.residue import reflexive_reduce
-from circiso.type2 import ThetaMap, theta_offsets
+from circiso.type2 import ThetaMap, Type2Orbit, classify_theta, theta_offsets
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -104,6 +105,31 @@ def theta_image_by_difference_sets(tm: ThetaMap, g: Circulant) -> Union[Circulan
         if frozenset((s + ((u + s) % m - u) * mt) % n for s in full) != d0:
             return NotCirculant(u)
     return Circulant(n, reflexive_reduce(d0, n))
+
+
+def type2_orbit_by_classification(g: Circulant, m: int) -> Type2Orbit:
+    """The Type-2 orbit of g w.r.t. m from classify_theta at every t in
+    [0, n/m), each t classified on its own and nothing derived from another
+    t. step is the least t > 0 with a circulant image (n/m if there is
+    none), and an image that is circulant at a t off its multiples raises
+    InvariantViolation. Each member other than g keeps the witness of its
+    least Type-2 t."""
+    q = g.n // m
+    cls = [classify_theta(ThetaMap(g.n, m, t), g) for t in range(q)]
+    step = next((t for t in range(1, q) if cls[t].image is not None), q)
+    if any((c.image is not None) != (t % step == 0) for t, c in enumerate(cls)):
+        raise InvariantViolation(f"the circulant t of {g.label()} at m={m} are not the "
+                                 f"multiples of {step}")
+    lattice = cls[::step]
+    first = {}  # Type-2 image -> its least classification
+    for c in lattice:
+        if c.kind == "type2":
+            first.setdefault(c.image, c)
+    members = tuple(sorted({g, *first}))
+    return Type2Orbit(base=g, m=m, members=members,
+                      t_stabilizer=tuple(c.map.t for c in lattice if c.image in members),
+                      step=step, outcomes=tuple((c.map.t, c.kind, c.image) for c in lattice),
+                      witnesses=tuple(first[x].witness for x in members if x != g))
 
 
 def detect_circulant(eg: EdgeGraph) -> Union[Circulant, NotCirculant]:
@@ -199,30 +225,33 @@ def search_isomorphism(
                 return False
         return True
 
-    def dfs(depth: int) -> bool:
-        nonlocal nodes
-        if depth == n:
-            return True
-        v = 0 if depth == 0 else next_vertex()
-        for u in range(n):
+    # one entry per placed depth: the source vertex and its untried target
+    # candidates; a vertex's mapping is its candidate being explored
+    stack = [(0, iter(range(n)))] if n else []
+    while stack:
+        v, todo = stack[-1]
+        if mapping[v] >= 0:  # back from a failed deeper search: undo v's candidate
+            u = mapping[v]
+            mapping[v] = inverse[u] = -1
+            used[u] = False
+        for u in todo:
             if used[u]:
                 continue
             nodes += 1
             if nodes > node_budget:
                 raise BudgetExceeded(f"isomorphism search exceeded {node_budget} nodes")
-            if not consistent(v, u):
-                continue
-            mapping[v] = u
-            inverse[u] = v
-            used[u] = True
-            if dfs(depth + 1):
-                return True
-            mapping[v] = -1
-            inverse[u] = -1
-            used[u] = False
-        return False
-
-    if not dfs(0):
+            if consistent(v, u):
+                break
+        else:
+            stack.pop()
+            continue
+        mapping[v] = u
+        inverse[u] = v
+        used[u] = True
+        if len(stack) == n:
+            break
+        stack.append((next_vertex(), iter(range(n))))
+    if -1 in mapping:
         return None
     w = IsoWitness(a, b, tuple(mapping), maps_edges_onto(a, b, mapping), "search")
     if not w.verified:

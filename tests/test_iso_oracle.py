@@ -275,6 +275,15 @@ def test_search_self_is_identity():
     assert w is not None and w.bijection == tuple(range(12))
 
 
+def test_search_goes_deeper_than_the_recursion_limit():
+    # 1,500 placed vertices, past Python's default limit of 1,000 frames
+    a, b = realize(Circulant(1500, (1,))), realize(Circulant(1500, (7,)))
+    w = search_isomorphism(a, b)
+    assert w is not None and w.verified
+    assert verify_witness(IsoWitness(Circulant(1500, (1,)), Circulant(1500, (7,)),
+                                     w.bijection, False, "search"))
+
+
 def test_search_degree_mismatch_absent():
     assert search_isomorphism(realize(Circulant(8, (1, 2))), realize(Circulant(8, (1, 4)))) is None
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from circiso import type2
+from circiso import catalog, type2
 from circiso.circulant import (
     WITNESS_EDGE_CAP,
     Circulant,
@@ -62,6 +62,7 @@ from oracles import (
     permute_edges,
     ring_edges,
     theta_image_by_difference_sets,
+    type2_orbit_by_classification,
 )
 from test_acceptance import _theta_graph
 
@@ -739,6 +740,57 @@ def test_type2_set_outcomes_match_classify_theta(case, other):
                 assert k not in valid
             else:
                 assert k in valid
+
+
+@st.composite
+def _orbit_graph(draw):
+    """A graph of order 16 to 1296 that some m admits: n is a multiple of
+    m0^3 for m0 = 2, 3 or 5, R is a _class_graph mod m0 plus an offset
+    divisible by m0, and half the time its classes are periodic, so that
+    the base recurs at some t > 0 and members other than the base occur."""
+    m0 = draw(st.sampled_from([2, 3, 5]))
+    n = m0**3 * draw(st.integers(-(-16 // m0**3), 1296 // m0**3))
+    g = draw(_class_graph(m0, n, max_offsets=5))
+    g = Circulant.reduced(n, {*g.conn, m0 * draw(st.integers(1, n // 2 // m0))})
+    assume(len(g.conn) >= 3)
+    return g
+
+
+def _assert_orbit_matches_classification(g, m):
+    orbit = type2_set(g, m)
+    ref = type2_orbit_by_classification(g, m)
+    assert (orbit.members, orbit.t_stabilizer, orbit.step) == (
+        ref.members, ref.t_stabilizer, ref.step)
+    assert orbit.outcomes == ref.outcomes
+    assert [(w.source, w.target, w.bijection, w.verified, w.origin) for w in orbit.witnesses] \
+        == [(w.source, w.target, w.bijection, w.verified, w.origin) for w in ref.witnesses]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_orbit_graph())
+# the base recurs at t = 9 of six lattice t, after two Type-1 images
+@example(Circulant(54, (2, 6, 9, 11, 16, 25, 27)))
+# two members at m = 2, the base recurring at t = 4, the third of four lattice t
+@example(Circulant(16, (1, 2, 7)))
+def test_type2_set_derived_outcomes_match_classification_at_every_t(g):
+    """type2_set walks the lattice t up to the least t > 0 whose image is
+    the base and derives the rest; the orbit equals the one built from
+    classify_theta at every t in [0, n/m), in members, t_stabilizer, step,
+    outcomes and each witness's endpoints, bijection and origin, at every
+    m the graph admits."""
+    ms = valid_type2_ms(g)
+    assert ms
+    for m in ms:
+        _assert_orbit_matches_classification(g, m)
+
+
+def test_catalog_orbits_match_classification_at_every_t():
+    """The four catalog orbits: the order-432 and order-6750 A seeds, at
+    m = 2, 3 and m = 3, 5."""
+    cat = catalog.load()
+    for g, ms in ((cat.s3_seed("A"), (2, 3)), (cat.s4_seed("A"), (3, 5))):
+        for m in ms:
+            _assert_orbit_matches_classification(g, m)
 
 
 @settings(max_examples=300, deadline=None)

@@ -215,7 +215,8 @@ def test_type2_set_solves_for_a_unit_only_where_1_plus_mt_fails(monkeypatch):
 
         monkeypatch.setattr(type2, name, counting)
     # C_16(1,2) x C_27(1,8) = C_432(16,27,54,128): at m = 3 and 6 every
-    # circulant image other than the base is (1 + m*t)*R
+    # circulant image other than the base is (1 + m*t)*R, and the base
+    # recurs at no t > 0, so every lattice t is walked
     g = product_coprime(Circulant(16, (1, 2)), Circulant(27, (1, 8)))
     for m in (3, 6):
         counts.clear()
@@ -225,11 +226,21 @@ def test_type2_set_solves_for_a_unit_only_where_1_plus_mt_fails(monkeypatch):
         assert counts == {"verify_circulant_witness": len(orbit.outcomes)}
     # C_54 at m = 3 has six lattice t and two Type-1 images, first met at
     # t = 3, where 1 + 3t = 10 is no unit, and at t = 6, where 19 maps R
-    # onto the image: one solve
+    # onto the image: one solve. The base recurs at t = 9, so 4 of the 6 t
+    # are walked and t = 12, 15 take the outcomes of t = 3, 6
     counts.clear()
     orbit = type2_set(Circulant(54, (2, 6, 9, 11, 16, 25, 27)), 3)
     assert len(orbit.outcomes) == 6 and orbit.members == (orbit.base,)
-    assert counts == {"is_adams_isomorphic": 1, "verify_circulant_witness": 6}
+    assert counts == {"is_adams_isomorphic": 1, "verify_circulant_witness": 4}
+    assert [o[1:] for o in orbit.outcomes[4:]] == [o[1:] for o in orbit.outcomes[1:3]]
+    # C_131072(2,4,6) at m = 2 has 65,536 lattice t and its image at t = 1 is
+    # the base: two walks, and every other outcome is derived
+    counts.clear()
+    g = Circulant(131072, (2, 4, 6))
+    orbit = type2_set(g, 2)
+    assert counts == {"verify_circulant_witness": 2}
+    assert orbit.step == 1 and orbit.outcomes[-1] == (65535, "identity", g)
+    assert len(orbit.t_stabilizer) == 65536 and orbit.members == (g,)
 
 
 def test_theta_compose():
@@ -276,6 +287,45 @@ def test_off_lattice_image_raises_under_optimize():
             "except InvariantViolation as e:\n"
             "    sys.exit(0 if 't=1' in str(e) else f'wrong t: {e}')\n"
             "sys.exit('t=1 was accepted')\n")
+    src = pathlib.Path(circiso.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert res.returncode == 0, res.stderr
+
+
+C54 = Circulant(54, (2, 6, 9, 11, 16, 25, 27))
+
+
+def test_false_period_raises(monkeypatch):
+    # a supposed period: the image routine reports C_54's own connection set
+    # at t = 3, where theta(54, 3, 3) carries C_54 onto a Type-1 image.
+    # Trusted, the orbit would repeat from t = 3 and derive t = 6 to 15 from
+    # it; the walk at t = 3 must fail, and nothing is derived
+    real = type2._lattice_conn
+    monkeypatch.setattr(type2, "_lattice_conn",
+                        lambda n, m, t, full: C54.conn if t == 3 else real(n, m, t, full))
+    with pytest.raises(InvariantViolation, match=r"t=3\)"):
+        type2_set(C54, 3)
+    monkeypatch.undo()
+    assert [t for t, kind, _ in type2_set(C54, 3).outcomes if kind == "identity"] == [0, 9]
+
+
+def test_false_period_raises_under_optimize():
+    # python -O strips assert statements; the walk, not an assert, must
+    # refuse the supposed period of test_false_period_raises
+    code = ("import sys\n"
+            "from circiso import type2\n"
+            "from circiso.circulant import Circulant\n"
+            "from circiso.errors import InvariantViolation\n"
+            "G = Circulant(54, (2, 6, 9, 11, 16, 25, 27))\n"
+            "real = type2._lattice_conn\n"
+            "type2._lattice_conn = lambda n, m, t, full: (\n"
+            "    G.conn if t == 3 else real(n, m, t, full))\n"
+            "try:\n"
+            "    type2.type2_set(G, 3)\n"
+            "except InvariantViolation as e:\n"
+            "    sys.exit(0 if 't=3)' in str(e) else f'wrong t: {e}')\n"
+            "sys.exit('the period t=3 was accepted')\n")
     src = pathlib.Path(circiso.__file__).resolve().parents[1]
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
