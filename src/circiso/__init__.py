@@ -40,9 +40,7 @@ from .type2 import (  # noqa: F401
     ThetaMap,
     Type2Orbit,
     classify_theta,
-    theta_compose,
     theta_image,
-    theta_offsets,
     type2_group_check,
     type2_set,
 )

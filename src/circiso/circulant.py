@@ -194,6 +194,10 @@ def sizes(factors):
         yield order, edges
 
 
+# layered product kind -> length of its ring of copies
+LAYERS = {"prism": 2, "c4": 4}
+
+
 @dataclass(frozen=True)
 class Product:
     """Cartesian product of its factors, each a Circulant or a ring length

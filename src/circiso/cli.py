@@ -21,7 +21,6 @@ from .reporting import (
     witness_json,
 )
 from .reproduce import run_section
-from .residue import units
 from .type1 import adams_periodic, type1_group_table, type1_set
 from .type2 import ThetaMap, classify_theta, type2_group_check, type2_set, valid_type2_ms
 
@@ -101,7 +100,7 @@ def cmd_t1(args) -> int:
     witnesses = _member_witnesses(orbit)
     checks = [
         assertion("orbit-stabilizer product equals unit count",
-                  len(orbit.members) * len(orbit.stabilizer) == len(units(g.n)),
+                  len(orbit.members) * len(orbit.stabilizer) == orbit.unit_count,
                   f"{len(orbit.members)} members x {len(orbit.stabilizer)} stabilizer"),
         assertion("group table closed", table.closed),
         assertion("group table commutative", table.commutative),

@@ -62,11 +62,6 @@ class PeriodicMap:
         if gcd(self.c, n) != p or len(classes) != p:
             raise NotAPermutation(f"(p={p}, c={self.c}) does not permute Z_{n}")
 
-    def __call__(self, x: int) -> int:
-        """f(x) for x in Z_n: x = i + k*p with i = x mod p."""
-        k, i = divmod(x % self.n, self.p)
-        return (self.head[i] + k * self.c) % self.n
-
     def expand(self) -> tuple[int, ...]:
         """The image list, indexed by vertex, built a slice at a time: one
         per class {i + k*p} when there are fewer classes than rows of p

@@ -7,14 +7,14 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Optional
 
-from .circulant import WITNESS_EDGE_CAP, Circulant, Product, crt_circulant, is_connected
+from .circulant import (LAYERS, WITNESS_EDGE_CAP, Circulant, Product, crt_circulant,
+                        is_connected)
 from .errors import (EvenOrder, InvalidParams, InvariantViolation, NotConnected, NotCoprime,
                      OrderTooSmall)
 from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
 from .residue import check_modulus
 from .type2 import ThetaMap, classify_theta, type2_set, valid_type2_ms
 
-LAYERS = {"prism": 2, "c4": 4}  # layered kind -> length of its ring of copies
 SCAN_HEADER = "experimental: checks sampled cases only and cannot falsify beyond its budget"
 
 
@@ -114,10 +114,6 @@ class ConjectureReport:
     @property
     def header(self) -> str:
         return SCAN_HEADER
-
-    @property
-    def counterexamples(self) -> tuple[ConjectureCase, ...]:
-        return tuple(c for c in self.cases if not c.consistent)
 
 
 def _offset_sets(lo: int, hi: int, size: int):

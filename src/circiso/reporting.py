@@ -9,9 +9,8 @@ from datetime import datetime, timezone
 from typing import Union
 
 from . import __version__
-from .circulant import Circulant, Product, sizes
+from .circulant import LAYERS, Circulant, Product, sizes
 from .iso_oracle import IsoWitness
-from .products import LAYERS
 
 SCHEMA = 1
 

@@ -41,13 +41,16 @@ class Type1Orbit:
     """Orbit of a connection set under all units of Z_n.
 
     reps[i] is the least unit sending the base to members[i]; the
-    stabilizer collects every unit fixing the base.
+    stabilizer collects every unit fixing the base. unit_count is the
+    number of units of Z_n, which the orbit-stabilizer equation
+    len(members) * len(stabilizer) == unit_count relates to the orbit.
     """
 
     base: Circulant
     members: tuple[Circulant, ...]
     reps: tuple[int, ...]
     stabilizer: tuple[int, ...]
+    unit_count: int
 
 
 @lru_cache(maxsize=128)
@@ -70,8 +73,9 @@ def type1_set(g: Circulant) -> Type1Orbit:
         members=tuple(Circulant(g.n, c) for c in conns),
         reps=tuple(least[c] for c in conns),
         stabilizer=tuple(stab),
+        unit_count=len(us),
     )
-    if len(conns) * len(stab) != len(us):
+    if len(conns) * len(stab) != orbit.unit_count:
         raise InvariantViolation(f"orbit-stabilizer violated for {g.label()}")
     return orbit
 

@@ -12,7 +12,7 @@ from .errors import (CircisoError, InvalidParams, InvariantViolation, ParamMisma
                      PreconditionViolation)
 from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
 from .residue import check_modulus, reflexive_reduce
-from .type1 import induced_composition, is_adams_isomorphic
+from .type1 import _scaled, induced_composition, is_adams_isomorphic
 
 
 @dataclass(frozen=True, order=True)
@@ -22,7 +22,7 @@ class ThetaMap:
     Valid only when m > 1, m^3 divides n and 0 <= t < n/m; the induced map
     is then always a permutation of Z_n (classes mod m are preserved, and
     the shift inside a class is constant). Since theta(x + m) = theta(x) + m,
-    the map is the PeriodicMap of periodic().
+    the map is the PeriodicMap theta_periodic(n, m, t).
     """
 
     n: int
@@ -39,21 +39,13 @@ class ThetaMap:
     def label(self) -> str:
         return f"theta(n={self.n},m={self.m},t={self.t})"
 
-    def periodic(self) -> PeriodicMap:
-        """The map as (p, c, head) = (m, m, (i + i*m*t mod n for i < m))."""
-        mt = self.m * self.t
-        return PeriodicMap(self.n, self.m, self.m, tuple(i + i * mt for i in range(self.m)))
 
-
-def theta_offsets(tm: ThetaMap, full) -> tuple[int, ...]:
-    """Apply the transform elementwise to a symmetric offset set.
-
-    Offsets divisible by m are fixed; the result is the image graph's
-    difference set at vertex 0, sorted, and is symmetric exactly when the
-    image is circulant.
-    """
-    n, m, mt = tm.n, tm.m, tm.m * tm.t
-    return tuple(sorted((s + (s % m) * mt) % n for s in full))
+def theta_periodic(n: int, m: int, t: int) -> PeriodicMap:
+    """The vertex map of theta(n, m, t) as the PeriodicMap
+    (p, c, head) = (m, m, (i + i*m*t mod n for i < m)); its construction
+    checks that it is a bijection."""
+    mt = m * t
+    return PeriodicMap(n, m, m, tuple(i + i * mt for i in range(m)))
 
 
 @dataclass(frozen=True)
@@ -105,16 +97,9 @@ def valid_type2_ms(g: Circulant) -> tuple[int, ...]:
     return tuple(m for m in ms if _type2_refusal(g, m) is None)
 
 
-def _check_classify_preconditions(tm: ThetaMap, g: Circulant):
-    if tm.n != g.n:
-        raise ParamMismatch(f"transform order {tm.n} != graph order {g.n}")
-    if error := _type2_refusal(g, tm.m):
-        raise error
-
-
 def theta_image(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
     """Decide whether theta maps C_n(R) onto a circulant, one residue class
-    of offsets at a time; a circulant image is C_n(D_0) of _image_conn, g
+    of offsets at a time; a circulant image is C_n(D_0) of _lattice_conn, g
     itself when D_0 reduces to g's own set.
 
     The image vertex theta(u) has difference set
@@ -127,7 +112,7 @@ def theta_image(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
     of these translates of S_r, and D_u = D_0 iff S_r + m²*t = S_r for every
     r >= m - u. The image is circulant iff that holds at u = m - 1, i.e.
     iff every S_r with r in [1, m) is invariant under translation by
-    m²*t mod n; then D_0 (theta_offsets) is its connection set. Otherwise
+    m²*t mod n; then D_0 (_lattice_conn) is its connection set. Otherwise
     the least failing u is m - r for the largest non-invariant r. Image
     vertex x has a preimage congruent to x mod m, so u is also the least
     image vertex whose difference set differs from vertex 0's, the vertex
@@ -140,13 +125,8 @@ def theta_image(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
     for r in range(m - 1, 0, -1):
         if {(s + shift) % n for s in classes[r]} != classes[r]:
             return NotCirculant(m - r)
-    conn = _image_conn(tm, full)
+    conn = _lattice_conn(n, m, tm.t, full)
     return g if conn == g.conn else Circulant(n, conn)
-
-
-def _image_conn(tm: ThetaMap, full) -> tuple[int, ...]:
-    """D_0 of _lattice_conn for the parameters of tm."""
-    return _lattice_conn(tm.n, tm.m, tm.t, full)
 
 
 def _lattice_conn(n: int, m: int, t: int, full) -> tuple[int, ...]:
@@ -204,21 +184,22 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
 
     Detection runs on the residue classes of R (theta_image), which also
     names the first failing vertex of an image that is not circulant. A
-    circulant image C_n(D_0) comes with the vertex bijection tm.periodic()
-    as witness, checked edge for edge on the two connection sets by
-    verify_circulant_witness before it is attached; a failed check raises
-    InvariantViolation. The witness endpoints are g and the image
-    themselves, so classification builds no edge set. A Type-1 image
-    records the least unit mapping g onto it (is_adams_isomorphic).
+    circulant image C_n(D_0) comes with the theta bijection as witness,
+    walked edge for edge on the two connection sets (_theta_walk) before it
+    is attached; a failed walk raises InvariantViolation. The witness
+    endpoints are g and the image themselves, so classification builds no
+    edge set. A Type-1 image records the least unit mapping g onto it
+    (is_adams_isomorphic).
     """
-    _check_classify_preconditions(tm, g)
+    if tm.n != g.n:
+        raise ParamMismatch(f"transform order {tm.n} != graph order {g.n}")
+    if error := _type2_refusal(g, tm.m):
+        raise error
     image = theta_image(tm, g)
     if isinstance(image, NotCirculant):
         return ThetaClassification(tm, g, "not_circulant", failing_vertex=image.vertex)
-    f = tm.periodic()
-    if not verify_circulant_witness(g, image, f):
-        raise InvariantViolation(f"{tm.label()} does not map {g.label()} onto {image.label()}")
-    witness = _witness(g, image, tm, f)
+    f = _theta_walk(g, image, tm.m, tm.t)
+    witness = IsoWitness(g, image, f, True, f"theta(m={tm.m},t={tm.t})")
     if image == g:
         return ThetaClassification(tm, g, "identity", image, witness=witness)
     x = is_adams_isomorphic(g, image)
@@ -226,10 +207,15 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
                                witness=witness)
 
 
-def _witness(g: Circulant, image: Circulant, tm: ThetaMap, f: PeriodicMap) -> IsoWitness:
-    """The witness f = tm.periodic() from g onto image, which
-    verify_circulant_witness has passed, kept in periodic form."""
-    return IsoWitness(g, image, f, True, f"theta(m={tm.m},t={tm.t})")
+def _theta_walk(g: Circulant, image: Circulant, m: int, t: int) -> PeriodicMap:
+    """The bijection theta_periodic(n, m, t), once verify_circulant_witness
+    has walked it edge for edge from g onto image; a failed walk raises
+    InvariantViolation naming theta(m, t), with no assert."""
+    f = theta_periodic(g.n, m, t)
+    if not verify_circulant_witness(g, image, f):
+        raise InvariantViolation(f"theta(m={m},t={t}) does not map {g.label()} "
+                                 f"onto {image.label()}")
+    return f
 
 
 @dataclass(frozen=True)
@@ -275,13 +261,12 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     least t > 0 whose image is g (or all of them, when there is none), and
     each walked t costs one image build and one edge walk. The image is
     C_n(D_0) (_lattice_conn), one graph value per distinct connection set,
-    g itself for g's own set. The walk is verify_circulant_witness of the
-    theta bijection, the PeriodicMap (m, m, (i + i*m*t)) built from (m, t)
-    alone, from g onto it, so no membership claim rests on the offset
-    classes alone; the map's construction still checks that it is a
-    bijection, which the walk's soundness needs. Each member keeps, as its
-    witness, the bijection of its least t, and only those get a ThetaMap
-    and an IsoWitness. The walk also decides, for this one t, that the
+    g itself for g's own set. The walk (_theta_walk) is
+    verify_circulant_witness of the theta bijection theta_periodic(n, m, t)
+    from g onto it, so no membership claim rests on the offset classes
+    alone; the map's construction still checks that it is a bijection,
+    which the walk's soundness needs. Each member keeps, as its witness, the
+    bijection of its least t, and only those get an IsoWitness. The walk also decides, for this one t, that the
     image is circulant: if theta maps g onto some circulant C_n(S), then
     S ∪ -S is the image's difference set at theta(0) = 0, which is D_0, so
     the image is C_n(D_0) and the walk passes; and if the walk passes,
@@ -292,7 +277,7 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
 
     Every lattice t after q0 takes the outcome of t mod q0. Write theta(t)
     for theta(n, m, t) and q = n/m. theta(a) after theta(b) is
-    theta(a + b mod q) (theta_compose): theta(b) keeps x mod m, since
+    theta(a + b mod q): theta(b) keeps x mod m, since
     m | m*b and m | n, so theta(a)(theta(b)(x)) = x + (x mod m)*m*(a + b),
     and (x mod m)*m*q is a multiple of n. So the t whose image is g form a
     subgroup of Z_q, holding 0 and closed under addition, and q0 is its
@@ -318,8 +303,8 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     So a unit u maps R ∪ -R onto the image's set exactly when u*S_0 = S_0.
     No verdict rests on this; it only explains why the solve is rarely run.
     """
-    # validates m before the lattice is taken
-    _check_classify_preconditions(ThetaMap(g.n, m, 0), g)
+    if error := _type2_refusal(g, m):
+        raise error
     n, q = g.n, g.n // m
     full = symmetric_set(g)
     step = _lattice_step(_offset_classes(full, m), n)
@@ -330,14 +315,10 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     for t in range(0, q, step):
         conn = _lattice_conn(n, m, t, full)
         image, kind = seen.get(conn) or (Circulant(n, conn), None)
-        mt = m * t
-        f = PeriodicMap(n, m, m, tuple(i + i * mt for i in range(m)))
-        if not verify_circulant_witness(g, image, f):
-            raise InvariantViolation(f"theta(m={m},t={t}) is on the lattice of step {step} "
-                                     f"but does not map {g.label()} onto {image.label()}")
+        f = _theta_walk(g, image, m, t)
         if kind is None:
-            u = 1 + mt
-            unit = (gcd(u, n) == 1 and reflexive_reduce((u * s for s in g.conn), n) == conn
+            u = 1 + m * t
+            unit = (gcd(u, n) == 1 and _scaled(g, u) == conn
                     or is_adams_isomorphic(g, image) is not None)
             kind = "type1" if unit else "type2"
             seen[conn] = image, kind
@@ -350,7 +331,7 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     outcomes = tuple((t, *walked[t % q0 // step]) for t in range(0, q, step))
     members = tuple(sorted({g, *first}))
     t_stab = tuple(t for t, _, img in outcomes if img in members)
-    witnesses = (_witness(g, x, ThetaMap(n, m, first[x][0]), first[x][1])
+    witnesses = (IsoWitness(g, x, first[x][1], True, f"theta(m={m},t={first[x][0]})")
                  for x in members if x != g)
     return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab, step=step,
                       outcomes=outcomes, witnesses=tuple(witnesses))
@@ -377,7 +358,7 @@ def type2_group_check(orbit: Type2Orbit) -> Type2GroupReport:
     """Verify the t-stabilizer is a subgroup of Z_{n/m} and that the induced
     composition on members is abelian with the base as identity.
 
-    Theta maps at one (n, m) compose by adding t mod n/m (theta_compose).
+    Theta maps at one (n, m) compose by adding t mod n/m (type2_set).
     The members are the circulant images of the t in the stabilizer, each
     reached by its least t, and induced_composition composes them by adding
     those. The composition is closed only when the stabilizer's images are
@@ -417,28 +398,3 @@ def _closed_under_addition(ts: set, q: int) -> bool:
     """
     return not ts or len(ts) * gcd(q, *ts) == q
 
-
-def theta_compose(a: ThetaMap, b: ThetaMap) -> ThetaMap:
-    """Compose two transforms at the same (n, m): t values add mod n/m.
-
-    The composed parameter map is checked against the actual composition
-    of the two vertex permutations, on the periodic form (_composes).
-    """
-    if a.n != b.n or a.m != b.m:
-        raise ParamMismatch(f"cannot compose {a.label()} with {b.label()}")
-    c = ThetaMap(a.n, a.m, (a.t + b.t) % (a.n // a.m))
-    if not _composes(a, b, c):
-        raise InvariantViolation(f"{c.label()} is not {a.label()} after {b.label()}")
-    return c
-
-
-def _composes(a: ThetaMap, b: ThetaMap, c: ThetaMap) -> bool:
-    """Whether theta c is theta a after theta b, for three maps at one (n, m).
-
-    Each map is a PeriodicMap with period and step m, so f(x + m) = f(x) + m.
-    Then a(b(x + m)) = a(b(x) + m) = a(b(x)) + m, so the composite has the
-    same form, and two such maps agree everywhere iff they agree on
-    x in [0, m). Comparing m values is a complete check.
-    """
-    fa, fb, fc = a.periodic(), b.periodic(), c.periodic()
-    return all(fc.head[x] == fa(fb.head[x]) for x in range(a.m))

@@ -2,7 +2,9 @@
 and checked by verify_witness (make_witness), the tuple edge-set route that
 verify_witness replaced (factor edge sets folded by cartesian_edges, and a
 check that looks up each image), the per-vertex difference-set route that
-theta_image replaced, a Type-2 orbit built from classify_theta at every t,
+theta_image replaced, the composition law of theta maps that type2_set
+proves in its docstring (theta_compose), a Type-2 orbit built from
+classify_theta at every t, the inconsistent cases of a conjecture scan,
 circulance detection on an explicit edge set, vertex relabeling, and a
 bounded deterministic backtracking isomorphism search.
 
@@ -18,10 +20,12 @@ from functools import reduce
 from typing import Optional, Union
 
 from circiso.circulant import Circulant, EdgeGraph, NotCirculant, realize, symmetric_set
-from circiso.errors import CircisoError, InvariantViolation, NotAPermutation, OrderMismatch
-from circiso.iso_oracle import IsoWitness, verify_witness
+from circiso.errors import (CircisoError, InvariantViolation, NotAPermutation, OrderMismatch,
+                            ParamMismatch)
+from circiso.iso_oracle import IsoWitness, PeriodicMap, verify_witness
+from circiso.products import ConjectureCase, ConjectureReport
 from circiso.residue import reflexive_reduce
-from circiso.type2 import ThetaMap, Type2Orbit, classify_theta, theta_offsets
+from circiso.type2 import ThetaMap, Type2Orbit, classify_theta, theta_periodic
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -90,6 +94,54 @@ def permute_edges(eg: EdgeGraph, perm) -> EdgeGraph:
         pa, pb = perm[a], perm[b]
         add((pa, pb) if pa < pb else (pb, pa))
     return EdgeGraph(eg.n, frozenset(es))
+
+
+def periodic_value(f: PeriodicMap, x: int) -> int:
+    """f(x) for x in Z_n: x = i + k*p with i = x mod p."""
+    k, i = divmod(x % f.n, f.p)
+    return (f.head[i] + k * f.c) % f.n
+
+
+def theta_offsets(tm: ThetaMap, full) -> tuple[int, ...]:
+    """Apply the transform elementwise to a symmetric offset set.
+
+    Offsets divisible by m are fixed; the result is the image graph's
+    difference set at vertex 0, sorted, and is symmetric exactly when the
+    image is circulant.
+    """
+    n, m, mt = tm.n, tm.m, tm.m * tm.t
+    return tuple(sorted((s + (s % m) * mt) % n for s in full))
+
+
+def theta_compose(a: ThetaMap, b: ThetaMap) -> ThetaMap:
+    """Compose two transforms at the same (n, m): t values add mod n/m.
+
+    The composed parameter map is checked against the actual composition
+    of the two vertex permutations, on the periodic form (_composes).
+    """
+    if a.n != b.n or a.m != b.m:
+        raise ParamMismatch(f"cannot compose {a.label()} with {b.label()}")
+    c = ThetaMap(a.n, a.m, (a.t + b.t) % (a.n // a.m))
+    if not _composes(a, b, c):
+        raise InvariantViolation(f"{c.label()} is not {a.label()} after {b.label()}")
+    return c
+
+
+def _composes(a: ThetaMap, b: ThetaMap, c: ThetaMap) -> bool:
+    """Whether theta c is theta a after theta b, for three maps at one (n, m).
+
+    Each map is a PeriodicMap with period and step m, so f(x + m) = f(x) + m.
+    Then a(b(x + m)) = a(b(x) + m) = a(b(x)) + m, so the composite has the
+    same form, and two such maps agree everywhere iff they agree on
+    x in [0, m). Comparing m values is a complete check.
+    """
+    fa, fb, fc = (theta_periodic(x.n, x.m, x.t) for x in (a, b, c))
+    return all(fc.head[x] == periodic_value(fa, fb.head[x]) for x in range(a.m))
+
+
+def counterexamples(report: ConjectureReport) -> tuple[ConjectureCase, ...]:
+    """The cases of a conjecture scan whose verdicts disagree."""
+    return tuple(c for c in report.cases if not c.consistent)
 
 
 def theta_image_by_difference_sets(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:

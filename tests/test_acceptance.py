@@ -13,10 +13,11 @@ from circiso.circulant import Circulant, realize, symmetric_set
 from circiso.iso_oracle import verify_witness
 from circiso.residue import reflexive_reduce
 from circiso.type1 import adams_apply, adams_periodic, is_adams_isomorphic, type1_set
-from circiso.type2 import ThetaMap, classify_theta, theta_compose, theta_offsets
+from circiso.type2 import ThetaMap, classify_theta, theta_periodic
 
 from conftest import ACCEPTANCE_LINES, SECTION_TIMES
-from oracles import detect_circulant, make_witness, permute_edges, search_isomorphism
+from oracles import (detect_circulant, make_witness, permute_edges, search_isomorphism,
+                     theta_compose, theta_offsets)
 
 PROPERTY_CASES = 1000
 
@@ -182,11 +183,11 @@ def _theta_params(draw):
 def test_criterion_8c_theta_bijective_and_composes(case):
     n, m, t1, t2 = case
     a, b = ThetaMap(n, m, t1), ThetaMap(n, m, t2)
-    pa, pb = a.periodic().expand(), b.periodic().expand()
+    pa, pb = theta_periodic(n, m, t1).expand(), theta_periodic(n, m, t2).expand()
     assert sorted(pa) == list(range(n))
     c = theta_compose(a, b)
     assert c.t == (t1 + t2) % (n // m)
-    pc = c.periodic().expand()
+    pc = theta_periodic(n, m, c.t).expand()
     assert all(pc[v] == pa[pb[v]] for v in range(n))
 
 
@@ -218,7 +219,8 @@ def test_criterion_8d_offset_and_edge_routes_agree(case):
         assert symmetric
         assert reflexive_reduce(shifted, n) == cls.image.conn
         # and the fused edge route equals the two-step public route
-        two_step = detect_circulant(permute_edges(realize(g), tm.periodic().expand()))
+        f = theta_periodic(n, tm.m, tm.t).expand()
+        two_step = detect_circulant(permute_edges(realize(g), f))
         assert two_step == cls.image
 
 

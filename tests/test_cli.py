@@ -144,7 +144,7 @@ def test_t2_classifies_each_t_once(capsys, monkeypatch):
     counts = Counter()
     _count_calls(monkeypatch, iso_oracle.verify_circulant_witness, counts)
     _count_calls(monkeypatch, type2.theta_image, counts)
-    _count_calls(monkeypatch, type2._check_classify_preconditions, counts)
+    _count_calls(monkeypatch, type2._type2_refusal, counts)
     _count_calls(monkeypatch, realize, counts)
     code, out, _ = run(capsys, "t2", A432, "--m", "2", "--json")
     results = json.loads(out)["results"]
@@ -152,7 +152,8 @@ def test_t2_classifies_each_t_once(capsys, monkeypatch):
     assert [c["t"] for c in results["classifications"]] == list(range(216))
     assert [c["t"] for c in results["classifications"] if c["image"]] == [0, 54, 108, 162]
     assert counts["verify_circulant_witness"] == 3 and counts["theta_image"] == 0
-    assert counts["_check_classify_preconditions"] == 1
+    # m is refused or admitted once, not once per t
+    assert counts["_type2_refusal"] == 1
     # the member witness keeps circulant endpoints, so no edge set is built
     assert counts["realize"] == 0
 

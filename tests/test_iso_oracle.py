@@ -18,7 +18,7 @@ from circiso.iso_oracle import (
     verify_witness,
 )
 from circiso.type1 import adams_periodic
-from circiso.type2 import ThetaMap
+from circiso.type2 import theta_periodic
 
 from oracles import (
     BudgetExceeded,
@@ -32,7 +32,7 @@ from oracles import (
 def test_theta_bijection_is_a_witness():
     src = Circulant(16, (1, 2, 7))
     tgt = Circulant(16, (2, 3, 5))
-    w = make_witness(src, tgt, ThetaMap(16, 2, 2).periodic().expand(), "theta(m=2,t=2)")
+    w = make_witness(src, tgt, theta_periodic(16, 2, 2).expand(), "theta(m=2,t=2)")
     assert w.verified
 
 
@@ -79,14 +79,14 @@ def test_verify_circulant_witness_accepts_theta_and_identity():
     a, b = Circulant(16, (1, 2, 7)), Circulant(16, (2, 3, 5))
     identity = PeriodicMap(16, 16, 0, tuple(range(16)))
     assert verify_circulant_witness(a, b, PeriodicMap(16, 16, 0,
-                                                      ThetaMap(16, 2, 2).periodic().expand()))
+                                                      theta_periodic(16, 2, 2).expand()))
     assert verify_circulant_witness(a, a, identity)
     assert not verify_circulant_witness(a, b, identity)
 
 
 def test_verify_circulant_witness_rejections():
     a, b = Circulant(16, (1, 2, 7)), Circulant(16, (2, 3, 5))
-    f = list(ThetaMap(16, 2, 2).periodic().expand())
+    f = list(theta_periodic(16, 2, 2).expand())
     with pytest.raises(NotAPermutation):
         PeriodicMap(16, 16, 0, [f[0]] + f[:-1])  # repeats an image
     with pytest.raises(NotAPermutation):
@@ -214,7 +214,7 @@ def test_image_lists_are_read_over_their_maps_periods():
     # are read over the period of the map they were expanded from
     crt = products.product_witness("coprime", Circulant(16, (1, 2, 7)),
                                    Circulant(27, (1, 3, 8, 10)))[1].bijection
-    for f in (ThetaMap(432, 2, 54).periodic(), adams_periodic(432, 5), crt):
+    for f in (theta_periodic(432, 2, 54), adams_periodic(432, 5), crt):
         assert iso_oracle._least_period(f.expand(), f.n) == f.p
 
 

@@ -21,7 +21,7 @@ from circiso.reporting import graph_from_desc
 from circiso.type1 import adams_apply
 
 from conftest import brute_product_edges
-from oracles import edge, make_witness, search_isomorphism
+from oracles import counterexamples, edge, make_witness, search_isomorphism
 
 X1 = Circulant(16, (1, 2, 7))
 X2 = Circulant(16, (2, 3, 5))
@@ -195,7 +195,7 @@ def test_scan_conjecture_seed_pair():
     # the order-16 witness (m=2, t=2) lifts to t = 2*27 = 54 on the product
     lifted = {(l.m, l.t, l.lifted_t) for l in case.lifts}
     assert (2, 2, 54) in lifted
-    assert not report.counterexamples
+    assert not counterexamples(report)
 
 
 def test_scan_computes_each_orbit_once(monkeypatch):

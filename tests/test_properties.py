@@ -43,24 +43,27 @@ from circiso.type2 import (
     ThetaMap,
     _class_period,
     _closed_under_addition,
-    _composes,
     classify_theta,
-    theta_compose,
     theta_image,
+    theta_periodic,
     type2_set,
     valid_type2_ms,
 )
 from circiso.products import LAYERS, Product, product_coprime, product_witness
 from circiso.reporting import graph_desc, graph_from_desc
 
+import oracles
 from conftest import brute_edges, brute_least_unit, brute_product_edges
 from oracles import (
+    _composes,
     cartesian_edges,
     detect_circulant,
     endpoint_edges,
     maps_edges_onto,
+    periodic_value,
     permute_edges,
     ring_edges,
+    theta_compose,
     theta_image_by_difference_sets,
     type2_orbit_by_classification,
 )
@@ -274,7 +277,7 @@ def expanded_witnesses(draw):
         if maker == "theta":
             image = theta_image(tm, source)
             target = source if isinstance(image, NotCirculant) else image
-            f = tm.periodic().expand()
+            f = theta_periodic(tm.n, tm.m, tm.t).expand()
         else:
             x = draw(st.sampled_from(units(source.n)))
             target, f = adams_apply(source, x), adams_periodic(source.n, x).expand()
@@ -600,7 +603,8 @@ theta_cases = st.one_of(_theta_graph(), _theta_graph_m5())
 def test_theta_kernel_matches_edge_route(case):
     g, tm = case
     cls = classify_theta(tm, g)
-    edge = detect_circulant(permute_edges(realize(g), tm.periodic().expand()))
+    f = theta_periodic(tm.n, tm.m, tm.t).expand()
+    edge = detect_circulant(permute_edges(realize(g), f))
     if isinstance(edge, NotCirculant):
         assert (cls.kind, cls.image, cls.failing_vertex) == ("not_circulant", None, edge.vertex)
         return
@@ -824,7 +828,7 @@ def test_circulant_witness_check_matches_edge_check(case, maker, swap, seed):
     g, tm = case
     n = g.n
     if maker == "theta":
-        periodic = tm.periodic()
+        periodic = theta_periodic(tm.n, tm.m, tm.t)
         image = theta_image(tm, g)
         h = g if isinstance(image, NotCirculant) else image
     else:
@@ -849,7 +853,7 @@ def test_circulant_witness_check_matches_edge_check(case, maker, swap, seed):
 def test_periodic_maps_expand_to_the_theta_and_adam_formulas(case, seed):
     _, tm = case
     n, m, t = tm.n, tm.m, tm.t
-    assert tm.periodic().expand() == tuple((x + (x % m) * m * t) % n for x in range(n))
+    assert theta_periodic(n, m, t).expand() == tuple((x + (x % m) * m * t) % n for x in range(n))
     u = units(n)
     v = u[seed % len(u)]
     assert adams_periodic(n, v).expand() == tuple(x * v % n for x in range(n))
@@ -889,7 +893,8 @@ def test_periodic_map_criterion_matches_its_expansion(params):
     if bijective:
         periodic = PeriodicMap(n, p, c, head)
         assert periodic.expand() == f
-        assert [periodic(x) for x in range(-n, 2 * n)] == [f[x % n] for x in range(-n, 2 * n)]
+        values = [periodic_value(periodic, x) for x in range(-n, 2 * n)]
+        assert values == [f[x % n] for x in range(-n, 2 * n)]
     else:
         with pytest.raises(NotAPermutation):
             PeriodicMap(n, p, c, head)
@@ -920,14 +925,14 @@ def test_theta_compose_check_matches_expanded_composition(m, k, wrong, data):
     if wrong:
         t = (t + data.draw(st.integers(1, n // m - 1))) % (n // m)
     c = ThetaMap(n, m, t)
-    pa, pb, pc = a.periodic().expand(), b.periodic().expand(), c.periodic().expand()
+    pa, pb, pc = (theta_periodic(n, m, x.t).expand() for x in (a, b, c))
     expanded = all(pc[x] == pa[pb[x]] for x in range(n))
     assert _composes(a, b, c) == expanded == (not wrong)
     assert theta_compose(a, b).t == (a.t + b.t) % (n // m)
 
 
 def test_theta_compose_raises_on_a_failed_check(monkeypatch):
-    monkeypatch.setattr(type2, "_composes", lambda a, b, c: False)
+    monkeypatch.setattr(oracles, "_composes", lambda a, b, c: False)
     with pytest.raises(InvariantViolation):
         theta_compose(ThetaMap(432, 3, 16), ThetaMap(432, 3, 32))
 

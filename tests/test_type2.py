@@ -26,13 +26,12 @@ from circiso.products import product_coprime
 from circiso.type2 import (
     ThetaMap,
     classify_theta,
-    theta_compose,
-    theta_offsets,
+    theta_periodic,
     type2_group_check,
     type2_set,
 )
 
-from oracles import detect_circulant, permute_edges
+from oracles import detect_circulant, permute_edges, theta_compose, theta_offsets
 
 A1 = Circulant(432, (16, 27, 48, 54, 128, 160, 189))
 B1 = Circulant(432, (27, 32, 48, 54, 112, 176, 189))
@@ -53,15 +52,15 @@ def test_theta_map_validation():
 
 
 def test_theta_vertex_map_values():
-    assert ThetaMap(16, 2, 0).periodic().expand() == tuple(range(16))
-    assert ThetaMap(16, 2, 2).periodic().expand()[3] == 7
-    assert ThetaMap(432, 3, 32).periodic().expand()[1] == 97
+    assert theta_periodic(16, 2, 0).expand() == tuple(range(16))
+    assert theta_periodic(16, 2, 2).expand()[3] == 7
+    assert theta_periodic(432, 3, 32).expand()[1] == 97
 
 
 def test_theta_vertex_map_bijective():
     for n, m in ((16, 2), (432, 2), (432, 3), (432, 6), (27, 3)):
         for t in (0, 1, n // m - 1):
-            assert sorted(ThetaMap(n, m, t).periodic().expand()) == list(range(n))
+            assert sorted(theta_periodic(n, m, t).expand()) == list(range(n))
 
 
 def test_theta_offsets_published_row():
@@ -293,6 +292,40 @@ def test_off_lattice_image_raises_under_optimize():
     assert res.returncode == 0, res.stderr
 
 
+def test_classify_walk_failure_raises_under_optimize():
+    # python -O strips assert statements; a failed walk of the circulant
+    # image of theta(432, 2, 54) must still raise, naming t
+    code = ("import sys\n"
+            "from circiso import type2\n"
+            "from circiso.circulant import Circulant\n"
+            "from circiso.errors import InvariantViolation\n"
+            "type2.verify_circulant_witness = lambda g, h, f: False\n"
+            "g = Circulant(432, (16, 27, 48, 54, 128, 160, 189))\n"
+            "try:\n"
+            "    type2.classify_theta(type2.ThetaMap(432, 2, 54), g)\n"
+            "except InvariantViolation as e:\n"
+            "    sys.exit(0 if 'theta(m=2,t=54)' in str(e) else f'wrong t: {e}')\n"
+            "sys.exit('the failed walk was accepted')\n")
+    src = pathlib.Path(circiso.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert res.returncode == 0, res.stderr
+
+
+def test_walk_failure_text_is_shared(monkeypatch):
+    # one walk-or-raise: the walk of theta(432, 2, 54) from A_1 fails, and
+    # classify_theta at that t and type2_set, which walks t = 0 and then 54,
+    # refuse it in the same words
+    real, bad = type2.verify_circulant_witness, theta_periodic(432, 2, 54)
+    monkeypatch.setattr(type2, "verify_circulant_witness",
+                        lambda g, h, f: f != bad and real(g, h, f))
+    with pytest.raises(InvariantViolation, match=r"^theta\(m=2,t=54\) ") as by_classify:
+        classify_theta(ThetaMap(432, 2, 54), A1)
+    with pytest.raises(InvariantViolation) as by_set:
+        type2_set(A1, 2)
+    assert str(by_set.value) == str(by_classify.value)
+
+
 C54 = Circulant(54, (2, 6, 9, 11, 16, 25, 27))
 
 
@@ -371,7 +404,7 @@ def test_classification_builds_no_vertex_map(monkeypatch):
     for m in (2, 3):
         orbit = type2_set(A1, m)
         assert orbit.witnesses and all(w.verified for w in orbit.witnesses)
-    assert not any(hasattr(fn, "cache_info") for fn in (ThetaMap.periodic, expand))
+    assert not any(hasattr(fn, "cache_info") for fn in (theta_periodic, expand))
 
 
 def test_failing_vertex_beyond_one_matches_edge_route():
@@ -380,7 +413,8 @@ def test_failing_vertex_beyond_one_matches_edge_route():
     g, tm = Circulant(125, (7, 28, 48, 55)), ThetaMap(125, 5, 12)
     cls = classify_theta(tm, g)
     assert cls.kind == "not_circulant" and cls.failing_vertex == 2
-    assert detect_circulant(permute_edges(realize(g), tm.periodic().expand())) == NotCirculant(2)
+    f = theta_periodic(tm.n, tm.m, tm.t).expand()
+    assert detect_circulant(permute_edges(realize(g), f)) == NotCirculant(2)
 
 
 def test_classification_builds_no_unit_orbit(monkeypatch):
