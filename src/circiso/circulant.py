@@ -61,8 +61,8 @@ class Circulant:
 
     @property
     def edges(self) -> frozenset:
-        """The realized edge set, built on demand."""
-        return realize(self).edges
+        """The edge set, built on demand by edge_set, as Product.edges is."""
+        return edge_set((self,))
 
     def label(self) -> str:
         return f"C_{self.n}({','.join(map(str, self.conn))})"
@@ -204,7 +204,7 @@ class Product:
     (2 or 4), in encoding order: vertex (x, y) of G x F is x*|F| + y.
 
     Like a Circulant, it can be a witness endpoint: it exposes n,
-    edge_count and factors. n and edge_count are the last pair of
+    edge_count, factors and label. n and edge_count are the last pair of
     sizes(factors), the empty product being one vertex, and are set on
     construction, outside the fields that equality and hashing read.
     """
@@ -222,6 +222,10 @@ class Product:
     def edges(self) -> frozenset:
         return edge_set(self.factors)
 
+    def label(self) -> str:
+        """The factors' labels joined by " x ", a ring of length k as C_k(1)."""
+        return " x ".join(f"C_{f}(1)" if isinstance(f, int) else f.label() for f in self.factors)
+
 
 def crt_circulant(m: int, r, n: int, s) -> Circulant:
     """C_mn(nR ∪ mS), the circulant onto which the CRT embedding
@@ -232,16 +236,15 @@ def crt_circulant(m: int, r, n: int, s) -> Circulant:
     return Circulant.reduced(m * n, [n * x for x in r] + [m * y for y in s])
 
 
-# no command reads an EdgeGraph: realize serves the tests, and stays cached
-# because the benchmark's tracer reads its cache_info()
+# only the tests call realize; it stays cached because bench/tracer.py reads its cache_info()
 @lru_cache(maxsize=16)
 def realize(g: Circulant) -> EdgeGraph:
     """Materialize the edge set {{x, x+s mod n} : x in Z_n, s in R}."""
-    eg = EdgeGraph(g.n, edge_set((g,)))
+    edges = edge_set((g,))
     # offsets are distinct reflexive classes, so no two can realize one edge
-    if len(eg.edges) != g.edge_count:
+    if len(edges) != g.edge_count:
         raise InvariantViolation(f"offset collision in realization of {g.label()}")
-    return eg
+    return EdgeGraph(g.n, edges)
 
 
 @lru_cache(maxsize=64)

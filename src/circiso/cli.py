@@ -9,7 +9,7 @@ import sys
 
 from .circulant import WITNESS_EDGE_CAP, Circulant, parse_graph
 from .errors import CircisoError, ParseError, ReportError
-from .iso_oracle import IsoWitness, verify_circulant_witness, verify_witness
+from .iso_oracle import verify_witness
 from .products import product_witness, scan_conjecture
 from .reporting import (
     all_passed,
@@ -21,7 +21,7 @@ from .reporting import (
     witness_json,
 )
 from .reproduce import run_section
-from .type1 import adams_periodic, type1_group_table, type1_set
+from .type1 import type1_group_table, type1_set
 from .type2 import ThetaMap, classify_theta, type2_group_check, type2_set, valid_type2_ms
 
 # largest order t1, t2 and classify accept. t1 lists the units of Z_n, and
@@ -80,24 +80,10 @@ def _stored(witnesses: list, graphs, checks: list) -> list:
     return []
 
 
-def _member_witnesses(orbit):
-    """Witnesses for every member of a Type-1 orbit, each adam(x) map kept
-    in periodic form and checked on the connection sets, so neither a
-    vertex map nor an edge set is built."""
-    base = orbit.base
-    out = []
-    for member, x in zip(orbit.members, orbit.reps):
-        f = adams_periodic(base.n, x)
-        out.append(IsoWitness(base, member, f, verify_circulant_witness(base, member, f),
-                              f"adam(x={x})"))
-    return out
-
-
 def cmd_t1(args) -> int:
     g = _graph_from_args(args)
     orbit = type1_set(g)
     table = type1_group_table(orbit)
-    witnesses = _member_witnesses(orbit)
     checks = [
         assertion("orbit-stabilizer product equals unit count",
                   len(orbit.members) * len(orbit.stabilizer) == orbit.unit_count,
@@ -107,9 +93,9 @@ def cmd_t1(args) -> int:
         assertion("group table identity", table.identity_ok),
         assertion(f"group table associativity ({table.associativity})",
                   table.associativity in ("exhaustive", "structural")),
-        *[assertion(f"witness for member {i}", w.verified) for i, w in enumerate(witnesses)],
+        *[assertion(f"witness for member {i}", w.verified) for i, w in enumerate(orbit.witnesses)],
     ]
-    witnesses = _stored(witnesses, orbit.members, checks)
+    witnesses = _stored(orbit.witnesses, orbit.members, checks)
     results = {
         "base": circulant_json(g),
         "members": [circulant_json(m) for m in orbit.members],
@@ -128,12 +114,13 @@ def cmd_t2(args) -> int:
         orbit = type2_set(g, m)
     except CircisoError as e:
         ok = valid_type2_ms(g)
+        if m in ok:  # m is admitted, so the error is no refusal of m
+            raise
         hint = (f"valid m for {g.label()}: {', '.join(map(str, ok))}"
                 if ok else f"no valid m exists for {g.label()}")
         print(f"error: {e}\nhint: {hint}", file=sys.stderr)
         return 2
     group = type2_group_check(orbit)
-    witnesses = list(orbit.witnesses)
     checks = [
         assertion("t-stabilizer contains 0", group.contains_zero),
         assertion("t-stabilizer closed under addition", group.closed),
@@ -141,9 +128,9 @@ def cmd_t2(args) -> int:
         assertion("induced composition closed", group.composition_closed),
         assertion("induced composition abelian", group.abelian),
         assertion("base acts as identity", group.identity_ok),
-        *[assertion(f"witness for member {i}", w.verified) for i, w in enumerate(witnesses)],
+        *[assertion(f"witness for member {i}", w.verified) for i, w in enumerate(orbit.witnesses)],
     ]
-    witnesses = _stored(witnesses, orbit.members, checks)
+    witnesses = _stored(orbit.witnesses, orbit.members, checks)
     results = {
         "base": circulant_json(g),
         "m": m,

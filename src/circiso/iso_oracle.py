@@ -10,7 +10,7 @@ from operator import mod, sub
 from typing import Union
 
 from .circulant import Circulant, Product, shifted, steps
-from .errors import NotAPermutation, OrderMismatch, TargetNotCirculant
+from .errors import InvariantViolation, NotAPermutation, OrderMismatch, TargetNotCirculant
 
 _NOT_A_PERMUTATION = "bijection is not a permutation of the vertex set"
 
@@ -193,6 +193,18 @@ def verify_circulant_witness(g: Union[Circulant, Product], h: Circulant, f: Peri
     if f.n != n:
         raise NotAPermutation(f"bijection permutes Z_{f.n}, not Z_{n}")
     return _walk(g, h, f.p, f.c, f.head)
+
+
+def walk_or_raise(g: Union[Circulant, Product], h: Circulant, f: PeriodicMap, origin: str,
+                  *args) -> PeriodicMap:
+    """f, once verify_circulant_witness has walked it from g onto h: every
+    certificate circiso produces is checked here. A failed walk raises
+    InvariantViolation, with no assert, naming origin formatted with args
+    (str.format) only then, so a walk that passes builds no string."""
+    if not verify_circulant_witness(g, h, f):
+        raise InvariantViolation(f"{origin.format(*args)} does not map {g.label()} "
+                                 f"onto {h.label()}")
+    return f
 
 
 def _order(g: Union[Circulant, Product], h: Circulant) -> int:

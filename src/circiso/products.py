@@ -9,9 +9,8 @@ from typing import Optional
 
 from .circulant import (LAYERS, WITNESS_EDGE_CAP, Circulant, Product, crt_circulant,
                         is_connected)
-from .errors import (EvenOrder, InvalidParams, InvariantViolation, NotConnected, NotCoprime,
-                     OrderTooSmall)
-from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
+from .errors import EvenOrder, InvalidParams, NotConnected, NotCoprime, OrderTooSmall
+from .iso_oracle import IsoWitness, PeriodicMap, walk_or_raise
 from .residue import check_modulus
 from .type2 import ThetaMap, classify_theta, type2_set, valid_type2_ms
 
@@ -32,8 +31,8 @@ def product_witness(
     product and n the order of its second factor, has f(v + n) = f(v) + n,
     so it is kept as the PeriodicMap (p = c = n, head = (m*y for y < n)),
     and no mn-entry list is built. It is checked edge for edge on the
-    result's connection set over that one period
-    (verify_circulant_witness); a failed check raises InvariantViolation.
+    result's connection set over that one period (iso_oracle.walk_or_raise);
+    a failed check raises InvariantViolation naming crt-embedding(mxn).
     Above the cap no check runs and the witness is None.
     """
     if kind == "coprime":
@@ -55,10 +54,9 @@ def product_witness(
     if result.edge_count > WITNESS_EDGE_CAP:
         return result, None
     source = Product((g, h) if kind == "coprime" else (m, g))
-    f = PeriodicMap(m * n, n, n, tuple(range(0, m * n, m)))
-    if not verify_circulant_witness(source, result, f):
-        raise InvariantViolation(f"{kind} product {result.label()} fails its CRT embedding")
-    return result, IsoWitness(source, result, f, True, f"crt-embedding({m}x{n})")
+    origin = f"crt-embedding({m}x{n})"
+    f = walk_or_raise(source, result, PeriodicMap(m * n, n, n, tuple(range(0, m * n, m))), origin)
+    return result, IsoWitness(source, result, f, True, origin)
 
 
 def product_coprime(g: Circulant, h: Circulant) -> Circulant:

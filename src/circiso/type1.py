@@ -8,7 +8,7 @@ from typing import Optional
 
 from .circulant import Circulant
 from .errors import InvariantViolation, NotAUnit, OrderMismatch
-from .iso_oracle import PeriodicMap
+from .iso_oracle import IsoWitness, PeriodicMap, walk_or_raise
 from .residue import reflexive_reduce, units
 
 
@@ -44,6 +44,8 @@ class Type1Orbit:
     stabilizer collects every unit fixing the base. unit_count is the
     number of units of Z_n, which the orbit-stabilizer equation
     len(members) * len(stabilizer) == unit_count relates to the orbit.
+    witnesses[i] is the adam(x) witness of x = reps[i] from the base onto
+    members[i], in member order, walked by iso_oracle.walk_or_raise.
     """
 
     base: Circulant
@@ -51,12 +53,14 @@ class Type1Orbit:
     reps: tuple[int, ...]
     stabilizer: tuple[int, ...]
     unit_count: int
+    witnesses: tuple[IsoWitness, ...]
 
 
 @lru_cache(maxsize=128)
 def type1_set(g: Circulant) -> Type1Orbit:
     """Compute the full orbit of g under unit multiplication. Images are
-    kept as connection sets; a Circulant is built per member, not per unit."""
+    kept as connection sets; a Circulant is built per member, not per unit,
+    and its witness v -> x*v is walked by iso_oracle.walk_or_raise."""
     least: dict[tuple[int, ...], int] = {}
     stab = []
     us = units(g.n)
@@ -66,18 +70,19 @@ def type1_set(g: Circulant) -> Type1Orbit:
             least[conn] = x
         if conn == g.conn:
             stab.append(x)
+    if len(least) * len(stab) != len(us):
+        raise InvariantViolation(f"orbit-stabilizer violated for {g.label()}")
     # one order, so sorting the sets sorts the graphs
     conns = sorted(least)
-    orbit = Type1Orbit(
-        base=g,
-        members=tuple(Circulant(g.n, c) for c in conns),
-        reps=tuple(least[c] for c in conns),
-        stabilizer=tuple(stab),
-        unit_count=len(us),
-    )
-    if len(conns) * len(stab) != orbit.unit_count:
-        raise InvariantViolation(f"orbit-stabilizer violated for {g.label()}")
-    return orbit
+    members = tuple(Circulant(g.n, c) for c in conns)
+    reps = tuple(least[c] for c in conns)
+    witnesses = []
+    for member, x in zip(members, reps):
+        origin = f"adam(x={x})"
+        f = walk_or_raise(g, member, adams_periodic(g.n, x), origin)
+        witnesses.append(IsoWitness(g, member, f, True, origin))
+    return Type1Orbit(base=g, members=members, reps=reps, stabilizer=tuple(stab),
+                      unit_count=len(us), witnesses=tuple(witnesses))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,8 @@ from math import gcd, lcm
 from typing import Optional, Union
 
 from .circulant import Circulant, NotCirculant, symmetric_set
-from .errors import (CircisoError, InvalidParams, InvariantViolation, ParamMismatch,
-                     PreconditionViolation)
-from .iso_oracle import IsoWitness, PeriodicMap, verify_circulant_witness
+from .errors import CircisoError, InvalidParams, ParamMismatch, PreconditionViolation
+from .iso_oracle import IsoWitness, PeriodicMap, walk_or_raise
 from .residue import check_modulus, reflexive_reduce
 from .type1 import _scaled, induced_composition, is_adams_isomorphic
 
@@ -38,6 +37,9 @@ class ThetaMap:
 
     def label(self) -> str:
         return f"theta(n={self.n},m={self.m},t={self.t})"
+
+
+_THETA_ORIGIN = "theta(m={},t={})"
 
 
 def theta_periodic(n: int, m: int, t: int) -> PeriodicMap:
@@ -185,8 +187,8 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     Detection runs on the residue classes of R (theta_image), which also
     names the first failing vertex of an image that is not circulant. A
     circulant image C_n(D_0) comes with the theta bijection as witness,
-    walked edge for edge on the two connection sets (_theta_walk) before it
-    is attached; a failed walk raises InvariantViolation. The witness
+    walked edge for edge on the two connection sets (iso_oracle.walk_or_raise)
+    before it is attached; a failed walk raises InvariantViolation. The witness
     endpoints are g and the image themselves, so classification builds no
     edge set. A Type-1 image records the least unit mapping g onto it
     (is_adams_isomorphic).
@@ -198,24 +200,14 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     image = theta_image(tm, g)
     if isinstance(image, NotCirculant):
         return ThetaClassification(tm, g, "not_circulant", failing_vertex=image.vertex)
-    f = _theta_walk(g, image, tm.m, tm.t)
-    witness = IsoWitness(g, image, f, True, f"theta(m={tm.m},t={tm.t})")
+    origin = _THETA_ORIGIN.format(tm.m, tm.t)
+    f = walk_or_raise(g, image, theta_periodic(g.n, tm.m, tm.t), origin)
+    witness = IsoWitness(g, image, f, True, origin)
     if image == g:
         return ThetaClassification(tm, g, "identity", image, witness=witness)
     x = is_adams_isomorphic(g, image)
     return ThetaClassification(tm, g, "type2" if x is None else "type1", image, x,
                                witness=witness)
-
-
-def _theta_walk(g: Circulant, image: Circulant, m: int, t: int) -> PeriodicMap:
-    """The bijection theta_periodic(n, m, t), once verify_circulant_witness
-    has walked it edge for edge from g onto image; a failed walk raises
-    InvariantViolation naming theta(m, t), with no assert."""
-    f = theta_periodic(g.n, m, t)
-    if not verify_circulant_witness(g, image, f):
-        raise InvariantViolation(f"theta(m={m},t={t}) does not map {g.label()} "
-                                 f"onto {image.label()}")
-    return f
 
 
 @dataclass(frozen=True)
@@ -230,8 +222,8 @@ class Type2Orbit:
     them (type2_set). The t_stabilizer collects every t whose image is
     circulant and lies in the member set, and is a subgroup of Z_{n/m}
     under addition. witnesses holds, for each member after the base is left
-    out and in member order, the walked witness of its least t with kind
-    "type2".
+    out and in member order, the witness of its least t with kind "type2",
+    walked by iso_oracle.walk_or_raise.
     """
 
     base: Circulant
@@ -261,16 +253,18 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     least t > 0 whose image is g (or all of them, when there is none), and
     each walked t costs one image build and one edge walk. The image is
     C_n(D_0) (_lattice_conn), one graph value per distinct connection set,
-    g itself for g's own set. The walk (_theta_walk) is
-    verify_circulant_witness of the theta bijection theta_periodic(n, m, t)
-    from g onto it, so no membership claim rests on the offset classes
-    alone; the map's construction still checks that it is a bijection,
-    which the walk's soundness needs. Each member keeps, as its witness, the
-    bijection of its least t, and only those get an IsoWitness. The walk also decides, for this one t, that the
-    image is circulant: if theta maps g onto some circulant C_n(S), then
-    S ∪ -S is the image's difference set at theta(0) = 0, which is D_0, so
-    the image is C_n(D_0) and the walk passes; and if the walk passes,
-    theta maps the edges of g exactly onto those of C_n(D_0), a circulant.
+    g itself for g's own set. The walk (iso_oracle.walk_or_raise, which
+    classify_theta runs too) is verify_circulant_witness of the theta
+    bijection theta_periodic(n, m, t) from g onto it, so no membership
+    claim rests on the offset classes alone; the map's construction still
+    checks that it is a bijection, which the walk's soundness needs. Each
+    member keeps, as its witness, the bijection of its least t, and only
+    those get an IsoWitness. The walk also decides, for
+    this one t, that the image is circulant: if theta maps g onto some
+    circulant C_n(S), then S ∪ -S is the image's difference set at
+    theta(0) = 0, which is D_0, so the image is C_n(D_0) and the walk
+    passes; and if the walk passes, theta maps the edges of g exactly onto
+    those of C_n(D_0), a circulant.
     A lattice t whose image is not circulant, which would contradict
     _lattice_step, therefore fails its walk, and that raises
     InvariantViolation naming t, with no assert.
@@ -315,7 +309,7 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     for t in range(0, q, step):
         conn = _lattice_conn(n, m, t, full)
         image, kind = seen.get(conn) or (Circulant(n, conn), None)
-        f = _theta_walk(g, image, m, t)
+        f = walk_or_raise(g, image, theta_periodic(n, m, t), _THETA_ORIGIN, m, t)
         if kind is None:
             u = 1 + m * t
             unit = (gcd(u, n) == 1 and _scaled(g, u) == conn
@@ -331,7 +325,7 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     outcomes = tuple((t, *walked[t % q0 // step]) for t in range(0, q, step))
     members = tuple(sorted({g, *first}))
     t_stab = tuple(t for t, _, img in outcomes if img in members)
-    witnesses = (IsoWitness(g, x, first[x][1], True, f"theta(m={m},t={first[x][0]})")
+    witnesses = (IsoWitness(g, x, first[x][1], True, _THETA_ORIGIN.format(m, first[x][0]))
                  for x in members if x != g)
     return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab, step=step,
                       outcomes=outcomes, witnesses=tuple(witnesses))

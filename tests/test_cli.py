@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -17,7 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import circiso
-from circiso import cli, iso_oracle, products, type2
+from circiso import cli, iso_oracle, products, type1, type2
 from circiso.circulant import (
     WITNESS_EDGE_CAP,
     Circulant,
@@ -94,7 +95,8 @@ def test_t1_builds_no_edge_set(capsys, monkeypatch):
         expected.append({"source": _circulant(g), "target": _circulant(member),
                          "bijection": list(w.bijection), "origin": w.origin,
                          "verified": w.verified})
-    _forbid_calls(monkeypatch, realize)
+    type1_set.cache_clear()  # the orbit, witnesses included, is built under the guard
+    _forbid_calls(monkeypatch, realize, edge_set)
     code, out, _ = run(capsys, "t1", A432, "--json")
     assert code == 0 and json.loads(out)["results"]["witnesses"] == expected
 
@@ -102,16 +104,18 @@ def test_t1_builds_no_edge_set(capsys, monkeypatch):
 def test_t1_rejects_a_wrong_member_map(capsys, monkeypatch):
     # vertices 0 and 1 of A_1 have different neighbourhoods, so a map with
     # their images swapped is no isomorphism; the map is given as the
-    # PeriodicMap (p, c) = (n, 0) of that image list
+    # PeriodicMap (p, c) = (n, 0) of that image list. The orbit's walk
+    # refuses it, and t1 exits 2 naming the map, as t2 does
     def transposed(n, x):
         f = list(adams_periodic(n, x).expand())
         f[0], f[1] = f[1], f[0]
         return iso_oracle.PeriodicMap(n, n, 0, f)
 
-    monkeypatch.setattr(cli, "adams_periodic", transposed)
-    code, out, _ = run(capsys, "t1", A432, "--json")
-    assert code == 1
-    assert not any(w["verified"] for w in json.loads(out)["results"]["witnesses"])
+    type1_set.cache_clear()
+    monkeypatch.setattr(type1, "adams_periodic", transposed)
+    code, out, err = run(capsys, "t1", A432, "--json")
+    assert code == 2 and out == ""
+    assert re.match(r"error: adam\(x=\d+\) does not map C_432\(", err) and err.count("\n") == 1
 
 
 def test_t2_command(capsys):
@@ -171,7 +175,7 @@ def test_classification_builds_no_edge_set(monkeypatch):
     g = parse_graph(A432)
     tm = ThetaMap(g.n, 2, 54)
     with monkeypatch.context() as mp:
-        _forbid_calls(mp, realize)
+        _forbid_calls(mp, realize, edge_set)
         cls = classify_theta(tm, g)
         orbit = type2.type2_set(g, 2)
     assert cls.kind == "type2" and cls.witness.source == g and cls.witness.target == cls.image
@@ -201,7 +205,7 @@ def test_edge_check_is_independent_of_the_circulant_check(monkeypatch):
 @pytest.mark.parametrize("argv", [("t2", A432, "--m", "2"), ("t2", A432, "--m", "3"),
                                   ("classify", A432, "--m", "2", "--t", "54")])
 def test_type2_commands_build_no_edge_set(capsys, monkeypatch, argv):
-    _forbid_calls(monkeypatch, realize)
+    _forbid_calls(monkeypatch, realize, edge_set)
     code, out, _ = run(capsys, *argv, "--json")
     assert code == 0 and json.loads(out)["results"]["witnesses"]
 
@@ -237,6 +241,44 @@ def test_t2_parameter_error_has_hint(capsys):
     assert code == 2
     assert err.splitlines() == ["error: Type-2 classification needs at least 3 offsets",
                                 "hint: no valid m exists for C_16(2,4)"]
+
+
+WALK_FAILURES = [
+    (("t1", A432), r"adam\(x=\d+\)"),
+    (("t2", "n=432;R=16,27,54,128", "--m", "2"), r"theta\(m=2,t=0\)"),
+    (("classify", A432, "--m", "2", "--t", "54"), r"theta\(m=2,t=54\)"),
+    (("product", "coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"), r"crt-embedding\(16x27\)"),
+]
+
+
+@pytest.mark.parametrize("argv, origin", WALK_FAILURES, ids=[a[0] for a, _ in WALK_FAILURES])
+def test_walk_failure_exits_2_with_one_line(capsys, monkeypatch, argv, origin):
+    # a walk fails only through a bug; every command that walks then exits 2
+    # with main's one error line, which names the map, and t2 gives no hint
+    type1_set.cache_clear()
+    monkeypatch.setattr(iso_oracle, "verify_circulant_witness", lambda g, h, f: False)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert re.match(f"error: {origin} does not map ", err) and err.count("\n") == 1
+
+
+def test_walk_failure_exits_2_under_optimize():
+    # python -O strips assert statements; a failed walk must still stop
+    # every command with one error line naming the map
+    code = ("import contextlib, io, re, sys\n"
+            "from circiso import cli, iso_oracle\n"
+            "iso_oracle.verify_circulant_witness = lambda g, h, f: False\n"
+            f"for argv, origin in {WALK_FAILURES!r}:\n"
+            "    err = io.StringIO()\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        code = cli.main(list(argv))\n"
+            "    err = err.getvalue()\n"
+            "    if code != 2 or err.count('\\n') != 1 or not re.match(\n"
+            "            f'error: {origin} does not map ', err):\n"
+            "        sys.exit(f'{argv[0]}: exit {code}, {err!r}')\n")
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_classify_json(capsys):
@@ -562,7 +604,7 @@ NON_CIRCULANT_PARTS = [
 def test_verify_hostile_report_fails_cleanly(tmp_path, capsys, monkeypatch, content, message):
     f = tmp_path / "hostile.json"
     f.write_text(content)
-    _forbid_calls(monkeypatch, realize, steps, shifted)
+    _forbid_calls(monkeypatch, realize, edge_set, steps, shifted)
     code, _, err = run(capsys, "verify", str(f))
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -10,15 +10,15 @@ import circiso
 from circiso import iso_oracle, products
 from circiso.circulant import Circulant, EdgeGraph, realize
 from circiso.products import Product
-from circiso.errors import NotAPermutation, OrderMismatch, TargetNotCirculant
+from circiso.errors import InvariantViolation, NotAPermutation, OrderMismatch, TargetNotCirculant
 from circiso.iso_oracle import (
     IsoWitness,
     PeriodicMap,
     verify_circulant_witness,
     verify_witness,
 )
-from circiso.type1 import adams_periodic
-from circiso.type2 import theta_periodic
+from circiso.type1 import adams_periodic, type1_set
+from circiso.type2 import ThetaMap, classify_theta, theta_periodic, type2_set
 
 from oracles import (
     BudgetExceeded,
@@ -34,6 +34,33 @@ def test_theta_bijection_is_a_witness():
     tgt = Circulant(16, (2, 3, 5))
     w = make_witness(src, tgt, theta_periodic(16, 2, 2).expand(), "theta(m=2,t=2)")
     assert w.verified
+
+
+A1 = Circulant(432, (16, 27, 48, 54, 128, 160, 189))
+C7 = Circulant(7, (1, 2))
+
+
+@pytest.mark.parametrize("produce, message", [
+    (lambda: classify_theta(ThetaMap(432, 2, 54), A1), r"theta\(m=2,t=54\) does not map C_432\("),
+    # type2_set walks t = 0 first
+    (lambda: type2_set(A1, 2), r"theta\(m=2,t=0\) does not map C_432\("),
+    # the orbit is built afresh, not read from the cache
+    (lambda: type1_set.__wrapped__(A1), r"adam\(x=\d+\) does not map C_432\("),
+    # a Product source is named by its factors, a ring of length k as C_k(1)
+    (lambda: products.product_witness("coprime", Circulant(16, (1, 2, 7)),
+                                      Circulant(27, (1, 3, 8, 10))),
+     r"crt-embedding\(16x27\) does not map C_16\(1,2,7\) x C_27\(1,3,8,10\) onto C_432\("),
+    (lambda: products.product_witness("prism", C7),
+     r"crt-embedding\(2x7\) does not map C_2\(1\) x C_7\(1,2\) onto C_14\("),
+    (lambda: products.product_witness("c4", C7),
+     r"crt-embedding\(4x7\) does not map C_4\(1\) x C_7\(1,2\) onto C_28\("),
+], ids=["classify_theta", "type2_set", "type1_set", "coprime", "prism", "c4"])
+def test_every_producer_walks_or_raises(monkeypatch, produce, message):
+    # one walk-or-raise: every certificate circiso produces is walked by
+    # iso_oracle.walk_or_raise, and a failed walk raises, naming the map
+    monkeypatch.setattr(iso_oracle, "verify_circulant_witness", lambda g, h, f: False)
+    with pytest.raises(InvariantViolation, match=f"^{message}"):
+        produce()
 
 
 def test_identity_witness():

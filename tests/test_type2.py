@@ -206,13 +206,15 @@ def test_group_check_refuses_a_member_list_that_disagrees_with_the_stabilizer():
 
 
 def test_type2_set_solves_for_a_unit_only_where_1_plus_mt_fails(monkeypatch):
+    # the walk runs in iso_oracle.walk_or_raise, so its check is counted there
     counts = Counter()
-    for name in ("is_adams_isomorphic", "verify_circulant_witness"):
-        def counting(*args, real=getattr(type2, name), name=name):
+    for module, name in ((type2, "is_adams_isomorphic"),
+                         (iso_oracle, "verify_circulant_witness")):
+        def counting(*args, real=getattr(module, name), name=name):
             counts[name] += 1
             return real(*args)
 
-        monkeypatch.setattr(type2, name, counting)
+        monkeypatch.setattr(module, name, counting)
     # C_16(1,2) x C_27(1,8) = C_432(16,27,54,128): at m = 3 and 6 every
     # circulant image other than the base is (1 + m*t)*R, and the base
     # recurs at no t > 0, so every lattice t is walked
@@ -254,7 +256,7 @@ def test_theta_compose():
 def test_failed_witness_check_raises(monkeypatch):
     # a circulant image whose witness does not check must stop the
     # classification, never come back as an unverified witness
-    monkeypatch.setattr(type2, "verify_circulant_witness", lambda g, h, f: False)
+    monkeypatch.setattr(iso_oracle, "verify_circulant_witness", lambda g, h, f: False)
     with pytest.raises(InvariantViolation):
         classify_theta(ThetaMap(432, 2, 54), A1)
     with pytest.raises(InvariantViolation):
@@ -296,10 +298,10 @@ def test_classify_walk_failure_raises_under_optimize():
     # python -O strips assert statements; a failed walk of the circulant
     # image of theta(432, 2, 54) must still raise, naming t
     code = ("import sys\n"
-            "from circiso import type2\n"
+            "from circiso import iso_oracle, type2\n"
             "from circiso.circulant import Circulant\n"
             "from circiso.errors import InvariantViolation\n"
-            "type2.verify_circulant_witness = lambda g, h, f: False\n"
+            "iso_oracle.verify_circulant_witness = lambda g, h, f: False\n"
             "g = Circulant(432, (16, 27, 48, 54, 128, 160, 189))\n"
             "try:\n"
             "    type2.classify_theta(type2.ThetaMap(432, 2, 54), g)\n"
@@ -316,8 +318,8 @@ def test_walk_failure_text_is_shared(monkeypatch):
     # one walk-or-raise: the walk of theta(432, 2, 54) from A_1 fails, and
     # classify_theta at that t and type2_set, which walks t = 0 and then 54,
     # refuse it in the same words
-    real, bad = type2.verify_circulant_witness, theta_periodic(432, 2, 54)
-    monkeypatch.setattr(type2, "verify_circulant_witness",
+    real, bad = iso_oracle.verify_circulant_witness, theta_periodic(432, 2, 54)
+    monkeypatch.setattr(iso_oracle, "verify_circulant_witness",
                         lambda g, h, f: f != bad and real(g, h, f))
     with pytest.raises(InvariantViolation, match=r"^theta\(m=2,t=54\) ") as by_classify:
         classify_theta(ThetaMap(432, 2, 54), A1)
