@@ -46,7 +46,11 @@ def _graph_from_args(args) -> Circulant:
 
 
 def _emit(report: dict, args) -> int:
-    text = to_json(report)
+    """Write the report where args ask for it, to --out and to stdout with
+    --json, else print its assertions and summary; the JSON text is built
+    only when it is written. The exit code is 0 iff every assertion passed."""
+    if args.out or args.json:
+        text = to_json(report)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

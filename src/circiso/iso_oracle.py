@@ -4,7 +4,7 @@ source's factors, on the target's connection set."""
 
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 from operator import mod, sub
 from typing import Union
@@ -63,20 +63,33 @@ class PeriodicMap:
             raise NotAPermutation(f"(p={p}, c={self.c}) does not permute Z_{n}")
 
     def expand(self) -> tuple[int, ...]:
-        """The image list, indexed by vertex, built a slice at a time: one
-        per class {i + k*p} when there are fewer classes than rows of p
-        consecutive vertices, else one per row."""
+        """The image list, indexed by vertex, built a slice at a time.
+
+        With c = p, as for every theta and CRT map, class i is written from
+        two ranges: its values are v + k*p (mod n) for k < n/p, v = head[i]
+        in [0, n). For k < (n - v)/p the sum is below n, so those values are
+        range(v, n, p), in order of k. Each later k has k*p < n, so
+        v + k*p lies in [n, n + v) and its value is v + k*p - n. The first
+        such value is below p, as the step before it was below n, and is
+        ≡ v (mod p) since p | n, so it is v % p; the values go up by p to
+        the last, at k = n/p - 1, which is v - p: range(v % p, v, p). Any
+        other map takes one slice per class {i + k*p} when there are fewer
+        classes than rows of p consecutive vertices, else one per row."""
         n, p, c, head = self.n, self.p, self.c, self.head
         rows = n // p
-        if p >= rows:
+        if c != p and p >= rows:
             out = []
             for k in range(rows):
                 kc = k * c
                 out += [(v + kc) % n for v in head]
             return tuple(out)
-        out = [0] * n  # p < rows, so p < n and c is not 0
-        for i, v in enumerate(head):
-            out[i::p] = map(mod, range(v, v + rows * c, c), repeat(n))
+        out = [0] * n
+        if c == p:
+            for i, v in enumerate(head):
+                out[i::p] = [*range(v, n, p), *range(v % p, v, p)]
+        else:  # p < rows, so p < n and c is not 0
+            for i, v in enumerate(head):
+                out[i::p] = map(mod, range(v, v + rows * c, c), repeat(n))
         return tuple(out)
 
 
@@ -108,67 +121,89 @@ class IsoWitness:
 
 def verify_witness(w: IsoWitness) -> bool:
     """True iff the bijection maps the source edge set exactly onto the
-    target's, by the step walk (_walk) read over the least period of the
-    bijection's n images (_periodic_form). Images outside [0, n), too few
-    or too many of them, or a list that is no permutation raise
-    NotAPermutation before any step is listed; a Product target raises
-    TargetNotCirculant."""
+    target's, by the step walk (_walk) over the period of the map its n
+    images equal (_periodic_form): a PeriodicMap is read as its image list,
+    not taken on trust. Images outside [0, n), too few or too many of them,
+    or a list that is no permutation raise NotAPermutation before any step
+    is listed; a Product target raises TargetNotCirculant."""
     n = _order(w.source, w.target)
     f = w.images()
-    if len(f) != n or min(f) < 0 or max(f) >= n:
+    if len(f) != n:
         raise NotAPermutation(_NOT_A_PERMUTATION)
-    pm = _periodic_form(f, n)
+    pm = _periodic_form(f if isinstance(f, tuple) else tuple(f), n)
     return _walk(w.source, w.target, pm.p, pm.c, pm.head)
 
 
 def _periodic_form(f: tuple[int, ...], n: int) -> PeriodicMap:
-    """The PeriodicMap equal to the image list f, entries in [0, n), at the
-    least period _least_period finds, or (p, c) = (n, 0) with head f.
+    """The PeriodicMap whose expansion is the n-entry image list f.
 
-    At a period p < n the list satisfies f[x+p] - f[x] ≡ c (mod n) for
-    every x < n - p, so by induction on k, f[i + k*p] ≡ f[i] + k*c for
-    every i < p and k < n/p, and since f[i + k*p] lies in [0, n) it is
-    (head[i] + k*c) mod n, the map's value at i + k*p: the map and the list
-    agree on all of Z_n, and the map's construction checks, in O(p), that
-    it is a bijection. The construction also refuses a list whose
-    recurrence does not close round the cycle, (n/p)*c ≢ 0 (mod n), as
-    [0, 1, 4, 5, 2, 3, 6, 7] at n = 8 (p = 4, c = 2) does not; such a list
-    is read at p = n, where the check is that the n entries are distinct.
-    A list that is no permutation raises NotAPermutation."""
-    p = _least_period(f, n)
+    _probe_period names one candidate period p. If p < n, the map
+    PeriodicMap(n, p, f[p] - f[0], f[:p]) is built, whose construction
+    checks in O(p) that it is a bijection, and it is taken iff its
+    expansion equals f: f is then that bijection, entry for entry, and so
+    every entry lies in [0, n). The probe only picks p; soundness rests on
+    this one comparison. A list the candidate does not reproduce, such as
+    [0, 1, 4, 5, 2, 3, 6, 7] at n = 8 (f[x+4] - f[x] = 2 throughout, but
+    2 * (8/4) ≢ 0 mod 8, so no map of period 4 is this list), is read at
+    p = n, where the check is that its entries lie in [0, n) and are
+    distinct; a list that is no permutation raises NotAPermutation. The
+    probe compares at most n pairs f[x+p], f[x], and the one comparison
+    of an expansion with f n entries, so at most 2n entries are compared."""
+    p = _probe_period(f, n)
     if p < n:
         with suppress(NotAPermutation):
-            return PeriodicMap(n, p, f[p] - f[0], f[:p])
-    try:
-        return PeriodicMap(n, n, 0, f)
-    except NotAPermutation:
-        raise NotAPermutation(_NOT_A_PERMUTATION) from None
+            pm = PeriodicMap(n, p, f[p] - f[0], f[:p])
+            if pm.expand() == f:
+                return pm
+    with suppress(NotAPermutation):
+        pm = PeriodicMap(n, n, 0, f)
+        if pm.head == f:  # the head is f's entries reduced mod n
+            return pm
+    raise NotAPermutation(_NOT_A_PERMUTATION)
 
 
-def _least_period(f: tuple[int, ...], n: int) -> int:
+# besides x = 0 and the ends, a probe reads x = 1, ..., _PREFIX - 1 and up
+# to _SAMPLES x spread over the list
+_PREFIX, _SAMPLES = 4, 8
+
+
+def _probe_period(f: tuple[int, ...], n: int) -> int:
     """The least divisor p < n of n with f[x+p] - f[x] ≡ f[p] - f[0]
-    (mod n) for every x < n - p, or n if there is none, or if the search
-    has compared 2n entries first.
+    (mod n) at every probed x, or n if there is none, or if n differences
+    have been compared first.
 
-    The divisors are tried in ascending order, each on chunks of x that
-    double in length from 8, starting at x = 1 (x = 0 holds by the choice
-    of c), and a divisor is dropped at the chunk of its first mismatch; the
-    2n bound is charged per chunk, before it is read. A difference of two
-    entries in [0, n) lies in (-n, n), so it is ≡ c (mod n) exactly when it
-    is c or c - n, for c in [0, n)."""
-    budget = 2 * n
-    for p in _divisors_below(n):
-        c = (f[p] - f[0]) % n
-        ok = {c, c - n}
-        x, size = 1, 8
-        while x < n - p:
-            end = min(x + size, n - p)
-            budget -= end - x
+    The probed x of p are 0, which fixes c, then the ends n/r - 1, one for
+    each prime r | n, then 1, 2, 3, then up to _SAMPLES x spread evenly
+    down from n - p - 1, the last x there is; a divisor is dropped at its
+    first mismatch. The ends decide the lists circiso writes. A theta,
+    Adam or CRT map of least period P < n has head[i] = a*i (mod n) and
+    steps by C (mod n) per row of P, so for p < P its difference at x is
+    a*p when x mod P < P - p, and C - a*(P - p) otherwise. The two differ,
+    or f(x) = a*x for every x and P would be 1. For a prime r | n/P, P
+    divides n/r, so the end x = n/r - 1 is ≡ P - 1 (mod P) and refutes
+    every p < P, while P passes every probe: such a list is read at its
+    least period, unless the budget runs out first, which the tests see
+    only at orders below 13."""
+    divisors = _divisors_below(n)
+    primes = []
+    for d in divisors[1:]:
+        if all(d % r for r in primes):
+            primes.append(d)
+    ends = [n // r - 1 for r in primes]
+    budget = n
+    for p in divisors:
+        last = n - p
+        c = None
+        rest = chain(range(1, min(_PREFIX, last)), range(last - 1, _PREFIX - 1, last // -_SAMPLES))
+        for x in chain((0,), ends, (x for x in rest if x not in ends)):
+            budget -= 1
             if budget < 0:
                 return n
-            if not ok.issuperset(map(sub, f[x + p:end + p], f[x:end])):
+            d = (f[x + p] - f[x]) % n
+            if c is None:
+                c = d
+            elif d != c:
                 break
-            x, size = end, 2 * size
         else:
             return p
     return n

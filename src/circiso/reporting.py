@@ -99,7 +99,7 @@ def witness_json(w: IsoWitness) -> dict:
     return {
         "source": graph_desc(w.source),
         "target": graph_desc(w.target),
-        "bijection": list(w.images()),
+        "bijection": w.images(),
         "origin": w.origin,
         "verified": w.verified,
     }
@@ -150,10 +150,13 @@ def to_json(report: dict) -> str:
     most of a report's time on the long int lists (bijections, member
     sets) and on the many small dicts of a classification list. Here a
     plain int (type int, so a bool still prints as true/false) is written
-    with str, a list of them with one str.join in the same layout, None,
-    True and False as their literals, and each distinct str, key or leaf,
-    is encoded by json.dumps once per call; the containers are laid out as
-    json lays them out, and any other value is written by json.dumps."""
+    with str, and a list of them by one call of the C encoder, which
+    json.dumps takes without an indent: its item separator is the comma,
+    newline and indentation of the indented layout, so it writes the same
+    bytes. None, True and False are written as their literals, and each
+    distinct str, key or leaf, is encoded by json.dumps once per call; the
+    containers are laid out as json lays them out, and any other value is
+    written by json.dumps."""
     out = []
     _write(report, "\n", out, {})
     out.append("\n")
@@ -186,7 +189,8 @@ def _write(v, nl: str, out: list, strs: dict) -> None:
     elif isinstance(v, (list, tuple)) and v:
         inner = nl + "  "
         if {*map(type, v)} == {int}:
-            out.append("[" + inner + ("," + inner).join(map(str, v)) + nl + "]")
+            text = json.dumps(v, separators=("," + inner, ": "))
+            out += "[" + inner, text[1:-1], nl + "]"
             return
         sep = "[" + inner
         for x in v:

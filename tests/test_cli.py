@@ -35,6 +35,7 @@ from circiso.type1 import adams_apply, adams_periodic, type1_set
 from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 
 from oracles import make_witness, search_isomorphism
+from test_iso_oracle import _Reads
 from test_products import layered_graph
 
 SRC = pathlib.Path(circiso.__file__).resolve().parents[1]
@@ -845,6 +846,88 @@ def test_verify_reads_periods_under_optimize(tmp_path):
         res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
                              capture_output=True, text=True, env=env)
         assert res.returncode == code and verdict in res.stdout, res.stderr
+
+
+def _unprobed(images):
+    """The indices of an image list that the period probes do not read,
+    ascending."""
+    f = _Reads(images)
+    iso_oracle._periodic_form(f, len(f))
+    probed = set(f.indexed)
+    return [i for i in range(len(f)) if i not in probed]
+
+
+_COPRIME = json.loads(_product_report("coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"))
+_HIDDEN = _unprobed(_COPRIME["results"]["witnesses"][0]["bijection"])
+_HIDDEN = _HIDDEN[len(_HIDDEN) // 3], _HIDDEN[-1]
+_C8 = {"kind": "circulant", "n": 8, "conn": [1, 3]}
+
+
+def _coprime_with(i, value=None, swap=None, doc=_COPRIME):
+    """A coprime product report, the 16 x 27 one by default, with image i
+    set to value, or with images i and swap exchanged."""
+    doc = copy.deepcopy(doc)
+    f = doc["results"]["witnesses"][0]["bijection"]
+    if swap is None:
+        f[i] = value
+    else:
+        f[i], f[swap] = f[swap], f[i]
+    return doc
+
+
+@pytest.mark.parametrize("doc, code, verdict", [
+    # json reads 1.0 and true, which equal 1 but are no ints
+    pytest.param(_coprime_with(5, 1.0), 2, "bijection is not a list of integers",
+                 id="float"),
+    pytest.param(_coprime_with(5, True), 2, "bijection is not a list of integers",
+                 id="true"),
+    # an entry out of range where no probe reads: the candidate map is
+    # compared with the whole list, and its entries lie in [0, n)
+    pytest.param(_coprime_with(_HIDDEN[0], 432), 2,
+                 "bijection is not a permutation of the vertex set", id="n-unprobed"),
+    pytest.param(_coprime_with(_HIDDEN[0], -1), 2,
+                 "bijection is not a permutation of the vertex set", id="minus-1-unprobed"),
+    pytest.param(_coprime_with(432 - 27 + 3, swap=432 - 1), 1, "[FAIL] witness 0",
+                 id="swap-in-last-period"),
+    pytest.param(_coprime_with(_HIDDEN[0], swap=_HIDDEN[1]), 1, "[FAIL] witness 0",
+                 id="swap-unprobed"),
+    # f(x + 4) = f(x) + 2 throughout, but the recurrence does not close round
+    # the cycle: an automorphism of K_{4,4} = C_8(1,3), read at p = 8
+    pytest.param({"results": {"witnesses": [_witness(source=_C8, target=_C8,
+                                                     bijection=[0, 1, 4, 5, 2, 3, 6, 7])]}},
+                 0, "[PASS] witness 0", id="wrap-n-8"),
+])
+def test_verify_hostile_images_keep_their_verdicts(tmp_path, capsys, doc, code, verdict):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(doc))
+    got, out, err = run(capsys, "verify", str(report))
+    assert got == code and verdict in (err if code == 2 else out)
+
+
+def test_verify_refuses_a_transposed_product_under_optimize(tmp_path):
+    # python -O strips assert statements; on the 81 x 121 product, two
+    # images swapped where no probe reads pass the probes, so the candidate
+    # map is built, compared with the list and refused, and the list is
+    # walked at p = n
+    doc = json.loads(_product_report("coprime", "n=81;R=1,5,13", "n=121;R=1,7,30"))
+    hidden = _unprobed(doc["results"]["witnesses"][0]["bijection"])
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(_coprime_with(hidden[len(hidden) // 3], swap=hidden[-1],
+                                               doc=doc)))
+    res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
+                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert res.returncode == 1 and "[FAIL] witness 0" in res.stdout, res.stderr
+
+
+def test_commands_build_no_report_text_unless_it_is_written(tmp_path, capsys, monkeypatch):
+    # to_json runs only for --out or --json; a plain run prints assertions
+    report = tmp_path / "product.json"
+    code, _, _ = run(capsys, "product", "coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10",
+                     "--out", str(report))
+    assert code == 0
+    _forbid_calls(monkeypatch, cli.to_json)
+    code, out, _ = run(capsys, "verify", str(report))
+    assert code == 0 and "[PASS] witness 0" in out
 
 
 def test_verify_prism_target(tmp_path, capsys):

@@ -3,6 +3,7 @@ import pathlib
 import subprocess
 import sys
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -238,11 +239,49 @@ def test_verify_witness_counts_half_steps_once():
 def test_image_lists_are_read_over_their_maps_periods():
     # the lists the commands store, a theta map (whose images wrap round
     # Z_n, so some differences are c - n), an Adam map and a CRT embedding,
-    # are read over the period of the map they were expanded from
+    # are read as the map they were expanded from
     crt = products.product_witness("coprime", Circulant(16, (1, 2, 7)),
                                    Circulant(27, (1, 3, 8, 10)))[1].bijection
     for f in (theta_periodic(432, 2, 54), adams_periodic(432, 5), crt):
-        assert iso_oracle._least_period(f.expand(), f.n) == f.p
+        assert iso_oracle._periodic_form(f.expand(), f.n) == f
+
+
+def _least_map_period(f, n):
+    """The least divisor p of n such that some PeriodicMap of period p
+    expands to f, by trying each one."""
+    for p in (d for d in range(1, n + 1) if n % d == 0):
+        try:
+            if PeriodicMap(n, p, f[p % n] - f[0], f[:p]).expand() == f:
+                return p
+        except NotAPermutation:
+            pass
+
+
+def test_map_lists_are_read_at_their_least_period():
+    # the ends n/r - 1 refute every divisor below the least period of an
+    # Adam, theta or CRT list, and the probes stay inside their n-difference
+    # budget from order 13 on (at n = 6, 10 and 12 it can run out first).
+    # The c4 and prism products of order 36-60 have many divisors below the
+    # period of their embedding, |base|, and are read at it: c4 of
+    # C_15(1,2,7) at 15
+    products_ = [products.product_witness(kind, Circulant(n, conn))[1].bijection
+                 for kind, orders in (("c4", range(9, 16, 2)), ("prism", range(19, 31, 2)))
+                 for n in orders for conn in ((1,), (1, 2), (2, 3), (1, 3, 4))]
+    assert all(f.n in range(36, 61) and f.p == f.n // (4 if f.n % 4 == 0 else 2)
+               for f in products_)
+    maps = products_ + [PeriodicMap(a * b, b, b, tuple(range(0, a * b, a)))
+                        for a in range(2, 12) for b in range(2, 12)
+                        if gcd(a, b) == 1 and a * b > 12]
+    for n in range(13, 121):
+        maps += [adams_periodic(n, x) for x in range(1, n) if gcd(x, n) == 1]
+        maps += [theta_periodic(n, m, t) for m in range(2, n) if n % m == 0
+                 for t in range(0, n // m, 3)]
+    for f in maps:
+        images = f.expand()
+        pm = iso_oracle._periodic_form(images, f.n)
+        assert pm.p == _least_map_period(images, f.n), f
+        assert pm.expand() == images
+    assert all(iso_oracle._periodic_form(f.expand(), f.n) == f for f in products_)
 
 
 def test_verify_witness_reads_a_recurrence_that_does_not_close():
@@ -251,32 +290,81 @@ def test_verify_witness_reads_a_recurrence_that_does_not_close():
     # period 8: it is an automorphism of K_{4,4} = C_8(1,3)
     g = Circulant(8, (1, 3))
     f = (0, 1, 4, 5, 2, 3, 6, 7)
-    assert iso_oracle._least_period(f, 8) == 4
+    assert iso_oracle._probe_period(f, 8) == 4
     with pytest.raises(NotAPermutation):
         PeriodicMap(8, 4, 2, f[:4])
+    assert iso_oracle._periodic_form(f, 8) == PeriodicMap(8, 8, 0, f)
     assert maps_edges_onto(realize(g), realize(g), f)
     assert verify_witness(IsoWitness(g, g, f, False, "x"))
 
 
+class _Reads(tuple):
+    """An image list that records the index of each entry read alone: the
+    probes read two per difference."""
+
+    def __new__(cls, images):
+        f = super().__new__(cls, images)
+        f.indexed = []
+        return f
+
+    def __getitem__(self, i):
+        if isinstance(i, int):
+            self.indexed.append(i)
+        return super().__getitem__(i)
+
+
 @pytest.mark.parametrize("n", [55_440, 83_160])
 def test_period_search_compares_at_most_2n_entries(monkeypatch, n):
-    # the identity with its last two images swapped keeps the recurrence of
-    # every divisor of n below n (119 and 127 of them) up to its last
-    # entries, so only the 2n bound stops the search
-    f = (*range(n - 2), n - 1, n - 2)
-    compared = 0
-
-    def counting(a, b):
-        nonlocal compared
-        compared += 1
-        return a - b
-
-    with monkeypatch.context() as mp:
-        mp.setattr(iso_oracle, "sub", counting)
-        assert iso_oracle._least_period(f, n) == n
-    assert n < compared <= 2 * n
+    # n has 119 or 127 divisors below n. The identity with two adjacent
+    # images swapped where no probe reads passes every probe of p = 1, so
+    # one candidate map is expanded and compared with the whole list; it
+    # fails there, and the list is read at p = n
+    expanded, expand = [], PeriodicMap.expand
+    monkeypatch.setattr(PeriodicMap, "expand", lambda f: expanded.append(f.n) or expand(f))
+    clean = _Reads(range(n))
+    assert iso_oracle._periodic_form(clean, n) == PeriodicMap(n, 1, 1, (0,))
+    probed = set(clean.indexed)
+    j = next(j for j in range(1, n - 2) if probed.isdisjoint(range(j - 1, j + 3)))
+    f = list(range(n))
+    f[j], f[j + 1] = f[j + 1], f[j]
+    f, expanded[:] = _Reads(f), []
     g = Circulant(n, (1,))
     assert not verify_witness(IsoWitness(g, g, f, False, "x"))
+    compared = len(f.indexed) // 2 + sum(expanded)
+    assert expanded == [n] and n < compared <= 2 * n
+
+
+def _hostile_lists(f):
+    """The CRT list f with one entry made n or -1, two entries swapped or
+    put out of step with the rest, at each index; the lists verify
+    refuses or walks at p = n."""
+    n = len(f)
+    for i in range(n):
+        for value in (n, -1, f[i] + 1, f[(i + 1) % n]):
+            yield i, [*f[:i], value, *f[i + 1:]]
+        g = list(f)
+        g[i], g[-1 - i] = g[-1 - i], g[i]
+        yield i, g
+
+
+def test_hostile_lists_compare_at_most_2n_entries(monkeypatch):
+    # every edit is caught by the probes or by the one comparison of the
+    # candidate map with the whole list; an entry out of range, whichever
+    # index it sits at, raises NotAPermutation, and so does a repeated one
+    expanded, expand = [], PeriodicMap.expand
+    monkeypatch.setattr(PeriodicMap, "expand", lambda f: expanded.append(f.n) or expand(f))
+    crt = products.product_witness("coprime", Circulant(16, (1, 2, 7)),
+                                   Circulant(27, (1, 3, 8, 10)))[1].bijection
+    n = crt.n
+    for i, images in _hostile_lists(crt.expand()):
+        f, expanded[:] = _Reads(images), []
+        try:
+            pm = iso_oracle._periodic_form(f, n)
+        except NotAPermutation:
+            assert len(set(images)) < n or min(images) < 0 or max(images) >= n
+        else:
+            assert pm.p == n and pm.head == tuple(images) or images == list(crt.expand())
+        assert len(expanded) <= 1 and len(f.indexed) // 2 + sum(expanded) <= 2 * n
 
 
 def test_search_finds_type2_pair_16():

@@ -4,6 +4,7 @@ for byte, on any JSON document and on the reports every command writes."""
 import contextlib
 import io
 import json
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,12 @@ from hypothesis import strategies as st
 
 from circiso import cli
 from circiso.reporting import to_json
+from circiso.type2 import theta_periodic
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = 10**20
 
 
 def oracle(doc) -> str:
@@ -42,6 +49,14 @@ def test_writer_matches_json_dumps(doc):
     [], {}, [[]], {"a": {}}, [1, True, 2], [False], [-1, 0, 10**40],
     {"s": "é\x00\x1f\"\\ ", "f": [1.5, float("inf"), float("nan")], "none": None},
     {1: [1, 2], None: [], True: {"x": (3, 4)}, 2.5: [[1], [True]]},
+    # lists the int path must leave to the element-wise writer: a str
+    # holding the separator, a str among ints, a bool, nested lists and an
+    # int subclass, alone and in a list
+    ["a, b", 1], [1, "2"], [True, 1], [[1, 2], [3]], _Level.HIGH, [_Level.HIGH, 1],
+    {"level": _Level.LOW},
+    # and lists it writes: a tuple, big and negative ints, and a bijection
+    # as the commands store it
+    (1, 2), [10**40, -3], {"bijection": theta_periodic(432, 2, 54).expand()},
 ])
 def test_writer_matches_json_dumps_examples(doc):
     assert to_json(doc) == oracle(doc)
@@ -75,6 +90,9 @@ def test_command_reports_match_json_dumps(tmp_path, monkeypatch):
                  ("verify", str(product)),
                  ("reproduce", "--section", "3"),
                  ("scan-conjecture", "--n1", "3", "--n2", "4", "--budget", "2")):
+        # the report text is built only when --out or --json writes it
+        if "--out" not in argv:
+            argv += ("--json",)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(list(argv)) == 0, argv
     assert [r["meta"]["command"][0] for r, _ in written] == [
