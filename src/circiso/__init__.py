@@ -7,40 +7,3 @@ bijection.
 """
 
 __version__ = "0.1.0"
-
-from .circulant import (  # noqa: E402,F401
-    Circulant,
-    NotCirculant,
-    Product,
-    is_connected,
-    parse_graph,
-    symmetric_set,
-)
-from .iso_oracle import (  # noqa: F401
-    IsoWitness,
-    PeriodicMap,
-    verify_circulant_witness,
-    verify_witness,
-)
-from .products import (  # noqa: F401
-    product_coprime,
-    product_witness,
-    scan_conjecture,
-)
-from .residue import reflexive_reduce, units  # noqa: F401
-from .type1 import (  # noqa: F401
-    Type1Orbit,
-    adams_apply,
-    is_adams_isomorphic,
-    type1_group_table,
-    type1_set,
-)
-from .type2 import (  # noqa: F401
-    ThetaClassification,
-    ThetaMap,
-    Type2Orbit,
-    classify_theta,
-    theta_image,
-    type2_group_check,
-    type2_set,
-)

@@ -222,9 +222,10 @@ def cmd_product(args) -> int:
 
 def _read_witnesses(path: str) -> list:
     """(label, unverified IsoWitness) for every witness stored in a report
-    file, each read by reporting.witness_from_json under WITNESS_EDGE_CAP,
-    the cap under which commands store witnesses. A file that is not a
-    well-formed report, or breaks those bounds, raises ReportError."""
+    file, each read by reporting.witness_from_json, which bounds each
+    endpoint by its order and by WITNESS_EDGE_CAP, the cap under which
+    commands store witnesses. A file that is not a well-formed report, or
+    breaks those bounds, raises ReportError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -239,7 +240,7 @@ def _read_witnesses(path: str) -> list:
     out = []
     for i, w in enumerate(witnesses):
         try:
-            out.append(witness_from_json(w, WITNESS_EDGE_CAP))
+            out.append(witness_from_json(w))
         except KeyError as e:
             raise ReportError(f"{path}: witness {i} has no {e}") from e
         except (TypeError, ValueError) as e:

@@ -63,7 +63,8 @@ class PeriodicMap:
             raise NotAPermutation(f"(p={p}, c={self.c}) does not permute Z_{n}")
 
     def expand(self) -> tuple[int, ...]:
-        """The image list, indexed by vertex, built a slice at a time.
+        """The image list, indexed by vertex, built one slice per class
+        {i + k*p}; at p = n, where c = 0, it is the head.
 
         With c = p, as for every theta and CRT map, class i is written from
         two ranges: its values are v + k*p (mod n) for k < n/p, v = head[i]
@@ -72,22 +73,17 @@ class PeriodicMap:
         v + k*p lies in [n, n + v) and its value is v + k*p - n. The first
         such value is below p, as the step before it was below n, and is
         ≡ v (mod p) since p | n, so it is v % p; the values go up by p to
-        the last, at k = n/p - 1, which is v - p: range(v % p, v, p). Any
-        other map takes one slice per class {i + k*p} when there are fewer
-        classes than rows of p consecutive vertices, else one per row."""
+        the last, at k = n/p - 1, which is v - p: range(v % p, v, p). With
+        any other c, class i is range(v, v + (n/p)*c, c) reduced mod n."""
         n, p, c, head = self.n, self.p, self.c, self.head
-        rows = n // p
-        if c != p and p >= rows:
-            out = []
-            for k in range(rows):
-                kc = k * c
-                out += [(v + kc) % n for v in head]
-            return tuple(out)
+        if p == n:
+            return head
         out = [0] * n
         if c == p:
             for i, v in enumerate(head):
                 out[i::p] = [*range(v, n, p), *range(v % p, v, p)]
-        else:  # p < rows, so p < n and c is not 0
+        else:  # p < n, so c is not 0
+            rows = n // p
             for i, v in enumerate(head):
                 out[i::p] = map(mod, range(v, v + rows * c, c), repeat(n))
         return tuple(out)

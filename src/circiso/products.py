@@ -76,7 +76,6 @@ def _type2_orbits(g: Circulant):
 class LiftCheck:
     """One transfer check: a factor witness (m, t) lifted to the product."""
 
-    factor: Circulant
     m: int
     t: int
     lifted_t: int
@@ -168,8 +167,8 @@ def _lift_checks(orbits, other_order: int, product: Circulant) -> list:
             continue
         lifted_t = (t * other_order) % (product.n // orbit.m)
         kind = classify_theta(ThetaMap(product.n, orbit.m, lifted_t), product).kind
-        out.append(LiftCheck(factor=orbit.base, m=orbit.m, t=t, lifted_t=lifted_t,
-                             kind=kind, agrees=kind == "type2"))
+        out.append(LiftCheck(m=orbit.m, t=t, lifted_t=lifted_t, kind=kind,
+                             agrees=kind == "type2"))
     return out
 
 

@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 from typing import Union
 
 from . import __version__
-from .circulant import LAYERS, Circulant, Product, sizes
+from .circulant import LAYERS, WITNESS_EDGE_CAP, Circulant, Product, sizes
 from .iso_oracle import IsoWitness
 
 SCHEMA = 1
@@ -58,14 +58,14 @@ def _circulant_from(d: dict, kind: str) -> Circulant:
     return Circulant(d["n"], tuple(d["conn"]))
 
 
-def graph_from_desc(desc: dict, max_order: int,
-                    max_edges: int) -> Union[Circulant, Product]:
+def graph_from_desc(desc: dict, max_order: int) -> Union[Circulant, Product]:
     """The endpoint a descriptor of one of graph_desc's four shapes names: a
     Circulant, or the Product of a cartesian, prism or c4 descriptor, whose
     factors or base must be circulant descriptors. Order and edge count are
     folded from the factors (circulant.sizes), and a ValueError stops the
-    read at the first partial product past max_order vertices or max_edges
-    edges. The n stored on a composite must be the int its factors' orders
+    read at the first partial product past max_order vertices or
+    WITNESS_EDGE_CAP edges, the cap under which commands store witnesses.
+    The n stored on a composite must be the int its factors' orders
     multiply to. No edge set is built."""
     kind = desc["kind"]
     if kind == "circulant":
@@ -81,9 +81,9 @@ def graph_from_desc(desc: dict, max_order: int,
         if order > max_order:
             raise ValueError(f"{kind} descriptor names at least {order} vertices, "
                              f"more than {max_order}")
-        if edges > max_edges:
+        if edges > WITNESS_EDGE_CAP:
             raise ValueError(f"{kind} descriptor names at least {edges} edges, "
-                             f"more than the limit of {max_edges}")
+                             f"more than the limit of {WITNESS_EDGE_CAP}")
     if len(factors) == 1:
         return factors[0]
     n = desc["n"]
@@ -105,11 +105,11 @@ def witness_json(w: IsoWitness) -> dict:
     }
 
 
-def witness_from_json(w: dict, max_edges: int) -> tuple[str, IsoWitness]:
+def witness_from_json(w: dict) -> tuple[str, IsoWitness]:
     """The inverse of witness_json: a label naming both endpoints, and the
     stored witness, unverified. The bijection must be a list of ints, the
     target a circulant descriptor, and each endpoint a graph of order
-    n = len(bijection) with at most max_edges edges, read by
+    n = len(bijection) with at most WITNESS_EDGE_CAP edges, read by
     graph_from_desc under those bounds. A malformed witness raises
     KeyError, TypeError or ValueError."""
     bijection = w["bijection"]
@@ -121,7 +121,7 @@ def witness_from_json(w: dict, max_edges: int) -> tuple[str, IsoWitness]:
     n = len(bijection)
     ends = []
     for d in descs:
-        ends.append(graph_from_desc(d, n, max_edges))
+        ends.append(graph_from_desc(d, n))
         if ends[-1].n != n:
             raise ValueError(f"{d['kind']} descriptor has order {ends[-1].n}, but the "
                              f"bijection has {n} entries")

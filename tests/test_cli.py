@@ -437,8 +437,8 @@ def test_product_builds_witness_once(capsys, monkeypatch):
         [w] = json.loads(out)["results"]["witnesses"]
         assert w["verified"] and w["origin"] == origin
         assert w["bijection"] == list(f.expand())
-        assert target == graph_from_desc(w["target"], target.n, WITNESS_EDGE_CAP)
-        assert source == graph_from_desc(w["source"], source.n, WITNESS_EDGE_CAP)
+        assert target == graph_from_desc(w["target"], target.n)
+        assert source == graph_from_desc(w["source"], source.n)
 
 
 def test_verify_rebuilds_product_witnesses(tmp_path, capsys):

@@ -9,8 +9,7 @@ import pytest
 
 import circiso
 from circiso import iso_oracle, products
-from circiso.circulant import Circulant, EdgeGraph, realize
-from circiso.products import Product
+from circiso.circulant import Circulant, EdgeGraph, Product, realize
 from circiso.errors import InvariantViolation, NotAPermutation, OrderMismatch, TargetNotCirculant
 from circiso.iso_oracle import (
     IsoWitness,

@@ -7,18 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circiso import products, reproduce
-from circiso.circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph
+from circiso.circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph, Product
 from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime
 from circiso.iso_oracle import verify_witness
-from circiso.products import (
-    Product,
-    product_coprime,
-    product_witness,
-    scan_conjecture,
-    valid_type2_ms,
-)
+from circiso.products import product_coprime, product_witness, scan_conjecture
 from circiso.reporting import graph_from_desc
 from circiso.type1 import adams_apply
+from circiso.type2 import valid_type2_ms
 
 from conftest import brute_product_edges
 from oracles import counterexamples, edge, make_witness, search_isomorphism
@@ -170,7 +165,7 @@ def test_layered_witness_is_the_crt_embedding(case):
     assert w.source.edges == layered_graph(kind, g).edges
     desc = {"kind": kind, "n": k * g.n, "base": {"kind": "circulant", "n": g.n,
                                                  "conn": list(g.conn)}}
-    e = graph_from_desc(desc, w.source.n, WITNESS_EDGE_CAP)
+    e = graph_from_desc(desc, w.source.n)
     assert (e.n, e.edge_count) == (w.source.n, len(w.source.edges))
     assert w.origin == f"crt-embedding({k}x{g.n})"
     if result.n <= 60:

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 from circiso import catalog, type2
 from circiso.circulant import (
-    WITNESS_EDGE_CAP,
+    LAYERS,
     Circulant,
     EdgeGraph,
     NotCirculant,
+    Product,
     edge_set,
     is_connected,
     realize,
@@ -49,7 +50,7 @@ from circiso.type2 import (
     type2_set,
     valid_type2_ms,
 )
-from circiso.products import LAYERS, Product, product_coprime, product_witness
+from circiso.products import product_coprime, product_witness
 from circiso.reporting import graph_desc, graph_from_desc
 
 import oracles
@@ -98,7 +99,7 @@ def test_realize_matches_brute_force(g, h):
     # definition in the form (a, b), 0 <= a < b < n
     assert edge_set(g.factors) == set(realize(g).edges) == brute_edges(g.n, set(g.conn))
     # verify bounds a report by the sizes its descriptors name, from the factors
-    e = graph_from_desc(_circulant(g), g.n, WITNESS_EDGE_CAP)
+    e = graph_from_desc(_circulant(g), g.n)
     assert (e.n, e.edge_count) == (g.n, len(realize(g).edges))
     for k in LAYERS.values():  # the 2-ring is a single edge, the 4-ring C_4(1)
         ring = SimpleNamespace(n=k, conn=(1,))
@@ -111,7 +112,7 @@ def test_realize_matches_brute_force(g, h):
         assert edge_set(Product((g, h)).factors) == product.edges
         assert Product((g, h)).edge_count == len(product.edges)
         desc = {"kind": "cartesian", "n": g.n * h.n, "factors": [_circulant(g), _circulant(h)]}
-        e = graph_from_desc(desc, product.n, WITNESS_EDGE_CAP)
+        e = graph_from_desc(desc, product.n)
         assert (e.n, e.edge_count) == (product.n, len(product.edges))
 
 
@@ -157,7 +158,7 @@ def _crt_witness(e):
 @given(endpoints(), st.integers(0, 10**6))
 def test_endpoint_round_trip(case, seed):
     e, desc = case
-    assert graph_desc(e) == desc and graph_from_desc(desc, e.n, WITNESS_EDGE_CAP) == e
+    assert graph_desc(e) == desc and graph_from_desc(desc, e.n) == e
     # the edge set the stored descriptors were rebuilt into before the
     # enumeration: realized factors folded by cartesian_edges
     old = endpoint_edges(e)
@@ -402,7 +403,7 @@ def test_nested_cartesian_is_refused():
     for factors in ([inner, _circulant(c7)], [_circulant(c7), inner]):
         desc = {"kind": "cartesian", "n": 105, "factors": factors}
         with pytest.raises(ValueError, match="cartesian factor has kind 'cartesian'"):
-            graph_from_desc(desc, 105, WITNESS_EDGE_CAP)
+            graph_from_desc(desc, 105)
 
 
 def test_ring_edges_written_out():
@@ -882,6 +883,10 @@ def _periodic_params(draw):
 @example((16, 2, 6, (0, 1)))  # c != p, but gcd(c, n) = p: a bijection
 @example((16, 2, 4, (0, 1)))  # gcd(c, n) = 4: two vertices of a class merge
 @example((4, 2, 1, (0, 2)))  # a permutation, but not f(x + 2) = f(x) + 1 round the cycle
+# c != p with p >= n/p, so no fewer classes than rows, and p = n, where c = 0
+@example((16, 4, 12, (3, -2, 9, 16)))
+@example((18, 6, 12, (5, 0, 13, 2, 9, 4)))
+@example((6, 6, -6, (5, -2, 13, 0, 9, 2)))
 def test_periodic_map_criterion_matches_its_expansion(params):
     """PeriodicMap accepts (n, p, c, head) exactly when the map written out
     from its definition permutes Z_n and keeps f(x+p) = f(x) + c all the
