@@ -2,6 +2,7 @@
 equalities. Each criterion prints a pass/fail line (collected again in the
 terminal summary)."""
 
+import re
 import time
 from contextlib import contextmanager
 
@@ -39,7 +40,29 @@ def criterion(num, desc):
 
 
 def _failing(checks):
-    return [c.name + ": " + c.detail for c in checks if not c.passed]
+    return [c["name"] + ": " + c["detail"] for c in checks if not c["passed"]]
+
+
+# the reproduction checks of each criterion, chosen by name
+def _is_t1(c):
+    return (c["name"].startswith("T1 ") or " = listed member" in c["name"]
+            or re.fullmatch(r"\d+\*A1 = A\d+", c["name"]) is not None)
+
+
+def _is_product(c):
+    return " = seed " in c["name"] or "embedding" in c["name"]
+
+
+def _is_theta(c):
+    return c["name"].startswith("theta(")
+
+
+def _is_witness(c):
+    return c["name"].endswith(" witness")
+
+
+def _is_type2(c):
+    return c["name"].startswith("T2 ")
 
 
 def test_criterion_1_type1_tables_432():
@@ -70,8 +93,8 @@ def test_criterion_2_type1_table_6750():
 def test_criterion_3_double_type2_432(section3_results):
     note = f"shared 432 sweep took {SECTION_TIMES[3]:.1f}s"
     with criterion(3, f"all n=432 theta catalog rows classify exactly ({note})"):
-        checks = [c for c in section3_results if "theta-432" in c.tags]
-        row_checks = [c for c in checks if "witness" not in c.tags]
+        checks = [c for c in section3_results if _is_theta(c)]
+        row_checks = [c for c in checks if not _is_witness(c)]
         assert len(row_checks) >= 36
         assert not _failing(checks), _failing(checks)
 
@@ -79,8 +102,8 @@ def test_criterion_3_double_type2_432(section3_results):
 def test_criterion_4_double_type2_6750(section4_results):
     note = f"whole 6750 sweep incl. criteria 5/7 material took {SECTION_TIMES[4]:.1f}s"
     with criterion(4, f"n=6750 theta catalog rows for member indices 1 and 2 ({note})"):
-        checks = [c for c in section4_results if "theta-6750" in c.tags]
-        row_checks = [c for c in checks if "witness" not in c.tags]
+        checks = [c for c in section4_results if _is_theta(c)]
+        row_checks = [c for c in checks if not _is_witness(c)]
         # 15 families x 9 rows x 2 indices, plus the five odd-t rejections per index
         assert len(row_checks) == 15 * 9 * 2 + 10
         assert not _failing(checks), _failing(checks)
@@ -88,9 +111,8 @@ def test_criterion_4_double_type2_6750(section4_results):
 
 def test_criterion_5_type2_sets_and_groups(section3_results, section4_results):
     with criterion(5, "Type-2 sets and group axioms at n=432 and n=6750"):
-        checks = [c for c in section3_results + section4_results if
-                  "t2set-432" in c.tags or "t2set-6750" in c.tags]
-        assert len([c for c in checks if c.name.startswith("T2 set")]) >= 32
+        checks = [c for c in section3_results + section4_results if _is_type2(c)]
+        assert len([c for c in checks if c["name"].startswith("T2 set")]) >= 32
         assert not _failing(checks), _failing(checks)
 
 
@@ -119,13 +141,26 @@ def test_criterion_6_small_order_ground_truth():
 
 def test_criterion_7_products(section3_results, section4_results):
     with criterion(7, "6 + 15 product constructions reproduce the listings"):
-        checks = [c for c in section3_results if "products-432" in c.tags]
-        checks += [c for c in section4_results if "products-6750" in c.tags]
-        product_checks = [c for c in checks if " = seed " in c.name]
-        embedding_checks = [c for c in checks if "embedding" in c.name]
+        checks = [c for c in section3_results + section4_results if _is_product(c)]
+        product_checks = [c for c in checks if " = seed " in c["name"]]
+        embedding_checks = [c for c in checks if "embedding" in c["name"]]
         assert len(product_checks) == 21
         assert len(embedding_checks) == 6  # explicit edge check for every 432 product
         assert not _failing(checks), _failing(checks)
+
+
+def test_every_reproduction_check_falls_in_one_criterion(section3_results, section4_results):
+    # the criteria above choose their checks by name, so a check whose name
+    # no rule matches, or two rules match, would go unexamined or be counted
+    # twice; the counts are those of the catalog's sections 3 and 4
+    groups = {"t1": _is_t1, "products": _is_product, "theta": _is_theta, "type2": _is_type2}
+    for results, want, witnesses in (
+            (section3_results, {"t1": 48, "products": 12, "theta": 360, "type2": 60}, 144),
+            (section4_results, {"t1": 21, "products": 15, "theta": 490, "type2": 8}, 210)):
+        matched = [[g for g, rule in groups.items() if rule(c)] for c in results]
+        assert [c["name"] for c, m in zip(results, matched) if len(m) != 1] == []
+        assert {g: sum(m == [g] for m in matched) for g in groups} == want
+        assert sum(map(_is_witness, results)) == witnesses
 
 
 # ---- criterion 8: property suites, >= 1000 random cases each, n <= 96 ----

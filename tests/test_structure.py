@@ -22,7 +22,6 @@ ALLOWED: dict[str, str] = {
     "edges": "Circulant.edges and Product.edges: bench/tracer.py's edges_checked counter "
              "and the tests' oracles read them; EdgeGraph.edges, the edge set realize "
              "returns, feeds the tracer's edges_materialized counter and the oracles",
-    "tags": "Check.tags: the acceptance suite groups the reproduction checks by tag",
 }
 
 
