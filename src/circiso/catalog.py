@@ -4,7 +4,6 @@ checksum. Divergences between those tables and what the arithmetic forces
 are listed in data/TRANSCRIPTION_NOTES.md, never silently corrected.
 """
 
-import hashlib
 import json
 from functools import lru_cache
 from importlib import resources
@@ -101,6 +100,8 @@ def _read_raw() -> str:
 @lru_cache(maxsize=1)
 def load() -> Catalog:
     """Load the embedded catalog, verifying its checksum first."""
+    import hashlib  # here, so that commands which never load the catalog skip OpenSSL
+
     text = _read_raw()
     digest = hashlib.sha256(text.encode()).hexdigest()
     if digest != CATALOG_SHA256:

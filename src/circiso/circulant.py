@@ -2,7 +2,6 @@
 enumeration of circulants and their Cartesian products, with the circulant
 a coprime product is carried onto."""
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from math import gcd
 from typing import NamedTuple, Union
@@ -16,34 +15,35 @@ from .residue import check_modulus, reflexive_reduce
 WITNESS_EDGE_CAP = 100_000
 
 
-@dataclass(frozen=True, order=True)
-class Circulant:
+class Circulant(NamedTuple("Circulant", [("n", int), ("conn", tuple[int, ...])])):
     """C_n(R): order n plus the canonical connection set R, sorted ascending
     inside [1, n//2]. Two values are equal exactly when they name the same
     graph, so connection sets double as graph identifiers throughout.
-    degree, the neighbour count of every vertex, is set on construction.
+    Construction checks n and the form of R.
     """
 
-    n: int
-    conn: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_modulus(self.n)
-        object.__setattr__(self, "conn", tuple(self.conn))
-        if not self.conn:
+    def __new__(cls, n: int, conn):
+        check_modulus(n)
+        conn = tuple(conn)
+        if not conn:
             raise ValueError("connection set must be non-empty")
-        half = self.n // 2
+        half = n // 2
         prev = 0
-        for s in self.conn:
+        for s in conn:
             if isinstance(s, bool) or not isinstance(s, int) or s <= prev or s > half:
                 raise ValueError(
-                    f"offsets must be strictly increasing in [1, {half}], got {self.conn}"
+                    f"offsets must be strictly increasing in [1, {half}], got {conn}"
                 )
             prev = s
-        # every offset gives two neighbours except n/2, which can only be the
-        # last and gives one; degree is kept on the instance, outside the
-        # fields that equality, hashing and ordering read
-        object.__setattr__(self, "degree", 2 * len(self.conn) - (2 * prev == self.n))
+        return super().__new__(cls, n, conn)
+
+    @property
+    def degree(self) -> int:
+        """The neighbour count of every vertex: every offset gives two
+        neighbours except n/2, which can only be the last and gives one."""
+        return 2 * len(self.conn) - (2 * self.conn[-1] == self.n)
 
     @classmethod
     def reduced(cls, n: int, values) -> "Circulant":
@@ -129,8 +129,7 @@ def parse_graph(text: str) -> Circulant:
         raise ParseError(f"{e} (graph text {text!r})") from e
 
 
-@dataclass(frozen=True)
-class EdgeGraph:
+class EdgeGraph(NamedTuple):
     """Explicit loop-free graph on vertex set Z_n; edges are (a, b) with
     0 <= a < b < n. The value is not checked on construction: realize
     emits that form by construction.
@@ -198,25 +197,30 @@ def sizes(factors):
 LAYERS = {"prism": 2, "c4": 4}
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     """Cartesian product of its factors, each a Circulant or a ring length
     (2 or 4), in encoding order: vertex (x, y) of G x F is x*|F| + y.
 
     Like a Circulant, it can be a witness endpoint: it exposes n,
     edge_count, factors and label. n and edge_count are the last pair of
-    sizes(factors), the empty product being one vertex, and are set on
-    construction, outside the fields that equality and hashing read.
+    sizes(factors), the empty product being one vertex.
     """
 
     factors: tuple[Union[Circulant, int], ...]
 
-    def __post_init__(self):
+    @property
+    def n(self) -> int:
+        return self._sizes()[0]
+
+    @property
+    def edge_count(self) -> int:
+        return self._sizes()[1]
+
+    def _sizes(self) -> tuple[int, int]:
         n, edges = 1, 0
         for n, edges in sizes(self.factors):
             pass
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edge_count", edges)
+        return n, edges
 
     @property
     def edges(self) -> frozenset:

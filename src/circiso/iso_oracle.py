@@ -3,11 +3,10 @@ circulant, checked edge for edge by one walk over the steps of the
 source's factors, on the target's connection set."""
 
 from contextlib import suppress
-from dataclasses import dataclass
 from itertools import chain, repeat
 from math import gcd, isqrt, lcm
 from operator import mod, sub
-from typing import Union
+from typing import NamedTuple, Union
 
 from .circulant import Circulant, Product, shifted, steps
 from .errors import InvariantViolation, NotAPermutation, OrderMismatch, TargetNotCirculant
@@ -15,8 +14,8 @@ from .errors import InvariantViolation, NotAPermutation, OrderMismatch, TargetNo
 _NOT_A_PERMUTATION = "bijection is not a permutation of the vertex set"
 
 
-@dataclass(frozen=True)
-class PeriodicMap:
+class PeriodicMap(NamedTuple("PeriodicMap", [("n", int), ("p", int), ("c", int),
+                                             ("head", tuple[int, ...])])):
     """The vertex map f of Z_n with f(i + k*p) ≡ head[i] + k*c (mod n) for
     every i in [0, p) and every integer k.
 
@@ -43,24 +42,20 @@ class PeriodicMap:
     say gcd(c, n) = p, since gcd(c, n) = p gives p | c.
     """
 
-    n: int
-    p: int
-    c: int
-    head: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, p = self.n, self.p
-        if not (n >= 1 and p >= 1 and n % p == 0 and len(self.head) == p):
-            raise NotAPermutation(f"({p}, {len(self.head)}-entry head) is no period of Z_{n}")
-        head = tuple(self.head)
+    def __new__(cls, n: int, p: int, c: int, head):
+        if not (n >= 1 and p >= 1 and n % p == 0 and len(head) == p):
+            raise NotAPermutation(f"({p}, {len(head)}-entry head) is no period of Z_{n}")
+        head = tuple(head)
         if min(head) < 0 or max(head) >= n:  # a reduced head is kept, not copied
             head = tuple(map(mod, head, repeat(n)))
-        object.__setattr__(self, "head", head)
-        object.__setattr__(self, "c", self.c % n)
+        c %= n
         # head is reduced mod n; a dict holds the classes in less memory than a set
         classes = dict.fromkeys(head if p == n else map(mod, head, repeat(p)))
-        if gcd(self.c, n) != p or len(classes) != p:
-            raise NotAPermutation(f"(p={p}, c={self.c}) does not permute Z_{n}")
+        if gcd(c, n) != p or len(classes) != p:
+            raise NotAPermutation(f"(p={p}, c={c}) does not permute Z_{n}")
+        return super().__new__(cls, n, p, c, head)
 
     def expand(self) -> tuple[int, ...]:
         """The image list, indexed by vertex, built one slice per class
@@ -89,8 +84,7 @@ class PeriodicMap:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class IsoWitness:
+class IsoWitness(NamedTuple):
     """An explicit vertex bijection from source to target, plus its status.
 
     The source is the graph a report names, a Circulant or a Product of
@@ -242,9 +236,10 @@ def _order(g: Union[Circulant, Product], h: Circulant) -> int:
     """The order of g and of the target h, which must be a Circulant."""
     if not isinstance(h, Circulant):
         raise TargetNotCirculant(f"target is a {type(h).__name__}, not a Circulant")
-    if g.n != h.n:
-        raise OrderMismatch(f"orders differ: {g.n} vs {h.n}")
-    return g.n
+    n = g.n  # a Product folds its order from its factors on each read
+    if n != h.n:
+        raise OrderMismatch(f"orders differ: {n} vs {h.n}")
+    return n
 
 
 def _walk(g: Union[Circulant, Product], h: Circulant, p: int, c: int, head) -> bool:

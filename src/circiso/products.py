@@ -3,9 +3,8 @@ the product of its factors through one CRT embedding, and an experimental
 scanner for the product conjectures."""
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .circulant import (LAYERS, WITNESS_EDGE_CAP, Circulant, Product, crt_circulant,
                         is_connected)
@@ -72,8 +71,7 @@ def _type2_orbits(g: Circulant):
         yield type2_set(g, m)
 
 
-@dataclass(frozen=True)
-class LiftCheck:
+class LiftCheck(NamedTuple):
     """One transfer check: a factor witness (m, t) lifted to the product."""
 
     m: int
@@ -83,8 +81,7 @@ class LiftCheck:
     agrees: bool  # True when the lift is again Type-2
 
 
-@dataclass(frozen=True)
-class ConjectureCase:
+class ConjectureCase(NamedTuple):
     left: Circulant
     right: Circulant
     product: Circulant
@@ -98,8 +95,7 @@ class ConjectureCase:
         return self.product_type2 == (self.left_type2 or self.right_type2)
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     """Experimental scan; consistency within the budget is not a proof."""
 
     n1: int

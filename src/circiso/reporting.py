@@ -5,7 +5,6 @@ bytes; set SOURCE_DATE_EPOCH to pin the timestamp."""
 import json
 import os
 import time
-from datetime import datetime, timezone
 from typing import Union
 
 from . import __version__
@@ -18,7 +17,8 @@ SCHEMA = 1
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     ts = int(epoch) if epoch else int(time.time())
-    return datetime.fromtimestamp(ts, timezone.utc).isoformat()
+    # datetime's isoformat in UTC; %04d pads a year below 1000, as %Y does not
+    return "%04d-%02d-%02dT%02d:%02d:%02d+00:00" % time.gmtime(ts)[:6]
 
 
 def make_meta(command: list) -> dict:

@@ -1,10 +1,9 @@
 """The unit-multiplication action on connection sets: orbits, their abelian
 group structure, and least-unit isomorphism witnesses."""
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .circulant import Circulant
 from .errors import InvariantViolation, NotAUnit, OrderMismatch
@@ -36,8 +35,7 @@ def adams_periodic(n: int, x: int) -> PeriodicMap:
     return PeriodicMap(n, 1, x, (0,))
 
 
-@dataclass(frozen=True)
-class Type1Orbit:
+class Type1Orbit(NamedTuple):
     """Orbit of a connection set under all units of Z_n.
 
     reps[i] is the least unit sending the base to members[i]; the
@@ -85,8 +83,7 @@ def type1_set(g: Circulant) -> Type1Orbit:
                       unit_count=len(us), witnesses=tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(NamedTuple):
     """The group axioms of an induced composition on orbit members."""
 
     closed: bool

@@ -2,10 +2,9 @@
 (n, m, t), image classification against the source graph, and Type-2 orbits
 with their group structure."""
 
-from dataclasses import dataclass
 from itertools import count, takewhile
 from math import gcd, lcm
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .circulant import Circulant, NotCirculant, symmetric_set
 from .errors import CircisoError, InvalidParams, ParamMismatch, PreconditionViolation
@@ -14,8 +13,7 @@ from .residue import check_modulus, reflexive_reduce
 from .type1 import _scaled, induced_composition, is_adams_isomorphic
 
 
-@dataclass(frozen=True, order=True)
-class ThetaMap:
+class ThetaMap(NamedTuple("ThetaMap", [("n", int), ("m", int), ("t", int)])):
     """Parameters (n, m, t) of the vertex map x -> x + (x mod m)*m*t mod n.
 
     Valid only when m > 1, m^3 divides n and 0 <= t < n/m; the induced map
@@ -24,16 +22,15 @@ class ThetaMap:
     the map is the PeriodicMap theta_periodic(n, m, t).
     """
 
-    n: int
-    m: int
-    t: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_modulus(self.n)
-        if error := _order_refusal(self.n, self.m):
+    def __new__(cls, n: int, m: int, t: int):
+        check_modulus(n)
+        if error := _order_refusal(n, m):
             raise error
-        if not 0 <= self.t < self.n // self.m:
-            raise InvalidParams(f"t must lie in [0, {self.n // self.m - 1}], got {self.t}")
+        if not 0 <= t < n // m:
+            raise InvalidParams(f"t must lie in [0, {n // m - 1}], got {t}")
+        return super().__new__(cls, n, m, t)
 
     def label(self) -> str:
         return f"theta(n={self.n},m={self.m},t={self.t})"
@@ -50,8 +47,7 @@ def theta_periodic(n: int, m: int, t: int) -> PeriodicMap:
     return PeriodicMap(n, m, m, tuple(i + i * mt for i in range(m)))
 
 
-@dataclass(frozen=True)
-class ThetaClassification:
+class ThetaClassification(NamedTuple):
     """Outcome of applying one theta transform to one circulant graph.
 
     kind is one of "identity", "type1", "type2", "not_circulant". A
@@ -210,8 +206,7 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
                                witness=witness)
 
 
-@dataclass(frozen=True)
-class Type2Orbit:
+class Type2Orbit(NamedTuple):
     """Type-2 set of a graph w.r.t. m: the base plus every Type-2 image.
 
     theta(n, m, t) maps the base onto a circulant exactly when step divides
@@ -331,8 +326,7 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
                       outcomes=outcomes, witnesses=tuple(witnesses))
 
 
-@dataclass(frozen=True)
-class Type2GroupReport:
+class Type2GroupReport(NamedTuple):
     """Subgroup and abelian-group checks for a Type-2 orbit."""
 
     contains_zero: bool

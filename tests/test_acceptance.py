@@ -34,7 +34,7 @@ def criterion(num, desc):
         print(f"[acceptance] {line}", flush=True)
         raise
     elapsed = time.perf_counter() - start
-    line = f"criterion {num}: PASS - {desc} ({elapsed:.1f}s)"
+    line = f"criterion {num}: PASS - {desc} ({elapsed * 1000:.3g} ms)"
     ACCEPTANCE_LINES.append(line)
     print(f"[acceptance] {line}", flush=True)
 
@@ -91,7 +91,7 @@ def test_criterion_2_type1_table_6750():
 
 
 def test_criterion_3_double_type2_432(section3_results):
-    note = f"shared 432 sweep took {SECTION_TIMES[3]:.1f}s"
+    note = f"shared 432 sweep took {SECTION_TIMES[3] * 1000:.3g} ms"
     with criterion(3, f"all n=432 theta catalog rows classify exactly ({note})"):
         checks = [c for c in section3_results if _is_theta(c)]
         row_checks = [c for c in checks if not _is_witness(c)]
@@ -100,7 +100,7 @@ def test_criterion_3_double_type2_432(section3_results):
 
 
 def test_criterion_4_double_type2_6750(section4_results):
-    note = f"whole 6750 sweep incl. criteria 5/7 material took {SECTION_TIMES[4]:.1f}s"
+    note = f"whole 6750 sweep incl. criteria 5/7 material took {SECTION_TIMES[4] * 1000:.3g} ms"
     with criterion(4, f"n=6750 theta catalog rows for member indices 1 and 2 ({note})"):
         checks = [c for c in section4_results if _is_theta(c)]
         row_checks = [c for c in checks if not _is_witness(c)]

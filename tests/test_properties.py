@@ -2,7 +2,6 @@
 law at small orders, orbit symmetry, and round trips."""
 
 import itertools
-from dataclasses import replace
 from math import gcd
 from types import SimpleNamespace
 
@@ -357,7 +356,7 @@ def product_target_witnesses(draw):
         f = _scaling(e.factors, xs) if draw(st.booleans()) else tuple(range(e.n))
         w = IsoWitness(e, _scaled(e.factors, xs), f, False, "scaling")
     if draw(st.booleans()):
-        w = replace(w, bijection=_transposed(w.bijection, draw(st.integers(0, 10**6))))
+        w = w._replace(bijection=_transposed(w.bijection, draw(st.integers(0, 10**6))))
     return w
 
 
@@ -470,8 +469,8 @@ def test_group_table_matches_adams_apply(g, data):
     orbit = type1_set(g)
     if len(orbit.members) > 1 and data.draw(st.booleans()):
         drop = data.draw(st.sampled_from([i for i, m in enumerate(orbit.members) if m != g]))
-        orbit = replace(orbit, members=orbit.members[:drop] + orbit.members[drop + 1:],
-                        reps=orbit.reps[:drop] + orbit.reps[drop + 1:])
+        orbit = orbit._replace(members=orbit.members[:drop] + orbit.members[drop + 1:],
+                               reps=orbit.reps[:drop] + orbit.reps[drop + 1:])
     index = {m: i for i, m in enumerate(orbit.members)}
     k, b = range(len(orbit.reps)), index[g]
     compose = {(i, j): index.get(adams_apply(g, x * y % g.n))
@@ -1038,15 +1037,15 @@ def test_type2_group_check_matches_pairwise_check_on_tampered_orbits(case, tampe
         drop = data.draw(st.sampled_from(others))
         if tamper == "drop member":
             ts = tuple(t for t in ts if orbit.outcome(t)[2] != drop)
-        orbit = replace(orbit, members=tuple(x for x in orbit.members if x != drop),
-                        t_stabilizer=ts)
+        orbit = orbit._replace(members=tuple(x for x in orbit.members if x != drop),
+                               t_stabilizer=ts)
     elif tamper == "drop t":
         drop = data.draw(st.sampled_from(ts))
-        orbit = replace(orbit, t_stabilizer=tuple(t for t in ts if t != drop))
+        orbit = orbit._replace(t_stabilizer=tuple(t for t in ts if t != drop))
     elif tamper == "add t":
         free = [t for t in range(q) if t not in ts]
         assume(free)
-        orbit = replace(orbit, t_stabilizer=tuple(sorted({*ts, data.draw(st.sampled_from(free))})))
+        orbit = orbit._replace(t_stabilizer=tuple(sorted({*ts, data.draw(st.sampled_from(free))})))
     report = type2.type2_group_check(orbit)
     expected = _group_verdicts_by_pairs(g, m, set(orbit.t_stabilizer), orbit.members)
     assert {field: getattr(report, field) for field in expected} == expected

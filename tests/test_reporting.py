@@ -4,6 +4,7 @@ for byte, on any JSON document and on the reports every command writes."""
 import contextlib
 import io
 import json
+from datetime import datetime, timezone
 from enum import IntEnum
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circiso import cli
-from circiso.reporting import to_json
+from circiso.reporting import _timestamp, to_json
 from circiso.type2 import theta_periodic
 
 
@@ -100,3 +101,13 @@ def test_command_reports_match_json_dumps(tmp_path, monkeypatch):
         "reproduce", "scan-conjecture"]
     for report, text in written:
         assert text == oracle(report), report["meta"]["command"]
+
+
+# the epoch, a leap day, a recent date, the last 32-bit second, the last
+# second of year 9999, and two years below 1000, which isoformat pads to
+# four digits
+@pytest.mark.parametrize("ts", [0, 951782400, 1700000000, 2**31 - 1, 253402300799,
+                                -40000000000, -62135596800])
+def test_timestamp_matches_datetime_isoformat(ts, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", str(ts))
+    assert _timestamp() == datetime.fromtimestamp(ts, timezone.utc).isoformat()

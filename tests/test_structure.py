@@ -29,17 +29,22 @@ def _modules() -> dict[str, ast.Module]:
     return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
 
 
-def _has_fields(node: ast.ClassDef) -> bool:
-    """True for a dataclass or a NamedTuple, whose annotated class-level
-    names are fields."""
-    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
-    return (any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
-            or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in node.bases))
+def _fields(node: ast.ClassDef):
+    """The fields of a NamedTuple: its annotated class-level names, or, for
+    a class that validates in __new__ on a base NamedTuple("Name", [...]),
+    the names in that base's field list."""
+    for base in node.bases:
+        if isinstance(base, ast.Name) and base.id == "NamedTuple":
+            yield from (item.target.id for item in node.body if isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name))
+        elif (isinstance(base, ast.Call) and isinstance(base.func, ast.Name)
+              and base.func.id == "NamedTuple"):
+            yield from (field.elts[0].value for field in base.args[1].elts)
 
 
 def _defined(tree: ast.Module):
     """(name, is_member) for each top-level function and class, each method
-    other than a dunder, and each field of a dataclass or NamedTuple."""
+    other than a dunder, and each field of a NamedTuple."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
         if isinstance(node, (*defs, ast.ClassDef)):
@@ -47,10 +52,7 @@ def _defined(tree: ast.Module):
         if isinstance(node, ast.ClassDef):
             yield from ((item.name, True) for item in node.body if isinstance(item, defs)
                         and not (item.name.startswith("__") and item.name.endswith("__")))
-            if _has_fields(node):
-                yield from ((item.target.id, True) for item in node.body
-                            if isinstance(item, ast.AnnAssign)
-                            and isinstance(item.target, ast.Name))
+            yield from ((name, True) for name in _fields(node))
 
 
 def _reads(tree: ast.Module):
@@ -85,25 +87,43 @@ def test_every_definition_has_a_caller_in_the_package():
 
 
 def test_guard_flags_a_field_nothing_reads():
-    # a dataclass field that is set by keyword but never read, as
-    # LiftCheck.factor was, is flagged; so is a NamedTuple field
+    # a field that is set by keyword but never read, as LiftCheck.factor
+    # was, is flagged; so is one named in the NamedTuple(...) base of a
+    # value type that validates in __new__, as Circulant does
     modules = _modules()
     modules["products"].body += ast.parse(
-        "from dataclasses import dataclass\n"
-        "@dataclass(frozen=True)\n"
-        "class Lift:\n"
+        "class Lift(NamedTuple):\n"
         "    factor: int\n"
         "    m: int\n"
         "def lift(m):\n"
         "    return Lift(factor=m, m=m).m\n").body
     modules["circulant"].body += ast.parse(
-        "class Pair(NamedTuple):\n"
-        "    alpha: int\n"
-        "    beta: int\n"
+        "class Pair(NamedTuple('Pair', [('alpha', int), ('beta', int)])):\n"
+        "    __slots__ = ()\n"
+        "    def __new__(cls, alpha, beta):\n"
+        "        return super().__new__(cls, alpha, beta)\n"
         "def pair():\n"
         "    return Pair(1, 2).beta\n"
         "print(lift(1), pair())\n").body
     assert unreferenced(modules) == sorted({*ALLOWED, "factor", "alpha"})
+
+
+def _unchecked_builds(modules: dict[str, ast.Module]) -> list[str]:
+    """module:line of every call of a _replace or _make method, which build
+    a NamedTuple without running its __new__ and so skip the checks of
+    Circulant, ThetaMap and PeriodicMap."""
+    return [f"{stem}:{node.lineno}" for stem, tree in modules.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("_replace", "_make")]
+
+
+def test_no_value_is_built_around_its_checks():
+    assert _unchecked_builds(_modules()) == []
+    modules = _modules()
+    modules["type2"].body += ast.parse("def shifted(tm):\n    return tm._replace(t=1)\n"
+                                       "def made(n):\n    return ThetaMap._make((n, 2, 0))\n"
+                                       ).body
+    assert len(_unchecked_builds(modules)) == 2
 
 
 def test_guard_flags_a_definition_only_tests_call():
@@ -135,9 +155,8 @@ def test_reporting_does_not_import_products():
 
 
 def _loaded(module: str) -> set[str]:
-    """The circiso modules a fresh interpreter holds after importing module."""
-    code = (f"import sys, {module}\n"
-            "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'circiso'))")
+    """The modules a fresh interpreter holds after importing module."""
+    code = f"import sys, {module}\nprint(*sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=60)
     assert res.returncode == 0, res.stderr
@@ -150,6 +169,13 @@ def test_reporting_loads_no_type2_layer():
     loaded = _loaded("circiso.reporting")
     assert "circiso.reporting" in loaded
     assert not loaded & {"circiso.products", "circiso.type1", "circiso.type2"}
+
+
+def test_cli_loads_no_module_it_does_not_use():
+    # every command pays for what importing the CLI loads: dataclasses
+    # (which pulls in inspect), datetime for the report timestamp, and
+    # hashlib, which only the catalog's checksum reads, stay out of it
+    assert not _loaded("circiso.cli") & {"dataclasses", "inspect", "datetime", "hashlib"}
 
 
 @pytest.mark.parametrize("stem", sorted(p.stem for p in SRC.glob("*.py")

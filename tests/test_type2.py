@@ -3,7 +3,6 @@ import pathlib
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -196,10 +195,10 @@ def test_group_check_refuses_a_member_list_that_disagrees_with_the_stabilizer():
         for m in (2, 3):
             orbit = type2_set(cat.s3_seed(letter), m)
             assert type2_group_check(orbit).ok
-            tampered += [replace(orbit, members=tuple(x for x in orbit.members if x != drop))
+            tampered += [orbit._replace(members=tuple(x for x in orbit.members if x != drop))
                          for drop in orbit.members if drop != orbit.base]
     assert len(tampered) == 18
-    tampered.append(replace(type2_set(Circulant(8, (1, 2, 4)), 2), t_stabilizer=(0, 2)))
+    tampered.append(type2_set(Circulant(8, (1, 2, 4)), 2)._replace(t_stabilizer=(0, 2)))
     for orbit in tampered:
         report = type2_group_check(orbit)
         assert not report.composition_closed and not report.ok
@@ -388,7 +387,7 @@ def test_type2_set_builds_witnesses_for_members_only(monkeypatch):
         assert (len(orbit.members), len(orbit.outcomes)) == (members, ts)
         assert len(built) == members - 1 and list(orbit.witnesses) == built
         for w in orbit.witnesses:
-            assert iso_oracle.verify_witness(replace(w, bijection=w.images()))
+            assert iso_oracle.verify_witness(w._replace(bijection=w.images()))
 
 
 def test_classification_builds_no_vertex_map(monkeypatch):
