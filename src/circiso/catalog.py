@@ -27,7 +27,6 @@ class Catalog:
     is cross-checked against the verbatim seed transcription at load."""
 
     def __init__(self, raw: dict):
-        self.raw = raw
         self.s3 = raw["s3"]
         self.s4 = raw["s4"]
         self._check_seeds()

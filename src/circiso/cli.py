@@ -10,7 +10,7 @@ import sys
 from .circulant import WITNESS_EDGE_CAP, Circulant, parse_graph
 from .errors import CircisoError, ParseError, ReportError
 from .iso_oracle import verify_witness
-from .products import product_witness, scan_conjecture
+from .products import SCAN_HEADER, product_witness, scan_conjecture
 from .reporting import (
     all_passed,
     assertion,
@@ -153,12 +153,12 @@ def cmd_t2(args) -> int:
     )
 
 
-def _classification_consistent(cls) -> bool:
+def _classification_consistent(cls, m: int) -> bool:
     """A circulant kind carries an image and a witness, which classify_theta
     walked before returning it; a non-circulant one names a failing vertex
-    in [1, m)."""
+    in [1, m), for the m of the transform."""
     if cls.kind == "not_circulant":
-        return cls.failing_vertex is not None and 1 <= cls.failing_vertex < cls.map.m
+        return cls.failing_vertex is not None and 1 <= cls.failing_vertex < m
     return (cls.kind in ("identity", "type1", "type2") and cls.image is not None
             and cls.witness is not None)
 
@@ -167,7 +167,8 @@ def cmd_classify(args) -> int:
     g = _graph_from_args(args)
     cls = classify_theta(ThetaMap(g.n, args.m, args.t), g)
     witnesses = [] if cls.witness is None else [cls.witness]
-    checks = [assertion("classification computed", _classification_consistent(cls), cls.kind)]
+    checks = [assertion("classification computed", _classification_consistent(cls, args.m),
+                        cls.kind)]
     if witnesses:
         checks.append(assertion("witness verified", cls.witness.verified))
         witnesses = _stored(witnesses, (g, cls.image), checks)
@@ -293,18 +294,18 @@ def cmd_scan(args) -> int:
             checks.append(
                 assertion(
                     f"lift (m={l.m}, t={l.t}) -> t={l.lifted_t} on {c.product.label()}",
-                    l.agrees,
+                    l.kind == "type2",
                     f"classified {l.kind}",
                 )
             )
     results = {
-        "header": report.header,
-        "n1": report.n1,
-        "n2": report.n2,
-        "budget": report.budget,
+        "header": SCAN_HEADER,
+        "n1": args.n1,
+        "n2": args.n2,
+        "budget": args.budget,
         "cases": len(report.cases),
         "budget_exhausted": report.exhausted,
-        "summary": f"{report.header}; {len(report.cases)} cases scanned",
+        "summary": f"{SCAN_HEADER}; {len(report.cases)} cases scanned",
     }
     return _emit(
         make_report(["scan-conjecture", str(args.n1), str(args.n2)],

@@ -3,7 +3,7 @@ circulant, checked edge for edge by one walk over the steps of the
 source's factors, on the target's connection set."""
 
 from contextlib import suppress
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import mod, sub
 from typing import NamedTuple, Union
@@ -152,40 +152,33 @@ def _periodic_form(f: tuple[int, ...], n: int) -> PeriodicMap:
     raise NotAPermutation(_NOT_A_PERMUTATION)
 
 
-# besides x = 0 and the ends, a probe reads x = 1, ..., _PREFIX - 1 and up
-# to _SAMPLES x spread over the list
-_PREFIX, _SAMPLES = 4, 8
-
-
 def _probe_period(f: tuple[int, ...], n: int) -> int:
     """The least divisor p < n of n with f[x+p] - f[x] ≡ f[p] - f[0]
     (mod n) at every probed x, or n if there is none, or if n differences
     have been compared first.
 
     The probed x of p are 0, which fixes c, then the ends n/r - 1, one for
-    each prime r | n, then 1, 2, 3, then up to _SAMPLES x spread evenly
-    down from n - p - 1, the last x there is; a divisor is dropped at its
-    first mismatch. The ends decide the lists circiso writes. A theta,
-    Adam or CRT map of least period P < n has head[i] = a*i (mod n) and
-    steps by C (mod n) per row of P, so for p < P its difference at x is
-    a*p when x mod P < P - p, and C - a*(P - p) otherwise. The two differ,
-    or f(x) = a*x for every x and P would be 1. For a prime r | n/P, P
-    divides n/r, so the end x = n/r - 1 is ≡ P - 1 (mod P) and refutes
-    every p < P, while P passes every probe: such a list is read at its
-    least period, unless the budget runs out first, which the tests see
-    only at orders below 13."""
+    each prime r | n; a divisor is dropped at its first mismatch. The ends
+    decide the lists circiso writes. A theta, Adam or CRT map of least
+    period P < n has head[i] = a*i (mod n) and steps by C (mod n) per row
+    of P, so for p < P its difference at x is a*p when x mod P < P - p, and
+    C - a*(P - p) otherwise. The two differ, or f(x) = a*x for every x and
+    P would be 1. For a prime r | n/P, P divides n/r, so the end
+    x = n/r - 1 is ≡ P - 1 (mod P) and refutes every p < P, while P passes
+    every probe: such a list is read at its least period, unless the budget
+    runs out first, which the tests see only at orders below 13. Any other
+    list is decided by _periodic_form's one comparison, whichever p the
+    probes pick."""
     divisors = _divisors_below(n)
     primes = []
     for d in divisors[1:]:
         if all(d % r for r in primes):
             primes.append(d)
-    ends = [n // r - 1 for r in primes]
+    probes = [0, *(n // r - 1 for r in primes)]
     budget = n
     for p in divisors:
-        last = n - p
         c = None
-        rest = chain(range(1, min(_PREFIX, last)), range(last - 1, _PREFIX - 1, last // -_SAMPLES))
-        for x in chain((0,), ends, (x for x in rest if x not in ends)):
+        for x in probes:
             budget -= 1
             if budget < 0:
                 return n

@@ -77,8 +77,7 @@ class LiftCheck(NamedTuple):
     m: int
     t: int
     lifted_t: int
-    kind: str  # classification of the lifted transform on the product
-    agrees: bool  # True when the lift is again Type-2
+    kind: str  # classification of the lifted transform on the product; "type2" agrees
 
 
 class ConjectureCase(NamedTuple):
@@ -98,15 +97,8 @@ class ConjectureCase(NamedTuple):
 class ConjectureReport(NamedTuple):
     """Experimental scan; consistency within the budget is not a proof."""
 
-    n1: int
-    n2: int
-    budget: int
     cases: tuple[ConjectureCase, ...]
     exhausted: bool  # True when the budget cut enumeration short
-
-    @property
-    def header(self) -> str:
-        return SCAN_HEADER
 
 
 def _offset_sets(lo: int, hi: int, size: int):
@@ -163,12 +155,11 @@ def _lift_checks(orbits, other_order: int, product: Circulant) -> list:
             continue
         lifted_t = (t * other_order) % (product.n // orbit.m)
         kind = classify_theta(ThetaMap(product.n, orbit.m, lifted_t), product).kind
-        out.append(LiftCheck(m=orbit.m, t=t, lifted_t=lifted_t, kind=kind,
-                             agrees=kind == "type2"))
+        out.append(LiftCheck(m=orbit.m, t=t, lifted_t=lifted_t, kind=kind))
     return out
 
 
-def scan_conjecture(n1: int, n2: int, budget: int = 16, pairs=None) -> ConjectureReport:
+def scan_conjecture(n1: int, n2: int, budget: int, pairs=None) -> ConjectureReport:
     """Scan products C_{n1}(R1) x C_{n2}(R2) for conjecture-consistent behaviour.
 
     For each sampled connected pair the scanner asks whether the product
@@ -211,4 +202,4 @@ def scan_conjecture(n1: int, n2: int, budget: int = 16, pairs=None) -> Conjectur
                             + _lift_checks(right_orbits, n1, product)),
             )
         )
-    return ConjectureReport(n1=n1, n2=n2, budget=budget, cases=tuple(cases), exhausted=exhausted)
+    return ConjectureReport(cases=tuple(cases), exhausted=exhausted)

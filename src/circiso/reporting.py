@@ -9,6 +9,7 @@ from typing import Union
 
 from . import __version__
 from .circulant import LAYERS, WITNESS_EDGE_CAP, Circulant, Product, sizes
+from .errors import CircisoError
 from .iso_oracle import IsoWitness
 
 SCHEMA = 1
@@ -16,7 +17,12 @@ SCHEMA = 1
 
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    ts = int(epoch) if epoch else int(time.time())
+    try:  # an int epoch in the years 1 to 9999, the ones isoformat writes
+        ts = int(epoch) if epoch else int(time.time())
+        if not -62135596800 <= ts <= 253402300799:
+            raise ValueError
+    except ValueError:
+        raise CircisoError(f"SOURCE_DATE_EPOCH={epoch!r} is no int epoch in years 1-9999") from None
     # datetime's isoformat in UTC; %04d pads a year below 1000, as %Y does not
     return "%04d-%02d-%02dT%02d:%02d:%02d+00:00" % time.gmtime(ts)[:6]
 

@@ -56,8 +56,6 @@ class ThetaClassification(NamedTuple):
     where the difference sets disagree.
     """
 
-    map: ThetaMap
-    source: Circulant
     kind: str
     image: Optional[Circulant] = None
     unit: Optional[int] = None
@@ -195,15 +193,14 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
         raise error
     image = theta_image(tm, g)
     if isinstance(image, NotCirculant):
-        return ThetaClassification(tm, g, "not_circulant", failing_vertex=image.vertex)
+        return ThetaClassification("not_circulant", failing_vertex=image.vertex)
     origin = _THETA_ORIGIN.format(tm.m, tm.t)
     f = walk_or_raise(g, image, theta_periodic(g.n, tm.m, tm.t), origin)
     witness = IsoWitness(g, image, f, True, origin)
     if image == g:
-        return ThetaClassification(tm, g, "identity", image, witness=witness)
+        return ThetaClassification("identity", image, witness=witness)
     x = is_adams_isomorphic(g, image)
-    return ThetaClassification(tm, g, "type2" if x is None else "type1", image, x,
-                               witness=witness)
+    return ThetaClassification("type2" if x is None else "type1", image, x, witness=witness)
 
 
 class Type2Orbit(NamedTuple):

@@ -172,15 +172,15 @@ def type2_orbit_by_classification(g: Circulant, m: int) -> Type2Orbit:
     if any((c.image is not None) != (t % step == 0) for t, c in enumerate(cls)):
         raise InvariantViolation(f"the circulant t of {g.label()} at m={m} are not the "
                                  f"multiples of {step}")
-    lattice = cls[::step]
+    lattice = tuple(zip(range(0, q, step), cls[::step]))  # (t, its classification)
     first = {}  # Type-2 image -> its least classification
-    for c in lattice:
+    for _, c in lattice:
         if c.kind == "type2":
             first.setdefault(c.image, c)
     members = tuple(sorted({g, *first}))
     return Type2Orbit(base=g, m=m, members=members,
-                      t_stabilizer=tuple(c.map.t for c in lattice if c.image in members),
-                      step=step, outcomes=tuple((c.map.t, c.kind, c.image) for c in lattice),
+                      t_stabilizer=tuple(t for t, c in lattice if c.image in members),
+                      step=step, outcomes=tuple((t, c.kind, c.image) for t, c in lattice),
                       witnesses=tuple(first[x].witness for x in members if x != g))
 
 

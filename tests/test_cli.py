@@ -296,8 +296,8 @@ def test_classify_verdict_is_computed(capsys, monkeypatch):
     g, tm = parse_graph(A432), ThetaMap(432, 2, 54)
     good = classify_theta(tm, g)
     for bad in (good._replace(witness=None), good._replace(kind="type3"),
-                ThetaClassification(map=tm, source=g, kind="not_circulant"),
-                ThetaClassification(map=tm, source=g, kind="not_circulant", failing_vertex=2)):
+                ThetaClassification(kind="not_circulant"),
+                ThetaClassification(kind="not_circulant", failing_vertex=2)):
         monkeypatch.setattr(cli, "classify_theta", lambda tm, g, bad=bad: bad)
         code, out, _ = run(capsys, "classify", A432, "--m", "2", "--t", "54")
         assert code == 1 and "[FAIL] classification computed" in out
@@ -1126,12 +1126,10 @@ def test_reproduce_section3(capsys):
 
 def test_reproduce_detects_corruption(capsys, monkeypatch):
     import circiso.reproduce as rep
-    from circiso.catalog import load
+    from circiso.catalog import Catalog, _read_raw
 
-    cat = load()
-    raw = json.loads(json.dumps(cat.raw))  # deep copy
+    raw = json.loads(_read_raw())
     raw["s3"]["families"]["A"][2] = [27, 32, 54, 96, 112, 176, 190]
-    from circiso.catalog import Catalog
 
     monkeypatch.setattr(rep, "load", lambda: Catalog(raw))
     code, out, _ = run(capsys, "reproduce", "--section", "3")

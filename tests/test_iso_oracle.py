@@ -312,6 +312,23 @@ class _Reads(tuple):
         return super().__getitem__(i)
 
 
+def test_period_probe_reads_only_zero_and_the_ends():
+    # for each divisor p it tries, the probe reads f[x + p] and then f[x],
+    # for x = 0 and the ends n/r - 1 (r = 2, 3 at 432 = 2^4 * 3^3) alone;
+    # the CRT list of C_16(1,2,7) x C_27(1,3,8,10) and a theta list are read
+    # at their periods, 27 and 2
+    crt = products.product_witness("coprime", Circulant(16, (1, 2, 7)),
+                                   Circulant(27, (1, 3, 8, 10)))[1].bijection
+    divisors = {p for p in range(1, 432) if 432 % p == 0}
+    for pm in (crt, theta_periodic(432, 2, 54)):
+        f = _Reads(pm.expand())
+        assert iso_oracle._probe_period(f, 432) == pm.p
+        pairs = list(zip(f.indexed[::2], f.indexed[1::2]))
+        assert pairs and len(f.indexed) == 2 * len(pairs)
+        assert all(x in (0, 215, 143) and y - x in divisors for y, x in pairs)
+        assert {x for y, x in pairs if y - x == pm.p} == {0, 215, 143}
+
+
 @pytest.mark.parametrize("n", [55_440, 83_160])
 def test_period_search_compares_at_most_2n_entries(monkeypatch, n):
     # n has 119 or 127 divisors below n. The identity with two adjacent

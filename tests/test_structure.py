@@ -42,17 +42,25 @@ def _fields(node: ast.ClassDef):
             yield from (field.elts[0].value for field in base.args[1].elts)
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _members(node: ast.ClassDef):
+    """The methods of a class other than dunders, properties included, and
+    its NamedTuple fields."""
+    yield from (item.name for item in node.body if isinstance(item, _DEFS)
+                and not (item.name.startswith("__") and item.name.endswith("__")))
+    yield from _fields(node)
+
+
 def _defined(tree: ast.Module):
     """(name, is_member) for each top-level function and class, each method
     other than a dunder, and each field of a NamedTuple."""
-    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
     for node in tree.body:
-        if isinstance(node, (*defs, ast.ClassDef)):
+        if isinstance(node, (*_DEFS, ast.ClassDef)):
             yield node.name, False
         if isinstance(node, ast.ClassDef):
-            yield from ((item.name, True) for item in node.body if isinstance(item, defs)
-                        and not (item.name.startswith("__") and item.name.endswith("__")))
-            yield from ((name, True) for name in _fields(node))
+            yield from ((name, True) for name in _members(node))
 
 
 def _reads(tree: ast.Module):
@@ -73,7 +81,7 @@ def unreferenced(modules: dict[str, ast.Module]) -> list[str]:
     argument that shares its name does not hide it. The guard matches
     names, not bindings: two classes' members of one name, such as
     ThetaMap.label and Circulant.label, stay indistinguishable, and one
-    attribute read keeps both."""
+    attribute read keeps both; SHARED names each such member's readers."""
     reads = {read for stem, tree in modules.items() if stem != "__init__"
              for read in _reads(tree)}
     attributes = {name for name, as_attribute in reads if as_attribute}
@@ -84,6 +92,70 @@ def unreferenced(modules: dict[str, ast.Module]) -> list[str]:
 
 def test_every_definition_has_a_caller_in_the_package():
     assert unreferenced(_modules()) == sorted(ALLOWED)
+
+
+# member name -> {class that defines it: who reads it there}, for every
+# name that more than one src/ class defines as a method, property or
+# NamedTuple field. The guard above matches names, not bindings, so one
+# read of such a name keeps every class's member; a new shared name must be
+# entered here, with the readers of each owner, before it can hide one
+SHARED: dict[str, dict[str, str]] = {
+    "base": {"Type1Orbit": "type1.type1_group_table",
+             "Type2Orbit": "Type2Orbit.outcome, type2.type2_group_check"},
+    "closed": {"GroupTable": "cli.cmd_t1, GroupTable.ok, type2.type2_group_check",
+               "Type2GroupReport": "cli.cmd_t2, Type2GroupReport.ok"},
+    "edge_count": {"Circulant": "iso_oracle._walk, circulant.sizes, cli._stored",
+                   "Product": "iso_oracle._walk"},
+    "edges": {"Circulant": "bench/tracer.py and tests/oracles.py only (ALLOWED)",
+              "EdgeGraph": "bench/tracer.py and tests/oracles.py only (ALLOWED)",
+              "Product": "bench/tracer.py and tests/oracles.py only (ALLOWED)"},
+    "factors": {"Circulant": "iso_oracle._walk, through circulant.steps",
+                "Product": "iso_oracle._walk, reporting.graph_desc, Product.label"},
+    "identity_ok": {"GroupTable": "cli.cmd_t1, GroupTable.ok, type2.type2_group_check",
+                    "Type2GroupReport": "cli.cmd_t2, Type2GroupReport.ok"},
+    "kind": {"LiftCheck": "cli.cmd_scan",
+             "ThetaClassification": "cli.cmd_classify, products._lift_checks, reproduce"},
+    "label": {"Circulant": "the messages and summaries of cli, products, type2 and reproduce",
+              "Product": "iso_oracle.walk_or_raise's message",
+              "ThetaMap": "bench/workloads.py:114 and tests/oracles.theta_compose only; "
+                          "no src/ module reads it"},
+    "m": {"LiftCheck": "cli.cmd_scan",
+          "ThetaMap": "type2.theta_image, type2.classify_theta",
+          "Type2Orbit": "Type2Orbit.outcome, type2.type2_group_check"},
+    "members": {"Type1Orbit": "cli.cmd_t1, reproduce",
+                "Type2Orbit": "cli.cmd_t2, products.scan_conjecture, reproduce"},
+    "n": {"Circulant": "every module that builds or checks a graph",
+          "EdgeGraph": "tests/oracles.py only, on what realize returns (ALLOWED)",
+          "PeriodicMap": "iso_oracle.verify_circulant_witness",
+          "Product": "iso_oracle._order, reporting.graph_desc",
+          "ThetaMap": "type2.theta_image, type2.classify_theta"},
+    "ok": {"GroupTable": "reproduce", "Type2GroupReport": "reproduce"},
+    "t": {"LiftCheck": "cli.cmd_scan", "ThetaMap": "type2.theta_image, type2.classify_theta"},
+    "witnesses": {"Type1Orbit": "cli.cmd_t1", "Type2Orbit": "cli.cmd_t2"},
+}
+
+
+def shared_members(modules: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """member name -> the classes that define it (_members), for every name
+    that more than one class defines."""
+    owners: dict[str, set[str]] = {}
+    for tree in modules.values():
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for name in _members(node):
+                    owners.setdefault(name, set()).add(node.name)
+    return {name: classes for name, classes in owners.items() if len(classes) > 1}
+
+
+def test_every_shared_member_name_names_its_readers():
+    assert shared_members(_modules()) == {name: set(by) for name, by in SHARED.items()}
+    # a method that Type2Orbit gains under a name Circulant already has
+    # makes a new shared name
+    modules = _modules()
+    [orbit] = [node for node in modules["type2"].body
+               if isinstance(node, ast.ClassDef) and node.name == "Type2Orbit"]
+    orbit.body += ast.parse("def text(self):\n    return ''\n").body
+    assert shared_members(modules)["text"] == {"Circulant", "Type2Orbit"}
 
 
 def test_guard_flags_a_field_nothing_reads():
