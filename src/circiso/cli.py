@@ -12,7 +12,6 @@ from .errors import CircisoError, ParseError, ReportError
 from .iso_oracle import verify_witness
 from .products import SCAN_HEADER, product_witness, scan_conjecture
 from .reporting import (
-    all_passed,
     assertion,
     circulant_json,
     make_report,
@@ -34,12 +33,7 @@ MAX_ORDER = 2**17
 def _graph_from_args(args) -> Circulant:
     """The graph of a t1, t2 or classify command, checked against MAX_ORDER
     before anything of its order is built."""
-    if args.graph is not None:
-        g = parse_graph(args.graph)
-    elif args.n is not None and args.set is not None:
-        g = parse_graph(f"n={args.n};R={args.set}")
-    else:
-        raise ParseError("no graph given: pass `n=<int>;R=...` or --n with --set")
+    g = parse_graph(args.graph)
     if g.n > MAX_ORDER:
         raise CircisoError(f"order {g.n} exceeds the limit of {MAX_ORDER} for this command")
     return g
@@ -63,7 +57,7 @@ def _emit(report: dict, args) -> int:
         print(report["results"]["summary"])
         if args.out:
             print(f"report written to {args.out}")
-    return 0 if all_passed(report) else 1
+    return 0 if all(a["passed"] for a in report["assertions"]) else 1
 
 
 def _member_summary(members) -> str:
@@ -84,7 +78,7 @@ def _stored(witnesses: list, graphs, checks: list) -> list:
     return []
 
 
-def cmd_t1(args) -> int:
+def cmd_t1(args) -> dict:
     g = _graph_from_args(args)
     orbit = type1_set(g)
     table = type1_group_table(orbit)
@@ -108,10 +102,10 @@ def cmd_t1(args) -> int:
         "witnesses": witnesses,
         "summary": _member_summary(orbit.members),
     }
-    return _emit(make_report(["t1", g.text()], {"graph": g.text()}, results, checks), args)
+    return make_report(["t1", g.text()], {"graph": g.text()}, results, checks)
 
 
-def cmd_t2(args) -> int:
+def cmd_t2(args) -> dict:
     g = _graph_from_args(args)
     m = args.m
     try:
@@ -122,8 +116,7 @@ def cmd_t2(args) -> int:
             raise
         hint = (f"valid m for {g.label()}: {', '.join(map(str, ok))}"
                 if ok else f"no valid m exists for {g.label()}")
-        print(f"error: {e}\nhint: {hint}", file=sys.stderr)
-        return 2
+        raise CircisoError(f"{e}\nhint: {hint}") from e
     group = type2_group_check(orbit)
     checks = [
         assertion("t-stabilizer contains 0", group.contains_zero),
@@ -147,10 +140,7 @@ def cmd_t2(args) -> int:
         "witnesses": witnesses,
         "summary": f"T2 set (m={m}): " + _member_summary(orbit.members),
     }
-    return _emit(
-        make_report(["t2", g.text(), f"m={m}"], {"graph": g.text(), "m": m}, results, checks),
-        args,
-    )
+    return make_report(["t2", g.text(), f"m={m}"], {"graph": g.text(), "m": m}, results, checks)
 
 
 def _classification_consistent(cls, m: int) -> bool:
@@ -163,7 +153,7 @@ def _classification_consistent(cls, m: int) -> bool:
             and cls.witness is not None)
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> dict:
     g = _graph_from_args(args)
     cls = classify_theta(ThetaMap(g.n, args.m, args.t), g)
     witnesses = [] if cls.witness is None else [cls.witness]
@@ -184,14 +174,11 @@ def cmd_classify(args) -> int:
         "summary": f"{g.label()} under theta(m={args.m},t={args.t}): {cls.kind}"
                    + (f" -> {cls.image.label()}" if cls.image else ""),
     }
-    return _emit(
-        make_report(["classify", g.text(), f"m={args.m}", f"t={args.t}"],
-                    {"graph": g.text(), "m": args.m, "t": args.t}, results, checks),
-        args,
-    )
+    return make_report(["classify", g.text(), f"m={args.m}", f"t={args.t}"],
+                       {"graph": g.text(), "m": args.m, "t": args.t}, results, checks)
 
 
-def cmd_product(args) -> int:
+def cmd_product(args) -> dict:
     g = parse_graph(args.left)
     if args.kind == "coprime":
         if args.right is None:
@@ -219,7 +206,7 @@ def cmd_product(args) -> int:
         "witnesses": witnesses,
         "summary": f"{name} = {result.label()}",
     }
-    return _emit(make_report(["product", args.kind], inputs, results, checks), args)
+    return make_report(["product", args.kind], inputs, results, checks)
 
 
 def _read_witnesses(path: str) -> list:
@@ -250,7 +237,7 @@ def _read_witnesses(path: str) -> list:
     return out
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> dict:
     witnesses = _read_witnesses(args.report)
     # every witness is read, both endpoints built, before any is verified
     checks = [assertion(f"witness {i}: {label}", verify_witness(w), w.origin)
@@ -259,11 +246,10 @@ def cmd_verify(args) -> int:
         checks.append(assertion("no witnesses found in report", False, args.report))
     results_out = {"checked": len(witnesses),
                    "summary": f"re-verified {len(witnesses)} witnesses from {args.report}"}
-    return _emit(make_report(["verify", args.report], {"report": args.report},
-                             results_out, checks), args)
+    return make_report(["verify", args.report], {"report": args.report}, results_out, checks)
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args) -> dict:
     checks = SECTIONS[args.section]()
     passed = sum(1 for c in checks if c["passed"])
     results = {
@@ -272,14 +258,11 @@ def cmd_reproduce(args) -> int:
         "passed": passed,
         "summary": f"section {args.section}: {passed}/{len(checks)} assertions passed",
     }
-    return _emit(
-        make_report(["reproduce", f"section={args.section}"], {"section": args.section},
-                    results, checks),
-        args,
-    )
+    return make_report(["reproduce", f"section={args.section}"], {"section": args.section},
+                       results, checks)
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args) -> dict:
     report = scan_conjecture(args.n1, args.n2, budget=args.budget)
     checks = []
     for c in report.cases:
@@ -307,18 +290,8 @@ def cmd_scan(args) -> int:
         "budget_exhausted": report.exhausted,
         "summary": f"{SCAN_HEADER}; {len(report.cases)} cases scanned",
     }
-    return _emit(
-        make_report(["scan-conjecture", str(args.n1), str(args.n2)],
-                    {"n1": args.n1, "n2": args.n2, "budget": args.budget},
-                    results, checks),
-        args,
-    )
-
-
-def _add_graph_opts(p):
-    p.add_argument("graph", nargs="?", help="graph text n=<int>;R=<int>,<int>,...")
-    p.add_argument("--n", type=int, help="order (alternative to graph text)")
-    p.add_argument("--set", help="comma-separated offsets (alternative to graph text)")
+    return make_report(["scan-conjecture", str(args.n1), str(args.n2)],
+                       {"n1": args.n1, "n2": args.n2, "budget": args.budget}, results, checks)
 
 
 def _add_output_opts(p):
@@ -338,18 +311,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("t1", help="unit-multiplication orbit of a graph")
-    _add_graph_opts(p)
+    p.add_argument("graph", help="graph text n=<int>;R=<int>,<int>,...")
     _add_output_opts(p)
     p.set_defaults(fn=cmd_t1)
 
     p = sub.add_parser("t2", help="Type-2 set of a graph w.r.t. m")
-    _add_graph_opts(p)
+    p.add_argument("graph", help="graph text n=<int>;R=<int>,<int>,...")
     p.add_argument("--m", type=int, required=True)
     _add_output_opts(p)
     p.set_defaults(fn=cmd_t2)
 
     p = sub.add_parser("classify", help="classify a single theta transform")
-    _add_graph_opts(p)
+    p.add_argument("graph", help="graph text n=<int>;R=<int>,<int>,...")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     _add_output_opts(p)
@@ -385,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _emit(args.fn(args), args)
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

@@ -121,18 +121,17 @@ def _connected_sets(n: int):
                 yield g
 
 
-def _diagonal_pairs(n1: int, n2: int, limit: int):
+def _diagonal_pairs(n1: int, n2: int):
     """Pair the two enumerations diagonally so both sides vary early on:
-    diagonal s holds (left[i], right[s - i]), i descending. Each side
-    stops at limit + 1 sets, one extra so a scan can tell a completed
-    enumeration from a budget cut, and is drawn one set per diagonal, only
-    as far as the diagonals reach: i and s - i never exceed s, so diagonal
-    s reads only sets drawn by then. The walk ends at the first
-    s > L + R - 2 for the L and R sets drawn: with both sides nonempty,
-    neither grew at s, and every s - i with i < L is at least R.
+    diagonal s holds (left[i], right[s - i]), i descending. Each side is
+    drawn one set per diagonal, only as far as the diagonals reach: i and
+    s - i never exceed s, so diagonal s reads only sets drawn by then, and
+    the first k + 1 pairs, all a scan of budget k reads, draw at most
+    k + 1 sets per side. The walk ends at the first s > L + R - 2 for the
+    L and R sets drawn: with both sides nonempty, neither grew at s, and
+    every s - i with i < L is at least R.
     """
-    sides = (itertools.islice(_connected_sets(n1), limit + 1),
-             itertools.islice(_connected_sets(n2), limit + 1))
+    sides = (_connected_sets(n1), _connected_sets(n2))
     left, right = [], []
     for s in itertools.count():
         left.extend(itertools.islice(sides[0], 1))
@@ -178,7 +177,7 @@ def scan_conjecture(n1: int, n2: int, budget: int, pairs=None) -> ConjectureRepo
     if budget < 1:
         raise InvalidParams(f"budget must be at least 1, got {budget}")
     if pairs is None:
-        pair_iter = _diagonal_pairs(n1, n2, budget)
+        pair_iter = _diagonal_pairs(n1, n2)
     else:
         pair_iter = iter(pairs)
     cases = []

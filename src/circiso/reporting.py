@@ -27,16 +27,6 @@ def _timestamp() -> str:
     return "%04d-%02d-%02dT%02d:%02d:%02d+00:00" % time.gmtime(ts)[:6]
 
 
-def make_meta(command: list) -> dict:
-    return {
-        "schema": SCHEMA,
-        "tool": "circiso",
-        "version": __version__,
-        "timestamp": _timestamp(),
-        "command": list(command),
-    }
-
-
 def circulant_json(g: Circulant) -> dict:
     return {"n": g.n, "conn": list(g.conn)}
 
@@ -141,7 +131,8 @@ def assertion(name: str, passed: bool, detail: str = "") -> dict:
 
 def make_report(command: list, input_obj, results, assertions) -> dict:
     return {
-        "meta": make_meta(command),
+        "meta": {"schema": SCHEMA, "tool": "circiso", "version": __version__,
+                 "timestamp": _timestamp(), "command": list(command)},
         "input": input_obj,
         "results": results,
         "assertions": assertions,
@@ -206,7 +197,3 @@ def _write(v, nl: str, out: list, strs: dict) -> None:
         out.append(nl + "]")
     else:
         out.append(json.dumps(v))
-
-
-def all_passed(report: dict) -> bool:
-    return all(a["passed"] for a in report["assertions"])

@@ -8,6 +8,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -62,11 +63,6 @@ def test_t1_json_output(capsys):
     assert len(doc["results"]["members"]) == 3
     assert all(a["passed"] for a in doc["assertions"])
     assert all(w["verified"] for w in doc["results"]["witnesses"])
-
-
-def test_t1_flag_style_graph(capsys):
-    code, out, _ = run(capsys, "t1", "--n", "16", "--set", "1,2,7")
-    assert code == 0
 
 
 def _forbid_calls(monkeypatch, *fns):
@@ -773,6 +769,38 @@ def test_no_bare_asserts_in_source():
         assert not lines, f"{path.name} has assert statements at lines {lines}"
 
 
+def test_one_command_path():
+    # each cmd_* returns its report, and main alone hands it to _emit and
+    # writes errors, so output and exit codes have one path
+    path = SRC / "circiso" / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    callers = {"print": set(), "_emit": set()}
+    commands = []
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_"):
+            commands.append(fn.name)
+            last = fn.body[-1]
+            assert (isinstance(last, ast.Return) and isinstance(last.value, ast.Call)
+                    and getattr(last.value.func, "id", None) == "make_report"), fn.name
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in callers:
+                callers[node.func.id].add(getattr(fn, "name", None))
+    assert len(commands) == 7
+    assert callers == {"print": {"_emit", "main"}, "_emit": {"main"}}
+
+
+def test_readme_examples_parse():
+    # every `circiso ...` line of README's sh blocks is a call the parser
+    # takes, so the docs name no option the CLI lacks
+    text = (SRC.parent / "README.md").read_text()
+    lines = [line.partition("#")[0] for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for line in block.splitlines() if line.startswith("circiso ")]
+    assert len(lines) >= 9
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line)[1:])
+    assert not re.search(r"--(n|set)\b", text)
+
+
 def test_edge_graphs_built_only_by_the_builders():
     # EdgeGraph does not check its edges, so it may be constructed only in
     # the builders that emit (a, b) with 0 <= a < b < n by construction:
@@ -1043,6 +1071,17 @@ def test_scan_conjecture_rejects_budget_below_one(capsys, budget):
     assert err == f"error: budget must be at least 1, got {budget}\n"
 
 
+def test_scan_conjecture_takes_any_budget(capsys):
+    # a scan reads at most budget + 1 pairs, so no count is derived from the
+    # budget: one past sys.maxsize runs the whole enumeration, also under -O
+    argv = ["scan-conjecture", "--n1", "4", "--n2", "9", "--budget", str(2**63 - 1)]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "28 cases scanned" in out
+    res = subprocess.run([sys.executable, "-O", "-m", "circiso", *argv], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert res.returncode == 0 and "28 cases scanned" in res.stdout, res.stderr
+
+
 def test_memory_error_exits_2_with_one_line(capsys, monkeypatch):
     # an order below MAX_ORDER can still exhaust memory, as t1 at order 8191
     # does under a 1 GiB address-space limit
@@ -1090,10 +1129,14 @@ def test_huge_orders_exit_2_under_a_memory_limit(argv):
 
 
 def test_order_limit_is_inclusive(capsys):
-    code, _, err = run(capsys, "t1", "--n", str(cli.MAX_ORDER + 1), "--set", "1")
+    code, _, err = run(capsys, "t1", f"n={cli.MAX_ORDER + 1};R=1")
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
     code, out, _ = run(capsys, "classify", f"n={cli.MAX_ORDER};R=1,2,3", "--m", "2", "--t", "0")
     assert code == 0 and "identity" in out
+    # a graph is given only as graph text: --n and --set are no options
+    with pytest.raises(SystemExit) as exit_info:
+        main(["t1", "--n", "16", "--set", "1,2,7"])
+    assert exit_info.value.code == 2
 
 
 def test_classify_bad_params_exit_code(capsys):

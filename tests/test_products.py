@@ -238,17 +238,20 @@ def _full_draw_diagonal_pairs(n1, n2, limit):
 
 def test_diagonal_pairs_match_a_full_draw():
     # drawing each side only as far as the diagonals reach changes no pair,
-    # whether the limit or an enumeration runs out first
+    # whether the limit or an enumeration runs out first: the first
+    # limit + 1 pairs are those of both sides capped at limit + 1 sets, so
+    # a scan of budget limit, which reads at most limit + 1 pairs, needs
+    # no cap on either side
     for n1, n2 in ((3, 4), (5, 7), (7, 8), (9, 4)):
         for limit in range(40):
-            assert (list(products._diagonal_pairs(n1, n2, limit))
-                    == _full_draw_diagonal_pairs(n1, n2, limit))
+            assert (list(itertools.islice(products._diagonal_pairs(n1, n2), limit + 1))
+                    == _full_draw_diagonal_pairs(n1, n2, limit)[:limit + 1])
 
 
 def test_diagonal_pairs_under_a_huge_limit():
     # the first 55 pairs fill diagonals 0..9, so they read the first ten
-    # sets of each side, whatever the limit: a limit of 10**9 draws no more
-    first = list(itertools.islice(products._diagonal_pairs(64, 81, 10**9), 55))
+    # sets of each side, and draw no more
+    first = list(itertools.islice(products._diagonal_pairs(64, 81), 55))
     assert first == _full_draw_diagonal_pairs(64, 81, 9)[:55]
     assert len({a for a, _ in first}) == len({b for _, b in first}) == 10
 
