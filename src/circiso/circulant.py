@@ -45,11 +45,6 @@ class Circulant(NamedTuple("Circulant", [("n", int), ("conn", tuple[int, ...])])
         neighbours except n/2, which can only be the last and gives one."""
         return 2 * len(self.conn) - (2 * self.conn[-1] == self.n)
 
-    @classmethod
-    def reduced(cls, n: int, values) -> "Circulant":
-        """Build C_n(R) from arbitrary nonzero residues via reflexive reduction."""
-        return cls(n, reflexive_reduce(values, n))
-
     @property
     def edge_count(self) -> int:
         return self.n * self.degree // 2
@@ -74,11 +69,15 @@ class Circulant(NamedTuple("Circulant", [("n", int), ("conn", tuple[int, ...])])
 def parse_graph(text: str) -> Circulant:
     """Parse `n=<int>;R=<int>,<int>,...` (whitespace-insensitive).
 
-    Raises ParseError naming the byte offset of the first offending
+    Raises ParseError naming the UTF-8 byte offset of the first offending
     character. Offsets may be given in any order but must already lie in
     [1, n//2]; out-of-range values are an error, not silently reduced.
     """
     i = 0
+
+    def error(what: str) -> ParseError:
+        at = len(text[:i].encode("utf-8", "surrogateescape"))  # undecodable argv bytes: 1 each
+        return ParseError(f"{what} at byte {at} in graph text {text!r}")
 
     def skip_ws():
         nonlocal i
@@ -89,7 +88,7 @@ def parse_graph(text: str) -> Circulant:
         nonlocal i
         skip_ws()
         if not text[i : i + len(tok)].lower() == tok:
-            raise ParseError(f"expected {tok!r} at byte {i} in graph text {text!r}")
+            raise error(f"expected {tok!r}")
         i += len(tok)
 
     def number() -> int:
@@ -101,11 +100,11 @@ def parse_graph(text: str) -> Circulant:
         while j < len(text) and "0" <= text[j] <= "9":
             j += 1
         if j == i:
-            raise ParseError(f"expected an integer at byte {i} in graph text {text!r}")
+            raise error("expected an integer")
         try:
             v = int(text[i:j])
         except ValueError as e:  # more digits than int() converts
-            raise ParseError(f"{e} at byte {i} in graph text {text!r}") from e
+            raise error(str(e)) from e
         i = j
         return v
 
@@ -122,7 +121,7 @@ def parse_graph(text: str) -> Circulant:
         vals.append(number())
         skip_ws()
     if i != len(text):
-        raise ParseError(f"trailing garbage at byte {i} in graph text {text!r}")
+        raise error("trailing garbage")
     try:
         return Circulant(n, tuple(sorted(set(vals))))
     except ValueError as e:
@@ -237,7 +236,7 @@ def crt_circulant(m: int, r, n: int, s) -> Circulant:
     takes an offset r of the first factor to exactly n*r and an offset s
     of the second to exactly m*s. A layered product is the ring C_k(1)
     times C_N(R), which gives C_kN({N} ∪ kR)."""
-    return Circulant.reduced(m * n, [n * x for x in r] + [m * y for y in s])
+    return Circulant(m * n, reflexive_reduce([n * x for x in r] + [m * y for y in s], m * n))
 
 
 # only the tests call realize; it stays cached because bench/tracer.py reads its cache_info()

@@ -125,6 +125,8 @@ def cmd_t2(args) -> dict:
         assertion("induced composition closed", group.composition_closed),
         assertion("induced composition abelian", group.abelian),
         assertion("base acts as identity", group.identity_ok),
+        assertion(f"induced composition associativity ({group.associativity})",
+                  group.associativity in ("exhaustive", "structural")),
         *[assertion(f"witness for member {i}", w.verified) for i, w in enumerate(orbit.witnesses)],
     ]
     witnesses = _stored(orbit.witnesses, orbit.members, checks)
@@ -220,9 +222,9 @@ def _read_witnesses(path: str) -> list:
             doc = json.load(fh)
         except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nested too deep
             raise ReportError(f"{path} is not a JSON report: {e}") from e
-    results = doc.get("results", {}) if isinstance(doc, dict) else None
+    results = doc.get("results") if isinstance(doc, dict) else None
     if not isinstance(results, dict):
-        return []
+        raise ReportError(f"{path} is not a report: it has no results object")
     witnesses = results.get("witnesses", [])
     if not isinstance(witnesses, list):
         raise ReportError(f"{path}: results.witnesses is not a list")

@@ -150,25 +150,24 @@ def to_json(report: dict) -> str:
     with str, and a list of them by one call of the C encoder, which
     json.dumps takes without an indent: its item separator is the comma,
     newline and indentation of the indented layout, so it writes the same
-    bytes. None, True and False are written as their literals, and each
-    distinct str, key or leaf, is encoded by json.dumps once per call; the
-    containers are laid out as json lays them out, and any other value is
-    written by json.dumps."""
+    bytes. None, True and False are written as their literals, and a str,
+    key or leaf, by json.encoder.encode_basestring_ascii, the function
+    json.dumps calls for one; the containers are laid out as json lays
+    them out, and any other value is written by json.dumps."""
     out = []
-    _write(report, "\n", out, {})
+    _write(report, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
-def _write(v, nl: str, out: list, strs: dict) -> None:
+def _write(v, nl: str, out: list) -> None:
     """Append the JSON text of v to out; nl is a newline plus the
-    indentation of the line v starts on, and strs maps each str met so far
-    to its JSON text."""
+    indentation of the line v starts on."""
     t = type(v)
     if t is int:
         out.append(str(v))
     elif t is str:
-        out.append(strs.get(v) or strs.setdefault(v, json.dumps(v)))
+        out.append(json.encoder.encode_basestring_ascii(v))
     elif v is None or t is bool:
         out.append("null" if v is None else "true" if v else "false")
     elif isinstance(v, dict) and v:
@@ -176,11 +175,11 @@ def _write(v, nl: str, out: list, strs: dict) -> None:
         sep = "{" + inner
         for k, x in v.items():
             if type(k) is str:
-                key = strs.get(k) or strs.setdefault(k, json.dumps(k))
+                key = json.encoder.encode_basestring_ascii(k)
             else:  # json.dumps turns a non-str key into the string it prints
                 key = json.dumps({k: 0})[1:-4]
             out.append(sep + key + ": ")
-            _write(x, inner, out, strs)
+            _write(x, inner, out)
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(v, (list, tuple)) and v:
@@ -192,7 +191,7 @@ def _write(v, nl: str, out: list, strs: dict) -> None:
         sep = "[" + inner
         for x in v:
             out.append(sep)
-            _write(x, inner, out, strs)
+            _write(x, inner, out)
             sep = "," + inner
         out.append(nl + "]")
     else:

@@ -332,16 +332,18 @@ class Type2GroupReport(NamedTuple):
     composition_closed: bool
     abelian: bool
     identity_ok: bool
+    associativity: str  # "exhaustive", "structural" or "failed"
 
     @property
     def ok(self) -> bool:
         return (self.contains_zero and self.closed and self.has_inverses
-                and self.composition_closed and self.abelian and self.identity_ok)
+                and self.composition_closed and self.abelian and self.identity_ok
+                and self.associativity != "failed")
 
 
 def type2_group_check(orbit: Type2Orbit) -> Type2GroupReport:
     """Verify the t-stabilizer is a subgroup of Z_{n/m} and that the induced
-    composition on members is abelian with the base as identity.
+    composition on members is an abelian group with the base as identity.
 
     Theta maps at one (n, m) compose by adding t mod n/m (type2_set).
     The members are the circulant images of the t in the stabilizer, each
@@ -368,6 +370,7 @@ def type2_group_check(orbit: Type2Orbit) -> Type2GroupReport:
         composition_closed=composition.closed and set(image.values()) == set(orbit.members),
         abelian=composition.commutative,
         identity_ok=composition.identity_ok,
+        associativity=composition.associativity,
     )
 
 

@@ -94,6 +94,12 @@ def test_parse_rejects_non_ascii_digits():
         parse_graph("n=" + "9" * 5000 + ";R=1")  # beyond int()'s digit limit
 
 
+def test_parse_errors_count_utf8_bytes():
+    # U+3000 is whitespace of three UTF-8 bytes: 'x' is character 7, byte 9
+    with pytest.raises(ParseError, match="at byte 9 "):
+        parse_graph("\u3000n=8;R=x")
+
+
 def test_realize_complete_graph():
     assert len(realize(Circulant(4, (1, 2))).edges) == 6
 

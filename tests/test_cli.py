@@ -37,6 +37,7 @@ from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 from oracles import make_witness, search_isomorphism
 from test_iso_oracle import _Reads
 from test_products import layered_graph
+from test_type2 import unassociative_orbit
 
 SRC = pathlib.Path(circiso.__file__).resolve().parents[1]
 A432 = "n=432;R=16,27,48,54,128,160,189"
@@ -539,6 +540,9 @@ NON_CIRCULANT_PARTS = [
     (json.dumps({"results": {"witnesses": [_witness(bijection=[0, 2, "4", 1, 3])]}}),
      "bijection is not a list of integers"),
     (json.dumps({"results": {"witnesses": {"0": _witness()}}}), "is not a list"),
+    # JSON that is no report: no results object at its top level
+    *[pytest.param(doc, "is not a report: it has no results object", id=f"not-a-report-{doc}")
+      for doc in ("[]", "42", "{}", '{"results": []}')],
     # orders and edge counts are checked against the bijection and the cap
     # before any edge set is built
     pytest.param(json.dumps({"results": {"witnesses": [_witness(bijection=list(range(6)))]}}),
@@ -605,6 +609,16 @@ def test_verify_hostile_report_fails_cleanly(tmp_path, capsys, monkeypatch, cont
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_verify_report_without_witnesses_fails(tmp_path, capsys):
+    # a well-formed report that stores no witnesses is read, and its one
+    # assertion fails
+    report = tmp_path / "section3.json"
+    assert run(capsys, "reproduce", "--section", "3", "--out", str(report))[0] == 0
+    code, out, err = run(capsys, "verify", str(report))
+    assert (code, err) == (1, "")
+    assert f"[FAIL] no witnesses found in report -- {report}" in out
 
 
 def test_verify_accepts_handwritten_witness(tmp_path, capsys):
@@ -998,14 +1012,15 @@ def test_reports_are_byte_stable(tmp_path, capsys, monkeypatch):
 A6750 = "n=6750;R=135,243,250,750,1107,1593,2000,2457,2500,2943"
 # sha256 of each command's --json report under SOURCE_DATE_EPOCH=0, as the
 # writer and the classification stood before Type-2 orbits were kept in
-# lattice form; a change to any report's bytes shows here
+# lattice form, the t2 reports with their associativity assertion added; a
+# change to any report's bytes shows here
 REPORT_DIGESTS = {
     ("t2", "n=16;R=1,2,7", "--m", "2"):
-        "39f1dbb79a1621c25173a0fdf9d3d17de9b1c457c8edafe84e8a50a171c2f60c",
-    ("t2", A432, "--m", "2"): "c0d44fb895c38b40bfd91c45da1da4d266af91192debb8a584bbe9d1526ca6b3",
-    ("t2", A432, "--m", "3"): "4c3fffae4116ef3e2ac6319c20a5e2e38aa80851c968397ca64d4aaab021bd4a",
-    ("t2", A6750, "--m", "3"): "52641e4eed11dcbaf154ec0a3fb13f438918cf49cba1d28a41ba8834ecd2ae00",
-    ("t2", A6750, "--m", "5"): "64382f5e256a46d49201c3b5208b4ad9a47c45b10e76a80860bc8612f37c98f2",
+        "0713640b9b0c661ab2b5225d184c6071e629c5c1d90a63250b3b24d5570f8977",
+    ("t2", A432, "--m", "2"): "deb4e5170bbf34e878997b50ed0a314d901a86a647ba6544bd493949f804d15c",
+    ("t2", A432, "--m", "3"): "e08b0d76c72e5e4abc3755ccc40dd33c7c3e41f000ab2573454661943907aea4",
+    ("t2", A6750, "--m", "3"): "8161dbcbd834ea44fb26e77efd784335cb4bc25a6af5e94330848d429a77f9de",
+    ("t2", A6750, "--m", "5"): "c48c079e52bbda60161d2fee5d40a25c7d89c6422cc2e6a142aaeeb0393f66e9",
     ("classify", "n=16;R=1,2,7", "--m", "2", "--t", "2"):
         "d7ab038c8b281dfb7e42efdff94414cdd63d0018d4dead4fe862bd327da67dce",
     ("t1", A432): "4d76fd36f213c96e19e85c6d3ec0ebb1cf154e3ed30741dad759df42ffdc5131",
@@ -1139,6 +1154,14 @@ def test_order_limit_is_inclusive(capsys):
     assert exit_info.value.code == 2
 
 
+def test_t2_asserts_associativity(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "type2_set", lambda g, m: unassociative_orbit())
+    code, out, _ = run(capsys, "t2", A432, "--m", "3")
+    assert code == 1
+    assert out.splitlines()[5:7] == ["[PASS] base acts as identity",
+                                     "[FAIL] induced composition associativity (failed)"]
+
+
 def test_classify_bad_params_exit_code(capsys):
     code, _, err = run(capsys, "classify", "n=432;R=16,27,48", "--m", "3", "--t", "999")
     assert code == 2
@@ -1158,6 +1181,17 @@ def test_module_entry_point_subprocess():
     doc = json.loads(res.stdout)
     assert doc["results"]["kind"] == "type2"
     assert doc["results"]["image"]["conn"] == [2, 3, 5]
+
+
+def test_parse_error_offset_counts_argv_bytes():
+    # graph text as argv bytes: an ideographic space (three bytes), then an
+    # undecodable byte where an offset belongs, at byte 3 + 8
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUTF8="1")
+    res = subprocess.run([sys.executable, "-m", "circiso", "classify", b"\xe3\x80\x80n=8;R=1,\xff",
+                          "--m", "2", "--t", "0"], capture_output=True, env=env, timeout=60)
+    assert (res.returncode, res.stdout) == (2, b"")
+    assert res.stderr.startswith(b"parse error: expected an integer at byte 11 ")
+    assert res.stderr.count(b"\n") == 1
 
 
 def test_reproduce_section3(capsys):

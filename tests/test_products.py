@@ -12,6 +12,7 @@ from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCopri
 from circiso.iso_oracle import verify_witness
 from circiso.products import SCAN_HEADER, product_coprime, product_witness, scan_conjecture
 from circiso.reporting import graph_from_desc
+from circiso.residue import reflexive_reduce
 from circiso.type1 import adams_apply
 from circiso.type2 import valid_type2_ms
 
@@ -159,7 +160,7 @@ def test_layered_witness_is_the_crt_embedding(case):
     kind, g = case
     result, w = product_witness(kind, g)
     k = products.LAYERS[kind]
-    assert result == Circulant.reduced(k * g.n, [k * r for r in g.conn] + [g.n])
+    assert result == Circulant(k * g.n, reflexive_reduce([k * r for r in g.conn] + [g.n], k * g.n))
     assert w.verified and verify_witness(w)
     assert w.source == Product((k, g)) and w.target == result
     assert w.source.edges == layered_graph(kind, g).edges

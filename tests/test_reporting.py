@@ -25,17 +25,22 @@ class _Level(IntEnum):
     HIGH = 10**20
 
 
+class _Name(str):
+    pass
+
+
 def oracle(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
 _INTS = st.integers() | st.integers(-(2**200), 2**200)
-_LEAVES = (st.none() | st.booleans() | _INTS | st.floats()
-           | st.text(st.characters(codec="utf-8"), max_size=8))
+# any code point, lone surrogates too: json.dumps escapes each of them
+_CHARS = st.characters(exclude_categories=())
+_LEAVES = (st.none() | st.booleans() | _INTS | st.floats() | st.text(_CHARS, max_size=8))
 # int lists are written by a join of their own, so they come in whole, with a
 # bool among them now and then (json prints it as true/false, not 1/0)
 _INT_LISTS = st.lists(_INTS, max_size=6) | st.lists(_INTS | st.booleans(), min_size=1, max_size=6)
-_KEYS = st.text(max_size=6) | _INTS | st.booleans() | st.none() | st.floats()
+_KEYS = st.text(_CHARS, max_size=6) | _INTS | st.booleans() | st.none() | st.floats()
 
 
 # a named function, not a lambda: Hypothesis reads the source of extend to
@@ -67,6 +72,10 @@ def test_writer_matches_json_dumps(doc):
     # and lists it writes: a tuple, big and negative ints, and a bijection
     # as the commands store it
     (1, 2), [10**40, -3], {"bijection": theta_periodic(432, 2, 54).expand()},
+    # a lone surrogate, value and key; non-ASCII and control-character
+    # keys; a str subclass, value and key, which takes json.dumps's path
+    ["\ud800", "a\udcff"], {"\ud800": 1}, {"é": 1, "\u3000": [2], "\x00\n\x7f": "x"},
+    _Name("name"), [_Name("é")], {_Name("key"): _Name("\x01")},
 ])
 def test_writer_matches_json_dumps_examples(doc):
     assert to_json(doc) == oracle(doc)

@@ -204,6 +204,23 @@ def test_group_check_refuses_a_member_list_that_disagrees_with_the_stabilizer():
         assert not report.composition_closed and not report.ok
 
 
+def unassociative_orbit():
+    """A_1's orbit at m = 3 with the images of t = 16 and t = 32 swapped:
+    every pair of members still composes to a member, commutes and has
+    the base as identity, but the composition is not associative."""
+    orbit = type2_set(A1, 3)
+    outcomes = list(orbit.outcomes)
+    assert [t for t, _, _ in outcomes[1:3]] == [16, 32]
+    outcomes[1], outcomes[2] = (16, *outcomes[2][1:]), (32, *outcomes[1][1:])
+    return orbit._replace(outcomes=tuple(outcomes))
+
+
+def test_group_check_refuses_a_composition_that_is_not_associative():
+    report = type2_group_check(unassociative_orbit())
+    assert report == (True,) * 6 + ("failed",)
+    assert not report.ok
+
+
 def test_type2_set_solves_for_a_unit_only_where_1_plus_mt_fails(monkeypatch):
     # the walk runs in iso_oracle.walk_or_raise, so its check is counted there
     counts = Counter()
