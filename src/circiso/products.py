@@ -8,7 +8,8 @@ from typing import NamedTuple, Optional
 
 from .circulant import (LAYERS, WITNESS_EDGE_CAP, Circulant, Product, crt_circulant,
                         is_connected)
-from .errors import EvenOrder, InvalidParams, NotConnected, NotCoprime, OrderTooSmall
+from .errors import (EvenOrder, InvalidParams, NotConnected, NotCoprime, OrderMismatch,
+                     OrderTooSmall)
 from .iso_oracle import IsoWitness, PeriodicMap, walk_or_raise
 from .residue import check_modulus
 from .type2 import ThetaMap, classify_theta, type2_set, valid_type2_ms
@@ -168,7 +169,9 @@ def scan_conjecture(n1: int, n2: int, budget: int, pairs=None) -> ConjectureRepo
     factor's orbits are computed once per case and feed both its verdict
     and its lifts. Each order and the product's pass check_modulus before
     anything is enumerated, and a budget below 1 is refused: a scan of no
-    cases would read as a completed enumeration.
+    cases would read as a completed enumeration. Given pairs must all have
+    the orders (n1, n2), since each lift scales t by the other factor's
+    order; any other pair is refused before the first case is computed.
     """
     for order in (n1, n2, n1 * n2):
         check_modulus(order)
@@ -179,7 +182,10 @@ def scan_conjecture(n1: int, n2: int, budget: int, pairs=None) -> ConjectureRepo
     if pairs is None:
         pair_iter = _diagonal_pairs(n1, n2)
     else:
-        pair_iter = iter(pairs)
+        pair_iter = tuple(pairs)
+        for left, right in pair_iter:
+            if (left.n, right.n) != (n1, n2):
+                raise OrderMismatch(f"pair orders ({left.n}, {right.n}) != ({n1}, {n2})")
     cases = []
     exhausted = False
     for left, right in pair_iter:

@@ -27,8 +27,11 @@ def reflexive_reduce(values: Iterable[int], n: int) -> tuple[int, ...]:
 
     A value congruent to 0 mod n is rejected outright: a zero offset never
     means anything for a connection set, so malformed input surfaces here.
+    n is not checked again: every caller passes the order of a Circulant
+    or ThetaMap, which check_modulus passed when it was built
+    (type1._scaled, type2._lattice_conn), or the order of the Circulant it
+    builds from the result, which checks it there (circulant.crt_circulant).
     """
-    check_modulus(n)
     out = set()
     for v in values:
         r = v % n

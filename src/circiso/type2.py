@@ -209,13 +209,14 @@ class Type2Orbit(NamedTuple):
     theta(n, m, t) maps the base onto a circulant exactly when step divides
     t (_lattice_step), so outcomes records (t, kind, image) for those t
     alone, ascending, and outcome(t) answers for any t in [0, n/m). The
-    outcomes repeat with the least t > 0 whose image is the base; those up
-    to it were walked edge for edge and the later ones are derived from
-    them (type2_set). The t_stabilizer collects every t whose image is
-    circulant and lies in the member set, and is a subgroup of Z_{n/m}
-    under addition. witnesses holds, for each member after the base is left
-    out and in member order, the witness of its least t with kind "type2",
-    walked by iso_oracle.walk_or_raise.
+    outcomes repeat with the least t > 0 whose image is the base. t = 0,
+    where theta is the identity map, is recorded as the base's "identity";
+    every t > 0 up to that period was walked edge for edge, and the later
+    ones are derived from them (type2_set). The t_stabilizer collects every
+    t whose image is circulant and lies in the member set, and is a
+    subgroup of Z_{n/m} under addition. witnesses holds, for each member
+    after the base is left out and in member order, the witness of its
+    least t with kind "type2", walked by iso_oracle.walk_or_raise.
     """
 
     base: Circulant
@@ -241,9 +242,12 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     _lattice_step and collect the Type-2 orbit of g; no other t in [0, n/m)
     can give a circulant image.
 
-    The lattice t are walked in ascending order up to and including q0, the
-    least t > 0 whose image is g (or all of them, when there is none), and
-    each walked t costs one image build and one edge walk. The image is
+    t = 0 is recorded as (0, "identity", g) without a walk: theta(n, m, 0)
+    is x -> x + (x mod m)*m*0 = x, so its image is g itself. It gives no
+    witness and no member; first holds Type-2 images only. The lattice
+    t > 0 are walked in ascending order up to and including q0, the least
+    t > 0 whose image is g (or all of them, when there is none), and each
+    walked t costs one image build and one edge walk. The image is
     C_n(D_0) (_lattice_conn), one graph value per distinct connection set,
     g itself for g's own set. The walk (iso_oracle.walk_or_raise, which
     classify_theta runs too) is verify_circulant_witness of the theta
@@ -272,10 +276,12 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     shows that theta(q0) maps the edges of g onto those of g, so
     theta(t + q0) = theta(t) after theta(q0) maps g onto the image of t:
     the images, and so the outcomes, repeat with period q0 along the
-    lattice. The kind depends only on the image. A member's least t lies
-    below q0, since subtracting q0 from a larger one gives the same image,
-    so every member keeps a walked witness. If the walk at q0 fails, the
-    loop raises before anything is derived.
+    lattice. Its base case is t = 0, the identity, so every
+    theta(k*q0) = theta(q0)^k maps g onto g. The kind depends only on the
+    image. A member's least t lies below q0, since subtracting q0 from a
+    larger one gives the same image, so every member other than g keeps a
+    walked witness. If the walk at q0 fails, the loop raises before
+    anything is derived.
 
     An image other than g is Type-1 when some unit maps R onto it. The kind
     is decided once per distinct image, first by trying the unit
@@ -294,11 +300,11 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     n, q = g.n, g.n // m
     full = symmetric_set(g)
     step = _lattice_step(_offset_classes(full, m), n)
-    walked = []  # (kind, image) of each walked t, ascending
+    walked = [("identity", g)]  # (kind, image) of each lattice t up to q0, ascending
     seen = {g.conn: (g, "identity")}  # connection set -> its one graph value, its kind
     first = {}  # Type-2 image -> (t, bijection) of its least t
     q0 = q  # theta(q) is theta(0)
-    for t in range(0, q, step):
+    for t in range(step, q, step):
         conn = _lattice_conn(n, m, t, full)
         image, kind = seen.get(conn) or (Circulant(n, conn), None)
         f = walk_or_raise(g, image, theta_periodic(n, m, t), _THETA_ORIGIN, m, t)
@@ -311,7 +317,7 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
             if not unit:
                 first[image] = t, f
         walked.append((kind, image))
-        if t and image is g:
+        if image is g:
             q0 = t
             break
     outcomes = tuple((t, *walked[t % q0 // step]) for t in range(0, q, step))

@@ -6,12 +6,14 @@ from circiso.circulant import (
     Circulant,
     EdgeGraph,
     NotCirculant,
+    crt_circulant,
     is_connected,
     parse_graph,
     realize,
     symmetric_set,
 )
-from circiso.errors import ParseError
+from circiso.errors import CircisoError, ParseError
+from circiso.residue import MAX_MODULUS
 
 from conftest import brute_edges
 from oracles import detect_circulant, permute_edges
@@ -28,6 +30,17 @@ def test_circulant_validation():
         Circulant(16, (9,))  # above n/2
     with pytest.raises(ValueError):
         Circulant(16, (3, 2))  # not ascending
+
+
+def test_crt_circulant_refuses_an_order_past_the_bound():
+    # reflexive_reduce leaves the modulus to its callers; the Circulant
+    # that crt_circulant returns checks m*n and raises the same error
+    m, n = 2**16 + 1, 2**15 + 1
+    assert m * n > MAX_MODULUS
+    with pytest.raises(CircisoError) as err:
+        crt_circulant(m, (1,), n, (1,))
+    assert type(err.value) is CircisoError
+    assert str(err.value) == f"modulus {m * n} exceeds supported bound {MAX_MODULUS}"
 
 
 def test_degree_counts_half_offset_once():

@@ -139,9 +139,10 @@ def _count_calls(monkeypatch, fn, counts):
 
 def test_t2_classifies_each_t_once(capsys, monkeypatch):
     # every t in [0, 216) gets one classification, in order; only the t on
-    # the lattice 54·Z, where A_1's image can be circulant, are handled, by
-    # one edge walk each and no re-detection up to t = 108, where the image
-    # is A_1 again; t = 162 takes the outcome of t = 54 without a walk
+    # the lattice 54·Z, where A_1's image can be circulant, are handled:
+    # t = 0 is the identity without a walk, t = 54 and t = 108, where the
+    # image is A_1 again, take one edge walk each and no re-detection, and
+    # t = 162 takes the outcome of t = 54 without a walk
     counts = Counter()
     _count_calls(monkeypatch, iso_oracle.verify_circulant_witness, counts)
     _count_calls(monkeypatch, type2.theta_image, counts)
@@ -152,7 +153,7 @@ def test_t2_classifies_each_t_once(capsys, monkeypatch):
     assert code == 0 and len(results["witnesses"]) == 1
     assert [c["t"] for c in results["classifications"]] == list(range(216))
     assert [c["t"] for c in results["classifications"] if c["image"]] == [0, 54, 108, 162]
-    assert counts["verify_circulant_witness"] == 3 and counts["theta_image"] == 0
+    assert counts["verify_circulant_witness"] == 2 and counts["theta_image"] == 0
     # m is refused or admitted once, not once per t
     assert counts["_type2_refusal"] == 1
     # the member witness keeps circulant endpoints, so no edge set is built
@@ -242,7 +243,7 @@ def test_t2_parameter_error_has_hint(capsys):
 
 WALK_FAILURES = [
     (("t1", A432), r"adam\(x=\d+\)"),
-    (("t2", "n=432;R=16,27,54,128", "--m", "2"), r"theta\(m=2,t=0\)"),
+    (("t2", "n=432;R=16,27,54,128", "--m", "2"), r"theta\(m=2,t=108\)"),
     (("classify", A432, "--m", "2", "--t", "54"), r"theta\(m=2,t=54\)"),
     (("product", "coprime", "n=16;R=1,2,7", "n=27;R=1,3,8,10"), r"crt-embedding\(16x27\)"),
 ]

@@ -42,8 +42,8 @@ C7 = Circulant(7, (1, 2))
 
 @pytest.mark.parametrize("produce, message", [
     (lambda: classify_theta(ThetaMap(432, 2, 54), A1), r"theta\(m=2,t=54\) does not map C_432\("),
-    # type2_set walks t = 0 first
-    (lambda: type2_set(A1, 2), r"theta\(m=2,t=0\) does not map C_432\("),
+    # type2_set takes t = 0 as the identity and walks t = 54 first
+    (lambda: type2_set(A1, 2), r"theta\(m=2,t=54\) does not map C_432\("),
     # the orbit is built afresh, not read from the cache
     (lambda: type1_set.__wrapped__(A1), r"adam\(x=\d+\) does not map C_432\("),
     # a Product source is named by its factors, a ring of length k as C_k(1)

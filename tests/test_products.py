@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circiso import products, reproduce
+from circiso import iso_oracle, products, reproduce
 from circiso.circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph, Product
-from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime
+from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime, OrderMismatch
 from circiso.iso_oracle import verify_witness
 from circiso.products import SCAN_HEADER, product_coprime, product_witness, scan_conjecture
 from circiso.reporting import graph_from_desc
@@ -216,6 +216,32 @@ def test_scan_computes_each_orbit_once(monkeypatch):
         calls.clear()
         scan_conjecture(16, 27, budget=1, pairs=[pair])
         assert calls and len(calls) == len(set(calls))
+
+
+def test_scan_walks_no_identity(monkeypatch):
+    # one case of the seed pair walks 10 maps: the CRT embedding, the lattice
+    # t > 0 of each orbit up to the base's return (t = 2 and 4 of X1 at
+    # m = 2, t = 1, 2 and 3 of Y1 at m = 3, t = 54 and 108 of the product at
+    # m = 2) and the two lifts; t = 0 of an orbit is the identity, not walked
+    calls = []
+    real = iso_oracle.verify_circulant_witness
+    monkeypatch.setattr(iso_oracle, "verify_circulant_witness",
+                        lambda *args: calls.append(args) or real(*args))
+    [case] = scan_conjecture(16, 27, budget=1, pairs=[(X1, Y1)]).cases
+    assert len(calls) == 10
+    assert [(l.m, l.t, l.lifted_t) for l in case.lifts] == [(2, 2, 54), (3, 1, 16)]
+
+
+def test_scan_refuses_pairs_of_other_orders(monkeypatch):
+    # a lift scales t by the other factor's order, so a pair whose orders
+    # are not (n1, n2) would be lifted wrongly: scanned as 16 x 27, the m = 3
+    # witness t = 1 of C_27(1,3,8,10) beside C_8(1,2,3) would lift to 16,
+    # where the true lift is 8. Every given pair is checked before any case
+    monkeypatch.setattr(products, "product_coprime", None)
+    bad = (Circulant(8, (1, 2, 3)), Y1)
+    for pairs in ([bad], [(X1, Y1), bad], [(Y1, X1)]):
+        with pytest.raises(OrderMismatch, match=r"^pair orders \(\d+, \d+\) != \(16, 27\)$"):
+            scan_conjecture(16, 27, budget=1, pairs=pairs)
 
 
 def test_scan_enumerates_sets_in_combination_order():

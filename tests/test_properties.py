@@ -43,6 +43,7 @@ from circiso.type2 import (
     ThetaMap,
     _class_period,
     _closed_under_addition,
+    _lattice_conn,
     classify_theta,
     theta_image,
     theta_periodic,
@@ -759,6 +760,19 @@ def _orbit_graph(draw):
     g = Circulant(n, reflexive_reduce({*g.conn, m0 * draw(st.integers(1, n // 2 // m0))}, n))
     assume(len(g.conn) >= 3)
     return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(_orbit_graph())
+def test_theta_at_t0_is_the_identity(g):
+    """type2_set records t = 0 as the base's identity without a walk; that
+    rests on theta(n, m, 0) being x -> x, whose image C_n(D_0) is g's own
+    set, at every m the graph admits."""
+    full = symmetric_set(g)
+    for m in valid_type2_ms(g):
+        assert theta_periodic(g.n, m, 0).expand() == tuple(range(g.n))
+        assert _lattice_conn(g.n, m, 0, full) == g.conn
+        assert type2_set(g, m).outcome(0) == (0, "identity", g)
 
 
 def _assert_orbit_matches_classification(g, m):

@@ -2,7 +2,7 @@ import pytest
 
 from circiso.circulant import Circulant
 from circiso.errors import InvalidParams, ZeroOffset
-from circiso.residue import reflexive_reduce, units
+from circiso.residue import check_modulus, reflexive_reduce, units
 from circiso.type2 import ThetaMap, type2_set, valid_type2_ms
 
 from conftest import brute_reflexive
@@ -97,7 +97,9 @@ def test_valid_type2_params_rejects_m1():
 
 
 def test_modulus_bounds():
+    # reflexive_reduce leaves n to its callers, whose Circulant or ThetaMap
+    # has passed check_modulus
     with pytest.raises(ValueError):
-        reflexive_reduce([1], 2)
+        check_modulus(2)
     with pytest.raises(TypeError):
         units("16")

@@ -233,29 +233,31 @@ def test_type2_set_solves_for_a_unit_only_where_1_plus_mt_fails(monkeypatch):
         monkeypatch.setattr(module, name, counting)
     # C_16(1,2) x C_27(1,8) = C_432(16,27,54,128): at m = 3 and 6 every
     # circulant image other than the base is (1 + m*t)*R, and the base
-    # recurs at no t > 0, so every lattice t is walked
+    # recurs at no t > 0, so every lattice t but the identity t = 0 is
+    # walked
     g = product_coprime(Circulant(16, (1, 2)), Circulant(27, (1, 8)))
     for m in (3, 6):
         counts.clear()
         orbit = type2_set(g, m)
         assert orbit.members == (g,)
         assert {kind for _, kind, _ in orbit.outcomes} == {"identity", "type1"}
-        assert counts == {"verify_circulant_witness": len(orbit.outcomes)}
+        assert counts == {"verify_circulant_witness": len(orbit.outcomes) - 1}
     # C_54 at m = 3 has six lattice t and two Type-1 images, first met at
     # t = 3, where 1 + 3t = 10 is no unit, and at t = 6, where 19 maps R
-    # onto the image: one solve. The base recurs at t = 9, so 4 of the 6 t
-    # are walked and t = 12, 15 take the outcomes of t = 3, 6
+    # onto the image: one solve. The base recurs at t = 9, so 3 of the 6 t
+    # are walked, t = 0 is the identity and t = 12, 15 take the outcomes of
+    # t = 3, 6
     counts.clear()
     orbit = type2_set(Circulant(54, (2, 6, 9, 11, 16, 25, 27)), 3)
     assert len(orbit.outcomes) == 6 and orbit.members == (orbit.base,)
-    assert counts == {"is_adams_isomorphic": 1, "verify_circulant_witness": 4}
+    assert counts == {"is_adams_isomorphic": 1, "verify_circulant_witness": 3}
     assert [o[1:] for o in orbit.outcomes[4:]] == [o[1:] for o in orbit.outcomes[1:3]]
     # C_131072(2,4,6) at m = 2 has 65,536 lattice t and its image at t = 1 is
-    # the base: two walks, and every other outcome is derived
+    # the base: one walk, and every other outcome is derived
     counts.clear()
     g = Circulant(131072, (2, 4, 6))
     orbit = type2_set(g, 2)
-    assert counts == {"verify_circulant_witness": 2}
+    assert counts == {"verify_circulant_witness": 1}
     assert orbit.step == 1 and orbit.outcomes[-1] == (65535, "identity", g)
     assert len(orbit.t_stabilizer) == 65536 and orbit.members == (g,)
 
