@@ -20,11 +20,12 @@ class PeriodicMap(NamedTuple("PeriodicMap", [("n", int), ("p", int), ("c", int),
     every i in [0, p) and every integer k.
 
     A theta map x -> x + (x mod m)*m*t is (p = c = m,
-    head = (i + i*m*t mod n for i < m)), an Adam map v -> x*v is (p = 1,
-    c = x, head = (0,)), and the CRT embedding (x, y) -> n*x + m*y of a
-    product G x H, |G| = m and |H| = n, is (p = c = n,
-    head = (m*y for y < n)). Construction checks in O(p) that f is a
-    well-defined bijection, by the criterion below, and raises
+    head = (i + i*m*t mod n for i < m)), or, when m²*t ≡ 0 (mod n), the
+    unit map it equals, (p = 1, c = 1 + m*t, head = (0,)); an Adam map
+    v -> x*v is (p = 1, c = x, head = (0,)), and the CRT embedding
+    (x, y) -> n*x + m*y of a product G x H, |G| = m and |H| = n, is
+    (p = c = n, head = (m*y for y < n)). Construction checks in O(p) that
+    f is a well-defined bijection, by the criterion below, and raises
     NotAPermutation otherwise; head and c are kept reduced mod n. It also
     refuses p not dividing n and a head of other than p values: the sets
     {i + k*p} are then not the p residue classes mod p.
@@ -202,11 +203,11 @@ def verify_circulant_witness(g: Union[Circulant, Product], h: Circulant, f: Peri
     """True iff the periodic bijection f maps g edge for edge onto
     h = C_n(S), read over the period of f. The source g is a Circulant,
     or a Product such as the source of a CRT embedding; a Product target
-    raises TargetNotCirculant. A theta map (p = m) takes one test per
-    offset divisible by m, and a CRT embedding of G x H (p = |H|, whose
-    steps have block |H|, while G's or the ring's are global with shifts
-    that are multiples of |H|) |H| per offset of H and one per offset
-    of G."""
+    raises TargetNotCirculant. A theta map takes one test per offset
+    divisible by its period p (m, or 1 when it is a unit map), and a CRT
+    embedding of G x H (p = |H|, whose steps have block |H|, while G's or
+    the ring's are global with shifts that are multiples of |H|) |H| per
+    offset of H and one per offset of G."""
     n = _order(g, h)
     if f.n != n:
         raise NotAPermutation(f"bijection permutes Z_{f.n}, not Z_{n}")

@@ -19,7 +19,9 @@ class ThetaMap(NamedTuple("ThetaMap", [("n", int), ("m", int), ("t", int)])):
     Valid only when m > 1, m^3 divides n and 0 <= t < n/m; the induced map
     is then always a permutation of Z_n (classes mod m are preserved, and
     the shift inside a class is constant). Since theta(x + m) = theta(x) + m,
-    the map is the PeriodicMap theta_periodic(n, m, t).
+    the map is the PeriodicMap theta_periodic(n, m, t), of period m, or of
+    period 1 when m²*t ≡ 0 (mod n): it is then the unit map
+    v -> (1 + m*t)*v.
     """
 
     __slots__ = ()
@@ -40,10 +42,21 @@ _THETA_ORIGIN = "theta(m={},t={})"
 
 
 def theta_periodic(n: int, m: int, t: int) -> PeriodicMap:
-    """The vertex map of theta(n, m, t) as the PeriodicMap
-    (p, c, head) = (m, m, (i + i*m*t mod n for i < m)); its construction
-    checks that it is a bijection."""
+    """The vertex map of theta(n, m, t), for m | n, as a PeriodicMap at its
+    least period; its construction checks that it is a bijection.
+
+    When m²*t ≡ 0 (mod n) it is the unit map v -> (1 + m*t)*v, the
+    PeriodicMap (p, c, head) = (1, 1 + m*t, (0,)) that adams_periodic
+    builds: theta(x) - (1 + m*t)*x = m*t*((x mod m) - x) = -m²*t*(x // m),
+    a multiple of n. And 1 + m*t is a unit: for a prime r | n, either
+    r | m, or r ∤ m and n | m²*t force r | t; both give 1 + m*t ≡ 1
+    (mod r). The walk (iso_oracle._walk) reads such a map with one lookup
+    per offset of a circulant, whose steps are all global shifts, each a
+    multiple of p = 1. Any other t gives (m, m, (i + i*m*t mod n for i < m)),
+    read with up to m lookups per offset not divisible by m."""
     mt = m * t
+    if m * mt % n == 0:
+        return PeriodicMap(n, 1, 1 + mt, (0,))
     return PeriodicMap(n, m, m, tuple(i + i * mt for i in range(m)))
 
 
@@ -247,7 +260,8 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     witness and no member; first holds Type-2 images only. The lattice
     t > 0 are walked in ascending order up to and including q0, the least
     t > 0 whose image is g (or all of them, when there is none), and each
-    walked t costs one image build and one edge walk. The image is
+    walked t costs one image build and one edge walk, which reads one
+    difference per offset when theta(n, m, t) has period 1. The image is
     C_n(D_0) (_lattice_conn), one graph value per distinct connection set,
     g itself for g's own set. The walk (iso_oracle.walk_or_raise, which
     classify_theta runs too) is verify_circulant_witness of the theta
@@ -284,7 +298,11 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     anything is derived.
 
     An image other than g is Type-1 when some unit maps R onto it. The kind
-    is decided once per distinct image, first by trying the unit
+    is decided once per distinct image. At m²*t ≡ 0 (mod n) the walked map
+    has period 1 (theta_periodic): it is v -> c*v, c = 1 + m*t, and
+    PeriodicMap checked that c is a unit, so the walk itself showed that
+    c*R, reduced reflexively, is the image's connection set S, and the
+    image is Type-1. Otherwise the kind is decided first by trying the unit
     u = 1 + m*t: if gcd(u, n) = 1 and u*R, reduced reflexively, is the
     image's connection set S, u is the certificate (it is the test
     adams_apply(g, u) == image, without building the graph). Only when it
@@ -310,7 +328,7 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
         f = walk_or_raise(g, image, theta_periodic(n, m, t), _THETA_ORIGIN, m, t)
         if kind is None:
             u = 1 + m * t
-            unit = (gcd(u, n) == 1 and _scaled(g, u) == conn
+            unit = (f.p == 1 or gcd(u, n) == 1 and _scaled(g, u) == conn
                     or is_adams_isomorphic(g, image) is not None)
             kind = "type1" if unit else "type2"
             seen[conn] = image, kind

@@ -130,13 +130,16 @@ def theta_compose(a: ThetaMap, b: ThetaMap) -> ThetaMap:
 def _composes(a: ThetaMap, b: ThetaMap, c: ThetaMap) -> bool:
     """Whether theta c is theta a after theta b, for three maps at one (n, m).
 
-    Each map is a PeriodicMap with period and step m, so f(x + m) = f(x) + m.
-    Then a(b(x + m)) = a(b(x) + m) = a(b(x)) + m, so the composite has the
-    same form, and two such maps agree everywhere iff they agree on
-    x in [0, m). Comparing m values is a complete check.
+    Every theta map has f(x + m) = f(x) + m, whether theta_periodic gives
+    it at period m or, as a unit map v -> (1 + m*t)*v, at period 1 (then
+    f(x + m) = f(x) + m + m²*t, and m²*t ≡ 0 mod n). Then
+    a(b(x + m)) = a(b(x) + m) = a(b(x)) + m, so the composite has the same
+    form, and two such maps agree everywhere iff they agree on x in [0, m).
+    Comparing m values, each read with periodic_value, is a complete check.
     """
     fa, fb, fc = (theta_periodic(x.n, x.m, x.t) for x in (a, b, c))
-    return all(fc.head[x] == periodic_value(fa, fb.head[x]) for x in range(a.m))
+    return all(periodic_value(fc, x) == periodic_value(fa, periodic_value(fb, x))
+               for x in range(a.m))
 
 
 def counterexamples(report: ConjectureReport) -> tuple[ConjectureCase, ...]:

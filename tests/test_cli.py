@@ -254,10 +254,14 @@ def test_walk_failure_exits_2_with_one_line(capsys, monkeypatch, argv, origin):
     # a walk fails only through a bug; every command that walks then exits 2
     # with main's one error line, which names the map, and t2 gives no hint
     type1_set.cache_clear()
-    monkeypatch.setattr(iso_oracle, "verify_circulant_witness", lambda g, h, f: False)
+    maps = []
+    monkeypatch.setattr(iso_oracle, "verify_circulant_witness",
+                        lambda g, h, f: maps.append(f) and False)
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert re.match(f"error: {origin} does not map ", err) and err.count("\n") == 1
+    if argv[0] == "t2":  # 2²·108 ≡ 0 (mod 432): the failed map is v -> 217v, of period 1
+        assert [(f.p, f.c) for f in maps] == [(1, 217)]
 
 
 def test_walk_failure_exits_2_under_optimize():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circiso import iso_oracle, products, reproduce
+from circiso import iso_oracle, products, reproduce, type2
 from circiso.circulant import WITNESS_EDGE_CAP, Circulant, EdgeGraph, Product
 from circiso.errors import EvenOrder, InvariantViolation, NotConnected, NotCoprime, OrderMismatch
 from circiso.iso_oracle import verify_witness
@@ -222,13 +222,23 @@ def test_scan_walks_no_identity(monkeypatch):
     # one case of the seed pair walks 10 maps: the CRT embedding, the lattice
     # t > 0 of each orbit up to the base's return (t = 2 and 4 of X1 at
     # m = 2, t = 1, 2 and 3 of Y1 at m = 3, t = 54 and 108 of the product at
-    # m = 2) and the two lifts; t = 0 of an orbit is the identity, not walked
-    calls = []
-    real = iso_oracle.verify_circulant_witness
+    # m = 2) and the two lifts; t = 0 of an orbit is the identity, not walked.
+    # The returns have m²t ≡ 0 (mod n) and are walked as the unit maps
+    # v -> (1 + mt)v of period 1; the CRT map has period 27. The 4 new
+    # images are reached by maps of period m, so each tries the unit 1 + mt
+    # (type2._scaled)
+    calls, scaled = [], []
+    real, real_scaled = iso_oracle.verify_circulant_witness, type2._scaled
     monkeypatch.setattr(iso_oracle, "verify_circulant_witness",
                         lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(type2, "_scaled", lambda *args: scaled.append(args) or real_scaled(*args))
     [case] = scan_conjecture(16, 27, budget=1, pairs=[(X1, Y1)]).cases
     assert len(calls) == 10
+    assert [(f.n, f.p) for _, _, f in calls] == [
+        (432, 27), (16, 2), (16, 1), (27, 3), (27, 3), (27, 1), (432, 2), (432, 1), (432, 2),
+        (432, 3)]
+    assert [(f.n, f.c) for _, _, f in calls if f.p == 1] == [(16, 9), (27, 10), (432, 217)]
+    assert len(scaled) == 4
     assert [(l.m, l.t, l.lifted_t) for l in case.lifts] == [(2, 2, 54), (3, 1, 16)]
 
 

@@ -875,6 +875,36 @@ def test_periodic_maps_expand_to_the_theta_and_adam_formulas(case, seed):
 
 
 @st.composite
+def _theta_params(draw):
+    """(n, m, t) with n <= 96, m > 1 dividing n and t in [0, n/m): t is a
+    multiple of n/gcd(n, m²), where m²t ≡ 0 (mod n), or any t."""
+    n = draw(st.integers(2, 96))
+    m = draw(st.sampled_from(_divisors(n)[1:]))
+    if draw(st.booleans()):
+        d = n // gcd(n, m * m)
+        return n, m, draw(st.sampled_from(range(0, n // m, d)))
+    return n, m, draw(st.integers(0, n // m - 1))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_theta_params())
+@example((16, 2, 4))  # a return of C_16(1,2,7): v -> 9v
+@example((432, 2, 108))  # m²t = n: v -> 217v
+@example((12, 2, 3))  # the prime 3 | n does not divide m, so 3 | t: 1 + mt = 7 is a unit
+def test_theta_periodic_is_theta_at_its_least_period(params):
+    """theta_periodic(n, m, t) expands to x -> x + (x mod m)*m*t, has
+    period 1 exactly when m²t ≡ 0 (mod n), and is then v -> (1 + mt)*v."""
+    n, m, t = params
+    f = theta_periodic(n, m, t)
+    assert f.expand() == tuple((x + (x % m) * m * t) % n for x in range(n))
+    assert (f.p == 1) == (m * m * t % n == 0)
+    if f.p == 1:
+        assert f.c == (1 + m * t) % n and f.head == (0,)
+    else:
+        assert (f.p, f.c) == (m, m)
+
+
+@st.composite
 def _periodic_params(draw):
     """(n, p, c, head) with p | n and p head values: drawn at random, or
     with c a multiple of p and heads from distinct classes mod p, where

@@ -334,8 +334,8 @@ def test_classify_walk_failure_raises_under_optimize():
 
 def test_walk_failure_text_is_shared(monkeypatch):
     # one walk-or-raise: the walk of theta(432, 2, 54) from A_1 fails, and
-    # classify_theta at that t and type2_set, which walks t = 0 and then 54,
-    # refuse it in the same words
+    # classify_theta at that t and type2_set, which takes t = 0 as the
+    # identity and walks 54 first, refuse it in the same words
     real, bad = iso_oracle.verify_circulant_witness, theta_periodic(432, 2, 54)
     monkeypatch.setattr(iso_oracle, "verify_circulant_witness",
                         lambda g, h, f: f != bad and real(g, h, f))
