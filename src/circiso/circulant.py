@@ -258,13 +258,6 @@ def symmetric_set(g: Circulant) -> tuple[int, ...]:
     return tuple(sorted(full))
 
 
-class NotCirculant(NamedTuple):
-    """Witness that a graph is not circulant: first vertex whose difference
-    set disagrees with vertex 0's."""
-
-    vertex: int
-
-
 def is_connected(g: Circulant) -> bool:
     """True iff gcd of the offsets together with n is 1."""
     return reduce(gcd, g.conn, g.n) == 1

@@ -4,13 +4,14 @@ with their group structure."""
 
 from itertools import count, takewhile
 from math import gcd, lcm
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
-from .circulant import Circulant, NotCirculant, symmetric_set
-from .errors import CircisoError, InvalidParams, ParamMismatch, PreconditionViolation
+from .circulant import Circulant, symmetric_set
+from .errors import (CircisoError, InvalidParams, InvariantViolation, ParamMismatch,
+                     PreconditionViolation)
 from .iso_oracle import IsoWitness, PeriodicMap, walk_or_raise
 from .residue import check_modulus, reflexive_reduce
-from .type1 import _scaled, induced_composition, is_adams_isomorphic
+from .type1 import induced_composition, is_adams_isomorphic
 
 
 class ThetaMap(NamedTuple("ThetaMap", [("n", int), ("m", int), ("t", int)])):
@@ -64,9 +65,10 @@ class ThetaClassification(NamedTuple):
     """Outcome of applying one theta transform to one circulant graph.
 
     kind is one of "identity", "type1", "type2", "not_circulant". A
-    circulant outcome always carries the image set and a verified witness;
-    "type1" also records the least unit, "not_circulant" the first vertex
-    where the difference sets disagree.
+    circulant outcome always carries the image and the witness its walk
+    passed; "type1" also records the least unit. "not_circulant" records
+    only the first image vertex whose difference set differs from vertex
+    0's, read from the class periods once the walk has failed.
     """
 
     kind: str
@@ -106,36 +108,26 @@ def valid_type2_ms(g: Circulant) -> tuple[int, ...]:
     return tuple(m for m in ms if _type2_refusal(g, m) is None)
 
 
-def theta_image(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
-    """Decide whether theta maps C_n(R) onto a circulant, one residue class
-    of offsets at a time; a circulant image is C_n(D_0) of _lattice_conn, g
-    itself when D_0 reduces to g's own set.
+def _theta_step(g: Circulant, m: int, t: int, full, seen: dict) -> tuple:
+    """(image, kind, f) of theta(n, m, t) on g, for full = R ∪ -R: f is the
+    bijection theta_periodic(n, m, t), walked edge for edge from g onto the
+    image C_n(D_0) (_lattice_conn) by iso_oracle.walk_or_raise, which raises
+    InvariantViolation naming theta(m=…,t=…) when the walk fails. seen maps
+    a connection set to its one graph value and kind, so the image is that
+    value and kind when D_0 is in seen, and a new Circulant with kind None
+    otherwise; the step adds nothing to seen.
 
-    The image vertex theta(u) has difference set
-    D_u = {theta(u+s) - theta(u) : s in R ∪ -R}. Since
-    theta(x+m) = theta(x) + m, D_u depends only on u mod m. Split R ∪ -R
-    into the classes S_r = {s : s ≡ r (mod m)}; for u in [0, m) and s in
-    S_r, theta(u+s) - theta(u) = s + ((u+r) mod m - u)*m*t, which is
-    s + r*m*t, less a further m²*t exactly when u + r >= m. Every value
-    keeps its residue r mod m (m | n), so D_u is the disjoint union over r
-    of these translates of S_r, and D_u = D_0 iff S_r + m²*t = S_r for every
-    r >= m - u. The image is circulant iff that holds at u = m - 1, i.e.
-    iff every S_r with r in [1, m) is invariant under translation by
-    m²*t mod n; then D_0 (_lattice_conn) is its connection set. Otherwise
-    the least failing u is m - r for the largest non-invariant r. Image
-    vertex x has a preimage congruent to x mod m, so u is also the least
-    image vertex whose difference set differs from vertex 0's, the vertex
-    that an edge-level circulance test on the transformed edge set reports.
+    The walk decides that the image is circulant. If theta maps g onto some
+    circulant C_n(S), then S ∪ -S is the image's difference set at
+    theta(0) = 0, which is D_0, so the image is C_n(D_0) and the walk
+    passes; and if the walk passes, theta maps the edges of g exactly onto
+    those of C_n(D_0), a circulant. The walk's soundness needs f to be a
+    bijection, which the construction of its PeriodicMap checks.
     """
-    n, m = tm.n, tm.m
-    full = symmetric_set(g)
-    classes = _offset_classes(full, m)
-    shift = m * m * tm.t % n
-    for r in range(m - 1, 0, -1):
-        if {(s + shift) % n for s in classes[r]} != classes[r]:
-            return NotCirculant(m - r)
-    conn = _lattice_conn(n, m, tm.t, full)
-    return g if conn == g.conn else Circulant(n, conn)
+    n = g.n
+    conn = _lattice_conn(n, m, t, full)
+    image, kind = seen.get(conn) or (Circulant(n, conn), None)
+    return image, kind, walk_or_raise(g, image, theta_periodic(n, m, t), _THETA_ORIGIN, m, t)
 
 
 def _lattice_conn(n: int, m: int, t: int, full) -> tuple[int, ...]:
@@ -147,12 +139,33 @@ def _lattice_conn(n: int, m: int, t: int, full) -> tuple[int, ...]:
     return reflexive_reduce((s + (s % m) * mt for s in full), n)
 
 
-def _offset_classes(full, m: int) -> list[set]:
-    """The classes S_r = {s in full : s ≡ r (mod m)}, indexed by r in [0, m)."""
+def _class_periods(full, m: int, n: int) -> list[int]:
+    """[P_1, ..., P_{m-1}]: P_r is the least translation period
+    (_class_period) of the class S_r = {s in full : s ≡ r (mod m)}, for
+    full = R ∪ -R. theta(n, m, t) maps g onto a circulant exactly when
+    P_r | m²*t for every r in [1, m), and otherwise the least image vertex
+    whose difference set differs from vertex 0's is m - r, for the largest
+    r with P_r ∤ m²*t.
+
+    The image vertex theta(u) has difference set
+    D_u = {theta(u+s) - theta(u) : s in full}. Since
+    theta(x+m) = theta(x) + m, D_u depends only on u mod m. For u in
+    [0, m) and s in S_r, theta(u+s) - theta(u) = s + ((u+r) mod m - u)*m*t,
+    which is s + r*m*t, less a further m²*t exactly when u + r >= m. Every
+    value keeps its residue r mod m (m | n), so D_u is the disjoint union
+    over r of these translates of S_r, and D_u = D_0 iff S_r + m²*t = S_r
+    for every r >= m - u. The image is circulant iff that holds at
+    u = m - 1, and otherwise the least failing u is m - r for the largest
+    r whose class moves. Image vertex x has a preimage congruent to x mod m,
+    so u is also the least failing image vertex, the vertex that an
+    edge-level circulance test on the transformed edge set reports. The
+    translations fixing S_r are the multiples of P_r, which divides n, so
+    S_r + m²*t = S_r exactly when P_r | m²*t.
+    """
     classes = [set() for _ in range(m)]
     for s in full:
         classes[s % m].add(s)
-    return classes
+    return [_class_period(c, n) for c in classes[1:]]
 
 
 def _class_period(cls, n: int) -> int:
@@ -174,44 +187,44 @@ def _class_period(cls, n: int) -> int:
     return n
 
 
-def _lattice_step(classes, n: int) -> int:
+def _lattice_step(periods, m: int) -> int:
     """The least q > 0 such that theta(n, m, t) maps g onto a circulant
-    exactly when q | t.
-
-    By theta_image the image is circulant iff m²*t fixes every S_r, r in
-    [1, m). The translations fixing S_r are the multiples of its period
-    P_r | n, so the condition is P | m²*t for P = lcm of the P_r, that is
-    P / gcd(P, m²) | t. classes are the S_r of _offset_classes, r in [0, m).
-    """
-    m = len(classes)
-    p = lcm(*(_class_period(c, n) for c in classes[1:]))
+    exactly when q | t, for periods the P_r of _class_periods: the
+    condition P_r | m²*t for every r is P | m²*t for P = lcm of the P_r,
+    that is P / gcd(P, m²) | t."""
+    p = lcm(*periods)
     return p // gcd(p, m * m)
 
 
 def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     """Decide whether theta maps g onto a circulant and classify the image.
 
-    Detection runs on the residue classes of R (theta_image), which also
-    names the first failing vertex of an image that is not circulant. A
-    circulant image C_n(D_0) comes with the theta bijection as witness,
-    walked edge for edge on the two connection sets (iso_oracle.walk_or_raise)
-    before it is attached; a failed walk raises InvariantViolation. The witness
-    endpoints are g and the image themselves, so classification builds no
-    edge set. A Type-1 image records the least unit mapping g onto it
-    (is_adams_isomorphic).
+    The image C_n(D_0) is built and the theta bijection walked onto it by
+    _theta_step, which type2_set runs for each lattice t. A walk that
+    passes makes the image circulant, with the walked map as its witness;
+    the witness endpoints are g and the image themselves, so classification
+    builds no edge set. A Type-1 image records the least unit mapping g
+    onto it (is_adams_isomorphic). A failed walk makes the image not
+    circulant, and the class periods (_class_periods) name its first
+    failing vertex m - r. When every class is invariant the walk and the
+    class periods disagree, and the walk's InvariantViolation is raised.
     """
     if tm.n != g.n:
         raise ParamMismatch(f"transform order {tm.n} != graph order {g.n}")
-    if error := _type2_refusal(g, tm.m):
+    m, t = tm.m, tm.t
+    if error := _type2_refusal(g, m):
         raise error
-    image = theta_image(tm, g)
-    if isinstance(image, NotCirculant):
-        return ThetaClassification("not_circulant", failing_vertex=image.vertex)
-    origin = _THETA_ORIGIN.format(tm.m, tm.t)
-    f = walk_or_raise(g, image, theta_periodic(g.n, tm.m, tm.t), origin)
-    witness = IsoWitness(g, image, f, True, origin)
-    if image == g:
-        return ThetaClassification("identity", image, witness=witness)
+    full = symmetric_set(g)
+    try:
+        image, kind, f = _theta_step(g, m, t, full, {g.conn: (g, "identity")})
+    except InvariantViolation:
+        moved = [r for r, p in enumerate(_class_periods(full, m, g.n), 1) if m * m * t % p]
+        if not moved:
+            raise
+        return ThetaClassification("not_circulant", failing_vertex=m - moved[-1])
+    witness = IsoWitness(g, image, f, True, _THETA_ORIGIN.format(m, t))
+    if kind:
+        return ThetaClassification(kind, image, witness=witness)
     x = is_adams_isomorphic(g, image)
     return ThetaClassification("type2" if x is None else "type1", image, x, witness=witness)
 
@@ -258,26 +271,17 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     t = 0 is recorded as (0, "identity", g) without a walk: theta(n, m, 0)
     is x -> x + (x mod m)*m*0 = x, so its image is g itself. It gives no
     witness and no member; first holds Type-2 images only. The lattice
-    t > 0 are walked in ascending order up to and including q0, the least
-    t > 0 whose image is g (or all of them, when there is none), and each
-    walked t costs one image build and one edge walk, which reads one
-    difference per offset when theta(n, m, t) has period 1. The image is
-    C_n(D_0) (_lattice_conn), one graph value per distinct connection set,
-    g itself for g's own set. The walk (iso_oracle.walk_or_raise, which
-    classify_theta runs too) is verify_circulant_witness of the theta
-    bijection theta_periodic(n, m, t) from g onto it, so no membership
-    claim rests on the offset classes alone; the map's construction still
-    checks that it is a bijection, which the walk's soundness needs. Each
-    member keeps, as its witness, the bijection of its least t, and only
-    those get an IsoWitness. The walk also decides, for
-    this one t, that the image is circulant: if theta maps g onto some
-    circulant C_n(S), then S ∪ -S is the image's difference set at
-    theta(0) = 0, which is D_0, so the image is C_n(D_0) and the walk
-    passes; and if the walk passes, theta maps the edges of g exactly onto
-    those of C_n(D_0), a circulant.
-    A lattice t whose image is not circulant, which would contradict
-    _lattice_step, therefore fails its walk, and that raises
-    InvariantViolation naming t, with no assert.
+    t > 0 are taken in ascending order up to and including q0, the least
+    t > 0 whose image is g (or all of them, when there is none), each by
+    _theta_step, the step classify_theta runs: one image build and one edge
+    walk, which reads one difference per offset when theta(n, m, t) has
+    period 1. The image is C_n(D_0), one graph value per distinct
+    connection set, g itself for g's own set, so no membership claim rests
+    on the offset classes alone. Each member keeps, as its witness, the
+    bijection of its least t, and only those get an IsoWitness. A lattice t
+    whose image is not circulant, which would contradict _lattice_step,
+    fails its walk, and that raises InvariantViolation naming t, with no
+    assert.
 
     Every lattice t after q0 takes the outcome of t mod q0. Write theta(t)
     for theta(n, m, t) and q = n/m. theta(a) after theta(b) is
@@ -297,41 +301,28 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     walked witness. If the walk at q0 fails, the loop raises before
     anything is derived.
 
-    An image other than g is Type-1 when some unit maps R onto it. The kind
-    is decided once per distinct image. At m²*t ≡ 0 (mod n) the walked map
-    has period 1 (theta_periodic): it is v -> c*v, c = 1 + m*t, and
-    PeriodicMap checked that c is a unit, so the walk itself showed that
-    c*R, reduced reflexively, is the image's connection set S, and the
-    image is Type-1. Otherwise the kind is decided first by trying the unit
-    u = 1 + m*t: if gcd(u, n) = 1 and u*R, reduced reflexively, is the
-    image's connection set S, u is the certificate (it is the test
-    adams_apply(g, u) == image, without building the graph). Only when it
-    fails does is_adams_isomorphic search for one. Why u almost always
-    works: on the lattice m²*t fixes every S_r, r in [1, m). For
-    s = r + m*j in S_r, u*s = s + r*m*t + m²*t*j lies in S_r + r*m*t, the
-    image's class r (theta_image), and u ≡ 1 (mod m) keeps every class.
-    So a unit u maps R ∪ -R onto the image's set exactly when u*S_0 = S_0.
-    No verdict rests on this; it only explains why the solve is rarely run.
+    An image other than g is Type-1 when some unit maps R onto it, and its
+    kind is decided once, at its least t. A walked map of period 1
+    (theta_periodic, at m²*t ≡ 0 (mod n)) is v -> c*v, and PeriodicMap
+    checked that c is a unit, so the walk itself showed that c*R, reduced
+    reflexively, is the image's connection set, and the image is Type-1.
+    Any other image goes to is_adams_isomorphic.
     """
     if error := _type2_refusal(g, m):
         raise error
     n, q = g.n, g.n // m
     full = symmetric_set(g)
-    step = _lattice_step(_offset_classes(full, m), n)
+    step = _lattice_step(_class_periods(full, m, n), m)
     walked = [("identity", g)]  # (kind, image) of each lattice t up to q0, ascending
     seen = {g.conn: (g, "identity")}  # connection set -> its one graph value, its kind
     first = {}  # Type-2 image -> (t, bijection) of its least t
     q0 = q  # theta(q) is theta(0)
     for t in range(step, q, step):
-        conn = _lattice_conn(n, m, t, full)
-        image, kind = seen.get(conn) or (Circulant(n, conn), None)
-        f = walk_or_raise(g, image, theta_periodic(n, m, t), _THETA_ORIGIN, m, t)
+        image, kind, f = _theta_step(g, m, t, full, seen)
         if kind is None:
-            u = 1 + m * t
-            unit = (f.p == 1 or gcd(u, n) == 1 and _scaled(g, u) == conn
-                    or is_adams_isomorphic(g, image) is not None)
+            unit = f.p == 1 or is_adams_isomorphic(g, image) is not None
             kind = "type1" if unit else "type2"
-            seen[conn] = image, kind
+            seen[image.conn] = image, kind
             if not unit:
                 first[image] = t, f
         walked.append((kind, image))

@@ -1,12 +1,13 @@
 """Test oracles that no command uses: witnesses built from an image list
 and checked by verify_witness (make_witness), the tuple edge-set route that
 verify_witness replaced (factor edge sets folded by cartesian_edges, and a
-check that looks up each image), the per-vertex difference-set route that
-theta_image replaced, the composition law of theta maps that type2_set
-proves in its docstring (theta_compose), a Type-2 orbit built from
-classify_theta at every t, the inconsistent cases of a conjecture scan,
-circulance detection on an explicit edge set, vertex relabeling, and a
-bounded deterministic backtracking isomorphism search.
+check that looks up each image), a theta image decided on the per-vertex
+difference sets, which classify_theta's walk and class periods must match,
+the composition law of theta maps that type2_set proves in its docstring
+(theta_compose), a Type-2 orbit built from classify_theta at every t, the
+inconsistent cases of a conjecture scan, circulance detection on an
+explicit edge set, vertex relabeling, and a bounded deterministic
+backtracking isomorphism search.
 
 The search is a desk-scale verification device. It never certifies a claim
 it has not checked edge-by-edge, and a budget overrun is an explicit error,
@@ -17,9 +18,9 @@ recursion limit.
 
 import itertools
 from functools import reduce
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from circiso.circulant import Circulant, EdgeGraph, NotCirculant, realize, symmetric_set
+from circiso.circulant import Circulant, EdgeGraph, realize, symmetric_set
 from circiso.errors import (CircisoError, InvariantViolation, NotAPermutation, OrderMismatch,
                             ParamMismatch)
 from circiso.iso_oracle import IsoWitness, PeriodicMap, verify_witness
@@ -28,6 +29,13 @@ from circiso.residue import reflexive_reduce
 from circiso.type2 import ThetaMap, Type2Orbit, classify_theta, theta_periodic
 
 DEFAULT_NODE_BUDGET = 10**7
+
+
+class NotCirculant(NamedTuple):
+    """Witness that a graph is not circulant: first vertex whose difference
+    set disagrees with vertex 0's."""
+
+    vertex: int
 
 
 class BudgetExceeded(CircisoError):
@@ -148,10 +156,12 @@ def counterexamples(report: ConjectureReport) -> tuple[ConjectureCase, ...]:
 
 
 def theta_image_by_difference_sets(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
-    """theta_image decided on m vertices: the image vertex theta(u) has
-    difference set D_u = {theta(u+s) - theta(u) : s in R ∪ -R}, which
-    depends only on u mod m, so the image is circulant iff D_u = D_0 for u
-    in [0, m); otherwise the result names the least failing u."""
+    """The image of g under theta, decided on m vertices with no walk and no
+    class periods: the image vertex theta(u) has difference set
+    D_u = {theta(u+s) - theta(u) : s in R ∪ -R}, which depends only on
+    u mod m, so the image is circulant iff D_u = D_0 for u in [0, m);
+    otherwise the result names the least failing u. classify_theta must
+    give the same image, or the same failing vertex."""
     n, m, mt = tm.n, tm.m, tm.m * tm.t
     full = symmetric_set(g)
     d0 = frozenset(theta_offsets(tm, full))

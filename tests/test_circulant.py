@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from circiso.circulant import (
     Circulant,
     EdgeGraph,
-    NotCirculant,
     crt_circulant,
     is_connected,
     parse_graph,
@@ -16,7 +15,7 @@ from circiso.errors import CircisoError, ParseError
 from circiso.residue import MAX_MODULUS
 
 from conftest import brute_edges
-from oracles import detect_circulant, permute_edges
+from oracles import NotCirculant, detect_circulant, permute_edges
 
 R1_432 = Circulant(432, (16, 27, 48, 54, 128, 160, 189))
 

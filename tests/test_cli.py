@@ -145,7 +145,7 @@ def test_t2_classifies_each_t_once(capsys, monkeypatch):
     # t = 162 takes the outcome of t = 54 without a walk
     counts = Counter()
     _count_calls(monkeypatch, iso_oracle.verify_circulant_witness, counts)
-    _count_calls(monkeypatch, type2.theta_image, counts)
+    _count_calls(monkeypatch, type2._class_periods, counts)
     _count_calls(monkeypatch, type2._type2_refusal, counts)
     _count_calls(monkeypatch, realize, counts)
     code, out, _ = run(capsys, "t2", A432, "--m", "2", "--json")
@@ -153,7 +153,9 @@ def test_t2_classifies_each_t_once(capsys, monkeypatch):
     assert code == 0 and len(results["witnesses"]) == 1
     assert [c["t"] for c in results["classifications"]] == list(range(216))
     assert [c["t"] for c in results["classifications"] if c["image"]] == [0, 54, 108, 162]
-    assert counts["verify_circulant_witness"] == 2 and counts["theta_image"] == 0
+    assert counts["verify_circulant_witness"] == 2
+    # R ∪ -R is split into its classes mod m once, for the lattice, not per t
+    assert counts["_class_periods"] == 1
     # m is refused or admitted once, not once per t
     assert counts["_type2_refusal"] == 1
     # the member witness keeps circulant endpoints, so no edge set is built

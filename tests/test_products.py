@@ -225,20 +225,23 @@ def test_scan_walks_no_identity(monkeypatch):
     # m = 2) and the two lifts; t = 0 of an orbit is the identity, not walked.
     # The returns have m²t ≡ 0 (mod n) and are walked as the unit maps
     # v -> (1 + mt)v of period 1; the CRT map has period 27. The 4 new
-    # images are reached by maps of period m, so each tries the unit 1 + mt
-    # (type2._scaled)
-    calls, scaled = [], []
-    real, real_scaled = iso_oracle.verify_circulant_witness, type2._scaled
+    # images are reached by maps of period m, so type2_set solves for a unit
+    # onto each once (type2.is_adams_isomorphic), and classify_theta solves
+    # once more for each of the two lifts, whose images are not the product
+    calls, solves = [], []
+    real, real_solve = iso_oracle.verify_circulant_witness, type2.is_adams_isomorphic
     monkeypatch.setattr(iso_oracle, "verify_circulant_witness",
                         lambda *args: calls.append(args) or real(*args))
-    monkeypatch.setattr(type2, "_scaled", lambda *args: scaled.append(args) or real_scaled(*args))
+    monkeypatch.setattr(type2, "is_adams_isomorphic",
+                        lambda g, h: solves.append((g.n, h)) or real_solve(g, h))
     [case] = scan_conjecture(16, 27, budget=1, pairs=[(X1, Y1)]).cases
     assert len(calls) == 10
     assert [(f.n, f.p) for _, _, f in calls] == [
         (432, 27), (16, 2), (16, 1), (27, 3), (27, 3), (27, 1), (432, 2), (432, 1), (432, 2),
         (432, 3)]
     assert [(f.n, f.c) for _, _, f in calls if f.p == 1] == [(16, 9), (27, 10), (432, 217)]
-    assert len(scaled) == 4
+    assert [n for n, _ in solves] == [16, 27, 27, 432, 432, 432]
+    assert len(set(solves[:4])) == 4  # one solve per new image
     assert [(l.m, l.t, l.lifted_t) for l in case.lifts] == [(2, 2, 54), (3, 1, 16)]
 
 

@@ -14,7 +14,6 @@ from circiso.circulant import (
     LAYERS,
     Circulant,
     EdgeGraph,
-    NotCirculant,
     Product,
     edge_set,
     is_connected,
@@ -45,7 +44,6 @@ from circiso.type2 import (
     _closed_under_addition,
     _lattice_conn,
     classify_theta,
-    theta_image,
     theta_periodic,
     type2_set,
     valid_type2_ms,
@@ -56,6 +54,7 @@ from circiso.reporting import graph_desc, graph_from_desc
 import oracles
 from conftest import brute_edges, brute_least_unit, brute_product_edges
 from oracles import (
+    NotCirculant,
     _composes,
     cartesian_edges,
     detect_circulant,
@@ -276,7 +275,7 @@ def expanded_witnesses(draw):
     else:
         source, tm = draw(theta_cases)
         if maker == "theta":
-            image = theta_image(tm, source)
+            image = theta_image_by_difference_sets(tm, source)
             target = source if isinstance(image, NotCirculant) else image
             f = theta_periodic(tm.n, tm.m, tm.t).expand()
         else:
@@ -648,14 +647,18 @@ def _class_graph(draw, m, n, max_offsets=9):
 
 @st.composite
 def _class_case(draw):
+    """A _class_graph that meets the Type-2 preconditions, by an offset
+    divisible by m joining class 0, and a theta map at its m."""
     m = draw(st.sampled_from([2, 3, 5]))
     n = m**3 * draw(st.integers(1, 250 // m**3))
     g = draw(_class_graph(m, n))
+    g = Circulant(n, reflexive_reduce({*g.conn, m * draw(st.integers(1, n // 2 // m))}, n))
+    assume(len(g.conn) >= 3)
     return g, ThetaMap(n, m, draw(st.integers(0, n // m - 1)))
 
 
 @settings(max_examples=500, deadline=None)
-@given(_class_case())
+@given(st.one_of(_class_case(), theta_cases))
 # n/2 lies in class 0 whenever m^3 | n; here with classes 1 and 2 empty
 @example((Circulant(108, (3, 6, 54)), ThetaMap(108, 3, 5)))
 @example((Circulant(16, (1, 2, 7, 8)), ThetaMap(16, 2, 1)))
@@ -664,11 +667,17 @@ def _class_case(draw):
 # classes 2 and 3 mod 5 are not invariant and 1 and 4 are empty: the least
 # failing vertex is 5 - 3 = 2, for the largest such r, not 5 - 2 = 3
 @example((Circulant(125, (7, 28, 48, 55)), ThetaMap(125, 5, 12)))
-def test_theta_image_matches_difference_set_route(case):
-    """theta_image decides on the classes S_r what the m per-vertex
-    difference sets decide: the same image, or the same failing vertex."""
+def test_classification_matches_difference_set_route(case):
+    """classify_theta, which decides by its walk and names a failing vertex
+    from the class periods, gives what the m per-vertex difference sets
+    decide: the same image, or the same failing vertex."""
     g, tm = case
-    assert theta_image(tm, g) == theta_image_by_difference_sets(tm, g)
+    cls = classify_theta(tm, g)
+    ref = theta_image_by_difference_sets(tm, g)
+    if isinstance(ref, NotCirculant):
+        assert (cls.kind, cls.image, cls.failing_vertex) == ("not_circulant", None, ref.vertex)
+    else:
+        assert (cls.image, cls.failing_vertex) == (ref, None) and cls.kind != "not_circulant"
 
 
 @st.composite
@@ -844,7 +853,7 @@ def test_circulant_witness_check_matches_edge_check(case, maker, swap, seed):
     n = g.n
     if maker == "theta":
         periodic = theta_periodic(tm.n, tm.m, tm.t)
-        image = theta_image(tm, g)
+        image = theta_image_by_difference_sets(tm, g)
         h = g if isinstance(image, NotCirculant) else image
     else:
         u = units(n)

@@ -1,7 +1,7 @@
 """Structure of the circiso package: every definition has a caller inside
-the package, read from its source with ast, and the layers import in one
-direction, read from the source and from the modules a fresh interpreter
-loads."""
+the package, read from its source with ast, no module imports another's
+private name, and the layers import in one direction, read from the source
+and from the modules a fresh interpreter loads."""
 
 import ast
 import os
@@ -122,7 +122,7 @@ SHARED: dict[str, dict[str, str]] = {
               "ThetaMap": "bench/workloads.py:114 and tests/oracles.theta_compose only; "
                           "no src/ module reads it"},
     "m": {"LiftCheck": "cli.cmd_scan",
-          "ThetaMap": "type2.theta_image, type2.classify_theta",
+          "ThetaMap": "type2.classify_theta",
           "Type2Orbit": "Type2Orbit.outcome, type2.type2_group_check"},
     "members": {"Type1Orbit": "cli.cmd_t1, reproduce",
                 "Type2Orbit": "cli.cmd_t2, products.scan_conjecture, reproduce"},
@@ -130,9 +130,9 @@ SHARED: dict[str, dict[str, str]] = {
           "EdgeGraph": "tests/oracles.py only, on what realize returns (ALLOWED)",
           "PeriodicMap": "iso_oracle.verify_circulant_witness",
           "Product": "iso_oracle._order, reporting.graph_desc",
-          "ThetaMap": "type2.theta_image, type2.classify_theta"},
+          "ThetaMap": "type2.classify_theta"},
     "ok": {"GroupTable": "reproduce", "Type2GroupReport": "reproduce"},
-    "t": {"LiftCheck": "cli.cmd_scan", "ThetaMap": "type2.theta_image, type2.classify_theta"},
+    "t": {"LiftCheck": "cli.cmd_scan", "ThetaMap": "type2.classify_theta"},
     "witnesses": {"Type1Orbit": "cli.cmd_t1", "Type2Orbit": "cli.cmd_t2"},
 }
 
@@ -218,6 +218,31 @@ def test_guard_flags_a_method_only_a_local_variable_names():
     circulant.body += ast.parse("def girth(self):\n    return 3\n").body
     modules["type1"].body += ast.parse("girth = 3\nprint(girth)\n").body
     assert unreferenced(modules) == sorted({*ALLOWED, "girth"})
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _private_imports(modules: dict[str, ast.Module]) -> list[str]:
+    """module:name for every _-prefixed name, dunders aside, that a module
+    imports from another circiso module, by a relative import or by an
+    absolute one from circiso. Such a name is a module's own detail; a
+    second module that needs it needs a public name."""
+    return [f"{stem}:{alias.name}" for stem, tree in modules.items() for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "circiso")
+            for alias in node.names if _private(alias.name)]
+
+
+def test_no_module_imports_another_modules_private_name():
+    assert _private_imports(_modules()) == []
+    # the import type2 once made of type1's unit scaling is flagged, and so
+    # is an absolute one; reporting's import of the package's __version__ is not
+    modules = _modules()
+    modules["type2"].body += ast.parse("from .type1 import _scaled\n"
+                                       "from circiso.type2 import _lattice_conn as conn\n").body
+    assert _private_imports(modules) == ["type2:_scaled", "type2:_lattice_conn"]
 
 
 def test_reporting_does_not_import_products():

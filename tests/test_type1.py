@@ -17,9 +17,10 @@ from circiso.type1 import (
     type1_group_table,
     type1_set,
 )
-from circiso.type2 import ThetaMap, theta_image, type2_set
+from circiso.type2 import ThetaMap, type2_set
 
 from conftest import brute_least_unit, mask_unit_scan
+from oracles import theta_image_by_difference_sets
 
 A1 = Circulant(432, (16, 27, 48, 54, 128, 160, 189))
 A2 = Circulant(432, (64, 80, 81, 135, 162, 192, 208))
@@ -228,7 +229,8 @@ def test_is_adams_isomorphic_matches_unit_scan_at_order_6750(catalog):
         for letter in S4_LETTERS:
             g = catalog.s4_member(letter, idx)
             assert min(gcd(s, 6750) for s in g.conn) == 27
-            rows = {theta_image(ThetaMap(6750, row["m"], row["t"]), g): row["map"] == "identity"
+            rows = {theta_image_by_difference_sets(ThetaMap(6750, row["m"], row["t"]), g):
+                    row["map"] == "identity"
                     for row in catalog.s4_theta_rows()}
             for image, identity in rows.items():
                 least = brute_least_unit(g, image)

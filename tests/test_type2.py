@@ -9,7 +9,6 @@ import pytest
 import circiso
 from circiso.circulant import (
     Circulant,
-    NotCirculant,
     realize,
     symmetric_set,
 )
@@ -30,7 +29,7 @@ from circiso.type2 import (
     type2_set,
 )
 
-from oracles import detect_circulant, permute_edges, theta_compose, theta_offsets
+from oracles import NotCirculant, detect_circulant, permute_edges, theta_compose, theta_offsets
 
 A1 = Circulant(432, (16, 27, 48, 54, 128, 160, 189))
 B1 = Circulant(432, (27, 32, 48, 54, 112, 176, 189))
@@ -221,8 +220,21 @@ def test_group_check_refuses_a_composition_that_is_not_associative():
     assert not report.ok
 
 
-def test_type2_set_solves_for_a_unit_only_where_1_plus_mt_fails(monkeypatch):
-    # the walk runs in iso_oracle.walk_or_raise, so its check is counted there
+def _unit_solves(orbit):
+    """The images other than the base whose least t has a theta map of
+    period other than 1: the ones type2_set solves a unit for."""
+    least = {}
+    for t, _, image in orbit.outcomes:
+        least.setdefault(image, t)
+    n, m = orbit.base.n, orbit.m
+    return sum(theta_periodic(n, m, t).p != 1 for x, t in least.items() if x != orbit.base)
+
+
+def test_type2_set_solves_for_a_unit_only_where_no_unit_map_walks(monkeypatch):
+    # an image's kind is decided once, at its least t: a walked theta map of
+    # period 1 is the unit map v -> (1 + mt)v and certifies a Type-1 image
+    # itself, and every other new image takes one unit solve. The walk runs
+    # in iso_oracle.walk_or_raise, so its check is counted there
     counts = Counter()
     for module, name in ((type2, "is_adams_isomorphic"),
                          (iso_oracle, "verify_circulant_witness")):
@@ -232,26 +244,34 @@ def test_type2_set_solves_for_a_unit_only_where_1_plus_mt_fails(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     # C_16(1,2) x C_27(1,8) = C_432(16,27,54,128): at m = 3 and 6 every
-    # circulant image other than the base is (1 + m*t)*R, and the base
-    # recurs at no t > 0, so every lattice t but the identity t = 0 is
-    # walked
+    # lattice t has m²t ≡ 0 (mod 432), so every image other than the base
+    # is reached by a unit map and none is solved for; the base recurs at
+    # no t > 0, so every lattice t but the identity t = 0 is walked
     g = product_coprime(Circulant(16, (1, 2)), Circulant(27, (1, 8)))
     for m in (3, 6):
         counts.clear()
         orbit = type2_set(g, m)
         assert orbit.members == (g,)
         assert {kind for _, kind, _ in orbit.outcomes} == {"identity", "type1"}
+        assert _unit_solves(orbit) == 0
         assert counts == {"verify_circulant_witness": len(orbit.outcomes) - 1}
     # C_54 at m = 3 has six lattice t and two Type-1 images, first met at
-    # t = 3, where 1 + 3t = 10 is no unit, and at t = 6, where 19 maps R
-    # onto the image: one solve. The base recurs at t = 9, so 3 of the 6 t
-    # are walked, t = 0 is the identity and t = 12, 15 take the outcomes of
-    # t = 3, 6
+    # t = 3, whose map has period 3: one solve, and at t = 6, where
+    # 9·6 ≡ 0 (mod 54) and the map is v -> 19v. The base recurs at t = 9, so
+    # 3 of the 6 t are walked, t = 0 is the identity and t = 12, 15 take the
+    # outcomes of t = 3, 6
     counts.clear()
     orbit = type2_set(Circulant(54, (2, 6, 9, 11, 16, 25, 27)), 3)
     assert len(orbit.outcomes) == 6 and orbit.members == (orbit.base,)
+    assert _unit_solves(orbit) == 1
     assert counts == {"is_adams_isomorphic": 1, "verify_circulant_witness": 3}
     assert [o[1:] for o in orbit.outcomes[4:]] == [o[1:] for o in orbit.outcomes[1:3]]
+    # A_1 at m = 2 and 3: each Type-2 member is solved for once, and no
+    # image is solved for twice
+    for m in (2, 3):
+        counts.clear()
+        orbit = type2_set(A1, m)
+        assert counts["is_adams_isomorphic"] == _unit_solves(orbit) == len(orbit.members) - 1
     # C_131072(2,4,6) at m = 2 has 65,536 lattice t and its image at t = 1 is
     # the base: one walk, and every other outcome is derived
     counts.clear()
@@ -287,8 +307,8 @@ def test_off_lattice_image_raises(monkeypatch):
     # the true lattice step of C_16(1,2,7) for m = 2 is 2, so a step of 1
     # puts t = 1, whose image is not circulant, on the lattice; type2_set
     # must refuse that contradiction, never record it as an outcome
-    assert type2._lattice_step(type2._offset_classes(symmetric_set(C16A), 2), 16) == 2
-    monkeypatch.setattr(type2, "_lattice_step", lambda classes, n: 1)
+    assert type2._lattice_step(type2._class_periods(symmetric_set(C16A), 2, 16), 2) == 2
+    monkeypatch.setattr(type2, "_lattice_step", lambda periods, m: 1)
     with pytest.raises(InvariantViolation, match="t=1"):
         type2_set(C16A, 2)
 
@@ -300,7 +320,7 @@ def test_off_lattice_image_raises_under_optimize():
             "from circiso import type2\n"
             "from circiso.circulant import Circulant\n"
             "from circiso.errors import InvariantViolation\n"
-            "type2._lattice_step = lambda classes, n: 1\n"
+            "type2._lattice_step = lambda periods, m: 1\n"
             "try:\n"
             "    type2.type2_set(Circulant(16, (1, 2, 7)), 2)\n"
             "except InvariantViolation as e:\n"
@@ -344,6 +364,36 @@ def test_walk_failure_text_is_shared(monkeypatch):
     with pytest.raises(InvariantViolation) as by_set:
         type2_set(A1, 2)
     assert str(by_set.value) == str(by_classify.value)
+
+
+def test_not_circulant_verdict_is_cross_checked(monkeypatch):
+    # theta(54, 3, 5) does not map C_54(1,3,9) onto a circulant: its walk
+    # fails and class 1 moves, so vertex 1 fails. With every class period
+    # forced to 1, every class is invariant: the walk and the class periods
+    # disagree, and the walk's error is raised, not a verdict
+    g, tm = Circulant(54, (1, 3, 9)), ThetaMap(54, 3, 5)
+    assert classify_theta(tm, g).failing_vertex == 1
+    monkeypatch.setattr(type2, "_class_period", lambda cls, n: 1)
+    with pytest.raises(InvariantViolation, match=r"^theta\(m=3,t=5\) does not map "):
+        classify_theta(tm, g)
+
+
+def test_not_circulant_verdict_is_cross_checked_under_optimize():
+    # python -O strips assert statements; the disagreement must still raise
+    code = ("import sys\n"
+            "from circiso import type2\n"
+            "from circiso.circulant import Circulant\n"
+            "from circiso.errors import InvariantViolation\n"
+            "type2._class_period = lambda cls, n: 1\n"
+            "try:\n"
+            "    type2.classify_theta(type2.ThetaMap(54, 3, 5), Circulant(54, (1, 3, 9)))\n"
+            "except InvariantViolation as e:\n"
+            "    sys.exit(0 if 'theta(m=3,t=5)' in str(e) else f'wrong map: {e}')\n"
+            "sys.exit('the disagreement was accepted')\n")
+    src = pathlib.Path(circiso.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert res.returncode == 0, res.stderr
 
 
 C54 = Circulant(54, (2, 6, 9, 11, 16, 25, 27))
