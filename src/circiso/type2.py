@@ -103,19 +103,28 @@ def _type2_refusal(g: Circulant, m: int) -> Optional[CircisoError]:
 
 def valid_type2_ms(g: Circulant) -> tuple[int, ...]:
     """Every m that g admits for Type-2 classification (_type2_refusal),
-    ascending; () for fewer than 3 offsets."""
-    ms = takewhile(lambda m: m**3 <= g.n, count(2))
-    return tuple(m for m in ms if _type2_refusal(g, m) is None)
+    ascending; () for fewer than 3 offsets. _type2_refusal decides each m
+    with m^3 | n, the only ones it can admit."""
+    n = g.n
+    ms = takewhile(lambda m: m**3 <= n, count(2))
+    return tuple(m for m in ms if n % m**3 == 0 and _type2_refusal(g, m) is None)
 
 
 def _theta_step(g: Circulant, m: int, t: int, full, seen: dict) -> tuple:
     """(image, kind, f) of theta(n, m, t) on g, for full = R ∪ -R: f is the
     bijection theta_periodic(n, m, t), walked edge for edge from g onto the
-    image C_n(D_0) (_lattice_conn) by iso_oracle.walk_or_raise, which raises
+    image C_n(D_0) by iso_oracle.walk_or_raise, which raises
     InvariantViolation naming theta(m=…,t=…) when the walk fails. seen maps
     a connection set to its one graph value and kind, so the image is that
     value and kind when D_0 is in seen, and a new Circulant with kind None
     otherwise; the step adds nothing to seen.
+
+    D_0 is _lattice_conn's class formula over full, or c*R reduced
+    reflexively when f has period 1, its unit c = 1 + m*t. The two agree:
+    D_0 is the image's difference set {theta(s) - theta(0) : s in full} at
+    theta(0) = 0, and a map of period 1 is theta(s) = c*s; the reflexive
+    class of c*(-s) = -(c*s) is that of c*s, so c*R and c*(R ∪ -R) reduce
+    to the same set, which holds no 0 since c is a unit.
 
     The walk decides that the image is circulant. If theta maps g onto some
     circulant C_n(S), then S ∪ -S is the image's difference set at
@@ -125,9 +134,14 @@ def _theta_step(g: Circulant, m: int, t: int, full, seen: dict) -> tuple:
     bijection, which the construction of its PeriodicMap checks.
     """
     n = g.n
-    conn = _lattice_conn(n, m, t, full)
+    f = theta_periodic(n, m, t)
+    if f.p == 1:
+        c = f.c
+        conn = reflexive_reduce([c * s for s in g.conn], n)
+    else:
+        conn = _lattice_conn(n, m, t, full)
     image, kind = seen.get(conn) or (Circulant(n, conn), None)
-    return image, kind, walk_or_raise(g, image, theta_periodic(n, m, t), _THETA_ORIGIN, m, t)
+    return image, kind, walk_or_raise(g, image, f, _THETA_ORIGIN, m, t)
 
 
 def _lattice_conn(n: int, m: int, t: int, full) -> tuple[int, ...]:
@@ -136,7 +150,7 @@ def _lattice_conn(n: int, m: int, t: int, full) -> tuple[int, ...]:
     theta(0) = 0, so it is the connection set of the image whenever the
     image is circulant. It holds no 0, since theta is a bijection fixing 0."""
     mt = m * t
-    return reflexive_reduce((s + (s % m) * mt for s in full), n)
+    return reflexive_reduce([s + s % m * mt for s in full], n)
 
 
 def _class_periods(full, m: int, n: int) -> list[int]:
@@ -162,10 +176,15 @@ def _class_periods(full, m: int, n: int) -> list[int]:
     translations fixing S_r are the multiples of P_r, which divides n, so
     S_r + m²*t = S_r exactly when P_r | m²*t.
     """
-    classes = [set() for _ in range(m)]
+    return [_class_period(c, n) for c in _offset_classes(full, m)[1:]]
+
+
+def _offset_classes(full, m: int) -> list[list[int]]:
+    """[S_0, ..., S_{m-1}]: the values of full bucketed by residue mod m."""
+    classes = [[] for _ in range(m)]
     for s in full:
-        classes[s % m].add(s)
-    return [_class_period(c, n) for c in classes[1:]]
+        classes[s % m].append(s)
+    return classes
 
 
 def _class_period(cls, n: int) -> int:
@@ -176,13 +195,18 @@ def _class_period(cls, n: int) -> int:
     itself fixes cls, and the remainder of n by d is again in the subgroup
     and below d, so it is 0. For s0 in cls, s0 + d must lie in cls, so the
     least d is some s - s0 (mod n) that divides n, or n when no such
-    candidate fixes cls. Only those candidates are tried.
+    candidate fixes cls. A cls fixed by such a d is a union of cosets of
+    dZ_n, each of n/d elements, so n/d divides |cls|, that is
+    |cls|*d ≡ 0 (mod n). Only the candidates that pass both tests are
+    tried.
     """
-    if not cls:
+    members = set(cls)
+    k = len(members)
+    if not k:
         return 1
-    s0 = min(cls)
-    for d in sorted({d for s in cls if (d := (s - s0) % n) and n % d == 0}):
-        if all((s + d) % n in cls for s in cls):
+    s0 = min(members)
+    for d in sorted({d for s in cls if (d := (s - s0) % n) and k * d % n == 0 and n % d == 0}):
+        if all((s + d) % n in members for s in cls):
             return d
     return n
 
@@ -206,8 +230,10 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     builds no edge set. A Type-1 image records the least unit mapping g
     onto it (is_adams_isomorphic). A failed walk makes the image not
     circulant, and the class periods (_class_periods) name its first
-    failing vertex m - r. When every class is invariant the walk and the
-    class periods disagree, and the walk's InvariantViolation is raised.
+    failing vertex m - r: the periods P_r are taken from r = m - 1 down,
+    and the first r with P_r ∤ m²*t is the largest. When every class is
+    invariant the walk and the class periods disagree, and the walk's
+    InvariantViolation is raised.
     """
     if tm.n != g.n:
         raise ParamMismatch(f"transform order {tm.n} != graph order {g.n}")
@@ -218,10 +244,11 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     try:
         image, kind, f = _theta_step(g, m, t, full, {g.conn: (g, "identity")})
     except InvariantViolation:
-        moved = [r for r, p in enumerate(_class_periods(full, m, g.n), 1) if m * m * t % p]
-        if not moved:
-            raise
-        return ThetaClassification("not_circulant", failing_vertex=m - moved[-1])
+        classes = _offset_classes(full, m)
+        for r in range(m - 1, 0, -1):
+            if m * m * t % _class_period(classes[r], g.n):
+                return ThetaClassification("not_circulant", failing_vertex=m - r)
+        raise
     witness = IsoWitness(g, image, f, True, _THETA_ORIGIN.format(m, t))
     if kind:
         return ThetaClassification(kind, image, witness=witness)
@@ -277,11 +304,13 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     walk, which reads one difference per offset when theta(n, m, t) has
     period 1. The image is C_n(D_0), one graph value per distinct
     connection set, g itself for g's own set, so no membership claim rests
-    on the offset classes alone. Each member keeps, as its witness, the
-    bijection of its least t, and only those get an IsoWitness. A lattice t
-    whose image is not circulant, which would contradict _lattice_step,
-    fails its walk, and that raises InvariantViolation naming t, with no
-    assert.
+    on the offset classes alone. At period 1, theta is v -> c*v for the
+    unit c = 1 + m*t, so D_0 = {c*s : s in R ∪ -R}, and since c*(-s) is
+    -(c*s), in the reflexive class of c*s, the step reduces c*R alone.
+    Each member keeps, as its witness, the bijection of its least t, and
+    only those get an IsoWitness. A lattice t whose image is not
+    circulant, which would contradict _lattice_step, fails its walk, and
+    that raises InvariantViolation naming t, with no assert.
 
     Every lattice t after q0 takes the outcome of t mod q0. Write theta(t)
     for theta(n, m, t) and q = n/m. theta(a) after theta(b) is

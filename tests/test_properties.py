@@ -800,6 +800,9 @@ def _assert_orbit_matches_classification(g, m):
 @example(Circulant(54, (2, 6, 9, 11, 16, 25, 27)))
 # two members at m = 2, the base recurring at t = 4, the third of four lattice t
 @example(Circulant(16, (1, 2, 7)))
+# every lattice t at m = 2, 3 and 6 (steps 108, 48 and 12) has m²t ≡ 0 (mod n),
+# so each walk reads a unit map and each image comes from c*R
+@example(Circulant(432, (27, 54, 64, 81, 108, 128, 162, 189, 192)))
 def test_type2_set_derived_outcomes_match_classification_at_every_t(g):
     """type2_set walks the lattice t up to the least t > 0 whose image is
     the base and derives the rest; the orbit equals the one built from
@@ -911,6 +914,33 @@ def test_theta_periodic_is_theta_at_its_least_period(params):
         assert f.c == (1 + m * t) % n and f.head == (0,)
     else:
         assert (f.p, f.c) == (m, m)
+
+
+@st.composite
+def _unit_step_graph(draw):
+    """C_n(R) with n a multiple of m0^3 for m0 = 2, 3 or 5, up to 1296, and
+    R drawn at random."""
+    m0 = draw(st.sampled_from([2, 3, 5]))
+    n = m0**3 * draw(st.integers(1, 1296 // m0**3))
+    conn = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=8))
+    return Circulant(n, tuple(sorted(conn)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_unit_step_graph())
+@example(Circulant(432, (27, 54, 64, 81, 108, 128, 162, 189, 192)))
+@example(Circulant(16, (1, 2, 7)))
+def test_unit_step_image_is_the_class_formula(g):
+    """At every m with m^3 | n and every t in [0, n/m) with m²t ≡ 0 (mod n),
+    where _theta_step builds the image from c*R for c = 1 + m*t, c*R
+    reduced reflexively is _lattice_conn's D_0 over R ∪ -R."""
+    n, full = g.n, symmetric_set(g)
+    for m in itertools.takewhile(lambda m: m**3 <= n, itertools.count(2)):
+        if n % m**3:
+            continue
+        for t in range(0, n // m, n // gcd(n, m * m)):
+            assert reflexive_reduce([(1 + m * t) * s for s in g.conn], n) \
+                == _lattice_conn(n, m, t, full)
 
 
 @st.composite

@@ -352,6 +352,41 @@ def test_classify_walk_failure_raises_under_optimize():
     assert res.returncode == 0, res.stderr
 
 
+# every lattice t of C_432(27,54,64,81,108,128,162,189,192) at m = 2, 3
+# and 6 has m²t ≡ 0 (mod 432): its image comes from c*R, and its walk reads
+# the unit map v -> c*v
+UNIT_STEPS = Circulant(432, (27, 54, 64, 81, 108, 128, 162, 189, 192))
+
+
+def test_failed_unit_step_walk_raises(monkeypatch):
+    # the first lattice t at m = 2 is 108, where theta is v -> 217v; a walk
+    # that fails there must stop the orbit, naming t, as at a period-m step
+    assert type2_set(UNIT_STEPS, 2).step == 108 and theta_periodic(432, 2, 108).p == 1
+    monkeypatch.setattr(iso_oracle, "verify_circulant_witness", lambda g, h, f: False)
+    with pytest.raises(InvariantViolation, match=r"^theta\(m=2,t=108\) does not map "):
+        type2_set(UNIT_STEPS, 2)
+
+
+def test_failed_unit_step_walk_raises_under_optimize():
+    # python -O strips assert statements; the walk, not an assert, must
+    # refuse the unit step of test_failed_unit_step_walk_raises
+    code = ("import sys\n"
+            "from circiso import iso_oracle, type2\n"
+            "from circiso.circulant import Circulant\n"
+            "from circiso.errors import InvariantViolation\n"
+            "iso_oracle.verify_circulant_witness = lambda g, h, f: False\n"
+            "g = Circulant(432, (27, 54, 64, 81, 108, 128, 162, 189, 192))\n"
+            "try:\n"
+            "    type2.type2_set(g, 2)\n"
+            "except InvariantViolation as e:\n"
+            "    sys.exit(0 if 't=108)' in str(e) else f'wrong t: {e}')\n"
+            "sys.exit('the failed walk was accepted')\n")
+    src = pathlib.Path(circiso.__file__).resolve().parents[1]
+    res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert res.returncode == 0, res.stderr
+
+
 def test_walk_failure_text_is_shared(monkeypatch):
     # one walk-or-raise: the walk of theta(432, 2, 54) from A_1 fails, and
     # classify_theta at that t and type2_set, which takes t = 0 as the
