@@ -32,9 +32,7 @@ class Circulant(NamedTuple("Circulant", [("n", int), ("conn", tuple[int, ...])])
         half = n // 2
         prev = 0
         for s in conn:
-            # an exact int skips the isinstance tests, which admit int subclasses but bool
-            if (type(s) is not int and (isinstance(s, bool) or not isinstance(s, int))
-                    or s <= prev or s > half):
+            if isinstance(s, bool) or not isinstance(s, int) or s <= prev or s > half:
                 raise ValueError(
                     f"offsets must be strictly increasing in [1, {half}], got {conn}"
                 )
@@ -153,12 +151,7 @@ def steps(factors):
     steps list every edge of the product, and a step with 2s = k (an n/2
     offset or the 2-ring) lists each of its edges twice, once from each
     end. The edge count comes from the factors (sizes), not from the steps.
-    A single Circulant C_k(R) has stride 1, so its steps are (k, s) for s
-    in R.
     """
-    if len(factors) == 1 and not isinstance(f := factors[0], int):
-        k = f.n
-        return [(k, s) for s in f.conn]
     out, stride = [], 1
     for f in reversed(factors):  # the last factor has stride 1
         k, offsets = (f, (1,)) if isinstance(f, int) else (f.n, f.conn)

@@ -275,8 +275,7 @@ def _walk(g: Union[Circulant, Product], h: Circulant, p: int, c: int, head) -> b
     n = g.n
     if g.edge_count != h.edge_count:
         return False
-    conn = h.conn
-    target = {*conn, *[n - s for s in conn]}
+    target = {v for s in h.conn for v in (s, n - s)}
     for block, shift in steps(g.factors):
         if block == n != p:
             if shift % p:

@@ -29,9 +29,8 @@ def reflexive_reduce(values: Iterable[int], n: int) -> tuple[int, ...]:
     means anything for a connection set, so malformed input surfaces here.
     n is not checked again: every caller passes the order of a Circulant
     or ThetaMap, which check_modulus passed when it was built
-    (type1._scaled, type2._lattice_conn, type2._theta_step's c*R), or the
-    order of the Circulant it builds from the result, which checks it there
-    (circulant.crt_circulant).
+    (type1._scaled, type2._lattice_conn), or the order of the Circulant it
+    builds from the result, which checks it there (circulant.crt_circulant).
     """
     out = set()
     for v in values:

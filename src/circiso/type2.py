@@ -78,13 +78,19 @@ class ThetaClassification(NamedTuple):
     witness: Optional[IsoWitness] = None
 
 
+def _admits_order(n: int, m: int) -> bool:
+    """m > 1 and m^3 | n: the one rule for m at order n, which
+    _order_refusal explains and valid_type2_ms screens with."""
+    return m > 1 and n % m**3 == 0
+
+
 def _order_refusal(n: int, m: int) -> Optional[InvalidParams]:
-    """The error refusing m at order n, or None when m > 1 and m^3 | n."""
+    """The error refusing m at order n, or None when _admits_order(n, m)."""
+    if _admits_order(n, m):
+        return None
     if m <= 1:
         return InvalidParams(f"m must be > 1, got {m}")
-    if n % m**3:
-        return InvalidParams(f"m^3 = {m ** 3} does not divide n = {n}")
-    return None
+    return InvalidParams(f"m^3 = {m ** 3} does not divide n = {n}")
 
 
 def _type2_refusal(g: Circulant, m: int) -> Optional[CircisoError]:
@@ -103,11 +109,12 @@ def _type2_refusal(g: Circulant, m: int) -> Optional[CircisoError]:
 
 def valid_type2_ms(g: Circulant) -> tuple[int, ...]:
     """Every m that g admits for Type-2 classification (_type2_refusal),
-    ascending; () for fewer than 3 offsets. _type2_refusal decides each m
-    with m^3 | n, the only ones it can admit."""
+    ascending; () for fewer than 3 offsets. _type2_refusal decides only
+    the m that _admits_order passes, the only ones it can admit, so no
+    refusal is built for the rest."""
     n = g.n
     ms = takewhile(lambda m: m**3 <= n, count(2))
-    return tuple(m for m in ms if n % m**3 == 0 and _type2_refusal(g, m) is None)
+    return tuple(m for m in ms if _admits_order(n, m) and _type2_refusal(g, m) is None)
 
 
 def _theta_step(g: Circulant, m: int, t: int, full, seen: dict) -> tuple:
@@ -119,12 +126,9 @@ def _theta_step(g: Circulant, m: int, t: int, full, seen: dict) -> tuple:
     value and kind when D_0 is in seen, and a new Circulant with kind None
     otherwise; the step adds nothing to seen.
 
-    D_0 is _lattice_conn's class formula over full, or c*R reduced
-    reflexively when f has period 1, its unit c = 1 + m*t. The two agree:
-    D_0 is the image's difference set {theta(s) - theta(0) : s in full} at
-    theta(0) = 0, and a map of period 1 is theta(s) = c*s; the reflexive
-    class of c*(-s) = -(c*s) is that of c*s, so c*R and c*(R ∪ -R) reduce
-    to the same set, which holds no 0 since c is a unit.
+    At period 1 theta is v -> c*v (theta_periodic), so theta(-s) =
+    -theta(s), and D_0 over R alone reduces to the same set as over full,
+    from half the offsets.
 
     The walk decides that the image is circulant. If theta maps g onto some
     circulant C_n(S), then S ∪ -S is the image's difference set at
@@ -135,22 +139,19 @@ def _theta_step(g: Circulant, m: int, t: int, full, seen: dict) -> tuple:
     """
     n = g.n
     f = theta_periodic(n, m, t)
-    if f.p == 1:
-        c = f.c
-        conn = reflexive_reduce([c * s for s in g.conn], n)
-    else:
-        conn = _lattice_conn(n, m, t, full)
+    conn = _lattice_conn(n, m, t, g.conn if f.p == 1 else full)
     image, kind = seen.get(conn) or (Circulant(n, conn), None)
     return image, kind, walk_or_raise(g, image, f, _THETA_ORIGIN, m, t)
 
 
 def _lattice_conn(n: int, m: int, t: int, full) -> tuple[int, ...]:
     """D_0 = {s + (s mod m)*m*t : s in full} reduced reflexively, for full
-    the symmetric offset set R ∪ -R. D_0 is the image's difference set at
-    theta(0) = 0, so it is the connection set of the image whenever the
-    image is circulant. It holds no 0, since theta is a bijection fixing 0."""
+    the symmetric offset set R ∪ -R, or R alone at period 1 (_theta_step).
+    D_0 is the image's difference set at theta(0) = 0, so it is the
+    connection set of the image whenever the image is circulant. It holds
+    no 0, since theta is a bijection fixing 0."""
     mt = m * t
-    return reflexive_reduce([s + s % m * mt for s in full], n)
+    return reflexive_reduce((s + (s % m) * mt for s in full), n)
 
 
 def _class_periods(full, m: int, n: int) -> list[int]:
@@ -179,16 +180,17 @@ def _class_periods(full, m: int, n: int) -> list[int]:
     return [_class_period(c, n) for c in _offset_classes(full, m)[1:]]
 
 
-def _offset_classes(full, m: int) -> list[list[int]]:
+def _offset_classes(full, m: int) -> list[set[int]]:
     """[S_0, ..., S_{m-1}]: the values of full bucketed by residue mod m."""
-    classes = [[] for _ in range(m)]
+    classes = [set() for _ in range(m)]
     for s in full:
-        classes[s % m].append(s)
+        classes[s % m].add(s)
     return classes
 
 
 def _class_period(cls, n: int) -> int:
-    """Least d > 0 with cls + d = cls mod n; 1 for the empty set.
+    """Least d > 0 with cls + d = cls mod n, for cls a set of residues
+    mod n; 1 for the empty set.
 
     The translations fixing cls form a subgroup of Z_n, and every subgroup
     of Z_n is dZ_n for its least positive element d, which divides n: n
@@ -200,13 +202,12 @@ def _class_period(cls, n: int) -> int:
     |cls|*d ≡ 0 (mod n). Only the candidates that pass both tests are
     tried.
     """
-    members = set(cls)
-    k = len(members)
+    k = len(cls)
     if not k:
         return 1
-    s0 = min(members)
+    s0 = min(cls)
     for d in sorted({d for s in cls if (d := (s - s0) % n) and k * d % n == 0 and n % d == 0}):
-        if all((s + d) % n in members for s in cls):
+        if all((s + d) % n in cls for s in cls):
             return d
     return n
 
@@ -304,13 +305,11 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     walk, which reads one difference per offset when theta(n, m, t) has
     period 1. The image is C_n(D_0), one graph value per distinct
     connection set, g itself for g's own set, so no membership claim rests
-    on the offset classes alone. At period 1, theta is v -> c*v for the
-    unit c = 1 + m*t, so D_0 = {c*s : s in R ∪ -R}, and since c*(-s) is
-    -(c*s), in the reflexive class of c*s, the step reduces c*R alone.
-    Each member keeps, as its witness, the bijection of its least t, and
-    only those get an IsoWitness. A lattice t whose image is not
-    circulant, which would contradict _lattice_step, fails its walk, and
-    that raises InvariantViolation naming t, with no assert.
+    on the offset classes alone. Each member keeps, as its witness, the
+    bijection of its least t, and only those get an IsoWitness. A lattice t
+    whose image is not circulant, which would contradict _lattice_step,
+    fails its walk, and that raises InvariantViolation naming t, with no
+    assert.
 
     Every lattice t after q0 takes the outcome of t mod q0. Write theta(t)
     for theta(n, m, t) and q = n/m. theta(a) after theta(b) is

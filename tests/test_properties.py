@@ -43,6 +43,7 @@ from circiso.type2 import (
     _class_period,
     _closed_under_addition,
     _lattice_conn,
+    _theta_step,
     classify_theta,
     theta_periodic,
     type2_set,
@@ -801,7 +802,7 @@ def _assert_orbit_matches_classification(g, m):
 # two members at m = 2, the base recurring at t = 4, the third of four lattice t
 @example(Circulant(16, (1, 2, 7)))
 # every lattice t at m = 2, 3 and 6 (steps 108, 48 and 12) has m²t ≡ 0 (mod n),
-# so each walk reads a unit map and each image comes from c*R
+# so each walk reads a unit map and each image is built from R alone
 @example(Circulant(432, (27, 54, 64, 81, 108, 128, 162, 189, 192)))
 def test_type2_set_derived_outcomes_match_classification_at_every_t(g):
     """type2_set walks the lattice t up to the least t > 0 whose image is
@@ -932,15 +933,18 @@ def _unit_step_graph(draw):
 @example(Circulant(16, (1, 2, 7)))
 def test_unit_step_image_is_the_class_formula(g):
     """At every m with m^3 | n and every t in [0, n/m) with m²t ≡ 0 (mod n),
-    where _theta_step builds the image from c*R for c = 1 + m*t, c*R
-    reduced reflexively is _lattice_conn's D_0 over R ∪ -R."""
+    where theta(n, m, t) has period 1 and _theta_step reads R alone, the
+    image _theta_step walks onto is C_n(D_0) for _lattice_conn's D_0 over
+    R ∪ -R, which is (1 + m*t)*R reduced reflexively."""
     n, full = g.n, symmetric_set(g)
     for m in itertools.takewhile(lambda m: m**3 <= n, itertools.count(2)):
         if n % m**3:
             continue
         for t in range(0, n // m, n // gcd(n, m * m)):
-            assert reflexive_reduce([(1 + m * t) * s for s in g.conn], n) \
-                == _lattice_conn(n, m, t, full)
+            assert theta_periodic(n, m, t).p == 1
+            image, _, _ = _theta_step(g, m, t, full, {})
+            assert image.conn == _lattice_conn(n, m, t, full) \
+                == reflexive_reduce([(1 + m * t) * s for s in g.conn], n)
 
 
 @st.composite

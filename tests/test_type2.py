@@ -353,8 +353,8 @@ def test_classify_walk_failure_raises_under_optimize():
 
 
 # every lattice t of C_432(27,54,64,81,108,128,162,189,192) at m = 2, 3
-# and 6 has m²t ≡ 0 (mod 432): its image comes from c*R, and its walk reads
-# the unit map v -> c*v
+# and 6 has m²t ≡ 0 (mod 432): its image is built from R alone, and its
+# walk reads the unit map v -> c*v
 UNIT_STEPS = Circulant(432, (27, 54, 64, 81, 108, 128, 162, 189, 192))
 
 
