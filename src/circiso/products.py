@@ -12,7 +12,7 @@ from .errors import (EvenOrder, InvalidParams, NotConnected, NotCoprime, OrderMi
                      OrderTooSmall)
 from .iso_oracle import IsoWitness, PeriodicMap, walk_or_raise
 from .residue import check_modulus
-from .type2 import ThetaMap, classify_theta, type2_set, valid_type2_ms
+from .type2 import ThetaMap, classify_theta, type2_set, unit_lattice, valid_type2_ms
 
 SCAN_HEADER = "experimental: checks sampled cases only and cannot falsify beyond its budget"
 
@@ -67,9 +67,13 @@ def product_coprime(g: Circulant, h: Circulant) -> Circulant:
 
 
 def _type2_orbits(g: Circulant):
-    """Type-2 orbit of g for each m it admits (valid_type2_ms), in turn."""
+    """Type-2 orbit of g for each m it admits (valid_type2_ms), in turn,
+    skipping each m where type2.unit_lattice holds: there every circulant
+    theta image is a unit map's, Type-1 or g itself, so the orbit has no
+    partner and no Type-2 t to lift, and is not built."""
     for m in valid_type2_ms(g):
-        yield type2_set(g, m)
+        if not unit_lattice(g, m):
+            yield type2_set(g, m)
 
 
 class LiftCheck(NamedTuple):
@@ -167,7 +171,10 @@ def scan_conjecture(n1: int, n2: int, budget: int, pairs=None) -> ConjectureRepo
     does, and records any disagreement verbatim. Factor Type-2 witnesses
     are additionally lifted to the product and reclassified there. Each
     factor's orbits are computed once per case and feed both its verdict
-    and its lifts. Each order and the product's pass check_modulus before
+    and its lifts. An m where type2.unit_lattice holds builds no orbit
+    (_type2_orbits): its lattice holds only unit maps, so it can give
+    neither a partner nor a lift, and every verdict and lift is the one the
+    full orbits give. Each order and the product's pass check_modulus before
     anything is enumerated, and a budget below 1 is refused: a scan of no
     cases would read as a completed enumeration. Given pairs must all have
     the orders (n1, n2), since each lift scales t by the other factor's

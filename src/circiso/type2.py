@@ -221,6 +221,23 @@ def _lattice_step(periods, m: int) -> int:
     return p // gcd(p, m * m)
 
 
+def unit_lattice(g: Circulant, m: int) -> bool:
+    """Whether m²*step ≡ 0 (mod n) for the lattice step of g w.r.t. m,
+    the step type2_set takes; refused like type2_set.
+
+    When it holds, g has no Type-2 partner w.r.t. m:
+    type2_set(g, m).members == (g,). Every lattice t is a multiple of step,
+    so m²*t ≡ 0 (mod n), and theta_periodic(n, m, t) is the period-1 unit
+    map v -> (1 + m*t)*v, whose image is g itself (the identity) or a
+    Type-1 image. Every t off the lattice gives no circulant image
+    (_lattice_step). So only the class periods are read: no image is built
+    and no map is walked."""
+    if error := _type2_refusal(g, m):
+        raise error
+    n = g.n
+    return m * m * _lattice_step(_class_periods(symmetric_set(g), m, n), m) % n == 0
+
+
 def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     """Decide whether theta maps g onto a circulant and classify the image.
 

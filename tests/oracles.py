@@ -5,9 +5,9 @@ check that looks up each image), a theta image decided on the per-vertex
 difference sets, which classify_theta's walk and class periods must match,
 the composition law of theta maps that type2_set proves in its docstring
 (theta_compose), a Type-2 orbit built from classify_theta at every t, the
-inconsistent cases of a conjecture scan, circulance detection on an
-explicit edge set, vertex relabeling, and a bounded deterministic
-backtracking isomorphism search.
+inconsistent cases of a conjecture scan, one scan case with every orbit
+built, circulance detection on an explicit edge set, vertex relabeling,
+and a bounded deterministic backtracking isomorphism search.
 
 The search is a desk-scale verification device. It never certifies a claim
 it has not checked edge-by-edge, and a budget overrun is an explicit error,
@@ -24,9 +24,10 @@ from circiso.circulant import Circulant, EdgeGraph, realize, symmetric_set
 from circiso.errors import (CircisoError, InvariantViolation, NotAPermutation, OrderMismatch,
                             ParamMismatch)
 from circiso.iso_oracle import IsoWitness, PeriodicMap, verify_witness
-from circiso.products import ConjectureCase, ConjectureReport
+from circiso.products import ConjectureCase, ConjectureReport, LiftCheck, product_coprime
 from circiso.residue import reflexive_reduce
-from circiso.type2 import ThetaMap, Type2Orbit, classify_theta, theta_periodic
+from circiso.type2 import (ThetaMap, Type2Orbit, classify_theta, theta_periodic, type2_set,
+                           valid_type2_ms)
 
 DEFAULT_NODE_BUDGET = 10**7
 
@@ -153,6 +154,28 @@ def _composes(a: ThetaMap, b: ThetaMap, c: ThetaMap) -> bool:
 def counterexamples(report: ConjectureReport) -> tuple[ConjectureCase, ...]:
     """The cases of a conjecture scan whose verdicts disagree."""
     return tuple(c for c in report.cases if not c.consistent)
+
+
+def scan_case_by_full_orbits(left: Circulant, right: Circulant) -> ConjectureCase:
+    """One case of scan_conjecture with every orbit built: type2_set at
+    every m each of the three graphs admits, none skipped and the product's
+    not stopped at its first partner. Each factor orbit with a Type-2 t
+    lifts its least such t, scaled by the other factor's order, to the
+    product and classifies it there."""
+    product = product_coprime(left, right)
+    orbits = {g: [type2_set(g, m) for m in valid_type2_ms(g)] for g in (left, right, product)}
+    lifts = []
+    for g, other in ((left, right), (right, left)):
+        for orbit in orbits[g]:
+            ts = [t for t, kind, _ in orbit.outcomes if kind == "type2"]
+            if ts:
+                lifted_t = ts[0] * other.n % (product.n // orbit.m)
+                kind = classify_theta(ThetaMap(product.n, orbit.m, lifted_t), product).kind
+                lifts.append(LiftCheck(orbit.m, ts[0], lifted_t, kind))
+    left_type2, right_type2, product_type2 = (
+        any(len(o.members) > 1 for o in orbits[g]) for g in (left, right, product))
+    return ConjectureCase(left, right, product, left_type2, right_type2, product_type2,
+                          tuple(lifts))
 
 
 def theta_image_by_difference_sets(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:

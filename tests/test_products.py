@@ -14,7 +14,7 @@ from circiso.products import SCAN_HEADER, product_coprime, product_witness, scan
 from circiso.reporting import graph_from_desc
 from circiso.residue import reflexive_reduce
 from circiso.type1 import adams_apply
-from circiso.type2 import valid_type2_ms
+from circiso.type2 import unit_lattice, valid_type2_ms
 
 from conftest import brute_product_edges
 from oracles import counterexamples, edge, make_witness, search_isomorphism
@@ -209,13 +209,23 @@ def test_scan_computes_each_orbit_once(monkeypatch):
             monkeypatch.setattr(mod, "type2_set", recording)
     [case] = scan_conjecture(16, 27, budget=1, pairs=[(X1, Y1)]).cases
     assert calls == [(X1, 2), (Y1, 3), (case.product, 2)]
-    # factors with and without partners; some products have none for any m
+    # factors with and without partners; some products have none for any m.
+    # An m whose lattice holds only unit maps (type2.unit_lattice) builds no
+    # orbit, so a pair where no m can hold a partner builds none at all
     lefts = (X1, Circulant(16, (1, 2, 4)), Circulant(16, (1, 4, 6)))
     rights = (Y1, Circulant(27, (1, 2, 4)), Circulant(27, (1, 3, 6)))
-    for pair in itertools.product(lefts, rights):
+    for left, right in itertools.product(lefts, rights):
+        product = product_coprime(left, right)
+        expected = [(g, m) for g in (left, right)
+                    for m in valid_type2_ms(g) if not unit_lattice(g, m)]
+        for m in valid_type2_ms(product):  # up to the product's first partner
+            if not unit_lattice(product, m):
+                expected.append((product, m))
+                if len(real(product, m).members) > 1:
+                    break
         calls.clear()
-        scan_conjecture(16, 27, budget=1, pairs=[pair])
-        assert calls and len(calls) == len(set(calls))
+        scan_conjecture(16, 27, budget=1, pairs=[(left, right)])
+        assert calls == expected
 
 
 def test_scan_walks_no_identity(monkeypatch):
@@ -243,6 +253,25 @@ def test_scan_walks_no_identity(monkeypatch):
     assert [n for n, _ in solves] == [16, 27, 27, 432, 432, 432]
     assert len(set(solves[:4])) == 4  # one solve per new image
     assert [(l.m, l.t, l.lifted_t) for l in case.lifts] == [(2, 2, 54), (3, 1, 16)]
+
+
+def test_scan_builds_no_orbit_where_every_lattice_is_unit_maps(monkeypatch):
+    # C_16(1,2,4) at m = 2 and the product C_432 at m = 2, 3 and 6 have
+    # m²·step ≡ 0 (mod n), and C_27(1,2,4) has no offset divisible by 3, so
+    # no orbit is built and the case walks only its CRT embedding
+    walks, built = [], []
+    real, real_set = iso_oracle.verify_circulant_witness, products.type2_set
+    monkeypatch.setattr(iso_oracle, "verify_circulant_witness",
+                        lambda *args: walks.append(args) or real(*args))
+    monkeypatch.setattr(products, "type2_set",
+                        lambda g, m: built.append((g, m)) or real_set(g, m))
+    left, right = Circulant(16, (1, 2, 4)), Circulant(27, (1, 2, 4))
+    [case] = scan_conjecture(16, 27, budget=1, pairs=[(left, right)]).cases
+    assert built == []
+    assert [(f.n, f.p) for _, _, f in walks] == [(432, 27)]
+    assert not (case.left_type2 or case.right_type2 or case.product_type2)
+    assert case.lifts == ()
+    assert [m for g in (left, case.product) for m in valid_type2_ms(g)] == [2, 2, 3, 6]
 
 
 def test_scan_refuses_pairs_of_other_orders(monkeypatch):

@@ -47,9 +47,10 @@ from circiso.type2 import (
     classify_theta,
     theta_periodic,
     type2_set,
+    unit_lattice,
     valid_type2_ms,
 )
-from circiso.products import product_coprime, product_witness
+from circiso.products import product_coprime, product_witness, scan_conjecture
 from circiso.reporting import graph_desc, graph_from_desc
 
 import oracles
@@ -65,6 +66,7 @@ from oracles import (
     permute_edges,
     ring_edges,
     theta_compose,
+    scan_case_by_full_orbits,
     theta_image_by_difference_sets,
     type2_orbit_by_classification,
 )
@@ -628,6 +630,11 @@ def _divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def _closed(offsets, p, n):
+    """The offsets closed under translation by p, a divisor of n, less 0."""
+    return {s % p + k * p for s in offsets for k in range(n // p)} - {0}
+
+
 @st.composite
 def _class_graph(draw, m, n, max_offsets=9):
     """C_n(R) with R drawn from some of the classes mod m, so that other
@@ -639,8 +646,7 @@ def _class_graph(draw, m, n, max_offsets=9):
     pool = [s for s in range(1, half + 1) if s % m in residues]
     base = draw(st.sets(st.sampled_from(pool), min_size=1, max_size=max_offsets))
     if draw(st.booleans()):
-        p = draw(st.sampled_from([d for d in _divisors(n) if d % m == 0]))
-        base = {b % p + k * p for b in base for k in range(n // p)} - {0}
+        base = _closed(base, draw(st.sampled_from([d for d in _divisors(n) if d % m == 0])), n)
     if n % 2 == 0 and draw(st.booleans()):
         base.add(half)
     return Circulant(n, reflexive_reduce(base, n))
@@ -823,6 +829,91 @@ def test_catalog_orbits_match_classification_at_every_t():
     for g, ms in ((cat.s3_seed("A"), (2, 3)), (cat.s4_seed("A"), (3, 5))):
         for m in ms:
             _assert_orbit_matches_classification(g, m)
+
+
+_CATALOG = catalog.load()
+_S3_SEEDS = tuple(_CATALOG.s3_seed(x) for x in catalog.S3_LETTERS)
+_S4_SEEDS = tuple(_CATALOG.s4_seed(x) for x in catalog.S4_LETTERS)
+
+
+@st.composite
+def _connected_type2_graph(draw):
+    """A connected C_n(R) with 3 to 7 drawn offsets that some m admits, at
+    an order that 2^3 or 3^3 divides; half the time R is closed under a
+    shift by a divisor of n, so that its classes are periodic and some
+    lattices hold maps of period m."""
+    n = draw(st.sampled_from([16, 27, 32, 54, 64, 81, 108, 128, 216, 432]))
+    conn = draw(st.sets(st.integers(1, n // 2), min_size=3, max_size=7))
+    if draw(st.booleans()):
+        conn = _closed(conn, draw(st.sampled_from(_divisors(n)[1:])), n)
+    g = Circulant(n, reflexive_reduce(conn, n))
+    assume(is_connected(g) and valid_type2_ms(g))
+    return g
+
+
+@settings(max_examples=200, deadline=None)
+@given(_connected_type2_graph())
+@example(_S3_SEEDS[0])
+@example(_S3_SEEDS[1])
+@example(_S3_SEEDS[2])
+@example(_S3_SEEDS[3])
+@example(_S3_SEEDS[4])
+@example(_S3_SEEDS[5])
+@example(_S4_SEEDS[0])
+@example(_S4_SEEDS[1])
+@example(_S4_SEEDS[2])
+def test_unit_lattice_orbit_has_no_partner(g):
+    """Wherever unit_lattice holds, the orbit type2_set builds has no
+    member but g, every outcome on its lattice is the identity or Type-1,
+    and every lattice t has m²t ≡ 0 (mod n): the scan may skip it."""
+    for m in valid_type2_ms(g):
+        if unit_lattice(g, m):
+            orbit = type2_set(g, m)
+            assert orbit.members == (g,)
+            assert {kind for _, kind, _ in orbit.outcomes} <= {"identity", "type1"}
+            assert all(m * m * t % g.n == 0 for t, _, _ in orbit.outcomes)
+
+
+def test_catalog_seeds_have_a_unit_lattice_only_at_the_composite_m():
+    """The paper's partners are at m = 2, 3 (order 432) and m = 3, 5 (order
+    6750); m = 6 and m = 15, which the seeds also admit, have only unit
+    maps on their lattices, so they can hold no partner."""
+    for seeds, ms in ((_S3_SEEDS, (2, 3, 6)), (_S4_SEEDS, (3, 5, 15))):
+        for g in seeds:
+            assert valid_type2_ms(g) == ms
+            assert [unit_lattice(g, m) for m in ms] == [False, False, True]
+
+
+@st.composite
+def _scan_pair(draw):
+    """A connected pair of factors at one of the orders 8 x 27, 16 x 27,
+    8 x 81, 27 x 32 and 16 x 81, each with at least 3 offsets: 1 to 3 drawn
+    offsets, half the time closed under the shift by k/p, for k the order
+    and p its prime, and 0 to 3 more, so that some classes are periodic and
+    others not and some factors have partners."""
+    pair = []
+    for k in draw(st.sampled_from([(8, 27), (16, 27), (8, 81), (27, 32), (16, 81)])):
+        conn = draw(st.sets(st.integers(1, k // 2), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            conn = _closed(conn, k // (2 if k % 2 == 0 else 3), k)
+        conn |= draw(st.sets(st.integers(1, k // 2), max_size=3))
+        g = Circulant(k, reflexive_reduce(conn, k))
+        assume(len(g.conn) >= 3 and gcd(k, *g.conn) == 1)
+        pair.append(g)
+    return tuple(pair)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scan_pair())
+@example((Circulant(16, (1, 2, 7)), Circulant(27, (1, 3, 8, 10))))
+@example((Circulant(16, (1, 2, 4)), Circulant(27, (1, 2, 4))))
+def test_scan_case_matches_full_orbit_reference(pair):
+    """The scan skips every m where unit_lattice holds and stops the
+    product's orbits at its first partner; its case equals the one built
+    from every orbit of all three graphs, verdicts and lifts alike."""
+    left, right = pair
+    [case] = scan_conjecture(left.n, right.n, budget=1, pairs=[pair]).cases
+    assert case == scan_case_by_full_orbits(left, right)
 
 
 @settings(max_examples=300, deadline=None)
