@@ -3,7 +3,7 @@
 with their group structure."""
 
 from itertools import count, takewhile
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .circulant import Circulant, symmetric_set
@@ -68,7 +68,7 @@ class ThetaClassification(NamedTuple):
     circulant outcome always carries the image and the witness its walk
     passed; "type1" also records the least unit. "not_circulant" records
     only the first image vertex whose difference set differs from vertex
-    0's, read from the class periods once the walk has failed.
+    0's, read from the moving offsets F (_moving) once the walk has failed.
     """
 
     kind: str
@@ -90,6 +90,8 @@ def _order_refusal(n: int, m: int) -> Optional[InvalidParams]:
         return None
     if m <= 1:
         return InvalidParams(f"m must be > 1, got {m}")
+    if m**3 > n:  # m may have thousands of digits, too many to print its cube
+        return InvalidParams(f"m^3 exceeds n = {n}")
     return InvalidParams(f"m^3 = {m ** 3} does not divide n = {n}")
 
 
@@ -154,38 +156,32 @@ def _lattice_conn(n: int, m: int, t: int, full) -> tuple[int, ...]:
     return reflexive_reduce((s + (s % m) * mt for s in full), n)
 
 
-def _class_periods(full, m: int, n: int) -> list[int]:
-    """[P_1, ..., P_{m-1}]: P_r is the least translation period
-    (_class_period) of the class S_r = {s in full : s ≡ r (mod m)}, for
-    full = R ∪ -R. theta(n, m, t) maps g onto a circulant exactly when
-    P_r | m²*t for every r in [1, m), and otherwise the least image vertex
-    whose difference set differs from vertex 0's is m - r, for the largest
-    r with P_r ∤ m²*t.
+def _moving(full, m: int) -> set[int]:
+    """F = {s in full : m ∤ s}, for full = R ∪ -R: the offsets outside
+    class 0 mod m, the only ones that theta(n, m, t) translates. A
+    translation by d ≡ 0 (mod m) keeps every residue mod m (m | n), so it
+    fixes F exactly when it fixes each class S_r = {s in full : s ≡ r
+    (mod m)}, r in [1, m), and a class S_r moves exactly when some s in S_r
+    has s + d outside F.
+
+    theta(n, m, t) maps g onto a circulant exactly when F + m²*t = F, and
+    otherwise the least image vertex whose difference set differs from
+    vertex 0's is m - r, for the largest r whose class moves.
 
     The image vertex theta(u) has difference set
     D_u = {theta(u+s) - theta(u) : s in full}. Since
     theta(x+m) = theta(x) + m, D_u depends only on u mod m. For u in
     [0, m) and s in S_r, theta(u+s) - theta(u) = s + ((u+r) mod m - u)*m*t,
     which is s + r*m*t, less a further m²*t exactly when u + r >= m. Every
-    value keeps its residue r mod m (m | n), so D_u is the disjoint union
-    over r of these translates of S_r, and D_u = D_0 iff S_r + m²*t = S_r
-    for every r >= m - u. The image is circulant iff that holds at
-    u = m - 1, and otherwise the least failing u is m - r for the largest
-    r whose class moves. Image vertex x has a preimage congruent to x mod m,
-    so u is also the least failing image vertex, the vertex that an
-    edge-level circulance test on the transformed edge set reports. The
-    translations fixing S_r are the multiples of P_r, which divides n, so
-    S_r + m²*t = S_r exactly when P_r | m²*t.
+    value keeps its residue r mod m, so D_u is the disjoint union over r of
+    these translates of S_r, and D_u = D_0 iff S_r + m²*t = S_r for every
+    r >= m - u. The image is circulant iff that holds at u = m - 1, that is
+    F + m²*t = F, and otherwise the least failing u is m - r for the
+    largest r whose class moves. Image vertex x has a preimage congruent
+    to x mod m, so u is also the least failing image vertex, the vertex
+    that an edge-level circulance test on the transformed edge set reports.
     """
-    return [_class_period(c, n) for c in _offset_classes(full, m)[1:]]
-
-
-def _offset_classes(full, m: int) -> list[set[int]]:
-    """[S_0, ..., S_{m-1}]: the values of full bucketed by residue mod m."""
-    classes = [set() for _ in range(m)]
-    for s in full:
-        classes[s % m].add(s)
-    return classes
+    return {s for s in full if s % m}
 
 
 def _class_period(cls, n: int) -> int:
@@ -212,12 +208,13 @@ def _class_period(cls, n: int) -> int:
     return n
 
 
-def _lattice_step(periods, m: int) -> int:
+def _lattice_step(full, m: int, n: int) -> int:
     """The least q > 0 such that theta(n, m, t) maps g onto a circulant
-    exactly when q | t, for periods the P_r of _class_periods: the
-    condition P_r | m²*t for every r is P | m²*t for P = lcm of the P_r,
-    that is P / gcd(P, m²) | t."""
-    p = lcm(*periods)
+    exactly when q | t, for full = R ∪ -R: that is F + m²*t = F (_moving),
+    and the translations fixing F are the multiples of its period P
+    (_class_period), which divides n, so the condition is P | m²*t, that
+    is P / gcd(P, m²) | t."""
+    p = _class_period(_moving(full, m), n)
     return p // gcd(p, m * m)
 
 
@@ -230,12 +227,11 @@ def unit_lattice(g: Circulant, m: int) -> bool:
     so m²*t ≡ 0 (mod n), and theta_periodic(n, m, t) is the period-1 unit
     map v -> (1 + m*t)*v, whose image is g itself (the identity) or a
     Type-1 image. Every t off the lattice gives no circulant image
-    (_lattice_step). So only the class periods are read: no image is built
-    and no map is walked."""
+    (_lattice_step). So only the period of F (_moving) is read: no image
+    is built and no map is walked."""
     if error := _type2_refusal(g, m):
         raise error
-    n = g.n
-    return m * m * _lattice_step(_class_periods(symmetric_set(g), m, n), m) % n == 0
+    return m * m * _lattice_step(symmetric_set(g), m, g.n) % g.n == 0
 
 
 def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
@@ -247,11 +243,10 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     the witness endpoints are g and the image themselves, so classification
     builds no edge set. A Type-1 image records the least unit mapping g
     onto it (is_adams_isomorphic). A failed walk makes the image not
-    circulant, and the class periods (_class_periods) name its first
-    failing vertex m - r: the periods P_r are taken from r = m - 1 down,
-    and the first r with P_r ∤ m²*t is the largest. When every class is
-    invariant the walk and the class periods disagree, and the walk's
-    InvariantViolation is raised.
+    circulant, and its first failing vertex is m - r for the largest r
+    whose class moves (_moving): the largest s mod m over the s in F with
+    s + m²*t outside F. When no class moves the walk and F disagree, and
+    the walk's InvariantViolation is raised.
     """
     if tm.n != g.n:
         raise ParamMismatch(f"transform order {tm.n} != graph order {g.n}")
@@ -262,11 +257,11 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
     try:
         image, kind, f = _theta_step(g, m, t, full, {g.conn: (g, "identity")})
     except InvariantViolation:
-        classes = _offset_classes(full, m)
-        for r in range(m - 1, 0, -1):
-            if m * m * t % _class_period(classes[r], g.n):
-                return ThetaClassification("not_circulant", failing_vertex=m - r)
-        raise
+        moving, n, d = _moving(full, m), g.n, m * m * t
+        moved = [s % m for s in moving if (s + d) % n not in moving]
+        if not moved:
+            raise
+        return ThetaClassification("not_circulant", failing_vertex=m - max(moved))
     witness = IsoWitness(g, image, f, True, _THETA_ORIGIN.format(m, t))
     if kind:
         return ThetaClassification(kind, image, witness=witness)
@@ -322,7 +317,7 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     walk, which reads one difference per offset when theta(n, m, t) has
     period 1. The image is C_n(D_0), one graph value per distinct
     connection set, g itself for g's own set, so no membership claim rests
-    on the offset classes alone. Each member keeps, as its witness, the
+    on the lattice alone. Each member keeps, as its witness, the
     bijection of its least t, and only those get an IsoWitness. A lattice t
     whose image is not circulant, which would contradict _lattice_step,
     fails its walk, and that raises InvariantViolation naming t, with no
@@ -357,7 +352,7 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
         raise error
     n, q = g.n, g.n // m
     full = symmetric_set(g)
-    step = _lattice_step(_class_periods(full, m, n), m)
+    step = _lattice_step(full, m, n)
     walked = [("identity", g)]  # (kind, image) of each lattice t up to q0, ascending
     seen = {g.conn: (g, "identity")}  # connection set -> its one graph value, its kind
     first = {}  # Type-2 image -> (t, bijection) of its least t

@@ -2,8 +2,10 @@
 and checked by verify_witness (make_witness), the tuple edge-set route that
 verify_witness replaced (factor edge sets folded by cartesian_edges, and a
 check that looks up each image), a theta image decided on the per-vertex
-difference sets, which classify_theta's walk and class periods must match,
-the composition law of theta maps that type2_set proves in its docstring
+difference sets, which classify_theta's walk and moving offsets must match,
+the lattice step and failing vertex read from one period per offset class
+mod m, which type2 reads from the one set of moving offsets, the
+composition law of theta maps that type2_set proves in its docstring
 (theta_compose), a Type-2 orbit built from classify_theta at every t, the
 inconsistent cases of a conjecture scan, one scan case with every orbit
 built, circulance detection on an explicit edge set, vertex relabeling,
@@ -18,6 +20,7 @@ recursion limit.
 
 import itertools
 from functools import reduce
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Union
 
 from circiso.circulant import Circulant, EdgeGraph, realize, symmetric_set
@@ -180,7 +183,7 @@ def scan_case_by_full_orbits(left: Circulant, right: Circulant) -> ConjectureCas
 
 def theta_image_by_difference_sets(tm: ThetaMap, g: Circulant) -> Union[Circulant, NotCirculant]:
     """The image of g under theta, decided on m vertices with no walk and no
-    class periods: the image vertex theta(u) has difference set
+    translation period: the image vertex theta(u) has difference set
     D_u = {theta(u+s) - theta(u) : s in R ∪ -R}, which depends only on
     u mod m, so the image is circulant iff D_u = D_0 for u in [0, m);
     otherwise the result names the least failing u. classify_theta must
@@ -193,6 +196,31 @@ def theta_image_by_difference_sets(tm: ThetaMap, g: Circulant) -> Union[Circulan
         if frozenset((s + ((u + s) % m - u) * mt) % n for s in full) != d0:
             return NotCirculant(u)
     return Circulant(n, reflexive_reduce(d0, n))
+
+
+def class_periods(g: Circulant, m: int) -> list[int]:
+    """[P_1, ..., P_{m-1}]: P_r is the least d > 0 with S_r + d = S_r
+    (mod n), found by trying every d, for the class
+    S_r = {s in R ∪ -R : s ≡ r (mod m)}; 1 for an empty class."""
+    n, full = g.n, symmetric_set(g)
+    classes = [{s for s in full if s % m == r} for r in range(1, m)]
+    return [next(d for d in range(1, n + 1) if {(s + d) % n for s in c} == c) for c in classes]
+
+
+def lattice_step_by_classes(g: Circulant, m: int) -> int:
+    """The lattice step of g w.r.t. m from every class period: theta(n, m, t)
+    maps g onto a circulant iff P_r | m²*t for every r, that is
+    P | m²*t for P the lcm of the P_r, that is P / gcd(P, m²) | t."""
+    p = lcm(*class_periods(g, m))
+    return p // gcd(p, m * m)
+
+
+def failing_vertex_by_classes(g: Circulant, m: int, t: int) -> Optional[int]:
+    """The least failing image vertex of theta(n, m, t) on g, m - r for the
+    largest r with P_r ∤ m²*t, or None when every class is invariant and
+    the image is circulant."""
+    moved = [r for r, p in enumerate(class_periods(g, m), 1) if m * m * t % p]
+    return m - max(moved) if moved else None
 
 
 def type2_orbit_by_classification(g: Circulant, m: int) -> Type2Orbit:

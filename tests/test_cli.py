@@ -145,7 +145,7 @@ def test_t2_classifies_each_t_once(capsys, monkeypatch):
     # t = 162 takes the outcome of t = 54 without a walk
     counts = Counter()
     _count_calls(monkeypatch, iso_oracle.verify_circulant_witness, counts)
-    _count_calls(monkeypatch, type2._class_periods, counts)
+    _count_calls(monkeypatch, type2._lattice_step, counts)
     _count_calls(monkeypatch, type2._type2_refusal, counts)
     _count_calls(monkeypatch, realize, counts)
     code, out, _ = run(capsys, "t2", A432, "--m", "2", "--json")
@@ -154,8 +154,9 @@ def test_t2_classifies_each_t_once(capsys, monkeypatch):
     assert [c["t"] for c in results["classifications"]] == list(range(216))
     assert [c["t"] for c in results["classifications"] if c["image"]] == [0, 54, 108, 162]
     assert counts["verify_circulant_witness"] == 2
-    # R ∪ -R is split into its classes mod m once, for the lattice, not per t
-    assert counts["_class_periods"] == 1
+    # the lattice step, from the offsets m does not divide, is taken once
+    # per (g, m), not per t
+    assert counts["_lattice_step"] == 1
     # m is refused or admitted once, not once per t
     assert counts["_type2_refusal"] == 1
     # the member witness keeps circulant endpoints, so no edge set is built
@@ -241,6 +242,17 @@ def test_t2_parameter_error_has_hint(capsys):
     assert code == 2
     assert err.splitlines() == ["error: Type-2 classification needs at least 3 offsets",
                                 "hint: no valid m exists for C_16(2,4)"]
+
+
+def test_huge_m_exits_2_with_one_line(capsys):
+    # a 2,000-digit m parses, but its cube has too many digits to print:
+    # the refusal must not format it, and t2 keeps its hint line
+    big = "9" * 2000
+    code, out, err = run(capsys, "t2", "n=16;R=1,2,7", "--m", big)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: m^3 exceeds n = 16", "hint: valid m for C_16(1,2,7): 2"]
+    code, out, err = run(capsys, "classify", "n=16;R=1,2,7", "--m", big, "--t", "0")
+    assert (code, out, err) == (2, "", "error: m^3 exceeds n = 16\n")
 
 
 WALK_FAILURES = [

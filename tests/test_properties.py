@@ -43,6 +43,7 @@ from circiso.type2 import (
     _class_period,
     _closed_under_addition,
     _lattice_conn,
+    _lattice_step,
     _theta_step,
     classify_theta,
     theta_periodic,
@@ -61,6 +62,8 @@ from oracles import (
     cartesian_edges,
     detect_circulant,
     endpoint_edges,
+    failing_vertex_by_classes,
+    lattice_step_by_classes,
     maps_edges_onto,
     periodic_value,
     permute_edges,
@@ -676,7 +679,7 @@ def _class_case(draw):
 @example((Circulant(125, (7, 28, 48, 55)), ThetaMap(125, 5, 12)))
 def test_classification_matches_difference_set_route(case):
     """classify_theta, which decides by its walk and names a failing vertex
-    from the class periods, gives what the m per-vertex difference sets
+    from the moving offsets, gives what the m per-vertex difference sets
     decide: the same image, or the same failing vertex."""
     g, tm = case
     cls = classify_theta(tm, g)
@@ -914,6 +917,40 @@ def test_scan_case_matches_full_orbit_reference(pair):
     left, right = pair
     [case] = scan_conjecture(left.n, right.n, budget=1, pairs=[pair]).cases
     assert case == scan_case_by_full_orbits(left, right)
+
+
+@st.composite
+def _any_m_case(draw):
+    """A _class_graph at a prime or composite m (4 and 6 among them) that
+    meets the Type-2 preconditions, and a t in [0, n/m)."""
+    m = draw(st.sampled_from([2, 3, 4, 5, 6]))
+    n = m**3 * draw(st.integers(1, 250 // m**3))
+    g = draw(_class_graph(m, n))
+    g = Circulant(n, reflexive_reduce({*g.conn, m * draw(st.integers(1, n // 2 // m))}, n))
+    assume(len(g.conn) >= 3)
+    return g, m, draw(st.integers(0, n // m - 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_m_case())
+# F is empty: every offset is a multiple of m, so the step is 1
+@example((Circulant(64, (4, 8, 12)), 4, 5))
+@example((Circulant(216, (6, 36, 108)), 6, 7))
+# classes 1 and 5 mod 6 have period 36 = m²t, classes 2 and 4 move: the
+# failing vertex is 6 - 4 = 2; the lattice step is 216 / gcd(216, 36) = 6
+@example((Circulant(216, (1, 2, 6, 35, 37, 71, 73, 107)), 6, 1))
+# classes 1 and 3 mod 4 have period 32 = m²t, class 2 moves: vertex 2 fails
+@example((Circulant(128, (1, 2, 4, 31, 33, 63)), 4, 2))
+def test_moving_set_matches_per_class_reference(case):
+    """The lattice step, unit_lattice and the not-circulant vertex, all read
+    from the one moving set F, equal what the m - 1 class periods give:
+    the lcm of the periods, and m - r for the largest r with P_r ∤ m²t."""
+    g, m, t = case
+    step = lattice_step_by_classes(g, m)
+    assert _lattice_step(symmetric_set(g), m, g.n) == step
+    assert unit_lattice(g, m) == (m * m * step % g.n == 0)
+    assert classify_theta(ThetaMap(g.n, m, t), g).failing_vertex == (
+        failing_vertex_by_classes(g, m, t))
 
 
 @settings(max_examples=300, deadline=None)

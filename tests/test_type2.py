@@ -307,8 +307,8 @@ def test_off_lattice_image_raises(monkeypatch):
     # the true lattice step of C_16(1,2,7) for m = 2 is 2, so a step of 1
     # puts t = 1, whose image is not circulant, on the lattice; type2_set
     # must refuse that contradiction, never record it as an outcome
-    assert type2._lattice_step(type2._class_periods(symmetric_set(C16A), 2, 16), 2) == 2
-    monkeypatch.setattr(type2, "_lattice_step", lambda periods, m: 1)
+    assert type2._lattice_step(symmetric_set(C16A), 2, 16) == 2
+    monkeypatch.setattr(type2, "_lattice_step", lambda full, m, n: 1)
     with pytest.raises(InvariantViolation, match="t=1"):
         type2_set(C16A, 2)
 
@@ -320,7 +320,7 @@ def test_off_lattice_image_raises_under_optimize():
             "from circiso import type2\n"
             "from circiso.circulant import Circulant\n"
             "from circiso.errors import InvariantViolation\n"
-            "type2._lattice_step = lambda periods, m: 1\n"
+            "type2._lattice_step = lambda full, m, n: 1\n"
             "try:\n"
             "    type2.type2_set(Circulant(16, (1, 2, 7)), 2)\n"
             "except InvariantViolation as e:\n"
@@ -403,12 +403,12 @@ def test_walk_failure_text_is_shared(monkeypatch):
 
 def test_not_circulant_verdict_is_cross_checked(monkeypatch):
     # theta(54, 3, 5) does not map C_54(1,3,9) onto a circulant: its walk
-    # fails and class 1 moves, so vertex 1 fails. With every class period
-    # forced to 1, every class is invariant: the walk and the class periods
-    # disagree, and the walk's error is raised, not a verdict
+    # fails and classes 1 and 2 move, so vertex 3 - 2 = 1 fails. With F
+    # forced empty, no class moves: the walk and F disagree, and the walk's
+    # error is raised, not a verdict
     g, tm = Circulant(54, (1, 3, 9)), ThetaMap(54, 3, 5)
     assert classify_theta(tm, g).failing_vertex == 1
-    monkeypatch.setattr(type2, "_class_period", lambda cls, n: 1)
+    monkeypatch.setattr(type2, "_moving", lambda full, m: set())
     with pytest.raises(InvariantViolation, match=r"^theta\(m=3,t=5\) does not map "):
         classify_theta(tm, g)
 
@@ -419,7 +419,7 @@ def test_not_circulant_verdict_is_cross_checked_under_optimize():
             "from circiso import type2\n"
             "from circiso.circulant import Circulant\n"
             "from circiso.errors import InvariantViolation\n"
-            "type2._class_period = lambda cls, n: 1\n"
+            "type2._moving = lambda full, m: set()\n"
             "try:\n"
             "    type2.classify_theta(type2.ThetaMap(54, 3, 5), Circulant(54, (1, 3, 9)))\n"
             "except InvariantViolation as e:\n"
