@@ -122,11 +122,11 @@ def cmd_t2(args) -> dict:
         assertion("t-stabilizer contains 0", group.contains_zero),
         assertion("t-stabilizer closed under addition", group.closed),
         assertion("t-stabilizer closed under negation", group.has_inverses),
-        assertion("induced composition closed", group.composition_closed),
-        assertion("induced composition abelian", group.abelian),
-        assertion("base acts as identity", group.identity_ok),
-        assertion(f"induced composition associativity ({group.associativity})",
-                  group.associativity in ("exhaustive", "structural")),
+        assertion("induced composition closed", group.composition.closed),
+        assertion("induced composition abelian", group.composition.commutative),
+        assertion("base acts as identity", group.composition.identity_ok),
+        assertion(f"induced composition associativity ({group.composition.associativity})",
+                  group.composition.associativity in ("exhaustive", "structural")),
         *[assertion(f"witness for member {i}", w.verified) for i, w in enumerate(orbit.witnesses)],
     ]
     witnesses = _stored(orbit.witnesses, orbit.members, checks)

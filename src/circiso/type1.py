@@ -84,7 +84,8 @@ def type1_set(g: Circulant) -> Type1Orbit:
 
 
 class GroupTable(NamedTuple):
-    """The group axioms of an induced composition on orbit members."""
+    """The group axioms of an induced composition on the members of a
+    Type-1 or Type-2 orbit; ok when every axiom held."""
 
     closed: bool
     commutative: bool
@@ -93,7 +94,8 @@ class GroupTable(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return self.closed and self.commutative and self.identity_ok
+        return (self.closed and self.commutative and self.identity_ok
+                and self.associativity != "failed")
 
 
 # orbits up to this size have associativity enumerated over all triples

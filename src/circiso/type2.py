@@ -11,7 +11,7 @@ from .errors import (CircisoError, InvalidParams, InvariantViolation, ParamMisma
                      PreconditionViolation)
 from .iso_oracle import IsoWitness, PeriodicMap, walk_or_raise
 from .residue import check_modulus, reflexive_reduce
-from .type1 import induced_composition, is_adams_isomorphic
+from .type1 import GroupTable, induced_composition, is_adams_isomorphic
 
 
 class ThetaMap(NamedTuple("ThetaMap", [("n", int), ("m", int), ("t", int)])):
@@ -379,21 +379,17 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
 
 
 class Type2GroupReport(NamedTuple):
-    """Subgroup and abelian-group checks for a Type-2 orbit."""
+    """The subgroup tests of a Type-2 orbit's t-stabilizer and the group
+    axioms of the induced composition on its members."""
 
     contains_zero: bool
     closed: bool
     has_inverses: bool
-    composition_closed: bool
-    abelian: bool
-    identity_ok: bool
-    associativity: str  # "exhaustive", "structural" or "failed"
+    composition: GroupTable
 
     @property
     def ok(self) -> bool:
-        return (self.contains_zero and self.closed and self.has_inverses
-                and self.composition_closed and self.abelian and self.identity_ok
-                and self.associativity != "failed")
+        return self.contains_zero and self.closed and self.has_inverses and self.composition.ok
 
 
 def type2_group_check(orbit: Type2Orbit) -> Type2GroupReport:
@@ -416,16 +412,15 @@ def type2_group_check(orbit: Type2Orbit) -> Type2GroupReport:
         if image[t] is not None:
             least.setdefault(image[t], t)
     index = {x: i for i, x in enumerate(least)}
-    composition = induced_composition(tuple(least.values()), lambda a, b: (a + b) % q,
-                                      lambda t: index.get(image.get(t)), index.get(orbit.base))
+    closed, commutative, identity_ok, associativity = induced_composition(
+        tuple(least.values()), lambda a, b: (a + b) % q,
+        lambda t: index.get(image.get(t)), index.get(orbit.base))
     return Type2GroupReport(
         contains_zero=0 in ts,
         closed=_closed_under_addition(ts, q),
         has_inverses=all((-a) % q in ts for a in ts),
-        composition_closed=composition.closed and set(image.values()) == set(orbit.members),
-        abelian=composition.commutative,
-        identity_ok=composition.identity_ok,
-        associativity=composition.associativity,
+        composition=GroupTable(closed and set(image.values()) == set(orbit.members),
+                               commutative, identity_ok, associativity),
     )
 
 

@@ -37,6 +37,7 @@ from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 from oracles import make_witness, search_isomorphism
 from test_iso_oracle import _Reads
 from test_products import layered_graph
+from test_type1 import _composition
 from test_type2 import unassociative_orbit
 
 SRC = pathlib.Path(circiso.__file__).resolve().parents[1]
@@ -1179,6 +1180,16 @@ def test_t2_asserts_associativity(capsys, monkeypatch):
     assert code == 1
     assert out.splitlines()[5:7] == ["[PASS] base acts as identity",
                                      "[FAIL] induced composition associativity (failed)"]
+
+
+def test_t1_asserts_associativity(capsys, monkeypatch):
+    # the table of A_1's orbit with the product 19*7 sent to the wrong member
+    monkeypatch.setattr(cli, "type1_group_table",
+                        lambda orbit: _composition(orbit, wrong=19 * 7 % 432)[0])
+    code, out, _ = run(capsys, "t1", A432)
+    assert code == 1
+    assert out.splitlines()[3:5] == ["[PASS] group table identity",
+                                     "[FAIL] group table associativity (failed)"]
 
 
 def test_classify_bad_params_exit_code(capsys):

@@ -32,6 +32,7 @@ from circiso.iso_oracle import (
 from circiso.residue import reflexive_reduce, units
 from circiso.type1 import (
     EXHAUSTIVE_ASSOC_LIMIT,
+    GroupTable,
     adams_apply,
     adams_periodic,
     is_adams_isomorphic,
@@ -40,6 +41,7 @@ from circiso.type1 import (
 )
 from circiso.type2 import (
     ThetaMap,
+    Type2GroupReport,
     _class_period,
     _closed_under_addition,
     _lattice_conn,
@@ -491,6 +493,8 @@ def test_group_table_matches_adams_apply(g, data):
         assert table.associativity == ("exhaustive" if assoc else "failed")
     else:
         assert table.associativity == "structural"
+    assert table.ok == (table.closed and table.commutative and table.identity_ok
+                        and table.associativity != "failed")
 
 
 @st.composite
@@ -1230,16 +1234,17 @@ def _group_verdicts_by_pairs(g, m, ts, orbit_members):
         associativity = "exhaustive" if associative else "failed"
     else:
         associativity = "structural"
-    return {
-        "contains_zero": 0 in ts,
-        "closed": all((a + b) % q in ts for a in ts for b in ts),
-        "has_inverses": all((q - a) % q in ts for a in ts),
-        "composition_closed": set(least) == set(orbit_members) and closed,
-        "abelian": all(compose(a, b) == compose(b, a) for a in members for b in members),
-        "identity_ok": all(g in least and compose(g, b) == b == compose(b, g)
-                           for b in members),
-        "associativity": associativity,
-    }
+    return Type2GroupReport(
+        contains_zero=0 in ts,
+        closed=all((a + b) % q in ts for a in ts for b in ts),
+        has_inverses=all((q - a) % q in ts for a in ts),
+        composition=GroupTable(
+            closed=set(least) == set(orbit_members) and closed,
+            commutative=all(compose(a, b) == compose(b, a) for a in members for b in members),
+            identity_ok=all(g in least and compose(g, b) == b == compose(b, g) for b in members),
+            associativity=associativity,
+        ),
+    )
 
 
 @settings(max_examples=150, deadline=None)
@@ -1273,9 +1278,9 @@ def test_type2_group_check_matches_pairwise_check_on_tampered_orbits(case, tampe
         orbit = orbit._replace(t_stabilizer=tuple(sorted({*ts, data.draw(st.sampled_from(free))})))
     report = type2.type2_group_check(orbit)
     expected = _group_verdicts_by_pairs(g, m, set(orbit.t_stabilizer), orbit.members)
-    assert {field: getattr(report, field) for field in expected} == expected
-    assert report.ok == all(v and v != "failed" for v in expected.values())
+    assert report == expected
+    assert report.ok == all(v and v != "failed" for v in (*expected[:3], *expected.composition))
     if tamper == "none":
         assert report.ok
     if tamper == "drop member only":
-        assert not report.composition_closed
+        assert not report.composition.closed
