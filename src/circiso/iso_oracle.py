@@ -95,7 +95,9 @@ class IsoWitness(NamedTuple):
     the bijection was produced, e.g. "theta(m=2,t=54)", "adam(x=5)",
     "crt-embedding(16x27)". A theta, Adam or CRT-embedding bijection is
     kept as its PeriodicMap, any other (one read from a report, or built
-    by a test) as its image list.
+    by a test) as its image list. verified is True only on a witness that
+    walk_or_raise issued after its walk passed, and False on one that
+    reporting.witness_from_json read from a report, unchecked.
     """
 
     source: Union[Circulant, Product]
@@ -214,16 +216,15 @@ def verify_circulant_witness(g: Union[Circulant, Product], h: Circulant, f: Peri
     return _walk(g, h, f.p, f.c, f.head)
 
 
-def walk_or_raise(g: Union[Circulant, Product], h: Circulant, f: PeriodicMap, origin: str,
-                  *args) -> PeriodicMap:
-    """f, once verify_circulant_witness has walked it from g onto h: every
-    certificate circiso produces is checked here. A failed walk raises
-    InvariantViolation, with no assert, naming origin formatted with args
-    (str.format) only then, so a walk that passes builds no string."""
+def walk_or_raise(g: Union[Circulant, Product], h: Circulant, f: PeriodicMap,
+                  origin: str) -> IsoWitness:
+    """The verified IsoWitness of f from g onto h, once
+    verify_circulant_witness has walked it: the one place that issues a
+    certificate. A failed walk raises InvariantViolation, with no assert,
+    naming origin, the name the witness would carry."""
     if not verify_circulant_witness(g, h, f):
-        raise InvariantViolation(f"{origin.format(*args)} does not map {g.label()} "
-                                 f"onto {h.label()}")
-    return f
+        raise InvariantViolation(f"{origin} does not map {g.label()} onto {h.label()}")
+    return IsoWitness(g, h, f, True, origin)
 
 
 def _order(g: Union[Circulant, Product], h: Circulant) -> int:

@@ -30,9 +30,10 @@ def product_witness(
     embedding (x, y) -> n*x + m*y mod mn, for the vertex x*n + y of the
     product and n the order of its second factor, has f(v + n) = f(v) + n,
     so it is kept as the PeriodicMap (p = c = n, head = (m*y for y < n)),
-    and no mn-entry list is built. It is checked edge for edge on the
-    result's connection set over that one period (iso_oracle.walk_or_raise);
-    a failed check raises InvariantViolation naming crt-embedding(mxn).
+    and no mn-entry list is built. The witness comes from
+    iso_oracle.walk_or_raise, which checks it edge for edge on the result's
+    connection set over that one period; a failed check raises
+    InvariantViolation naming crt-embedding(mxn).
     Above the cap no check runs and the witness is None.
     """
     if kind == "coprime":
@@ -54,9 +55,8 @@ def product_witness(
     if result.edge_count > WITNESS_EDGE_CAP:
         return result, None
     source = Product((g, h) if kind == "coprime" else (m, g))
-    origin = f"crt-embedding({m}x{n})"
-    f = walk_or_raise(source, result, PeriodicMap(m * n, n, n, tuple(range(0, m * n, m))), origin)
-    return result, IsoWitness(source, result, f, True, origin)
+    f = PeriodicMap(m * n, n, n, tuple(range(0, m * n, m)))
+    return result, walk_or_raise(source, result, f, f"crt-embedding({m}x{n})")
 
 
 def product_coprime(g: Circulant, h: Circulant) -> Circulant:

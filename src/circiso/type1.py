@@ -43,7 +43,7 @@ class Type1Orbit(NamedTuple):
     number of units of Z_n, which the orbit-stabilizer equation
     len(members) * len(stabilizer) == unit_count relates to the orbit.
     witnesses[i] is the adam(x) witness of x = reps[i] from the base onto
-    members[i], in member order, walked by iso_oracle.walk_or_raise.
+    members[i], in member order, from iso_oracle.walk_or_raise.
     """
 
     base: Circulant
@@ -58,7 +58,7 @@ class Type1Orbit(NamedTuple):
 def type1_set(g: Circulant) -> Type1Orbit:
     """Compute the full orbit of g under unit multiplication. Images are
     kept as connection sets; a Circulant is built per member, not per unit,
-    and its witness v -> x*v is walked by iso_oracle.walk_or_raise."""
+    and its witness v -> x*v comes from iso_oracle.walk_or_raise."""
     least: dict[tuple[int, ...], int] = {}
     stab = []
     us = units(g.n)
@@ -74,13 +74,10 @@ def type1_set(g: Circulant) -> Type1Orbit:
     conns = sorted(least)
     members = tuple(Circulant(g.n, c) for c in conns)
     reps = tuple(least[c] for c in conns)
-    witnesses = []
-    for member, x in zip(members, reps):
-        origin = f"adam(x={x})"
-        f = walk_or_raise(g, member, adams_periodic(g.n, x), origin)
-        witnesses.append(IsoWitness(g, member, f, True, origin))
+    witnesses = tuple(walk_or_raise(g, member, adams_periodic(g.n, x), f"adam(x={x})")
+                      for member, x in zip(members, reps))
     return Type1Orbit(base=g, members=members, reps=reps, stabilizer=tuple(stab),
-                      unit_count=len(us), witnesses=tuple(witnesses))
+                      unit_count=len(us), witnesses=witnesses)
 
 
 class GroupTable(NamedTuple):

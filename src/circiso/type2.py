@@ -39,9 +39,6 @@ class ThetaMap(NamedTuple("ThetaMap", [("n", int), ("m", int), ("t", int)])):
         return f"theta(n={self.n},m={self.m},t={self.t})"
 
 
-_THETA_ORIGIN = "theta(m={},t={})"
-
-
 def theta_periodic(n: int, m: int, t: int) -> PeriodicMap:
     """The vertex map of theta(n, m, t), for m | n, as a PeriodicMap at its
     least period; its construction checks that it is a bijection.
@@ -65,10 +62,11 @@ class ThetaClassification(NamedTuple):
     """Outcome of applying one theta transform to one circulant graph.
 
     kind is one of "identity", "type1", "type2", "not_circulant". A
-    circulant outcome always carries the image and the witness its walk
-    passed; "type1" also records the least unit. "not_circulant" records
-    only the first image vertex whose difference set differs from vertex
-    0's, read from the moving offsets F (_moving) once the walk has failed.
+    circulant outcome always carries the image and its witness, from
+    iso_oracle.walk_or_raise; "type1" also records the least unit.
+    "not_circulant" records only the first image vertex whose difference
+    set differs from vertex 0's, read from the moving offsets F (_moving)
+    once the walk has failed.
     """
 
     kind: str
@@ -120,13 +118,13 @@ def valid_type2_ms(g: Circulant) -> tuple[int, ...]:
 
 
 def _theta_step(g: Circulant, m: int, t: int, full, seen: dict) -> tuple:
-    """(image, kind, f) of theta(n, m, t) on g, for full = R ∪ -R: f is the
-    bijection theta_periodic(n, m, t), walked edge for edge from g onto the
-    image C_n(D_0) by iso_oracle.walk_or_raise, which raises
-    InvariantViolation naming theta(m=…,t=…) when the walk fails. seen maps
-    a connection set to its one graph value and kind, so the image is that
-    value and kind when D_0 is in seen, and a new Circulant with kind None
-    otherwise; the step adds nothing to seen.
+    """(image, kind, witness) of theta(n, m, t) on g, for full = R ∪ -R:
+    the witness of the bijection f = theta_periodic(n, m, t) from g onto the
+    image C_n(D_0) comes from iso_oracle.walk_or_raise, which walks f edge
+    for edge and raises InvariantViolation naming theta(m=…,t=…) when the
+    walk fails. seen maps a connection set to its one graph value and
+    kind, so the image is that value and kind when D_0 is in seen, and a
+    new Circulant with kind None otherwise; the step adds nothing to seen.
 
     At period 1 theta is v -> c*v (theta_periodic), so theta(-s) =
     -theta(s), and D_0 over R alone reduces to the same set as over full,
@@ -143,7 +141,7 @@ def _theta_step(g: Circulant, m: int, t: int, full, seen: dict) -> tuple:
     f = theta_periodic(n, m, t)
     conn = _lattice_conn(n, m, t, g.conn if f.p == 1 else full)
     image, kind = seen.get(conn) or (Circulant(n, conn), None)
-    return image, kind, walk_or_raise(g, image, f, _THETA_ORIGIN, m, t)
+    return image, kind, walk_or_raise(g, image, f, f"theta(m={m},t={t})")
 
 
 def _lattice_conn(n: int, m: int, t: int, full) -> tuple[int, ...]:
@@ -239,14 +237,14 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
 
     The image C_n(D_0) is built and the theta bijection walked onto it by
     _theta_step, which type2_set runs for each lattice t. A walk that
-    passes makes the image circulant, with the walked map as its witness;
-    the witness endpoints are g and the image themselves, so classification
-    builds no edge set. A Type-1 image records the least unit mapping g
-    onto it (is_adams_isomorphic). A failed walk makes the image not
-    circulant, and its first failing vertex is m - r for the largest r
-    whose class moves (_moving): the largest s mod m over the s in F with
-    s + m²*t outside F. When no class moves the walk and F disagree, and
-    the walk's InvariantViolation is raised.
+    passes makes the image circulant, and the witness walk_or_raise issued
+    is passed on; its endpoints are g and the image themselves, so
+    classification builds no edge set. A Type-1 image records the least
+    unit mapping g onto it (is_adams_isomorphic). A failed walk makes the
+    image not circulant, and its first failing vertex is m - r for the
+    largest r whose class moves (_moving): the largest s mod m over the s
+    in F with s + m²*t outside F. When no class moves the walk and F
+    disagree, and the walk's InvariantViolation is raised.
     """
     if tm.n != g.n:
         raise ParamMismatch(f"transform order {tm.n} != graph order {g.n}")
@@ -255,14 +253,13 @@ def classify_theta(tm: ThetaMap, g: Circulant) -> ThetaClassification:
         raise error
     full = symmetric_set(g)
     try:
-        image, kind, f = _theta_step(g, m, t, full, {g.conn: (g, "identity")})
+        image, kind, witness = _theta_step(g, m, t, full, {g.conn: (g, "identity")})
     except InvariantViolation:
         moving, n, d = _moving(full, m), g.n, m * m * t
         moved = [s % m for s in moving if (s + d) % n not in moving]
         if not moved:
             raise
         return ThetaClassification("not_circulant", failing_vertex=m - max(moved))
-    witness = IsoWitness(g, image, f, True, _THETA_ORIGIN.format(m, t))
     if kind:
         return ThetaClassification(kind, image, witness=witness)
     x = is_adams_isomorphic(g, image)
@@ -282,7 +279,7 @@ class Type2Orbit(NamedTuple):
     t whose image is circulant and lies in the member set, and is a
     subgroup of Z_{n/m} under addition. witnesses holds, for each member
     after the base is left out and in member order, the witness of its
-    least t with kind "type2", walked by iso_oracle.walk_or_raise.
+    least t with kind "type2", from iso_oracle.walk_or_raise.
     """
 
     base: Circulant
@@ -317,11 +314,10 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     walk, which reads one difference per offset when theta(n, m, t) has
     period 1. The image is C_n(D_0), one graph value per distinct
     connection set, g itself for g's own set, so no membership claim rests
-    on the lattice alone. Each member keeps, as its witness, the
-    bijection of its least t, and only those get an IsoWitness. A lattice t
-    whose image is not circulant, which would contradict _lattice_step,
-    fails its walk, and that raises InvariantViolation naming t, with no
-    assert.
+    on the lattice alone. Every walked t gets a witness, and each member
+    keeps the witness of its least t. A lattice t whose image is not
+    circulant, which would contradict _lattice_step, fails its walk, and
+    that raises InvariantViolation naming t, with no assert.
 
     Every lattice t after q0 takes the outcome of t mod q0. Write theta(t)
     for theta(n, m, t) and q = n/m. theta(a) after theta(b) is
@@ -355,16 +351,16 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     step = _lattice_step(full, m, n)
     walked = [("identity", g)]  # (kind, image) of each lattice t up to q0, ascending
     seen = {g.conn: (g, "identity")}  # connection set -> its one graph value, its kind
-    first = {}  # Type-2 image -> (t, bijection) of its least t
+    first = {}  # Type-2 image -> the witness of its least t
     q0 = q  # theta(q) is theta(0)
     for t in range(step, q, step):
-        image, kind, f = _theta_step(g, m, t, full, seen)
+        image, kind, w = _theta_step(g, m, t, full, seen)
         if kind is None:
-            unit = f.p == 1 or is_adams_isomorphic(g, image) is not None
+            unit = w.bijection.p == 1 or is_adams_isomorphic(g, image) is not None
             kind = "type1" if unit else "type2"
             seen[image.conn] = image, kind
             if not unit:
-                first[image] = t, f
+                first[image] = w
         walked.append((kind, image))
         if image is g:
             q0 = t
@@ -372,10 +368,8 @@ def type2_set(g: Circulant, m: int) -> Type2Orbit:
     outcomes = tuple((t, *walked[t % q0 // step]) for t in range(0, q, step))
     members = tuple(sorted({g, *first}))
     t_stab = tuple(t for t, _, img in outcomes if img in members)
-    witnesses = (IsoWitness(g, x, first[x][1], True, _THETA_ORIGIN.format(m, first[x][0]))
-                 for x in members if x != g)
     return Type2Orbit(base=g, m=m, members=members, t_stabilizer=t_stab, step=step,
-                      outcomes=outcomes, witnesses=tuple(witnesses))
+                      outcomes=outcomes, witnesses=tuple(first[x] for x in members if x != g))
 
 
 class Type2GroupReport(NamedTuple):

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -195,6 +196,55 @@ def test_no_value_is_built_around_its_checks():
                                        "def made(n):\n    return ThetaMap._make((n, 2, 0))\n"
                                        ).body
     assert len(_unchecked_builds(modules)) == 2
+
+
+def _witness_builds(modules: dict[str, ast.Module]) -> list[str]:
+    """module:verified for every IsoWitness(...) call, with the source text
+    of its verified argument, given by keyword or by position; a position
+    behind a *args is counted from the end of the call, and "?" stands for
+    one that cannot be read."""
+    [witness] = [node for node in modules["iso_oracle"].body
+                 if isinstance(node, ast.ClassDef) and node.name == "IsoWitness"]
+    fields = list(_fields(witness))
+    k = fields.index("verified")
+    builds = []
+    for stem, tree in modules.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and "IsoWitness" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+                continue
+            keywords = {kw.arg: kw.value for kw in node.keywords}
+            args = node.args
+            starred = [i for i, a in enumerate(args) if isinstance(a, ast.Starred)]
+            after = len([f for f in fields[k + 1:] if f not in keywords])
+            if "verified" in keywords:
+                arg = keywords["verified"]
+            elif not starred or starred[0] > k:
+                arg = args[k] if len(args) > k else None
+            else:
+                arg = args[-1 - after] if starred[-1] < len(args) - 1 - after else None
+            builds.append(f"{stem}:{'?' if arg is None else ast.unparse(arg)}")
+    return builds
+
+
+def test_only_walk_or_raise_builds_a_verified_witness():
+    # iso_oracle.walk_or_raise issues every verified witness, after its
+    # walk; reporting.witness_from_json reads one from a report, unverified
+    builds = _witness_builds(_modules())
+    assert sorted(set(builds)) == ["iso_oracle:True", "reporting:False"]
+    # a witness marked verified by its producer, by position or keyword,
+    # and one whose flag is a variable behind a *args, are flagged
+    modules = _modules()
+    modules["type2"].body += ast.parse(
+        "def forged(g, f):\n"
+        "    return IsoWitness(g, g, f, True, 'theta(m=2,t=1)')\n"
+        "def keyed(g, f):\n"
+        "    return iso_oracle.IsoWitness(g, g, f, verified=True, origin='x')\n").body
+    modules["products"].body += ast.parse(
+        "def starred(ends, f, ok):\n"
+        "    return IsoWitness(*ends, f, ok, 'crt')\n").body
+    planted = Counter(_witness_builds(modules)) - Counter(builds)
+    assert planted == {"type2:True": 2, "products:ok": 1}
 
 
 def test_guard_flags_a_definition_only_tests_call():

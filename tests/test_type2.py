@@ -470,27 +470,22 @@ def test_false_period_raises_under_optimize():
     assert res.returncode == 0, res.stderr
 
 
-def test_type2_set_builds_witnesses_for_members_only(monkeypatch):
-    # one IsoWitness per member other than the base, none for the other
-    # lattice t; each passes the edge check on its expanded image list, a
-    # route independent of the periodic walk
-    built = []
-
-    def counting(*args):
-        built.append(iso_oracle.IsoWitness(*args))
-        return built[-1]
-
-    monkeypatch.setattr(type2, "IsoWitness", counting)
+def test_type2_set_keeps_the_witness_of_each_members_least_t():
+    # one verified witness per member other than the base, in member order,
+    # named by the least t whose outcome is that member; each passes the
+    # edge check on its expanded image list, a route independent of the
+    # periodic walk
     # (g, m, members, lattice t): the last two have Type-1 images only
     cases = [(A1, 2, 2, 4), (A1, 3, 3, 9), (C16A, 2, 2, 4),
              (Circulant(54, (2, 6, 9, 11, 16, 25, 27)), 3, 1, 6),
              (product_coprime(Circulant(16, (1, 2)), Circulant(27, (1, 8))), 3, 1, 3)]
     for g, m, members, ts in cases:
-        built.clear()
         orbit = type2_set(g, m)
         assert (len(orbit.members), len(orbit.outcomes)) == (members, ts)
-        assert len(built) == members - 1 and list(orbit.witnesses) == built
+        assert [w.target for w in orbit.witnesses] == [x for x in orbit.members if x != g]
         for w in orbit.witnesses:
+            least = min(t for t, _, image in orbit.outcomes if image == w.target)
+            assert w.verified and w.source == g and w.origin == f"theta(m={m},t={least})"
             assert iso_oracle.verify_witness(w._replace(bijection=w.images()))
 
 
