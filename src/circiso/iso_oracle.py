@@ -130,75 +130,50 @@ def verify_witness(w: IsoWitness) -> bool:
 def _periodic_form(f: tuple[int, ...], n: int) -> PeriodicMap:
     """The PeriodicMap whose expansion is the n-entry image list f.
 
-    _probe_period names one candidate period p. If p < n, the map
-    PeriodicMap(n, p, f[p] - f[0], f[:p]) is built, whose construction
-    checks in O(p) that it is a bijection, and it is taken iff its
-    expansion equals f: f is then that bijection, entry for entry, and so
-    every entry lies in [0, n). The probe only picks p; soundness rests on
-    this one comparison. A list the candidate does not reproduce, such as
-    [0, 1, 4, 5, 2, 3, 6, 7] at n = 8 (f[x+4] - f[x] = 2 throughout, but
-    2 * (8/4) ≢ 0 mod 8, so no map of period 4 is this list), is read at
-    p = n, where the check is that its entries lie in [0, n) and are
-    distinct; a list that is no permutation raises NotAPermutation. The
-    probe compares at most n pairs f[x+p], f[x], and the one comparison
-    of an expansion with f n entries, so at most 2n entries are compared."""
-    p = _probe_period(f, n)
-    if p < n:
-        with suppress(NotAPermutation):
-            pm = PeriodicMap(n, p, f[p] - f[0], f[:p])
-            if pm.expand() == f:
-                return pm
+    The candidate period is the least divisor p < n of n whose difference
+    f[p] - f[0] at x = 0 equals, mod n, the cyclic difference
+    f[p-1] - f[n-1] at x = n - 1. PeriodicMap(n, p, f[p] - f[0], f[:p]) is
+    built, whose construction checks in O(p) that it is a bijection, and it
+    is taken iff its expansion equals f: f is then that bijection, entry for
+    entry, and so every entry lies in [0, n). The probe only picks p;
+    soundness rests on this one comparison. A list of no period below n,
+    or one the candidate does not reproduce, is read at p = n, where the
+    check is that its entries lie in [0, n) and are distinct; a list that
+    is no permutation raises NotAPermutation.
+
+    The probe is exact on the lists circiso writes. A theta, Adam or CRT
+    list of least period P has head[i] = a*i (mod n) and steps by C (mod n)
+    per row of P. For 0 < r < P its difference at x is a*r when
+    x mod P < P - r, and C - a*(P - r) otherwise; the two differ, or else
+    C ≡ a*P, f(x) = a*x for every x and P would be 1. A divisor p of n
+    that P does not divide has 0 < r = p mod P, and its difference at x is
+    that of r plus (p // P)*C. x = 0 is in the first case, and
+    x = n - 1 ≡ P - 1 (mod P) in the second, so every such divisor, and so
+    every divisor below P, fails the probe; P passes it, and the candidate
+    is f's map at P. The cyclic probe also refuses a recurrence
+    f[x+p] - f[x] = c on x < n - p that does not close round the cycle,
+    (n/p)*c ≢ 0: f[n-1] = f[p-1] + (n/p - 1)*c, so the difference at
+    n - 1 is c - (n/p)*c. [0, 1, 4, 5, 2, 3, 6, 7] at n = 8 and p = 4 has
+    c = 2, and f[3] - f[7] ≡ 6.
+
+    The probes read 4 entries, 2 differences, per divisor tried, and n has
+    at most n/2 divisors below n, so they compare at most n differences;
+    with the one expansion compared with f, a read compares at most 2n
+    entries."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    for p in sorted({*small, *(n // d for d in small)} - {n}):
+        c = f[p] - f[0]
+        if (c - f[p - 1] + f[n - 1]) % n == 0:
+            with suppress(NotAPermutation):
+                pm = PeriodicMap(n, p, c, f[:p])
+                if pm.expand() == f:
+                    return pm
+            break
     with suppress(NotAPermutation):
         pm = PeriodicMap(n, n, 0, f)
         if pm.head == f:  # the head is f's entries reduced mod n
             return pm
     raise NotAPermutation(_NOT_A_PERMUTATION)
-
-
-def _probe_period(f: tuple[int, ...], n: int) -> int:
-    """The least divisor p < n of n with f[x+p] - f[x] ≡ f[p] - f[0]
-    (mod n) at every probed x, or n if there is none, or if n differences
-    have been compared first.
-
-    The probed x of p are 0, which fixes c, then the ends n/r - 1, one for
-    each prime r | n; a divisor is dropped at its first mismatch. The ends
-    decide the lists circiso writes. A theta, Adam or CRT map of least
-    period P < n has head[i] = a*i (mod n) and steps by C (mod n) per row
-    of P, so for p < P its difference at x is a*p when x mod P < P - p, and
-    C - a*(P - p) otherwise. The two differ, or f(x) = a*x for every x and
-    P would be 1. For a prime r | n/P, P divides n/r, so the end
-    x = n/r - 1 is ≡ P - 1 (mod P) and refutes every p < P, while P passes
-    every probe: such a list is read at its least period, unless the budget
-    runs out first, which the tests see only at orders below 13. Any other
-    list is decided by _periodic_form's one comparison, whichever p the
-    probes pick."""
-    divisors = _divisors_below(n)
-    primes = []
-    for d in divisors[1:]:
-        if all(d % r for r in primes):
-            primes.append(d)
-    probes = [0, *(n // r - 1 for r in primes)]
-    budget = n
-    for p in divisors:
-        c = None
-        for x in probes:
-            budget -= 1
-            if budget < 0:
-                return n
-            d = (f[x + p] - f[x]) % n
-            if c is None:
-                c = d
-            elif d != c:
-                break
-        else:
-            return p
-    return n
-
-
-def _divisors_below(n: int) -> list[int]:
-    """The divisors of n below n, ascending."""
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return sorted({*small, *(n // d for d in small)} - {n})
 
 
 def verify_circulant_witness(g: Union[Circulant, Product], h: Circulant, f: PeriodicMap) -> bool:

@@ -257,9 +257,9 @@ def _least_map_period(f, n):
 
 
 def test_map_lists_are_read_at_their_least_period():
-    # the ends n/r - 1 refute every divisor below the least period of an
-    # Adam, theta or CRT list, and the probes stay inside their n-difference
-    # budget from order 13 on (at n = 6, 10 and 12 it can run out first).
+    # the cyclic probe at 0 and n - 1 refutes every divisor below the least
+    # period of an Adam, theta or CRT list, from order 3 on: the CRT list of
+    # the prism of C_3(1), of period 3, is read at 3, not at 6.
     # The c4 and prism products of order 36-60 have many divisors below the
     # period of their embedding, |base|, and are read at it: c4 of
     # C_15(1,2,7) at 15
@@ -270,8 +270,8 @@ def test_map_lists_are_read_at_their_least_period():
                for f in products_)
     maps = products_ + [PeriodicMap(a * b, b, b, tuple(range(0, a * b, a)))
                         for a in range(2, 12) for b in range(2, 12)
-                        if gcd(a, b) == 1 and a * b > 12]
-    for n in range(13, 121):
+                        if gcd(a, b) == 1 and a * b >= 6]
+    for n in range(3, 121):
         maps += [adams_periodic(n, x) for x in range(1, n) if gcd(x, n) == 1]
         maps += [theta_periodic(n, m, t) for m in range(2, n) if n % m == 0
                  for t in range(0, n // m, 3)]
@@ -284,12 +284,14 @@ def test_map_lists_are_read_at_their_least_period():
 
 
 def test_verify_witness_reads_a_recurrence_that_does_not_close():
-    # the list keeps f(x + 4) = f(x) + 2 on [0, 8), but 2 * (8/4) is not 0
-    # mod 8, so no PeriodicMap of period 4 is this list, and it is read at
+    # the list keeps f(x + 4) = f(x) + 2 for x < 4, but 2 * (8/4) is not 0
+    # mod 8, so no PeriodicMap of period 4 is this list, and the cyclic
+    # probe refuses p = 4: f[3] - f[7] is 6, not 2. The list is read at
     # period 8: it is an automorphism of K_{4,4} = C_8(1,3)
     g = Circulant(8, (1, 3))
     f = (0, 1, 4, 5, 2, 3, 6, 7)
-    assert iso_oracle._probe_period(f, 8) == 4
+    assert all(f[x + 4] - f[x] == 2 for x in range(4))
+    assert (f[4] - f[0]) % 8 == 2 and (f[3] - f[7]) % 8 == 6
     with pytest.raises(NotAPermutation):
         PeriodicMap(8, 4, 2, f[:4])
     assert iso_oracle._periodic_form(f, 8) == PeriodicMap(8, 8, 0, f)
@@ -299,7 +301,7 @@ def test_verify_witness_reads_a_recurrence_that_does_not_close():
 
 class _Reads(tuple):
     """An image list that records the index of each entry read alone: the
-    probes read two per difference."""
+    probe reads two per difference."""
 
     def __new__(cls, images):
         f = super().__new__(cls, images)
@@ -312,21 +314,22 @@ class _Reads(tuple):
         return super().__getitem__(i)
 
 
-def test_period_probe_reads_only_zero_and_the_ends():
-    # for each divisor p it tries, the probe reads f[x + p] and then f[x],
-    # for x = 0 and the ends n/r - 1 (r = 2, 3 at 432 = 2^4 * 3^3) alone;
-    # the CRT list of C_16(1,2,7) x C_27(1,3,8,10) and a theta list are read
-    # at their periods, 27 and 2
+def test_period_probe_reads_only_the_cyclic_differences(monkeypatch):
+    # for each divisor p it tries, in ascending order, the reader reads
+    # f[0], f[n - 1], f[p] and f[p - 1] alone, and it stops at the first p
+    # that passes: the CRT list of C_16(1,2,7) x C_27(1,3,8,10) and a theta
+    # list stop at their periods, 27 and 2, and one candidate is expanded
+    expanded, expand = [], PeriodicMap.expand
+    monkeypatch.setattr(PeriodicMap, "expand", lambda f: expanded.append(f.p) or expand(f))
     crt = products.product_witness("coprime", Circulant(16, (1, 2, 7)),
                                    Circulant(27, (1, 3, 8, 10)))[1].bijection
-    divisors = {p for p in range(1, 432) if 432 % p == 0}
     for pm in (crt, theta_periodic(432, 2, 54)):
-        f = _Reads(pm.expand())
-        assert iso_oracle._probe_period(f, 432) == pm.p
-        pairs = list(zip(f.indexed[::2], f.indexed[1::2]))
-        assert pairs and len(f.indexed) == 2 * len(pairs)
-        assert all(x in (0, 215, 143) and y - x in divisors for y, x in pairs)
-        assert {x for y, x in pairs if y - x == pm.p} == {0, 215, 143}
+        f, expanded[:] = _Reads(expand(pm)), []
+        assert iso_oracle._periodic_form(f, 432) == pm
+        tried = [p for p in range(1, pm.p + 1) if 432 % p == 0]
+        quads = [sorted(f.indexed[i:i + 4]) for i in range(0, len(f.indexed), 4)]
+        assert quads == [sorted((0, 431, p, p - 1)) for p in tried]
+        assert expanded == [pm.p]
 
 
 @pytest.mark.parametrize("n", [55_440, 83_160])

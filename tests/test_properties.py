@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from circiso import catalog, type2
+from circiso import catalog, iso_oracle, type2
 from circiso.circulant import (
     LAYERS,
     Circulant,
@@ -1184,9 +1184,12 @@ def test_period_reduced_check_on_other_maps(case):
     """The connection-set check reads only p positions per offset; on maps
     outside the theta and Adam families it still gives the verdict of both
     edge checks, and so does the map's (n, 0) form, which reads every edge.
-    The target is the image where that is circulant, else the source."""
+    The target is the image where that is circulant, else the source. The
+    image list is read back as a map that expands to it, whichever period
+    the probe picks on these lists."""
     g, f = case
     images = f.expand()
+    assert iso_oracle._periodic_form(images, g.n).expand() == images
     image = detect_circulant(permute_edges(realize(g), images))
     h = g if isinstance(image, NotCirculant) else image
     edge = verify_witness(IsoWitness(g, h, images, False, "map"))
