@@ -215,8 +215,9 @@ def _read_witnesses(path: str) -> list:
     """(label, unverified IsoWitness) for every witness stored in a report
     file, each read by reporting.witness_from_json, which bounds each
     endpoint by its order and by WITNESS_EDGE_CAP, the cap under which
-    commands store witnesses. A file that is not a well-formed report, or
-    breaks those bounds, raises ReportError."""
+    commands store witnesses, and reads the stored list into its
+    PeriodicMap. A file that is not a well-formed report, breaks those
+    bounds or stores a list that is no permutation raises ReportError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
@@ -241,7 +242,8 @@ def _read_witnesses(path: str) -> list:
 
 def cmd_verify(args) -> dict:
     witnesses = _read_witnesses(args.report)
-    # every witness is read, both endpoints built, before any is verified
+    # every witness is read, both endpoints built and its list read into its
+    # map, before any is walked
     checks = [assertion(f"witness {i}: {label}", verify_witness(w), w.origin)
               for i, (label, w) in enumerate(witnesses)]
     if not checks:

@@ -11,9 +11,6 @@ from typing import NamedTuple, Union
 from .circulant import Circulant, Product, shifted, steps
 from .errors import InvariantViolation, NotAPermutation, OrderMismatch, TargetNotCirculant
 
-_NOT_A_PERMUTATION = "bijection is not a permutation of the vertex set"
-
-
 class PeriodicMap(NamedTuple("PeriodicMap", [("n", int), ("p", int), ("c", int),
                                              ("head", tuple[int, ...])])):
     """The vertex map f of Z_n with f(i + k*p) ≡ head[i] + k*c (mod n) for
@@ -93,42 +90,34 @@ class IsoWitness(NamedTuple):
     the checks list the steps that make up its edges); the target is a
     Circulant, whose connection set the checks read. origin records how
     the bijection was produced, e.g. "theta(m=2,t=54)", "adam(x=5)",
-    "crt-embedding(16x27)". A theta, Adam or CRT-embedding bijection is
-    kept as its PeriodicMap, any other (one read from a report, or built
-    by a test) as its image list. verified is True only on a witness that
-    walk_or_raise issued after its walk passed, and False on one that
-    reporting.witness_from_json read from a report, unchecked.
+    "crt-embedding(16x27)". The bijection is a PeriodicMap: the map a
+    theta, Adam or CRT-embedding producer issues, or the one
+    reporting.witness_from_json read a stored image list into
+    (periodic_form); an image list exists only inside a report. verified
+    is True only on a witness that walk_or_raise issued after its walk
+    passed, and False on one that witness_from_json read, unchecked.
     """
 
     source: Union[Circulant, Product]
     target: Circulant
-    bijection: Union[tuple[int, ...], PeriodicMap]
+    bijection: PeriodicMap
     verified: bool
     origin: str
-
-    def images(self) -> tuple[int, ...]:
-        """The bijection as an image list indexed by vertex."""
-        f = self.bijection
-        return f.expand() if isinstance(f, PeriodicMap) else f
 
 
 def verify_witness(w: IsoWitness) -> bool:
     """True iff the bijection maps the source edge set exactly onto the
-    target's, by the step walk (_walk) over the period of the map its n
-    images equal (_periodic_form): a PeriodicMap is read as its image list,
-    not taken on trust. Images outside [0, n), too few or too many of them,
-    or a list that is no permutation raise NotAPermutation before any step
-    is listed; a Product target raises TargetNotCirculant."""
-    n = _order(w.source, w.target)
-    f = w.images()
-    if len(f) != n:
-        raise NotAPermutation(_NOT_A_PERMUTATION)
-    pm = _periodic_form(f if isinstance(f, tuple) else tuple(f), n)
-    return _walk(w.source, w.target, pm.p, pm.c, pm.head)
+    target's, by verify_circulant_witness's step walk over the period of
+    the map. A report's list was read into that map once, by
+    witness_from_json, so nothing is expanded here. A map of another order
+    raises NotAPermutation, a Product target TargetNotCirculant."""
+    return verify_circulant_witness(w.source, w.target, w.bijection)
 
 
-def _periodic_form(f: tuple[int, ...], n: int) -> PeriodicMap:
-    """The PeriodicMap whose expansion is the n-entry image list f.
+def periodic_form(f: tuple[int, ...]) -> PeriodicMap:
+    """The PeriodicMap whose expansion is the image list f, a tuple of
+    n = len(f) entries: reporting.witness_from_json reads each stored list
+    through it, once, when the report is read.
 
     The candidate period is the least divisor p < n of n whose difference
     f[p] - f[0] at x = 0 equals, mod n, the cyclic difference
@@ -160,6 +149,7 @@ def _periodic_form(f: tuple[int, ...], n: int) -> PeriodicMap:
     at most n/2 divisors below n, so they compare at most n differences;
     with the one expansion compared with f, a read compares at most 2n
     entries."""
+    n = len(f)
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     for p in sorted({*small, *(n // d for d in small)} - {n}):
         c = f[p] - f[0]
@@ -173,7 +163,7 @@ def _periodic_form(f: tuple[int, ...], n: int) -> PeriodicMap:
         pm = PeriodicMap(n, n, 0, f)
         if pm.head == f:  # the head is f's entries reduced mod n
             return pm
-    raise NotAPermutation(_NOT_A_PERMUTATION)
+    raise NotAPermutation("bijection is not a permutation of the vertex set")
 
 
 def verify_circulant_witness(g: Union[Circulant, Product], h: Circulant, f: PeriodicMap) -> bool:

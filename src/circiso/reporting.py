@@ -10,7 +10,7 @@ from typing import Union
 from . import __version__
 from .circulant import LAYERS, WITNESS_EDGE_CAP, Circulant, Product, sizes
 from .errors import CircisoError
-from .iso_oracle import IsoWitness
+from .iso_oracle import IsoWitness, periodic_form
 
 SCHEMA = 1
 
@@ -89,13 +89,14 @@ def graph_from_desc(desc: dict, max_order: int) -> Union[Circulant, Product]:
 
 
 def witness_json(w: IsoWitness) -> dict:
-    """A witness as a report stores it, endpoints as graph_desc descriptors,
-    so `verify` can rebuild both and re-check the bijection from the file
-    alone; witness_from_json reads it back."""
+    """A witness as a report stores it, endpoints as graph_desc descriptors
+    and the bijection as its expanded image list, so `verify` can rebuild
+    both and re-check the bijection from the file alone; witness_from_json
+    reads it back."""
     return {
         "source": graph_desc(w.source),
         "target": graph_desc(w.target),
-        "bijection": w.images(),
+        "bijection": w.bijection.expand(),
         "origin": w.origin,
         "verified": w.verified,
     }
@@ -106,8 +107,11 @@ def witness_from_json(w: dict) -> tuple[str, IsoWitness]:
     stored witness, unverified. The bijection must be a list of ints, the
     target a circulant descriptor, and each endpoint a graph of order
     n = len(bijection) with at most WITNESS_EDGE_CAP edges, read by
-    graph_from_desc under those bounds. A malformed witness raises
-    KeyError, TypeError or ValueError."""
+    graph_from_desc under those bounds. The list is then read once, into
+    the PeriodicMap it equals (iso_oracle.periodic_form), which the witness
+    holds and verify_witness walks. A malformed witness raises KeyError,
+    TypeError or ValueError; a list that is no permutation raises
+    NotAPermutation, a ValueError."""
     bijection = w["bijection"]
     if not isinstance(bijection, list) or not {*map(type, bijection)} <= {int}:
         raise ValueError("bijection is not a list of integers")
@@ -122,7 +126,8 @@ def witness_from_json(w: dict) -> tuple[str, IsoWitness]:
             raise ValueError(f"{d['kind']} descriptor has order {ends[-1].n}, but the "
                              f"bijection has {n} entries")
     label = f"{descs[0]['kind']} n={n} -> {descs[1]['kind']} n={n}"
-    return label, IsoWitness(*ends, tuple(bijection), False, str(w.get("origin", "file")))
+    f = periodic_form(tuple(bijection))
+    return label, IsoWitness(*ends, f, False, str(w.get("origin", "file")))
 
 
 def assertion(name: str, passed: bool, detail: str = "") -> dict:

@@ -1,15 +1,16 @@
-"""Test oracles that no command uses: witnesses built from an image list
-and checked by verify_witness (make_witness), the tuple edge-set route that
-verify_witness replaced (factor edge sets folded by cartesian_edges, and a
-check that looks up each image), a theta image decided on the per-vertex
-difference sets, which classify_theta's walk and moving offsets must match,
-the lattice step and failing vertex read from one period per offset class
-mod m, which type2 reads from the one set of moving offsets, the
-composition law of theta maps that type2_set proves in its docstring
-(theta_compose), a Type-2 orbit built from classify_theta at every t, the
-inconsistent cases of a conjecture scan, one scan case with every orbit
-built, circulance detection on an explicit edge set, vertex relabeling,
-and a bounded deterministic backtracking isomorphism search.
+"""Test oracles that no command uses: witnesses built from an image list,
+read into its map by periodic_form and checked by verify_witness
+(make_witness), the tuple edge-set route that verify_witness replaced
+(factor edge sets folded by cartesian_edges, and a check that looks up
+each image), a theta image decided on the per-vertex difference sets,
+which classify_theta's walk and moving offsets must match, the lattice
+step and failing vertex read from one period per offset class mod m,
+which type2 reads from the one set of moving offsets, the composition law
+of theta maps that type2_set proves in its docstring (theta_compose), a
+Type-2 orbit built from classify_theta at every t, the inconsistent cases
+of a conjecture scan, one scan case with every orbit built, circulance
+detection on an explicit edge set, vertex relabeling, and a bounded
+deterministic backtracking isomorphism search.
 
 The search is a desk-scale verification device. It never certifies a claim
 it has not checked edge-by-edge, and a budget overrun is an explicit error,
@@ -26,7 +27,7 @@ from typing import NamedTuple, Optional, Union
 from circiso.circulant import Circulant, EdgeGraph, realize, symmetric_set
 from circiso.errors import (CircisoError, InvariantViolation, NotAPermutation, OrderMismatch,
                             ParamMismatch)
-from circiso.iso_oracle import IsoWitness, PeriodicMap, verify_witness
+from circiso.iso_oracle import IsoWitness, PeriodicMap, periodic_form, verify_witness
 from circiso.products import ConjectureCase, ConjectureReport, LiftCheck, product_coprime
 from circiso.residue import reflexive_reduce
 from circiso.type2 import (ThetaMap, Type2Orbit, classify_theta, theta_periodic, type2_set,
@@ -91,9 +92,10 @@ def maps_edges_onto(a: EdgeGraph, b: EdgeGraph, f) -> bool:
 
 
 def make_witness(source, target, bijection, origin: str) -> IsoWitness:
-    """A witness for an image list, its status set by verify_witness."""
-    w = IsoWitness(source, target, tuple(bijection), False, origin)
-    return IsoWitness(source, target, w.bijection, verify_witness(w), origin)
+    """A witness for an image list, read into its map by periodic_form as
+    a report's list is read, its status set by verify_witness."""
+    w = IsoWitness(source, target, periodic_form(tuple(bijection)), False, origin)
+    return w._replace(verified=verify_witness(w))
 
 
 def permute_edges(eg: EdgeGraph, perm) -> EdgeGraph:
@@ -369,7 +371,8 @@ def search_isomorphism(
         stack.append((next_vertex(), iter(range(n))))
     if -1 in mapping:
         return None
-    w = IsoWitness(a, b, tuple(mapping), maps_edges_onto(a, b, mapping), "search")
+    f = periodic_form(tuple(mapping))
+    w = IsoWitness(a, b, f, maps_edges_onto(a, b, mapping), "search")
     if not w.verified:
         raise InvariantViolation("search found a bijection that fails verification")
     return w

@@ -30,7 +30,7 @@ from circiso.circulant import (
 )
 from circiso.cli import main
 from circiso.residue import MAX_MODULUS
-from circiso.reporting import graph_from_desc, witness_json
+from circiso.reporting import graph_from_desc, to_json, witness_from_json, witness_json
 from circiso.type1 import adams_apply, adams_periodic, type1_set
 from circiso.type2 import ThetaClassification, ThetaMap, classify_theta
 
@@ -91,7 +91,7 @@ def test_t1_builds_no_edge_set(capsys, monkeypatch):
     for member, x in zip(orbit.members, orbit.reps):
         w = make_witness(g, member, adams_periodic(g.n, x).expand(), f"adam(x={x})")
         expected.append({"source": _circulant(g), "target": _circulant(member),
-                         "bijection": list(w.bijection), "origin": w.origin,
+                         "bijection": list(w.bijection.expand()), "origin": w.origin,
                          "verified": w.verified})
     type1_set.cache_clear()  # the orbit, witnesses included, is built under the guard
     _forbid_calls(monkeypatch, realize, edge_set)
@@ -165,10 +165,11 @@ def test_t2_classifies_each_t_once(capsys, monkeypatch):
 
 
 def _swapped(w):
-    """w with the images of vertices 0 and 1 swapped in its bijection."""
-    f = list(w.images())
+    """w with the images of vertices 0 and 1 swapped in its bijection's
+    image list, which is read back into its map as a report's is."""
+    f = list(w.bijection.expand())
     f[0], f[1] = f[1], f[0]
-    return w._replace(bijection=tuple(f))
+    return w._replace(bijection=iso_oracle.periodic_form(tuple(f)))
 
 
 def test_classification_builds_no_edge_set(monkeypatch):
@@ -189,19 +190,31 @@ def test_classification_builds_no_edge_set(monkeypatch):
 
 
 def test_edge_check_is_independent_of_the_circulant_check(monkeypatch):
-    # verify_witness reads the period of the stored images from the images
-    # themselves; it must not fall back on the map the witness was built from
+    # verify reads the period of a stored list from the list itself, when
+    # the report is read, and never falls back on the map the witness was
+    # built from; verify_witness then walks the map read, through
+    # verify_circulant_witness. A theta, an Adam and a CRT witness, written
+    # and read back, carry their producers' maps and pass; with images 0
+    # and 1 swapped in the stored list (vertices 0 and 1 have different
+    # neighbourhoods in A_1 and in the product of the two factors), each is
+    # read at p = n and fails
     g = parse_graph(A432)
     witnesses = [classify_theta(ThetaMap(g.n, 2, 54), g).witness,
-                 make_witness(g, adams_apply(g, 5), adams_periodic(g.n, 5).expand(), "adam(x=5)"),
+                 iso_oracle.walk_or_raise(g, adams_apply(g, 5), adams_periodic(g.n, 5),
+                                          "adam(x=5)"),
                  products.product_witness("coprime", parse_graph("n=16;R=1,2,7"),
                                           parse_graph("n=27;R=1,3,8,10"))[1]]
-    _forbid_calls(monkeypatch, iso_oracle.verify_circulant_witness)
-    # vertices 0 and 1 have different neighbourhoods in A_1 and in the
-    # product of the two factors
+    counts = Counter()
+    _count_calls(monkeypatch, iso_oracle.verify_circulant_witness, counts)
     for w in witnesses:
-        assert iso_oracle.verify_witness(w)
-        assert not iso_oracle.verify_witness(_swapped(w))
+        stored = json.loads(to_json(witness_json(w)))
+        read = witness_from_json(stored)[1]
+        assert read.bijection == w.bijection and iso_oracle.verify_witness(read)
+        f = stored["bijection"]
+        f[0], f[1] = f[1], f[0]
+        read = witness_from_json(stored)[1]
+        assert read.bijection.p == len(f) and not iso_oracle.verify_witness(read)
+    assert counts["verify_circulant_witness"] == 2 * len(witnesses)
 
 
 @pytest.mark.parametrize("argv", [("t2", A432, "--m", "2"), ("t2", A432, "--m", "3"),
@@ -227,7 +240,7 @@ def test_t2_witnesses_match_reclassification(capsys, graph, m):
                 if c["kind"] == "type2" and c["image"] == desc)
         w = classify_theta(ThetaMap(g.n, m, t), g).witness
         expected.append({"source": _circulant(g), "target": _circulant(member),
-                         "bijection": list(w.images()), "origin": w.origin,
+                         "bijection": list(w.bijection.expand()), "origin": w.origin,
                          "verified": w.verified})
     assert expected and results["witnesses"] == expected
 
@@ -474,7 +487,7 @@ def test_verify_accepts_layered_search_witness(tmp_path, capsys):
     for kind, g in (("prism", Circulant(9, (3,))), ("c4", Circulant(9, (3,)))):
         result, crt = products.product_witness(kind, g)
         w = search_isomorphism(layered_graph(kind, g), realize(result))
-        assert w.bijection != crt.images()
+        assert w.bijection.expand() != crt.bijection.expand()
         f = tmp_path / f"{kind}.json"
         f.write_text(json.dumps({"results": {"witnesses": [
             witness_json(w._replace(source=crt.source, target=crt.target))]}}))
@@ -525,7 +538,7 @@ def _onto_product(kind, *graphs):
     is no circulant."""
     result, crt = products.product_witness(kind, *(parse_graph(text) for text in graphs))
     inverse = [0] * result.n
-    for v, image in enumerate(crt.images()):
+    for v, image in enumerate(crt.bijection.expand()):
         inverse[image] = v
     return _witness(source=_circulant(result), target=witness_json(crt)["source"],
                     bijection=inverse, origin="inverse")
@@ -620,6 +633,13 @@ NON_CIRCULANT_PARTS = [
     # a permutation mod n that holds n in place of 0
     pytest.param(json.dumps({"results": {"witnesses": [_witness(bijection=[5, 2, 4, 1, 3])]}}),
                  "bijection is not a permutation of the vertex set", id="n-for-0"),
+    # every stored list is read into its map before any is walked: a valid
+    # product witness 0 is not walked when witness 1 repeats an image
+    pytest.param(json.dumps({"results": {"witnesses": [
+        json.loads(_product_report("coprime", "n=5;R=1", "n=3;R=1"))["results"]["witnesses"][0],
+        _witness(bijection=[0, 2, 2, 1, 3])]}}),
+        "witness 1 is malformed: bijection is not a permutation of the vertex set",
+        id="product-then-repeat"),
 ])
 def test_verify_hostile_report_fails_cleanly(tmp_path, capsys, monkeypatch, content, message):
     f = tmp_path / "hostile.json"
@@ -913,7 +933,7 @@ def _unprobed(images):
     """The indices of an image list that the period probes do not read,
     ascending."""
     f = _Reads(images)
-    iso_oracle._periodic_form(f, len(f))
+    iso_oracle.periodic_form(f)
     probed = set(f.indexed)
     return [i for i in range(len(f)) if i not in probed]
 
@@ -971,13 +991,23 @@ def test_verify_refuses_a_transposed_product_under_optimize(tmp_path):
     # map is built, compared with the list and refused, and the list is
     # walked at p = n
     doc = json.loads(_product_report("coprime", "n=81;R=1,5,13", "n=121;R=1,7,30"))
-    hidden = _unprobed(doc["results"]["witnesses"][0]["bijection"])
+    f = doc["results"]["witnesses"][0]["bijection"]
+    hidden = _unprobed(f)
     report = tmp_path / "report.json"
     report.write_text(json.dumps(_coprime_with(hidden[len(hidden) // 3], swap=hidden[-1],
                                                doc=doc)))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
-                         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)))
+                         capture_output=True, text=True, env=env)
     assert res.returncode == 1 and "[FAIL] witness 0" in res.stdout, res.stderr
+    # the same image written twice where no probe reads makes a list that is
+    # no permutation: the report is refused while it is read, in one line
+    report.write_text(json.dumps(_coprime_with(hidden[len(hidden) // 3], f[hidden[-1]], doc=doc)))
+    res = subprocess.run([sys.executable, "-O", "-m", "circiso", "verify", str(report)],
+                         capture_output=True, text=True, env=env)
+    assert (res.returncode, res.stdout) == (2, ""), res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert "witness 0 is malformed: bijection is not a permutation" in res.stderr
 
 
 def test_commands_build_no_report_text_unless_it_is_written(tmp_path, capsys, monkeypatch):

@@ -14,6 +14,7 @@ from circiso.errors import InvariantViolation, NotAPermutation, OrderMismatch, T
 from circiso.iso_oracle import (
     IsoWitness,
     PeriodicMap,
+    periodic_form,
     verify_circulant_witness,
     verify_witness,
 )
@@ -82,10 +83,13 @@ def test_identity_across_different_graphs_fails():
 def test_verify_witness_errors():
     a = Circulant(16, (1, 2, 7))
     b = Circulant(10, (1, 2))
+    identity = periodic_form(tuple(range(16)))
     with pytest.raises(OrderMismatch):
-        verify_witness(IsoWitness(a, b, tuple(range(16)), False, "x"))
+        verify_witness(IsoWitness(a, b, identity, False, "x"))
     with pytest.raises(NotAPermutation):
-        verify_witness(IsoWitness(a, a, (0,) * 16, False, "x"))
+        periodic_form((0,) * 16)
+    with pytest.raises(NotAPermutation):  # a map of Z_10 on a graph of order 16
+        verify_witness(IsoWitness(a, a, periodic_form(tuple(range(10))), False, "x"))
     with pytest.raises(OrderMismatch):
         maps_edges_onto(realize(a), realize(b), tuple(range(16)))
     with pytest.raises(NotAPermutation):
@@ -129,12 +133,12 @@ def test_verify_circulant_witness_rejections():
     identity = PeriodicMap(16, 16, 0, tuple(range(16)))
     assert not verify_circulant_witness(a, c, identity)
     assert not verify_circulant_witness(c, a, identity)
-    assert not verify_witness(IsoWitness(a, c, tuple(range(16)), False, "x"))
+    assert not verify_witness(IsoWitness(a, c, identity, False, "x"))
     # the identity carries every edge of C_16(1,2) onto an edge of
     # C_16(1,2,3), but does not cover the target: only the degrees tell
     sub, sup = Circulant(16, (1, 2)), Circulant(16, (1, 2, 3))
     assert not verify_circulant_witness(sub, sup, identity)
-    assert not verify_witness(IsoWitness(sub, sup, tuple(range(16)), False, "x"))
+    assert not verify_witness(IsoWitness(sub, sup, identity, False, "x"))
 
 
 def test_malformed_periodic_maps_raise_under_optimize():
@@ -181,7 +185,7 @@ def test_product_source_maps_raise_under_optimize():
             "from circiso.products import product_witness\n"
             "result, w = product_witness('coprime', Circulant(16, (1, 2, 7)),"
             " Circulant(27, (1, 3, 8, 10)))\n"
-            "f = list(w.images())\n"
+            "f = list(w.bijection.expand())\n"
             "bad = [lambda: PeriodicMap(432, 5, 5, (0, 1, 2, 3, 4)),\n"
             "       lambda: PeriodicMap(432, 27, 54, tuple(range(0, 432, 16))),\n"
             "       lambda: PeriodicMap(432, 27, 27, (0,) * 27),\n"
@@ -232,7 +236,7 @@ def test_verify_witness_counts_half_steps_once():
                                (0, 1, 2, 4, 5, 3))):
         a, b = endpoint_edges(source), endpoint_edges(target)
         assert {tuple(sorted((f[x], f[y]))) for x, y in a.edges} < b.edges
-        assert not verify_witness(IsoWitness(source, target, f, False, "x"))
+        assert not verify_witness(IsoWitness(source, target, periodic_form(f), False, "x"))
 
 
 def test_image_lists_are_read_over_their_maps_periods():
@@ -242,7 +246,7 @@ def test_image_lists_are_read_over_their_maps_periods():
     crt = products.product_witness("coprime", Circulant(16, (1, 2, 7)),
                                    Circulant(27, (1, 3, 8, 10)))[1].bijection
     for f in (theta_periodic(432, 2, 54), adams_periodic(432, 5), crt):
-        assert iso_oracle._periodic_form(f.expand(), f.n) == f
+        assert periodic_form(f.expand()) == f
 
 
 def _least_map_period(f, n):
@@ -277,10 +281,10 @@ def test_map_lists_are_read_at_their_least_period():
                  for t in range(0, n // m, 3)]
     for f in maps:
         images = f.expand()
-        pm = iso_oracle._periodic_form(images, f.n)
+        pm = periodic_form(images)
         assert pm.p == _least_map_period(images, f.n), f
         assert pm.expand() == images
-    assert all(iso_oracle._periodic_form(f.expand(), f.n) == f for f in products_)
+    assert all(periodic_form(f.expand()) == f for f in products_)
 
 
 def test_verify_witness_reads_a_recurrence_that_does_not_close():
@@ -294,9 +298,9 @@ def test_verify_witness_reads_a_recurrence_that_does_not_close():
     assert (f[4] - f[0]) % 8 == 2 and (f[3] - f[7]) % 8 == 6
     with pytest.raises(NotAPermutation):
         PeriodicMap(8, 4, 2, f[:4])
-    assert iso_oracle._periodic_form(f, 8) == PeriodicMap(8, 8, 0, f)
+    assert periodic_form(f) == PeriodicMap(8, 8, 0, f)
     assert maps_edges_onto(realize(g), realize(g), f)
-    assert verify_witness(IsoWitness(g, g, f, False, "x"))
+    assert verify_witness(IsoWitness(g, g, periodic_form(f), False, "x"))
 
 
 class _Reads(tuple):
@@ -325,7 +329,7 @@ def test_period_probe_reads_only_the_cyclic_differences(monkeypatch):
                                    Circulant(27, (1, 3, 8, 10)))[1].bijection
     for pm in (crt, theta_periodic(432, 2, 54)):
         f, expanded[:] = _Reads(expand(pm)), []
-        assert iso_oracle._periodic_form(f, 432) == pm
+        assert periodic_form(f) == pm
         tried = [p for p in range(1, pm.p + 1) if 432 % p == 0]
         quads = [sorted(f.indexed[i:i + 4]) for i in range(0, len(f.indexed), 4)]
         assert quads == [sorted((0, 431, p, p - 1)) for p in tried]
@@ -341,14 +345,14 @@ def test_period_search_compares_at_most_2n_entries(monkeypatch, n):
     expanded, expand = [], PeriodicMap.expand
     monkeypatch.setattr(PeriodicMap, "expand", lambda f: expanded.append(f.n) or expand(f))
     clean = _Reads(range(n))
-    assert iso_oracle._periodic_form(clean, n) == PeriodicMap(n, 1, 1, (0,))
+    assert periodic_form(clean) == PeriodicMap(n, 1, 1, (0,))
     probed = set(clean.indexed)
     j = next(j for j in range(1, n - 2) if probed.isdisjoint(range(j - 1, j + 3)))
     f = list(range(n))
     f[j], f[j + 1] = f[j + 1], f[j]
     f, expanded[:] = _Reads(f), []
     g = Circulant(n, (1,))
-    assert not verify_witness(IsoWitness(g, g, f, False, "x"))
+    assert not verify_witness(IsoWitness(g, g, periodic_form(f), False, "x"))
     compared = len(f.indexed) // 2 + sum(expanded)
     assert expanded == [n] and n < compared <= 2 * n
 
@@ -378,7 +382,7 @@ def test_hostile_lists_compare_at_most_2n_entries(monkeypatch):
     for i, images in _hostile_lists(crt.expand()):
         f, expanded[:] = _Reads(images), []
         try:
-            pm = iso_oracle._periodic_form(f, n)
+            pm = periodic_form(f)
         except NotAPermutation:
             assert len(set(images)) < n or min(images) < 0 or max(images) >= n
         else:
@@ -406,7 +410,7 @@ def test_search_distinguishes_cycle_from_matching():
 def test_search_self_is_identity():
     eg = realize(Circulant(12, (1, 3, 4)))
     w = search_isomorphism(eg, eg)
-    assert w is not None and w.bijection == tuple(range(12))
+    assert w is not None and w.bijection.expand() == tuple(range(12))
 
 
 def test_search_goes_deeper_than_the_recursion_limit():

@@ -61,7 +61,7 @@ def test_product_embedding_exact(monkeypatch):
     assert w.source == Product((X1, Y1)) and w.target == p
     assert w.source.edges == brute_product_edges(X1, Y1)
     # a wrong result set must fail the embedding check
-    assert not make_witness(w.source, adams_apply(p, 5), w.images(), w.origin).verified
+    assert not make_witness(w.source, adams_apply(p, 5), w.bijection.expand(), w.origin).verified
     # and a product formula gone wrong raises, for every kind, even under -O
     real = products.crt_circulant
     monkeypatch.setattr(products, "crt_circulant", lambda *args: adams_apply(real(*args), 5))

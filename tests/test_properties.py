@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from circiso import catalog, iso_oracle, type2
+from circiso import catalog, type2
 from circiso.circulant import (
     LAYERS,
     Circulant,
@@ -26,6 +26,7 @@ from circiso.errors import (InvalidParams, InvariantViolation, NotAPermutation,
 from circiso.iso_oracle import (
     IsoWitness,
     PeriodicMap,
+    periodic_form,
     verify_circulant_witness,
     verify_witness,
 )
@@ -177,7 +178,7 @@ def test_endpoint_round_trip(case, seed):
     # check reads a circulant target and refuses a Product
     f = _transposed(range(e.n), seed)
     automorphism = {tuple(sorted((f[a], f[b]))) for a, b in old.edges} == old.edges
-    w = IsoWitness(e, e, f, False, "transposition")
+    w = IsoWitness(e, e, periodic_form(f), False, "transposition")
     witnesses = []
     if isinstance(e, Circulant):
         assert verify_witness(w) == automorphism
@@ -188,13 +189,14 @@ def test_endpoint_round_trip(case, seed):
         crt = _crt_witness(e)
         if crt is not None:
             assert crt.verified
-            witnesses += [crt, IsoWitness(crt.source, crt.target,
-                                          _transposed(crt.images(), seed), False,
+            swapped = periodic_form(_transposed(crt.bijection.expand(), seed))
+            witnesses += [crt, IsoWitness(crt.source, crt.target, swapped, False,
                                           "transposition")]
     # the enumerated check agrees with the tuple-set oracle on every one
     for w in witnesses:
         assert verify_witness(w) == maps_edges_onto(endpoint_edges(w.source),
-                                                    endpoint_edges(w.target), w.images())
+                                                    endpoint_edges(w.target),
+                                                    w.bijection.expand())
 
 
 @st.composite
@@ -239,9 +241,9 @@ def crt_cases(draw):
     if form == "periodic":
         f = w.bijection
     elif form == "list":
-        f = PeriodicMap(n, n, 0, w.images())
+        f = PeriodicMap(n, n, 0, w.bijection.expand())
     elif form == "transposed":
-        f = PeriodicMap(n, n, 0, _transposed(w.images(), draw(st.integers(0, 10**6))))
+        f = PeriodicMap(n, n, 0, _transposed(w.bijection.expand(), draw(st.integers(0, 10**6))))
     elif form == "identity":
         f = PeriodicMap(n, n, 0, tuple(range(n)))
     else:
@@ -265,21 +267,21 @@ def test_product_source_check_matches_edge_check(case):
     images = f.expand()
     assert edge == maps_edges_onto(endpoint_edges(w.source), realize(target), images)
     assert verify_circulant_witness(w.source, target, f) == edge
-    if target == w.target and images == w.images():
+    if target == w.target and images == w.bijection.expand():
         assert edge
 
 
 @st.composite
-def expanded_witnesses(draw):
-    """A witness whose bijection is the image list of a theta map, an Adam
+def expanded_lists(draw):
+    """(source, target, f, origin): f the image list of a theta map, an Adam
     map or a CRT embedding, as it is, with a random transposition, or with
     a transposition or one changed entry in its last quarter, after a long
-    periodic prefix. A theta or Adam witness's target is the map's image
-    where that is circulant, else the source."""
+    periodic prefix. A theta or Adam map's target is its image where that
+    is circulant, else the source."""
     maker = draw(st.sampled_from(["theta", "adam", "crt"]))
     if maker == "crt":
         w = draw(crt_witnesses())
-        source, target, f = w.source, w.target, w.images()
+        source, target, f = w.source, w.target, w.bijection.expand()
     else:
         source, tm = draw(theta_cases)
         if maker == "theta":
@@ -302,22 +304,24 @@ def expanded_witnesses(draw):
         else:
             f[j] = draw(st.integers(0, n - 1))
         f = tuple(f)
-    return IsoWitness(source, target, f, False, f"{maker}/{change}")
+    return source, target, f, f"{maker}/{change}"
 
 
 @settings(max_examples=400, deadline=None)
-@given(expanded_witnesses())
-def test_periodic_reading_of_image_lists_matches_edge_check(w):
-    """verify_witness, which reads an image list over the least period its
-    entries show, gives the verdict of the tuple-set oracle on theta, Adam
-    and CRT image lists, tampered or not, and refuses what it refuses."""
+@given(expanded_lists())
+def test_periodic_reading_of_image_lists_matches_edge_check(case):
+    """An image list read by periodic_form, over the least period its
+    entries show, and walked by verify_witness gets the verdict of the
+    tuple-set oracle on theta, Adam and CRT image lists, tampered or not;
+    periodic_form refuses what the oracle refuses."""
+    source, target, f, origin = case
     try:
-        expected = maps_edges_onto(endpoint_edges(w.source), realize(w.target), w.bijection)
+        expected = maps_edges_onto(endpoint_edges(source), realize(target), f)
     except NotAPermutation:
         with pytest.raises(NotAPermutation):
-            verify_witness(w)
+            periodic_form(f)
         return
-    assert verify_witness(w) == expected
+    assert verify_witness(IsoWitness(source, target, periodic_form(f), False, origin)) == expected
 
 
 def _inverse(f):
@@ -358,14 +362,15 @@ def product_target_witnesses(draw):
     if draw(st.booleans()):
         crt = _crt_witness(e)
         assume(crt is not None)
-        w = IsoWitness(crt.target, e, _inverse(crt.images()), False, "inverse-crt")
+        source, target, origin = crt.target, e, "inverse-crt"
+        f = _inverse(crt.bijection.expand())
     else:
         xs = [1 if isinstance(f, int) else draw(st.sampled_from(units(f.n))) for f in e.factors]
         f = _scaling(e.factors, xs) if draw(st.booleans()) else tuple(range(e.n))
-        w = IsoWitness(e, _scaled(e.factors, xs), f, False, "scaling")
+        source, target, origin = e, _scaled(e.factors, xs), "scaling"
     if draw(st.booleans()):
-        w = w._replace(bijection=_transposed(w.bijection, draw(st.integers(0, 10**6))))
-    return w
+        f = _transposed(f, draw(st.integers(0, 10**6)))
+    return IsoWitness(source, target, periodic_form(f), False, origin)
 
 
 @settings(max_examples=300, deadline=None)
@@ -394,12 +399,12 @@ def test_edge_check_on_product_targets_examples():
     # the product circulant onto the prism and the C_4 layering of C_9(1,2)
     for kind in LAYERS:
         crt = product_witness(kind, Circulant(9, (1, 2)))[1]
-        cases.append((crt.target, crt.source, _inverse(crt.images()), True))
+        cases.append((crt.target, crt.source, _inverse(crt.bijection.expand()), True))
     for source, target, f, expected in cases:
         assert maps_edges_onto(endpoint_edges(source), endpoint_edges(target), f) == expected
         for g in (f, _transposed(f, 0), _transposed(f, 12345)):
             with pytest.raises(TargetNotCirculant):
-                verify_witness(IsoWitness(source, target, g, False, "example"))
+                verify_witness(IsoWitness(source, target, periodic_form(g), False, "example"))
 
 
 def test_nested_cartesian_is_refused():
@@ -999,7 +1004,7 @@ def test_circulant_witness_check_matches_edge_check(case, maker, swap, seed):
     if swap:
         i, j = seed % n, (seed // n + 1 + seed % n) % n
         f[i], f[j] = f[j], f[i]
-    edge = verify_witness(IsoWitness(g, h, tuple(f), False, maker))
+    edge = verify_witness(IsoWitness(g, h, periodic_form(tuple(f)), False, maker))
     assert edge == maps_edges_onto(realize(g), realize(h), f)
     # the image list as the PeriodicMap (p, c) = (n, 0): every edge is read
     assert verify_circulant_witness(g, h, PeriodicMap(n, n, 0, f)) == edge
@@ -1189,10 +1194,11 @@ def test_period_reduced_check_on_other_maps(case):
     the probe picks on these lists."""
     g, f = case
     images = f.expand()
-    assert iso_oracle._periodic_form(images, g.n).expand() == images
+    read = periodic_form(images)
+    assert read.expand() == images
     image = detect_circulant(permute_edges(realize(g), images))
     h = g if isinstance(image, NotCirculant) else image
-    edge = verify_witness(IsoWitness(g, h, images, False, "map"))
+    edge = verify_witness(IsoWitness(g, h, read, False, "map"))
     assert edge == maps_edges_onto(realize(g), realize(h), images)
     assert verify_circulant_witness(g, h, f) == edge
     assert verify_circulant_witness(g, h, PeriodicMap(g.n, g.n, 0, images)) == edge

@@ -1,5 +1,6 @@
 """The report writer: to_json writes what json.dumps(indent=2) writes, byte
-for byte, on any JSON document and on the reports every command writes."""
+for byte, on any JSON document and on the reports every command writes;
+and a witness written to a report reads back as the map it was issued."""
 
 import contextlib
 import io
@@ -15,9 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circiso import cli
-from circiso.reporting import _timestamp, to_json
-from circiso.type2 import theta_periodic
+from circiso import cli, products
+from circiso.circulant import parse_graph
+from circiso.reporting import _timestamp, to_json, witness_from_json, witness_json
+from circiso.type1 import type1_set
+from circiso.type2 import ThetaMap, classify_theta, theta_periodic
 
 
 class _Level(IntEnum):
@@ -119,6 +122,27 @@ def test_command_reports_match_json_dumps(tmp_path, monkeypatch):
         "reproduce", "scan-conjecture"]
     for report, text in written:
         assert text == oracle(report), report["meta"]["command"]
+
+
+def test_witnesses_round_trip_through_the_report_format():
+    # a witness written as a report stores it, and read back, holds the
+    # map its producer issued, found again from the stored image list alone,
+    # and is unverified: a theta map of period m, one of period 1 (m²t ≡ 0, so
+    # theta(m=2,t=108) on A_1 is the unit map 217), an Adam map, and the CRT
+    # embeddings of a coprime, a prism and a c4 product
+    a1 = parse_graph("n=432;R=16,27,48,54,128,160,189")
+    witnesses = [classify_theta(ThetaMap(432, 2, t), a1).witness for t in (54, 108)]
+    witnesses.append(type1_set(a1).witnesses[1])
+    for kind, graphs in (("coprime", ("n=16;R=1,2,7", "n=27;R=1,3,8,10")),
+                         ("prism", ("n=7;R=1,2",)), ("c4", ("n=45;R=1,7",))):
+        witnesses.append(products.product_witness(kind, *map(parse_graph, graphs))[1])
+    assert [(w.origin, w.bijection.p) for w in witnesses] == [
+        ("theta(m=2,t=54)", 2), ("theta(m=2,t=108)", 1), ("adam(x=19)", 1),
+        ("crt-embedding(16x27)", 27), ("crt-embedding(2x7)", 7), ("crt-embedding(4x45)", 45)]
+    for w in witnesses:
+        _, read = witness_from_json(json.loads(to_json(witness_json(w))))
+        assert read.bijection == w.bijection and read.verified is False
+        assert (read.source, read.target, read.origin) == (w.source, w.target, w.origin)
 
 
 # the epoch, a leap day, a recent date, the last 32-bit second, the last

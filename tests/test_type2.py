@@ -473,8 +473,8 @@ def test_false_period_raises_under_optimize():
 def test_type2_set_keeps_the_witness_of_each_members_least_t():
     # one verified witness per member other than the base, in member order,
     # named by the least t whose outcome is that member; each passes the
-    # edge check on its expanded image list, a route independent of the
-    # periodic walk
+    # edge check on its expanded image list, read back into a map from the
+    # list alone, as verify reads a report
     # (g, m, members, lattice t): the last two have Type-1 images only
     cases = [(A1, 2, 2, 4), (A1, 3, 3, 9), (C16A, 2, 2, 4),
              (Circulant(54, (2, 6, 9, 11, 16, 25, 27)), 3, 1, 6),
@@ -486,7 +486,8 @@ def test_type2_set_keeps_the_witness_of_each_members_least_t():
         for w in orbit.witnesses:
             least = min(t for t, _, image in orbit.outcomes if image == w.target)
             assert w.verified and w.source == g and w.origin == f"theta(m={m},t={least})"
-            assert iso_oracle.verify_witness(w._replace(bijection=w.images()))
+            read = iso_oracle.periodic_form(w.bijection.expand())
+            assert iso_oracle.verify_witness(w._replace(bijection=read))
 
 
 def test_classification_builds_no_vertex_map(monkeypatch):
