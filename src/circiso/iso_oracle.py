@@ -4,7 +4,7 @@ source's factors, on the target's connection set."""
 
 from contextlib import suppress
 from itertools import repeat
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from operator import mod, sub
 from typing import NamedTuple, Union
 
@@ -107,8 +107,8 @@ class IsoWitness(NamedTuple):
 
 def verify_witness(w: IsoWitness) -> bool:
     """True iff the bijection maps the source edge set exactly onto the
-    target's, by verify_circulant_witness's step walk over the period of
-    the map. A report's list was read into that map once, by
+    target's, by verify_circulant_witness, whose docstring holds the
+    proof. A report's list was read into that map once, by
     witness_from_json, so nothing is expanded here. A map of another order
     raises NotAPermutation, a Product target TargetNotCirculant."""
     return verify_circulant_witness(w.source, w.target, w.bijection)
@@ -168,44 +168,10 @@ def periodic_form(f: tuple[int, ...]) -> PeriodicMap:
 
 def verify_circulant_witness(g: Union[Circulant, Product], h: Circulant, f: PeriodicMap) -> bool:
     """True iff the periodic bijection f maps g edge for edge onto
-    h = C_n(S), read over the period of f. The source g is a Circulant,
-    or a Product such as the source of a CRT embedding; a Product target
-    raises TargetNotCirculant. A theta map takes one test per offset
-    divisible by its period p (m, or 1 when it is a unit map), and a CRT
-    embedding of G x H (p = |H|, whose steps have block |H|, while G's or
-    the ring's are global with shifts that are multiples of |H|) |H| per
-    offset of H and one per offset of G."""
-    n = _order(g, h)
-    if f.n != n:
-        raise NotAPermutation(f"bijection permutes Z_{f.n}, not Z_{n}")
-    return _walk(g, h, f.p, f.c, f.head)
-
-
-def walk_or_raise(g: Union[Circulant, Product], h: Circulant, f: PeriodicMap,
-                  origin: str) -> IsoWitness:
-    """The verified IsoWitness of f from g onto h, once
-    verify_circulant_witness has walked it: the one place that issues a
-    certificate. A failed walk raises InvariantViolation, with no assert,
-    naming origin, the name the witness would carry."""
-    if not verify_circulant_witness(g, h, f):
-        raise InvariantViolation(f"{origin} does not map {g.label()} onto {h.label()}")
-    return IsoWitness(g, h, f, True, origin)
-
-
-def _order(g: Union[Circulant, Product], h: Circulant) -> int:
-    """The order of g and of the target h, which must be a Circulant."""
-    if not isinstance(h, Circulant):
-        raise TargetNotCirculant(f"target is a {type(h).__name__}, not a Circulant")
-    n = g.n  # a Product folds its order from its factors on each read
-    if n != h.n:
-        raise OrderMismatch(f"orders differ: {n} vs {h.n}")
-    return n
-
-
-def _walk(g: Union[Circulant, Product], h: Circulant, p: int, c: int, head) -> bool:
-    """True iff the bijection f of Z_n with f(i + k*p) = head[i] + k*c
-    (mod n), for i in [0, p), head values in [0, n) and p | n, maps g edge
-    for edge onto h = C_n(S).
+    h = C_n(S), read over the period p of f. The source g is a Circulant,
+    or a Product such as the source of a CRT embedding. A Product target
+    raises TargetNotCirculant, a target of another order OrderMismatch and
+    a map of Z_m for m != n NotAPermutation.
 
     Every source edge is {x, u(x)} for some x in Z_n and some step u of
     circulant.steps(g.factors), and its image is an edge of the target
@@ -231,16 +197,26 @@ def _walk(g: Union[Circulant, Product], h: Circulant, p: int, c: int, head) -> b
     - block = n: u(x) = x + shift for every x, whatever p is. On a shift
       of j*p, d(x) = f(x + j*p) - f(x) = j*c for every x, so one test
       decides it.
-    When the walk meets a block b of neither kind, p is lifted to
-    lcm(p, b), which divides n since b and p do, and the same map is read
-    from then on with the larger period, c scaled by lcm/p; a step checked
-    before holds for every period of the map. The differences of a step
-    lie in (-n, n), and each distinct one is reduced mod n and looked up
-    once.
+    A block of neither kind switches the rest of the walk to p = n, c = 0
+    and the image list f.expand(), which every block divides; a step
+    checked before holds for every period of the map. A theta map so takes
+    one test per offset divisible by its period (m, or 1 when it is a unit
+    map), and a CRT embedding of G x H (p = |H|, whose steps have block
+    |H|, while G's or the ring's are global with shifts that are multiples
+    of |H|) |H| per offset of H and one per offset of G: no producer's map
+    is expanded. The differences of a step lie in (-n, n), and each
+    distinct one is reduced mod n and looked up once.
     """
-    n = g.n
+    if not isinstance(h, Circulant):
+        raise TargetNotCirculant(f"target is a {type(h).__name__}, not a Circulant")
+    n = g.n  # a Product folds its order from its factors on each read
+    if n != h.n:
+        raise OrderMismatch(f"orders differ: {n} vs {h.n}")
+    if f.n != n:
+        raise NotAPermutation(f"bijection permutes Z_{f.n}, not Z_{n}")
     if g.edge_count != h.edge_count:
         return False
+    _, p, c, head = f
     target = {v for s in h.conn for v in (s, n - s)}
     for block, shift in steps(g.factors):
         if block == n != p:
@@ -251,11 +227,20 @@ def _walk(g: Union[Circulant, Product], h: Circulant, p: int, c: int, head) -> b
                 ok = shift // p * c % n in target
         else:
             if p % block:  # the steps already checked hold for any period
-                q = lcm(p, block)
-                p, c, head = q, c * (q // p) % n, [(v + k * c) % n
-                                                   for k in range(q // p) for v in head]
+                p, c, head = n, 0, f.expand()
             diffs = set(map(sub, shifted(head, block, shift), head))
             ok = target.issuperset(map(mod, diffs, repeat(n)))
         if not ok:
             return False
     return True
+
+
+def walk_or_raise(g: Union[Circulant, Product], h: Circulant, f: PeriodicMap,
+                  origin: str) -> IsoWitness:
+    """The verified IsoWitness of f from g onto h, once
+    verify_circulant_witness has walked it: the one place that issues a
+    certificate. A failed walk raises InvariantViolation, with no assert,
+    naming origin, the name the witness would carry."""
+    if not verify_circulant_witness(g, h, f):
+        raise InvariantViolation(f"{origin} does not map {g.label()} onto {h.label()}")
+    return IsoWitness(g, h, f, True, origin)

@@ -48,10 +48,11 @@ def theta_periodic(n: int, m: int, t: int) -> PeriodicMap:
     builds: theta(x) - (1 + m*t)*x = m*t*((x mod m) - x) = -m²*t*(x // m),
     a multiple of n. And 1 + m*t is a unit: for a prime r | n, either
     r | m, or r ∤ m and n | m²*t force r | t; both give 1 + m*t ≡ 1
-    (mod r). The walk (iso_oracle._walk) reads such a map with one lookup
-    per offset of a circulant, whose steps are all global shifts, each a
-    multiple of p = 1. Any other t gives (m, m, (i + i*m*t mod n for i < m)),
-    read with up to m lookups per offset not divisible by m."""
+    (mod r). The walk (iso_oracle.verify_circulant_witness) reads such a
+    map with one lookup per offset of a circulant, whose steps are all
+    global shifts, each a multiple of p = 1. Any other t gives
+    (m, m, (i + i*m*t mod n for i < m)), read with up to m lookups per
+    offset not divisible by m."""
     mt = m * t
     if m * mt % n == 0:
         return PeriodicMap(n, 1, 1 + mt, (0,))

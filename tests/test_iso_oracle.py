@@ -175,8 +175,8 @@ def test_product_source_maps_raise_under_optimize():
     # bijection or does not fit Z_n, among them the (p, c) = (n, 0) form of
     # an image list that is no permutation, and both checks a Product
     # target with TargetNotCirculant; a bijection whose period fits
-    # no block of the product is read over a lifted period and gets the
-    # edge-level verdict
+    # no block of the product is read whole and gets the edge-level
+    # verdict
     code = ("import sys\n"
             "from circiso.circulant import Circulant\n"
             "from circiso.errors import NotAPermutation, TargetNotCirculant\n"
@@ -210,9 +210,9 @@ def test_product_source_maps_raise_under_optimize():
             "for g in (PeriodicMap(432, 1, 1, (0,)), PeriodicMap(432, 432, 0, range(432))):\n"
             "    edge = verify_witness(IsoWitness(w.source, result, g, False, 'x'))\n"
             "    if edge or verify_circulant_witness(w.source, result, g) != edge:\n"
-            "        sys.exit('a misaligned map was not read over its lifted period')\n"
+            "        sys.exit('a misaligned map was not read whole')\n"
             "# the identity with period 2 on C_3(1) x C_4(1), whose C_4 steps have\n"
-            "# blocks of 4: read without lifting, it would pass C_12(1,4)\n"
+            "# blocks of 4: read over period 2, it would pass C_12(1,4)\n"
             "source = product_witness('coprime', Circulant(3, (1,)), Circulant(4, (1,)))[1].source\n"
             "f, h = PeriodicMap(12, 2, 2, (0, 1)), Circulant(12, (1, 4))\n"
             "if verify_circulant_witness(source, h, f) or verify_witness(IsoWitness(source, h,"
@@ -224,6 +224,20 @@ def test_product_source_maps_raise_under_optimize():
     res = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
     assert res.returncode == 0, res.stderr
+
+
+def test_a_misfit_period_is_read_whole(monkeypatch):
+    # the identity with period 2 on C_3(1) x C_4(1), onto C_12(1,4): the
+    # C_4 steps have blocks of 4, which neither divide 2 nor are the whole
+    # of Z_12, so the walk reads the map's own expansion from there on,
+    # once; read over period 2 it would pass
+    source = products.product_witness("coprime", Circulant(3, (1,)), Circulant(4, (1,)))[1].source
+    f, h = PeriodicMap(12, 2, 2, (0, 1)), Circulant(12, (1, 4))
+    images, expand, calls = f.expand(), PeriodicMap.expand, []
+    monkeypatch.setattr(PeriodicMap, "expand", lambda self: calls.append(self) or expand(self))
+    assert not verify_circulant_witness(source, h, f)
+    assert calls == [f]
+    assert not maps_edges_onto(endpoint_edges(source), realize(h), images)
 
 
 def test_verify_witness_counts_half_steps_once():

@@ -257,7 +257,7 @@ _C3_X_C4 = product_witness("coprime", Circulant(3, (1,)), Circulant(4, (1,)))[1]
 @settings(max_examples=300, deadline=None)
 @given(crt_cases())
 # the identity with period 2, against the circulant of the source's shifts:
-# C_4(1)'s blocks of 4 do not fit the period, which must be lifted
+# C_4(1)'s blocks of 4 do not fit the period, so the map is read whole
 @example((_C3_X_C4, Circulant(12, (1, 4)), PeriodicMap(12, 2, 2, (0, 1))))
 def test_product_source_check_matches_edge_check(case):
     """verify_circulant_witness on a Product source, read over one period,

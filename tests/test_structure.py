@@ -105,13 +105,13 @@ SHARED: dict[str, dict[str, str]] = {
              "Type2Orbit": "Type2Orbit.outcome, type2.type2_group_check"},
     "closed": {"GroupTable": "cli.cmd_t1, cli.cmd_t2, GroupTable.ok",
                "Type2GroupReport": "cli.cmd_t2, Type2GroupReport.ok"},
-    "edge_count": {"Circulant": "iso_oracle._walk, circulant.sizes, cli._stored",
-                   "Product": "iso_oracle._walk"},
+    "edge_count": {"Circulant": "iso_oracle.verify_circulant_witness, circulant.sizes, cli._stored",
+                   "Product": "iso_oracle.verify_circulant_witness"},
     "edges": {"Circulant": "bench/tracer.py and tests/oracles.py only (ALLOWED)",
               "EdgeGraph": "bench/tracer.py and tests/oracles.py only (ALLOWED)",
               "Product": "bench/tracer.py and tests/oracles.py only (ALLOWED)"},
-    "factors": {"Circulant": "iso_oracle._walk, through circulant.steps",
-                "Product": "iso_oracle._walk, reporting.graph_desc, Product.label"},
+    "factors": {"Circulant": "iso_oracle.verify_circulant_witness, through circulant.steps",
+                "Product": "iso_oracle.verify_circulant_witness, reporting.graph_desc, Product.label"},
     "kind": {"LiftCheck": "cli.cmd_scan",
              "ThetaClassification": "cli.cmd_classify, products._lift_checks, reproduce"},
     "label": {"Circulant": "the messages and summaries of cli, products, type2 and reproduce",
@@ -126,7 +126,7 @@ SHARED: dict[str, dict[str, str]] = {
     "n": {"Circulant": "every module that builds or checks a graph",
           "EdgeGraph": "tests/oracles.py only, on what realize returns (ALLOWED)",
           "PeriodicMap": "iso_oracle.verify_circulant_witness",
-          "Product": "iso_oracle._order, reporting.graph_desc",
+          "Product": "iso_oracle.verify_circulant_witness, reporting.graph_desc",
           "ThetaMap": "type2.classify_theta"},
     "ok": {"GroupTable": "reproduce, Type2GroupReport.ok",
            "Type2GroupReport": "reproduce, bench/workloads.py"},

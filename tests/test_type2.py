@@ -20,7 +20,7 @@ from circiso.errors import (
 )
 from circiso import iso_oracle, type1, type2
 from circiso.catalog import S3_LETTERS, S4_LETTERS, load
-from circiso.products import product_coprime
+from circiso.products import product_coprime, product_witness
 from circiso.type2 import (
     ThetaMap,
     classify_theta,
@@ -490,11 +490,12 @@ def test_type2_set_keeps_the_witness_of_each_members_least_t():
             assert iso_oracle.verify_witness(w._replace(bijection=read))
 
 
-def test_classification_builds_no_vertex_map(monkeypatch):
-    # theta witnesses are checked in periodic form, O(m*|R|) per t, and kept
-    # that way: neither classify_theta nor type2_set expands one into an
-    # n-entry list, and neither the periodic form nor its expansion keeps a
-    # cache
+def test_no_producer_builds_a_vertex_map(monkeypatch):
+    # every producer's map fits its source's blocks, so the walk reads it
+    # in periodic form and never expands it into an n-entry list: theta
+    # witnesses, O(m*|R|) per t, Adam witnesses (the orbit built afresh,
+    # not read from the cache) and the CRT embedding of every product
+    # kind; neither the periodic form nor its expansion keeps a cache
     def refuse(*args):
         raise RuntimeError("an n-entry vertex map was built")
 
@@ -505,6 +506,11 @@ def test_classification_builds_no_vertex_map(monkeypatch):
     for m in (2, 3):
         orbit = type2_set(A1, m)
         assert orbit.witnesses and all(w.verified for w in orbit.witnesses)
+    orbit = type1.type1_set.__wrapped__(A1)
+    assert orbit.witnesses and all(w.verified for w in orbit.witnesses)
+    c7 = Circulant(7, (1, 2))
+    for args in (("coprime", C16A, Circulant(27, (1, 3, 8, 10))), ("prism", c7), ("c4", c7)):
+        assert product_witness(*args)[1].verified
     assert not any(hasattr(fn, "cache_info") for fn in (theta_periodic, expand))
 
 
